@@ -34,6 +34,7 @@ from repro.fabric.ring import (
     HashRing,
     parse_ring_spec,
     shard_key_of,
+    shard_keys,
 )
 
 __all__ = [
@@ -50,6 +51,7 @@ __all__ = [
     "DEAD",
     "HashRing",
     "shard_key_of",
+    "shard_keys",
     "parse_ring_spec",
     "DEFAULT_VNODES",
     "DEFAULT_REPLICAS",

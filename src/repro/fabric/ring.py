@@ -30,14 +30,22 @@ from __future__ import annotations
 import bisect
 import hashlib
 
-from repro.core.msv import DEFAULT_PARTS, compute_msv
+from repro.core.msv import (
+    DEFAULT_PARTS,
+    MixedSignature,
+    compute_msv,
+    normalize_parts,
+)
 from repro.core.truth_table import TruthTable
+from repro.engine.classifier import BatchedClassifier
 
 __all__ = [
     "HashRing",
+    "ShardFilter",
     "DEFAULT_VNODES",
     "DEFAULT_REPLICAS",
     "shard_key_of",
+    "shard_keys",
     "parse_ring_spec",
 ]
 
@@ -58,10 +66,41 @@ def _hash64(text: str) -> int:
     )
 
 
-def shard_key_of(table: TruthTable, parts=DEFAULT_PARTS) -> str:
-    """The shard key of a query (== its class's key, by NPN invariance)."""
-    signature = compute_msv(table, parts)
+def shard_key_of(
+    table: TruthTable,
+    parts=DEFAULT_PARTS,
+    signature: MixedSignature | None = None,
+) -> str:
+    """The shard key of a query (== its class's key, by NPN invariance).
+
+    ``signature`` is the table's MSV when a batched pass already
+    computed it (the router's per-tick flush, :func:`shard_keys`); the
+    key is then only formatted here, so its format stays defined in one
+    place.  Without it the MSV is computed on the big-int path.
+    """
+    if signature is None:
+        signature = compute_msv(table, parts)
+    elif signature.n != table.n or signature.parts != normalize_parts(parts):
+        raise ValueError(
+            f"signature (n={signature.n}, parts={signature.parts}) does "
+            f"not describe this table (n={table.n}, parts={tuple(parts)})"
+        )
     return f"n{signature.n}-{signature.digest()}"
+
+
+def shard_keys(tables, parts=DEFAULT_PARTS) -> list[str]:
+    """Shard keys of many tables (arities may mix) in one batched pass.
+
+    Byte-identical to ``[shard_key_of(t, parts) for t in tables]``; the
+    MSVs come from one :class:`BatchedClassifier` pass instead of one
+    big-int computation per table.
+    """
+    tables = list(tables)
+    signatures = BatchedClassifier(parts, cache_size=0).signatures(tables)
+    return [
+        shard_key_of(table, parts, signature=signature)
+        for table, signature in zip(tables, signatures)
+    ]
 
 
 def parse_ring_spec(spec: str) -> tuple[str, ...]:
@@ -153,24 +192,43 @@ class HashRing:
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"bad ring spec {spec!r}: {exc}") from None
 
-    def shard_filter(self, node: str, parts=DEFAULT_PARTS):
+    def shard_filter(self, node: str, parts=DEFAULT_PARTS) -> "ShardFilter":
         """Predicate over library entries: does ``node`` hold this class?
 
         Feed it to :meth:`ClassLibrary.subset` to load a worker's shard
-        (its owned arcs plus the replicas of its predecessors).
+        (its owned arcs plus the replicas of its predecessors); the
+        subset keys every representative in one batched pass.
         """
         if node not in self.nodes:
             raise ValueError(f"node {node!r} is not on the ring {self.nodes}")
-
-        def keep(entry) -> bool:
-            return self.covers(
-                shard_key_of(entry.representative, parts), node
-            )
-
-        return keep
+        return ShardFilter(self, node, parts)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
             f"HashRing(nodes={self.nodes}, vnodes={self.vnodes}, "
             f"replicas={self.replicas})"
         )
+
+
+class ShardFilter:
+    """Which library entries one ring node holds (see ``shard_filter``).
+
+    Callable on one entry, like any :meth:`ClassLibrary.subset`
+    predicate; :meth:`select` answers for many entries at once from one
+    batched signature pass, which is how ``subset`` loads a shard.
+    """
+
+    def __init__(self, ring: HashRing, node: str, parts=DEFAULT_PARTS) -> None:
+        self.ring = ring
+        self.node = node
+        self.parts = parts
+
+    def __call__(self, entry) -> bool:
+        return self.select([entry])[0]
+
+    def select(self, entries) -> list[bool]:
+        """Ownership of each entry's class, in input order."""
+        keys = shard_keys(
+            [entry.representative for entry in entries], self.parts
+        )
+        return [self.ring.covers(key, self.node) for key in keys]

@@ -7,7 +7,10 @@ jobs work against it unchanged.  Behind that front it routes:
 
 1. a table op's **shard key** is the signature digest of the query
    (``n{n}-{digest}`` — NPN-invariant, so a query hashes exactly where
-   its class lives);
+   its class lives).  Keys are computed per event-loop tick, not per
+   request: every table op queued in one tick shares one vectorized
+   :class:`BatchedClassifier` pass (mixed arities included), flushed by
+   a ``call_soon`` callback that resolves each request's future;
 2. the consistent-hash ring names the key's owner and replica workers;
 3. the request is dispatched over the owner's pipelined channel, where
    concurrent requests to the same shard coalesce into burst writes the
@@ -39,11 +42,14 @@ from __future__ import annotations
 
 import asyncio
 import json
+import logging
 import os
 import time
 
 from repro import obs
 from repro.core.msv import DEFAULT_PARTS, normalize_parts
+from repro.core.truth_table import TruthTable
+from repro.engine.classifier import BatchedClassifier
 from repro.fabric.backoff import RetryPolicy
 from repro.fabric.channel import ChannelClosed, DispatchTimeout, WorkerChannel
 from repro.fabric.registry import (
@@ -101,6 +107,15 @@ _DEGRADED = _REG.counter(
     "repro_fabric_degraded_total",
     "Requests refused with shard_unavailable (ring gap, degraded mode).",
 )
+_SHARD_KEY_SECONDS = _REG.histogram(
+    "repro_fabric_shard_key_seconds",
+    "Batched shard-key passes (one per event-loop tick with table ops).",
+)
+_SHARD_KEY_BATCH = _REG.histogram(
+    "repro_fabric_shard_key_batch_size",
+    "Requests keyed per batched shard-key pass.",
+    buckets=obs.BATCH_SIZE_BUCKETS,
+)
 _DISPATCH_SECONDS = _REG.histogram(
     "repro_fabric_dispatch_seconds",
     "Per-attempt worker round-trip latency.",
@@ -147,6 +162,8 @@ class RouterService(LineProtocolServer):
         self.ring: HashRing | None = None
         self.parts: tuple[str, ...] = DEFAULT_PARTS
         self.channels: dict[str, WorkerChannel] = {}
+        #: Table ops waiting for this tick's batched shard-key pass.
+        self._key_queue: list[tuple[TruthTable, asyncio.Future]] = []
         self._sweeper: asyncio.Task | None = None
         self._retries = 0
         self._hedges = 0
@@ -393,9 +410,55 @@ class RouterService(LineProtocolServer):
 
     # ------------------------- data plane ------------------------------
 
+    def _shard_key(self, table: TruthTable) -> asyncio.Future:
+        """The table's shard key, from this tick's batched pass."""
+        loop = asyncio.get_running_loop()
+        future = loop.create_future()
+        if not self._key_queue:
+            loop.call_soon(self._flush_shard_keys)
+        self._key_queue.append((table, future))
+        return future
+
+    def _flush_shard_keys(self) -> None:
+        """Key every table op queued this tick in one vectorized pass.
+
+        Futures whose requests were cancelled meanwhile are skipped; if
+        the pass fails, every request of the tick answers a typed
+        ``internal`` error and the next tick starts afresh.
+        """
+        queued, self._key_queue = self._key_queue, []
+        pending = [(table, fut) for table, fut in queued if not fut.done()]
+        if not pending:
+            return
+        t0 = time.perf_counter()
+        try:
+            classifier = BatchedClassifier(self.parts, cache_size=0)
+            signatures = classifier.signatures([table for table, _ in pending])
+            # Formatted here rather than through ring.shard_keys: one
+            # call of this module's shard_key_of per routed request is
+            # what perfbench's traced run counts against the
+            # repro_fabric_requests_total series.
+            keys = [
+                shard_key_of(table, self.parts, signature=signature)
+                for (table, _), signature in zip(pending, signatures)
+            ]
+        except Exception as exc:  # engine bug — fail the tick, not the router
+            logging.getLogger("repro.fabric.router").exception(
+                "shard-key pass over %d requests failed", len(pending)
+            )
+            message = f"shard-key pass failed: {exc!r}"
+            for _, future in pending:
+                future.set_exception(ProtocolError("internal", message))
+            return
+        finally:
+            _SHARD_KEY_SECONDS.observe(time.perf_counter() - t0)
+            _SHARD_KEY_BATCH.observe(len(pending))
+        for (_, future), key in zip(pending, keys):
+            future.set_result(key)
+
     async def _route_table_op(self, request: Request, trace=None) -> dict:
         route_start = time.perf_counter()
-        key = shard_key_of(request.table, self.parts)
+        key = await self._shard_key(request.table)
         if self.ring is None:
             self._degraded += 1
             _DEGRADED.inc()

@@ -497,12 +497,22 @@ class ClassLibrary:
         frozen dataclasses — and *not* re-verified: the source library
         already verified them at load time.  ``kernel_cache_dir`` is
         inherited so the shard keeps using the on-disk gather tables.
+
+        A ``keep`` with a ``select(entries) -> list[bool]`` method (the
+        ring's shard filter) is asked once for every entry, so it can
+        answer from one batched pass instead of one call per entry.
         """
         shard = ClassLibrary(self.parts, self.id_scheme)
+        items = list(self.classes.items())
+        select = getattr(keep, "select", None)
+        if select is not None:
+            kept = select([entry for _, entry in items])
+        else:
+            kept = [keep(entry) for _, entry in items]
         shard.classes = {
             class_id: entry
-            for class_id, entry in self.classes.items()
-            if keep(entry)
+            for (class_id, entry), wanted in zip(items, kept)
+            if wanted
         }
         shard.kernel_cache_dir = self.kernel_cache_dir
         return shard

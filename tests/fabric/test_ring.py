@@ -1,17 +1,80 @@
 """Consistent-hash ring: determinism, replication, shard partitioning."""
 
+import asyncio
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from repro.core.msv import DEFAULT_PARTS
 from repro.core.transforms import random_transform
 from repro.core.truth_table import TruthTable
+from repro.engine import BatchedClassifier
 from repro.fabric.ring import (
     DEFAULT_REPLICAS,
     HashRing,
     parse_ring_spec,
     shard_key_of,
+    shard_keys,
 )
+from repro.fabric.router import RouterService
+from repro.library import build_library
+from tests.strategies import npn_transforms, truth_tables
+
+# The differential suite is parametric over the arity range: n=0 is the
+# constant-only corner, n=7..8 the multi-word tables the protocol still
+# accepts.
+MIN_KEY_VARS = 0
+MAX_KEY_VARS = 8
+
+#: A non-default MSV selection, as a worker may announce at registration.
+OTHER_PARTS = ("c0", "ocv1", "osv_full")
+
+
+@st.composite
+def key_batches(draw, min_n=MIN_KEY_VARS, max_n=MAX_KEY_VARS):
+    """A mixed-arity batch: each drawn table, a constant of its arity and
+    a random NPN image of it, all shuffled together."""
+    seeds = draw(
+        st.lists(truth_tables(min_n=min_n, max_n=max_n), min_size=1,
+                 max_size=6)
+    )
+    batch = []
+    for table in seeds:
+        image = table.apply(draw(npn_transforms(n=table.n)))
+        constant = TruthTable(table.n, draw(st.sampled_from(
+            (0, (1 << (1 << table.n)) - 1)
+        )))
+        batch += [table, image, constant]
+    return draw(st.permutations(batch))
+
+
+def scalar_keep(ring, node, parts):
+    """The per-entry filter shard loading used before batching."""
+    return lambda entry: ring.covers(
+        shard_key_of(entry.representative, parts), node
+    )
+
+
+def router_keys(tables, parts):
+    """Keys from the router's per-tick flush, after a registration that
+    announced ``parts``."""
+    router = RouterService(port=0)
+    router._register({
+        "worker": {
+            "worker_id": "w0",
+            "address": "127.0.0.1:1",
+            "ring": HashRing(("w0",)).spec(),
+            "parts": list(parts),
+        }
+    })
+
+    async def key_all():
+        return await asyncio.gather(
+            *(router._shard_key(table) for table in tables)
+        )
+
+    return asyncio.run(key_all())
 
 
 class TestRingSpec:
@@ -124,6 +187,29 @@ class TestShardKeys:
         union = set().union(*(s.classes for s in shards.values()))
         assert union == set(tiny_library.classes)
 
+    @pytest.mark.parametrize("library", ["tiny", "random-n6"])
+    def test_batched_shard_filter_matches_scalar_filter(
+        self, library, tiny_library
+    ):
+        if library == "tiny":
+            source = tiny_library
+        else:
+            rng = random.Random(200)
+            source = build_library(
+                [TruthTable(6, rng.getrandbits(64)) for _ in range(200)],
+                id_scheme="digest",
+            )
+            assert source.num_classes == 200
+        ring = HashRing(("w0", "w1", "w2"))
+        for node in ring.nodes:
+            batched = source.subset(ring.shard_filter(node, source.parts))
+            scalar = source.subset(scalar_keep(ring, node, source.parts))
+            assert list(batched.classes) == list(scalar.classes)
+            # The filter still answers one entry at a time, too.
+            one = ring.shard_filter(node, source.parts)
+            for entry in source.classes.values():
+                assert one(entry) == (entry.class_id in scalar.classes)
+
     def test_shard_filter_rejects_foreign_node(self):
         ring = HashRing(("w0", "w1"))
         with pytest.raises(ValueError):
@@ -147,6 +233,27 @@ class TestShardKeys:
                 hit = shards[owner].match(table)
                 assert hit is not None
                 assert hit.verify(table)
+
+
+class TestBatchedShardKeys:
+    @pytest.mark.parametrize("parts", [DEFAULT_PARTS, OTHER_PARTS])
+    @settings(max_examples=25, deadline=None)
+    @given(batch=key_batches())
+    def test_batched_keys_equal_scalar_keys(self, parts, batch):
+        expected = [shard_key_of(table, parts) for table in batch]
+        assert shard_keys(batch, parts) == expected
+        assert router_keys(batch, parts) == expected
+
+    def test_signature_must_describe_the_table(self):
+        table = TruthTable(3, 0xE8)
+        (signature,) = BatchedClassifier(OTHER_PARTS).signatures([table])
+        with pytest.raises(ValueError):
+            shard_key_of(table, DEFAULT_PARTS, signature=signature)
+        with pytest.raises(ValueError):
+            shard_key_of(TruthTable(4, 0xE8), OTHER_PARTS, signature=signature)
+        assert shard_key_of(
+            table, OTHER_PARTS, signature=signature
+        ) == shard_key_of(table, OTHER_PARTS)
 
 
 class TestSubset:

@@ -7,6 +7,7 @@ mocked except where a test *needs* a pathological peer (the black-hole
 worker that accepts connections and never answers).
 """
 
+import asyncio
 import json
 import socket
 import threading
@@ -14,7 +15,9 @@ import time
 
 import pytest
 
+from repro import obs
 from repro.core.truth_table import TruthTable
+from repro.fabric import router as router_module
 from repro.fabric.backoff import RetryPolicy
 from repro.fabric.ring import HashRing, shard_key_of
 from repro.fabric.router import RouterService
@@ -32,6 +35,32 @@ def wait_for(predicate, timeout_s=15.0, message="condition"):
             return
         time.sleep(0.02)
     raise AssertionError(f"timed out waiting for {message}")
+
+
+def match_lines(tables) -> bytes:
+    """One NDJSON ``match`` line per table, ids numbered from 0."""
+    return b"".join(
+        json.dumps(
+            {"op": "match", "id": i, "table": f"0x{t.to_hex()}", "n": t.n}
+        ).encode()
+        + b"\n"
+        for i, t in enumerate(tables)
+    )
+
+
+def pipeline(port, tables):
+    """Send every ``match`` line in one write; replies keyed by id."""
+    with socket.create_connection(("127.0.0.1", port), timeout=30) as sock:
+        sock.sendall(match_lines(tables))
+        stream = sock.makefile("rb")
+        replies = [json.loads(stream.readline()) for _ in tables]
+    return {reply["id"]: reply for reply in replies}
+
+
+def shard_key_passes():
+    """Batched shard-key passes observed so far in this process."""
+    histogram = obs.registry().get("repro_fabric_shard_key_batch_size")
+    return histogram.series()["count"]
 
 
 def make_worker(tiny_library, worker_id, ring, router_address, **kwargs):
@@ -165,12 +194,19 @@ class TestRouting:
 
     def test_pipelined_burst_through_router(self, fabric):
         router, _ = fabric
-        tables = [TruthTable(3, value) for value in range(128)]
+        # 512 lines of mixed arity on one connection: the router keys
+        # them in a few per-tick batched passes, not one pass each.
+        tables = [
+            TruthTable(3, value // 2) if value % 2 else TruthTable(2, value % 16)
+            for value in range(512)
+        ]
+        passes_before = shard_key_passes()
         with ServiceClient(port=router.port) as client:
             results = client.match_many(tables)
         for table, result in zip(tables, results):
             assert result["hit"]
             assert ServiceClient.verify(result, table)
+        assert shard_key_passes() - passes_before <= 512 // 8
 
     def test_classify_and_ping_and_stats(self, fabric):
         router, _ = fabric
@@ -241,6 +277,16 @@ class TestDegradedMode:
                     client.match(TruthTable(3, 0xE8))
         assert excinfo.value.error_type == "shard_unavailable"
 
+    def test_burst_before_registration_is_shard_unavailable(self):
+        router = RouterService(port=0)
+        tables = [TruthTable(3, value) for value in range(64)]
+        with ThreadedService(router) as host:
+            replies = pipeline(host.port, tables)
+        assert len(replies) == len(tables)
+        for reply in replies.values():
+            assert not reply["ok"]
+            assert reply["error"]["type"] == "shard_unavailable"
+
     def test_all_owners_down_fails_fast_not_hanging(self, fabric):
         router, _ = fabric
         # Drain both workers: every shard's owner set becomes empty.
@@ -255,6 +301,78 @@ class TestDegradedMode:
             elapsed = time.monotonic() - t0
         assert excinfo.value.error_type == "shard_unavailable"
         assert elapsed < 2.0  # fail fast, no retry/timeout ladder
+
+
+class TestBatchedShardKeys:
+    def test_failed_pass_answers_internal_then_recovers(
+        self, fabric, monkeypatch
+    ):
+        router, _ = fabric
+        failed_rows = []
+        real = router_module.BatchedClassifier
+
+        class FailsOnce(real):
+            def signatures(self, tables):
+                if not failed_rows:
+                    failed_rows.append(len(tables))
+                    raise RuntimeError("injected kernel fault")
+                return super().signatures(tables)
+
+        monkeypatch.setattr(router_module, "BatchedClassifier", FailsOnce)
+        tables = [TruthTable(3, value) for value in range(256)]
+        replies = pipeline(router.port, tables)
+        failed = [r for r in replies.values() if not r["ok"]]
+        # Exactly the requests of the failing tick answer a typed error;
+        # every other request of the burst routes normally.
+        assert failed_rows and len(failed) == failed_rows[0]
+        assert {r["error"]["type"] for r in failed} == {"internal"}
+        assert "injected kernel fault" in failed[0]["error"]["message"]
+        for i, reply in replies.items():
+            if reply["ok"]:
+                assert ServiceClient.verify(reply["result"], tables[i])
+        # The next request routes normally.
+        with ServiceClient(port=router.port) as client:
+            table = TruthTable(3, 0xE8)
+            assert ServiceClient.verify(client.match(table), table)
+
+    def test_cancelled_requests_do_not_stop_the_flush(self):
+        router = RouterService(port=0)
+        tables = [TruthTable(3, value) for value in range(8)]
+
+        async def key(table):
+            return await router._shard_key(table)
+
+        async def scenario():
+            tasks = [asyncio.ensure_future(key(t)) for t in tables]
+            await asyncio.sleep(0)  # every task has queued its table
+            assert len(router._key_queue) == len(tables)
+            for index in (1, 4, 5):
+                tasks[index].cancel()
+            # A flush that stumbled on a cancelled future would strand
+            # the rest: bound the wait so that fails instead of hangs.
+            return await asyncio.wait_for(
+                asyncio.gather(*tasks, return_exceptions=True), timeout=10
+            )
+
+        results = asyncio.run(scenario())
+        for index, (table, result) in enumerate(zip(tables, results)):
+            if index in (1, 4, 5):
+                assert isinstance(result, asyncio.CancelledError)
+            else:
+                assert result == shard_key_of(table, router.parts)
+        assert router._key_queue == []
+
+    def test_client_gone_mid_burst_leaves_others_answered(self, fabric):
+        router, _ = fabric
+        tables = [TruthTable(3, value) for value in range(256)]
+        quitter = socket.create_connection(("127.0.0.1", router.port))
+        quitter.sendall(match_lines(tables))
+        quitter.close()  # hangs up without reading a single reply
+        replies = pipeline(router.port, tables)
+        assert len(replies) == len(tables)
+        for i, reply in replies.items():
+            assert reply["ok"]
+            assert ServiceClient.verify(reply["result"], tables[i])
 
 
 class TestTimeoutsAndHedging:
