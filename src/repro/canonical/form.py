@@ -5,8 +5,12 @@ lexicographically smallest truth table in ``f``'s full NPN orbit — the
 same value :func:`repro.baselines.exact_enum.exact_npn_canonical`
 computes.  What changes with arity is only *how* it is computed:
 
-* ``n <= 6`` — the batched :func:`repro.kernels.canonical_min` gather
-  kernels (byte-identical to the exhaustive enumeration);
+* ``n <= 6`` — the batched :func:`repro.kernels.canonical_min` kernel
+  (byte-identical to the exhaustive enumeration: the ``n!`` permuted
+  words are gathered, the input phases added by word-level doublings);
+  :func:`repro.kernels.canonical_min_transforms` reduces the same words
+  with ``argmin`` and also returns the transform reaching the form —
+  the learn-on-miss witness, checked with one apply;
 * ``n > 6`` — :func:`influence_canonical_scalar`, an exact search that
   walks permutations in the influence-sorted candidate order (strong
   incumbent early) and bounds the per-permutation phase enumeration by

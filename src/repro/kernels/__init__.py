@@ -8,7 +8,9 @@ top of them:
 
 * :func:`apply_transforms` — many tables × many transforms in one gather;
 * :func:`orbit` / :func:`orbit_chunks` — exhaustive orbit enumeration;
-* :func:`canonical_min` — batched exhaustive canonical minima;
+* :func:`canonical_min` — batched exhaustive canonical minima, and
+  :func:`canonical_min_transforms` — the same plus the transform
+  reaching each minimum;
 * :func:`key_matrices` — batched matcher variable keys in int64 rows.
 
 The matcher (:mod:`repro.baselines.matcher`), the class library
@@ -35,6 +37,7 @@ from repro.kernels.ops import (
     bit_matrix,
     canonical_min,
     canonical_min_table,
+    canonical_min_transforms,
     orbit,
     orbit_chunks,
     pack_rows,
@@ -57,5 +60,6 @@ __all__ = [
     "orbit",
     "orbit_chunks",
     "canonical_min",
+    "canonical_min_transforms",
     "canonical_min_table",
 ]

@@ -1,6 +1,6 @@
 """Vectorized transform primitives on top of the gather tables.
 
-Three primitives, all operating on batches and all exact:
+Four primitives, all operating on batches and all exact:
 
 * :func:`apply_transforms` — every table × every transform in one numpy
   gather (``[B, T]`` ``uint64`` images);
@@ -11,12 +11,19 @@ Three primitives, all operating on batches and all exact:
 * :func:`canonical_min` — the batched exhaustive canonical minimum: the
   lexicographically smallest table over each input's whole orbit,
   byte-identical to
-  :func:`repro.baselines.exact_enum.exact_npn_canonical`.
+  :func:`repro.baselines.exact_enum.exact_npn_canonical`;
+* :func:`canonical_min_transforms` — the same minima plus the transform
+  reaching each one (an argmin witness, decoded from the winning
+  column).
 
 Everything routes through the same two moves: unpack tables to a
 ``[B, 2**n]`` bit matrix once, gather it through precomputed index maps,
 and pack the gathered bits back to ``uint64`` rows.  Output negation is
-a single XOR with the full table mask after packing.
+a single XOR with the full table mask after packing.  The canonical
+minimum gathers only the ``n!`` permutations that way; the ``2**n``
+input phases of each permuted word are ``n`` word-level doublings
+(swap the halves where ``x_i = 0`` and ``x_i = 1``), so the whole NP
+orbit is built with shifts and masks on ``uint64`` words.
 """
 
 from __future__ import annotations
@@ -39,11 +46,19 @@ __all__ = [
     "orbit",
     "orbit_chunks",
     "canonical_min",
+    "canonical_min_transforms",
     "canonical_min_table",
 ]
 
 #: Soft cap on the number of ``uint8`` entries any gather materialises.
 _ENTRY_BUDGET = 1 << 25
+
+#: Soft cap on the ``uint64`` image words one canonical-minimum chunk
+#: holds: one ``n = 6`` table (46 080 words, 360 KiB), 12 at ``n = 5``,
+#: 120 at ``n = 4``.  Larger chunks measured slower per table at n = 6
+#: (0.40 ms alone, 0.80 ms in pairs, 0.52 ms in eights on a 2-core x86
+#: host), and no faster at n = 4 and 5.
+_WORD_BUDGET = 46080
 
 
 def _as_ints(tables) -> tuple[int | None, list[int]]:
@@ -60,6 +75,18 @@ def _as_ints(tables) -> tuple[int | None, list[int]]:
         else:
             ints.append(int(item))
     return n, ints
+
+
+def _batch_arity(tables, n: int | None) -> tuple[int, list[int]]:
+    """Resolve a batch's arity: from its tables, else the explicit ``n``."""
+    batch_n, ints = _as_ints(tables)
+    if batch_n is None:
+        if n is None:
+            raise ValueError("pass n when tables are raw integers")
+        batch_n = n
+    elif n is not None and n != batch_n:
+        raise ValueError(f"explicit n={n} != batch arity {batch_n}")
+    return batch_n, ints
 
 
 def bit_matrix(n: int, ints: Sequence[int]) -> np.ndarray:
@@ -144,13 +171,7 @@ def apply_transforms(
     required); all transforms must act on the same arity.
     """
     transforms = list(transforms)
-    batch_n, ints = _as_ints(tables)
-    if batch_n is None:
-        if n is None:
-            raise ValueError("pass n when tables are raw integers")
-        batch_n = n
-    elif n is not None and n != batch_n:
-        raise ValueError(f"explicit n={n} != batch arity {batch_n}")
+    batch_n, ints = _batch_arity(tables, n)
     for t in transforms:
         if t.n != batch_n:
             raise ValueError(
@@ -220,6 +241,37 @@ def orbit(
     )
 
 
+def _np_image_words(
+    gt: GatherTable, ints: Sequence[int]
+) -> Iterator[tuple[int, np.ndarray]]:
+    """Every NP image (no output negation) of each table, chunked.
+
+    Yields ``(start, words)`` with ``words`` of shape ``[chunk, n! * 2**n]``
+    for the rows ``ints[start : start + chunk]``.  Column ``p + n! * j``
+    is the image under permutation ``perms[p]`` followed by flipping the
+    *image* variables set in ``j``: only the ``n!`` permuted words are
+    gathered bit by bit, and each variable ``i`` then doubles the columns
+    with one word-level swap of the ``2**i``-bit blocks where ``x_i = 0``
+    and ``x_i = 1``.  In :class:`~repro.core.transforms.NPNTransform`
+    terms the input phase of column ``j`` has bit ``i`` equal to bit
+    ``perms[p][i]`` of ``j``.
+    """
+    n = gt.n
+    full = bitops.table_mask(n)
+    lows = [
+        (np.uint64(1 << i), np.uint64(full & ~bitops.var_mask(n, i)))
+        for i in range(n)
+    ]
+    chunk = max(1, _WORD_BUDGET // gt.np_group_order)
+    for start in range(0, len(ints), chunk):
+        bits = bit_matrix(n, ints[start : start + chunk])
+        words = pack_rows(bits[:, gt.perm_maps])  # [chunk, n!]
+        for shift, low in lows:
+            flipped = ((words >> shift) & low) | ((words & low) << shift)
+            words = np.concatenate([words, flipped], axis=1)
+        yield start, words
+
+
 def canonical_min(
     tables: Iterable,
     n: int | None = None,
@@ -230,34 +282,57 @@ def canonical_min(
     Entry ``b`` is the smallest truth table in the full NPN orbit of
     ``tables[b]`` — the canonical form of
     :func:`repro.baselines.exact_enum.exact_npn_canonical`, for the
-    whole batch at once.  Work is chunked along both the batch and the
-    permutation group so no intermediate exceeds the entry budget.
+    whole batch at once.  The NP images come from the word-level
+    doublings of ``_np_image_words``; output negation needs no array of
+    its own, because the smallest negated image is ``mask ^ max``.
     """
-    batch_n, ints = _as_ints(tables)
-    if batch_n is None:
-        if n is None:
-            raise ValueError("pass n when tables are raw integers")
-        batch_n = n
-    elif n is not None and n != batch_n:
-        raise ValueError(f"explicit n={n} != batch arity {batch_n}")
+    batch_n, ints = _batch_arity(tables, n)
     gt = gather_table(batch_n, cache_dir)
-    size = gt.table_size
     mask = np.uint64(bitops.table_mask(batch_n))
     best = np.empty(len(ints), dtype=np.uint64)
-    per_row = gt.np_group_order * size  # full-group entries per table
-    table_chunk = max(1, _ENTRY_BUDGET // max(1, per_row))
-    perm_block = max(1, _ENTRY_BUDGET // (max(1, table_chunk) * size * size))
-    for t_start in range(0, len(ints), table_chunk):
-        chunk_ints = ints[t_start : t_start + table_chunk]
-        bits = bit_matrix(batch_n, chunk_ints)
-        running = np.full(len(chunk_ints), mask, dtype=np.uint64)
-        for p_start in range(0, gt.num_perms, perm_block):
-            maps = gt.group_index_maps(slice(p_start, p_start + perm_block))
-            packed = pack_rows(bits[:, maps])  # [chunk, block * 2**n]
-            np.minimum(running, packed.min(axis=1), out=running)
-            np.minimum(running, (packed ^ mask).min(axis=1), out=running)
-        best[t_start : t_start + len(chunk_ints)] = running
+    for start, words in _np_image_words(gt, ints):
+        best[start : start + len(words)] = np.minimum(
+            words.min(axis=1), words.max(axis=1) ^ mask
+        )
     return best
+
+
+def canonical_min_transforms(
+    tables: Iterable,
+    n: int | None = None,
+    cache_dir: str | Path | None = None,
+) -> tuple[np.ndarray, list[NPNTransform]]:
+    """:func:`canonical_min` plus, per table, a transform reaching it.
+
+    Returns ``(minima, transforms)`` with
+    ``transforms[b].apply_table(tables[b], n) == minima[b]`` — the
+    argmin witness of the same word array :func:`canonical_min` reduces,
+    so the form costs nothing extra and its transform is one decode.
+    The inverse transform maps the canonical representative back onto
+    the table (the learn-on-miss witness).
+    """
+    batch_n, ints = _batch_arity(tables, n)
+    gt = gather_table(batch_n, cache_dir)
+    mask = np.uint64(bitops.table_mask(batch_n))
+    minima = np.empty(len(ints), dtype=np.uint64)
+    transforms: list[NPNTransform] = []
+    for start, words in _np_image_words(gt, ints):
+        low_col = words.argmin(axis=1)
+        high_col = words.argmax(axis=1)
+        rows = np.arange(len(words))
+        low = words[rows, low_col]
+        negated = words[rows, high_col] ^ mask
+        output = negated < low
+        minima[start : start + len(words)] = np.where(output, negated, low)
+        columns = np.where(output, high_col, low_col)
+        for column, flip in zip(columns.tolist(), output.tolist()):
+            image_flips, perm_row = divmod(column, gt.num_perms)
+            perm = tuple(gt.perms[perm_row].tolist())
+            phase = 0
+            for i, var in enumerate(perm):
+                phase |= ((image_flips >> var) & 1) << i
+            transforms.append(NPNTransform(perm, phase, int(flip)))
+    return minima, transforms
 
 
 def canonical_min_table(

@@ -39,6 +39,9 @@ representative is the exhaustive orbit minimum, above it the query
 itself is elected, and digest-colliding orbits land in overflow slots.
 Either way the returned :class:`LibraryMatch` carries a verified
 witness, so a learned answer is exactly as trustworthy as a built one.
+On the canonical scheme at ``n <= 6`` that witness comes from the same
+kernel call as the form (the inverse of its argmin transform, checked
+with one apply); otherwise the matcher finds it.
 """
 
 from __future__ import annotations
@@ -50,7 +53,10 @@ from repro import obs
 from repro.baselines.matcher import find_npn_transform
 from repro.canonical.form import canonical_class_id, canonical_form
 from repro.core.msv import DEFAULT_PARTS, MixedSignature, compute_msv
+from repro.core.transforms import NPNTransform
 from repro.core.truth_table import TruthTable
+from repro.kernels.gather import MAX_KERNEL_VARS
+from repro.kernels.ops import canonical_min_transforms
 from repro.library.build import elect_representative
 from repro.library.store import (
     ClassLibrary,
@@ -251,12 +257,19 @@ class LearningLibrary:
         Call this only after :meth:`ClassLibrary.match` returned ``None``.
 
         Canonical scheme: the query is canonicalized — its orbit's id is
-        then an exact key.  A stored entry under that id (a duplicate
-        miss inside one coalescer batch, racing the mint) resolves to
-        the existing class; otherwise the class is minted under its
-        canonical id and WAL-logged.  Digest collisions cannot happen:
-        two colliding misses in one batch mint two *different* ids, so
-        no verification-by-digest ever decides an answer.
+        then an exact key.  At ``n <= 6`` this is one
+        :func:`~repro.kernels.canonical_min_transforms` call, which also
+        yields the transform onto the form; its inverse is the reply's
+        witness once ``representative.apply(witness) == tt`` holds (the
+        matcher runs only if that check fails, and always above
+        ``n = 6``).  A stored entry under that id (a duplicate miss
+        inside one coalescer batch, racing the mint) resolves to the
+        existing class; otherwise the class is minted under its
+        canonical id and WAL-logged, and ``signature`` — the query's
+        MSV, an NPN invariant — indexes it in the matching chains.
+        Digest collisions cannot happen: two colliding misses in one
+        batch mint two *different* ids, so no verification-by-digest
+        ever decides an answer.
 
         Digest scheme (legacy): the digest's overflow chain is probed
         slot by slot, each occupant re-verified with the matcher — never
@@ -266,16 +279,18 @@ class LearningLibrary:
         it into the first.  :attr:`collisions` and
         :attr:`overflow_minted` count such mints.
 
-        Either way the reply carries a matcher-verified witness.
+        Either way the reply carries a verified witness.
         """
+        witness = None
         if self.library.id_scheme == "canonical":
-            representative = canonical_form(
-                tt, cache_dir=self.library.kernel_cache_dir
-            )
+            representative, witness = self._canonicalize(tt)
             class_id = canonical_class_id(representative)
             existing = self.library.classes.get(class_id)
             if existing is not None:
-                witness = find_npn_transform(existing.representative, tt)
+                # The id names its representative, so the kernel witness
+                # onto ``representative`` maps the stored one too.
+                if witness is None:
+                    witness = find_npn_transform(existing.representative, tt)
                 if witness is None:  # pragma: no cover - canonical id broken
                     raise WalError(
                         f"stored class {class_id!r} has no transform onto "
@@ -289,6 +304,7 @@ class LearningLibrary:
                 exact=True,
                 class_id=class_id,
                 canonical_rep=True,
+                signature=signature,
             )
             overflow = False
         else:
@@ -309,7 +325,8 @@ class LearningLibrary:
             entry = self.library.add_class(
                 representative, size=1, exact=exact, class_id=slot
             )
-        witness = find_npn_transform(entry.representative, tt)
+        if witness is None:
+            witness = find_npn_transform(entry.representative, tt)
         if witness is None:  # pragma: no cover - election produced non-member
             raise WalError(
                 f"minted representative {entry.representative!r} has no "
@@ -330,6 +347,29 @@ class LearningLibrary:
             self.collisions += 1
             self.overflow_minted += 1
         return LibraryMatch(entry, witness)
+
+    def _canonicalize(
+        self, tt: TruthTable
+    ) -> tuple[TruthTable, NPNTransform | None]:
+        """``(canonical form, witness mapping it onto tt or None)``.
+
+        Up to ``MAX_KERNEL_VARS`` one kernel call yields both the orbit
+        minimum and the transform reaching it; the inverse is checked
+        with one apply and dropped (leaving the matcher to find one) if
+        it fails.  Larger arities take the scalar canonical search and
+        return no witness.
+        """
+        cache_dir = self.library.kernel_cache_dir
+        if tt.n > MAX_KERNEL_VARS:
+            return canonical_form(tt, cache_dir=cache_dir), None
+        minima, transforms = canonical_min_transforms(
+            [tt.bits], tt.n, cache_dir=cache_dir
+        )
+        representative = TruthTable(tt.n, int(minima[0]))
+        witness = transforms[0].inverse()
+        if representative.apply(witness) != tt:  # pragma: no cover - kernel bug
+            witness = None
+        return representative, witness
 
     def _append(self, record: dict) -> None:
         """Write one record, compacting when the segment threshold trips."""

@@ -107,6 +107,11 @@ _MATCH_QUERIES = _REG.counter(
     "Queries resolved by match_many, by outcome (hit or miss).",
     labels=("outcome",),
 )
+_LOAD_SECONDS = _REG.histogram(
+    "repro_library_load_seconds",
+    "Wall-clock time of one ClassLibrary.load: reading both files and, "
+    "when verifying, the canonical-representative check.",
+)
 _MATCH_ROUNDS = _REG.counter(
     "repro_library_match_rounds_total",
     "Chain-walk witness rounds run by match_many (one grouped matcher "
@@ -376,6 +381,7 @@ class ClassLibrary:
         exact: bool,
         class_id: str | None = None,
         canonical_rep: bool = False,
+        signature: MixedSignature | None = None,
     ) -> NPNClassEntry:
         """Insert (or grow) the class of ``representative``.
 
@@ -392,7 +398,20 @@ class ClassLibrary:
         learner minting a digest-colliding orbit).  Anything else
         raises.  An existing entry absorbs the new size and keeps the
         smaller representative.
+
+        ``signature``, when given, is the MSV of any member of the class
+        (it is an NPN invariant) over this library's parts; a new class
+        is indexed in the matching chains under it instead of
+        recomputing the representative's.
         """
+        if signature is not None and (
+            signature.n != representative.n or signature.parts != self.parts
+        ):
+            raise ValueError(
+                f"signature (n={signature.n}, parts={signature.parts}) does "
+                f"not fit a class of arity {representative.n} over "
+                f"{self.parts}"
+            )
         if self.id_scheme == "canonical":
             rep = (
                 representative
@@ -429,7 +448,7 @@ class ClassLibrary:
             entry = _merge_entries(existing, entry)
         self.classes[class_id] = entry
         if existing is None and self._chains is not None:
-            self._chain_insert(entry)
+            self._chain_insert(entry, signature)
         return entry
 
     def merged_with(self, other: "ClassLibrary") -> "ClassLibrary":
@@ -692,17 +711,25 @@ class ClassLibrary:
             self._chains = chains
         return self._chains
 
-    def _chain_insert(self, entry: NPNClassEntry) -> None:
-        """Incrementally index one new class (the learner's mint path)."""
+    def _chain_insert(
+        self,
+        entry: NPNClassEntry,
+        signature: MixedSignature | None = None,
+    ) -> None:
+        """Incrementally index one new class (the learner's mint path).
+
+        Canonical scheme: ``signature`` (any member's MSV) saves
+        recomputing the representative's.
+        """
         if self._chains is None:
             return
         if self.id_scheme == "digest":
             base = _digest_base(entry.class_id)
             key = _digest_slot
         else:
-            base = self.base_id_of(
-                compute_msv(entry.representative, self.parts)
-            )
+            if signature is None:
+                signature = compute_msv(entry.representative, self.parts)
+            base = self.base_id_of(signature)
             key = None
         chain = self._chains.setdefault(base, [])
         chain.append(entry.class_id)
@@ -818,7 +845,18 @@ class ClassLibrary:
         page-cache copy of the library image instead of N heap copies,
         and pages load on demand.  Falls back to an eager read for
         archives whose members turn out compressed or foreign.
+
+        Every call, failed ones included, is observed into
+        ``repro_library_load_seconds``.
         """
+        with obs.timed(_LOAD_SECONDS):
+            return cls._read(path, verify, mmap_mode)
+
+    @classmethod
+    def _read(
+        cls, path: str | Path, verify: bool, mmap_mode: str | None
+    ) -> "ClassLibrary":
+        """The body of :meth:`load`, unmetered."""
         if mmap_mode not in (None, "r", "c"):
             raise ValueError(
                 f"mmap_mode must be None, 'r' or 'c', got {mmap_mode!r}"

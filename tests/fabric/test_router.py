@@ -99,8 +99,12 @@ def fabric(tiny_library):
         try:
             for host in hosts:
                 host.start()
+            # The router counts a worker alive as soon as it answers the
+            # register call; the worker sets ``registered`` only after it
+            # reads that reply.  Wait for both sides.
             wait_for(
-                lambda: router.registry.counts()["alive"] == len(RING),
+                lambda: router.registry.counts()["alive"] == len(RING)
+                and all(worker.registered for worker in workers),
                 message="workers to register",
             )
             yield router, workers

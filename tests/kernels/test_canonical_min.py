@@ -1,0 +1,128 @@
+"""Differential tests of the word-level canonical-minimum kernel.
+
+``canonical_min`` builds every NP image of a table from its ``n!``
+permuted words by ``n`` word-level doublings, and
+``canonical_min_transforms`` reduces the same words with ``argmin``.
+Both are checked here against the exhaustive scalar oracle
+:func:`repro.baselines.exact_enum.exact_npn_canonical` on drawn tables
+and their NPN images, parametric over every arity the kernels serve
+(n = 0..6).  The edge cases are pinned explicitly: the empty batch,
+batch lengths around the chunk size, the constants, and ``n = 6``
+tables with bit 63 set (the top of the ``uint64`` shifts).
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.baselines.exact_enum import exact_npn_canonical
+from repro.core import bitops
+from repro.core.truth_table import TruthTable
+from repro.kernels import ops
+from repro.kernels.gather import MAX_KERNEL_VARS, gather_table
+from repro.kernels.ops import canonical_min, canonical_min_transforms
+from tests.strategies import npn_transforms, truth_table_batches, truth_tables
+
+KERNEL_ARITIES = range(MAX_KERNEL_VARS + 1)
+
+#: The oracle enumerates the whole group in Python (~0.15 s per n = 6
+#: table), so the oracle-backed properties draw fewer examples.
+ORACLE_EXAMPLES = 25
+
+
+def chunk_rows(n: int) -> int:
+    """Tables per kernel chunk at arity ``n``."""
+    return max(1, ops._WORD_BUDGET // gather_table(n).np_group_order)
+
+
+def assert_transforms_reach_minima(n, ints, minima, transforms):
+    assert len(transforms) == len(ints) == len(minima)
+    for bits, low, transform in zip(ints, minima.tolist(), transforms):
+        assert transform.n == n
+        assert transform.apply_table(bits, n) == low
+        # The inverse is the witness mapping the form back onto the table.
+        assert TruthTable(n, low).apply(transform.inverse()) == TruthTable(
+            n, bits
+        )
+
+
+@pytest.mark.parametrize("n", KERNEL_ARITIES)
+class TestAgainstExhaustiveOracle:
+    @settings(max_examples=ORACLE_EXAMPLES)
+    @given(data=st.data())
+    def test_table_and_images_share_the_oracle_minimum(self, n, data):
+        tt = data.draw(truth_tables(n=n))
+        images = [
+            tt.apply(data.draw(npn_transforms(n=n)))
+            for _ in range(data.draw(st.integers(0, 4)))
+        ]
+        expected = exact_npn_canonical(tt).representative.bits
+        minima = canonical_min([tt] + images)
+        assert minima.dtype == np.uint64
+        assert minima.tolist() == [expected] * (1 + len(images))
+
+    @given(data=st.data())
+    def test_transforms_map_each_table_onto_its_minimum(self, n, data):
+        batch = data.draw(truth_table_batches(n=n, max_size=12))
+        ints = [tt.bits for tt in batch]
+        minima, transforms = canonical_min_transforms(ints, n)
+        assert minima.tolist() == canonical_min(ints, n).tolist()
+        assert_transforms_reach_minima(n, ints, minima, transforms)
+
+    def test_constants(self, n):
+        ints = [0, bitops.table_mask(n)]
+        assert canonical_min(ints, n).tolist() == [0, 0]
+        minima, transforms = canonical_min_transforms(ints, n)
+        assert minima.tolist() == [0, 0]
+        assert_transforms_reach_minima(n, ints, minima, transforms)
+        assert [t.output_phase for t in transforms] == [0, 1]
+
+    def test_empty_batch(self, n):
+        assert canonical_min([], n).shape == (0,)
+        minima, transforms = canonical_min_transforms([], n)
+        assert minima.shape == (0,) and transforms == []
+
+
+@pytest.mark.parametrize("n", (4, 5, 6))
+@pytest.mark.parametrize("offset", (-1, 0, 1))
+def test_batches_around_the_chunk_size(n, offset):
+    rng = np.random.default_rng(100 * n + offset)
+    mask = bitops.table_mask(n)
+    length = chunk_rows(n) + offset
+    ints = [int(x) & mask for x in rng.integers(0, 1 << 63, size=length)]
+    alone = [int(canonical_min([bits], n)[0]) for bits in ints]
+    assert canonical_min(ints, n).tolist() == alone
+    minima, transforms = canonical_min_transforms(ints, n)
+    assert minima.tolist() == alone
+    assert_transforms_reach_minima(n, ints, minima, transforms)
+
+
+@settings(max_examples=10)
+@given(low=st.integers(min_value=0, max_value=(1 << 63) - 1))
+def test_n6_tables_with_the_top_bit_set(low):
+    bits = low | (1 << 63)
+    expected = exact_npn_canonical(TruthTable(6, bits)).representative.bits
+    assert int(canonical_min([bits], 6)[0]) == expected
+    minima, transforms = canonical_min_transforms([bits], 6)
+    assert int(minima[0]) == expected
+    assert_transforms_reach_minima(6, [bits], minima, transforms)
+
+
+def test_top_bit_only_and_its_complement():
+    ints = [1 << 63, bitops.table_mask(6) ^ (1 << 63)]
+    expected = [exact_npn_canonical(TruthTable(6, b)).representative.bits
+                for b in ints]
+    assert canonical_min(ints, 6).tolist() == expected
+    minima, transforms = canonical_min_transforms(ints, 6)
+    assert_transforms_reach_minima(6, ints, minima, transforms)
+
+
+def test_transforms_accept_truth_tables_and_check_arity():
+    tt = TruthTable.majority(3)
+    minima, (transform,) = canonical_min_transforms([tt])
+    assert tt.apply(transform).bits == int(minima[0])
+    with pytest.raises(ValueError):
+        canonical_min_transforms([tt.bits])
+    with pytest.raises(ValueError):
+        canonical_min_transforms([tt], n=4)

@@ -254,6 +254,17 @@ class TestPersistence:
             assert reloaded.class_id == original.class_id
             assert reloaded.verify(tt)
 
+    def test_load_is_observed_in_the_load_histogram(self, lib3, tmp_path):
+        from repro import obs
+
+        histogram = obs.registry().get("repro_library_load_seconds")
+        lib3.save(tmp_path / "lib")
+        before = histogram.series()["count"]
+        ClassLibrary.load(tmp_path / "lib")
+        with pytest.raises(LibraryFormatError):
+            ClassLibrary.load(tmp_path / "missing")
+        assert histogram.series()["count"] == before + 2
+
     def test_save_is_byte_stable(self, lib3, tmp_path):
         first, second = tmp_path / "a", tmp_path / "b"
         lib3.save(first)

@@ -346,3 +346,133 @@ class TestCollidingBatchRegression:
         assert hit is not None and hit.class_id == minted.class_id
         assert hit.verify(tt)
         reopened.close()
+
+
+class TestKernelWitnessLearnPath:
+    """The canonical learn path at n <= 6: one kernel call, no matcher.
+
+    ``canonical_min_transforms`` yields the form and the transform onto
+    it; the learner answers with its inverse after one apply check.
+    """
+
+    @staticmethod
+    def forbid_matcher(monkeypatch):
+        def refuse(source, target):
+            raise AssertionError("learn() fell back to find_npn_transform")
+
+        monkeypatch.setattr(
+            "repro.library.online.find_npn_transform", refuse
+        )
+
+    def test_mint_and_resolve_never_call_the_matcher(
+        self, tmp_path, monkeypatch
+    ):
+        from repro.core.transforms import random_transform
+
+        self.forbid_matcher(monkeypatch)
+        learner = make_learner(tmp_path)
+        rng = random.Random(31)
+        for n in range(7):
+            queries = [TruthTable.random(n, rng) for _ in range(4)]
+            queries.append(TruthTable(n, 0))
+            for tt in queries:
+                minted = learner.learn(tt)
+                assert minted is not None and minted.verify(tt)
+                assert (
+                    minted.representative
+                    == exact_npn_canonical(tt).representative
+                )
+                # Existing-id resolution: an NPN image hits the class
+                # minted above, again with a kernel-derived witness.
+                image = tt.apply(random_transform(n, rng))
+                resolved = learner.learn(image)
+                assert resolved.class_id == minted.class_id
+                assert resolved.verify(image)
+        assert learner.minted == learner.library.num_classes
+        learner.close()
+
+    def test_incremental_chains_match_a_rebuilt_index(
+        self, tmp_path, monkeypatch
+    ):
+        from repro.core.msv import compute_msv
+
+        learner = make_learner(tmp_path)
+        library = learner.library
+        rng = random.Random(32)
+        learner.learn(TruthTable.majority(3))
+        library.match(TruthTable.majority(3))  # builds the chain index
+        assert library._chains is not None
+        burst = [
+            TruthTable.random(n, rng) for n in (3, 4, 5, 6) for _ in range(12)
+        ]
+        signatures = [compute_msv(tt, library.parts) for tt in burst]
+        # The passed signatures index the mints: no recomputation.
+        monkeypatch.setattr(
+            "repro.library.store.compute_msv",
+            lambda *args: pytest.fail("_chain_insert recomputed the MSV"),
+        )
+        for tt, signature in zip(burst, signatures):
+            outcome = learner.learn(tt, signature)
+            assert outcome is not None and outcome.verify(tt)
+        monkeypatch.undo()
+        incremental = {key: list(ids) for key, ids in library._chains.items()}
+        library._chains = None
+        assert library._chain_index() == incremental
+        for tt in burst:
+            hit = library.match(tt)
+            assert hit is not None and hit.verify(tt)
+        learner.close()
+
+    def test_signature_of_another_arity_is_rejected(self, tmp_path):
+        from repro.core.msv import compute_msv
+
+        learner = make_learner(tmp_path)
+        learner.learn(TruthTable.majority(3))
+        learner.library.match(TruthTable.majority(3))
+        wrong = compute_msv(TruthTable.majority(5), learner.library.parts)
+        with pytest.raises(ValueError):
+            learner.learn(TruthTable.random(4, random.Random(33)), wrong)
+        # Rejected before any mutation: nothing stored, nothing logged.
+        assert learner.library.num_classes == 1
+        assert learner.minted == 1
+        learner.close()
+
+    def test_n7_miss_learns_through_the_scalar_path(
+        self, tmp_path, monkeypatch
+    ):
+        from repro.canonical.form import canonical_form
+        from repro.library import online
+
+        calls = []
+        real = online.find_npn_transform
+
+        def spy(source, target):
+            calls.append(target)
+            return real(source, target)
+
+        monkeypatch.setattr(online, "find_npn_transform", spy)
+        learner = make_learner(tmp_path)
+        tt = TruthTable.random(7, random.Random(34))
+        outcome = learner.learn(tt)
+        assert outcome is not None and outcome.verify(tt)
+        assert outcome.representative == canonical_form(tt)
+        assert calls == [tt]
+        assert learner.minted == 1
+        learner.close()
+
+    def test_wal_replay_reproduces_the_same_ids(self, tmp_path):
+        learner = make_learner(tmp_path)
+        rng = random.Random(35)
+        queries = [TruthTable.random(n, rng) for n in range(7) for _ in range(3)]
+        ids = [learner.learn(tt).class_id for tt in queries]
+        learner.close()
+
+        reopened = make_learner(tmp_path)
+        assert set(reopened.library.classes) == set(ids)
+        for tt, class_id in zip(queries, ids):
+            hit = reopened.library.match(tt)
+            assert hit is not None and hit.class_id == class_id
+            assert hit.verify(tt)
+            assert reopened.learn(tt).class_id == class_id
+        assert reopened.minted == 0
+        reopened.close()
