@@ -1,22 +1,20 @@
 """Bench: sharded multi-process engine — parity first, scaling second.
 
-The acceptance contract of the sharded engine (ISSUE 2 + ISSUE 7): on
-10k random 6-variable functions, :class:`repro.engine.ShardedClassifier`
-must produce buckets *byte-identical* to :class:`BatchedClassifier` for
-workers ∈ {1, 2, 4} over **both** transports (zero-copy shared memory
-and the legacy pickle path) — the parity assertions run on every
-invocation and in CI.
+The acceptance contract of the sharded engine: on 10k random 6-variable
+functions, :class:`repro.engine.ShardedClassifier` must produce buckets
+*byte-identical* to :class:`BatchedClassifier` for workers ∈ {1, 2, 4}
+— the parity assertions run on every invocation and in CI.
 
 Scaling is asserted, not just reported, *when the box can express it*:
-with ≥ 4 schedulable cores, the shm transport at workers=4 must beat
-workers=1 wall-clock.  Schedulable means ``len(os.sched_getaffinity(0))``
-— a 16-core machine whose CI container is pinned to one core has
-effective parallelism 1, and ``os.cpu_count()`` would lie about that
-(the original scale-out "regression" reports came from exactly this
-mismatch plus pickle serialization dominating the fan-out).  On narrower
-boxes the contract is recorded as skipped in the results artifact, and
-every row carries its effective parallelism and an ``oversubscribed``
-flag so a reader can tell a real regression from a starved runner.
+with ≥ 4 schedulable cores, workers=4 must beat workers=1 wall-clock.
+Schedulable means ``len(os.sched_getaffinity(0))`` — a 16-core machine
+whose CI container is pinned to one core has effective parallelism 1,
+and ``os.cpu_count()`` would lie about that.  On narrower boxes the
+contract is recorded as skipped in the results artifact, and every row
+carries its effective parallelism and an ``oversubscribed`` flag so a
+reader can tell a real regression from a starved runner.  The batched
+reference row is timed too, so the artifact shows whether sharding beats
+one process at all.
 
 Also measures the streaming entry point and shard-size insensitivity.
 """
@@ -70,44 +68,45 @@ def reference_result(acceptance_tables):
 def test_bucket_parity_and_scaling(
     acceptance_tables, reference_result, results_dir, persist_bench
 ):
-    """The acceptance run: dual-transport parity + the gated scaling contract."""
+    """The acceptance run: parity at every worker count + the gated
+    scaling contract."""
     reference_digest = reference_result.buckets_digest()
     affinity = schedulable_cores()
     rows = []
-    seconds = {}  # (transport, workers) -> wall-clock
-    for transport in ("shm", "pickle"):
-        for workers in PARITY_WORKERS:
-            classifier = ShardedClassifier(
-                workers=workers, transport=transport
-            )
-            with classifier.open_pool():  # warm pool: time dispatch, not fork
-                t0 = time.perf_counter()
-                result = classifier.classify(acceptance_tables)
-                elapsed = time.perf_counter() - t0
-            assert result.buckets_digest() == reference_digest, (
-                f"workers={workers} transport={transport} diverged "
-                f"from the batched engine"
-            )
-            seconds[(transport, workers)] = elapsed
-            rows.append(
-                {
-                    "engine": f"sharded workers={workers} [{transport}]",
-                    "seconds": round(elapsed, 4),
-                    "functions_per_s": round(WORKLOAD_COUNT / elapsed),
-                    "effective_parallelism": min(workers, affinity),
-                    "oversubscribed": workers > affinity,
-                    "classes": result.num_classes,
-                    "buckets": result.buckets_digest()[:12],
-                }
-            )
+    seconds = {}  # workers -> wall-clock
+    for workers in PARITY_WORKERS:
+        classifier = ShardedClassifier(workers=workers)
+        with classifier.open_pool():  # warm pool: time dispatch, not fork
+            t0 = time.perf_counter()
+            result = classifier.classify(acceptance_tables)
+            elapsed = time.perf_counter() - t0
+        assert result.buckets_digest() == reference_digest, (
+            f"workers={workers} diverged from the batched engine"
+        )
+        seconds[workers] = elapsed
+        rows.append(
+            {
+                "engine": f"sharded workers={workers}",
+                "seconds": round(elapsed, 4),
+                "functions_per_s": round(WORKLOAD_COUNT / elapsed),
+                "effective_parallelism": min(workers, affinity),
+                "oversubscribed": workers > affinity,
+                "classes": result.num_classes,
+                "buckets": result.buckets_digest()[:12],
+            }
+        )
+    t0 = time.perf_counter()
+    batched = BatchedClassifier().classify(acceptance_tables)
+    batched_seconds = time.perf_counter() - t0
+    assert batched.buckets_digest() == reference_digest
     rows.append(
         {
             "engine": "batched (single-process reference)",
-            "seconds": None,
-            "functions_per_s": None,
+            "seconds": round(batched_seconds, 4),
+            "functions_per_s": round(WORKLOAD_COUNT / batched_seconds),
             "effective_parallelism": 1,
             "oversubscribed": False,
-            "classes": reference_result.num_classes,
+            "classes": batched.num_classes,
             "buckets": reference_digest[:12],
         }
     )
@@ -115,14 +114,13 @@ def test_bucket_parity_and_scaling(
     # The scale-out contract: only meaningful when the box can actually
     # run 4 workers at once.  A pinned 1-core container exercising it
     # would "fail" on scheduler round-robin, not on engine behavior.
-    single = seconds[("shm", 1)]
-    multi = seconds[("shm", 4)]
+    single = seconds[1]
+    multi = seconds[4]
     scaling_asserted = affinity >= SCALING_MIN_CORES
     if scaling_asserted:
         assert multi < single, (
             f"scale-out regression: workers=4 ({multi:.2f}s) did not beat "
-            f"workers=1 ({single:.2f}s) over shm with {affinity} "
-            f"schedulable cores"
+            f"workers=1 ({single:.2f}s) with {affinity} schedulable cores"
         )
 
     write_markdown_table(
@@ -131,8 +129,9 @@ def test_bucket_parity_and_scaling(
         title=(
             f"Sharded engine parity + scaling "
             f"({WORKLOAD_COUNT} random {WORKLOAD_N}-var functions, "
-            f"{affinity} schedulable cores; shm workers=1 {single:.2f}s "
-            f"vs workers=4 {multi:.2f}s; scaling contract "
+            f"{affinity} schedulable cores; workers=1 {single:.2f}s "
+            f"vs workers=4 {multi:.2f}s vs batched {batched_seconds:.2f}s; "
+            f"scaling contract "
             f"{'asserted' if scaling_asserted else 'skipped: too few cores'})"
         ),
     )
@@ -152,10 +151,12 @@ def test_bucket_parity_and_scaling(
                 "asserted": scaling_asserted,
                 "holds": multi < single if scaling_asserted else None,
             },
-            "seconds_by_transport_workers": {
-                f"{transport}-w{workers}": round(elapsed, 4)
-                for (transport, workers), elapsed in seconds.items()
+            "seconds_by_workers": {
+                f"w{workers}": round(elapsed, 4)
+                for workers, elapsed in seconds.items()
             },
+            "batched_seconds": round(batched_seconds, 4),
+            "sharded_beats_batched": min(seconds.values()) < batched_seconds,
             "rows": rows,
         },
     )
@@ -195,15 +196,6 @@ def test_manual_shard_merge_matches_one_shot(reference_result):
     partials = [classifier.classify(shard) for shard in packed_shards(stream, 1024)]
     merged = reduce(lambda left, right: left.merged_with(right), partials)
     assert merged.buckets_digest() == reference_result.buckets_digest()
-
-
-def test_no_leaked_shm_segments(acceptance_tables):
-    """After sharded runs, this process owns zero live /dev/shm arenas."""
-    from repro.engine.shm import live_arena_names
-
-    classifier = ShardedClassifier(workers=2, transport="shm")
-    classifier.classify(acceptance_tables[:500])
-    assert live_arena_names() == []
 
 
 def test_sharded_classify_benchmark(benchmark, acceptance_tables):

@@ -64,7 +64,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="worker processes for --engine sharded (default: all CPUs)",
     )
-    _add_transport_flags(classify)
     classify.add_argument(
         "--show-classes", action="store_true", help="print class members"
     )
@@ -136,7 +135,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="class-id scheme: orbit-canonical ids (default) or the "
         "legacy signature-digest ids with overflow slots",
     )
-    _add_transport_flags(lib_build)
     lib_stats = lib_sub.add_parser("stats", help="summarise a saved library")
     lib_stats.add_argument(
         "--library", default="npn_library", help="library directory"
@@ -482,29 +480,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _add_transport_flags(cmd) -> None:
-    """``--shm``/``--no-shm``: the sharded engine's transport escape hatch."""
-    group = cmd.add_mutually_exclusive_group()
-    group.add_argument(
-        "--shm",
-        dest="transport",
-        action="store_const",
-        const="shm",
-        default=None,
-        help="force the zero-copy shared-memory shard transport "
-        "(--engine sharded only; the default where available)",
-    )
-    group.add_argument(
-        "--no-shm",
-        dest="transport",
-        action="store_const",
-        const="pickle",
-        help="pickle shard buffers through pipes instead of shared "
-        "memory (--engine sharded only; for hosts without /dev/shm "
-        "or with restrictive shm limits)",
-    )
-
-
 def parse_tables(lines, n_hint: int | None = None) -> list[TruthTable]:
     """Parse one truth table per line (binary, or hex needing ``n``)."""
     tables = []
@@ -642,9 +617,6 @@ def _cmd_classify(args) -> int:
     if args.workers is not None and args.engine != "sharded":
         print("--workers requires --engine sharded", file=sys.stderr)
         return 2
-    if args.transport is not None and args.engine != "sharded":
-        print("--shm/--no-shm requires --engine sharded", file=sys.stderr)
-        return 2
     if _bad_worker_count(args.workers):
         return 2
     if args.file == "-":
@@ -659,12 +631,10 @@ def _cmd_classify(args) -> int:
     if args.method == "ours" and args.engine != "perfn":
         from repro.engine import make_classifier
 
-        classifier = make_classifier(
-            args.engine, workers=args.workers, transport=args.transport
-        )
+        classifier = make_classifier(args.engine, workers=args.workers)
         label = f"ours, {args.engine} engine"
         if args.engine == "sharded":
-            label += f", {classifier.workers} workers, {classifier.transport}"
+            label += f", {classifier.workers} workers"
     else:
         classifier = get_classifier(args.method)
         label = args.method
@@ -844,9 +814,6 @@ def _cmd_library_build(args) -> int:
     if args.workers is not None and args.engine != "sharded":
         print("--workers requires --engine sharded", file=sys.stderr)
         return 2
-    if args.transport is not None and args.engine != "sharded":
-        print("--shm/--no-shm requires --engine sharded", file=sys.stderr)
-        return 2
     if _bad_worker_count(args.workers):
         return 2
     try:
@@ -868,7 +835,6 @@ def _cmd_library_build(args) -> int:
         corpus,
         engine=args.engine,
         workers=args.workers,
-        transport=args.transport,
         id_scheme=args.id_scheme,
     )
     path = library.save(args.out)

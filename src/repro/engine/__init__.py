@@ -22,18 +22,9 @@ from repro.core.classifier import FacePointClassifier
 from repro.core.msv import DEFAULT_PARTS
 from repro.engine.cache import CacheStats, SignatureCache
 from repro.engine.classifier import BatchedClassifier
-from repro.engine.merge import (
-    bucket_in_order,
-    check_span_coverage,
-    extend_buckets,
-    merge_shard_keys,
-)
+from repro.engine.merge import bucket_in_order, extend_buckets, merge_shard_keys
 from repro.engine.packed import PackedTables
-from repro.engine.sharded import (
-    DEFAULT_STREAM_CHUNK,
-    TRANSPORT_NAMES,
-    ShardedClassifier,
-)
+from repro.engine.sharded import DEFAULT_STREAM_CHUNK, ShardedClassifier
 from repro.engine.signatures import batched_pieces
 
 #: Engine names accepted by :func:`make_classifier` (and the CLI flags).
@@ -44,7 +35,6 @@ def make_classifier(
     engine: str = "batched",
     parts=DEFAULT_PARTS,
     workers: int | None = None,
-    transport: str | None = None,
 ):
     """One constructor for every engine, keyed by name.
 
@@ -52,10 +42,9 @@ def make_classifier(
     same input — the choice is purely a throughput knob.  ``canonical``
     is the exact engine: signatures as the pre-filter, the
     influence-aided canonical form as the decider, result groups keyed
-    by true orbit minima (:mod:`repro.canonical`).  ``workers`` and
-    ``transport`` are only meaningful for the sharded engine — passing
-    either with any other engine raises, so a mis-wired CLI flag cannot
-    be silently ignored.
+    by true orbit minima (:mod:`repro.canonical`).  ``workers`` is only
+    meaningful for the sharded engine — passing it with any other engine
+    raises, so a mis-wired CLI flag cannot be silently ignored.
     """
     if engine not in ENGINE_NAMES:
         raise ValueError(
@@ -64,10 +53,6 @@ def make_classifier(
     if workers is not None and engine != "sharded":
         raise ValueError(
             f"workers only applies to the sharded engine, not {engine!r}"
-        )
-    if transport is not None and engine != "sharded":
-        raise ValueError(
-            f"transport only applies to the sharded engine, not {engine!r}"
         )
     if engine == "perfn":
         return FacePointClassifier(parts)
@@ -78,21 +63,19 @@ def make_classifier(
         from repro.canonical.engine import CanonicalClassifier
 
         return CanonicalClassifier(parts)
-    return ShardedClassifier(parts, workers=workers, transport=transport)
+    return ShardedClassifier(parts, workers=workers)
 
 
 __all__ = [
     "BatchedClassifier",
     "ShardedClassifier",
     "ENGINE_NAMES",
-    "TRANSPORT_NAMES",
     "make_classifier",
     "PackedTables",
     "SignatureCache",
     "CacheStats",
     "batched_pieces",
     "bucket_in_order",
-    "check_span_coverage",
     "extend_buckets",
     "merge_shard_keys",
     "DEFAULT_STREAM_CHUNK",

@@ -11,8 +11,7 @@ order-restoring steps:
 1. **Key placement** — workers return ``(index, key)`` pairs where
    ``index`` is the row's position in the original (deduplicated) miss
    list.  :func:`merge_shard_keys` places keys by index, so shard results
-   may arrive in *any* order (``imap_unordered``) without affecting the
-   output.  Every index must be covered exactly once; holes or duplicates
+   may arrive in *any* order without affecting the output.  Every index must be covered exactly once; holes or duplicates
    mean a sharding bug and raise instead of silently corrupting buckets.
 
 2. **Bucketing** — :func:`extend_buckets` inserts ``(signature, member)``
@@ -30,7 +29,6 @@ from repro.core.truth_table import TruthTable
 
 __all__ = [
     "merge_shard_keys",
-    "check_span_coverage",
     "bucket_in_order",
     "extend_buckets",
 ]
@@ -69,40 +67,6 @@ def merge_shard_keys(
             f"shards covered {filled} of {total} rows; merge would be partial"
         )
     return keys
-
-
-def check_span_coverage(
-    spans: Iterable[tuple[int, int]], total: int
-) -> None:
-    """Verify ``(base, count)`` completion spans tile ``range(total)``.
-
-    The shared-memory transport's counterpart to the index checks in
-    :func:`merge_shard_keys`: workers write keys into the arena in place
-    and report only the span they covered, so overlap or a hole here is
-    the only evidence of a sharding bug before buckets silently corrupt.
-
-    Raises:
-        ValueError: if any span is out of range, spans overlap, or they
-            fail to cover every row exactly once.
-    """
-    spans = list(spans)
-    for base, count in spans:
-        if count < 1 or base < 0 or base + count > total:
-            raise ValueError(
-                f"shard span ({base}, {count}) outside 0..{total}"
-            )
-    expected = 0
-    for base, count in sorted(spans):
-        if base != expected:
-            raise ValueError(
-                f"shard spans {'overlap' if base < expected else 'leave a hole'} "
-                f"at row {min(base, expected)}"
-            )
-        expected = base + count
-    if expected != total:
-        raise ValueError(
-            f"shard spans covered {expected} of {total} rows; merge would be partial"
-        )
 
 
 def extend_buckets(

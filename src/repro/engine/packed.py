@@ -73,36 +73,6 @@ class PackedTables:
     # ------------------------------------------------------------------
 
     @classmethod
-    def wrap_readonly(cls, n: int, words: np.ndarray) -> "PackedTables":
-        """Adopt an existing read-only ``'<u8'`` view without copying.
-
-        The zero-copy escape hatch for the shared-memory transport: the
-        sharded workers' rows already live in an arena the parent wrote
-        and will not mutate, so the defensive copy in ``__init__`` would
-        reintroduce exactly the per-shard copy the arena exists to
-        avoid.  The view must already satisfy the ``__init__``
-        invariants — C-contiguous ``'<u8'``, correct width, writeable
-        flag off — anything else raises rather than being fixed up,
-        because "fixing up" means copying.
-        """
-        expected = bitops.words_per_table(n)
-        if words.ndim != 2 or words.shape[1] != expected:
-            raise ValueError(
-                f"packed batch for n={n} needs shape [batch, {expected}], "
-                f"got {words.shape}"
-            )
-        if words.dtype != np.dtype("<u8"):
-            raise ValueError(f"wrap_readonly needs '<u8' words, got {words.dtype}")
-        if not words.flags.c_contiguous:
-            raise ValueError("wrap_readonly needs a C-contiguous view")
-        if words.flags.writeable:
-            raise ValueError("wrap_readonly needs a read-only view")
-        self = cls.__new__(cls)
-        self.n = n
-        self.words = words
-        return self
-
-    @classmethod
     def from_tables(cls, tables: Sequence[TruthTable]) -> "PackedTables":
         """Pack a homogeneous sequence of :class:`TruthTable` objects."""
         tables = list(tables)

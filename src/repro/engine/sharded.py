@@ -11,42 +11,31 @@ Design decisions, all in service of the never-split contract:
 * **Workers compute keys, the parent buckets.**  Workers run
   :func:`~repro.engine.signatures.batched_pieces`, so signatures go
   through the exact code path :class:`BatchedClassifier` uses.
-* **Transport is zero-copy by default.**  The ``"shm"`` transport writes
-  each miss batch once into a :class:`~repro.engine.shm.ShmArena` (one
-  arena per pool scope, recycled across ``classify_iter`` chunks) and
-  hands workers only ``(arena name, base, count, …)`` descriptors;
-  workers attach, read their rows in place, and write flattened
-  canonical keys into the arena's result region, returning a bare
-  ``(base, count)`` span.  Dispatch cost is therefore independent of
-  shard contents — the fix for the scale-out regression where pickling
-  every shard buffer and result list made more workers *slower*.  The
-  ``"pickle"`` transport (packed little-endian ``uint64`` byte buffers
-  out, ``(index, key)`` lists back) remains as the escape hatch for
-  hosts without POSIX shared memory (``--no-shm`` on the CLI).
-* **Completion order cannot matter.**  Pickle results are merged by
-  :func:`repro.engine.merge.merge_shard_keys`; shm spans are audited by
-  :func:`repro.engine.merge.check_span_coverage` before the result
-  region is decoded.  Both reject holes and overlaps, and buckets are
-  byte-identical to ``BatchedClassifier`` for every worker count, shard
-  size, and transport (``buckets_digest`` equality, enforced by tests
-  and the ``bench_sharded_engine`` acceptance run).
+* **One plain wire format.**  Each shard crosses the process boundary as
+  a packed little-endian ``uint64`` byte buffer plus its base index, and
+  comes back as a list of ``(index, canonical key)`` pairs.  Buffers, not
+  objects, so every ``multiprocessing`` start method carries it.
+* **Completion order cannot matter.**  Results are merged by
+  :func:`repro.engine.merge.merge_shard_keys`, which places keys by index
+  and rejects holes and duplicates, so buckets are byte-identical to
+  ``BatchedClassifier`` for every worker count and shard size
+  (``buckets_digest`` equality, enforced by tests and the
+  ``bench_sharded_engine`` acceptance run).
 * **The cache lives in the parent.**  Cache lookup and dedup run before
   sharding, exactly as in ``BatchedClassifier``, so only distinct misses
   cross the process boundary and :class:`SignatureCache` statistics are
   identical to the single-process driver's.
 * **Streaming is bounded-memory.**  :meth:`ShardedClassifier.classify_iter`
   consumes any iterator chunk by chunk, holding one chunk of tables (plus
-  one arena / the in-flight shard buffers) at a time, with one pool and
-  one arena reused across chunks.
-* **Failure is loud, cleanup is guaranteed.**  The pool is a
+  the in-flight shard buffers) at a time, with one pool reused across
+  chunks.
+* **Failure is loud.**  The pool is a
   ``concurrent.futures.ProcessPoolExecutor`` precisely because a killed
   worker raises ``BrokenProcessPool`` instead of hanging the dispatch
-  loop the way ``multiprocessing.Pool`` does; the scope's ``finally``
-  then disposes the arena, and :mod:`repro.engine.shm`'s atexit/SIGTERM
-  hooks cover exits that bypass the scope.
+  loop the way ``multiprocessing.Pool`` does.
 
-``workers=1`` never forks: shards run inline in the parent (no arena,
-no processes), which keeps single-core machines, debuggers and coverage
+``workers=1`` never forks: shards run inline in the parent (no
+processes), which keeps single-core machines, debuggers and coverage
 tools happy while exercising the identical shard/merge code path.
 """
 
@@ -54,7 +43,7 @@ from __future__ import annotations
 
 import os
 from collections.abc import Iterable, Sequence
-from concurrent.futures import ProcessPoolExecutor, as_completed
+from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from itertools import islice
 from multiprocessing import get_context
@@ -72,20 +61,11 @@ from repro.core.msv import (
 )
 from repro.core.truth_table import TruthTable
 from repro.engine.cache import CacheStats, SignatureCache
-from repro.engine.merge import (
-    bucket_in_order,
-    check_span_coverage,
-    extend_buckets,
-    merge_shard_keys,
-)
+from repro.engine.merge import bucket_in_order, extend_buckets, merge_shard_keys
 from repro.engine.packed import PackedTables
-from repro.engine.shm import SHM_AVAILABLE, ShmArena, attach_segment, key_codec
 from repro.engine.signatures import batched_pieces
 
-__all__ = ["ShardedClassifier", "DEFAULT_STREAM_CHUNK", "TRANSPORT_NAMES"]
-
-#: Shard transports: zero-copy shared memory vs. pickled buffers.
-TRANSPORT_NAMES = ("shm", "pickle")
+__all__ = ["ShardedClassifier", "DEFAULT_STREAM_CHUNK"]
 
 #: Tables consumed per :meth:`ShardedClassifier.classify_iter` chunk.
 DEFAULT_STREAM_CHUNK = 8192
@@ -99,29 +79,19 @@ _MAX_SHARD_SIZE = 8192
 _REG = obs.registry()
 _DISPATCH_SECONDS = _REG.histogram(
     "repro_sharded_dispatch_seconds",
-    "Per batch: building shard tasks and handing them to the pool "
-    "(shm: includes the arena write).",
-    labels=("transport",),
+    "Per batch: building shard tasks and handing them to the pool.",
 )
 _GATHER_SECONDS = _REG.histogram(
     "repro_sharded_gather_seconds",
-    "Per batch: collecting shard results and decoding them into keys "
-    "(shm: span coverage check + bulk result-region decode).",
-    labels=("transport",),
+    "Per batch: collecting shard results and merging them into keys.",
 )
 _SHARD_ROWS = _REG.counter(
     "repro_sharded_rows_total",
     "Rows dispatched through the sharded engine.",
-    labels=("transport",),
 )
 _SHARD_TASKS = _REG.counter(
     "repro_sharded_shards_total",
     "Shard tasks dispatched to the pool.",
-    labels=("transport",),
-)
-_ARENA_GROWS = _REG.counter(
-    "repro_shm_arena_grow_total",
-    "Pool arenas replaced by a larger one (growth events).",
 )
 
 
@@ -143,48 +113,12 @@ def _classify_shard(task: tuple) -> list[tuple[int, tuple]]:
     ]
 
 
-def _classify_shard_shm(task: tuple) -> tuple[int, int]:
-    """Worker body for the shm transport: descriptor in, span out.
-
-    The descriptor names the arena and the shard's row range; tables are
-    read in place from the arena's input region and every canonical key
-    is flattened (see :func:`repro.engine.shm.key_codec`) straight into
-    the arena's result region.  Nothing batch-sized crosses the process
-    boundary in either direction.
-    """
-    name, n, parts, chunk_size, base, count, total, key_width = task
-    words_w = bitops.words_per_table(n)
-    segment = attach_segment(name)
-    inputs = np.ndarray((total, words_w), dtype="<u8", buffer=segment.buf)
-    rows = inputs[base : base + count]
-    rows.setflags(write=False)
-    codec = key_codec(n, parts)
-    if codec.width != key_width:
-        raise ValueError(
-            f"arena descriptor carries key width {key_width}, but the "
-            f"(n={n}, parts) codec derives {codec.width} — layout mismatch"
-        )
-    results = np.ndarray(
-        (total, key_width),
-        dtype="<i8",
-        buffer=segment.buf,
-        offset=total * words_w * 8,
-    )
-    pieces = batched_pieces(
-        PackedTables.wrap_readonly(n, rows), parts, chunk_size
-    )
-    for row, piece in enumerate(pieces):
-        results[base + row] = codec.flatten(canonical_key(piece, parts))
-    return base, count
-
-
 class _LazyPool:
-    """A worker pool (and its arena) created on first use, torn down on
-    scope exit.
+    """A worker pool created on first use, torn down on scope exit.
 
     Cache-hot or tiny workloads never pay the startup cost; streaming
-    runs start workers once and reuse pool *and* arena for every chunk.
-    The pool is a ``ProcessPoolExecutor`` so a worker killed mid-shard
+    runs start workers once and reuse the pool for every chunk.  The
+    pool is a ``ProcessPoolExecutor`` so a worker killed mid-shard
     surfaces as ``BrokenProcessPool`` instead of deadlocking the merge.
     """
 
@@ -192,7 +126,6 @@ class _LazyPool:
         self.workers = workers
         self.start_method = start_method
         self._pool = None
-        self._arena: ShmArena | None = None
 
     def get(self) -> ProcessPoolExecutor:
         if self._pool is None:
@@ -202,30 +135,10 @@ class _LazyPool:
             )
         return self._pool
 
-    def arena(self, nbytes: int) -> ShmArena:
-        """An arena of at least ``nbytes``, grown by replacement.
-
-        Only ever called between batches (all spans collected before the
-        next call), so replacing a too-small arena cannot race a worker
-        writing into the old one; workers re-attach by name on the next
-        descriptor.
-        """
-        if self._arena is None or self._arena.capacity < nbytes:
-            if self._arena is not None:
-                self._arena.dispose()
-                _ARENA_GROWS.inc()
-            self._arena = ShmArena.create(nbytes)
-        return self._arena
-
     def shutdown(self) -> None:
         pool, self._pool = self._pool, None
-        arena, self._arena = self._arena, None
-        try:
-            if pool is not None:
-                pool.shutdown(wait=True)
-        finally:
-            if arena is not None:
-                arena.dispose()
+        if pool is not None:
+            pool.shutdown(wait=True)
 
 
 class ShardedClassifier:
@@ -245,11 +158,6 @@ class ShardedClassifier:
         start_method: ``multiprocessing`` start method (``"fork"``,
             ``"spawn"``, ``"forkserver"``); ``None`` uses the platform
             default.
-        transport: how shards cross the process boundary — ``"shm"``
-            (zero-copy shared-memory arena, the default where
-            available), ``"pickle"`` (packed buffers through the
-            pipe), or ``None`` to auto-select.  Irrelevant when
-            ``workers=1`` (everything runs inline).
 
     Example:
         >>> from repro import TruthTable
@@ -268,7 +176,6 @@ class ShardedClassifier:
         cache_size: int = 1 << 16,
         chunk_size: int | None = None,
         start_method: str | None = None,
-        transport: str | None = None,
     ) -> None:
         if workers is None:
             workers = os.cpu_count() or 1
@@ -278,19 +185,6 @@ class ShardedClassifier:
             )
         if shard_size is not None and shard_size < 1:
             raise ValueError(f"shard size must be positive, got {shard_size}")
-        if transport is None:
-            transport = "shm" if SHM_AVAILABLE else "pickle"
-        elif transport not in TRANSPORT_NAMES:
-            raise ValueError(
-                f"unknown transport {transport!r}; known: "
-                f"{', '.join(TRANSPORT_NAMES)}"
-            )
-        elif transport == "shm" and not SHM_AVAILABLE:
-            raise ValueError(
-                "the shm transport needs multiprocessing.shared_memory, "
-                "which this platform does not provide; use transport='pickle'"
-            )
-        self.transport = transport
         self.parts = normalize_parts(parts)
         self.workers = workers
         self.shard_size = shard_size
@@ -483,85 +377,23 @@ class ShardedClassifier:
 
     def _sharded_keys(self, n: int, bits: list[int], pool) -> list[tuple]:
         """Canonical keys of ``bits``, computed shard-parallel."""
-        if pool is not None and self.transport == "shm":
-            return self._sharded_keys_shm(n, bits, pool)
-        with obs.timed(_DISPATCH_SECONDS, transport="pickle"):
+        with obs.timed(_DISPATCH_SECONDS):
             tasks = self._shard_tasks(n, bits)
             if pool is None or len(tasks) == 1:
                 shard_results: Iterable = map(_classify_shard, tasks)
             else:
                 shard_results = pool.get().map(_classify_shard, tasks)
-        _SHARD_ROWS.inc(len(bits), transport="pickle")
-        _SHARD_TASKS.inc(len(tasks), transport="pickle")
-        with obs.timed(_GATHER_SECONDS, transport="pickle"):
+        _SHARD_ROWS.inc(len(bits))
+        _SHARD_TASKS.inc(len(tasks))
+        with obs.timed(_GATHER_SECONDS):
             return merge_shard_keys(shard_results, len(bits))
-
-    def _sharded_keys_shm(self, n: int, bits: list[int], pool) -> list[tuple]:
-        """Shm-transport dispatch: one arena write, descriptor fan-out.
-
-        The batch's tables are serialised into the pool arena's input
-        region exactly once; workers cover ``(base, count)`` spans and
-        write flattened keys into the result region.  After
-        :func:`check_span_coverage` proves the spans tile the batch, the
-        result region is bulk-decoded back into key tuples.
-        """
-        total = len(bits)
-        words_w = bitops.words_per_table(n)
-        codec = key_codec(n, self.parts)
-        with obs.timed(_DISPATCH_SECONDS, transport="shm"):
-            arena = pool.arena(total * (words_w + codec.width) * 8)
-            payload = b"".join(
-                value.to_bytes(words_w * 8, "little") for value in bits
-            )
-            arena.shm.buf[: len(payload)] = payload
-            size = self._shard_rows(total)
-            tasks = [
-                (
-                    arena.name,
-                    n,
-                    self.parts,
-                    self.chunk_size,
-                    base,
-                    min(size, total - base),
-                    total,
-                    codec.width,
-                )
-                for base in range(0, total, size)
-            ]
-            if len(tasks) == 1:
-                futures = None
-            else:
-                executor = pool.get()
-                futures = [
-                    executor.submit(_classify_shard_shm, t) for t in tasks
-                ]
-        _SHARD_ROWS.inc(total, transport="shm")
-        _SHARD_TASKS.inc(len(tasks), transport="shm")
-        with obs.timed(_GATHER_SECONDS, transport="shm"):
-            if futures is None:
-                spans = [_classify_shard_shm(tasks[0])]
-            else:
-                spans = [future.result() for future in as_completed(futures)]
-            check_span_coverage(spans, total)
-            flat = np.ndarray(
-                (total, codec.width),
-                dtype="<i8",
-                buffer=arena.shm.buf,
-                offset=total * words_w * 8,
-            ).tolist()
-            return [codec.unflatten(row) for row in flat]
-
-    def _shard_rows(self, total: int) -> int:
-        """Rows per shard task for a batch of ``total`` rows."""
-        size = self.shard_size
-        if size is None:
-            per_worker = -(-total // (self.workers * _OVERSUBSCRIBE))
-            size = max(1, min(_MAX_SHARD_SIZE, per_worker))
-        return size
 
     def _shard_tasks(self, n: int, bits: list[int]) -> list[tuple]:
         """Split one arity's miss list into packed-buffer shard tasks."""
-        size = self._shard_rows(len(bits))
+        size = self.shard_size
+        if size is None:
+            per_worker = -(-len(bits) // (self.workers * _OVERSUBSCRIBE))
+            size = max(1, min(_MAX_SHARD_SIZE, per_worker))
         nbytes = bitops.words_per_table(n) * 8
         return [
             (
@@ -580,6 +412,5 @@ class ShardedClassifier:
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
             f"ShardedClassifier(parts={self.parts}, workers={self.workers}, "
-            f"transport={self.transport!r}, "
             f"cache={len(self.cache)}/{self.cache.maxsize})"
         )

@@ -13,10 +13,12 @@ and exposes the fault injections the soak tests and benchmarks drive:
   answered, clean exit (drain-aware failover).
 
 Every daemon's ready banner is parsed for its bound port, so fleets run
-entirely on ``port 0`` and never collide.  ``stop_all`` is defensive
-teardown: SIGCONT + SIGTERM everyone, then SIGKILL stragglers — a
-crashed test must not leak processes (the CI fabric-smoke job asserts
-exactly that).
+entirely on ``port 0`` and never collide.  After the banner, a
+background thread drains each daemon's output into a bounded tail
+buffer, so a chatty daemon can never fill its pipe and block in
+``write()``.  ``stop_all`` is defensive teardown: SIGCONT + SIGTERM
+everyone, then SIGKILL stragglers — a crashed test must not leak
+processes (the CI fabric-smoke job asserts exactly that).
 """
 
 from __future__ import annotations
@@ -25,12 +27,17 @@ import os
 import signal
 import subprocess
 import sys
+import threading
 import time
+from collections import deque
 
 __all__ = ["ChaosFleet", "ManagedDaemon", "wait_until"]
 
 #: Seconds a daemon gets to print its ready banner.
 READY_TIMEOUT_S = 30.0
+
+#: Lines of each daemon's output kept after its banner.
+OUTPUT_TAIL_LINES = 1000
 
 
 def wait_until(predicate, timeout_s: float, interval_s: float = 0.05) -> bool:
@@ -59,6 +66,20 @@ class ManagedDaemon:
         host, _, port_text = token.rpartition(":")
         self.host = host
         self.port = int(port_text)
+        self._tail: deque[str] = deque(maxlen=OUTPUT_TAIL_LINES)
+        self._drainer = threading.Thread(
+            target=self._drain, name=f"drain-{name}", daemon=True
+        )
+        self._drainer.start()
+
+    def _drain(self) -> None:
+        """Read the daemon's output to EOF, keeping only the tail."""
+        stdout = self.process.stdout
+        if stdout is None:
+            return
+        with stdout:
+            for line in stdout:
+                self._tail.append(line)
 
     @property
     def address(self) -> str:
@@ -100,11 +121,19 @@ class ManagedDaemon:
     def wait(self, timeout_s: float = 30.0) -> int:
         return self.process.wait(timeout=timeout_s)
 
+    def join_output(self, timeout_s: float = 5.0) -> None:
+        """Wait for the drainer to reach EOF (the process has exited)."""
+        self._drainer.join(timeout_s)
+
     def output(self) -> str:
-        """Remaining stdout (only safe once the process exited)."""
-        if self.process.stdout is None:
-            return ""
-        return self.process.stdout.read()
+        """The last :data:`OUTPUT_TAIL_LINES` lines printed after the banner.
+
+        Complete once the process has exited; while it runs, whatever has
+        been drained so far.
+        """
+        if not self.alive:
+            self.join_output()
+        return "".join(list(self._tail))  # snapshot: the drainer appends
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         state = "alive" if self.alive else f"exit={self.process.returncode}"
@@ -222,8 +251,7 @@ class ChaosFleet:
             except subprocess.TimeoutExpired:
                 daemon.kill()
         for daemon in daemons:
-            if daemon.process.stdout is not None:
-                daemon.process.stdout.close()
+            daemon.join_output()
         self.workers.clear()
         self.router = None
 

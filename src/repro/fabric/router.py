@@ -577,8 +577,11 @@ class RouterService(LineProtocolServer):
             done, tasks = await asyncio.wait(
                 tasks, return_when=asyncio.FIRST_COMPLETED
             )
-            for task in done:
-                exc = task.exception()
+            # Retrieve every finished racer's exception before any return:
+            # a failed hedge finishing beside an ok primary would otherwise
+            # be logged as "Task exception was never retrieved".
+            outcomes = [(task, task.exception()) for task in done]
+            for task, exc in outcomes:
                 if exc is not None:
                     first_error = first_error or exc
                     continue

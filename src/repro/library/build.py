@@ -130,15 +130,12 @@ def build_library(
     parts=DEFAULT_PARTS,
     engine: str = "batched",
     workers: int | None = None,
-    transport: str | None = None,
     id_scheme: str = "canonical",
 ) -> ClassLibrary:
     """Classify ``tables`` with the chosen engine and build a library."""
     from repro.engine import make_classifier
 
-    classifier = make_classifier(
-        engine, parts=parts, workers=workers, transport=transport
-    )
+    classifier = make_classifier(engine, parts=parts, workers=workers)
     return library_from_result(
         classifier.classify(list(tables)), id_scheme=id_scheme
     )

@@ -5,7 +5,7 @@ The instrumented layers (engines, library, canonical) time whole
 ``perf_counter`` pair plus one locked histogram update amortizes to
 nanoseconds.  ``timed`` is the standard shape:
 
-    with timed(_DISPATCH_SECONDS, transport="shm"):
+    with timed(_MATCH_PHASE_SECONDS, phase="signatures"):
         ...hot path...
 
 When observability is disabled (:func:`repro.obs.set_enabled`) the

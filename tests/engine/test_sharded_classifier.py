@@ -7,7 +7,10 @@ byte-identical to ``BatchedClassifier`` — same keys, same first-seen
 group order, same member order — with cache statistics to match.
 """
 
+import os
 import random
+import signal
+from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
@@ -54,6 +57,15 @@ class TestDeterminism:
         reference = BatchedClassifier().classify(tables)
         sharded = ShardedClassifier(workers=2, shard_size=11, chunk_size=chunk_size)
         assert digest(sharded.classify(tables)) == digest(reference)
+
+    @pytest.mark.parametrize("workers", [1, 2, 4])
+    def test_streamed_mixed_arities_worker_count_invisible(self, workers):
+        tables = random_tables(3, 20, seed=45) + random_tables(6, 20, seed=46)
+        random.Random(47).shuffle(tables)
+        reference = BatchedClassifier().classify(tables)
+        sharded = ShardedClassifier(workers=workers, shard_size=6)
+        streamed = sharded.classify_iter(iter(tables), stream_chunk=15)
+        assert digest(streamed) == digest(reference)
 
     def test_repeat_runs_are_identical(self):
         tables = random_tables(6, 200, seed=10)
@@ -220,6 +232,26 @@ class TestShardMerge:
             assert key == compute_msv(tt).key
 
 
+def _kill_self(task):  # pragma: no cover - runs (and dies) in a worker
+    os.kill(os.getpid(), signal.SIGKILL)
+
+
+class TestCrashRecovery:
+    def test_killed_worker_raises_then_classifier_recovers(self, monkeypatch):
+        """A SIGKILL'd worker surfaces as BrokenProcessPool, not a hang,
+        and the next call on the same classifier gets a fresh pool."""
+        tables = random_tables(5, 40, seed=52)
+        classifier = ShardedClassifier(
+            workers=2, shard_size=5, start_method="fork"
+        )
+        with monkeypatch.context() as patch:
+            patch.setattr("repro.engine.sharded._classify_shard", _kill_self)
+            with pytest.raises(BrokenProcessPool):
+                classifier.classify(tables)
+        reference = BatchedClassifier().classify(tables)
+        assert digest(classifier.classify(tables)) == digest(reference)
+
+
 class TestOpenPool:
     """Held pools are reused across calls and safe to nest."""
 
@@ -257,9 +289,14 @@ class TestStartMethods:
 
     @pytest.mark.slow
     def test_spawn_start_method(self):
-        tables = random_tables(5, 30, seed=28)
-        reference = BatchedClassifier().classify(tables)
+        tables = random_tables(3, 20, seed=28) + random_tables(6, 20, seed=29)
+        random.Random(50).shuffle(tables)
+        reference = digest(BatchedClassifier().classify(tables))
+        # No cache, so the streamed pass ships every row to the workers too.
         sharded = ShardedClassifier(
-            workers=2, shard_size=8, start_method="spawn"
+            workers=2, shard_size=6, cache_size=0, start_method="spawn"
         )
-        assert digest(sharded.classify(tables)) == digest(reference)
+        with sharded.open_pool():
+            assert digest(sharded.classify(tables)) == reference
+            streamed = sharded.classify_iter(iter(tables), stream_chunk=15)
+            assert digest(streamed) == reference

@@ -20,7 +20,7 @@ import pytest
 
 from repro.core.truth_table import TruthTable
 from repro.fabric.chaos import ChaosFleet, wait_until
-from repro.service import ServiceClient, ServiceError
+from repro.service import ServiceClient, ServiceError, ServiceUnavailableError
 from repro.service.client import http_get
 
 pytestmark = [pytest.mark.slow, pytest.mark.integration]
@@ -40,7 +40,12 @@ ROUTER_KNOBS = {
 def fleet(library_dir):
     with ChaosFleet(library_dir, RING) as fleet:
         fleet.start(**ROUTER_KNOBS)
+        daemons = [fleet.router, *fleet.workers.values()]
         yield fleet
+    # A racer whose failure nobody looked at is a router bug, even when
+    # every query was answered.
+    for daemon in daemons:
+        assert "never retrieved" not in daemon.output(), daemon.name
 
 
 def stream_queries(fleet, values, fault_at=None, fault=None):
@@ -60,6 +65,8 @@ def stream_queries(fleet, values, fault_at=None, fault=None):
             table = TruthTable(3, value)
             try:
                 result = client.match(table)
+            except ServiceUnavailableError:
+                raise  # the router hung or hung up: never a typed refusal
             except ServiceError as exc:
                 failed[value] = exc.error_type
                 continue

@@ -8,7 +8,9 @@ worker that accepts connections and never answers).
 """
 
 import asyncio
+import gc
 import json
+import logging
 import socket
 import threading
 import time
@@ -19,6 +21,7 @@ from repro import obs
 from repro.core.truth_table import TruthTable
 from repro.fabric import router as router_module
 from repro.fabric.backoff import RetryPolicy
+from repro.fabric.channel import ChannelClosed
 from repro.fabric.ring import HashRing, shard_key_of
 from repro.fabric.router import RouterService
 from repro.fabric.worker import FabricWorker
@@ -449,6 +452,46 @@ class TestTimeoutsAndHedging:
             hole.close()
             for conn in accepted:
                 conn.close()
+
+    def test_refused_hedge_beside_ok_primary_is_retrieved(
+        self, monkeypatch, caplog
+    ):
+        # Both racers finish in one asyncio.wait round, and the ok primary
+        # is looked at first: the refused hedge must still be retrieved,
+        # or asyncio logs "Task exception was never retrieved" for it.
+        router = RouterService(port=0)
+
+        async def answered():
+            return {"ok": True}
+
+        async def refused():
+            raise ChannelClosed("Connect call failed")
+
+        def dispatch(worker_id, payload, timeout):
+            return answered() if worker_id == "primary" else refused()
+
+        real_wait = asyncio.wait
+        rounds = []
+
+        async def ok_first_wait(tasks, **kwargs):
+            done, pending = await real_wait(tasks, **kwargs)
+            rounds.append(len(done))
+            ordered = sorted(
+                done, key=lambda task: task.get_coro().__name__ != "answered"
+            )
+            return ordered, pending
+
+        monkeypatch.setattr(router, "_dispatch_to", dispatch)
+        monkeypatch.setattr(router_module.asyncio, "wait", ok_first_wait)
+        with caplog.at_level(logging.ERROR, logger="asyncio"):
+            reply = asyncio.run(router._attempt("primary", "hedge", {}))
+            gc.collect()
+        assert reply == {"ok": True}
+        assert rounds == [2]
+        assert not [
+            record for record in caplog.records
+            if "never retrieved" in record.getMessage()
+        ]
 
 
 class TestWorkerDaemon:

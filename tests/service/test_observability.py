@@ -56,7 +56,7 @@ class TestMetricsEndpoint:
             "repro_cache_match_lookups_total",  # match cache
             "repro_library_match_queries_total",  # library matcher
             "repro_canonical_search_steps_total",  # canonical layer
-            "repro_shm_arenas_created_total",  # shm/engine layer
+            "repro_sharded_rows_total",  # engine layer
         ):
             assert f"# TYPE {family}" in text
 

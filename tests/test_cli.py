@@ -65,35 +65,7 @@ class TestCommands:
             ["classify", str(path), "--engine", "sharded", "--workers", "2"]
         ) == 0
         out = capsys.readouterr().out
-        assert "classes:   2 (ours, sharded engine, 2 workers, shm)" in out
-
-    def test_classify_sharded_transport_flags(self, tmp_path, capsys):
-        path = tmp_path / "tables.txt"
-        path.write_text("11101000\n00010111\n10000000\n")
-        assert main(
-            ["classify", str(path), "--engine", "sharded", "--workers", "2",
-             "--no-shm"]
-        ) == 0
-        assert "2 workers, pickle" in capsys.readouterr().out
-        assert main(
-            ["classify", str(path), "--engine", "sharded", "--workers", "2",
-             "--shm"]
-        ) == 0
-        assert "2 workers, shm" in capsys.readouterr().out
-
-    def test_classify_transport_requires_sharded_engine(
-        self, tmp_path, capsys
-    ):
-        path = tmp_path / "tables.txt"
-        path.write_text("11101000\n")
-        assert main(["classify", str(path), "--no-shm"]) == 2
-        assert "requires --engine sharded" in capsys.readouterr().err
-
-    def test_classify_shm_flags_are_mutually_exclusive(self, tmp_path, capsys):
-        path = tmp_path / "tables.txt"
-        path.write_text("11101000\n")
-        with pytest.raises(SystemExit):
-            main(["classify", str(path), "--shm", "--no-shm"])
+        assert "classes:   2 (ours, sharded engine, 2 workers)" in out
 
     def test_classify_sharded_engine_default_workers(self, tmp_path, capsys):
         path = tmp_path / "tables.txt"
