@@ -20,7 +20,7 @@ computes.  What changes with arity is only *how* it is computed:
 Class ids are a pure function of the orbit: ``n{n}-c{hex}`` where the
 hex *is* the canonical representative (fixed width, MSB first).  Two
 libraries built independently therefore mint identical ids for the same
-orbit — the property the digest scheme could not offer.
+orbit — the property signature-digest ids could not offer.
 """
 
 from __future__ import annotations

@@ -128,13 +128,6 @@ def build_parser() -> argparse.ArgumentParser:
     lib_build.add_argument(
         "--workers", type=int, default=None, help="workers for --engine sharded"
     )
-    lib_build.add_argument(
-        "--id-scheme",
-        default="canonical",
-        choices=("canonical", "digest"),
-        help="class-id scheme: orbit-canonical ids (default) or the "
-        "legacy signature-digest ids with overflow slots",
-    )
     lib_stats = lib_sub.add_parser("stats", help="summarise a saved library")
     lib_stats.add_argument(
         "--library", default="npn_library", help="library directory"
@@ -145,6 +138,12 @@ def build_parser() -> argparse.ArgumentParser:
         "library image and delete them",
     )
     lib_compact.add_argument(
+        "--library", default="npn_library", help="library directory"
+    )
+    lib_migrate = lib_sub.add_parser(
+        "migrate", help="convert a version-1 library and its WAL in place"
+    )
+    lib_migrate.add_argument(
         "--library", default="npn_library", help="library directory"
     )
     lib_match = lib_sub.add_parser(
@@ -778,6 +777,8 @@ def _cmd_library(args) -> int:
         return _cmd_library_build(args)
     if args.library_command == "compact":
         return _cmd_library_compact(args)
+    if args.library_command == "migrate":
+        return _cmd_library_migrate(args)
     library = _load_library_or_fail(args.library)
     if library is None:
         return 2
@@ -831,12 +832,7 @@ def _cmd_library_build(args) -> int:
     corpus = chain.from_iterable(
         corpus_for_arity(n, args.samples, args.seed) for n in arities
     )
-    library = build_library(
-        corpus,
-        engine=args.engine,
-        workers=args.workers,
-        id_scheme=args.id_scheme,
-    )
+    library = build_library(corpus, engine=args.engine, workers=args.workers)
     path = library.save(args.out)
     print(
         format_table(
@@ -866,6 +862,22 @@ def _cmd_library_compact(args) -> int:
     print(
         f"compacted {result.merged_records} WAL records "
         f"({result.removed_segments} segments) into {result.path} — "
+        f"{result.num_classes} classes"
+    )
+    return 0
+
+
+def _cmd_library_migrate(args) -> int:
+    from repro.library import LibraryFormatError, migrate_library
+
+    try:
+        result = migrate_library(args.library)
+    except LibraryFormatError as exc:
+        print(f"cannot migrate library: {exc}", file=sys.stderr)
+        return 2
+    print(
+        f"migrated {result.path} to version 2 with {result.merged_records} "
+        f"WAL records ({result.removed_segments} segments) — "
         f"{result.num_classes} classes"
     )
     return 0

@@ -1,13 +1,13 @@
 """Consistent-hash ring over signature digests: who owns which classes.
 
 The fabric partitions the class library by the **signature digest** of
-each class — the ``n{n}-{digest}`` base id of
+each class — the ``n{n}-{digest}`` bucket id of
 :meth:`ClassLibrary.base_id_of`.  The MSV is an NPN invariant, so a
 *query* hashes to exactly the same shard key as the class it belongs to
 (if any): the router can compute a query's owner without knowing the
 library at all, and a worker can decide which classes it owns without
-talking to anyone.  The exact-canonical ids of the canonical scheme
-make class identity injective across machines; the digest shard key on
+talking to anyone.  The exact-canonical class ids make class
+identity injective across machines; the digest shard key on
 top of them makes ownership *stable* — a class always hashes to the
 same point of the ring, whatever order libraries were built or merged
 in.

@@ -390,9 +390,7 @@ class RouterService(LineProtocolServer):
                 )
         capabilities = {
             key: worker.get(key)
-            for key in (
-                "arities", "id_scheme", "classes", "learning", "engine", "pid"
-            )
+            for key in ("arities", "classes", "learning", "engine", "pid")
             if key in worker
         }
         self.registry.register(worker_id, address, capabilities)

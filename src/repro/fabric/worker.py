@@ -167,7 +167,6 @@ class FabricWorker(ClassificationService):
                 "ring": self.ring.spec(),
                 "parts": list(self.library.parts),
                 "arities": sorted(self.library.arities()),
-                "id_scheme": self.library.id_scheme,
                 "classes": self.library.num_classes,
                 "learning": self.coalescer.learner is not None,
                 "engine": self.coalescer.engine,

@@ -36,7 +36,6 @@ from repro.kernels.ops import (
     apply_transforms,
     bit_matrix,
     canonical_min,
-    canonical_min_table,
     canonical_min_transforms,
     orbit,
     orbit_chunks,
@@ -61,5 +60,4 @@ __all__ = [
     "orbit_chunks",
     "canonical_min",
     "canonical_min_transforms",
-    "canonical_min_table",
 ]

@@ -47,7 +47,6 @@ __all__ = [
     "orbit_chunks",
     "canonical_min",
     "canonical_min_transforms",
-    "canonical_min_table",
 ]
 
 #: Soft cap on the number of ``uint8`` entries any gather materialises.
@@ -334,9 +333,3 @@ def canonical_min_transforms(
             transforms.append(NPNTransform(perm, phase, int(flip)))
     return minima, transforms
 
-
-def canonical_min_table(
-    tt: TruthTable, cache_dir: str | Path | None = None
-) -> TruthTable:
-    """Single-table convenience wrapper around :func:`canonical_min`."""
-    return TruthTable(tt.n, int(canonical_min([tt], cache_dir=cache_dir)[0]))

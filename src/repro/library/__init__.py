@@ -2,20 +2,20 @@
 
 The missing layer between the classification engines and a reusable
 Boolean-matching service: :class:`ClassLibrary` stores one canonical
-representative per NPN signature class, persists to a versioned
+representative per NPN class, persists to a versioned
 ``manifest.json`` + ``classes.npz`` artifact, and resolves queries to
 ``(class id, NPN transform witness)`` pairs via the signature-pruned
-pairwise matcher.  See :mod:`repro.library.store` for the data model and
-:mod:`repro.library.build` for representative election.
+pairwise matcher.  See :mod:`repro.library.store` for the data model,
+:mod:`repro.library.build` for building from a corpus and
+:mod:`repro.library.migrate` for converting version-1 artifacts.
 """
 
 from repro.library.build import (
-    EXACT_REP_MAX_VARS,
     build_exhaustive_library,
     build_library,
-    elect_representative,
     library_from_result,
 )
+from repro.library.migrate import migrate_library
 from repro.library.online import (
     DEFAULT_SEGMENT_BYTES,
     CompactionResult,
@@ -30,8 +30,6 @@ from repro.library.store import (
     LibraryFormatError,
     LibraryMatch,
     NPNClassEntry,
-    class_id_matches,
-    overflow_successor,
 )
 from repro.library.wal import (
     FSYNC_POLICIES,
@@ -56,15 +54,12 @@ __all__ = [
     "SegmentReplay",
     "WalError",
     "LibraryLockedError",
-    "class_id_matches",
-    "overflow_successor",
+    "migrate_library",
     "list_segments",
     "replay_segment",
     "build_library",
     "build_exhaustive_library",
     "library_from_result",
-    "elect_representative",
-    "EXACT_REP_MAX_VARS",
     "DEFAULT_SEGMENT_BYTES",
     "FSYNC_POLICIES",
     "FORMAT_NAME",

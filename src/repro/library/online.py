@@ -3,9 +3,8 @@
 A one-shot library answers the queries its build corpus anticipated and
 throws everything else away as a miss.  :class:`LearningLibrary` turns
 the library into a living artifact: a query matching no stored class is
-classified, minted as a new class (id derived exactly like built
-classes — the canonical form under the canonical scheme, the signature
-digest under the legacy digest scheme), and appended to a write-ahead
+canonicalized, minted as a new class (id derived exactly like built
+classes, from the canonical form), and appended to a write-ahead
 segment (:mod:`repro.library.wal`) so the knowledge survives a crash
 without rewriting the manifest+npz image per miss.
 
@@ -14,8 +13,8 @@ Lifecycle::
     open()     claim the learner lock (wal/LOCK), load manifest+npz (if
                present), replay WAL segments — tolerating a torn final
                record — into memory
-    learn()    miss -> probe overflow chain -> elect representative ->
-               add_class -> WAL append
+    learn()    miss -> canonical form + witness -> add_class (or resolve
+               an existing id) -> WAL append
     compact()  rewrite manifest+npz from the in-memory state, delete
                the segments it absorbed (lock stays held)
     close()    seal the active segment and release the learner lock
@@ -25,23 +24,19 @@ Compaction runs in three situations: the serving drain hook
 ``repro-npn library compact`` command, and automatically when the
 active segment crosses ``segment_bytes``.  It is **byte-deterministic
 for a fixed record set**: records merge by class id with summed sizes
-and minimum representatives — an order-independent fold — and
+— an order-independent fold — and
 :meth:`ClassLibrary.save` already writes canonical bytes, so any
 arrival order, segmentation, or crash/replay history of the same
 records compacts to the identical image.
 
-Minting keeps the library's representative contract.  Canonical scheme:
-the minted representative is the exact orbit minimum at every arity and
-the id is ``n{n}-c{hex}`` — a pure function of the orbit, so the
-overflow machinery below is structurally unreachable (ids cannot
-collide).  Digest scheme (legacy): at ``n <= EXACT_REP_MAX_VARS`` the
-representative is the exhaustive orbit minimum, above it the query
-itself is elected, and digest-colliding orbits land in overflow slots.
-Either way the returned :class:`LibraryMatch` carries a verified
-witness, so a learned answer is exactly as trustworthy as a built one.
-On the canonical scheme at ``n <= 6`` that witness comes from the same
-kernel call as the form (the inverse of its argmin transform, checked
-with one apply); otherwise the matcher finds it.
+Minting keeps the library's representative contract: the minted
+representative is the exact orbit minimum at every arity and the id is
+``n{n}-c{hex}`` — a pure function of the orbit, so ids cannot collide.
+The returned :class:`LibraryMatch` carries a verified witness, so a
+learned answer is exactly as trustworthy as a built one.  At ``n <= 6``
+that witness comes from the same kernel call as the form (the inverse
+of its argmin transform, checked with one apply); otherwise the matcher
+finds it.
 """
 
 from __future__ import annotations
@@ -52,18 +47,12 @@ from pathlib import Path
 from repro import obs
 from repro.baselines.matcher import find_npn_transform
 from repro.canonical.form import canonical_class_id, canonical_form
-from repro.core.msv import DEFAULT_PARTS, MixedSignature, compute_msv
+from repro.core.msv import DEFAULT_PARTS, MixedSignature
 from repro.core.transforms import NPNTransform
 from repro.core.truth_table import TruthTable
 from repro.kernels.gather import MAX_KERNEL_VARS
 from repro.kernels.ops import canonical_min_transforms
-from repro.library.build import elect_representative
-from repro.library.store import (
-    ClassLibrary,
-    LibraryMatch,
-    MANIFEST_FILE,
-    overflow_successor,
-)
+from repro.library.store import ClassLibrary, LibraryMatch, MANIFEST_FILE
 from repro.library.wal import (
     SegmentWriter,
     WalError,
@@ -89,8 +78,7 @@ _RECORD_FIELDS = ("class_id", "n", "representative", "size", "exact")
 _REG = obs.registry()
 _MINTED = _REG.counter(
     "repro_library_classes_minted_total",
-    "Classes minted by learn-on-miss, split base vs. overflow slot.",
-    labels=("slot",),
+    "Classes minted by learn-on-miss.",
 )
 _COMPACTIONS = _REG.counter(
     "repro_library_compactions_total",
@@ -104,7 +92,7 @@ _COMPACTION_SECONDS = _REG.histogram(
 
 @dataclass(frozen=True)
 class CompactionResult:
-    """What one :meth:`LearningLibrary.compact` call did.
+    """What one compaction (or one version-1 migration) did.
 
     Attributes:
         merged_records: WAL records absorbed into the image.
@@ -117,6 +105,27 @@ class CompactionResult:
     removed_segments: int
     num_classes: int
     path: Path | None
+
+
+def parse_record(record: dict, path: Path) -> tuple[TruthTable, int]:
+    """``(representative, size)`` of one WAL record, its fields checked.
+
+    The class id is left to the caller: replay checks it against the
+    representative's canonical form.
+    """
+    if any(field not in record for field in _RECORD_FIELDS):
+        missing = [f for f in _RECORD_FIELDS if f not in record]
+        raise WalError(f"{path}: record is missing fields {missing}")
+    try:
+        representative = TruthTable.from_hex(
+            int(record["n"]), record["representative"]
+        )
+        size = int(record["size"])
+    except (ValueError, TypeError) as exc:
+        raise WalError(f"{path}: bad record {record!r}: {exc}") from exc
+    if size < 1:
+        raise WalError(f"{path}: record size must be >= 1, got {size}")
+    return representative, size
 
 
 class LearningLibrary:
@@ -146,13 +155,6 @@ class LearningLibrary:
         self.fsync = fsync
         #: Classes minted by :meth:`learn` over this instance's lifetime.
         self.minted = 0
-        #: Misses whose signature digest collided with one or more
-        #: stored, NPN-inequivalent classes; each is minted into an
-        #: overflow slot (counted in :attr:`overflow_minted` too).
-        #: Digest scheme only — canonical ids cannot collide.
-        self.collisions = 0
-        #: Subset of :attr:`minted` that landed in overflow slots.
-        self.overflow_minted = 0
         #: WAL records not yet absorbed by a compaction (replayed + new).
         self.pending_records = 0
         #: Compactions performed (drain, explicit, or threshold-tripped).
@@ -171,15 +173,13 @@ class LearningLibrary:
         fsync: str = "close",
         create: bool = False,
         parts=DEFAULT_PARTS,
-        id_scheme: str = "canonical",
     ) -> "LearningLibrary":
         """Load the image (if any) and replay every WAL segment.
 
         With ``create``, a directory holding no image yet starts from an
-        empty library over ``parts`` and ``id_scheme`` — the segment-only
-        crash case and the grow-from-nothing case (an existing image
-        keeps its own persisted scheme).  Without it, a missing image
-        raises like :meth:`ClassLibrary.load`.  Torn final records are
+        empty library over ``parts`` — the segment-only crash case and
+        the grow-from-nothing case.  Without it, a missing image raises
+        like :meth:`ClassLibrary.load`.  Torn final records are
         truncated away by the replay, never re-served.
 
         Opening claims the directory's learner lock (``wal/LOCK``): a
@@ -195,7 +195,7 @@ class LearningLibrary:
             if (directory / MANIFEST_FILE).exists() or not create:
                 library = ClassLibrary.load(directory)
             else:
-                library = ClassLibrary(parts, id_scheme=id_scheme)
+                library = ClassLibrary(parts)
                 library.kernel_cache_dir = directory / "kernels"
             learner = cls(
                 library, directory, segment_bytes=segment_bytes, fsync=fsync
@@ -216,27 +216,12 @@ class LearningLibrary:
 
     def _apply_record(self, record: dict, path: Path) -> None:
         """Validate one WAL record and fold it into the library."""
-        if any(field not in record for field in _RECORD_FIELDS):
-            missing = [f for f in _RECORD_FIELDS if f not in record]
-            raise WalError(f"{path}: record is missing fields {missing}")
+        representative, size = parse_record(record, path)
         try:
-            representative = TruthTable.from_hex(
-                int(record["n"]), record["representative"]
-            )
-            size = int(record["size"])
-        except (ValueError, TypeError) as exc:
-            raise WalError(f"{path}: bad record {record!r}: {exc}") from exc
-        if size < 1:
-            raise WalError(f"{path}: record size must be >= 1, got {size}")
-        try:
-            # The record's explicit id is honoured (overflow slots must
-            # replay into their slot); add_class validates it against
-            # the representative's derived id.
+            # add_class validates the record's id against the
+            # representative's canonical form.
             self.library.add_class(
-                representative,
-                size=size,
-                exact=bool(record["exact"]),
-                class_id=str(record["class_id"]),
+                representative, size=size, class_id=str(record["class_id"])
             )
         except ValueError as exc:
             raise WalError(
@@ -251,13 +236,13 @@ class LearningLibrary:
 
     def learn(
         self, tt: TruthTable, signature: MixedSignature | None = None
-    ) -> LibraryMatch | None:
+    ) -> LibraryMatch:
         """Mint (or resolve) the class of a query that missed the library.
 
         Call this only after :meth:`ClassLibrary.match` returned ``None``.
 
-        Canonical scheme: the query is canonicalized — its orbit's id is
-        then an exact key.  At ``n <= 6`` this is one
+        The query is canonicalized — its orbit's id is then an exact
+        key.  At ``n <= 6`` this is one
         :func:`~repro.kernels.canonical_min_transforms` call, which also
         yields the transform onto the form; its inverse is the reply's
         witness once ``representative.apply(witness) == tt`` holds (the
@@ -269,65 +254,32 @@ class LearningLibrary:
         MSV, an NPN invariant — indexes it in the matching chains.
         Digest collisions cannot happen: two colliding misses in one
         batch mint two *different* ids, so no verification-by-digest
-        ever decides an answer.
-
-        Digest scheme (legacy): the digest's overflow chain is probed
-        slot by slot, each occupant re-verified with the matcher — never
-        trusted on digest equality alone — so a batch carrying two
-        digest-colliding misses records the second under a fresh
-        overflow slot (``n{n}-{digest}-1``, ``-2``, …) instead of fusing
-        it into the first.  :attr:`collisions` and
-        :attr:`overflow_minted` count such mints.
-
-        Either way the reply carries a verified witness.
+        ever decides an answer.  The reply carries a verified witness.
         """
-        witness = None
-        if self.library.id_scheme == "canonical":
-            representative, witness = self._canonicalize(tt)
-            class_id = canonical_class_id(representative)
-            existing = self.library.classes.get(class_id)
-            if existing is not None:
-                # The id names its representative, so the kernel witness
-                # onto ``representative`` maps the stored one too.
-                if witness is None:
-                    witness = find_npn_transform(existing.representative, tt)
-                if witness is None:  # pragma: no cover - canonical id broken
-                    raise WalError(
-                        f"stored class {class_id!r} has no transform onto "
-                        f"its own orbit member {tt!r}"
-                    )
-                return LibraryMatch(existing, witness)
-            exact = True
-            entry = self.library.add_class(
-                representative,
-                size=1,
-                exact=True,
-                class_id=class_id,
-                canonical_rep=True,
-                signature=signature,
-            )
-            overflow = False
-        else:
-            if signature is None:
-                signature = compute_msv(tt, self.library.parts)
-            base = self.library.class_id_of(signature)
-            slot = base
-            while True:
-                existing = self.library.classes.get(slot)
-                if existing is None:
-                    break
+        representative, witness = self._canonicalize(tt)
+        class_id = canonical_class_id(representative)
+        existing = self.library.classes.get(class_id)
+        if existing is not None:
+            # The id names its representative, so the kernel witness
+            # onto ``representative`` maps the stored one too.
+            if witness is None:
                 witness = find_npn_transform(existing.representative, tt)
-                if witness is not None:
-                    return LibraryMatch(existing, witness)
-                slot = overflow_successor(slot)
-            overflow = slot != base
-            representative, exact = elect_representative([tt])
-            entry = self.library.add_class(
-                representative, size=1, exact=exact, class_id=slot
-            )
+            if witness is None:  # pragma: no cover - canonical id broken
+                raise WalError(
+                    f"stored class {class_id!r} has no transform onto "
+                    f"its own orbit member {tt!r}"
+                )
+            return LibraryMatch(existing, witness)
+        entry = self.library.add_class(
+            representative,
+            size=1,
+            class_id=class_id,
+            canonical_rep=True,
+            signature=signature,
+        )
         if witness is None:
             witness = find_npn_transform(entry.representative, tt)
-        if witness is None:  # pragma: no cover - election produced non-member
+        if witness is None:  # pragma: no cover - canonical form broken
             raise WalError(
                 f"minted representative {entry.representative!r} has no "
                 f"transform onto its own class member {tt!r}"
@@ -338,14 +290,11 @@ class LearningLibrary:
                 "n": entry.n,
                 "representative": entry.representative.to_hex(),
                 "size": 1,
-                "exact": exact,
+                "exact": True,
             }
         )
         self.minted += 1
-        _MINTED.inc(slot="overflow" if overflow else "base")
-        if overflow:
-            self.collisions += 1
-            self.overflow_minted += 1
+        _MINTED.inc()
         return LibraryMatch(entry, witness)
 
     def _canonicalize(
@@ -457,10 +406,7 @@ class LearningLibrary:
     def stats(self) -> dict:
         """JSON-ready learning counters (for ``/v1/stats`` and the CLI)."""
         return {
-            "id_scheme": self.library.id_scheme,
             "classes_minted": self.minted,
-            "signature_collisions": self.collisions,
-            "overflow_minted": self.overflow_minted,
             "wal_pending_records": self.pending_records,
             "wal_segments": len(self.segments),
             "compactions": self.compactions,

@@ -11,24 +11,18 @@ recovers an explicit :class:`~repro.core.transforms.NPNTransform` witness
 mapping the stored representative onto any queried function, via the
 signature-pruned matcher of :mod:`repro.baselines.matcher`.
 
-Two id schemes exist:
-
-* ``"canonical"`` (the default, format version 2) — every representative
-  is the *exact orbit minimum* (:mod:`repro.canonical.form`) and the id
-  is ``n{n}-c{hex}`` where the hex **is** the representative.  Ids are a
-  pure function of the orbit: injective (no collisions, ever), identical
-  across machines and build orders, so libraries merge by id safely.
-* ``"digest"`` (legacy, format version 1) — ids are ``n{n}-{MSV digest}``
-  with ``-1``, ``-2`` … overflow slots for digest-colliding orbits.
-  Still fully readable and writable (byte-identical to pre-canonical
-  artifacts) so existing libraries keep loading; new libraries should
-  not use it.
+Every representative is the *exact orbit minimum*
+(:mod:`repro.canonical.form`) and the id is ``n{n}-c{hex}`` where the
+hex **is** the representative.  Ids are a pure function of the orbit:
+injective (no collisions, ever), identical across machines and build
+orders, so libraries merge by id safely.  The MSV digest only buckets
+classes into the matching chains that pre-filter :meth:`ClassLibrary.match`.
 
 Persistence is a directory holding two files:
 
-* ``manifest.json`` — format name, format version, id scheme (version
-  2), MSV parts and the per-class metadata (id, arity, size,
-  representative hex, satisfy count, influence vector);
+* ``manifest.json`` — format name, format version 2, id scheme
+  (``"canonical"``), MSV parts and the per-class metadata (id, arity,
+  size, exactness, representative hex, satisfy count, influence vector);
 * ``classes.npz`` — the representatives as packed little-endian
   ``uint64`` words plus the size/arity arrays, in manifest order.
 
@@ -36,10 +30,10 @@ Both files are written deterministically (sorted classes, fixed zip
 timestamps), so rebuilding the same corpus yields byte-identical
 artifacts — the property the regression suite pins.  :meth:`ClassLibrary.load`
 cross-checks the two files against each other and re-verifies every
-class id against its representative (signature recomputation for the
-digest scheme, canonical-form recomputation for the canonical scheme),
-so corruption or a format drift fails loudly instead of producing
-garbage matches.
+class id and representative against a recomputed canonical form, so
+corruption or a format drift fails loudly instead of producing garbage
+matches.  Older, version-1 artifacts are converted once by
+:mod:`repro.library.migrate`.
 """
 
 from __future__ import annotations
@@ -53,11 +47,10 @@ from pathlib import Path
 import numpy as np
 
 from repro import obs
-from repro.baselines.matcher import find_npn_transform, find_npn_transforms_grouped
+from repro.baselines.matcher import find_npn_transforms_grouped
 from repro.canonical.form import (
     canonical_class_id,
     canonical_form,
-    canonical_forms,
     parse_canonical_class_id,
 )
 from repro.core import bitops
@@ -73,25 +66,17 @@ __all__ = [
     "NPNClassEntry",
     "LibraryMatch",
     "LibraryFormatError",
-    "class_id_matches",
-    "overflow_successor",
     "FORMAT_NAME",
     "FORMAT_VERSION",
-    "DIGEST_FORMAT_VERSION",
-    "ID_SCHEMES",
+    "ID_SCHEME",
     "MANIFEST_FILE",
     "TABLES_FILE",
 ]
 
 FORMAT_NAME = "repro-npn-class-library"
-#: Current format: canonical-scheme manifests carrying an ``id_scheme``.
 FORMAT_VERSION = 2
-#: Legacy format: digest-scheme manifests with no ``id_scheme`` field.
-#: Digest-scheme saves still emit this version so pre-canonical builds
-#: and readers keep working byte-for-byte.
-DIGEST_FORMAT_VERSION = 1
-#: Class-identity schemes a library can use (see module docstring).
-ID_SCHEMES = ("canonical", "digest")
+#: The manifest's ``id_scheme`` value: orbit-minimum ids (module docstring).
+ID_SCHEME = "canonical"
 MANIFEST_FILE = "manifest.json"
 TABLES_FILE = "classes.npz"
 
@@ -123,79 +108,20 @@ class LibraryFormatError(ValueError):
     """A library artifact is missing, corrupted, or of the wrong format."""
 
 
-def overflow_successor(class_id: str) -> str:
-    """The next overflow slot after ``class_id`` (digest scheme only).
-
-    Signature digests are sound but not injective: two NPN-inequivalent
-    orbits can share an MSV digest.  The second orbit cannot live under
-    the base id ``n{n}-{digest}``, so it is minted into the first free
-    *overflow slot* ``n{n}-{digest}-1``, ``-2``, … — and matching probes
-    the slots in this same order, so the chain is always contiguous.
-
-    The canonical id scheme makes all of this unnecessary — ids embed
-    the exact representative, so two orbits can never collide; overflow
-    slots survive only for legacy digest-scheme libraries.
-
-    >>> overflow_successor("n6-0123456789abcdef")
-    'n6-0123456789abcdef-1'
-    >>> overflow_successor("n6-0123456789abcdef-1")
-    'n6-0123456789abcdef-2'
-    """
-    head, _, tail = class_id.rpartition("-")
-    if "-" in head and tail.isdigit():
-        return f"{head}-{int(tail) + 1}"
-    return f"{class_id}-1"
-
-
-def class_id_matches(stored: str, derived: str) -> bool:
-    """Is ``stored`` the base id ``derived`` or an overflow slot of it?
-
-    The integrity checks in :meth:`ClassLibrary.load` and the WAL replay
-    recompute ``derived`` from each entry's representative; a stored id
-    passes when it is exactly that, or that plus a ``-{k}`` overflow
-    suffix (``k`` a positive integer with no leading zeros).
-    """
-    if stored == derived:
-        return True
-    if not stored.startswith(derived + "-"):
-        return False
-    suffix = stored[len(derived) + 1 :]
-    return suffix.isdigit() and suffix[0] != "0"
-
-
-def _digest_base(class_id: str) -> str:
-    """Base digest id of a possibly-overflow digest-scheme id."""
-    head, _, tail = class_id.rpartition("-")
-    if "-" in head and tail.isdigit():
-        return head
-    return class_id
-
-
-def _digest_slot(class_id: str) -> int:
-    """Overflow slot number of a digest-scheme id (0 for the base)."""
-    head, _, tail = class_id.rpartition("-")
-    if "-" in head and tail.isdigit():
-        return int(tail)
-    return 0
-
-
 @dataclass(frozen=True)
 class NPNClassEntry:
     """One NPN class: identity, canonical representative, metadata.
 
     Attributes:
-        class_id: stable identity.  Canonical scheme: ``n{n}-c{hex}``, a
-            pure function of the orbit (the hex is the exact canonical
-            representative).  Digest scheme: ``n{n}-{MSV digest}`` plus
-            overflow slots, a pure function of the class signature.
-        representative: the class's canonical truth table.  ``exact``
-            entries store the minimum table over the whole NPN orbit
-            (always, under the canonical scheme); elected entries store
-            the minimum *observed* member.
+        class_id: stable identity ``n{n}-c{hex}``, a pure function of
+            the orbit (the hex is the exact canonical representative).
+        representative: the class's canonical truth table, the minimum
+            table over the whole NPN orbit.
         size: number of functions classified into this class at build
             time (summed by :meth:`ClassLibrary.merged_with`).
-        exact: True when the representative is the exhaustive orbit
-            minimum (the n<=4 build path), False for elected ones.
+        exact: True when the representative is the orbit minimum —
+            always, for entries the library creates; kept as a manifest
+            column of the version-2 format.
         count: satisfy count of the representative (0-ary face char.).
         influences: ordered influence vector of the representative (the
             point-face characteristic, an NPN invariant of the class).
@@ -265,8 +191,6 @@ class ClassLibrary:
             defined over.  Matching a query recomputes its MSV with the
             *same* parts, so a library only answers queries in the
             signature space it was built in.
-        id_scheme: ``"canonical"`` (default — exact orbit-minimum ids)
-            or ``"digest"`` (legacy MSV-digest ids with overflow slots).
 
     Example:
         >>> from repro.library import build_exhaustive_library
@@ -279,19 +203,14 @@ class ClassLibrary:
         True
     """
 
-    def __init__(self, parts=DEFAULT_PARTS, id_scheme: str = "canonical") -> None:
-        if id_scheme not in ID_SCHEMES:
-            raise ValueError(
-                f"unknown id scheme {id_scheme!r}; known: {', '.join(ID_SCHEMES)}"
-            )
+    def __init__(self, parts=DEFAULT_PARTS) -> None:
         self.parts = normalize_parts(parts)
-        self.id_scheme = id_scheme
         self.classes: dict[str, NPNClassEntry] = {}
         #: Directory the transform gather tables persist under (set by
         #: :meth:`save`/:meth:`load`); ``None`` keeps them memory-only.
         self.kernel_cache_dir: Path | None = None
-        #: Lazy signature-digest index: base digest id -> ordered list of
-        #: candidate class ids (the matching chain).  ``None`` until the
+        #: Lazy signature-digest index: digest bucket id -> ordered list
+        #: of candidate class ids (the matching chain).  ``None`` until the
         #: first :meth:`match_many`; kept incrementally by
         #: :meth:`add_class`, dropped on wholesale mutation.
         self._chains: dict[str, list[str]] | None = None
@@ -342,10 +261,9 @@ class ClassLibrary:
     def base_id_of(self, signature: MixedSignature) -> str:
         """The signature's digest bucket id ``n{n}-{digest}``.
 
-        Both schemes index their matching chains under this key: it is
-        the digest scheme's base class id, and the canonical scheme's
-        pre-filter bucket (several canonical classes may share it when
-        their orbits' signatures collide).
+        The matching chains are indexed under this key: it is the
+        pre-filter bucket of every class whose orbit has this signature
+        (several classes share it when their signatures collide).
         """
         if signature.parts != self.parts:
             raise ValueError(
@@ -353,51 +271,22 @@ class ClassLibrary:
             )
         return f"n{signature.n}-{signature.digest()}"
 
-    def class_id_of(self, signature: MixedSignature) -> str:
-        """The stable class identity for a signature (digest scheme only).
-
-        Canonical-scheme ids derive from exact representatives, not
-        signatures — a signature maps to a *chain* of candidate classes
-        there, so this raises to stop silent misuse.
-        """
-        if self.id_scheme != "digest":
-            raise ValueError(
-                "canonical-scheme class ids derive from representatives, "
-                "not signatures; canonicalize the query instead "
-                "(repro.canonical.form.canonical_class_id)"
-            )
-        return self.base_id_of(signature)
-
-    def class_id_for(self, representative: TruthTable) -> str:
-        """The id the given *canonical* representative lives under."""
-        if self.id_scheme == "canonical":
-            return canonical_class_id(representative)
-        return self.base_id_of(compute_msv(representative, self.parts))
-
     def add_class(
         self,
         representative: TruthTable,
         size: int,
-        exact: bool,
         class_id: str | None = None,
         canonical_rep: bool = False,
         signature: MixedSignature | None = None,
     ) -> NPNClassEntry:
         """Insert (or grow) the class of ``representative``.
 
-        Canonical scheme: the representative is canonicalized (exact
-        orbit minimum) unless ``canonical_rep`` asserts it already is —
-        the batched build and learn paths canonicalize up front and skip
-        the recompute — and the id *is* that form, so an explicit
-        ``class_id`` must equal it.  Entries are always ``exact``.
-
-        Digest scheme: the identity derives from the representative's
-        own MSV (legal because the MSV is an NPN invariant, so any
-        member yields the same id); an explicit ``class_id`` may place
-        the entry in an overflow slot of its derived id (the online
-        learner minting a digest-colliding orbit).  Anything else
-        raises.  An existing entry absorbs the new size and keeps the
-        smaller representative.
+        The representative is canonicalized (exact orbit minimum) unless
+        ``canonical_rep`` asserts it already is — the batched build and
+        learn paths canonicalize up front and skip the recompute — and
+        the id *is* that form, so an explicit ``class_id`` must equal
+        it.  Entries are always ``exact``.  An existing entry absorbs
+        the new size.
 
         ``signature``, when given, is the MSV of any member of the class
         (it is an NPN invariant) over this library's parts; a new class
@@ -412,37 +301,20 @@ class ClassLibrary:
                 f"not fit a class of arity {representative.n} over "
                 f"{self.parts}"
             )
-        if self.id_scheme == "canonical":
-            rep = (
-                representative
-                if canonical_rep
-                else canonical_form(
-                    representative, cache_dir=self.kernel_cache_dir
-                )
+        rep = (
+            representative
+            if canonical_rep
+            else canonical_form(representative, cache_dir=self.kernel_cache_dir)
+        )
+        derived = canonical_class_id(rep)
+        if class_id is None:
+            class_id = derived
+        elif class_id != derived:
+            raise ValueError(
+                f"class id {class_id!r} does not name the canonical "
+                f"representative (expected {derived!r})"
             )
-            derived = canonical_class_id(rep)
-            if class_id is None:
-                class_id = derived
-            elif class_id != derived:
-                raise ValueError(
-                    f"class id {class_id!r} does not name the canonical "
-                    f"representative (expected {derived!r})"
-                )
-            entry = NPNClassEntry.from_representative(
-                class_id, rep, size, exact=True
-            )
-        else:
-            derived = self.class_id_of(compute_msv(representative, self.parts))
-            if class_id is None:
-                class_id = derived
-            elif not class_id_matches(class_id, derived):
-                raise ValueError(
-                    f"class id {class_id!r} is neither {derived!r} nor an "
-                    f"overflow slot of it"
-                )
-            entry = NPNClassEntry.from_representative(
-                class_id, representative, size, exact
-            )
+        entry = NPNClassEntry.from_representative(class_id, rep, size, exact=True)
         existing = self.classes.get(class_id)
         if existing is not None:
             entry = _merge_entries(existing, entry)
@@ -452,33 +324,18 @@ class ClassLibrary:
         return entry
 
     def merged_with(self, other: "ClassLibrary") -> "ClassLibrary":
-        """Union of two libraries over the same MSV parts and id scheme.
+        """Union of two libraries over the same MSV parts.
 
-        Shared classes sum their sizes and keep the lexicographically
-        smaller representative (for exact entries both sides store the
-        identical orbit minimum, so this is a no-op).
-
-        Digest-scheme reconciliation: two libraries that independently
-        minted overflow slots for *different* orbits can hold
-        NPN-inequivalent classes under the same id.  Colliding entries
-        with different representatives are therefore re-verified with
-        the matcher — equivalent ones merge, inequivalent ones are
-        re-slotted along the digest's overflow chain instead of being
-        silently fused.  Canonical-scheme ids embed the representative,
-        so equal ids always mean the same orbit and no matcher runs.
+        Shared classes sum their sizes.  Ids embed the representative,
+        so equal ids always mean the same orbit and no matcher runs; one
+        id carrying two different tables means a corrupted input.
         """
         if other.parts != self.parts:
             raise ValueError(
                 f"cannot merge libraries with different MSV parts: "
                 f"{self.parts} vs {other.parts}"
             )
-        if other.id_scheme != self.id_scheme:
-            raise ValueError(
-                f"cannot merge libraries with different id schemes: "
-                f"{self.id_scheme} vs {other.id_scheme} (resave one of "
-                f"them under the other's scheme first)"
-            )
-        merged = ClassLibrary(self.parts, self.id_scheme)
+        merged = ClassLibrary(self.parts)
         merged.classes = dict(self.classes)
         for class_id, entry in other.classes.items():
             existing = merged.classes.get(class_id)
@@ -486,22 +343,11 @@ class ClassLibrary:
                 merged.classes[class_id] = entry
             elif existing.representative == entry.representative:
                 merged.classes[class_id] = _merge_entries(existing, entry)
-            elif self.id_scheme == "canonical":
-                # Canonical ids embed the representative, so one id with
-                # two different tables means a corrupted side.
+            else:
                 raise LibraryFormatError(
                     f"class {class_id!r} carries two different canonical "
                     f"representatives — one input library is corrupted"
                 )
-            elif (
-                find_npn_transform(
-                    existing.representative, entry.representative
-                )
-                is not None
-            ):
-                merged.classes[class_id] = _merge_entries(existing, entry)
-            else:
-                merged._reslot(entry)
         return merged
 
     def subset(self, keep) -> "ClassLibrary":
@@ -521,7 +367,7 @@ class ClassLibrary:
         ring's shard filter) is asked once for every entry, so it can
         answer from one batched pass instead of one call per entry.
         """
-        shard = ClassLibrary(self.parts, self.id_scheme)
+        shard = ClassLibrary(self.parts)
         items = list(self.classes.items())
         select = getattr(keep, "select", None)
         if select is not None:
@@ -536,35 +382,6 @@ class ClassLibrary:
         shard.kernel_cache_dir = self.kernel_cache_dir
         return shard
 
-    def _reslot(self, entry: NPNClassEntry) -> None:
-        """Place a digest-scheme entry in the first compatible chain slot.
-
-        Walks the overflow chain of the entry's *derived* base id: an
-        occupant proven NPN-equivalent absorbs it, the first free slot
-        receives it.  Used by :meth:`merged_with` when two libraries
-        minted the same overflow id for different orbits.
-        """
-        slot = self.class_id_of(
-            compute_msv(entry.representative, self.parts)
-        )
-        while True:
-            occupant = self.classes.get(slot)
-            if occupant is None:
-                self.classes[slot] = replace(entry, class_id=slot)
-                return
-            if (
-                occupant.representative == entry.representative
-                or find_npn_transform(
-                    occupant.representative, entry.representative
-                )
-                is not None
-            ):
-                self.classes[slot] = _merge_entries(
-                    occupant, replace(entry, class_id=slot)
-                )
-                return
-            slot = overflow_successor(slot)
-
     # ------------------------------------------------------------------
     # Matching
     # ------------------------------------------------------------------
@@ -572,25 +389,21 @@ class ClassLibrary:
     def lookup(self, tt: TruthTable) -> NPNClassEntry | None:
         """The entry of ``tt``'s class (no witness transform).
 
-        Canonical scheme: exact — ``tt`` is canonicalized and its orbit's
-        id looked up directly, so a hit is a guaranteed class membership
-        and a miss is a guaranteed absence.  Digest scheme: the entry
-        stored under ``tt``'s signature digest, which is necessary but
-        not sufficient for membership (use :meth:`match` for certainty).
+        Exact: ``tt`` is canonicalized and its orbit's id looked up
+        directly, so a hit is a guaranteed class membership and a miss
+        is a guaranteed absence.
         """
-        if self.id_scheme == "canonical":
-            rep = canonical_form(tt, cache_dir=self.kernel_cache_dir)
-            return self.classes.get(canonical_class_id(rep))
-        return self.classes.get(self.class_id_of(compute_msv(tt, self.parts)))
+        rep = canonical_form(tt, cache_dir=self.kernel_cache_dir)
+        return self.classes.get(canonical_class_id(rep))
 
     def match(self, tt: TruthTable) -> LibraryMatch | None:
         """Resolve ``tt`` to its class and a verified witness transform.
 
         Returns ``None`` when no stored class shares ``tt``'s signature,
-        or when the signature bucket is hit but the matcher proves the
-        representative NPN-inequivalent (a signature collision between
-        two exact orbits — possible because the MSV is sound but not
-        exact; the miss is reported instead of a wrong class id).
+        or when the matcher proves every class in that signature's chain
+        NPN-inequivalent (a signature collision — possible because the
+        MSV is sound but not exact; the miss is reported instead of a
+        wrong class id).
         """
         return self.match_many([tt])[0]
 
@@ -633,10 +446,9 @@ class ClassLibrary:
         # Walk each query's candidate chain — the classes indexed under
         # its signature digest — round by round: queries whose candidate
         # proves NPN-inequivalent advance to the next chain position.
-        # Chains are overflow slots in slot order (digest scheme) or the
-        # canonical classes sharing the digest in id order (canonical
-        # scheme); either way, single-entry chains — the overwhelmingly
-        # common case — finish in one grouped matcher round.
+        # Chains are the classes sharing the digest in id order;
+        # single-entry chains — the overwhelmingly common case — finish
+        # in one grouped matcher round.
         chains = self._chain_index()
         active: dict[int, tuple[list[str], int]] = {}
         for index, signature in enumerate(signatures):
@@ -681,33 +493,22 @@ class ClassLibrary:
     # ------------------------------------------------------------------
 
     def _chain_index(self) -> dict[str, list[str]]:
-        """Base digest id -> ordered candidate class ids, built lazily.
+        """Digest bucket id -> ordered candidate class ids, built lazily.
 
-        Digest scheme: chains are read straight off the stored ids (base
-        first, then overflow slots in slot order).  Canonical scheme:
-        every representative's signature is recomputed — one vectorized
-        batch — to group the canonical classes under their digest
-        buckets, ordered by id (deterministic: the fixed-width hex sorts
-        numerically).
+        Every representative's signature is recomputed — one vectorized
+        batch — to group the classes under their digest buckets, ordered
+        by id (deterministic: the fixed-width hex sorts numerically).
         """
         if self._chains is None:
             chains: dict[str, list[str]] = {}
-            if self.id_scheme == "digest":
-                for class_id in self.classes:
-                    chains.setdefault(_digest_base(class_id), []).append(
-                        class_id
-                    )
-                for chain in chains.values():
-                    chain.sort(key=_digest_slot)
-            else:
-                entries = self.entries()
-                signatures = self._signature_engine().signatures(
-                    [e.representative for e in entries]
+            entries = self.entries()
+            signatures = self._signature_engine().signatures(
+                [e.representative for e in entries]
+            )
+            for entry, signature in zip(entries, signatures):
+                chains.setdefault(self.base_id_of(signature), []).append(
+                    entry.class_id
                 )
-                for entry, signature in zip(entries, signatures):
-                    chains.setdefault(self.base_id_of(signature), []).append(
-                        entry.class_id
-                    )
             self._chains = chains
         return self._chains
 
@@ -718,22 +519,16 @@ class ClassLibrary:
     ) -> None:
         """Incrementally index one new class (the learner's mint path).
 
-        Canonical scheme: ``signature`` (any member's MSV) saves
-        recomputing the representative's.
+        ``signature`` (any member's MSV) saves recomputing the
+        representative's.
         """
         if self._chains is None:
             return
-        if self.id_scheme == "digest":
-            base = _digest_base(entry.class_id)
-            key = _digest_slot
-        else:
-            if signature is None:
-                signature = compute_msv(entry.representative, self.parts)
-            base = self.base_id_of(signature)
-            key = None
-        chain = self._chains.setdefault(base, [])
+        if signature is None:
+            signature = compute_msv(entry.representative, self.parts)
+        chain = self._chains.setdefault(self.base_id_of(signature), [])
         chain.append(entry.class_id)
-        chain.sort(key=key)
+        chain.sort()
 
     def _signature_engine(self):
         """Shared batched classifier for bulk signature computation."""
@@ -764,14 +559,8 @@ class ClassLibrary:
         entries = self.entries()
         manifest = {
             "format": FORMAT_NAME,
-            # Digest-scheme libraries keep writing the legacy version-1
-            # manifest (no id_scheme field) so their artifacts stay
-            # byte-identical to pre-canonical builds.
-            "version": (
-                FORMAT_VERSION
-                if self.id_scheme == "canonical"
-                else DIGEST_FORMAT_VERSION
-            ),
+            "version": FORMAT_VERSION,
+            "id_scheme": ID_SCHEME,
             "parts": list(self.parts),
             "num_classes": len(entries),
             "num_functions": self.num_functions,
@@ -788,8 +577,6 @@ class ClassLibrary:
                 for e in entries
             ],
         }
-        if self.id_scheme == "canonical":
-            manifest["id_scheme"] = self.id_scheme
         (directory / MANIFEST_FILE).write_text(
             json.dumps(manifest, indent=2, sort_keys=True) + "\n"
         )
@@ -824,18 +611,14 @@ class ClassLibrary:
     ) -> "ClassLibrary":
         """Read a saved library, validating format, version and integrity.
 
-        Both manifest versions load: version 2 carries its ``id_scheme``
-        explicitly, version 1 (the pre-canonical format) is a digest
-        -scheme library — the migration path that keeps old artifacts
-        readable.  With ``verify`` (the default) every class id is
-        re-derived from its representative and cross-checked against
-        both files, so a corrupted or hand-edited artifact raises
-        :class:`LibraryFormatError` instead of mis-matching queries:
-        digest ids recompute the representative's signature (overflow
-        ids ``n{n}-{digest}-{k}`` pass when their base id matches),
-        canonical ids recompute the representative's exact canonical
-        form — batched per arity — and require the stored table to *be*
-        that form.
+        Only version-2 manifests load; an older one raises
+        :class:`LibraryFormatError` naming ``repro-npn library migrate``,
+        which converts it in place.  With ``verify`` (the default) every
+        class id must name its stored representative, and every
+        representative must be its own canonical form — recomputed
+        batched per arity — so a corrupted or hand-edited artifact
+        raises :class:`LibraryFormatError` instead of mis-matching
+        queries.
 
         ``mmap_mode="r"`` (or ``"c"``) memory-maps the ``classes.npz``
         table arrays instead of reading them into anonymous memory —
@@ -863,80 +646,80 @@ class ClassLibrary:
             )
         directory = Path(path)
         manifest = _read_manifest(directory / MANIFEST_FILE)
+        if manifest.get("id_scheme") != ID_SCHEME:
+            raise LibraryFormatError(
+                f"{directory}: version-{FORMAT_VERSION} manifest carries "
+                f"unknown id scheme {manifest.get('id_scheme')!r}"
+            )
         arrays = _read_tables(directory / TABLES_FILE, mmap_mode)
-        records = manifest["classes"]
-        if not (
-            len(records)
-            == manifest["num_classes"]
-            == len(arrays["ns"])
-            == len(arrays["sizes"])
-            == len(arrays["reps"])
-            == len(arrays["exact"])
-        ):
-            raise LibraryFormatError(
-                f"{directory}: manifest and {TABLES_FILE} disagree on the "
-                f"number of classes"
-            )
-        if int(manifest["version"]) == DIGEST_FORMAT_VERSION:
-            id_scheme = "digest"
-        else:
-            id_scheme = manifest.get("id_scheme")
-            if id_scheme not in ID_SCHEMES:
+        library = _empty_library(directory, manifest)
+        for entry in _read_entries(directory, manifest, arrays):
+            if verify and (
+                parse_canonical_class_id(entry.class_id)
+                != entry.representative
+            ):
                 raise LibraryFormatError(
-                    f"{directory}: version-{FORMAT_VERSION} manifest carries "
-                    f"unknown id scheme {id_scheme!r}"
+                    f"{directory}: class {entry.class_id!r} does not name "
+                    f"its stored representative "
+                    f"{entry.representative.to_hex()!r} — the artifact is "
+                    f"corrupted"
                 )
-        try:
-            library = cls(manifest["parts"], id_scheme)
-        except (ValueError, TypeError) as exc:
-            raise LibraryFormatError(
-                f"{directory}: manifest parts are invalid: {exc}"
-            ) from exc
-        for row, record in enumerate(records):
-            n = int(arrays["ns"][row])
-            bits = 0
-            for w in range(bitops.words_per_table(n)):
-                bits |= int(arrays["reps"][row][w]) << (64 * w)
-            rep = TruthTable(n, bits)
-            entry = NPNClassEntry.from_representative(
-                record["id"], rep, int(arrays["sizes"][row]),
-                bool(arrays["exact"][row]),
-            )
-            _check_record(directory, record, entry)
-            if verify:
-                if id_scheme == "canonical":
-                    if parse_canonical_class_id(entry.class_id) != rep:
-                        raise LibraryFormatError(
-                            f"{directory}: class {entry.class_id!r} does not "
-                            f"name its stored representative "
-                            f"{rep.to_hex()!r} — the artifact is corrupted"
-                        )
-                else:
-                    derived = library.class_id_of(
-                        compute_msv(rep, library.parts)
-                    )
-                    if not class_id_matches(entry.class_id, derived):
-                        raise LibraryFormatError(
-                            f"{directory}: class {entry.class_id!r} fails its "
-                            f"signature check (recomputed {derived!r}) — the "
-                            f"artifact is corrupted or was produced by an "
-                            f"incompatible signature implementation"
-                        )
             if entry.class_id in library.classes:
                 raise LibraryFormatError(
                     f"{directory}: duplicate class id {entry.class_id!r}"
                 )
             library.classes[entry.class_id] = entry
-        if verify and id_scheme == "canonical":
+        if verify:
             _verify_canonical_reps(directory, library)
         library.kernel_cache_dir = directory / "kernels"
         return library
 
 
+def _empty_library(directory: Path, manifest: dict) -> ClassLibrary:
+    """A library over the manifest's MSV parts, holding no classes yet."""
+    try:
+        return ClassLibrary(manifest["parts"])
+    except (ValueError, TypeError) as exc:
+        raise LibraryFormatError(
+            f"{directory}: manifest parts are invalid: {exc}"
+        ) from exc
+
+
+def _read_entries(
+    directory: Path, manifest: dict, arrays: dict[str, np.ndarray]
+) -> list[NPNClassEntry]:
+    """The manifest's classes, each record cross-checked against the npz."""
+    records = manifest["classes"]
+    if not (
+        len(records)
+        == manifest["num_classes"]
+        == len(arrays["ns"])
+        == len(arrays["sizes"])
+        == len(arrays["reps"])
+        == len(arrays["exact"])
+    ):
+        raise LibraryFormatError(
+            f"{directory}: manifest and {TABLES_FILE} disagree on the "
+            f"number of classes"
+        )
+    entries = []
+    for row, record in enumerate(records):
+        n = int(arrays["ns"][row])
+        bits = 0
+        for w in range(bitops.words_per_table(n)):
+            bits |= int(arrays["reps"][row][w]) << (64 * w)
+        entry = NPNClassEntry.from_representative(
+            record["id"], TruthTable(n, bits), int(arrays["sizes"][row]),
+            bool(arrays["exact"][row]),
+        )
+        _check_record(directory, record, entry)
+        entries.append(entry)
+    return entries
+
+
 def _merge_entries(a: NPNClassEntry, b: NPNClassEntry) -> NPNClassEntry:
-    """Combine two entries of the same class id: sum sizes, min rep."""
-    base = a if (a.representative, not a.exact) <= (b.representative, not b.exact) else b
-    return replace(base, size=a.size + b.size)
+    """Combine two entries of the same class id: sum their sizes."""
+    return replace(a, size=a.size + b.size)
 
 
 def _verify_canonical_reps(directory: Path, library: ClassLibrary) -> None:
@@ -976,7 +759,8 @@ def _verify_canonical_reps(directory: Path, library: ClassLibrary) -> None:
             )
 
 
-def _read_manifest(path: Path) -> dict:
+def _read_manifest(path: Path, version: int = FORMAT_VERSION) -> dict:
+    """The parsed manifest at ``path``, which must be of ``version``."""
     if not path.exists():
         raise LibraryFormatError(f"{path}: library manifest not found")
     try:
@@ -988,12 +772,19 @@ def _read_manifest(path: Path) -> dict:
             f"{path}: not a {FORMAT_NAME} manifest "
             f"(format={manifest.get('format') if isinstance(manifest, dict) else None!r})"
         )
-    version = manifest.get("version")
-    if version not in (DIGEST_FORMAT_VERSION, FORMAT_VERSION):
+    found = manifest.get("version")
+    if found != version:
+        hint = ""
+        if found == FORMAT_VERSION:
+            hint = "; the library is already current"
+        elif isinstance(found, int) and found < FORMAT_VERSION:
+            hint = (
+                f"; convert it in place with: repro-npn library migrate "
+                f"--library {path.parent}"
+            )
         raise LibraryFormatError(
-            f"{path}: unsupported library format version {version!r} "
-            f"(this build reads versions {DIGEST_FORMAT_VERSION} "
-            f"and {FORMAT_VERSION})"
+            f"{path}: unsupported library format version {found!r} "
+            f"(this reader expects version {version}){hint}"
         )
     for field in ("parts", "num_classes", "classes"):
         if field not in manifest:

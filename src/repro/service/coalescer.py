@@ -44,7 +44,6 @@ from dataclasses import dataclass, field
 
 from repro.canonical.form import canonical_class_id, canonical_forms
 from repro.obs import Trace
-from repro.core.msv import compute_msv
 from repro.core.truth_table import TruthTable
 from repro.engine import make_classifier
 from repro.library.online import LearningLibrary
@@ -346,9 +345,8 @@ class Coalescer:
 
         One vectorized signature pass over every table in the batch —
         mixed arities allowed — then per-request resolution: ``classify``
-        resolves ids through :meth:`_classify_ids` (signature digest or
-        batched exact canonicalization, per the library's id scheme),
-        ``match`` runs the witness search via
+        resolves ids through :meth:`_classify_ids` (batched exact
+        canonicalization), ``match`` runs the witness search via
         :meth:`ClassLibrary.match_many`.
         """
         tables = [p.table for p in batch]
@@ -366,10 +364,7 @@ class Coalescer:
         class_ids = dict(
             zip(
                 classify_indices,
-                self._classify_ids(
-                    [tables[i] for i in classify_indices],
-                    [signatures[i] for i in classify_indices],
-                ),
+                self._classify_ids([tables[i] for i in classify_indices]),
             )
         )
         t_classified = time.perf_counter()
@@ -398,8 +393,7 @@ class Coalescer:
                 outcome = by_index[index]
                 if outcome is None and self.learner is not None:
                     # Learn-on-miss: mint the class (WAL-logged) and
-                    # answer with a verified match against it.  Still
-                    # None on a signature collision — the miss stands.
+                    # answer with a verified match against it.
                     before = self.learner.minted
                     t_learn = time.perf_counter()
                     outcome = self.learner.learn(
@@ -421,18 +415,15 @@ class Coalescer:
                 results.append((class_id, class_id in self.library.classes))
         return results
 
-    def _classify_ids(self, tables: list, signatures: list) -> list[str]:
-        """Class ids of the batch's ``classify`` requests, scheme-aware.
+    def _classify_ids(self, tables: list) -> list[str]:
+        """Class ids of the batch's ``classify`` requests.
 
-        Digest-scheme libraries read the id straight off the signature.
-        Canonical-scheme ids are a function of the orbit, not the
-        signature, so the tables are exact-canonicalized — batched per
-        arity through the same kernels the engines use.
+        Ids are a function of the orbit, not the signature, so the
+        tables are exact-canonicalized — batched per arity through the
+        same kernels the engines use.
         """
         if not tables:
             return []
-        if self.library.id_scheme != "canonical":
-            return [self.library.class_id_of(s) for s in signatures]
         out: list[str | None] = [None] * len(tables)
         by_arity: dict[int, list[int]] = {}
         for index, table in enumerate(tables):
@@ -462,12 +453,7 @@ class Coalescer:
 
     def classify_offline(self, table: TruthTable) -> tuple[str, bool]:
         """The classify answer without going through a batch (for tests)."""
-        if self.library.id_scheme == "canonical":
-            class_id = self._classify_ids([table], [None])[0]
-        else:
-            class_id = self.library.class_id_of(
-                compute_msv(table, self.library.parts)
-            )
+        class_id = self._classify_ids([table])[0]
         return class_id, class_id in self.library.classes
 
     def stats_snapshot(self) -> dict:

@@ -269,7 +269,6 @@ class ClassificationService(LineProtocolServer):
             "address": self.address,
             "engine": self.coalescer.engine,
             "transports": ["ndjson", "http/1.0"],
-            "id_scheme": self.library.id_scheme,
             "classes": self.library.num_classes,
             "learning": self.coalescer.learner is not None,
             "slow_ms": self.tracer.slow_ms,

@@ -196,8 +196,7 @@ class TestShardKeys:
         else:
             rng = random.Random(200)
             source = build_library(
-                [TruthTable(6, rng.getrandbits(64)) for _ in range(200)],
-                id_scheme="digest",
+                [TruthTable(6, rng.getrandbits(64)) for _ in range(200)]
             )
             assert source.num_classes == 200
         ring = HashRing(("w0", "w1", "w2"))
@@ -260,7 +259,6 @@ class TestSubset:
     def test_subset_preserves_scheme_and_parts(self, tiny_library):
         subset = tiny_library.subset(lambda entry: entry.n == 2)
         assert subset.parts == tiny_library.parts
-        assert subset.id_scheme == tiny_library.id_scheme
         assert subset.num_classes == 4
         assert all(entry.n == 2 for entry in subset.classes.values())
 

@@ -159,13 +159,6 @@ class TestCanonicalMin:
         minima = set(kernels.canonical_min([tt] + images).tolist())
         assert len(minima) == 1
 
-    def test_single_table_wrapper(self):
-        tt = TruthTable.majority(3)
-        assert (
-            kernels.canonical_min_table(tt)
-            == exact_npn_canonical(tt).representative
-        )
-
 
 class TestKeyMatrices:
     @pytest.mark.parametrize("n", range(0, 7))

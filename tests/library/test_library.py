@@ -15,7 +15,6 @@ from repro.library import (
     LibraryFormatError,
     build_exhaustive_library,
     build_library,
-    elect_representative,
 )
 from repro.library.store import MANIFEST_FILE, TABLES_FILE
 from repro.workloads.library_corpus import exhaustive_tables
@@ -62,25 +61,11 @@ class TestBuild:
         }
         assert snapshots["perfn"] == snapshots["batched"] == snapshots["sharded"]
 
-    def test_elected_representative_is_minimum_member(self):
-        rng = random.Random(5)
-        seed_fn = TruthTable.random(5, rng)
-        members = [seed_fn] + [
-            seed_fn.apply(random_transform(5, rng)) for _ in range(6)
-        ]
-        representative, exact = elect_representative(members)
-        assert not exact
-        assert representative == min(members)
-
-    def test_elect_rejects_empty_bucket(self):
-        with pytest.raises(ValueError):
-            elect_representative([])
-
     def test_add_class_accumulates_size(self):
         library = ClassLibrary()
         maj = TruthTable.majority(3)
-        library.add_class(maj, size=2, exact=False)
-        library.add_class(~maj, size=3, exact=False)  # same class id (NPN inv.)
+        library.add_class(maj, size=2)
+        library.add_class(~maj, size=3)  # same class id (NPN inv.)
         assert library.num_classes == 1
         assert library.num_functions == 5
 
@@ -119,26 +104,81 @@ class TestMatch:
         corpus = [
             s.apply(random_transform(5, rng)) for s in seeds for _ in range(3)
         ]
-        library = build_library(corpus, id_scheme="digest")
+        library = build_library(corpus)
         for seed_fn in seeds:
             query = seed_fn.apply(random_transform(5, rng))
             hit = library.match(query)
             assert hit is not None
             assert hit.verify(query)
-            assert not hit.entry.exact
+            assert hit.entry.exact
 
     def test_class_id_rejects_foreign_parts(self, lib3):
         from repro.core.msv import compute_msv
 
         signature = compute_msv(TruthTable.majority(3), ("c0", "oiv"))
         with pytest.raises(ValueError):
-            lib3.class_id_of(signature)
+            lib3.base_id_of(signature)
 
     def test_libray_match_verify_rejects_other_query(self, lib3):
         maj = TruthTable.majority(3)
         hit = lib3.match(maj)
         assert hit.verify(maj)
         assert not hit.verify(~maj)
+
+
+class TestChainWalk:
+    """Classes sharing a signature digest share one matching chain.
+
+    Real digest collisions between NPN classes are rare to find by
+    search, so these tests index a class under another class's
+    signature with ``add_class(signature=...)``.  The constant-0 class
+    has the smallest id of its arity, so it always heads the chain.
+    """
+
+    @staticmethod
+    def chained(tt: TruthTable, with_tt: bool) -> ClassLibrary:
+        """Constant-0 indexed under ``tt``'s signature, ahead of ``tt``."""
+        from repro.core.msv import compute_msv
+
+        library = ClassLibrary()
+        if with_tt:
+            library.add_class(tt, size=1)
+        library._chain_index()
+        zero = TruthTable(tt.n, 0)
+        library.add_class(
+            zero, size=1, signature=compute_msv(tt, library.parts)
+        )
+        chain = library._chains[
+            library.base_id_of(compute_msv(tt, library.parts))
+        ]
+        assert chain[0] == library.lookup(zero).class_id
+        assert len(chain) == 1 + with_tt
+        return library
+
+    def test_match_walks_past_inequivalent_first_candidate(self):
+        tt = TruthTable.random(5, random.Random(60))
+        library = self.chained(tt, with_tt=True)
+        hit = library.match(tt)
+        assert hit is not None
+        assert hit.class_id == library.lookup(tt).class_id
+        assert hit.verify(tt)
+
+    def test_npn_images_resolve_to_the_second_class(self):
+        rng = random.Random(62)
+        tt = TruthTable.random(5, rng)
+        library = self.chained(tt, with_tt=True)
+        for _ in range(5):
+            image = tt.apply(random_transform(5, rng))
+            hits = library.match_many([image, image])
+            for hit in hits:
+                assert hit is not None
+                assert hit.class_id == library.lookup(tt).class_id
+                assert hit.verify(image)
+
+    def test_chain_end_is_a_clean_miss(self):
+        tt = TruthTable.random(5, random.Random(63))
+        library = self.chained(tt, with_tt=False)
+        assert library.match(tt) is None
 
 
 class TestMatchMany:
@@ -381,7 +421,7 @@ def _write_raw_npz(path, arrays) -> None:
 
 
 class TestIdSchemePersistence:
-    """Canonical artifacts are version 2; legacy digest stays version 1."""
+    """Artifacts are version 2 and name the canonical id scheme."""
 
     def test_canonical_round_trip_is_version_2(self, lib3, tmp_path):
         lib3.save(tmp_path / "lib")
@@ -389,22 +429,9 @@ class TestIdSchemePersistence:
         assert manifest["version"] == 2
         assert manifest["id_scheme"] == "canonical"
         loaded = ClassLibrary.load(tmp_path / "lib")
-        assert loaded.id_scheme == "canonical"
         assert {e.class_id for e in loaded.entries()} == {
             e.class_id for e in lib3.entries()
         }
-
-    def test_legacy_digest_artifact_stays_version_1(self, tmp_path):
-        library = build_exhaustive_library(3, id_scheme="digest")
-        library.save(tmp_path / "lib")
-        manifest = json.loads((tmp_path / "lib" / MANIFEST_FILE).read_text())
-        # Byte-compatible with pre-canonical writers: same version, no
-        # id_scheme key.
-        assert manifest["version"] == 1
-        assert "id_scheme" not in manifest
-        loaded = ClassLibrary.load(tmp_path / "lib")
-        assert loaded.id_scheme == "digest"
-        assert loaded.num_classes == library.num_classes
 
     def test_v2_manifest_with_unknown_scheme_rejected(self, lib3, tmp_path):
         lib3.save(tmp_path / "lib")
@@ -413,11 +440,6 @@ class TestIdSchemePersistence:
         )
         with pytest.raises(LibraryFormatError, match="id scheme"):
             ClassLibrary.load(tmp_path / "lib")
-
-    def test_cross_scheme_merge_rejected(self, lib3):
-        digest_library = build_exhaustive_library(3, id_scheme="digest")
-        with pytest.raises(ValueError, match="id schemes"):
-            lib3.merged_with(digest_library)
 
     def test_load_rejects_non_minimum_canonical_rep(self, lib3, tmp_path):
         # Consistent tamper: replace one rep with a *non-minimum* orbit

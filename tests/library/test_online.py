@@ -2,11 +2,9 @@
 
 Covers the :class:`LearningLibrary` lifecycle end to end — open with and
 without an image, crash-recovery replay (including a torn final record),
-minting with verified witnesses, overflow minting on signature
-collision, the
-segment-size compaction trip — plus the clean-miss pins: an empty
-library and a segment-only library must answer unknown queries with an
-honest miss, never an error.
+minting with verified witnesses, the segment-size compaction trip —
+plus the clean-miss pins: an empty library and a segment-only library
+must answer unknown queries with an honest miss, never an error.
 """
 
 import random
@@ -17,7 +15,6 @@ from repro.baselines.exact_enum import exact_npn_canonical
 from repro.core.truth_table import TruthTable
 from repro.library import (
     ClassLibrary,
-    EXACT_REP_MAX_VARS,
     LearningLibrary,
     LibraryFormatError,
     SegmentWriter,
@@ -82,7 +79,7 @@ class TestLearn:
 
     def test_minted_rep_is_orbit_minimum_at_small_n(self, tmp_path):
         learner = make_learner(tmp_path)
-        tt = TruthTable.random(EXACT_REP_MAX_VARS, random.Random(2))
+        tt = TruthTable.random(4, random.Random(2))
         outcome = learner.learn(tt)
         assert outcome.entry.exact
         assert (
@@ -102,7 +99,6 @@ class TestLearn:
         assert second.verify(tt)
         assert learner.minted == 1
         assert learner.pending_records == 1
-        assert learner.collisions == 0
 
     def test_npn_image_of_minted_class_is_resolved_not_reminted(
         self, tmp_path
@@ -115,43 +111,6 @@ class TestLearn:
         assert outcome is not None
         assert outcome.verify(image)
         assert learner.minted == 1
-
-    def test_signature_collision_mints_overflow_class(self, tmp_path):
-        # Synthesize a collision: plant an NPN-inequivalent function
-        # under the query's own digest, so learn() finds the base id
-        # taken but the witness matcher proves the orbits differ.  The
-        # query must land in the first free overflow slot — and repeat
-        # traffic must converge to a verified hit via slot probing.
-        from repro.core.msv import compute_msv
-        from repro.library.store import NPNClassEntry
-
-        learner = make_learner(tmp_path, id_scheme="digest")
-        tt = TruthTable.random(5, random.Random(5))
-        signature = compute_msv(tt, learner.library.parts)
-        class_id = learner.library.class_id_of(signature)
-        other = TruthTable(5, 0)  # constant-0: not NPN-equivalent to tt
-        learner.library.classes[class_id] = NPNClassEntry.from_representative(
-            class_id=class_id, representative=other, size=1, exact=False
-        )
-        outcome = learner.learn(tt, signature)
-        assert outcome is not None
-        assert outcome.class_id == f"{class_id}-1"
-        assert outcome.verify(tt)
-        assert learner.collisions == 1
-        assert learner.minted == 1
-        assert learner.overflow_minted == 1
-        assert learner.stats()["signature_collisions"] == 1
-        assert learner.stats()["overflow_minted"] == 1
-
-        # The overflow class is now first-class knowledge: a repeat
-        # query resolves through match_many's probe chain — the base
-        # slot fails the witness check, the ``-1`` slot proves it.
-        repeat = learner.library.match(tt)
-        assert repeat is not None
-        assert repeat.class_id == outcome.class_id
-        assert repeat.verify(tt)
-        assert learner.learn(tt, signature).class_id == outcome.class_id
-        assert learner.minted == 1  # no second mint
 
 
 class TestReplayAndRecovery:
@@ -257,10 +216,7 @@ class TestCompaction:
         learner.learn(TruthTable.random(5, random.Random(11)))
         stats = learner.stats()
         assert stats == {
-            "id_scheme": "canonical",
             "classes_minted": 1,
-            "signature_collisions": 0,
-            "overflow_minted": 0,
             "wal_pending_records": 1,
             "wal_segments": 1,
             "compactions": 0,
@@ -276,42 +232,9 @@ class TestCollidingBatchRegression:
 
     ``learn`` used to trust digest equality when deduplicating misses, so
     the second of two digest-colliding, NPN-inequivalent misses in one
-    batch fused into the first's class.  The fix matcher-verifies every
-    occupied slot before deduplicating and mints a fresh id otherwise.
+    batch fused into the first's class.  Ids are now canonical forms, so
+    two orbits always mint two ids.
     """
-
-    def test_digest_pair_lands_in_distinct_slots(self, tmp_path):
-        from repro.core.msv import compute_msv
-        from repro.core.transforms import random_transform
-        from repro.library.store import NPNClassEntry
-
-        learner = make_learner(tmp_path, id_scheme="digest")
-        rng = random.Random(21)
-        tt = TruthTable.random(5, rng)
-        signature = compute_msv(tt, learner.library.parts)
-        base = learner.library.class_id_of(signature)
-        # The colliding occupant a previous batch minted for a different
-        # orbit (synthesized — real digest collisions are astronomically
-        # rare to find by search).
-        learner.library.classes[base] = NPNClassEntry.from_representative(
-            class_id=base,
-            representative=TruthTable(5, 0),
-            size=1,
-            exact=False,
-        )
-        # Batch of two misses from tt's orbit: the first must NOT be
-        # fused into the colliding occupant; the second must dedup onto
-        # the first via the matcher, not mint a third class.
-        first = learner.learn(tt, signature)
-        assert first is not None and first.class_id == f"{base}-1"
-        assert first.verify(tt)
-        image = tt.apply(random_transform(5, rng))
-        second = learner.learn(image)
-        assert second is not None and second.class_id == f"{base}-1"
-        assert second.verify(image)
-        assert learner.minted == 1
-        assert learner.collisions == 1
-        assert learner.overflow_minted == 1
 
     def test_canonical_pair_mints_distinct_pure_ids(self, tmp_path):
         from repro.canonical.form import canonical_class_id, canonical_form
@@ -328,8 +251,6 @@ class TestCollidingBatchRegression:
         assert first.class_id == canonical_class_id(canonical_form(tt_a))
         assert second.class_id == canonical_class_id(canonical_form(tt_b))
         assert first.entry.exact and second.entry.exact
-        assert learner.collisions == 0
-        assert learner.overflow_minted == 0
         # A duplicate miss (same batch, different orbit member) resolves
         # to the existing class without a second mint.
         repeat = learner.learn(tt_a.apply(random_transform(5, rng)))

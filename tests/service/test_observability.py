@@ -162,7 +162,6 @@ class TestIdentityBlock:
             ndjson_identity = client.stats()["identity"]
         assert http_identity == ndjson_identity
         assert http_identity["engine"] == "batched"
-        assert http_identity["id_scheme"] == "canonical"
         assert http_identity["transports"] == ["ndjson", "http/1.0"]
         assert http_identity["learning"] is False
         assert http_identity["pid"] > 0

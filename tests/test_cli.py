@@ -486,6 +486,28 @@ class TestLearnAndCompactCli:
         assert main(["library", "stats", "--library", str(lib)]) == 0
         assert "5" in capsys.readouterr().out  # the minted n=5 row persists
 
+    def test_migrate_converts_a_v1_library_once(self, tmp_path, capsys):
+        import shutil
+        from pathlib import Path
+
+        lib = tmp_path / "lib"
+        shutil.copytree(
+            Path(__file__).parent / "data" / "library_v1", lib
+        )
+        assert main(["library", "stats", "--library", str(lib)]) == 2
+        assert "library migrate --library" in capsys.readouterr().err
+
+        assert main(["library", "migrate", "--library", str(lib)]) == 0
+        out = capsys.readouterr().out
+        assert "to version 2 with 2 WAL records (1 segments)" in out
+        assert "20 classes" in out
+        assert main(["library", "match", "0x17", "--n", "3",
+                     "--library", str(lib)]) == 0
+        assert "verified:  True" in capsys.readouterr().out
+
+        assert main(["library", "migrate", "--library", str(lib)]) == 2
+        assert "already current" in capsys.readouterr().err
+
 
 class TestFabricCommands:
     """Argument validation of the fabric entry points + ping retries.
