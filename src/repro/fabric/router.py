@@ -41,7 +41,6 @@ Robustness is the point, and it is layered:
 from __future__ import annotations
 
 import asyncio
-import json
 import logging
 import os
 import time
@@ -60,9 +59,7 @@ from repro.fabric.registry import (
     WorkerRegistry,
 )
 from repro.fabric.ring import HashRing, shard_key_of
-from repro.service import protocol
-from repro.service.base import LineProtocolServer, best_effort_id, query_int
-from repro.service.metrics import ServiceMetrics
+from repro.service.base import LineProtocolServer
 from repro.service.protocol import (
     ERROR_TYPES,
     FABRIC_OPS,
@@ -126,6 +123,10 @@ _DISPATCH_SECONDS = _REG.histogram(
 class RouterService(LineProtocolServer):
     """Front-end router + worker registry + consistent-hash dispatch.
 
+    It counts its requests in ``repro_fabric_requests_total`` instead of
+    the daemon's ``repro_service_requests_total``, so a process hosting
+    both counts each request once.
+
     Args:
         host/port: client-facing bind address.
         policy: dispatch :class:`RetryPolicy` (attempts, backoff,
@@ -135,6 +136,9 @@ class RouterService(LineProtocolServer):
         trace_sample / trace_capacity / slow_ms: request tracing knobs,
             mirroring the serving daemon's.
     """
+
+    allowed_ops = ROUTER_OPS
+    requests_counter = _ROUTED
 
     def __init__(
         self,
@@ -155,7 +159,6 @@ class RouterService(LineProtocolServer):
             suspect_misses=suspect_misses,
             evict_misses=evict_misses,
         )
-        self.metrics = ServiceMetrics()
         self.tracer = obs.Tracer(
             capacity=trace_capacity, slow_ms=slow_ms, sample_every=trace_sample
         )
@@ -165,9 +168,6 @@ class RouterService(LineProtocolServer):
         #: Table ops waiting for this tick's batched shard-key pass.
         self._key_queue: list[tuple[TruthTable, asyncio.Future]] = []
         self._sweeper: asyncio.Task | None = None
-        self._retries = 0
-        self._hedges = 0
-        self._degraded = 0
 
     # ------------------------------------------------------------------
     # Lifecycle (LineProtocolServer hooks)
@@ -193,9 +193,6 @@ class RouterService(LineProtocolServer):
         for channel in self.channels.values():
             await channel.close()
 
-    def _record_error(self, error_type: str) -> None:
-        self.metrics.record_error(error_type)
-
     def _ready_message(self) -> str:
         return f"routing on {self.address}"
 
@@ -206,101 +203,27 @@ class RouterService(LineProtocolServer):
             await asyncio.sleep(interval)
             self.registry.sweep()
 
-    # -------------------------- NDJSON path ---------------------------
-
-    async def _answer_line(
-        self, writer: asyncio.StreamWriter, line: bytes
-    ) -> None:
-        loop = asyncio.get_running_loop()
-        t0 = loop.time()
-        trace = self.tracer.start("?", transport="ndjson")
-        try:
-            request = protocol.parse_request(line, allowed_ops=ROUTER_OPS)
-        except ProtocolError as exc:
-            if trace is not None:
-                trace.op = "invalid"
-                trace.annotate(error=exc.error_type)
-                self.tracer.finish(trace)
-            await self._reject_line(writer, best_effort_id(line), exc)
-            return
-        if trace is not None:
-            trace.op = request.op
-        self.metrics.record_request(request.op)
-        _ROUTED.inc(op=request.op)
-        try:
-            result = await self._resolve(request, trace)
-        except ProtocolError as exc:
-            if trace is not None:
-                trace.annotate(error=exc.error_type)
-                self.tracer.finish(trace)
-            await self._reject_line(writer, request.id, exc)
-            return
-        self.metrics.record_reply(loop.time() - t0)
-        reply_start = time.perf_counter()
-        await self._write(writer, protocol.encode_line(
-            protocol.ok_reply(request.id, request.op, result)
-        ))
-        if trace is not None:
-            trace.add_span("reply", reply_start, time.perf_counter())
-            self.tracer.finish(trace)
-
     # --------------------------- HTTP path -----------------------------
+
+    def _healthz(self) -> dict:
+        counts = self.registry.counts()
+        return {
+            "status": "ok" if counts["alive"] else "degraded",
+            "role": "router",
+            "address": self.address,
+            "workers": counts,
+            "ring": self.ring.spec() if self.ring else None,
+        }
 
     async def _route_http(
         self, method: str, path: str, body: bytes, t0: float, query: str = ""
     ) -> tuple[int, dict]:
-        loop = asyncio.get_running_loop()
-        if method == "GET" and path == "/healthz":
-            counts = self.registry.counts()
-            return 200, {
-                "status": "ok" if counts["alive"] else "degraded",
-                "role": "router",
-                "address": self.address,
-                "workers": counts,
-                "ring": self.ring.spec() if self.ring else None,
-            }
-        if method == "GET" and path == "/v1/stats":
-            self.metrics.record_request("stats")
-            snapshot = self._stats_snapshot()
-            self.metrics.record_reply(loop.time() - t0)
-            return 200, snapshot
         if method == "GET" and path == "/v1/ring":
             return 200, {
                 "ring": self.ring.spec() if self.ring else None,
                 "registry": self.registry.snapshot(),
             }
-        if method == "GET" and path == "/v1/trace/recent":
-            limit = query_int(query, "limit", default=50)
-            return 200, {
-                "traces": self.tracer.recent(limit),
-                "slow": self.tracer.slow_recent(limit),
-                "tracer": self.tracer.snapshot(),
-            }
-        if method == "POST" and path in ("/v1/classify", "/v1/match"):
-            op = path.rsplit("/", 1)[1]
-            try:
-                data = json.loads(body.decode() or "null")
-            except (UnicodeDecodeError, ValueError):
-                raise ProtocolError("bad_request", "body is not valid JSON")
-            if not isinstance(data, dict):
-                raise ProtocolError("bad_request", "body must be a JSON object")
-            table = protocol.parse_table_payload(data)
-            self.metrics.record_request(op)
-            _ROUTED.inc(op=op)
-            trace = self.tracer.start(op, transport="http")
-            try:
-                result = await self._resolve(
-                    Request(op=op, id=data.get("id"), table=table), trace
-                )
-            except ProtocolError as exc:
-                if trace is not None:
-                    trace.annotate(error=exc.error_type)
-                    self.tracer.finish(trace)
-                raise
-            self.metrics.record_reply(loop.time() - t0)
-            self.tracer.finish(trace)
-            return 200, {"ok": True, "op": op, "result": result}
-        raise ProtocolError("bad_request", f"no route for {method} {path}")
+        return await super()._route_http(method, path, body, t0, query)
 
     # ------------------------------------------------------------------
     # Request resolution
@@ -313,8 +236,6 @@ class RouterService(LineProtocolServer):
                 "role": "router",
                 "workers": self.registry.counts(),
             }
-        if request.op == "stats":
-            return self._stats_snapshot()
         if request.op in FABRIC_OPS:
             return self._control(request)
         return await self._route_table_op(request, trace)
@@ -458,7 +379,6 @@ class RouterService(LineProtocolServer):
         route_start = time.perf_counter()
         key = await self._shard_key(request.table)
         if self.ring is None:
-            self._degraded += 1
             _DEGRADED.inc()
             raise ProtocolError(
                 "shard_unavailable",
@@ -485,7 +405,6 @@ class RouterService(LineProtocolServer):
         for attempt in range(self.policy.attempts):
             routable = self.registry.routable(owners)
             if not routable:
-                self._degraded += 1
                 _DEGRADED.inc()
                 raise ProtocolError(
                     "shard_unavailable",
@@ -509,11 +428,10 @@ class RouterService(LineProtocolServer):
             try:
                 reply = await self._attempt(primary, hedge, payload)
             except DispatchTimeout as exc:
-                failure, failure_kind = str(exc), "timeout"
-                _RETRIES.inc(reason="timeout")
+                failure, failure_kind, reason = str(exc), "timeout", "timeout"
             except ChannelClosed as exc:
                 failure, failure_kind = str(exc), "unavailable"
-                _RETRIES.inc(reason="channel_closed")
+                reason = "channel_closed"
             else:
                 if reply.get("ok"):
                     if trace is not None:
@@ -537,10 +455,10 @@ class RouterService(LineProtocolServer):
                         f"worker {primary}: {message}",
                     )
                 failure = f"worker {primary}: [{error_type}] {message}"
-                failure_kind = "unavailable"
-                _RETRIES.inc(reason=error_type)
+                failure_kind, reason = "unavailable", error_type
             if attempt + 1 < self.policy.attempts:
-                self._retries += 1
+                # Only a re-dispatch is a retry; the last failure is not.
+                _RETRIES.inc(reason=reason)
                 await asyncio.sleep(next(delays))
         raise ProtocolError(
             failure_kind,
@@ -563,7 +481,6 @@ class RouterService(LineProtocolServer):
         )
         if hedge is None:
             return await primary_task
-        self._hedges += 1
         _HEDGES.inc()
         tasks = {
             primary_task,
@@ -643,12 +560,12 @@ class RouterService(LineProtocolServer):
     # ------------------------------------------------------------------
 
     def _stats_snapshot(self) -> dict:
-        snapshot = self.metrics.snapshot()
+        snapshot = super()._stats_snapshot()
         snapshot["identity"] = self.identity()
         snapshot["fabric"] = {
-            "retries": self._retries,
-            "hedges": self._hedges,
-            "degraded": self._degraded,
+            "retries": int(sum(value for _, value in _RETRIES.items())),
+            "hedges": int(_HEDGES.value()),
+            "degraded": int(_DEGRADED.value()),
             "channels": {
                 worker_id: {
                     "connected": channel.connected,

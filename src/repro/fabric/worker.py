@@ -204,20 +204,15 @@ class FabricWorker(ClassificationService):
     # Introspection
     # ------------------------------------------------------------------
 
-    async def _route_http(
-        self, method: str, path: str, body: bytes, t0: float, query: str = ""
-    ) -> tuple[int, dict]:
-        status, payload = await super()._route_http(
-            method, path, body, t0, query
+    def _healthz(self) -> dict:
+        payload = super()._healthz()
+        payload.update(
+            worker_id=self.worker_id,
+            router=self.router_address,
+            registered=self.registered,
+            ring=self.ring.spec(),
         )
-        if method == "GET" and path == "/healthz":
-            payload.update(
-                worker_id=self.worker_id,
-                router=self.router_address,
-                registered=self.registered,
-                ring=self.ring.spec(),
-            )
-        return status, payload
+        return payload
 
     def identity(self) -> dict:
         identity = super().identity()

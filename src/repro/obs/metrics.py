@@ -6,9 +6,14 @@ process-global :class:`MetricsRegistry` (see :func:`registry`), which
 can be read two ways:
 
 * :meth:`MetricsRegistry.snapshot` — a JSON-ready dict, for programmatic
-  consumers and the ``/v1/stats`` front;
+  consumers;
 * :meth:`MetricsRegistry.render` — the Prometheus text exposition
   format, served by the daemon's ``GET /metrics``.
+
+The daemons' ``/v1/stats`` block is a third reading of the same
+series (:meth:`Counter.items`, :meth:`Histogram.series`,
+:meth:`Histogram.quantile`), so the two fronts never disagree: the
+registry is the only place a served event is counted.
 
 Design constraints, in order:
 
@@ -203,6 +208,11 @@ class Counter(_Metric):
         with self._lock:
             return float(self._series.get(self._key(labels), 0.0))
 
+    def items(self) -> list[tuple[tuple, float]]:
+        """Every series as ``(label values, value)``, sorted by labels."""
+        with self._lock:
+            return sorted(self._series.items())
+
     def _samples(self):
         for key, value in sorted(self._series.items()):
             yield self.name, key, value
@@ -299,6 +309,37 @@ class Histogram(_Metric):
                 "sum": series.sum,
                 "buckets": cumulative,
             }
+
+    def quantile(self, q: float, **labels) -> float | None:
+        """Estimated ``q``-quantile of one series; ``None`` while empty.
+
+        The estimate Prometheus ``histogram_quantile`` computes from the
+        exposed buckets: find the bucket holding rank ``q * count`` and
+        interpolate linearly inside it, the first bucket starting at 0.
+        A rank in the ``+Inf`` bucket reads as the highest finite bound,
+        and ``quantile(1.0)`` is the bound of the highest non-empty
+        bucket.
+        """
+        if not 0.0 <= q <= 1.0:
+            raise ValueError(f"quantile must be in [0, 1], got {q}")
+        key = self._key(labels)
+        with self._lock:
+            series = self._series.get(key)
+            if series is None or not series.count:
+                return None
+            counts, total = list(series.counts), series.count
+        rank = q * total
+        below = 0
+        for index, count in enumerate(counts):
+            if count and below + count >= rank:
+                break
+            below += count
+        if index == len(self.buckets):
+            return self.buckets[-1]
+        upper = self.buckets[index]
+        lower = self.buckets[index - 1] if index else min(0.0, upper)
+        fraction = (rank - below) / count
+        return upper if fraction >= 1.0 else lower + (upper - lower) * fraction
 
     def _samples(self):
         for key, series in sorted(self._series.items()):

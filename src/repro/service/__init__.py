@@ -14,7 +14,8 @@ The module map mirrors the request path:
   fold into one packed engine batch (the amortisation that makes the
   daemon as fast per function as the offline engines);
 * :mod:`~repro.service.cache` — LRU cache of complete match outcomes;
-* :mod:`~repro.service.metrics` — counters + latency quantiles;
+* :mod:`~repro.service.base` — the shared socket and request front,
+  whose ``stats`` block reads the :mod:`repro.obs` registry;
 * :mod:`~repro.service.server` — the daemon (sockets, drain, signals);
 * :mod:`~repro.service.client` — blocking client, pipelining-capable;
 * :mod:`~repro.service.runner` — in-process harness for tests/benches.
@@ -36,7 +37,6 @@ from repro.service.coalescer import (
     SERVICE_ENGINES,
     Coalescer,
 )
-from repro.service.metrics import ServiceMetrics
 from repro.service.protocol import (
     MAX_LINE_BYTES,
     PROTOCOL_VERSION,
@@ -49,7 +49,6 @@ __all__ = [
     "ClassificationService",
     "Coalescer",
     "MatchCache",
-    "ServiceMetrics",
     "ServiceClient",
     "ServiceError",
     "ServiceUnavailableError",

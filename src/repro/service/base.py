@@ -12,18 +12,25 @@ identical between them:
 * connection tracking and teardown;
 * NDJSON framing — one reply task per line, bounded in-flight replies
   so a write-only client cannot grow the daemon's buffers;
+* the request front — parse, trace (``decode`` and ``reply`` spans),
+  count, resolve, reply — for NDJSON lines and for the HTTP routes
+  ``GET /v1/stats``, ``GET /v1/trace/recent``, ``POST /v1/classify``
+  and ``POST /v1/match``;
 * HTTP framing — request line, headers, bounded body, the ``/metrics``
   Prometheus text special case;
-* the typed-error reject path.
+* the typed-error reject path, which counts every rejected request;
+* the ``stats`` block: a readout of the process-global
+  :func:`repro.obs.registry`, the same series ``GET /metrics`` renders.
 
-Subclasses provide the *meaning* of a request via four hooks:
+Subclasses set :attr:`~LineProtocolServer.tracer` and provide the
+*meaning* of a request via these hooks:
 
-``_answer_line(writer, line)``
-    resolve one NDJSON request line and write its reply line;
-``_route_http(method, path, body, t0, query)``
-    resolve one HTTP request to ``(status, json_payload)``;
-``_record_error(error_type)``
-    count a rejected request in the subclass's metrics;
+``_resolve(request, trace)``
+    answer one parsed request other than ``stats``;
+``_healthz()``
+    the ``GET /healthz`` body;
+``_stats_snapshot()``
+    extend the registry readout with the subclass's own blocks;
 ``_drain()``
     subclass-specific backlog drain, run after the listener closed and
     before connections are torn down.
@@ -34,6 +41,7 @@ from __future__ import annotations
 import asyncio
 import json
 import signal
+import time
 
 from repro import obs
 from repro.service import protocol
@@ -41,7 +49,9 @@ from repro.service.protocol import (
     HTTP_METHODS,
     HTTP_STATUS_BY_ERROR,
     MAX_LINE_BYTES,
+    REQUEST_OPS,
     ProtocolError,
+    Request,
 )
 
 __all__ = ["LineProtocolServer", "best_effort_id", "query_int"]
@@ -52,9 +62,31 @@ __all__ = ["LineProtocolServer", "best_effort_id", "query_int"]
 #: even against a client that pipelines forever without reading.
 MAX_INFLIGHT_REPLIES = 1024
 
+_REG = obs.registry()
+_REQUESTS = _REG.counter(
+    "repro_service_requests_total", "Accepted requests by op.", labels=("op",)
+)
+_ERRORS = _REG.counter(
+    "repro_service_errors_total", "Error replies by type.", labels=("type",)
+)
+_REPLIES = _REG.counter(
+    "repro_service_replies_total", "Successful replies written."
+)
+_LATENCY = _REG.histogram(
+    "repro_service_request_seconds",
+    "End-to-end request latency, protocol decode to reply write.",
+)
+
 
 class LineProtocolServer:
     """One TCP listener speaking sniffed NDJSON + HTTP/1.0."""
+
+    #: Ops an NDJSON request line may name.
+    allowed_ops: tuple[str, ...] = REQUEST_OPS
+    #: The counter every accepted request increments, by op.
+    requests_counter: obs.Counter = _REQUESTS
+    #: Per-request traces; subclasses build it with their sampling knobs.
+    tracer: obs.Tracer
 
     def __init__(self, host: str = "127.0.0.1", port: int = 0) -> None:
         self.host = host
@@ -63,23 +95,19 @@ class LineProtocolServer:
         self._connections: set[asyncio.Task] = set()
         self._writers: set[asyncio.StreamWriter] = set()
         self._stopping = asyncio.Event()
+        self.started = time.monotonic()
 
     # ------------------------------------------------------------------
     # Subclass hooks
     # ------------------------------------------------------------------
 
-    async def _answer_line(
-        self, writer: asyncio.StreamWriter, line: bytes
-    ) -> None:
+    async def _resolve(self, request: Request, trace=None) -> dict:
+        """The result payload of one request other than ``stats``."""
         raise NotImplementedError
 
-    async def _route_http(
-        self, method: str, path: str, body: bytes, t0: float, query: str = ""
-    ) -> tuple[int, dict]:
+    def _healthz(self) -> dict:
+        """The ``GET /healthz`` body."""
         raise NotImplementedError
-
-    def _record_error(self, error_type: str) -> None:
-        """Count one rejected request (subclass metrics)."""
 
     async def _drain(self) -> None:
         """Answer the backlog during :meth:`stop` (subclass-specific)."""
@@ -264,13 +292,66 @@ class LineProtocolServer:
             except (ConnectionResetError, BrokenPipeError, OSError):
                 pass
 
+    async def _answer_line(
+        self, writer: asyncio.StreamWriter, line: bytes
+    ) -> None:
+        """Resolve one NDJSON request line and write its reply line."""
+        t0 = asyncio.get_running_loop().time()
+        trace = self.tracer.start("?", transport="ndjson")
+        decode_start = time.perf_counter()
+        try:
+            request = protocol.parse_request(line, allowed_ops=self.allowed_ops)
+        except ProtocolError as exc:
+            if trace is not None:
+                trace.op = "invalid"
+                trace.annotate(error=exc.error_type)
+                self.tracer.finish(trace)
+            await self._reject_line(writer, best_effort_id(line), exc)
+            return
+        if trace is not None:
+            trace.op = request.op
+            trace.add_span("decode", decode_start, time.perf_counter())
+        try:
+            result = await self._answer(request, trace, t0)
+        except ProtocolError as exc:
+            await self._reject_line(writer, request.id, exc)
+            return
+        reply_start = time.perf_counter()
+        await self._write(writer, protocol.encode_line(
+            protocol.ok_reply(request.id, request.op, result)
+        ))
+        if trace is not None:
+            trace.add_span("reply", reply_start, time.perf_counter())
+            self.tracer.finish(trace)
+
+    async def _answer(self, request: Request, trace, t0: float) -> dict:
+        """Count, resolve and time one parsed request (both fronts).
+
+        A failure finishes the trace and propagates; the caller's reject
+        path counts the error.
+        """
+        self.requests_counter.inc(op=request.op)
+        try:
+            if request.op == "stats":
+                result = self._stats_snapshot()
+            else:
+                result = await self._resolve(request, trace)
+        except ProtocolError as exc:
+            if trace is not None:
+                trace.annotate(error=exc.error_type)
+                self.tracer.finish(trace)
+            raise
+        _REPLIES.inc()
+        _LATENCY.observe(asyncio.get_running_loop().time() - t0)
+        return result
+
     async def _reject_line(
         self,
         writer: asyncio.StreamWriter,
         request_id: object,
         exc: ProtocolError,
     ) -> None:
-        self._record_error(exc.error_type)
+        _ERRORS.inc(type=exc.error_type)
         await self._write(writer, protocol.encode_line(
             protocol.error_reply(request_id, exc.error_type, exc.message)
         ))
@@ -310,10 +391,41 @@ class LineProtocolServer:
                 method, path, body, t0, query
             )
         except ProtocolError as exc:
-            self._record_error(exc.error_type)
+            _ERRORS.inc(type=exc.error_type)
             status = HTTP_STATUS_BY_ERROR[exc.error_type]
             payload = {"error": {"type": exc.error_type, "message": exc.message}}
         await self._write(writer, protocol.http_response(status, payload))
+
+    async def _route_http(
+        self, method: str, path: str, body: bytes, t0: float, query: str = ""
+    ) -> tuple[int, dict]:
+        """Resolve one HTTP request to ``(status, json_payload)``."""
+        if method == "GET" and path == "/healthz":
+            return 200, self._healthz()
+        if method == "GET" and path == "/v1/stats":
+            return 200, await self._answer(Request(op="stats"), None, t0)
+        if method == "GET" and path == "/v1/trace/recent":
+            limit = query_int(query, "limit", default=50)
+            return 200, {
+                "traces": self.tracer.recent(limit),
+                "slow": self.tracer.slow_recent(limit),
+                "tracer": self.tracer.snapshot(),
+            }
+        if method == "POST" and path in ("/v1/classify", "/v1/match"):
+            op = path.rsplit("/", 1)[1]
+            try:
+                data = json.loads(body.decode() or "null")
+            except (UnicodeDecodeError, ValueError):
+                raise ProtocolError("bad_request", "body is not valid JSON")
+            if not isinstance(data, dict):
+                raise ProtocolError("bad_request", "body must be a JSON object")
+            table = protocol.parse_table_payload(data)
+            trace = self.tracer.start(op, transport="http")
+            request = Request(op=op, id=data.get("id"), table=table)
+            result = await self._answer(request, trace, t0)
+            self.tracer.finish(trace)
+            return 200, {"ok": True, "op": op, "result": result}
+        raise ProtocolError("bad_request", f"no route for {method} {path}")
 
     async def _read_http(
         self, request_line: bytes, reader: asyncio.StreamReader
@@ -342,6 +454,57 @@ class LineProtocolServer:
             await reader.readexactly(content_length) if content_length else b""
         )
         return method.upper(), path, body
+
+    # ------------------------------------------------------------------
+    # Introspection
+    # ------------------------------------------------------------------
+
+    def _stats_snapshot(self) -> dict:
+        """The ``stats`` block: a readout of the process-global registry.
+
+        Every count equals the ``/metrics`` series it is read from, so
+        the figures are process-wide.  Batch, cache and mint series
+        belong to other layers and are looked up by name, the way a
+        scraper reads them; importing :mod:`repro.service` registers
+        them all.  Latency quantiles are histogram estimates over the
+        process lifetime (:meth:`~repro.obs.Histogram.quantile`).
+        """
+        requests = _by_label(self.requests_counter)
+        errors = _by_label(_ERRORS)
+        batch_sizes = _REG.get("repro_service_batch_size")
+        series = batch_sizes.series()
+        batches, batched = series["count"], int(series["sum"])
+        lookups = _REG.get("repro_cache_match_lookups_total")
+        hits = int(lookups.value(result="hit"))
+        misses = int(lookups.value(result="miss"))
+        minted = _REG.get("repro_library_classes_minted_total")
+        p50, p99 = _LATENCY.quantile(0.50), _LATENCY.quantile(0.99)
+        return {
+            "uptime_s": round(time.monotonic() - self.started, 3),
+            "requests_total": sum(requests.values()),
+            "requests_by_op": requests,
+            "replies_ok": int(_REPLIES.value()),
+            "errors_total": sum(errors.values()),
+            "errors_by_type": errors,
+            "batches": batches,
+            "batched_requests": batched,
+            "mean_batch_size": round(batched / batches, 3) if batches else 0.0,
+            "max_batch_size": int(batch_sizes.quantile(1.0) or 0),
+            "cache_hits": hits,
+            "cache_misses": misses,
+            "cache_hit_rate": (
+                round(hits / (hits + misses), 4) if hits + misses else 0.0
+            ),
+            "classes_minted": int(minted.value()),
+            "latency_p50_ms": None if p50 is None else round(p50 * 1e3, 3),
+            "latency_p99_ms": None if p99 is None else round(p99 * 1e3, 3),
+            "latency_samples": _LATENCY.series()["count"],
+        }
+
+
+def _by_label(counter: obs.Counter) -> dict[str, int]:
+    """A one-label counter as ``{label value: count}``."""
+    return {key[0]: int(value) for key, value in counter.items()}
 
 
 def query_int(query: str, name: str, default: int) -> int:

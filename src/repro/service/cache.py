@@ -39,8 +39,9 @@ class MatchCache:
 
     Stored values are :class:`~repro.library.store.LibraryMatch` or
     ``None`` (a cached "no class matches" answer).  ``maxsize=0``
-    disables caching; stats reuse the engine's :class:`CacheStats`
-    counters so the service metrics report hit rates uniformly.
+    disables caching.  :attr:`stats` counts this instance's lookups in
+    the engine's :class:`CacheStats`; the daemon's ``stats`` block reads
+    the process-wide ``repro_cache_match_lookups_total`` instead.
     """
 
     def __init__(self, maxsize: int = 1 << 16) -> None:

@@ -204,7 +204,10 @@ class ServiceClient:
         return self._roundtrip(self._table_request("classify", table, n))
 
     def stats(self) -> dict:
-        """The daemon's :class:`ServiceMetrics` snapshot."""
+        """The daemon's ``stats`` block: its process's metrics registry
+        read out as JSON (counts equal the ``/metrics`` series, latency
+        quantiles are histogram estimates), plus identity and, on a
+        router, fabric state."""
         return self._roundtrip({"op": "stats", "id": self._take_id()})
 
     def ping(self) -> dict:

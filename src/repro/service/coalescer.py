@@ -42,6 +42,7 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
+from repro import obs
 from repro.canonical.form import canonical_class_id, canonical_forms
 from repro.obs import Trace
 from repro.core.truth_table import TruthTable
@@ -49,7 +50,6 @@ from repro.engine import make_classifier
 from repro.library.online import LearningLibrary
 from repro.library.store import ClassLibrary
 from repro.service.cache import MatchCache
-from repro.service.metrics import ServiceMetrics
 from repro.service.protocol import ProtocolError
 
 __all__ = [
@@ -71,6 +71,16 @@ DEFAULT_MAX_PENDING = 8192
 SERVICE_ENGINES = ("perfn", "batched")
 
 _CLOSE = object()  # queue sentinel: drain what is queued, then stop
+
+_REG = obs.registry()
+_BATCHES = _REG.counter(
+    "repro_service_batches_total", "Engine batches dispatched by the coalescer."
+)
+_BATCH_SIZE = _REG.histogram(
+    "repro_service_batch_size",
+    "Requests per dispatched engine batch.",
+    buckets=obs.BATCH_SIZE_BUCKETS,
+)
 
 
 def validate_service_knobs(
@@ -129,7 +139,6 @@ class Coalescer:
         max_pending: bound of the request queue; submissions beyond it
             fail fast with ``overloaded``.
         cache_size: LRU capacity of the match cache (``0`` disables).
-        metrics: shared :class:`ServiceMetrics` (a fresh one by default).
         learner: attach a :class:`LearningLibrary` wrapping ``library``
             to mint classes on misses (``None`` serves read-only).
     """
@@ -142,7 +151,6 @@ class Coalescer:
         max_wait_ms: float = DEFAULT_MAX_WAIT_MS,
         max_pending: int = DEFAULT_MAX_PENDING,
         cache_size: int = 1 << 16,
-        metrics: ServiceMetrics | None = None,
         learner: LearningLibrary | None = None,
     ) -> None:
         validate_service_knobs(
@@ -164,7 +172,6 @@ class Coalescer:
         self.max_batch = max_batch
         self.max_wait_ms = max_wait_ms
         self.cache = MatchCache(cache_size)
-        self.metrics = metrics if metrics is not None else ServiceMetrics()
         self._queue: asyncio.Queue = asyncio.Queue(maxsize=max_pending)
         # One worker thread: batches are sequential by design (the whole
         # point is one big batch, not many small concurrent ones).
@@ -249,7 +256,6 @@ class Coalescer:
         future = asyncio.get_running_loop().create_future()
         if op == "match":
             found, outcome = self.cache.get(table)
-            self.metrics.record_cache(found)
             if found:
                 if trace is not None:
                     trace.annotate(cache="hit")
@@ -288,7 +294,8 @@ class Coalescer:
             stop_after = await self._fill(batch)
             live = [p for p in batch if not p.future.cancelled()]
             if live:
-                self.metrics.record_batch(len(live))
+                _BATCHES.inc()
+                _BATCH_SIZE.observe(len(live))
                 dispatched = time.perf_counter()
                 queue_meta = {"batch": len(live)}  # shared; spans don't mutate
                 for pending in live:
@@ -399,16 +406,13 @@ class Coalescer:
                     outcome = self.learner.learn(
                         tables[index], signatures[index]
                     )
-                    minted = self.learner.minted > before
                     if pending.trace is not None:
                         pending.trace.add_span(
                             "learn",
                             t_learn,
                             time.perf_counter(),
-                            {"minted": minted},
+                            {"minted": self.learner.minted > before},
                         )
-                    if minted:
-                        self.metrics.record_minted()
                 results.append((outcome, False))
             else:  # classify
                 class_id = class_ids[index]
@@ -455,13 +459,6 @@ class Coalescer:
         """The classify answer without going through a batch (for tests)."""
         class_id = self._classify_ids([table])[0]
         return class_id, class_id in self.library.classes
-
-    def stats_snapshot(self) -> dict:
-        """Metrics snapshot, extended with WAL state when learning."""
-        snapshot = self.metrics.snapshot()
-        if self.learner is not None:
-            snapshot["learning"] = self.learner.stats()
-        return snapshot
 
     @property
     def pending(self) -> int:

@@ -3,10 +3,10 @@
 :class:`ClassificationService` binds one TCP port and speaks both wire
 protocols of :mod:`repro.service.protocol` — the first request line is
 sniffed, so ``nc`` + NDJSON and ``curl /healthz`` hit the same address.
-The socket front (framing, connection lifecycle, drain-on-signal) lives
-in :class:`~repro.service.base.LineProtocolServer`, shared with the
-fabric router; this module supplies the request *meaning*.  Requests
-flow::
+The socket and request front (framing, connection lifecycle,
+drain-on-signal, counting, tracing, the ``stats`` readout) lives in
+:class:`~repro.service.base.LineProtocolServer`, shared with the fabric
+router; this module supplies the request *meaning*.  Requests flow::
 
     connection reader ──> parse ──> Coalescer.submit ──> packed batch
                                                             │
@@ -24,28 +24,19 @@ close and :meth:`serve_forever` returns.  A second signal is ignored
 
 from __future__ import annotations
 
-import asyncio
-import json
 import os
-import time
 
 from repro import obs
 from repro.library.store import ClassLibrary
-from repro.service.base import (
-    MAX_INFLIGHT_REPLIES,
-    LineProtocolServer,
-    best_effort_id,
-    query_int,
-)
+from repro.service.base import MAX_INFLIGHT_REPLIES, LineProtocolServer
 from repro.service.coalescer import (
     DEFAULT_MAX_BATCH,
     DEFAULT_MAX_PENDING,
     DEFAULT_MAX_WAIT_MS,
     Coalescer,
 )
-from repro.service.metrics import ServiceMetrics
 from repro.service import protocol
-from repro.service.protocol import ProtocolError, Request
+from repro.service.protocol import Request
 
 __all__ = [
     "ClassificationService",
@@ -111,7 +102,6 @@ class ClassificationService(LineProtocolServer):
     ) -> None:
         super().__init__(host=host, port=port)
         self.library = library
-        self.metrics = ServiceMetrics()
         self.tracer = obs.Tracer(
             capacity=trace_capacity,
             slow_ms=slow_ms,
@@ -124,7 +114,6 @@ class ClassificationService(LineProtocolServer):
             max_wait_ms=max_wait_ms,
             max_pending=max_pending,
             cache_size=cache_size,
-            metrics=self.metrics,
             learner=learner,
         )
 
@@ -140,105 +129,10 @@ class ClassificationService(LineProtocolServer):
     async def _drain(self) -> None:
         await self.coalescer.stop()
 
-    def _record_error(self, error_type: str) -> None:
-        self.metrics.record_error(error_type)
-
     def _ready_message(self) -> str:
         return (
             f"serving {self.library.num_classes} classes on {self.address}"
         )
-
-    # -------------------------- NDJSON path ---------------------------
-
-    async def _answer_line(
-        self, writer: asyncio.StreamWriter, line: bytes
-    ) -> None:
-        loop = asyncio.get_running_loop()
-        t0 = loop.time()
-        trace = self.tracer.start("?", transport="ndjson")
-        decode_start = time.perf_counter()
-        try:
-            request = protocol.parse_request(line)
-        except ProtocolError as exc:
-            if trace is not None:
-                trace.op = "invalid"
-                trace.annotate(error=exc.error_type)
-                self.tracer.finish(trace)
-            request_id = best_effort_id(line)
-            await self._reject_line(writer, request_id, exc)
-            return
-        if trace is not None:
-            trace.op = request.op
-            trace.add_span("decode", decode_start, time.perf_counter())
-        self.metrics.record_request(request.op)
-        try:
-            result = await self._resolve(request, trace)
-        except ProtocolError as exc:
-            if trace is not None:
-                trace.annotate(error=exc.error_type)
-                self.tracer.finish(trace)
-            await self._reject_line(writer, request.id, exc)
-            return
-        self.metrics.record_reply(loop.time() - t0)
-        reply_start = time.perf_counter()
-        await self._write(writer, protocol.encode_line(
-            protocol.ok_reply(request.id, request.op, result)
-        ))
-        if trace is not None:
-            trace.add_span("reply", reply_start, time.perf_counter())
-            self.tracer.finish(trace)
-
-    # --------------------------- HTTP path -----------------------------
-
-    async def _route_http(
-        self, method: str, path: str, body: bytes, t0: float, query: str = ""
-    ) -> tuple[int, dict]:
-        loop = asyncio.get_running_loop()
-        if method == "GET" and path == "/healthz":
-            return 200, {
-                "status": "ok",
-                "classes": self.library.num_classes,
-                "arities": list(self.library.arities()),
-                "address": self.address,
-                "draining": self.coalescer.closing,
-                "learning": self.coalescer.learner is not None,
-            }
-        if method == "GET" and path == "/v1/stats":
-            self.metrics.record_request("stats")
-            snapshot = self._stats_snapshot()
-            self.metrics.record_reply(loop.time() - t0)
-            return 200, snapshot
-        if method == "GET" and path == "/v1/trace/recent":
-            limit = query_int(query, "limit", default=50)
-            return 200, {
-                "traces": self.tracer.recent(limit),
-                "slow": self.tracer.slow_recent(limit),
-                "tracer": self.tracer.snapshot(),
-            }
-        if method == "POST" and path in ("/v1/classify", "/v1/match"):
-            op = path.rsplit("/", 1)[1]
-            try:
-                data = json.loads(body.decode() or "null")
-            except (UnicodeDecodeError, ValueError):
-                raise ProtocolError("bad_request", "body is not valid JSON")
-            if not isinstance(data, dict):
-                raise ProtocolError("bad_request", "body must be a JSON object")
-            table = protocol.parse_table_payload(data)
-            self.metrics.record_request(op)
-            trace = self.tracer.start(op, transport="http")
-            try:
-                result = await self._resolve(
-                    Request(op=op, id=data.get("id"), table=table), trace
-                )
-            except ProtocolError as exc:
-                if trace is not None:
-                    trace.annotate(error=exc.error_type)
-                    self.tracer.finish(trace)
-                raise
-            self.metrics.record_reply(loop.time() - t0)
-            self.tracer.finish(trace)
-            return 200, {"ok": True, "op": op, "result": result}
-        raise ProtocolError("bad_request", f"no route for {method} {path}")
 
     # ------------------------------------------------------------------
     # Request resolution (shared by both fronts)
@@ -247,8 +141,6 @@ class ClassificationService(LineProtocolServer):
     async def _resolve(self, request: Request, trace=None) -> dict:
         if request.op == "ping":
             return {"pong": True, "classes": self.library.num_classes}
-        if request.op == "stats":
-            return self._stats_snapshot()
         future = self.coalescer.submit(request.op, request.table, trace)
         if request.op == "match":
             outcome, cached = await future
@@ -256,9 +148,21 @@ class ClassificationService(LineProtocolServer):
         class_id, known = await future
         return protocol.classify_payload(request.table, class_id, known)
 
+    def _healthz(self) -> dict:
+        return {
+            "status": "ok",
+            "classes": self.library.num_classes,
+            "arities": list(self.library.arities()),
+            "address": self.address,
+            "draining": self.coalescer.closing,
+            "learning": self.coalescer.learner is not None,
+        }
+
     def _stats_snapshot(self) -> dict:
-        """Coalescer stats plus this worker's identity block."""
-        snapshot = self.coalescer.stats_snapshot()
+        """The registry readout plus WAL state and this daemon's identity."""
+        snapshot = super()._stats_snapshot()
+        if self.coalescer.learner is not None:
+            snapshot["learning"] = self.coalescer.learner.stats()
         snapshot["identity"] = self.identity()
         return snapshot
 
@@ -275,8 +179,3 @@ class ClassificationService(LineProtocolServer):
             "trace_sample": self.tracer.sample_every,
         }
 
-
-# Backwards-compatible aliases: these helpers grew up here and moved to
-# repro.service.base when the router started sharing the socket front.
-_query_int = query_int
-_best_effort_id = best_effort_id

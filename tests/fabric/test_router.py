@@ -21,7 +21,7 @@ from repro import obs
 from repro.core.truth_table import TruthTable
 from repro.fabric import router as router_module
 from repro.fabric.backoff import RetryPolicy
-from repro.fabric.channel import ChannelClosed
+from repro.fabric.channel import ChannelClosed, DispatchTimeout
 from repro.fabric.ring import HashRing, shard_key_of
 from repro.fabric.router import RouterService
 from repro.fabric.worker import FabricWorker
@@ -64,6 +64,52 @@ def shard_key_passes():
     """Batched shard-key passes observed so far in this process."""
     histogram = obs.registry().get("repro_fabric_shard_key_batch_size")
     return histogram.series()["count"]
+
+
+def scraped(address, family, **labels):
+    """Sum of the ``/metrics`` samples of ``family`` matching ``labels``."""
+    status, text = http_get(address, "/metrics")
+    assert status == 200
+    total = 0.0
+    for line in text.splitlines():
+        name, _, rest = line.partition("{")
+        if line.startswith("#") or name.split(" ")[0] != family:
+            continue
+        if all(f'{key}="{value}"' in rest for key, value in labels.items()):
+            total += float(line.rsplit(" ", 1)[1])
+    return total
+
+
+def http_stats(address):
+    status, body = http_get(address, "/v1/stats")
+    assert status == 200
+    return json.loads(body)
+
+
+def stub_router(monkeypatch, attempt, attempts=3):
+    """A router with one registered worker whose dispatches ``attempt`` answers.
+
+    No worker daemon runs, so the process's ``repro_service_*`` request
+    series see only what the router itself counts.
+    """
+    router = RouterService(
+        port=0,
+        policy=RetryPolicy(
+            attempts=attempts, base_ms=1.0, cap_ms=2.0, timeout_ms=500.0
+        ),
+        heartbeat_interval_s=30.0,
+    )
+    router._register(
+        {
+            "worker": {
+                "worker_id": "w0",
+                "address": "127.0.0.1:9",
+                "ring": HashRing(("w0",)).spec(),
+            }
+        }
+    )
+    monkeypatch.setattr(router, "_attempt", attempt)
+    return router
 
 
 def make_worker(tiny_library, worker_id, ring, router_address, **kwargs):
@@ -266,13 +312,59 @@ class TestRouting:
         def match_traces():
             # The trace finishes a beat after the reply flushes to the
             # client, so poll rather than read immediately.
+            _, body = http_get(router.address, "/v1/trace/recent?limit=50")
             return [
-                t for t in router.tracer.recent(50) if t["op"] == "match"
+                t for t in json.loads(body)["traces"] if t["op"] == "match"
             ]
 
         wait_for(match_traces, message="the match trace to finish")
         span_names = {s["name"] for s in match_traces()[0]["spans"]}
-        assert {"route", "dispatch", "reply"} <= span_names
+        assert {"decode", "route", "dispatch", "reply"} <= span_names
+
+
+class TestOneCounterPerEvent:
+    def test_routed_request_counts_in_the_fabric_family_only(
+        self, monkeypatch
+    ):
+        async def answered(primary, hedge, payload):
+            return {"ok": True, "result": {"hit": False, "n": 3}}
+
+        reg = obs.registry()
+        routed = reg.get("repro_fabric_requests_total")
+        served = reg.get("repro_service_requests_total")
+        router = stub_router(monkeypatch, answered)
+        with ThreadedService(router) as host:
+            before = routed.value(op="match"), served.value(op="match")
+            with ServiceClient(port=host.port) as client:
+                assert client.match(TruthTable(3, 0xE8)) == {
+                    "hit": False, "n": 3
+                }
+            after = routed.value(op="match"), served.value(op="match")
+            # The stats readout is the same series /metrics renders.
+            stats = http_stats(host.address)
+            assert stats["requests_by_op"]["match"] == scraped(
+                host.address, "repro_fabric_requests_total", op="match"
+            )
+        assert after == (before[0] + 1, before[1])
+
+    def test_exhausted_attempts_count_only_re_dispatches(self, monkeypatch):
+        async def times_out(primary, hedge, payload):
+            raise DispatchTimeout("injected deadline miss")
+
+        router = stub_router(monkeypatch, times_out, attempts=3)
+        with ThreadedService(router) as host:
+            scraped_before = scraped(host.address, "repro_fabric_retries_total")
+            stats_before = http_stats(host.address)["fabric"]["retries"]
+            with ServiceClient(port=host.port) as client:
+                with pytest.raises(ServiceError) as excinfo:
+                    client.match(TruthTable(3, 0xE8))
+            assert excinfo.value.error_type == "timeout"
+            scraped_after = scraped(host.address, "repro_fabric_retries_total")
+            stats_after = http_stats(host.address)["fabric"]["retries"]
+        # Three failed attempts are two re-dispatches, in both readouts.
+        assert scraped_after - scraped_before == 2
+        assert stats_after - stats_before == 2
+        assert stats_after == scraped_after
 
 
 class TestDegradedMode:

@@ -56,6 +56,13 @@ class TestCounter:
         c.inc(2.5)
         assert c.value() == 3.5
 
+    def test_items_lists_every_series_sorted(self):
+        c = Counter("t_total", "test", labels=("op",))
+        assert c.items() == []
+        c.inc(op="match")
+        c.inc(2, op="classify")
+        assert c.items() == [(("classify",), 2.0), (("match",), 1.0)]
+
     def test_labelled_series_are_independent(self):
         c = Counter("t_total", "test", labels=("op",))
         c.inc(op="match")
@@ -119,6 +126,56 @@ class TestHistogram:
             Histogram("t_seconds", "test", buckets=(1.0, 1.0))
         with pytest.raises(ValueError):
             Histogram("t_seconds", "test", buckets=())
+
+
+class TestHistogramQuantile:
+    def test_empty_series_has_no_quantile(self):
+        h = Histogram("t_seconds", "test", labels=("op",), buckets=(1.0, 2.0))
+        assert h.quantile(0.5, op="match") is None
+        h.observe(1.5, op="classify")
+        assert h.quantile(0.5, op="match") is None
+
+    def test_single_bucket_interpolates_from_zero(self):
+        h = Histogram("t_seconds", "test", buckets=(4.0, 8.0))
+        for _ in range(4):
+            h.observe(3.0)
+        # All four samples in (0, 4]: rank q * 4 sits q of the way up.
+        assert h.quantile(0.0) == 0.0
+        assert h.quantile(0.5) == 2.0
+        assert h.quantile(1.0) == 4.0
+
+    def test_interpolates_inside_the_rank_bucket(self):
+        h = Histogram("t_seconds", "test", buckets=(1.0, 2.0, 4.0))
+        for value in (0.5, 0.5, 1.5, 3.0):
+            h.observe(value)
+        # Rank 3 of 4 is the one sample of (1, 2]: its upper bound.
+        assert h.quantile(0.75) == 2.0
+        # Rank 3.5 is halfway through the one sample of (2, 4].
+        assert h.quantile(0.875) == pytest.approx(3.0)
+        # Rank 2 is the top of (0, 1]; empty buckets are skipped.
+        assert h.quantile(0.5) == 1.0
+        assert h.quantile(0.25) == pytest.approx(0.5)
+
+    def test_quantile_one_is_highest_non_empty_bound(self):
+        h = Histogram("t_size", "test", buckets=(1.0, 2.0, 4.0, 8.0))
+        for value in (1, 3, 4):
+            h.observe(value)
+        assert h.quantile(1.0) == 4.0
+
+    def test_inf_bucket_reads_as_highest_finite_bound(self):
+        h = Histogram("t_seconds", "test", buckets=(1.0, 2.0))
+        h.observe(0.5)
+        h.observe(100.0)
+        assert h.quantile(0.99) == 2.0
+        assert h.quantile(1.0) == 2.0
+        assert h.quantile(0.25) == pytest.approx(0.5)
+
+    @pytest.mark.parametrize("q", [-0.01, 1.01, 2.0])
+    def test_q_outside_unit_interval_rejected(self, q):
+        h = Histogram("t_seconds", "test", buckets=(1.0,))
+        h.observe(0.5)
+        with pytest.raises(ValueError):
+            h.quantile(q)
 
 
 class TestRegistry:

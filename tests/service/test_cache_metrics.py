@@ -1,10 +1,9 @@
-"""MatchCache accounting and ServiceMetrics readout."""
+"""MatchCache accounting."""
 
 import pytest
 
 from repro.core.truth_table import TruthTable
 from repro.service.cache import MatchCache
-from repro.service.metrics import LatencyWindow, ServiceMetrics
 
 
 class TestMatchCache:
@@ -56,64 +55,3 @@ class TestMatchCache:
         with pytest.raises(ValueError):
             MatchCache(maxsize=-1)
 
-
-class TestLatencyWindow:
-    def test_quantiles_exact_on_small_window(self):
-        window = LatencyWindow(maxlen=100)
-        for value in [0.5, 0.1, 0.3, 0.2, 0.4]:
-            window.observe(value)
-        assert window.quantile(0.0) == 0.1
-        assert window.quantile(0.5) == 0.3
-        assert window.quantile(1.0) == 0.5
-
-    def test_empty_window_returns_none(self):
-        assert LatencyWindow().quantile(0.5) is None
-
-    def test_window_slides(self):
-        window = LatencyWindow(maxlen=2)
-        for value in (1.0, 2.0, 3.0):
-            window.observe(value)
-        assert window.quantile(0.0) == 2.0
-        assert window.observed == 3
-        assert len(window) == 2
-
-    def test_bad_inputs(self):
-        with pytest.raises(ValueError):
-            LatencyWindow(maxlen=0)
-        with pytest.raises(ValueError):
-            LatencyWindow().quantile(1.5)
-
-
-class TestServiceMetrics:
-    def test_snapshot_fields(self):
-        metrics = ServiceMetrics()
-        metrics.record_request("match")
-        metrics.record_request("match")
-        metrics.record_request("stats")
-        metrics.record_batch(2)
-        metrics.record_batch(4)
-        metrics.record_cache(True)
-        metrics.record_cache(False)
-        metrics.record_reply(0.010)
-        metrics.record_reply(0.030)
-        metrics.record_error("overloaded")
-        snap = metrics.snapshot()
-        assert snap["requests_total"] == 3
-        assert snap["requests_by_op"] == {"match": 2, "stats": 1}
-        assert snap["batches"] == 2
-        assert snap["mean_batch_size"] == 3.0
-        assert snap["max_batch_size"] == 4
-        assert snap["cache_hit_rate"] == 0.5
-        assert snap["errors_by_type"] == {"overloaded": 1}
-        assert snap["latency_p50_ms"] == pytest.approx(10.0, rel=0.5)
-        assert snap["latency_p99_ms"] == pytest.approx(30.0, rel=0.5)
-        assert snap["uptime_s"] >= 0
-
-    def test_empty_snapshot_is_serializable(self):
-        import json
-
-        snap = ServiceMetrics().snapshot()
-        assert snap["mean_batch_size"] == 0.0
-        assert snap["cache_hit_rate"] == 0.0
-        assert snap["latency_p50_ms"] is None
-        json.dumps(snap)

@@ -10,6 +10,7 @@ import asyncio
 
 import pytest
 
+from repro import obs
 from repro.core.truth_table import TruthTable
 from repro.service.coalescer import Coalescer
 from repro.service.protocol import ProtocolError
@@ -37,7 +38,7 @@ class TestConstruction:
 
 
 class TestBatching:
-    def test_burst_coalesces_into_one_batch(self, tiny_library):
+    def test_burst_coalesces_into_one_batch(self, tiny_library, batch_sizes):
         async def scenario():
             coalescer = Coalescer(
                 tiny_library, max_batch=64, max_wait_ms=50.0
@@ -50,11 +51,10 @@ class TestBatching:
 
         coalescer, results = asyncio.run(scenario())
         # All 16 were queued before the worker could run: one batch.
-        assert coalescer.metrics.batches == 1
-        assert coalescer.metrics.max_batch_size == 16
+        assert batch_sizes() == {"16": 1}
         assert len(results) == 16
 
-    def test_max_batch_splits_bursts(self, tiny_library):
+    def test_max_batch_splits_bursts(self, tiny_library, batch_sizes):
         async def scenario():
             coalescer = Coalescer(tiny_library, max_batch=4, max_wait_ms=50.0)
             coalescer.start()
@@ -63,11 +63,12 @@ class TestBatching:
             await coalescer.stop()
             return coalescer
 
-        coalescer = asyncio.run(scenario())
-        assert coalescer.metrics.batches == 3  # 4 + 4 + 2
-        assert coalescer.metrics.max_batch_size == 4
+        asyncio.run(scenario())
+        assert batch_sizes() == {"4": 2, "2": 1}  # 4 + 4 + 2
 
-    def test_max_batch_one_disables_coalescing(self, tiny_library):
+    def test_max_batch_one_disables_coalescing(
+        self, tiny_library, batch_sizes
+    ):
         async def scenario():
             coalescer = Coalescer(tiny_library, max_batch=1, max_wait_ms=50.0)
             coalescer.start()
@@ -76,11 +77,10 @@ class TestBatching:
             await coalescer.stop()
             return coalescer
 
-        coalescer = asyncio.run(scenario())
-        assert coalescer.metrics.batches == 5
-        assert coalescer.metrics.mean_batch_size == 1.0
+        asyncio.run(scenario())
+        assert batch_sizes() == {"1": 5}
 
-    def test_lone_request_released_by_timeout(self, tiny_library):
+    def test_lone_request_released_by_timeout(self, tiny_library, batch_sizes):
         async def scenario():
             coalescer = Coalescer(tiny_library, max_batch=1024, max_wait_ms=5.0)
             coalescer.start()
@@ -93,11 +93,13 @@ class TestBatching:
             return coalescer, result
 
         coalescer, (outcome, cached) = asyncio.run(scenario())
-        assert coalescer.metrics.batches == 1
+        assert batch_sizes() == {"1": 1}
         assert not cached
         assert outcome is not None
 
-    def test_zero_wait_still_drains_backlog_greedily(self, tiny_library):
+    def test_zero_wait_still_drains_backlog_greedily(
+        self, tiny_library, batch_sizes
+    ):
         async def scenario():
             coalescer = Coalescer(tiny_library, max_batch=64, max_wait_ms=0)
             futures = [coalescer.submit("match", tt) for tt in tables(8)]
@@ -106,9 +108,8 @@ class TestBatching:
             await coalescer.stop()
             return coalescer
 
-        coalescer = asyncio.run(scenario())
-        assert coalescer.metrics.batches == 1
-        assert coalescer.metrics.max_batch_size == 8
+        asyncio.run(scenario())
+        assert batch_sizes() == {"8": 1}
 
 
 class TestResults:
@@ -177,7 +178,7 @@ class TestResults:
             assert outcome.class_id == offline.class_id
             assert outcome.verify(query)
 
-    def test_mixed_arities_share_a_batch(self, tiny_library):
+    def test_mixed_arities_share_a_batch(self, tiny_library, batch_sizes):
         queries = tables(4, n=2) + tables(4, n=3)
 
         async def scenario():
@@ -189,7 +190,7 @@ class TestResults:
             return coalescer, results
 
         coalescer, results = asyncio.run(scenario())
-        assert coalescer.metrics.batches == 1
+        assert batch_sizes() == {"8": 1}
         for query, (outcome, _) in zip(queries, results):
             assert outcome is not None
             assert outcome.entry.n == query.n
@@ -197,8 +198,12 @@ class TestResults:
 
 
 class TestCacheIntegration:
-    def test_second_burst_hits_cache_without_batches(self, tiny_library):
+    def test_second_burst_hits_cache_without_batches(
+        self, tiny_library, batch_sizes
+    ):
         queries = tables(10)
+        lookups = obs.registry().get("repro_cache_match_lookups_total")
+        hits, misses = lookups.value(result="hit"), lookups.value(result="miss")
 
         async def scenario():
             coalescer = Coalescer(tiny_library, max_batch=64, max_wait_ms=5.0)
@@ -206,7 +211,7 @@ class TestCacheIntegration:
             first = await asyncio.gather(
                 *[coalescer.submit("match", tt) for tt in queries]
             )
-            batches_after_first = coalescer.metrics.batches
+            batches_after_first = batch_sizes()
             second = await asyncio.gather(
                 *[coalescer.submit("match", tt) for tt in queries]
             )
@@ -214,15 +219,15 @@ class TestCacheIntegration:
             return coalescer, batches_after_first, first, second
 
         coalescer, batches_after_first, first, second = asyncio.run(scenario())
-        assert coalescer.metrics.batches == batches_after_first  # no new work
+        assert batch_sizes() == batches_after_first  # no new work
         assert all(not cached for _, cached in first)
         assert all(cached for _, cached in second)
         assert [o.class_id for o, _ in first] == [o.class_id for o, _ in second]
-        assert coalescer.metrics.cache_hits == 10
-        assert coalescer.metrics.cache_misses == 10
+        assert lookups.value(result="hit") == hits + 10
+        assert lookups.value(result="miss") == misses + 10
         assert coalescer.cache.stats.hits == 10
 
-    def test_cache_disabled_by_zero_size(self, tiny_library):
+    def test_cache_disabled_by_zero_size(self, tiny_library, batch_sizes):
         async def scenario():
             coalescer = Coalescer(
                 tiny_library, max_batch=64, max_wait_ms=5.0, cache_size=0
@@ -236,7 +241,7 @@ class TestCacheIntegration:
 
         coalescer, cached = asyncio.run(scenario())
         assert not cached
-        assert coalescer.metrics.batches == 2
+        assert batch_sizes() == {"1": 2}
 
 
 class TestBackpressure:

@@ -6,10 +6,14 @@ upgrades the reply), every identical query after it hits — through the
 match cache or, with the cache disabled, through the library itself —
 and exactly one class is minted per distinct orbit.  Stopping the
 service drains the WAL: segments are compacted into the on-disk image.
+
+``classes_minted`` in ``stats`` is process-wide, so tests read its
+growth across the traffic they send.
 """
 
 import pytest
 
+from repro import obs
 from repro.core.truth_table import TruthTable
 from repro.library import ClassLibrary, LearningLibrary, list_segments
 from repro.service import ServiceClient, ThreadedService
@@ -30,6 +34,7 @@ def serve(learner, **kwargs):
 class TestLearnOnMiss:
     def test_second_identical_miss_is_a_verified_cached_hit(self, learner):
         with serve(learner) as svc, ServiceClient(port=svc.port) as client:
+            minted_before = client.stats()["classes_minted"]
             first = client.match(MISS)
             assert first["hit"] and not first["cached"]
             assert ServiceClient.verify(first, MISS)
@@ -40,9 +45,21 @@ class TestLearnOnMiss:
             assert ServiceClient.verify(second, MISS)
 
             stats = client.stats()
-            assert stats["classes_minted"] == 1
+            assert stats["classes_minted"] == minted_before + 1
             assert stats["learning"]["classes_minted"] == 1
             assert stats["learning"]["wal_segments"] == 1
+
+    def test_mint_moves_only_the_library_counter(self, learner):
+        reg = obs.registry()
+        minted = reg.get("repro_library_classes_minted_total")
+        assert [
+            family.name for family in reg.families() if "minted" in family.name
+        ] == [minted.name]
+        before = minted.value()
+        with serve(learner) as svc, ServiceClient(port=svc.port) as client:
+            assert client.match(MISS)["hit"]
+            assert client.stats()["classes_minted"] == before + 1
+        assert minted.value() == before + 1
 
     def test_minted_class_survives_cache_disablement(self, learner):
         with serve(learner, cache_size=0) as svc:
@@ -61,11 +78,12 @@ class TestLearnOnMiss:
     ):
         image = ~MISS.flip_inputs(0b001101)
         with serve(learner) as svc, ServiceClient(port=svc.port) as client:
+            minted_before = client.stats()["classes_minted"]
             client.match(MISS)
             result = client.match(image)
             assert result["hit"]
             assert ServiceClient.verify(result, image)
-            assert client.stats()["classes_minted"] == 1
+            assert client.stats()["classes_minted"] == minted_before + 1
 
     def test_healthz_advertises_learning(self, learner, tiny_library):
         with serve(learner) as svc:
@@ -76,9 +94,10 @@ class TestLearnOnMiss:
     def test_without_learner_misses_stay_misses(self, tiny_library):
         with ThreadedService(tiny_library) as svc:
             with ServiceClient(port=svc.port) as client:
+                minted_before = client.stats()["classes_minted"]
                 result = client.match(MISS)
                 assert result == {"hit": False, "n": 6, "cached": False}
-                assert client.stats()["classes_minted"] == 0
+                assert client.stats()["classes_minted"] == minted_before
 
 
 class TestDrainCompaction:

@@ -2,9 +2,8 @@
 
 Covers the three new read paths — ``GET /metrics`` (Prometheus text),
 ``GET /v1/trace/recent`` (per-stage spans), the identity block in
-``stats`` — plus the thread-safety contracts of
-:class:`ServiceMetrics` and the :class:`LatencyWindow` quantile edge
-cases.
+``stats`` — plus the thread-safety contract of the ``stats`` readout,
+which reads the same registry ``/metrics`` renders.
 
 Registry assertions are **deltas**: the process-global registry
 accumulates across every test in the session, so tests capture a
@@ -13,6 +12,7 @@ before-value and assert growth, never absolute counts.
 
 import json
 import socket
+import sys
 import threading
 
 import pytest
@@ -20,8 +20,8 @@ import pytest
 from repro import obs
 from repro.core.truth_table import TruthTable
 from repro.service import ServiceClient, ThreadedService
+from repro.service.base import LineProtocolServer
 from repro.service.client import http_get
-from repro.service.metrics import LatencyWindow, ServiceMetrics
 
 
 @pytest.fixture(scope="module")
@@ -188,6 +188,54 @@ class TestRegistryDeltas:
         assert batches.value() >= before[1] + 1
         assert lookups.value(result="miss") == before[2] + 1
 
+    def test_stats_counts_equal_their_metrics_series(self, observed_service):
+        status, body = http_get(observed_service.address, "/v1/stats")
+        assert status == 200
+        stats = json.loads(body)
+        _, text = http_get(observed_service.address, "/metrics")
+        samples = {
+            name: float(value)
+            for name, value in (
+                line.rsplit(" ", 1)
+                for line in text.splitlines()
+                if line and not line.startswith("#")
+            )
+        }
+        assert stats["requests_by_op"]["match"] == samples[
+            'repro_service_requests_total{op="match"}'
+        ]
+        assert stats["cache_hits"] == samples[
+            'repro_cache_match_lookups_total{result="hit"}'
+        ]
+        assert stats["batches"] == samples["repro_service_batch_size_count"]
+        assert stats["batched_requests"] == samples[
+            "repro_service_batch_size_sum"
+        ]
+        assert stats["classes_minted"] == samples.get(
+            "repro_library_classes_minted_total", 0
+        )
+        # Derived figures are computed from those same series.
+        assert stats["mean_batch_size"] == round(
+            stats["batched_requests"] / stats["batches"], 3
+        )
+        assert str(stats["max_batch_size"]) in {
+            bound for bound in obs.registry().get(
+                "repro_service_batch_size"
+            ).series()["buckets"]
+        }
+        hits, misses = stats["cache_hits"], stats["cache_misses"]
+        assert stats["cache_hit_rate"] == round(hits / (hits + misses), 4)
+        assert 0 < stats["latency_p50_ms"] <= stats["latency_p99_ms"]
+        # The stats request itself is counted before the readout, its
+        # reply and latency after it.
+        assert stats["requests_by_op"]["stats"] == samples[
+            'repro_service_requests_total{op="stats"}'
+        ]
+        assert stats["replies_ok"] + 1 == samples["repro_service_replies_total"]
+        assert stats["latency_samples"] + 1 == samples[
+            "repro_service_request_seconds_count"
+        ]
+
     def test_disabled_observability_serves_but_records_nothing(
         self, tiny_library
     ):
@@ -210,87 +258,64 @@ class TestServiceMetricsThreadSafety:
     def test_concurrent_recording_loses_nothing(self):
         """Batch/mint accounting races the loop's request accounting.
 
-        This is the regression test for the pre-lock ServiceMetrics: the
-        coalescer's executor thread records batches and minted classes
-        while the event loop records requests and replies; without the
-        instance lock, increments were lost under contention.
+        The coalescer's executor thread records batches and minted
+        classes while the event loop records requests, replies, cache
+        lookups and errors.  Threads record into the same families those
+        sites use, and the ``stats`` readout must show every increment.
         """
-        metrics = ServiceMetrics()
+        reg = obs.registry()
+        requests = reg.get("repro_service_requests_total")
+        replies = reg.get("repro_service_replies_total")
+        latency = reg.get("repro_service_request_seconds")
+        lookups = reg.get("repro_cache_match_lookups_total")
+        batch_sizes = reg.get("repro_service_batch_size")
+        minted = reg.get("repro_library_classes_minted_total")
+        errors = reg.get("repro_service_errors_total")
+        readout = LineProtocolServer()._stats_snapshot
+        before = readout()
         rounds, workers = 5_000, 4
 
         def loop_side():
             for _ in range(rounds):
-                metrics.record_request("match")
-                metrics.record_reply(0.001)
-                metrics.record_cache(hit=False)
+                requests.inc(op="match")
+                replies.inc()
+                latency.observe(0.001)
+                lookups.inc(result="miss")
 
         def executor_side():
             for _ in range(rounds):
-                metrics.record_batch(8)
-                metrics.record_minted()
-                metrics.record_error("overloaded")
+                batch_sizes.observe(8)
+                minted.inc()
+                errors.inc(type="overloaded")
 
         threads = [
             threading.Thread(target=loop_side if i % 2 else executor_side)
             for i in range(workers)
         ]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        snap = metrics.snapshot()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # force interleaving mid-update
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        after = readout()
         per_side = rounds * (workers // 2)
-        assert snap["requests_by_op"]["match"] == per_side
-        assert snap["replies_ok"] == per_side
-        assert snap["cache_misses"] == per_side
-        assert snap["batches"] == per_side
-        assert snap["batched_requests"] == per_side * 8
-        assert snap["classes_minted"] == per_side
-        assert snap["errors_by_type"]["overloaded"] == per_side
 
+        def grew(key, label=None):
+            if label is None:
+                return after[key] - before[key]
+            return after[key].get(label, 0) - before[key].get(label, 0)
 
-class TestLatencyWindow:
-    def test_maxlen_one_keeps_only_newest(self):
-        window = LatencyWindow(maxlen=1)
-        for value in (5.0, 1.0, 3.0):
-            window.observe(value)
-        assert len(window) == 1
-        assert window.observed == 3
-        assert window.quantile(0.0) == 3.0
-        assert window.quantile(0.5) == 3.0
-        assert window.quantile(1.0) == 3.0
-
-    def test_extreme_quantiles_are_min_and_max(self):
-        window = LatencyWindow(maxlen=16)
-        for value in (4.0, 1.0, 3.0, 2.0):
-            window.observe(value)
-        assert window.quantile(0.0) == 1.0
-        assert window.quantile(1.0) == 4.0
-
-    def test_nearest_rank_on_even_window(self):
-        window = LatencyWindow(maxlen=16)
-        for value in (1.0, 2.0, 3.0, 4.0):
-            window.observe(value)
-        # round(0.5 * 3) = round(1.5) = 2 under banker's rounding -> 3.0
-        assert window.quantile(0.5) == 3.0
-        assert window.quantile(0.25) == 2.0
-
-    def test_window_slides_old_samples_out(self):
-        window = LatencyWindow(maxlen=2)
-        for value in (100.0, 1.0, 2.0):
-            window.observe(value)
-        assert window.quantile(1.0) == 2.0  # the 100.0 sample fell off
-
-    def test_empty_window_has_no_quantiles(self):
-        window = LatencyWindow(maxlen=4)
-        assert window.quantile(0.5) is None
-
-    def test_invalid_arguments_rejected(self):
-        with pytest.raises(ValueError):
-            LatencyWindow(maxlen=0)
-        window = LatencyWindow(maxlen=4)
-        window.observe(1.0)
-        with pytest.raises(ValueError):
-            window.quantile(1.5)
-        with pytest.raises(ValueError):
-            window.quantile(-0.1)
+        assert grew("requests_by_op", "match") == per_side
+        assert grew("replies_ok") == per_side
+        assert grew("latency_samples") == per_side
+        assert grew("cache_misses") == per_side
+        assert grew("batches") == per_side
+        assert grew("batched_requests") == per_side * 8
+        assert grew("classes_minted") == per_side
+        assert grew("errors_by_type", "overloaded") == per_side
+        assert after["max_batch_size"] >= 8
