@@ -19,7 +19,6 @@ __all__ = [
     "TimedRun",
     "time_classifier",
     "incremental_times",
-    "incremental_times_bulk",
 ]
 
 
@@ -91,34 +90,6 @@ def incremental_times(
     Produces the (x = #functions, y = seconds) series of the paper's
     Fig. 5 for one classifier.
     """
-    def collect(chunk: Sequence[TruthTable], keys: set) -> None:
-        for tt in chunk:
-            keys.add(classifier.key(tt))
-
-    return _incremental_series(collect, tables, points)
-
-
-def incremental_times_bulk(
-    classifier, tables: Sequence[TruthTable], points: Sequence[int]
-) -> list[tuple[int, float]]:
-    """:func:`incremental_times` for engines exposing bulk ``signatures``.
-
-    The batched and sharded engines have no per-function ``key`` method —
-    their unit of work is a whole batch — so each Fig. 5 increment feeds
-    them the next slice in one ``signatures`` call.  Classes are still
-    counted globally via the signature set.
-    """
-    def collect(chunk: Sequence[TruthTable], keys: set) -> None:
-        if chunk:
-            keys.update(classifier.signatures(chunk))
-
-    return _incremental_series(collect, tables, points)
-
-
-def _incremental_series(
-    collect, tables: Sequence[TruthTable], points: Sequence[int]
-) -> list[tuple[int, float]]:
-    """Shared sorted-points / slice / cumulative-clock loop of Fig. 5."""
     series: list[tuple[int, float]] = []
     keys: set = set()
     done = 0
@@ -126,7 +97,8 @@ def _incremental_series(
     for point in sorted(points):
         chunk = tables[done:point]
         start = time.perf_counter()
-        collect(chunk, keys)
+        for tt in chunk:
+            keys.add(classifier.key(tt))
         elapsed += time.perf_counter() - start
         done = point
         series.append((point, elapsed))

@@ -29,7 +29,6 @@ from repro.analysis.tables import format_table
 from repro.baselines.base import registered_classifiers
 from repro.core.truth_table import TruthTable
 from repro.engine import ENGINE_NAMES
-from repro.service.coalescer import SERVICE_ENGINES
 
 __all__ = ["main", "build_parser"]
 
@@ -54,15 +53,8 @@ def build_parser() -> argparse.ArgumentParser:
         default="perfn",
         choices=ENGINE_NAMES,
         help="engine for --method ours: one function at a time (perfn), "
-        "the packed/vectorized batch engine (batched), the multi-process "
-        "sharded engine (sharded), or the signature-prefiltered exact "
-        "canonical-form engine (canonical)",
-    )
-    classify.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        help="worker processes for --engine sharded (default: all CPUs)",
+        "the packed/vectorized batch engine (batched), or the "
+        "signature-prefiltered exact canonical-form engine (canonical)",
     )
     classify.add_argument(
         "--show-classes", action="store_true", help="print class members"
@@ -123,10 +115,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--engine",
         default="batched",
         choices=ENGINE_NAMES,
-        help="classification engine (every engine builds the same library)",
-    )
-    lib_build.add_argument(
-        "--workers", type=int, default=None, help="workers for --engine sharded"
+        help="classification engine (perfn and batched build the same "
+        "library; canonical splits the rare signature buckets above n=4 "
+        "that hold more than one NPN class)",
     )
     lib_stats = lib_sub.add_parser("stats", help="summarise a saved library")
     lib_stats.add_argument(
@@ -164,12 +155,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--host", default="127.0.0.1", help="bind address")
     serve.add_argument(
         "--port", type=int, default=8355, help="bind port (0 picks a free one)"
-    )
-    serve.add_argument(
-        "--engine",
-        default="batched",
-        choices=SERVICE_ENGINES,
-        help="in-process signature engine (sharded runs as many daemons)",
     )
     serve.add_argument(
         "--max-batch",
@@ -341,12 +326,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="distinct workers holding each shard (owner + successors)",
     )
     worker.add_argument(
-        "--engine",
-        default="batched",
-        choices=SERVICE_ENGINES,
-        help="in-process signature engine",
-    )
-    worker.add_argument(
         "--max-batch",
         type=int,
         default=256,
@@ -468,14 +447,6 @@ def build_parser() -> argparse.ArgumentParser:
                 action="store_true",
                 help="skip the exact-class ground-truth column",
             )
-        if name in ("table3", "fig5"):
-            cmd.add_argument(
-                "--sharded-workers",
-                type=int,
-                default=None,
-                metavar="N",
-                help="also run the multi-process sharded engine with N workers",
-            )
     return parser
 
 
@@ -496,14 +467,6 @@ def _parse_one(text: str, n_hint: int | None) -> TruthTable:
     from repro.service.protocol import parse_table_text
 
     return parse_table_text(text, n_hint)
-
-
-#: Flag name and recovery hint for the experiment commands' worker knob
-#: (omitting it skips the sharded column, unlike classify's --workers).
-_SHARDED_WORKERS_HINT = (
-    "--sharded-workers",
-    "omit the flag to skip the sharded engine",
-)
 
 
 def main(argv=None) -> int:
@@ -548,22 +511,14 @@ def main(argv=None) -> int:
     if command == "table3":
         from repro.experiments.table3 import run_table3
 
-        if _bad_worker_count(args.sharded_workers, *_SHARDED_WORKERS_HINT):
-            return 2
-        rows = run_table3(
-            args.scale,
-            exact=not args.no_exact,
-            sharded_workers=args.sharded_workers,
-        )
+        rows = run_table3(args.scale, exact=not args.no_exact)
         print(format_table(rows, title="Table III — classifier comparison"))
         return 0
     if command == "fig5":
         from repro.analysis.ascii_plot import ascii_chart
         from repro.experiments.fig5 import run_fig5
 
-        if _bad_worker_count(args.sharded_workers, *_SHARDED_WORKERS_HINT):
-            return 2
-        for row in run_fig5(args.scale, sharded_workers=args.sharded_workers):
+        for row in run_fig5(args.scale):
             series = {
                 key: row[key]
                 for key in row
@@ -589,21 +544,6 @@ def main(argv=None) -> int:
     raise AssertionError(f"unhandled command {command}")  # pragma: no cover
 
 
-def _bad_worker_count(
-    workers: int | None,
-    flag: str = "--workers",
-    recovery: str = "omit the flag to use every CPU",
-) -> bool:
-    """Report unusable worker counts; ``0`` is the classic typo."""
-    if workers is None or workers >= 1:
-        return False
-    print(
-        f"{flag} needs at least 1 worker process, got {workers} ({recovery})",
-        file=sys.stderr,
-    )
-    return True
-
-
 def _cmd_classify(args) -> int:
     from repro.baselines import get_classifier
 
@@ -612,11 +552,6 @@ def _cmd_classify(args) -> int:
             f"--engine {args.engine} only applies to --method ours",
             file=sys.stderr,
         )
-        return 2
-    if args.workers is not None and args.engine != "sharded":
-        print("--workers requires --engine sharded", file=sys.stderr)
-        return 2
-    if _bad_worker_count(args.workers):
         return 2
     if args.file == "-":
         lines = sys.stdin.readlines()
@@ -630,10 +565,8 @@ def _cmd_classify(args) -> int:
     if args.method == "ours" and args.engine != "perfn":
         from repro.engine import make_classifier
 
-        classifier = make_classifier(args.engine, workers=args.workers)
+        classifier = make_classifier(args.engine)
         label = f"ours, {args.engine} engine"
-        if args.engine == "sharded":
-            label += f", {classifier.workers} workers"
     else:
         classifier = get_classifier(args.method)
         label = args.method
@@ -812,11 +745,6 @@ def _cmd_library_build(args) -> int:
     from repro.library import build_library
     from repro.workloads.library_corpus import EXHAUSTIVE_MAX_VARS, corpus_for_arity
 
-    if args.workers is not None and args.engine != "sharded":
-        print("--workers requires --engine sharded", file=sys.stderr)
-        return 2
-    if _bad_worker_count(args.workers):
-        return 2
     try:
         arities = _parse_arity_spec(args.inputs)
     except ValueError as exc:
@@ -832,7 +760,7 @@ def _cmd_library_build(args) -> int:
     corpus = chain.from_iterable(
         corpus_for_arity(n, args.samples, args.seed) for n in arities
     )
-    library = build_library(corpus, engine=args.engine, workers=args.workers)
+    library = build_library(corpus, engine=args.engine)
     path = library.save(args.out)
     print(
         format_table(
@@ -895,7 +823,6 @@ def _cmd_serve(args) -> int:
     # fails before the potentially expensive library load.
     try:
         validate_service_knobs(
-            engine=args.engine,
             max_batch=args.max_batch,
             max_wait_ms=args.max_wait_ms,
             max_pending=args.max_pending,
@@ -956,7 +883,6 @@ def _cmd_serve(args) -> int:
         library,
         host=args.host,
         port=args.port,
-        engine=args.engine,
         max_batch=args.max_batch,
         max_wait_ms=args.max_wait_ms,
         max_pending=args.max_pending,
@@ -1028,7 +954,6 @@ def _cmd_worker(args) -> int:
         nodes = parse_ring_spec(args.ring)
         ring = HashRing(nodes, vnodes=args.vnodes, replicas=args.replicas)
         validate_service_knobs(
-            engine=args.engine,
             max_batch=args.max_batch,
             max_wait_ms=args.max_wait_ms,
         )
@@ -1056,7 +981,6 @@ def _cmd_worker(args) -> int:
         ring=ring,
         host=args.host,
         port=args.port,
-        engine=args.engine,
         max_batch=args.max_batch,
         max_wait_ms=args.max_wait_ms,
     )

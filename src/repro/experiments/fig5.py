@@ -11,13 +11,8 @@ which is near zero for a linear-time method.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from contextlib import nullcontext
 
-from repro.analysis.timing import (
-    incremental_times,
-    incremental_times_bulk,
-    time_classifier,
-)
+from repro.analysis.timing import incremental_times, time_classifier
 from repro.baselines import get_classifier
 from repro.experiments.workload_cache import scale_settings
 from repro.workloads.random_functions import consecutive_tables
@@ -30,15 +25,12 @@ def fig5_series(
     counts: Sequence[int],
     methods: Sequence[str] = ("ours", "zhou20"),
     seed: int = 42,
-    sharded_workers: int | None = None,
 ) -> dict:
     """Cumulative-runtime series for one bit width.
 
     Returns ``{"n": n, "points": counts, method: [seconds...], ...}``.
     Each count uses a fresh consecutive block (different random start), as
-    in the paper's per-point regeneration.  With ``sharded_workers`` set,
-    an ``ours_sharded`` series driven by the multi-process engine is
-    added alongside the named methods.
+    in the paper's per-point regeneration.
     """
     result: dict = {"n": n, "points": list(counts)}
     tables = consecutive_tables(n, max(counts), seed=seed)
@@ -47,17 +39,6 @@ def fig5_series(
             get_classifier(method), tables, points=sorted(counts)
         )
         result[method] = [round(seconds, 4) for __, seconds in series]
-    if sharded_workers is not None:
-        from repro.engine import ShardedClassifier
-
-        classifier = ShardedClassifier(workers=sharded_workers)
-        # One pool held across all increments: the series must measure
-        # classification, not per-point pool forking.
-        with classifier.open_pool():
-            series = incremental_times_bulk(
-                classifier, tables, points=sorted(counts)
-            )
-        result["ours_sharded"] = [round(seconds, 4) for __, seconds in series]
     return result
 
 
@@ -67,7 +48,6 @@ def block_stability(
     methods: Sequence[str] = ("ours", "zhou20"),
     blocks: int = 10,
     base_seed: int = 1,
-    extra_classifiers: dict[str, object] | None = None,
 ) -> dict[str, float]:
     """Relative spread of runtimes across independently drawn blocks.
 
@@ -88,20 +68,11 @@ def block_stability(
         consecutive_tables(n, block_size, seed=base_seed + 101 * k)
         for k in range(blocks)
     ]
-    named = {method: get_classifier(method) for method in methods}
-    named.update(extra_classifiers or {})
-    for label, classifier in named.items():
-        scope = (
-            classifier.open_pool()
-            if hasattr(classifier, "open_pool")
-            else nullcontext()
-        )
-        with scope:
-            times = [
-                time_classifier(classifier, tables).seconds for tables in sets
-            ]
+    for method in methods:
+        classifier = get_classifier(method)
+        times = [time_classifier(classifier, tables).seconds for tables in sets]
         mean = statistics.mean(times)
-        scores[label] = statistics.stdev(times) / mean if mean else 0.0
+        scores[method] = statistics.stdev(times) / mean if mean else 0.0
     return scores
 
 
@@ -109,30 +80,20 @@ def run_fig5(
     scale: str | None = None,
     widths: Sequence[int] = (5, 7),
     methods: Sequence[str] = ("ours", "zhou20"),
-    sharded_workers: int | None = None,
 ) -> list[dict]:
     """Regenerate both Fig. 5 panels plus stability scores.
 
     The ``stability`` entries give each method's relative spread of
     runtimes across ten independently drawn consecutive sets (see
     :func:`block_stability`) — the quantitative version of "our
-    classifier has stable runtime".  ``sharded_workers`` adds the
-    multi-process engine as an ``ours_sharded`` series and stability
-    score.
+    classifier has stable runtime".
     """
     settings = scale_settings(scale)
     counts = settings.fig5_counts
-    extra: dict[str, object] = {}
-    if sharded_workers is not None:
-        from repro.engine import ShardedClassifier
-
-        extra["ours_sharded"] = ShardedClassifier(workers=sharded_workers)
     rows = []
     for n in widths:
-        row = fig5_series(n, counts, methods, sharded_workers=sharded_workers)
-        scores = block_stability(
-            n, counts[0], methods, base_seed=7 * n + 1, extra_classifiers=extra
-        )
+        row = fig5_series(n, counts, methods)
+        scores = block_stability(n, counts[0], methods, base_seed=7 * n + 1)
         for label in scores:
             row[f"{label}_stability"] = round(scores[label], 4)
         rows.append(row)

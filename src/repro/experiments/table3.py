@@ -32,16 +32,8 @@ def table3_row(
     kitty_max_n: int = 5,
     kitty_limit: int = 300,
     exact: bool = True,
-    sharded_workers: int | None = None,
 ) -> dict:
-    """One Table III row: class count and seconds per method.
-
-    With ``sharded_workers`` set, an ``ours_sharded`` column pair is
-    added: the same signature classifier driven through the
-    multi-process :class:`~repro.engine.sharded.ShardedClassifier` —
-    class counts must match the ``ours`` column exactly (same
-    signatures, different execution strategy).
-    """
+    """One Table III row: class count and seconds per method."""
     row: dict = {"n": n, "functions": len(tables)}
     row["exact"] = ExactClassifier().count_classes(tables) if exact else None
     if n <= kitty_max_n:
@@ -58,22 +50,10 @@ def table3_row(
         run = time_classifier(get_classifier(method), tables)
         row[f"{method}_classes"] = run.classes
         row[f"{method}_seconds"] = round(run.seconds, 4)
-    if sharded_workers is not None:
-        from repro.engine import ShardedClassifier
-
-        run = time_classifier(
-            ShardedClassifier(workers=sharded_workers), tables
-        )
-        row["ours_sharded_classes"] = run.classes
-        row["ours_sharded_seconds"] = round(run.seconds, 4)
     return row
 
 
-def run_table3(
-    scale: str | None = None,
-    exact: bool = True,
-    sharded_workers: int | None = None,
-) -> list[dict]:
+def run_table3(scale: str | None = None, exact: bool = True) -> list[dict]:
     """Regenerate Table III on the EPFL-like workload at the given scale."""
     settings = scale_settings(scale)
     functions = benchmark_functions(settings.name)
@@ -84,7 +64,6 @@ def run_table3(
             kitty_max_n=settings.kitty_max_n,
             kitty_limit=settings.kitty_limit,
             exact=exact,
-            sharded_workers=sharded_workers,
         )
         for n in sorted(functions)
     ]

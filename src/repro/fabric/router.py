@@ -311,7 +311,7 @@ class RouterService(LineProtocolServer):
                 )
         capabilities = {
             key: worker.get(key)
-            for key in ("arities", "classes", "learning", "engine", "pid")
+            for key in ("arities", "classes", "learning", "pid")
             if key in worker
         }
         self.registry.register(worker_id, address, capabilities)

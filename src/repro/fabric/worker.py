@@ -87,8 +87,13 @@ class FabricWorker(ClassificationService):
     async def _drain(self) -> None:
         """Drain notice to the router first, then answer the backlog."""
         if self._control_task is not None:
-            self._control_task.cancel()
-            await asyncio.gather(self._control_task, return_exceptions=True)
+            # Before Python 3.12, asyncio.wait_for returns its result
+            # instead of raising when the cancel lands as its inner call
+            # completes, and the heartbeat loop would run on forever.
+            # So cancel until the task has really ended.
+            while not self._control_task.done():
+                self._control_task.cancel()
+                await asyncio.wait([self._control_task], timeout=0.1)
             self._control_task = None
         try:
             await self._control_call(
@@ -169,7 +174,6 @@ class FabricWorker(ClassificationService):
                 "arities": sorted(self.library.arities()),
                 "classes": self.library.num_classes,
                 "learning": self.coalescer.learner is not None,
-                "engine": self.coalescer.engine,
                 "pid": self.identity()["pid"],
             },
         }

@@ -236,9 +236,9 @@ def _persist_to_disk(table: GatherTable, cache_dir: str | Path | None) -> None:
         return
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
-        # Per-writer temp name: concurrent cold starts (service workers,
-        # the sharded engine) must not truncate each other's half-written
-        # file before one of them atomically publishes it.
+        # Per-writer temp name: concurrent cold starts (several daemons
+        # sharing one kernel cache) must not truncate each other's
+        # half-written file before one of them atomically publishes it.
         temp = path.with_suffix(f".{os.getpid()}.tmp")
         with open(temp, "wb") as handle:
             np.savez(handle, perms=table.perms, perm_maps=table.perm_maps)

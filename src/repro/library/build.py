@@ -12,9 +12,13 @@ canonical representatives as their group keys; those are reused without
 recomputation.
 
 Builders accept a ready :class:`~repro.core.classifier.ClassificationResult`
-from *any* engine — per-function, batched, sharded and canonical all
-produce consistent buckets, so the resulting library is
-engine-independent.
+from any engine, and every bucket becomes one class.  The per-function
+and batched engines produce byte-identical buckets, so they build the
+same library.  The canonical engine can build more classes above
+``n = 4``: a signature bucket may hold more than one NPN orbit (the
+n=5 functions ``0x3de88452`` and ``0x83161d9a`` share an MSV), which
+the signature engines keep as one class and the canonical engine
+splits into one class per orbit.
 """
 
 from __future__ import annotations
@@ -74,12 +78,11 @@ def build_library(
     tables: Iterable[TruthTable],
     parts=DEFAULT_PARTS,
     engine: str = "batched",
-    workers: int | None = None,
 ) -> ClassLibrary:
     """Classify ``tables`` with the chosen engine and build a library."""
     from repro.engine import make_classifier
 
-    classifier = make_classifier(engine, parts=parts, workers=workers)
+    classifier = make_classifier(engine, parts=parts)
     return library_from_result(classifier.classify(list(tables)))
 
 
@@ -87,13 +90,10 @@ def build_exhaustive_library(
     n: int,
     parts=DEFAULT_PARTS,
     engine: str = "batched",
-    workers: int | None = None,
 ) -> ClassLibrary:
     """Library over *all* ``2^(2^n)`` functions of ``n`` variables (n <= 4).
 
     The complete class inventory of the arity; at n = 4 this is the
     classical 222 NPN classes.
     """
-    return build_library(
-        exhaustive_tables(n), parts=parts, engine=engine, workers=workers
-    )
+    return build_library(exhaustive_tables(n), parts=parts, engine=engine)

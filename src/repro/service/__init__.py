@@ -34,7 +34,6 @@ from repro.service.coalescer import (
     DEFAULT_MAX_BATCH,
     DEFAULT_MAX_PENDING,
     DEFAULT_MAX_WAIT_MS,
-    SERVICE_ENGINES,
     Coalescer,
 )
 from repro.service.protocol import (
@@ -59,7 +58,6 @@ __all__ = [
     "DEFAULT_MAX_BATCH",
     "DEFAULT_MAX_WAIT_MS",
     "DEFAULT_MAX_PENDING",
-    "SERVICE_ENGINES",
     "MAX_LINE_BYTES",
     "PROTOCOL_VERSION",
 ]

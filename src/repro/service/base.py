@@ -69,9 +69,6 @@ _REQUESTS = _REG.counter(
 _ERRORS = _REG.counter(
     "repro_service_errors_total", "Error replies by type.", labels=("type",)
 )
-_REPLIES = _REG.counter(
-    "repro_service_replies_total", "Successful replies written."
-)
 _LATENCY = _REG.histogram(
     "repro_service_request_seconds",
     "End-to-end request latency, protocol decode to reply write.",
@@ -144,7 +141,6 @@ class LineProtocolServer:
         self._stopping.set()
         if self._server is not None:
             self._server.close()
-            await self._server.wait_closed()
         await self._drain()
         # Closing the transports feeds EOF to every connection reader, so
         # handlers exit their read loops normally — cancellation is only
@@ -155,10 +151,21 @@ class LineProtocolServer:
             _done, pending = await asyncio.wait(
                 list(self._connections), timeout=5.0
             )
+            if pending:
+                # A client that stopped reading keeps close() from ever
+                # flushing, and its reply writes wait in drain() for good:
+                # drop the unsent bytes so those writes fail.
+                for writer in list(self._writers):
+                    writer.transport.abort()
             for task in pending:
                 task.cancel()
             if pending:
                 await asyncio.gather(*pending, return_exceptions=True)
+        # Last, not right after close(): from Python 3.12.1 on,
+        # wait_closed() returns only once every connection has dropped,
+        # so awaited earlier it blocks on any idle client for good.
+        if self._server is not None:
+            await self._server.wait_closed()
 
     def request_stop(self) -> None:
         """Ask :meth:`serve_forever` to begin its drain (signal-safe)."""
@@ -341,7 +348,6 @@ class LineProtocolServer:
                 trace.annotate(error=exc.error_type)
                 self.tracer.finish(trace)
             raise
-        _REPLIES.inc()
         _LATENCY.observe(asyncio.get_running_loop().time() - t0)
         return result
 
@@ -479,11 +485,14 @@ class LineProtocolServer:
         misses = int(lookups.value(result="miss"))
         minted = _REG.get("repro_library_classes_minted_total")
         p50, p99 = _LATENCY.quantile(0.50), _LATENCY.quantile(0.99)
+        # Every successful reply is timed once, so the latency count is
+        # the reply count.
+        replies = _LATENCY.series()["count"]
         return {
             "uptime_s": round(time.monotonic() - self.started, 3),
             "requests_total": sum(requests.values()),
             "requests_by_op": requests,
-            "replies_ok": int(_REPLIES.value()),
+            "replies_ok": replies,
             "errors_total": sum(errors.values()),
             "errors_by_type": errors,
             "batches": batches,
@@ -498,7 +507,7 @@ class LineProtocolServer:
             "classes_minted": int(minted.value()),
             "latency_p50_ms": None if p50 is None else round(p50 * 1e3, 3),
             "latency_p99_ms": None if p99 is None else round(p99 * 1e3, 3),
-            "latency_samples": _LATENCY.series()["count"],
+            "latency_samples": replies,
         }
 
 

@@ -13,7 +13,7 @@ coalescer wins it back:
    requests, waiting at most ``max_wait_ms`` for stragglers once the
    first request of a batch arrived;
 3. the batch's signatures are computed in one vectorized pass on the
-   shared engine (built by :func:`repro.engine.make_classifier`) and
+   shared :class:`~repro.engine.BatchedClassifier` and
    matches resolved through :meth:`ClassLibrary.match_many`, off the
    event loop on a dedicated executor thread so I/O keeps flowing —
    and keeps *filling the next batch* — while NumPy crunches;
@@ -46,7 +46,7 @@ from repro import obs
 from repro.canonical.form import canonical_class_id, canonical_forms
 from repro.obs import Trace
 from repro.core.truth_table import TruthTable
-from repro.engine import make_classifier
+from repro.engine import BatchedClassifier
 from repro.library.online import LearningLibrary
 from repro.library.store import ClassLibrary
 from repro.service.cache import MatchCache
@@ -55,7 +55,6 @@ from repro.service.protocol import ProtocolError
 __all__ = [
     "Coalescer",
     "validate_service_knobs",
-    "SERVICE_ENGINES",
     "DEFAULT_MAX_BATCH",
     "DEFAULT_MAX_WAIT_MS",
     "DEFAULT_MAX_PENDING",
@@ -65,17 +64,9 @@ DEFAULT_MAX_BATCH = 256
 DEFAULT_MAX_WAIT_MS = 2.0
 DEFAULT_MAX_PENDING = 8192
 
-#: Engines an asyncio daemon can host in-process.  The sharded engine
-#: owns a multiprocessing pool whose lifecycle fights the event loop's;
-#: scale-out for the service is many daemons behind a load balancer.
-SERVICE_ENGINES = ("perfn", "batched")
-
 _CLOSE = object()  # queue sentinel: drain what is queued, then stop
 
 _REG = obs.registry()
-_BATCHES = _REG.counter(
-    "repro_service_batches_total", "Engine batches dispatched by the coalescer."
-)
 _BATCH_SIZE = _REG.histogram(
     "repro_service_batch_size",
     "Requests per dispatched engine batch.",
@@ -84,7 +75,6 @@ _BATCH_SIZE = _REG.histogram(
 
 
 def validate_service_knobs(
-    engine: str = "batched",
     max_batch: int = DEFAULT_MAX_BATCH,
     max_wait_ms: float = DEFAULT_MAX_WAIT_MS,
     max_pending: int = DEFAULT_MAX_PENDING,
@@ -97,11 +87,6 @@ def validate_service_knobs(
     it *before* loading a (potentially large) library so flag typos fail
     fast.
     """
-    if engine not in SERVICE_ENGINES:
-        raise ValueError(
-            f"service engine must be one of {', '.join(SERVICE_ENGINES)}, "
-            f"got {engine!r}"
-        )
     if max_batch < 1:
         raise ValueError(f"max_batch must be >= 1, got {max_batch}")
     if max_wait_ms < 0:
@@ -131,7 +116,6 @@ class Coalescer:
 
     Args:
         library: the loaded :class:`ClassLibrary` queries resolve against.
-        engine: signature engine name (see :data:`SERVICE_ENGINES`).
         max_batch: most requests folded into one engine batch.
         max_wait_ms: how long a non-full batch waits for stragglers after
             its first request arrived.  ``0`` never waits — it still
@@ -146,7 +130,6 @@ class Coalescer:
     def __init__(
         self,
         library: ClassLibrary,
-        engine: str = "batched",
         max_batch: int = DEFAULT_MAX_BATCH,
         max_wait_ms: float = DEFAULT_MAX_WAIT_MS,
         max_pending: int = DEFAULT_MAX_PENDING,
@@ -154,7 +137,6 @@ class Coalescer:
         learner: LearningLibrary | None = None,
     ) -> None:
         validate_service_knobs(
-            engine=engine,
             max_batch=max_batch,
             max_wait_ms=max_wait_ms,
             max_pending=max_pending,
@@ -167,8 +149,7 @@ class Coalescer:
             )
         self.library = library
         self.learner = learner
-        self.classifier = make_classifier(engine, parts=library.parts)
-        self.engine = engine
+        self.classifier = BatchedClassifier(library.parts)
         self.max_batch = max_batch
         self.max_wait_ms = max_wait_ms
         self.cache = MatchCache(cache_size)
@@ -294,7 +275,6 @@ class Coalescer:
             stop_after = await self._fill(batch)
             live = [p for p in batch if not p.future.cancelled()]
             if live:
-                _BATCHES.inc()
                 _BATCH_SIZE.observe(len(live))
                 dispatched = time.perf_counter()
                 queue_meta = {"batch": len(live)}  # shared; spans don't mutate
@@ -467,6 +447,6 @@ class Coalescer:
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
-            f"Coalescer(engine={self.engine!r}, max_batch={self.max_batch}, "
+            f"Coalescer(max_batch={self.max_batch}, "
             f"max_wait_ms={self.max_wait_ms}, pending={self.pending})"
         )

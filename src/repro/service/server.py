@@ -71,7 +71,7 @@ class ClassificationService(LineProtocolServer):
             (loaded once — the whole point of the daemon).
         host/port: bind address; ``port=0`` picks a free port (see
             :attr:`port` after :meth:`start`).
-        engine / max_batch / max_wait_ms / max_pending / cache_size:
+        max_batch / max_wait_ms / max_pending / cache_size:
             coalescer knobs, see :class:`Coalescer`.
         learner: a :class:`~repro.library.online.LearningLibrary`
             wrapping ``library`` — attaches learn-on-miss minting and
@@ -90,7 +90,6 @@ class ClassificationService(LineProtocolServer):
         library: ClassLibrary,
         host: str = "127.0.0.1",
         port: int = DEFAULT_PORT,
-        engine: str = "batched",
         max_batch: int = DEFAULT_MAX_BATCH,
         max_wait_ms: float = DEFAULT_MAX_WAIT_MS,
         max_pending: int = DEFAULT_MAX_PENDING,
@@ -109,7 +108,6 @@ class ClassificationService(LineProtocolServer):
         )
         self.coalescer = Coalescer(
             library,
-            engine=engine,
             max_batch=max_batch,
             max_wait_ms=max_wait_ms,
             max_pending=max_pending,
@@ -171,7 +169,6 @@ class ClassificationService(LineProtocolServer):
         return {
             "pid": os.getpid(),
             "address": self.address,
-            "engine": self.coalescer.engine,
             "transports": ["ndjson", "http/1.0"],
             "classes": self.library.num_classes,
             "learning": self.coalescer.learner is not None,

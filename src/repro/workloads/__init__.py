@@ -5,7 +5,6 @@ from repro.workloads.batched import (
     packed_consecutive_tables,
     packed_equivalent_tables,
     packed_random_tables,
-    packed_shards,
 )
 from repro.workloads.epfl import epfl_like_suite, suite_summary
 from repro.workloads.extraction import extract_cut_functions, extraction_report
@@ -39,7 +38,6 @@ __all__ = [
     "packed_consecutive_tables",
     "packed_equivalent_tables",
     "pack_by_arity",
-    "packed_shards",
     "exhaustive_tables",
     "sampled_tables",
     "corpus_for_arity",

@@ -24,7 +24,6 @@ __all__ = [
     "packed_consecutive_tables",
     "packed_equivalent_tables",
     "pack_by_arity",
-    "packed_shards",
 ]
 
 
@@ -46,27 +45,6 @@ def packed_equivalent_tables(
     """Seeded NPN orbits, packed; returns ``(batch, class upper bound)``."""
     tables, bound = seeded_equivalent_tables(n, orbits, members_per_orbit, seed)
     return PackedTables.from_tables(tables), bound
-
-
-def packed_shards(tables: Iterable[TruthTable], shard_size: int):
-    """Split a same-arity stream into :class:`PackedTables` shards.
-
-    Consumes ``tables`` lazily and yields packed batches of at most
-    ``shard_size`` rows.  (The sharded *engine* builds its own wire
-    buffers internally — this is the workload-side counterpart, for
-    callers that classify shard-by-shard themselves and merge results,
-    or feed any bulk consumer without materialising the stream.)
-    """
-    if shard_size < 1:
-        raise ValueError(f"shard size must be positive, got {shard_size}")
-    block: list[TruthTable] = []
-    for tt in tables:
-        block.append(tt)
-        if len(block) == shard_size:
-            yield PackedTables.from_tables(block)
-            block = []
-    if block:
-        yield PackedTables.from_tables(block)
 
 
 def pack_by_arity(tables: Iterable[TruthTable]) -> dict[int, PackedTables]:

@@ -40,8 +40,7 @@ def random_tables(n: int, count: int, seed: int) -> list[TruthTable]:
 def iter_random_tables(n: int, count: int, seed: int):
     """Lazy :func:`random_tables`: the identical sequence, O(1) memory.
 
-    The streaming companion for :meth:`ShardedClassifier.classify_iter`
-    and any workload too large to materialise — same seed, same tables,
+    For workloads too large to materialise — same seed, same tables,
     delivered one at a time.
     """
     rng = random.Random(seed)

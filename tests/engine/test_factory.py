@@ -10,24 +10,18 @@ import pytest
 
 from repro.core.classifier import FacePointClassifier
 from repro.core.msv import DEFAULT_PARTS
-from repro.engine import (
-    ENGINE_NAMES,
-    BatchedClassifier,
-    ShardedClassifier,
-    make_classifier,
-)
+from repro.engine import ENGINE_NAMES, BatchedClassifier, make_classifier
 
 
 class TestMakeClassifier:
     def test_engine_names_cover_all_engines(self):
-        assert ENGINE_NAMES == ("perfn", "batched", "sharded", "canonical")
+        assert ENGINE_NAMES == ("perfn", "batched", "canonical")
 
     def test_each_name_builds_its_engine(self):
         from repro.canonical.engine import CanonicalClassifier
 
         assert isinstance(make_classifier("perfn"), FacePointClassifier)
         assert isinstance(make_classifier("batched"), BatchedClassifier)
-        assert isinstance(make_classifier("sharded"), ShardedClassifier)
         assert isinstance(make_classifier("canonical"), CanonicalClassifier)
 
     def test_default_is_batched(self):
@@ -50,10 +44,6 @@ class TestMakeClassifier:
         with pytest.raises(ValueError):
             make_classifier(bad)
 
-    def test_workers_only_for_sharded(self):
-        with pytest.raises(ValueError) as excinfo:
-            make_classifier("batched", workers=2)
-        assert "sharded" in str(excinfo.value)
-
-    def test_workers_reach_the_sharded_engine(self):
-        assert make_classifier("sharded", workers=2).workers == 2
+    def test_sharded_is_not_an_engine(self):
+        with pytest.raises(ValueError):
+            make_classifier("sharded")

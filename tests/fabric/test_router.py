@@ -610,3 +610,33 @@ class TestWorkerDaemon:
                 )
             )
             assert worker.library.num_classes == expected
+
+    def test_stop_ends_a_control_loop_that_swallowed_its_cancel(
+        self, tiny_library, monkeypatch
+    ):
+        # Before Python 3.12, asyncio.wait_for returns its result instead
+        # of raising when a cancel lands as its inner call completes.  A
+        # heartbeat that swallows the drain's cancel must not stall stop().
+        worker = make_worker(tiny_library, "w0", HashRing(RING), "127.0.0.1:9")
+        beating = threading.Event()
+        swallowed = []
+
+        async def control_call(payload):
+            if payload["op"] == "heartbeat" and not swallowed:
+                beating.set()
+                try:
+                    await asyncio.sleep(30.0)
+                except asyncio.CancelledError:
+                    swallowed.append(True)
+            return {"ok": True, "result": {"known": True}}
+
+        monkeypatch.setattr(worker, "_control_call", control_call)
+        host = ThreadedService(worker).start()
+        try:
+            assert beating.wait(10.0)
+            started = time.monotonic()
+            host.stop()
+            assert time.monotonic() - started < 5.0
+            assert swallowed
+        finally:
+            host.stop()

@@ -43,23 +43,28 @@ class TestBuild:
         assert sum(e.size for e in lib3.entries()) == 256
 
     def test_engines_build_identical_libraries(self):
+        """The two signature engines build byte-identical libraries."""
         tables = list(exhaustive_tables(2)) + random_tables(5, 120, seed=9)
-        built = {
-            engine: build_library(tables, engine=engine, workers=workers)
-            for engine, workers in (
-                ("perfn", None),
-                ("batched", None),
-                ("sharded", 2),
-            )
-        }
         snapshots = {
             engine: [
                 (e.class_id, e.representative, e.size, e.exact)
-                for e in lib.entries()
+                for e in build_library(tables, engine=engine).entries()
             ]
-            for engine, lib in built.items()
+            for engine in ("perfn", "batched")
         }
-        assert snapshots["perfn"] == snapshots["batched"] == snapshots["sharded"]
+        assert snapshots["perfn"] == snapshots["batched"]
+
+    def test_canonical_engine_splits_a_shared_signature_bucket(self):
+        # Two n=5 orbits with one MSV: a signature bucket holds both, so
+        # the signature engines build one class and canonical builds two.
+        pair = [TruthTable(5, 0x3DE88452), TruthTable(5, 0x83161D9A)]
+        orbits = {exact_npn_canonical(tt).representative for tt in pair}
+        assert len(orbits) == 2
+        for engine in ("perfn", "batched"):
+            assert build_library(pair, engine=engine).num_classes == 1
+        canonical = build_library(pair, engine="canonical")
+        assert canonical.num_classes == 2
+        assert {e.representative for e in canonical.entries()} == orbits
 
     def test_add_class_accumulates_size(self):
         library = ClassLibrary()

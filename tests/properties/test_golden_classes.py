@@ -2,7 +2,7 @@
 
 ``tests/data/golden_classes.json`` pins, for fixed seeds at n = 4..6,
 the class count and the order-sensitive bucket digest of the face/point
-classifier.  Every engine must keep reproducing those digests
+classifier.  Both signature engines must keep reproducing those digests
 byte-for-byte, and the class library built from the buckets must resolve
 every corpus function to a verified witness — so any future refactor
 that silently splits, merges, or reorders an orbit fails loudly here
@@ -18,7 +18,7 @@ from pathlib import Path
 import pytest
 
 from repro.core.classifier import FacePointClassifier
-from repro.engine import BatchedClassifier, ShardedClassifier
+from repro.engine import BatchedClassifier
 from repro.library import library_from_result
 
 GOLDEN_PATH = Path(__file__).parent.parent / "data" / "golden_classes.json"
@@ -49,12 +49,6 @@ class TestEnginesReproduceGoldenBuckets:
     def test_batched_engine(self, golden_case):
         spec, tables = golden_case
         result = BatchedClassifier().classify(tables)
-        assert result.num_classes == spec["num_classes"]
-        assert result.buckets_digest() == spec["buckets_digest"]
-
-    def test_sharded_engine(self, golden_case):
-        spec, tables = golden_case
-        result = ShardedClassifier(workers=2, shard_size=127).classify(tables)
         assert result.num_classes == spec["num_classes"]
         assert result.buckets_digest() == spec["buckets_digest"]
 

@@ -4,9 +4,9 @@ The never-split property is the one contract every classification layer
 must preserve (paper Section IV): NPN-equivalent functions always share a
 bucket, because every MSV part is invariant under input permutation,
 input negation and (via phase canonicalisation) output negation.  This
-suite enforces it for *all three* engines — the per-function
-``FacePointClassifier``, the vectorized ``BatchedClassifier`` and the
-multi-process ``ShardedClassifier`` — from two directions:
+suite enforces it for both signature engines — the per-function
+``FacePointClassifier`` and the vectorized ``BatchedClassifier`` — from
+two directions:
 
 * **Hypothesis orbits** (n = 3..6, shrinking): the
   :func:`tests.strategies.npn_orbits` strategy builds NPN images by
@@ -15,10 +15,8 @@ multi-process ``ShardedClassifier`` — from two directions:
   ``repro.core.transforms.NPNTransform`` — so a bug in the transform
   algebra cannot mask a bug in the signatures, or vice versa.  A
   violation shrinks to the smallest arity and simplest orbit that still
-  splits.  The in-process engines run under ``@given``; the sharded
-  engine keeps a seeded orbit-soup workload (one pool spin-up per
-  hypothesis example would dominate the suite) — its bucket parity with
-  the fuzzed engines is asserted on the same soup.
+  splits.  A seeded orbit soup adds n = 6 and shuffled multi-orbit
+  batches, and the engines' bucket parity is asserted on it.
 * **Exhaustive small n**: every one of the ``2^(2^n)`` functions at
   n ≤ 3 (and a strided slice of n = 4), asserting all engines produce
   identical ``ClassificationResult`` buckets and that the class counts
@@ -32,7 +30,7 @@ from hypothesis import given
 
 from repro.core.classifier import FacePointClassifier
 from repro.core.truth_table import TruthTable
-from repro.engine import BatchedClassifier, ShardedClassifier
+from repro.engine import BatchedClassifier
 from tests.strategies import npn_orbits
 
 #: Number of NPN equivalence classes over all n-variable functions
@@ -41,12 +39,10 @@ from tests.strategies import npn_orbits
 KNOWN_NPN_CLASSES = {0: 1, 1: 2, 2: 4, 3: 14}
 
 #: Engine factories; fresh instances per test so caches never leak
-#: between cases.  The sharded instance uses 2 workers and a small shard
-#: size so the fan-out/merge path genuinely executes even on tiny inputs.
+#: between cases.
 ENGINES = {
     "perfn": lambda: FacePointClassifier(),
     "batched": lambda: BatchedClassifier(),
-    "sharded": lambda: ShardedClassifier(workers=2, shard_size=5),
 }
 
 
@@ -110,15 +106,10 @@ class TestOrbitGenerator:
         assert first == second
 
 
-#: Engines cheap enough to instantiate once per hypothesis example; the
-#: sharded engine (process-pool spin-up) stays on the seeded soup below.
-FUZZ_ENGINES = ("batched", "perfn")
-
-
 class TestNeverSplit:
     """Property: every engine keeps each orbit inside a single bucket."""
 
-    @pytest.mark.parametrize("engine", FUZZ_ENGINES)
+    @pytest.mark.parametrize("engine", sorted(ENGINES))
     @given(npn_orbits(max_images=6))
     def test_orbits_never_split(self, engine, orbit):
         seed_function, images = orbit
@@ -133,7 +124,7 @@ class TestNeverSplit:
         placement = bucket_index_by_table(result)
         assert len({placement[tt] for tt in flat}) == 1
 
-    @pytest.mark.parametrize("engine", FUZZ_ENGINES)
+    @pytest.mark.parametrize("engine", sorted(ENGINES))
     @given(npn_orbits(max_images=8))
     def test_orbit_signatures_are_equal(self, engine, orbit):
         """Stronger than bucketing: the signatures themselves coincide."""
@@ -147,13 +138,13 @@ class TestNeverSplit:
         assert len(set(signatures)) == 1
 
     @pytest.mark.parametrize("n", [3, 4, 5, 6])
-    def test_sharded_orbit_soup_never_splits(self, n):
-        """Seeded soup for the pool engine: one spin-up, many orbits."""
+    def test_orbit_soup_never_splits(self, n):
+        """Seeded soup: many shuffled orbits in one batch."""
         rng = random.Random(1000 + n)
         orbits = [random_orbit(n, 6, rng) for _ in range(8)]
         flat = [tt for orbit in orbits for tt in orbit]
         rng.shuffle(flat)
-        result = ShardedClassifier(workers=2, shard_size=5).classify(flat)
+        result = BatchedClassifier().classify(flat)
         assert result.num_functions == len(flat)
         # Sound, never-split: at most one bucket per planted orbit.
         assert result.num_classes <= len(orbits)
@@ -164,7 +155,7 @@ class TestNeverSplit:
 
     @pytest.mark.parametrize("n", [3, 4, 5])
     def test_engines_agree_on_orbit_workload(self, n):
-        """All three engines produce byte-identical buckets on orbit soup."""
+        """Both engines produce byte-identical buckets on orbit soup."""
         rng = random.Random(3000 + n)
         flat = [tt for _ in range(6) for tt in random_orbit(n, 5, rng)]
         rng.shuffle(flat)
@@ -183,9 +174,7 @@ class TestExhaustiveParity:
         tables = [TruthTable(n, bits) for bits in range(1 << (1 << n))]
         reference = FacePointClassifier().classify(tables)
         batched = BatchedClassifier().classify(tables)
-        sharded = ShardedClassifier(workers=2, shard_size=37).classify(tables)
         assert batched.buckets_digest() == reference.buckets_digest()
-        assert sharded.buckets_digest() == reference.buckets_digest()
         assert reference.num_classes == KNOWN_NPN_CLASSES[n]
         assert reference.num_functions == len(tables)
 
@@ -197,8 +186,6 @@ class TestExhaustiveParity:
         tables += [~tt for tt in tables[:100]]
         reference = FacePointClassifier().classify(tables)
         batched = BatchedClassifier().classify(tables)
-        sharded = ShardedClassifier(workers=2).classify(tables)
         assert batched.buckets_digest() == reference.buckets_digest()
-        assert sharded.buckets_digest() == reference.buckets_digest()
         # 222 NPN classes exist at n=4; a broad sample cannot exceed that.
         assert reference.num_classes <= 222

@@ -11,6 +11,7 @@ import asyncio
 import pytest
 
 from repro import obs
+from repro.core.classifier import FacePointClassifier
 from repro.core.truth_table import TruthTable
 from repro.service.coalescer import Coalescer
 from repro.service.protocol import ProtocolError
@@ -22,12 +23,6 @@ def tables(count, n=3, start=1):
 
 
 class TestConstruction:
-    def test_rejects_sharded_engine(self, tiny_library):
-        with pytest.raises(ValueError) as excinfo:
-            Coalescer(tiny_library, engine="sharded")
-        assert "perfn" in str(excinfo.value)
-        assert "batched" in str(excinfo.value)
-
     def test_rejects_bad_knobs(self, tiny_library):
         with pytest.raises(ValueError):
             Coalescer(tiny_library, max_batch=0)
@@ -156,22 +151,24 @@ class TestResults:
             if known:
                 assert outcome is not None and outcome.class_id == class_id
 
-    def test_perfn_engine_serves_correct_answers(self, tiny_library):
-        # Both service engines must be usable end-to-end, not just pass
-        # construction — a perfn daemon answers like a batched one.
+    def test_answers_match_the_per_function_reference(self, tiny_library):
+        # The daemon signs batches with BatchedClassifier; its signatures
+        # and answers must be the per-function reference engine's.
         queries = tables(6)
 
         async def scenario():
-            coalescer = Coalescer(
-                tiny_library, engine="perfn", max_batch=8, max_wait_ms=5.0
-            )
+            coalescer = Coalescer(tiny_library, max_batch=8, max_wait_ms=5.0)
             coalescer.start()
             futures = [coalescer.submit("match", tt) for tt in queries]
             results = await asyncio.gather(*futures)
             await coalescer.stop()
-            return results
+            return coalescer, results
 
-        results = asyncio.run(scenario())
+        coalescer, results = asyncio.run(scenario())
+        reference = FacePointClassifier(tiny_library.parts)
+        assert coalescer.classifier.signatures(queries) == [
+            reference.signature(tt) for tt in queries
+        ]
         for query, (outcome, _) in zip(queries, results):
             offline = tiny_library.match(query)
             assert outcome is not None and offline is not None

@@ -56,7 +56,7 @@ class TestMetricsEndpoint:
             "repro_cache_match_lookups_total",  # match cache
             "repro_library_match_queries_total",  # library matcher
             "repro_canonical_search_steps_total",  # canonical layer
-            "repro_sharded_rows_total",  # engine layer
+            "repro_service_batch_size",  # coalescer's engine batches
         ):
             assert f"# TYPE {family}" in text
 
@@ -161,7 +161,7 @@ class TestIdentityBlock:
         with ServiceClient(port=observed_service.port) as client:
             ndjson_identity = client.stats()["identity"]
         assert http_identity == ndjson_identity
-        assert http_identity["engine"] == "batched"
+        assert "engine" not in http_identity  # one engine: nothing to report
         assert http_identity["transports"] == ["ndjson", "http/1.0"]
         assert http_identity["learning"] is False
         assert http_identity["pid"] > 0
@@ -174,18 +174,18 @@ class TestRegistryDeltas:
     def test_requests_and_batches_grow_with_traffic(self, tiny_library):
         reg = obs.registry()
         requests = reg.get("repro_service_requests_total")
-        batches = reg.get("repro_service_batches_total")
+        batches = reg.get("repro_service_batch_size")
         lookups = reg.get("repro_cache_match_lookups_total")
         before = (
             requests.value(op="match"),
-            batches.value(),
+            batches.series()["count"],
             lookups.value(result="miss"),
         )
         with ThreadedService(tiny_library) as svc:
             with ServiceClient(port=svc.port) as client:
                 client.match(TruthTable.majority(3))
         assert requests.value(op="match") == before[0] + 1
-        assert batches.value() >= before[1] + 1
+        assert batches.series()["count"] >= before[1] + 1
         assert lookups.value(result="miss") == before[2] + 1
 
     def test_stats_counts_equal_their_metrics_series(self, observed_service):
@@ -227,11 +227,13 @@ class TestRegistryDeltas:
         assert stats["cache_hit_rate"] == round(hits / (hits + misses), 4)
         assert 0 < stats["latency_p50_ms"] <= stats["latency_p99_ms"]
         # The stats request itself is counted before the readout, its
-        # reply and latency after it.
+        # reply (timed once, so one latency sample) after it.
         assert stats["requests_by_op"]["stats"] == samples[
             'repro_service_requests_total{op="stats"}'
         ]
-        assert stats["replies_ok"] + 1 == samples["repro_service_replies_total"]
+        assert stats["replies_ok"] + 1 == samples[
+            "repro_service_request_seconds_count"
+        ]
         assert stats["latency_samples"] + 1 == samples[
             "repro_service_request_seconds_count"
         ]
@@ -259,13 +261,12 @@ class TestServiceMetricsThreadSafety:
         """Batch/mint accounting races the loop's request accounting.
 
         The coalescer's executor thread records batches and minted
-        classes while the event loop records requests, replies, cache
-        lookups and errors.  Threads record into the same families those
+        classes while the event loop records requests, reply latencies,
+        cache lookups and errors.  Threads record into the same families those
         sites use, and the ``stats`` readout must show every increment.
         """
         reg = obs.registry()
         requests = reg.get("repro_service_requests_total")
-        replies = reg.get("repro_service_replies_total")
         latency = reg.get("repro_service_request_seconds")
         lookups = reg.get("repro_cache_match_lookups_total")
         batch_sizes = reg.get("repro_service_batch_size")
@@ -278,7 +279,6 @@ class TestServiceMetricsThreadSafety:
         def loop_side():
             for _ in range(rounds):
                 requests.inc(op="match")
-                replies.inc()
                 latency.observe(0.001)
                 lookups.inc(result="miss")
 

@@ -334,6 +334,40 @@ class TestSigtermDrain:
         else:
             pytest.fail("listener still accepting after stop()")
 
+    def test_stop_with_idle_client_connected_is_prompt(self, tiny_library):
+        # Since Python 3.12.1, Server.wait_closed() waits for every
+        # connection to drop; stop() must close the connections first.
+        svc = ThreadedService(tiny_library).start()
+        idle = ServiceClient(port=svc.port)
+        try:
+            assert idle.ping()["pong"]  # connected, then left idle
+            started = time.monotonic()
+            svc.stop()
+            assert time.monotonic() - started < 5.0
+        finally:
+            idle.close()
+            svc.stop()
+
+    def test_stop_with_a_client_that_never_reads_is_bounded(self, tiny_library):
+        # Replies to this client pile up until every reply write waits in
+        # drain(); stop() must still finish after its 5-s grace period.
+        svc = ThreadedService(tiny_library).start()
+        sock = socket.socket()
+        sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
+        try:
+            sock.connect(("127.0.0.1", svc.port))
+            sock.settimeout(2.0)
+            lines = b'{"op": "match", "id": 1, "table": "0xe8", "n": 3}\n' * 256
+            with pytest.raises(socket.timeout):
+                for _ in range(10_000):  # until the daemon stops reading
+                    sock.sendall(lines)
+            started = time.monotonic()
+            svc.stop()
+            assert time.monotonic() - started < 15.0
+        finally:
+            sock.close()
+            svc.stop()
+
 
 class TestUnavailable:
     """Transport failures surface as the typed ServiceUnavailableError.

@@ -58,56 +58,46 @@ class TestCommands:
         ) == 2
         assert "only applies" in capsys.readouterr().err
 
-    def test_classify_sharded_engine(self, tmp_path, capsys):
-        path = tmp_path / "tables.txt"
-        path.write_text("11101000\n00010111\n10000000\n")
-        assert main(
-            ["classify", str(path), "--engine", "sharded", "--workers", "2"]
-        ) == 0
-        out = capsys.readouterr().out
-        assert "classes:   2 (ours, sharded engine, 2 workers)" in out
-
-    def test_classify_sharded_engine_default_workers(self, tmp_path, capsys):
-        path = tmp_path / "tables.txt"
-        path.write_text("11101000\n00010111\n")
-        assert main(["classify", str(path), "--engine", "sharded"]) == 0
-        assert "sharded engine" in capsys.readouterr().out
-
-    def test_classify_sharded_engine_matches_perfn(self, tmp_path, capsys):
+    def test_classify_batched_engine_matches_perfn(self, tmp_path, capsys):
         path = tmp_path / "tables.txt"
         path.write_text("11101000\n00010111\n10000000\n01100110\n")
-        assert main(["classify", str(path)]) == 0
+        assert main(["classify", str(path), "--show-classes"]) == 0
         perfn_out = capsys.readouterr().out
         assert main(
-            ["classify", str(path), "--engine", "sharded", "--workers", "2"]
+            ["classify", str(path), "--engine", "batched", "--show-classes"]
         ) == 0
-        sharded_out = capsys.readouterr().out
-        assert perfn_out.splitlines()[0] == sharded_out.splitlines()[0]
-        assert perfn_out.split("(")[0] == sharded_out.split("(")[0]
+        batched_out = capsys.readouterr().out
+        perfn_lines, batched_lines = perfn_out.splitlines(), batched_out.splitlines()
+        assert perfn_lines[0] == batched_lines[0]
+        assert perfn_lines[1].split("(")[0] == batched_lines[1].split("(")[0]
+        assert perfn_lines[2:] == batched_lines[2:]  # same classes, same order
 
-    def test_classify_sharded_rejects_zero_workers(self, tmp_path, capsys):
+    def test_classify_canonical_engine_requires_ours(self, tmp_path, capsys):
         path = tmp_path / "tables.txt"
         path.write_text("11101000\n")
         assert main(
-            ["classify", str(path), "--engine", "sharded", "--workers", "0"]
-        ) == 2
-        err = capsys.readouterr().err
-        assert "at least 1 worker" in err
-        assert "omit the flag" in err  # the error must say how to recover
-
-    def test_classify_workers_requires_sharded_engine(self, tmp_path, capsys):
-        path = tmp_path / "tables.txt"
-        path.write_text("11101000\n")
-        assert main(["classify", str(path), "--workers", "2"]) == 2
-        assert "requires --engine sharded" in capsys.readouterr().err
-
-    def test_classify_sharded_engine_requires_ours(self, tmp_path, capsys):
-        path = tmp_path / "tables.txt"
-        path.write_text("11101000\n")
-        assert main(
-            ["classify", str(path), "--method", "kitty", "--engine", "sharded"]
+            ["classify", str(path), "--method", "kitty", "--engine", "canonical"]
         ) == 2
         assert "only applies" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["classify", "-", "--engine", "sharded"],
+            ["classify", "-", "--workers", "2"],
+            ["library", "build", "--workers", "2"],
+            ["serve", "--engine", "batched"],
+            ["worker", "--id", "w0", "--ring", "w0", "--engine", "batched"],
+            ["table3", "--sharded-workers", "2"],
+            ["fig5", "--sharded-workers", "2"],
+        ],
+        ids=lambda argv: "-".join(arg.lstrip("-") for arg in argv),
+    )
+    def test_removed_engine_knobs_are_rejected(self, argv, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        capsys.readouterr()
 
     def test_classify_empty_file(self, tmp_path, capsys):
         path = tmp_path / "empty.txt"
@@ -190,15 +180,6 @@ class TestLibraryCommands:
             ["library", "build", "--inputs", "3,x", "--out", str(tmp_path / "x")]
         ) == 2
         assert "comma-separated" in capsys.readouterr().err
-
-    def test_build_workers_requires_sharded(self, tmp_path, capsys):
-        assert main(
-            [
-                "library", "build", "--inputs", "3",
-                "--out", str(tmp_path / "x"), "--workers", "2",
-            ]
-        ) == 2
-        assert "requires --engine sharded" in capsys.readouterr().err
 
     def test_build_rejects_unsampled_large_arity(self, tmp_path, capsys):
         assert main(
@@ -403,29 +384,11 @@ class TestExperimentCommands:
         out = capsys.readouterr().out
         assert "ours_classes" in out
 
-    def test_table3_smoke_sharded(self, capsys):
-        assert main(
-            ["table3", "--scale", "smoke", "--no-exact", "--sharded-workers", "2"]
-        ) == 0
-        assert "ours_sharded_classes" in capsys.readouterr().out
-
-    def test_table3_rejects_zero_sharded_workers(self, capsys):
-        assert main(
-            ["table3", "--scale", "smoke", "--no-exact", "--sharded-workers", "0"]
-        ) == 2
-        assert "at least 1 worker" in capsys.readouterr().err
-
     def test_fig5_smoke(self, capsys):
         assert main(["fig5", "--scale", "smoke"]) == 0
         out = capsys.readouterr().out
         assert "cumulative seconds" in out
         assert "stability" in out
-
-    def test_fig5_smoke_sharded(self, capsys):
-        assert main(["fig5", "--scale", "smoke", "--sharded-workers", "2"]) == 0
-        out = capsys.readouterr().out
-        assert "ours_sharded" in out
-        assert "ours_sharded_stability" in out
 
 
 class TestLearnAndCompactCli:

@@ -11,7 +11,6 @@ from repro.workloads.epfl import (
     epfl_like_suite,
     suite_summary,
 )
-from repro.workloads.batched import packed_shards
 from repro.workloads.extraction import extract_cut_functions, extraction_report
 from repro.workloads.random_functions import (
     consecutive_tables,
@@ -158,26 +157,6 @@ class TestHitMissQueries:
         for query, outcome in zip(queries, outcomes):
             if outcome is not None:
                 assert outcome.verify(query)
-
-
-class TestPackedShards:
-    def test_shard_sizes_and_order(self):
-        tables = random_tables(4, 10, seed=7)
-        shards = list(packed_shards(iter(tables), shard_size=4))
-        assert [len(shard) for shard in shards] == [4, 4, 2]
-        flattened = [tt for shard in shards for tt in shard.to_tables()]
-        assert flattened == tables
-
-    def test_exact_multiple_has_no_runt_shard(self):
-        shards = list(packed_shards(random_tables(3, 6, seed=8), shard_size=3))
-        assert [len(shard) for shard in shards] == [3, 3]
-
-    def test_empty_stream_yields_nothing(self):
-        assert list(packed_shards(iter(()), shard_size=4)) == []
-
-    def test_rejects_nonpositive_shard_size(self):
-        with pytest.raises(ValueError):
-            list(packed_shards(random_tables(3, 2, seed=9), shard_size=0))
 
 
 class TestMissHeavyQueries:
