@@ -45,7 +45,6 @@ from __future__ import annotations
 import itertools
 from collections.abc import Iterator, Sequence
 from functools import lru_cache
-from pathlib import Path
 
 import numpy as np
 
@@ -94,9 +93,7 @@ def find_npn_transform(
 
 
 def find_npn_transforms_from(
-    source: TruthTable,
-    targets: Sequence[TruthTable],
-    cache_dir: str | Path | None = None,
+    source: TruthTable, targets: Sequence[TruthTable]
 ) -> list[NPNTransform | None]:
     """Witnesses mapping ``source`` onto each target, sharing all pruning.
 
@@ -104,12 +101,11 @@ def find_npn_transforms_from(
     ``i`` is ``None`` when ``targets[i]`` is not NPN-equivalent to
     ``source`` (including arity mismatches).
     """
-    return find_npn_transforms_grouped([(source, list(targets))], cache_dir)[0]
+    return find_npn_transforms_grouped([(source, list(targets))])[0]
 
 
 def find_npn_transforms_grouped(
     pairs: Sequence[tuple[TruthTable, Sequence[TruthTable]]],
-    cache_dir: str | Path | None = None,
 ) -> list[list[NPNTransform | None]]:
     """Batched witness search over many ``(source, targets)`` groups.
 
@@ -125,7 +121,7 @@ def find_npn_transforms_grouped(
     early-exit, or the ``n > 6`` scalar fallback).
     """
     pairs = [(source, list(targets)) for source, targets in pairs]
-    raw = _search_transforms_grouped(pairs, cache_dir)
+    raw = _search_transforms_grouped(pairs)
     return [
         [
             w if w is not None and source.apply(w) == target else None
@@ -209,7 +205,6 @@ def _source_key_matrix(tt: TruthTable) -> tuple[np.ndarray, np.ndarray, int]:
 
 def _search_transforms_grouped(
     pairs: list[tuple[TruthTable, list[TruthTable]]],
-    cache_dir: str | Path | None,
 ) -> list[list[NPNTransform | None]]:
     """Unverified witnesses per pair group (the caller verifies, once)."""
     results: list[list[NPNTransform | None]] = [
@@ -235,7 +230,7 @@ def _search_transforms_grouped(
             else:
                 pending_by_n.setdefault(n, []).append((p, t))
     for n, pending in pending_by_n.items():
-        _vector_search_arity(n, pairs, pending, results, cache_dir)
+        _vector_search_arity(n, pairs, pending, results)
     return results
 
 
@@ -244,7 +239,6 @@ def _vector_search_arity(
     pairs: list[tuple[TruthTable, list[TruthTable]]],
     pending: list[tuple[int, int]],
     results: list[list[NPNTransform | None]],
-    cache_dir: str | Path | None,
 ) -> None:
     """Resolve all pending (pair, target) slots of one arity in-place."""
     size = 1 << n
@@ -304,7 +298,7 @@ def _vector_search_arity(
             s_keys[rows], s_cofs[rows], sub, rows, n
         )
 
-    table = kernels.gather_table(n, cache_dir)
+    table = kernels.gather_table(n)
     src_bits = kernels.bit_matrix(n, src_ints)
 
     cand_perms: list[tuple[int, ...]] = []

@@ -24,7 +24,6 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
-from pathlib import Path
 
 from repro import obs
 from repro.baselines.matcher import find_npn_transform
@@ -155,11 +154,9 @@ class CanonicalClassifier:
         parts: Iterable[str] = DEFAULT_PARTS,
         cache_size: int = 1 << 16,
         chunk_size: int | None = None,
-        cache_dir: str | Path | None = None,
     ) -> None:
         self._batched = BatchedClassifier(parts, cache_size, chunk_size)
         self.parts = self._batched.parts
-        self.cache_dir = cache_dir
         self._forms = SignatureCache(maxsize=cache_size)
         self.stats = CanonicalStats()
 
@@ -197,9 +194,7 @@ class CanonicalClassifier:
                 misses.setdefault(tt.n, []).append((index, tt))
         for n, pending in misses.items():
             with obs.timed(_CANONICAL_SECONDS):
-                reps = canonical_forms(
-                    [tt for _, tt in pending], n, cache_dir=self.cache_dir
-                )
+                reps = canonical_forms([tt for _, tt in pending], n)
             self.stats.canonical_calls += len(pending)
             _DECISIONS.inc(len(pending), via="canonical")
             for (index, tt), rep in zip(pending, reps):

@@ -25,8 +25,6 @@ orbit — the property signature-digest ids could not offer.
 
 from __future__ import annotations
 
-from pathlib import Path
-
 import numpy as np
 
 from repro import obs
@@ -58,20 +56,14 @@ _SEARCH_STEPS = obs.registry().counter(
 _SCALAR_ENTRY_BUDGET = 1 << 22
 
 
-def canonical_form(tt: TruthTable, cache_dir: str | Path | None = None) -> TruthTable:
+def canonical_form(tt: TruthTable) -> TruthTable:
     """Exact canonical representative (orbit minimum) of one function."""
     if tt.n <= MAX_KERNEL_VARS:
-        return TruthTable(
-            tt.n, int(canonical_min([tt.bits], tt.n, cache_dir=cache_dir)[0])
-        )
+        return TruthTable(tt.n, int(canonical_min([tt.bits], tt.n)[0]))
     return influence_canonical_scalar(tt)
 
 
-def canonical_forms(
-    tables,
-    n: int | None = None,
-    cache_dir: str | Path | None = None,
-) -> list[TruthTable]:
+def canonical_forms(tables, n: int | None = None) -> list[TruthTable]:
     """Exact canonical representatives of a same-arity batch.
 
     ``n <= 6`` runs as one batched kernel call; larger arities fall back
@@ -95,7 +87,7 @@ def canonical_forms(
     if arity is None:
         raise ValueError("pass n when tables are raw integers")
     if arity <= MAX_KERNEL_VARS:
-        mins = canonical_min(ints, arity, cache_dir=cache_dir)
+        mins = canonical_min(ints, arity)
         return [TruthTable(arity, int(value)) for value in mins]
     cache: dict[int, TruthTable] = {}
     out = []

@@ -689,12 +689,12 @@ def _parse_sizes(spec: str) -> list[int]:
     return sizes
 
 
-def _load_library_or_fail(path: str, mmap_mode: str | None = None):
+def _load_library_or_fail(path: str):
     """Load a library or print the error plus the recovery command."""
     from repro.library import ClassLibrary, LibraryFormatError
 
     try:
-        return ClassLibrary.load(path, mmap_mode=mmap_mode)
+        return ClassLibrary.load(path)
     except LibraryFormatError as exc:
         print(
             f"cannot load library: {exc}\n"
@@ -839,9 +839,7 @@ def _cmd_serve(args) -> int:
             if value is not None:
                 print(f"{flag} requires --learn", file=sys.stderr)
                 return 2
-        # Read-only serving maps the npz image instead of copying it:
-        # N replica daemons on one box share one page-cache image.
-        library = _load_library_or_fail(args.library, mmap_mode="r")
+        library = _load_library_or_fail(args.library)
         learner = None
     else:
         segment_bytes = (
@@ -966,9 +964,9 @@ def _cmd_worker(args) -> int:
             file=sys.stderr,
         )
         return 2
-    # Read-only shard serving: each worker maps the shared image and
+    # Read-only shard serving: each worker loads the whole library and
     # keeps only the entries its ring arcs own (plus replicas).
-    library = _load_library_or_fail(args.library, mmap_mode="r")
+    library = _load_library_or_fail(args.library)
     if library is None:
         return 2
     shard = library.subset(

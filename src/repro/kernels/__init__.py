@@ -2,9 +2,8 @@
 
 For ``n <= 6`` a truth table fits one ``uint64`` and applying an NPN
 transform is a precomputable *index gather*, not a loop.  This package
-precomputes per-arity gather tables (memory-cached, lazily persisted
-under the class-library directory) and exposes vectorized primitives on
-top of them:
+precomputes per-arity gather tables (built on first use, memory-cached
+per process) and exposes vectorized primitives on top of them:
 
 * :func:`apply_transforms` — many tables × many transforms in one gather;
 * :func:`orbit` / :func:`orbit_chunks` — exhaustive orbit enumeration;

@@ -18,22 +18,16 @@ Two structural facts keep the precomputed state tiny:
   with the full table mask *after* packing.
 
 A :class:`GatherTable` therefore holds ``[n!, 2**n]`` ``uint8`` indices
-(45 KiB at ``n = 6``).  Tables are built on first use, memory-cached per
-process, and — when a cache directory is provided (the class library
-passes ``<library dir>/kernels``) — lazily persisted to disk as an
-``.npz`` so later processes skip the construction entirely.  A missing,
-stale, or corrupted cache file is silently rebuilt; persistence is an
-optimisation, never a correctness dependency.
+(45 KiB at ``n = 6``).  Tables are built on first use (about 2 ms at
+``n = 6``, well under 1 ms below) and memory-cached per process; nothing
+is written to disk.
 """
 
 from __future__ import annotations
 
 import itertools
-import os
 from dataclasses import dataclass
 from functools import lru_cache
-from math import factorial
-from pathlib import Path
 
 import numpy as np
 
@@ -46,11 +40,6 @@ __all__ = [
 
 #: Largest arity the gather kernels serve: ``2**6 = 64`` bits — one word.
 MAX_KERNEL_VARS = 6
-
-#: On-disk cache format version (bump on any layout change).
-CACHE_FORMAT_VERSION = 1
-
-_CACHE_FILE_TEMPLATE = "gather_n{n}.v{version}.npz"
 
 #: Process-wide memory cache: ``n -> GatherTable``.
 _TABLES: dict[int, "GatherTable"] = {}
@@ -115,28 +104,15 @@ class GatherTable:
         return combined.reshape(-1, self.table_size)
 
 
-def gather_table(n: int, cache_dir: str | Path | None = None) -> GatherTable:
-    """The (memory-cached) gather table for arity ``n``.
-
-    With ``cache_dir`` the table is additionally persisted under that
-    directory on first construction and loaded from it on later cold
-    starts.  Passing different ``cache_dir`` values for the same ``n``
-    is safe — the content is a pure function of ``n``.
-    """
+def gather_table(n: int) -> GatherTable:
+    """The (memory-cached) gather table for arity ``n``."""
     if not 0 <= n <= MAX_KERNEL_VARS:
         raise ValueError(
             f"gather kernels serve n <= {MAX_KERNEL_VARS}, got n={n}"
         )
     table = _TABLES.get(n)
     if table is None:
-        table = _load_from_disk(n, cache_dir)
-        if table is None:
-            table = _build_table(n)
-            _persist_to_disk(table, cache_dir)
-        _TABLES[n] = table
-    elif cache_dir is not None:
-        # Memory hit: still make sure the on-disk copy exists (lazily).
-        _persist_to_disk(table, cache_dir)
+        table = _TABLES[n] = _build_table(n)
     return table
 
 
@@ -190,58 +166,3 @@ def _perm_rows(n: int) -> dict[tuple[int, ...], int]:
         for row, perm in enumerate(itertools.permutations(range(n)))
     }
 
-
-# ----------------------------------------------------------------------
-# Disk persistence
-# ----------------------------------------------------------------------
-
-
-def _cache_path(n: int, cache_dir: str | Path) -> Path:
-    return Path(cache_dir) / _CACHE_FILE_TEMPLATE.format(
-        n=n, version=CACHE_FORMAT_VERSION
-    )
-
-
-def _load_from_disk(n: int, cache_dir: str | Path | None) -> GatherTable | None:
-    if cache_dir is None:
-        return None
-    path = _cache_path(n, cache_dir)
-    if not path.exists():
-        return None
-    try:
-        with np.load(path) as data:
-            perms = data["perms"].astype(np.uint8)
-            maps = data["perm_maps"].astype(np.uint8)
-        if perms.shape == (factorial(n), n) and maps.shape == (
-            factorial(n),
-            1 << n,
-        ):
-            return _frozen_table(n, perms, maps)
-    except Exception:  # corrupted cache: rebuild, never fail
-        pass
-    # A bad file would otherwise block persistence forever (the writer
-    # skips existing paths) — drop it so the rebuild can be re-published.
-    try:
-        path.unlink()
-    except OSError:
-        pass
-    return None
-
-
-def _persist_to_disk(table: GatherTable, cache_dir: str | Path | None) -> None:
-    if cache_dir is None:
-        return
-    path = _cache_path(table.n, cache_dir)
-    if path.exists():
-        return
-    try:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        # Per-writer temp name: concurrent cold starts (several daemons
-        # sharing one kernel cache) must not truncate each other's
-        # half-written file before one of them atomically publishes it.
-        temp = path.with_suffix(f".{os.getpid()}.tmp")
-        with open(temp, "wb") as handle:
-            np.savez(handle, perms=table.perms, perm_maps=table.perm_maps)
-        temp.replace(path)  # atomic publish: readers never see partial files
-    except OSError:
-        pass  # read-only library dir: memory cache still serves everything

@@ -29,7 +29,6 @@ orbit is built with shifts and masks on ``uint64`` words.
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator, Sequence
-from pathlib import Path
 
 import numpy as np
 
@@ -127,9 +126,7 @@ def pack_rows(bits: np.ndarray) -> np.ndarray:
 
 
 def transform_index_maps(
-    n: int,
-    transforms: Sequence[NPNTransform],
-    cache_dir: str | Path | None = None,
+    n: int, transforms: Sequence[NPNTransform]
 ) -> tuple[np.ndarray, np.ndarray]:
     """``([T, 2**n] uint8 gather maps, [T] uint8 output phases)``.
 
@@ -137,7 +134,7 @@ def transform_index_maps(
     minterms (input permutation and phase folded in); output negation is
     returned separately because it acts after packing.
     """
-    table = gather_table(n, cache_dir)
+    table = gather_table(n)
     rows = np.fromiter(
         (table.row_of(t.perm) for t in transforms),
         dtype=np.intp,
@@ -160,7 +157,6 @@ def apply_transforms(
     tables,
     transforms: Sequence[NPNTransform],
     n: int | None = None,
-    cache_dir: str | Path | None = None,
 ) -> np.ndarray:
     """Image of every table under every transform: ``[B, T]`` ``uint64``.
 
@@ -185,9 +181,7 @@ def apply_transforms(
     chunk = max(1, _ENTRY_BUDGET // max(1, len(ints) * size))
     for start in range(0, len(transforms), chunk):
         stop = min(start + chunk, len(transforms))
-        maps, outputs = transform_index_maps(
-            batch_n, transforms[start:stop], cache_dir
-        )
+        maps, outputs = transform_index_maps(batch_n, transforms[start:stop])
         packed = pack_rows(bits[:, maps])  # [B, chunk]
         flip = outputs.astype(bool)
         if flip.any():
@@ -199,7 +193,6 @@ def apply_transforms(
 def orbit_chunks(
     table: TruthTable,
     include_output: bool = True,
-    cache_dir: str | Path | None = None,
 ) -> Iterator[np.ndarray]:
     """Stream the exhaustive orbit of one table as ``uint64`` chunks.
 
@@ -211,7 +204,7 @@ def orbit_chunks(
     chunks themselves are small.
     """
     n = table.n
-    gt = gather_table(n, cache_dir)
+    gt = gather_table(n)
     bits = bit_matrix(n, [table.bits])
     mask = np.uint64(bitops.table_mask(n))
     size = gt.table_size
@@ -227,7 +220,6 @@ def orbit_chunks(
 def orbit(
     table: TruthTable,
     include_output: bool = True,
-    cache_dir: str | Path | None = None,
 ) -> np.ndarray:
     """The full exhaustive orbit of one table as a ``uint64`` array.
 
@@ -236,7 +228,7 @@ def orbit(
     and only the packed result (<= 92 160 words) is materialised.
     """
     return np.concatenate(
-        list(orbit_chunks(table, include_output, cache_dir))
+        list(orbit_chunks(table, include_output))
     )
 
 
@@ -274,7 +266,6 @@ def _np_image_words(
 def canonical_min(
     tables: Iterable,
     n: int | None = None,
-    cache_dir: str | Path | None = None,
 ) -> np.ndarray:
     """Batched exhaustive canonical minimum: ``[B]`` ``uint64``.
 
@@ -286,7 +277,7 @@ def canonical_min(
     its own, because the smallest negated image is ``mask ^ max``.
     """
     batch_n, ints = _batch_arity(tables, n)
-    gt = gather_table(batch_n, cache_dir)
+    gt = gather_table(batch_n)
     mask = np.uint64(bitops.table_mask(batch_n))
     best = np.empty(len(ints), dtype=np.uint64)
     for start, words in _np_image_words(gt, ints):
@@ -299,7 +290,6 @@ def canonical_min(
 def canonical_min_transforms(
     tables: Iterable,
     n: int | None = None,
-    cache_dir: str | Path | None = None,
 ) -> tuple[np.ndarray, list[NPNTransform]]:
     """:func:`canonical_min` plus, per table, a transform reaching it.
 
@@ -311,7 +301,7 @@ def canonical_min_transforms(
     the table (the learn-on-miss witness).
     """
     batch_n, ints = _batch_arity(tables, n)
-    gt = gather_table(batch_n, cache_dir)
+    gt = gather_table(batch_n)
     mask = np.uint64(bitops.table_mask(batch_n))
     minima = np.empty(len(ints), dtype=np.uint64)
     transforms: list[NPNTransform] = []

@@ -62,11 +62,7 @@ def library_from_result(result: ClassificationResult) -> ClassLibrary:
             first = buckets[index][0]
             pending_by_n.setdefault(first.n, []).append(index)
     for n, bucket_indices in pending_by_n.items():
-        forms = canonical_forms(
-            [buckets[i][0] for i in bucket_indices],
-            n,
-            cache_dir=library.kernel_cache_dir,
-        )
+        forms = canonical_forms([buckets[i][0] for i in bucket_indices], n)
         for i, rep in zip(bucket_indices, forms):
             reps[i] = rep
     for index, members in enumerate(buckets):

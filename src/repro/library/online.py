@@ -196,7 +196,6 @@ class LearningLibrary:
                 library = ClassLibrary.load(directory)
             else:
                 library = ClassLibrary(parts)
-                library.kernel_cache_dir = directory / "kernels"
             learner = cls(
                 library, directory, segment_bytes=segment_bytes, fsync=fsync
             )
@@ -308,12 +307,9 @@ class LearningLibrary:
         it fails.  Larger arities take the scalar canonical search and
         return no witness.
         """
-        cache_dir = self.library.kernel_cache_dir
         if tt.n > MAX_KERNEL_VARS:
-            return canonical_form(tt, cache_dir=cache_dir), None
-        minima, transforms = canonical_min_transforms(
-            [tt.bits], tt.n, cache_dir=cache_dir
-        )
+            return canonical_form(tt), None
+        minima, transforms = canonical_min_transforms([tt.bits], tt.n)
         representative = TruthTable(tt.n, int(minima[0]))
         witness = transforms[0].inverse()
         if representative.apply(witness) != tt:  # pragma: no cover - kernel bug

@@ -206,9 +206,6 @@ class ClassLibrary:
     def __init__(self, parts=DEFAULT_PARTS) -> None:
         self.parts = normalize_parts(parts)
         self.classes: dict[str, NPNClassEntry] = {}
-        #: Directory the transform gather tables persist under (set by
-        #: :meth:`save`/:meth:`load`); ``None`` keeps them memory-only.
-        self.kernel_cache_dir: Path | None = None
         #: Lazy signature-digest index: digest bucket id -> ordered list
         #: of candidate class ids (the matching chain).  ``None`` until the
         #: first :meth:`match_many`; kept incrementally by
@@ -301,11 +298,7 @@ class ClassLibrary:
                 f"not fit a class of arity {representative.n} over "
                 f"{self.parts}"
             )
-        rep = (
-            representative
-            if canonical_rep
-            else canonical_form(representative, cache_dir=self.kernel_cache_dir)
-        )
+        rep = representative if canonical_rep else canonical_form(representative)
         derived = canonical_class_id(rep)
         if class_id is None:
             class_id = derived
@@ -360,8 +353,7 @@ class ClassLibrary:
         rest, so N workers hold ~1/N of the library each (times the
         replication factor).  Entries are shared by reference — they are
         frozen dataclasses — and *not* re-verified: the source library
-        already verified them at load time.  ``kernel_cache_dir`` is
-        inherited so the shard keeps using the on-disk gather tables.
+        already verified them at load time.
 
         A ``keep`` with a ``select(entries) -> list[bool]`` method (the
         ring's shard filter) is asked once for every entry, so it can
@@ -379,7 +371,6 @@ class ClassLibrary:
             for (class_id, entry), wanted in zip(items, kept)
             if wanted
         }
-        shard.kernel_cache_dir = self.kernel_cache_dir
         return shard
 
     # ------------------------------------------------------------------
@@ -393,7 +384,7 @@ class ClassLibrary:
         directly, so a hit is a guaranteed class membership and a miss
         is a guaranteed absence.
         """
-        rep = canonical_form(tt, cache_dir=self.kernel_cache_dir)
+        rep = canonical_form(tt)
         return self.classes.get(canonical_class_id(rep))
 
     def match(self, tt: TruthTable) -> LibraryMatch | None:
@@ -468,8 +459,7 @@ class ClassLibrary:
                         for entry, indices in zip(
                             group_entries, groups.values()
                         )
-                    ],
-                    cache_dir=self.kernel_cache_dir,
+                    ]
                 )
                 advanced: dict[int, tuple[list[str], int]] = {}
                 for entry, indices, witnesses in zip(
@@ -597,18 +587,10 @@ class ClassLibrary:
                 "reps": reps,
             },
         )
-        # Transform gather tables persist lazily next to the artifact:
-        # nothing is written until a match actually builds one.
-        self.kernel_cache_dir = directory / "kernels"
         return directory
 
     @classmethod
-    def load(
-        cls,
-        path: str | Path,
-        verify: bool = True,
-        mmap_mode: str | None = None,
-    ) -> "ClassLibrary":
+    def load(cls, path: str | Path, verify: bool = True) -> "ClassLibrary":
         """Read a saved library, validating format, version and integrity.
 
         Only version-2 manifests load; an older one raises
@@ -620,30 +602,19 @@ class ClassLibrary:
         raises :class:`LibraryFormatError` instead of mis-matching
         queries.
 
-        ``mmap_mode="r"`` (or ``"c"``) memory-maps the ``classes.npz``
-        table arrays instead of reading them into anonymous memory —
-        the members are STORED (uncompressed) in a deterministic layout,
-        so every array is a page-aligned :class:`numpy.memmap` straight
-        into the artifact.  N serving replicas on one box then share one
-        page-cache copy of the library image instead of N heap copies,
-        and pages load on demand.  Falls back to an eager read for
-        archives whose members turn out compressed or foreign.
+        Both files are read eagerly and every class is materialised as
+        an :class:`NPNClassEntry`; loading never writes to the
+        directory.
 
         Every call, failed ones included, is observed into
         ``repro_library_load_seconds``.
         """
         with obs.timed(_LOAD_SECONDS):
-            return cls._read(path, verify, mmap_mode)
+            return cls._read(path, verify)
 
     @classmethod
-    def _read(
-        cls, path: str | Path, verify: bool, mmap_mode: str | None
-    ) -> "ClassLibrary":
+    def _read(cls, path: str | Path, verify: bool) -> "ClassLibrary":
         """The body of :meth:`load`, unmetered."""
-        if mmap_mode not in (None, "r", "c"):
-            raise ValueError(
-                f"mmap_mode must be None, 'r' or 'c', got {mmap_mode!r}"
-            )
         directory = Path(path)
         manifest = _read_manifest(directory / MANIFEST_FILE)
         if manifest.get("id_scheme") != ID_SCHEME:
@@ -651,7 +622,7 @@ class ClassLibrary:
                 f"{directory}: version-{FORMAT_VERSION} manifest carries "
                 f"unknown id scheme {manifest.get('id_scheme')!r}"
             )
-        arrays = _read_tables(directory / TABLES_FILE, mmap_mode)
+        arrays = _read_tables(directory / TABLES_FILE)
         library = _empty_library(directory, manifest)
         for entry in _read_entries(directory, manifest, arrays):
             if verify and (
@@ -671,7 +642,6 @@ class ClassLibrary:
             library.classes[entry.class_id] = entry
         if verify:
             _verify_canonical_reps(directory, library)
-        library.kernel_cache_dir = directory / "kernels"
         return library
 
 
@@ -688,29 +658,67 @@ def _empty_library(directory: Path, manifest: dict) -> ClassLibrary:
 def _read_entries(
     directory: Path, manifest: dict, arrays: dict[str, np.ndarray]
 ) -> list[NPNClassEntry]:
-    """The manifest's classes, each record cross-checked against the npz."""
+    """The manifest's classes, each record cross-checked against the npz.
+
+    Record types, array shapes and arities are checked before any row is
+    read, so every malformed artifact raises :class:`LibraryFormatError`.
+    """
     records = manifest["classes"]
+    if not isinstance(records, list) or not all(
+        isinstance(record, dict) and isinstance(record.get("id"), str)
+        for record in records
+    ):
+        raise LibraryFormatError(
+            f"{directory}: manifest 'classes' must be a list of records "
+            f"that each carry a string 'id'"
+        )
+    ns, sizes, exact, reps = (
+        arrays[name] for name in ("ns", "sizes", "exact", "reps")
+    )
+    if ns.ndim != 1 or sizes.ndim != 1 or exact.ndim != 1 or reps.ndim != 2:
+        raise LibraryFormatError(
+            f"{directory}: {TABLES_FILE} arrays have the wrong shape "
+            f"(ns, sizes and exact must be 1-D, reps 2-D)"
+        )
     if not (
         len(records)
         == manifest["num_classes"]
-        == len(arrays["ns"])
-        == len(arrays["sizes"])
-        == len(arrays["reps"])
-        == len(arrays["exact"])
+        == len(ns)
+        == len(sizes)
+        == len(reps)
+        == len(exact)
     ):
         raise LibraryFormatError(
             f"{directory}: manifest and {TABLES_FILE} disagree on the "
             f"number of classes"
         )
+    if ns.dtype.kind not in "iu" or (
+        len(ns) and not 0 <= ns.min() <= ns.max() <= bitops.MAX_VARS
+    ):
+        raise LibraryFormatError(
+            f"{directory}: {TABLES_FILE} stores an arity that is not an "
+            f"integer in 0..{bitops.MAX_VARS}"
+        )
+    words = bitops.words_per_table(int(ns.max(initial=0)))
+    if reps.shape[1] < words:
+        raise LibraryFormatError(
+            f"{directory}: {TABLES_FILE} reps has {reps.shape[1]} word "
+            f"column(s); its largest arity needs {words}"
+        )
     entries = []
     for row, record in enumerate(records):
-        n = int(arrays["ns"][row])
+        n = int(ns[row])
         bits = 0
         for w in range(bitops.words_per_table(n)):
-            bits |= int(arrays["reps"][row][w]) << (64 * w)
+            bits |= int(reps[row][w]) << (64 * w)
+        try:
+            table = TruthTable(n, bits)
+        except ValueError as exc:
+            raise LibraryFormatError(
+                f"{directory}: row {row} of {TABLES_FILE}: {exc}"
+            ) from exc
         entry = NPNClassEntry.from_representative(
-            record["id"], TruthTable(n, bits), int(arrays["sizes"][row]),
-            bool(arrays["exact"][row]),
+            record["id"], table, int(sizes[row]), bool(exact[row])
         )
         _check_record(directory, record, entry)
         entries.append(entry)
@@ -792,71 +800,14 @@ def _read_manifest(path: Path, version: int = FORMAT_VERSION) -> dict:
     return manifest
 
 
-def _read_tables(
-    path: Path, mmap_mode: str | None = None
-) -> dict[str, np.ndarray]:
+def _read_tables(path: Path) -> dict[str, np.ndarray]:
     if not path.exists():
         raise LibraryFormatError(f"{path}: library table file not found")
-    if mmap_mode is not None:
-        arrays = _mmap_tables(path, mmap_mode)
-        if arrays is not None:
-            return arrays
-        # Structural surprise (compressed member, foreign npy version):
-        # the eager path below still reads it — or raises the proper
-        # LibraryFormatError if the archive is actually corrupt.
     try:
         with np.load(path) as data:
             arrays = {name: data[name] for name in ("ns", "sizes", "exact", "reps")}
     except (OSError, ValueError, KeyError, zipfile.BadZipFile) as exc:
         raise LibraryFormatError(f"{path}: cannot read table arrays: {exc}") from exc
-    return arrays
-
-
-def _mmap_tables(path: Path, mmap_mode: str) -> dict[str, np.ndarray] | None:
-    """Memory-map every table array of a STORED ``.npz``, or ``None``.
-
-    ``np.load(..., mmap_mode=...)`` refuses zip archives, but this
-    archive is written by :func:`_write_npz_deterministic` with STORED
-    (uncompressed) members, so each member's npy payload sits at a fixed
-    file offset: local zip header (30 bytes + name + extra), then the
-    npy magic/header, then raw array bytes ``np.memmap`` can map
-    directly.  Returns ``None`` — never raises — on any layout this
-    parser does not recognise, letting the caller fall back to
-    ``np.load``.
-    """
-    arrays: dict[str, np.ndarray] = {}
-    try:
-        with zipfile.ZipFile(path) as archive, open(path, "rb") as handle:
-            for name in ("ns", "sizes", "exact", "reps"):
-                info = archive.getinfo(f"{name}.npy")
-                if info.compress_type != zipfile.ZIP_STORED:
-                    return None
-                handle.seek(info.header_offset)
-                local = handle.read(30)
-                if len(local) != 30 or local[:4] != b"PK\x03\x04":
-                    return None
-                name_len = int.from_bytes(local[26:28], "little")
-                extra_len = int.from_bytes(local[28:30], "little")
-                handle.seek(info.header_offset + 30 + name_len + extra_len)
-                version = np.lib.format.read_magic(handle)
-                if version == (1, 0):
-                    header = np.lib.format.read_array_header_1_0(handle)
-                elif version == (2, 0):
-                    header = np.lib.format.read_array_header_2_0(handle)
-                else:
-                    return None
-                shape, fortran_order, dtype = header
-                if fortran_order or dtype.hasobject:
-                    return None
-                arrays[name] = np.memmap(
-                    path,
-                    dtype=dtype,
-                    mode=mmap_mode,
-                    offset=handle.tell(),
-                    shape=shape,
-                )
-    except (OSError, ValueError, KeyError, zipfile.BadZipFile):
-        return None
     return arrays
 
 

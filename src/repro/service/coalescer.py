@@ -413,11 +413,7 @@ class Coalescer:
         for index, table in enumerate(tables):
             by_arity.setdefault(table.n, []).append(index)
         for n, indices in by_arity.items():
-            forms = canonical_forms(
-                [tables[i] for i in indices],
-                n,
-                cache_dir=self.library.kernel_cache_dir,
-            )
+            forms = canonical_forms([tables[i] for i in indices], n)
             for i, rep in zip(indices, forms):
                 out[i] = canonical_class_id(rep)
         return out  # type: ignore[return-value]

@@ -242,7 +242,7 @@ class TestVerificationFinalStep:
         monkeypatch.setattr(
             matcher,
             "_search_transforms_grouped",
-            lambda pairs, cache_dir: [
+            lambda pairs: [
                 [bogus] * len(targets) for _, targets in pairs
             ],
         )

@@ -323,6 +323,45 @@ class TestPersistence:
         for original, reloaded in zip(lib3.entries(), loaded.entries()):
             assert original == reloaded
 
+    def test_load_and_match_leave_the_directory_untouched(self, tmp_path):
+        """Reading a library never writes to it: same files, same bytes."""
+        from repro.kernels.gather import clear_memory_cache
+
+        directory = tmp_path / "lib"
+        tables = [tt for n in range(3, 7) for tt in random_tables(n, 25, seed=n)]
+        build_library(tables).save(directory)
+
+        def snapshot():  # every path under the library -> bytes (dirs: False)
+            return {
+                path.relative_to(directory): path.is_file() and path.read_bytes()
+                for path in directory.rglob("*")
+            }
+
+        before = snapshot()
+        clear_memory_cache()  # gather tables are built during the matches
+        loaded = ClassLibrary.load(directory)
+        rng = random.Random(5)
+        hits = [tt.apply(random_transform(tt.n, rng)) for tt in tables]
+        misses = [
+            tt for n in range(3, 7) for tt in random_tables(n, 25, seed=50 + n)
+        ]
+        outcomes = loaded.match_many(hits + misses)
+        assert all(o is not None for o in outcomes[: len(hits)])
+        assert any(o is None for o in outcomes[len(hits):])
+        loaded.match(hits[0])
+        after = snapshot()
+        assert sorted(after) == sorted(before)  # no file or directory added
+        assert after == before  # and none rewritten
+
+    def test_compressed_tables_file_loads(self, lib3, tmp_path):
+        # A foreign tool may rewrite classes.npz with DEFLATE members.
+        lib3.save(tmp_path)
+        with np.load(tmp_path / TABLES_FILE) as data:
+            arrays = {name: data[name] for name in data.files}
+        np.savez_compressed(tmp_path / TABLES_FILE, **arrays)
+        loaded = ClassLibrary.load(tmp_path)
+        assert loaded.entries() == lib3.entries()
+
     def test_empty_library_round_trips(self, tmp_path):
         empty = build_library([])
         empty.save(tmp_path / "empty")
@@ -365,6 +404,50 @@ class TestPersistence:
         )
         with pytest.raises(LibraryFormatError, match="number of classes"):
             ClassLibrary.load(tmp_path / "lib")
+
+    @pytest.mark.parametrize(
+        "field, corrupt",
+        [
+            ("manifest", lambda m: m["classes"][0].pop("id")),
+            ("manifest", lambda m: m["classes"][0].update(id=5)),
+            ("manifest", lambda m: m.update(classes=5)),
+            ("manifest", lambda m: m["classes"].__setitem__(0, "n3-c00")),
+            ("tables", lambda a: a["ns"].__setitem__(0, 7)),
+            ("tables", lambda a: a["ns"].__setitem__(0, 21)),
+            ("tables", lambda a: a["ns"].__setitem__(0, -1)),
+            ("tables", lambda a: a.update(ns=a["ns"].astype(np.float64))),
+            ("tables", lambda a: a.update(reps=a["reps"][:, 0])),
+            ("tables", lambda a: a["reps"].__setitem__((0, 0), 0x1FF)),
+            ("tables", lambda a: a.update(sizes=a["sizes"][:, None])),
+        ],
+        ids=[
+            "record-without-id",
+            "record-id-not-a-string",
+            "classes-not-a-list",
+            "record-not-an-object",
+            "arity-wider-than-reps",
+            "arity-above-max",
+            "negative-arity",
+            "float-arities",
+            "one-dimensional-reps",
+            "rep-wider-than-its-arity",
+            "two-dimensional-sizes",
+        ],
+    )
+    def test_malformed_artifact_is_a_format_error(
+        self, lib3, tmp_path, field, corrupt
+    ):
+        directory = tmp_path / "lib"
+        lib3.save(directory)
+        if field == "manifest":
+            _edit_manifest(directory, corrupt)
+        else:
+            with np.load(directory / TABLES_FILE) as data:
+                arrays = {name: data[name].copy() for name in data.files}
+            corrupt(arrays)
+            _write_raw_npz(directory / TABLES_FILE, arrays)
+        with pytest.raises(LibraryFormatError):
+            ClassLibrary.load(directory)
 
     def test_tampered_representative_hex(self, lib3, tmp_path):
         lib3.save(tmp_path / "lib")

@@ -1,13 +1,12 @@
-"""Library-backed gather-table persistence and batched match parity."""
+"""Batched ``ClassLibrary.match_many`` parity with per-query ``match``."""
 
 import random
 
 import pytest
 
 from repro.core.transforms import random_transform
-from repro.core.truth_table import TruthTable
 from repro.kernels.gather import clear_memory_cache
-from repro.library import ClassLibrary, build_library
+from repro.library import build_library
 from repro.workloads import random_tables
 
 
@@ -24,46 +23,6 @@ def mixed_library():
         6, 60, 3
     )
     return build_library(tables), tables
-
-
-class TestKernelCacheDir:
-    def test_fresh_library_has_no_cache_dir(self):
-        assert ClassLibrary().kernel_cache_dir is None
-
-    def test_save_sets_cache_dir_lazily(self, tmp_path, mixed_library):
-        library, tables = mixed_library
-        library.save(tmp_path / "lib")
-        assert library.kernel_cache_dir == tmp_path / "lib" / "kernels"
-        # Nothing written until a match actually builds a gather table.
-        assert not (tmp_path / "lib" / "kernels").exists()
-        library.match(tables[0])
-        cached = list((tmp_path / "lib" / "kernels").glob("gather_n*.npz"))
-        assert cached, "matching must persist the gather table it built"
-
-    def test_loaded_library_reuses_persisted_tables(self, tmp_path, mixed_library):
-        library, tables = mixed_library
-        library.save(tmp_path / "lib")
-        library.match_many(tables)
-        persisted = sorted(
-            p.name for p in (tmp_path / "lib" / "kernels").glob("*.npz")
-        )
-        assert persisted
-        clear_memory_cache()
-        reloaded = ClassLibrary.load(tmp_path / "lib")
-        assert reloaded.kernel_cache_dir == tmp_path / "lib" / "kernels"
-        rng = random.Random(9)
-        for tt in tables[:20]:
-            image = tt.apply(random_transform(tt.n, rng))
-            hit = reloaded.match(image)
-            assert hit is not None and hit.verify(image)
-
-    def test_match_without_cache_dir_writes_nothing(
-        self, tmp_path, monkeypatch, mixed_library
-    ):
-        monkeypatch.chdir(tmp_path)
-        library, tables = mixed_library
-        library.match_many(tables[:10])
-        assert not any(tmp_path.rglob("*.npz"))
 
 
 class TestBatchedMatchParity:

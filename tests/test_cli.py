@@ -1,6 +1,7 @@
 """Tests for the command-line interface."""
 
 import json
+import shutil
 
 import pytest
 
@@ -222,6 +223,19 @@ class TestLibraryCommands:
         err = capsys.readouterr().err
         assert "cannot load library" in err
         assert "library build" in err  # recovery hint
+
+    def test_stats_on_malformed_library_says_how_to_build(
+        self, lib_dir, tmp_path, capsys
+    ):
+        broken = tmp_path / "broken"
+        shutil.copytree(lib_dir, broken)
+        manifest = json.loads((broken / "manifest.json").read_text())
+        del manifest["classes"][0]["id"]
+        (broken / "manifest.json").write_text(json.dumps(manifest))
+        assert main(["library", "stats", "--library", str(broken)]) == 2
+        err = capsys.readouterr().err
+        assert "cannot load library" in err
+        assert "library build" in err  # recovery hint, not a traceback
 
     def test_cutmatch_end_to_end(self, lib_dir, capsys):
         assert main(
