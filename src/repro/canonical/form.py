@@ -9,8 +9,10 @@ computes.  What changes with arity is only *how* it is computed:
   (byte-identical to the exhaustive enumeration: the ``n!`` permuted
   words are gathered, the input phases added by word-level doublings);
   :func:`repro.kernels.canonical_min_transforms` reduces the same words
-  with ``argmin`` and also returns the transform reaching the form —
-  the learn-on-miss witness, checked with one apply;
+  with ``argmin`` and also returns the transform reaching the form;
+  :func:`canonical_forms_with_witnesses` inverts it into the witness
+  (checked with one apply) that learn-on-miss and the library's
+  ``n <= 5`` match path both answer with;
 * ``n > 6`` — :func:`influence_canonical_scalar`, an exact search that
   walks permutations in the influence-sorted candidate order (strong
   incumbent early) and bounds the per-permutation phase enumeration by
@@ -25,18 +27,22 @@ orbit — the property signature-digest ids could not offer.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
+
 import numpy as np
 
 from repro import obs
 from repro.canonical.influence import candidate_permutations, influence_vector
 from repro.core import bitops
+from repro.core.transforms import NPNTransform
 from repro.core.truth_table import TruthTable
 from repro.kernels.gather import MAX_KERNEL_VARS
-from repro.kernels.ops import canonical_min, pack_rows
+from repro.kernels.ops import canonical_min, canonical_min_transforms, pack_rows
 
 __all__ = [
     "canonical_form",
     "canonical_forms",
+    "canonical_forms_with_witnesses",
     "influence_canonical_scalar",
     "canonical_class_id",
     "parse_canonical_class_id",
@@ -97,6 +103,27 @@ def canonical_forms(tables, n: int | None = None) -> list[TruthTable]:
             rep = influence_canonical_scalar(TruthTable(arity, bits))
             cache[bits] = rep
         out.append(rep)
+    return out
+
+
+def canonical_forms_with_witnesses(
+    tables: Sequence[TruthTable], n: int
+) -> list[tuple[TruthTable, NPNTransform | None]]:
+    """``(canonical form, witness)`` of each table of one kernel arity.
+
+    One :func:`~repro.kernels.canonical_min_transforms` call yields the
+    orbit minima and the transforms reaching them; the inverse of each
+    transform maps the form back onto its table.  A witness is kept only
+    if ``form.apply(witness) == table`` holds, so a ``None`` witness
+    means "find one some other way", never a wrong one.  The kernels
+    raise ``ValueError`` above ``MAX_KERNEL_VARS``.
+    """
+    minima, transforms = canonical_min_transforms([tt.bits for tt in tables], n)
+    out = []
+    for tt, low, transform in zip(tables, minima.tolist(), transforms):
+        form = TruthTable(n, low)
+        witness = transform.inverse()
+        out.append((form, witness if form.apply(witness) == tt else None))
     return out
 
 

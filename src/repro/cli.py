@@ -23,6 +23,7 @@ Subcommands:
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from repro.analysis.tables import format_table
@@ -471,6 +472,23 @@ def _parse_one(text: str, n_hint: int | None) -> TruthTable:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    try:
+        code = _run(args)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader of stdout closed early (``... | head -1``).  Point
+        # stdout at the null device so the interpreter's final flush
+        # cannot raise again, and exit without a traceback.  SIGPIPE is
+        # left ignored: serve, worker and router write to sockets and
+        # must outlive a peer that hangs up.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1
+    return code
+
+
+def _run(args) -> int:
     command = args.command
 
     if command == "classify":

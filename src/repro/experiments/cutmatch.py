@@ -8,10 +8,14 @@ occurrences and distinct cut functions the library covers (the hit
 rate a technology mapper would see when using the library as its cell
 index), and which classes absorb the most cuts.
 
-Matching is memoised on the raw truth table across the whole run: a
-function appearing at hundreds of nodes costs one signature computation
-and one witness search, which is precisely the economics that make a
-persistent library worth building.
+Matching is deduplicated on the raw truth table across the whole run
+and batched: all circuits' cuts are enumerated first, and their distinct
+functions resolve in one :meth:`~repro.library.ClassLibrary.match_many`
+call.  A function appearing at hundreds of nodes is resolved once — at
+``n <= 5`` by its canonical form (one kernel pass per arity, the form
+*is* the class id), above that by signature plus witness search — which
+is precisely the economics that make a persistent library worth
+building.
 """
 
 from __future__ import annotations
@@ -20,6 +24,7 @@ from collections import Counter
 
 from repro.aig.cuts import iter_cut_functions
 from repro.aig.network import AIG
+from repro.core.truth_table import TruthTable
 from repro.library.store import ClassLibrary
 
 __all__ = ["run_cut_matching", "cut_match_rows", "class_hit_rows"]
@@ -35,30 +40,39 @@ def run_cut_matching(
 
     Returns ``(rows, class_hits)``: per-circuit summary rows (plus a
     TOTAL row) and a counter of per-class cut-occurrence hits.  Every
-    returned hit carried a matcher-verified witness; a signature bucket
-    hit whose witness search fails (MSV collision) counts as a miss.
+    circuit's cuts are enumerated first; the distinct functions of the
+    whole run then resolve in one :meth:`ClassLibrary.match_many` call.
+    Every returned hit carried a verified witness; a query no stored
+    class matches counts as a miss.
     """
-    memo: dict[tuple[int, int], str | None] = {}
+    per_circuit: list[tuple[str, list[tuple[int, int]]]] = []
+    distinct: dict[tuple[int, int], TruthTable] = {}
+    for name, aig in sorted(circuits.items()):
+        keys = []
+        for _, _, tt in iter_cut_functions(aig, sizes, max_cuts=max_cuts):
+            key = (tt.n, tt.bits)
+            keys.append(key)
+            distinct.setdefault(key, tt)
+        per_circuit.append((name, keys))
+    matches = library.match_many(distinct.values())
+    memo: dict[tuple[int, int], str | None] = {
+        key: None if hit is None else hit.class_id
+        for key, hit in zip(distinct, matches)
+    }
     class_hits: Counter = Counter()
     rows: list[dict] = []
     totals = Counter()
     total_unique: set[tuple[int, int]] = set()
-    for name, aig in sorted(circuits.items()):
-        cuts = matched = 0
-        unique: set[tuple[int, int]] = set()
-        for _, _, tt in iter_cut_functions(aig, sizes, max_cuts=max_cuts):
-            cuts += 1
-            key = (tt.n, tt.bits)
-            unique.add(key)
-            if key not in memo:
-                hit = library.match(tt)
-                memo[key] = None if hit is None else hit.class_id
+    for name, keys in per_circuit:
+        matched = 0
+        for key in keys:
             class_id = memo[key]
             if class_id is not None:
                 matched += 1
                 class_hits[class_id] += 1
-        rows.append(_row(name, cuts, matched, unique, memo))
-        totals["cuts"] += cuts
+        unique = set(keys)
+        rows.append(_row(name, len(keys), matched, unique, memo))
+        totals["cuts"] += len(keys)
         totals["matched"] += matched
         total_unique |= unique
     rows.append(_row("TOTAL", totals["cuts"], totals["matched"], total_unique, memo))

@@ -46,12 +46,15 @@ from pathlib import Path
 
 from repro import obs
 from repro.baselines.matcher import find_npn_transform
-from repro.canonical.form import canonical_class_id, canonical_form
+from repro.canonical.form import (
+    canonical_class_id,
+    canonical_form,
+    canonical_forms_with_witnesses,
+)
 from repro.core.msv import DEFAULT_PARTS, MixedSignature
 from repro.core.transforms import NPNTransform
 from repro.core.truth_table import TruthTable
 from repro.kernels.gather import MAX_KERNEL_VARS
-from repro.kernels.ops import canonical_min_transforms
 from repro.library.store import ClassLibrary, LibraryMatch, MANIFEST_FILE
 from repro.library.wal import (
     SegmentWriter,
@@ -309,12 +312,7 @@ class LearningLibrary:
         """
         if tt.n > MAX_KERNEL_VARS:
             return canonical_form(tt), None
-        minima, transforms = canonical_min_transforms([tt.bits], tt.n)
-        representative = TruthTable(tt.n, int(minima[0]))
-        witness = transforms[0].inverse()
-        if representative.apply(witness) != tt:  # pragma: no cover - kernel bug
-            witness = None
-        return representative, witness
+        return canonical_forms_with_witnesses([tt], tt.n)[0]
 
     def _append(self, record: dict) -> None:
         """Write one record, compacting when the segment threshold trips."""

@@ -8,15 +8,17 @@ closes the loop the bucketing engines leave open — a
 without ever saying *which* class a bucket is or *how* a member maps onto
 it.  Here every class has a stable identity and :meth:`ClassLibrary.match`
 recovers an explicit :class:`~repro.core.transforms.NPNTransform` witness
-mapping the stored representative onto any queried function, via the
-signature-pruned matcher of :mod:`repro.baselines.matcher`.
+mapping the stored representative onto any queried function: by the
+query's canonical form up to ``KERNEL_MATCH_VARS`` inputs, via the
+signature-pruned matcher of :mod:`repro.baselines.matcher` above.
 
 Every representative is the *exact orbit minimum*
 (:mod:`repro.canonical.form`) and the id is ``n{n}-c{hex}`` where the
 hex **is** the representative.  Ids are a pure function of the orbit:
 injective (no collisions, ever), identical across machines and build
 orders, so libraries merge by id safely.  The MSV digest only buckets
-classes into the matching chains that pre-filter :meth:`ClassLibrary.match`.
+the larger classes into the matching chains that pre-filter
+:meth:`ClassLibrary.match`.
 
 Persistence is a directory holding two files:
 
@@ -47,10 +49,14 @@ from pathlib import Path
 import numpy as np
 
 from repro import obs
-from repro.baselines.matcher import find_npn_transforms_grouped
+from repro.baselines.matcher import (
+    find_npn_transform,
+    find_npn_transforms_grouped,
+)
 from repro.canonical.form import (
     canonical_class_id,
     canonical_form,
+    canonical_forms_with_witnesses,
     parse_canonical_class_id,
 )
 from repro.core import bitops
@@ -79,12 +85,18 @@ FORMAT_VERSION = 2
 ID_SCHEME = "canonical"
 MANIFEST_FILE = "manifest.json"
 TABLES_FILE = "classes.npz"
+#: Largest arity :meth:`ClassLibrary.match_many` resolves by canonical
+#: form.  Above it the signature chains plus the grouped matcher are
+#: cheaper (random ``n = 6`` queries: ~70-95 µs matcher vs ~420 µs
+#: kernel on a 2-core x86 host).
+KERNEL_MATCH_VARS = 5
 
 _REG = obs.registry()
 _MATCH_PHASE_SECONDS = _REG.histogram(
     "repro_library_match_seconds",
-    "match_many phase timings per batch: the vectorized signature pass "
-    "vs. the grouped witness-search rounds.",
+    "match_many phase timings per batch: the canonical-form kernel pass "
+    "of small queries, the vectorized signature pass and the grouped "
+    "witness-search rounds of the rest.",
     labels=("phase",),
 )
 _MATCH_QUERIES = _REG.counter(
@@ -262,11 +274,15 @@ class ClassLibrary:
         pre-filter bucket of every class whose orbit has this signature
         (several classes share it when their signatures collide).
         """
+        self._check_parts(signature)
+        return f"n{signature.n}-{signature.digest()}"
+
+    def _check_parts(self, signature: MixedSignature) -> None:
+        """Refuse a signature computed over other MSV parts."""
         if signature.parts != self.parts:
             raise ValueError(
                 f"signature parts {signature.parts} != library parts {self.parts}"
             )
-        return f"n{signature.n}-{signature.digest()}"
 
     def add_class(
         self,
@@ -390,11 +406,12 @@ class ClassLibrary:
     def match(self, tt: TruthTable) -> LibraryMatch | None:
         """Resolve ``tt`` to its class and a verified witness transform.
 
-        Returns ``None`` when no stored class shares ``tt``'s signature,
-        or when the matcher proves every class in that signature's chain
-        NPN-inequivalent (a signature collision — possible because the
-        MSV is sound but not exact; the miss is reported instead of a
-        wrong class id).
+        Returns ``None`` when ``tt``'s orbit is not stored: at
+        ``n <= KERNEL_MATCH_VARS`` its canonical id is absent; above,
+        no stored class shares its signature, or the matcher proves
+        every class in that signature's chain NPN-inequivalent (a
+        signature collision — possible because the MSV is sound but not
+        exact; the miss is reported instead of a wrong class id).
         """
         return self.match_many([tt])[0]
 
@@ -403,19 +420,27 @@ class ClassLibrary:
         tts: Iterable[TruthTable],
         signatures: Sequence[MixedSignature] | None = None,
     ) -> list[LibraryMatch | None]:
-        """Resolve many queries in one signature pass, preserving order.
+        """Resolve many queries in one batched pass, preserving order.
 
-        All query signatures are computed in a single vectorized batch
-        through the packed engine (arities may be mixed); the witness
-        searches then run through the gather kernels with candidate
-        checks batched **across queries sharing a class** — one variable
-        -key pass per arity, one gather per class group — instead of a
-        scalar search per query.  Representative keys are cached on the
-        library, so repeated calls never recompute them.  The online
-        service's coalescer calls this with ``signatures`` it already
-        computed on its shared engine; leave it ``None`` to let the
-        library compute them on a lazily created batched classifier
-        whose signature cache persists across calls.
+        Queries of arity ``n <= KERNEL_MATCH_VARS`` take one
+        :func:`~repro.kernels.canonical_min_transforms` call per arity:
+        the orbit minimum *is* the class id, so ``classes[id]`` is the
+        answer, and the inverse of the argmin transform is the witness
+        (kept after one apply check).  No signature, no chain walk.
+
+        Larger queries compute their signatures in a single vectorized
+        batch through the packed engine; the witness searches then run
+        through the gather kernels with candidate checks batched
+        **across queries sharing a class** — one variable-key pass per
+        arity, one gather per class group — instead of a scalar search
+        per query.  Representative keys are cached on the library, so
+        repeated calls never recompute them.  The online service's
+        coalescer calls this with ``signatures`` it already computed on
+        its shared engine (all of them are checked against the
+        library's parts, kernel-path queries included); leave it
+        ``None`` to let the library compute the ones it needs on a
+        lazily created batched classifier whose signature cache
+        persists across calls.
         """
         tts = list(tts)
         if signatures is not None:
@@ -424,59 +449,103 @@ class ClassLibrary:
                 raise ValueError(
                     f"{len(signatures)} signatures for {len(tts)} queries"
                 )
+            for signature in signatures:
+                self._check_parts(signature)
         if not self.classes or not tts:
             # A library with no classes yet (empty, or all knowledge
             # still in un-replayed WAL segments) answers every query
             # with a clean miss — no signature pass, no matcher call.
             _MATCH_QUERIES.inc(len(tts), outcome="miss")
             return [None] * len(tts)
-        if signatures is None:
-            with obs.timed(_MATCH_PHASE_SECONDS, phase="signatures"):
-                signatures = self._signature_engine().signatures(tts)
         out: list[LibraryMatch | None] = [None] * len(tts)
-        # Walk each query's candidate chain — the classes indexed under
-        # its signature digest — round by round: queries whose candidate
-        # proves NPN-inequivalent advance to the next chain position.
-        # Chains are the classes sharing the digest in id order;
-        # single-entry chains — the overwhelmingly common case — finish
-        # in one grouped matcher round.
-        chains = self._chain_index()
-        active: dict[int, tuple[list[str], int]] = {}
-        for index, signature in enumerate(signatures):
-            chain = chains.get(self.base_id_of(signature))
-            if chain:
-                active[index] = (chain, 0)
-        with obs.timed(_MATCH_PHASE_SECONDS, phase="witness"):
-            while active:
-                _MATCH_ROUNDS.inc()
-                groups: dict[str, list[int]] = {}
-                for index, (chain, position) in active.items():
-                    groups.setdefault(chain[position], []).append(index)
-                group_entries = [self.classes[class_id] for class_id in groups]
-                witness_rows = find_npn_transforms_grouped(
-                    [
-                        (entry.representative, [tts[i] for i in indices])
-                        for entry, indices in zip(
-                            group_entries, groups.values()
-                        )
-                    ]
-                )
-                advanced: dict[int, tuple[list[str], int]] = {}
-                for entry, indices, witnesses in zip(
-                    group_entries, groups.values(), witness_rows
-                ):
-                    for i, witness in zip(indices, witnesses):
-                        if witness is not None:
-                            out[i] = LibraryMatch(entry, witness)
-                        else:
-                            chain, position = active[i]
-                            if position + 1 < len(chain):
-                                advanced[i] = (chain, position + 1)
-                active = advanced
+        by_arity: dict[int, list[int]] = {}
+        chained: list[int] = []
+        for index, tt in enumerate(tts):
+            if tt.n <= KERNEL_MATCH_VARS:
+                by_arity.setdefault(tt.n, []).append(index)
+            else:
+                chained.append(index)
+        if by_arity:
+            with obs.timed(_MATCH_PHASE_SECONDS, phase="kernel"):
+                self._match_by_form(tts, by_arity, out)
+        if chained:
+            if signatures is None:
+                with obs.timed(_MATCH_PHASE_SECONDS, phase="signatures"):
+                    chain_signatures = self._signature_engine().signatures(
+                        [tts[i] for i in chained]
+                    )
+            else:
+                chain_signatures = [signatures[i] for i in chained]
+            with obs.timed(_MATCH_PHASE_SECONDS, phase="witness"):
+                self._match_by_chain(tts, chained, chain_signatures, out)
         hits = sum(1 for o in out if o is not None)
         _MATCH_QUERIES.inc(hits, outcome="hit")
         _MATCH_QUERIES.inc(len(out) - hits, outcome="miss")
         return out
+
+    def _match_by_form(
+        self,
+        tts: list[TruthTable],
+        by_arity: dict[int, list[int]],
+        out: list[LibraryMatch | None],
+    ) -> None:
+        """Resolve small queries by canonical form: id lookup + witness."""
+        for n, indices in by_arity.items():
+            forms = canonical_forms_with_witnesses([tts[i] for i in indices], n)
+            for i, (form, witness) in zip(indices, forms):
+                entry = self.classes.get(canonical_class_id(form))
+                if entry is None:
+                    continue
+                if witness is None:  # pragma: no cover - kernel bug
+                    witness = find_npn_transform(entry.representative, tts[i])
+                if witness is not None:
+                    out[i] = LibraryMatch(entry, witness)
+
+    def _match_by_chain(
+        self,
+        tts: list[TruthTable],
+        chained: list[int],
+        signatures: Sequence[MixedSignature],
+        out: list[LibraryMatch | None],
+    ) -> None:
+        """Resolve queries by walking their signature chains.
+
+        Each query's chain holds the classes indexed under its signature
+        digest, in id order.  Round by round, queries whose candidate
+        proves NPN-inequivalent advance to the next chain position;
+        single-entry chains — the overwhelmingly common case — finish in
+        one grouped matcher round.
+        """
+        chains = self._chain_index()
+        active: dict[int, tuple[list[str], int]] = {}
+        for index, signature in zip(chained, signatures):
+            chain = chains.get(self.base_id_of(signature))
+            if chain:
+                active[index] = (chain, 0)
+        while active:
+            _MATCH_ROUNDS.inc()
+            groups: dict[str, list[int]] = {}
+            for index, (chain, position) in active.items():
+                groups.setdefault(chain[position], []).append(index)
+            group_entries = [self.classes[class_id] for class_id in groups]
+            witness_rows = find_npn_transforms_grouped(
+                [
+                    (entry.representative, [tts[i] for i in indices])
+                    for entry, indices in zip(group_entries, groups.values())
+                ]
+            )
+            advanced: dict[int, tuple[list[str], int]] = {}
+            for entry, indices, witnesses in zip(
+                group_entries, groups.values(), witness_rows
+            ):
+                for i, witness in zip(indices, witnesses):
+                    if witness is not None:
+                        out[i] = LibraryMatch(entry, witness)
+                    else:
+                        chain, position = active[i]
+                        if position + 1 < len(chain):
+                            advanced[i] = (chain, position + 1)
+            active = advanced
 
     # ------------------------------------------------------------------
     # Candidate-chain index
@@ -485,13 +554,18 @@ class ClassLibrary:
     def _chain_index(self) -> dict[str, list[str]]:
         """Digest bucket id -> ordered candidate class ids, built lazily.
 
-        Every representative's signature is recomputed — one vectorized
-        batch — to group the classes under their digest buckets, ordered
-        by id (deterministic: the fixed-width hex sorts numerically).
+        Only classes above ``KERNEL_MATCH_VARS`` are indexed: smaller
+        queries resolve by canonical form and never walk a chain.  Every
+        indexed representative's signature is recomputed — one
+        vectorized batch — to group the classes under their digest
+        buckets, ordered by id (deterministic: the fixed-width hex sorts
+        numerically).
         """
         if self._chains is None:
             chains: dict[str, list[str]] = {}
-            entries = self.entries()
+            entries = [
+                e for e in self.entries() if e.n > KERNEL_MATCH_VARS
+            ]
             signatures = self._signature_engine().signatures(
                 [e.representative for e in entries]
             )
@@ -510,9 +584,10 @@ class ClassLibrary:
         """Incrementally index one new class (the learner's mint path).
 
         ``signature`` (any member's MSV) saves recomputing the
-        representative's.
+        representative's.  Classes the canonical-form path serves
+        (``n <= KERNEL_MATCH_VARS``) are not indexed.
         """
-        if self._chains is None:
+        if self._chains is None or entry.n <= KERNEL_MATCH_VARS:
             return
         if signature is None:
             signature = compute_msv(entry.representative, self.parts)

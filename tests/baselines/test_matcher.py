@@ -1,5 +1,6 @@
 """Tests for the signature-pruned pairwise NPN matcher."""
 
+import functools
 import random
 
 import pytest
@@ -18,6 +19,7 @@ from repro.baselines.matcher import (
 )
 from repro.core.transforms import NPNTransform, random_transform
 from repro.core.truth_table import TruthTable
+from tests.strategies import arities, npn_transforms, truth_tables
 
 
 class TestPositiveMatches:
@@ -171,13 +173,55 @@ class TestScalarParity:
                 find_npn_transform_scalar(a, b) is None
             )
 
-    def test_symmetric_overflow_path(self):
-        """Fully symmetric functions exercise the chunked early-exit."""
+    @staticmethod
+    def spy_overflow(monkeypatch) -> list:
+        """Record every call of the over-cap canonical-form resolver."""
+        calls = []
+        real = matcher._resolve_by_canonical_form
+
+        def spy(n, pairs, pending, overflow, results):
+            calls.append(len(overflow))
+            real(n, pairs, pending, overflow, results)
+
+        monkeypatch.setattr(matcher, "_resolve_by_canonical_form", spy)
+        return calls
+
+    def test_symmetric_overflow_path(self, monkeypatch):
+        """Fully symmetric functions are decided by canonical forms: the
+        scalar search's verdict, a verified witness, and exactly the
+        witness the two argmin transforms compose to."""
+        from repro.kernels import canonical_min_transforms
+
+        calls = self.spy_overflow(monkeypatch)
         xor6 = TruthTable.from_function(6, lambda *xs: sum(xs) % 2)
         image = xor6.apply(random_transform(6, random.Random(11)))
         witness = find_npn_transform(xor6, image)
-        assert witness == find_npn_transform_scalar(xor6, image)
-        assert xor6.apply(witness) == image
+        assert calls == [1]
+        assert find_npn_transform_scalar(xor6, image) is not None
+        assert witness is not None and xor6.apply(witness) == image
+        _, (to_form, image_to_form) = canonical_min_transforms(
+            [xor6.bits, image.bits], 6
+        )
+        assert witness == image_to_form.inverse().compose(to_form)
+
+    def test_symmetric_inequivalent_overflow_pair_is_none(self, monkeypatch):
+        """Two quadratic forms whose graphs (a 6-cycle, two triangles)
+        are not isomorphic share every variable key and the satisfy
+        count, so they overflow the candidate cap — and are rejected."""
+        calls = self.spy_overflow(monkeypatch)
+
+        def quadratic(edges):
+            return TruthTable.from_function(
+                6,
+                lambda *xs: (sum(xs[a] & xs[b] for a, b in edges) + xs[0]) % 2,
+            )
+
+        cycle = quadratic([(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 0)])
+        triangles = quadratic([(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)])
+        assert cycle.count_ones() == triangles.count_ones()
+        assert find_npn_transform(cycle, triangles) is None
+        assert calls == [1]
+        assert find_npn_transform_scalar(cycle, triangles) is None
 
     def test_large_arity_falls_back_to_scalar(self):
         rng = random.Random(77)
@@ -317,3 +361,76 @@ def test_property_matcher_soundness_n3(rng):
         == exact_npn_canonical(b).representative
     )
     assert are_npn_equivalent(a, b) == expected
+
+
+# ----------------------------------------------------------------------
+# Differential check on symmetric functions (the over-cap path)
+# ----------------------------------------------------------------------
+
+
+@functools.cache
+def _cut_function_pool(n: int) -> tuple[TruthTable, ...]:
+    """Distinct ``n``-input cut functions of small arithmetic circuits."""
+    from repro.aig import builders
+    from repro.aig.cuts import iter_cut_functions
+
+    circuits = (
+        builders.ripple_adder(4),
+        builders.carry_lookahead_adder(4),
+        builders.comparator(4),
+        builders.majority_voter(7),
+        builders.parity(8),
+    )
+    pool = {}
+    for aig in circuits:
+        for _, _, tt in iter_cut_functions(aig, (n,), max_cuts=16):
+            pool.setdefault(tt.bits, tt)
+    return tuple(pool.values())
+
+
+def _weight_function(n: int, weights) -> TruthTable:
+    """The totally symmetric function true on the given input weights."""
+    weights = frozenset(weights)
+    return TruthTable.from_function(n, lambda *xs: int(sum(xs) in weights))
+
+
+@st.composite
+def symmetric_functions(draw, n: int) -> TruthTable:
+    """XOR, majority, threshold, any weight set, or a circuit cut function."""
+    kind = draw(st.sampled_from(("xor", "majority", "threshold", "weights", "cut")))
+    if kind == "xor":
+        return _weight_function(n, range(1, n + 1, 2))
+    if kind == "majority":
+        return _weight_function(n, range(n // 2 + 1, n + 1))
+    if kind == "threshold":
+        k = draw(st.integers(0, n + 1))
+        return _weight_function(n, range(k, n + 1))
+    if kind == "weights":
+        return _weight_function(n, draw(st.sets(st.integers(0, n))))
+    return draw(st.sampled_from(_cut_function_pool(n)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_symmetric_verdicts_match_the_scalar_search(data):
+    """Grouped-matcher verdicts equal the scalar backtracker's on
+    symmetric sources against their NPN images, other symmetric
+    functions and random tables; every witness verifies."""
+    n = data.draw(arities(3, 6), label="n")
+    groups = []
+    for _ in range(data.draw(st.integers(1, 3), label="groups")):
+        source = data.draw(symmetric_functions(n), label="source")
+        targets = [
+            source.apply(data.draw(npn_transforms(n=n), label="transform")),
+            data.draw(symmetric_functions(n), label="other"),
+            data.draw(truth_tables(n=n), label="random"),
+        ]
+        groups.append((source, targets))
+    rows = find_npn_transforms_grouped(groups)
+    for (source, targets), row in zip(groups, rows):
+        assert row[0] is not None
+        for target, witness in zip(targets, row):
+            scalar = find_npn_transform_scalar(source, target)
+            assert (witness is None) == (scalar is None)
+            if witness is not None:
+                assert source.apply(witness) == target

@@ -1,11 +1,14 @@
 """Tests for the AIG cut-matching experiment and the cut-function stream."""
 
+from collections import Counter
+
 import pytest
 
 from repro.aig import builders
 from repro.aig.cuts import iter_cut_functions
 from repro.core.truth_table import TruthTable
 from repro.experiments.cutmatch import (
+    _row,
     class_hit_rows,
     cut_match_rows,
     run_cut_matching,
@@ -98,6 +101,65 @@ class TestRunCutMatching:
             hit = lib23.match(tt)
             assert hit is not None
             assert hit.verify(tt)
+
+
+class TestBatchedParity:
+    """One batched ``match_many`` pass reports exactly what matching each
+    distinct function with ``library.match`` does."""
+
+    @staticmethod
+    def reference(library, circuits, sizes, max_cuts=16):
+        """The per-function loop: memoised ``library.match`` calls."""
+        memo, class_hits, rows = {}, Counter(), []
+        totals, total_unique = Counter(), set()
+        for name, aig in sorted(circuits.items()):
+            cuts = matched = 0
+            unique = set()
+            for _, _, tt in iter_cut_functions(aig, sizes, max_cuts=max_cuts):
+                cuts += 1
+                key = (tt.n, tt.bits)
+                unique.add(key)
+                if key not in memo:
+                    hit = library.match(tt)
+                    assert hit is None or hit.verify(tt)
+                    memo[key] = None if hit is None else hit.class_id
+                if memo[key] is not None:
+                    matched += 1
+                    class_hits[memo[key]] += 1
+            rows.append(_row(name, cuts, matched, unique, memo))
+            totals["cuts"] += cuts
+            totals["matched"] += matched
+            total_unique |= unique
+        rows.append(
+            _row("TOTAL", totals["cuts"], totals["matched"], total_unique, memo)
+        )
+        return rows, class_hits
+
+    def test_rows_and_class_hits_equal_per_function_matching(self):
+        circuits = {
+            "adder": builders.ripple_adder(4),
+            "cla": builders.carry_lookahead_adder(4),
+            "voter": builders.majority_voter(7),
+            "parity": builders.parity(8),
+            "comparator": builders.comparator(4),
+        }
+        sizes = (4, 5, 6)
+        # A library of half the circuits' functions: hits and misses at
+        # every arity.
+        built_from = {"adder", "voter", "comparator"}
+        tables = {
+            (tt.n, tt.bits): tt
+            for name in built_from
+            for _, _, tt in iter_cut_functions(circuits[name], sizes)
+        }
+        library = build_library(tables.values())
+        rows, class_hits = run_cut_matching(library, circuits, sizes=sizes)
+        expected_rows, expected_hits = self.reference(library, circuits, sizes)
+        assert rows == expected_rows
+        assert class_hits == expected_hits
+        total = rows[-1]
+        assert 0 < total["matched"] < total["cuts"]
+        assert {n for n, _ in tables} == set(sizes)
 
 
 class TestReportRows:

@@ -138,6 +138,8 @@ class TestChainWalk:
     search, so these tests index a class under another class's
     signature with ``add_class(signature=...)``.  The constant-0 class
     has the smallest id of its arity, so it always heads the chain.
+    Chains index only ``n >= 6`` classes (smaller queries resolve by
+    canonical form), so the functions here have six variables.
     """
 
     @staticmethod
@@ -161,7 +163,7 @@ class TestChainWalk:
         return library
 
     def test_match_walks_past_inequivalent_first_candidate(self):
-        tt = TruthTable.random(5, random.Random(60))
+        tt = TruthTable.random(6, random.Random(60))
         library = self.chained(tt, with_tt=True)
         hit = library.match(tt)
         assert hit is not None
@@ -170,10 +172,10 @@ class TestChainWalk:
 
     def test_npn_images_resolve_to_the_second_class(self):
         rng = random.Random(62)
-        tt = TruthTable.random(5, rng)
+        tt = TruthTable.random(6, rng)
         library = self.chained(tt, with_tt=True)
         for _ in range(5):
-            image = tt.apply(random_transform(5, rng))
+            image = tt.apply(random_transform(6, rng))
             hits = library.match_many([image, image])
             for hit in hits:
                 assert hit is not None
@@ -181,7 +183,7 @@ class TestChainWalk:
                 assert hit.verify(image)
 
     def test_chain_end_is_a_clean_miss(self):
-        tt = TruthTable.random(5, random.Random(63))
+        tt = TruthTable.random(6, random.Random(63))
         library = self.chained(tt, with_tt=False)
         assert library.match(tt) is None
 

@@ -321,7 +321,9 @@ class TestKernelWitnessLearnPath:
         library = learner.library
         rng = random.Random(32)
         learner.learn(TruthTable.majority(3))
-        library.match(TruthTable.majority(3))  # builds the chain index
+        # An n = 6 query builds the chain index (smaller ones resolve by
+        # canonical form and never consult it).
+        library.match(TruthTable.random(6, random.Random(36)))
         assert library._chains is not None
         burst = [
             TruthTable.random(n, rng) for n in (3, 4, 5, 6) for _ in range(12)

@@ -1,7 +1,11 @@
 """Tests for the command-line interface."""
 
 import json
+import os
 import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -196,6 +200,26 @@ class TestLibraryCommands:
         out = capsys.readouterr().out
         assert "classes" in out
         assert "14" in out
+
+    def test_stats_into_a_closed_pipe_exits_quietly(self, lib_dir):
+        """``repro-npn library stats ... | head -1``: the reader is gone
+        before the first write, and the command still ends without a
+        traceback on stderr."""
+        env = dict(os.environ)
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        existing = env.get("PYTHONPATH")
+        env["PYTHONPATH"] = src + (os.pathsep + existing if existing else "")
+        process = subprocess.Popen(
+            [sys.executable, "-m", "repro", "library", "stats",
+             "--library", str(lib_dir)],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env=env,
+        )
+        process.stdout.close()  # no reader left: every write is EPIPE
+        _, err = process.communicate(timeout=60)
+        assert err == b""
+        assert process.returncode == 1
 
     def test_match_hit_prints_verified_witness(self, lib_dir, capsys):
         assert main(
