@@ -3,17 +3,11 @@
 Scale selection: set ``REPRO_BENCH_SCALE`` to ``smoke`` / ``small``
 (default) / ``paper``.  Every bench writes its regenerated table to
 ``benchmarks/results/`` so EXPERIMENTS.md can reference concrete runs.
-
-Acceptance benches additionally persist machine-readable results via the
-``persist_bench`` fixture — one ``BENCH_<name>.json`` per bench under
-``benchmarks/results/`` — so the performance trajectory is tracked as a
-concrete artifact across PRs instead of living only in CI logs.
+Speed is measured by ``perfbench/``, not here.
 """
 
 from __future__ import annotations
 
-import json
-import platform
 import sys
 from pathlib import Path
 
@@ -45,27 +39,3 @@ def results_dir():
     RESULTS_DIR.mkdir(exist_ok=True)
     return RESULTS_DIR
 
-
-@pytest.fixture(scope="session")
-def persist_bench(results_dir):
-    """Writer for machine-readable per-bench result files.
-
-    ``persist_bench(name, payload)`` writes ``results/BENCH_<name>.json``
-    containing the payload plus enough environment context (python,
-    platform) to interpret numbers later.  Timings vary run to run, so
-    these files are artifacts, not golden files — regression tooling
-    should compare trends, not bytes.
-    """
-
-    def persist(name: str, payload: dict) -> Path:
-        document = {
-            "bench": name,
-            "python": platform.python_version(),
-            "platform": platform.platform(),
-            **payload,
-        }
-        path = results_dir / f"BENCH_{name}.json"
-        path.write_text(json.dumps(document, indent=2, sort_keys=True) + "\n")
-        return path
-
-    return persist

@@ -34,7 +34,7 @@ are byte-stable across the two implementations.  Above it the witness
 is the canonical-form composition: verified, but not necessarily the
 backtracker's.
 
-For ``n > 6`` (and as the seed reference the benchmarks compare
+For ``n > 6`` (and as the seed reference the parity tests compare
 against) the scalar backtracker of :func:`find_npn_transform_scalar`
 remains: it extends slot assignments one at a time, checking after
 every extension that every cofactor of the assigned prefix has matching
@@ -558,12 +558,10 @@ def find_npn_transform_scalar(
 ) -> NPNTransform | None:
     """The seed scalar matcher: per-pair backtracking, no vectorization.
 
-    Kept as the ``n > MAX_KERNEL_VARS`` fallback, as the oracle the
-    parity tests compare against, and as the baseline the matcher
-    benchmark measures the kernels against.  Recomputes variable keys on
-    every call (the seed behaviour) so benchmark comparisons stay
-    honest; the fallback path inside the bulk search passes the
-    memoized :func:`variable_keys` instead.
+    Kept as the ``n > MAX_KERNEL_VARS`` fallback and as the oracle the
+    parity tests compare against.  Recomputes variable keys on every
+    call (the seed behaviour); the fallback path inside the bulk search
+    passes the memoized :func:`variable_keys` instead.
     """
     witness = _scalar_search(source, target, _variable_keys_uncached)
     if witness is None:

@@ -17,7 +17,7 @@ representative — so equal keys mean NPN-equivalent *for certain*, rare
 signature collisions split correctly, and every class carries the
 portable ``n{n}-c{hex}`` id.  The pre-filter typically prunes well over
 90% of exact-canonicalization calls on mixed hit/miss traffic
-(``benchmarks/bench_canonical.py`` pins this).
+(``tests/canonical/test_engine.py`` pins this at n=6).
 """
 
 from __future__ import annotations

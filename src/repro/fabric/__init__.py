@@ -15,7 +15,7 @@ digests:
 * :mod:`repro.fabric.worker` — a classification daemon serving its
   shard, registered and heartbeating;
 * :mod:`repro.fabric.chaos` — the fault-injection harness the soak
-  tests and benchmarks drive fleets with.
+  tests drive fleets with.
 """
 
 from repro.fabric.backoff import RetryPolicy, retry_call

@@ -2,7 +2,7 @@
 
 :class:`ChaosFleet` runs a router and N workers as real subprocesses —
 the same ``python -m repro router|worker`` entry points operators use —
-and exposes the fault injections the soak tests and benchmarks drive:
+and exposes the fault injections the soak tests drive:
 
 * :meth:`kill` — SIGKILL, the impolite death (no drain notice; the
   router finds out from dead channels and missed heartbeats);

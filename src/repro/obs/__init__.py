@@ -14,8 +14,7 @@ Three pieces, layered bottom-up:
 
 ``repro.obs`` imports nothing from the rest of the package, so any
 layer (kernels, engines, library, canonical, service) can instrument
-itself without import cycles.  :func:`set_enabled` is the global
-kill-switch the overhead bench uses to price the instrumentation.
+itself without import cycles.
 """
 
 from repro.obs.metrics import (
@@ -25,10 +24,8 @@ from repro.obs.metrics import (
     Gauge,
     Histogram,
     MetricsRegistry,
-    enabled,
     log_buckets,
     registry,
-    set_enabled,
 )
 from repro.obs.profile import timed
 from repro.obs.tracing import Span, Trace, Tracer
@@ -43,9 +40,7 @@ __all__ = [
     "Span",
     "Trace",
     "Tracer",
-    "enabled",
     "log_buckets",
     "registry",
-    "set_enabled",
     "timed",
 ]

@@ -22,11 +22,10 @@ Design constraints, in order:
 2. **Thread-safe.**  Hot paths record from the coalescer's executor
    thread, the event loop, and test harness threads concurrently; every
    metric family guards its series map with one lock.
-3. **Cheap when off.**  :func:`set_enabled` flips a module flag each
-   recording call checks first, so the overhead bench can measure the
-   instrumentation against a true zero baseline
-   (``benchmarks/bench_obs_overhead.py`` gates the enabled cost at <3%
-   of coalesced service throughput).
+3. **Cheap.**  Recording is one locked dict update, and the engine,
+   library and canonical layers time whole batches, not rows.  There is
+   no off switch: the cost is measured like any other change's, by
+   paired perfbench runs (and perfbench's ``obs.tracing_overhead``).
 
 Histograms use **fixed log-scaled buckets** (a 1-2-5 mantissa series per
 decade, :func:`log_buckets`) rather than adaptive sketches: fixed bounds
@@ -46,32 +45,10 @@ __all__ = [
     "Histogram",
     "MetricsRegistry",
     "registry",
-    "set_enabled",
-    "enabled",
     "log_buckets",
     "DEFAULT_TIME_BUCKETS",
     "BATCH_SIZE_BUCKETS",
 ]
-
-#: Global on/off switch for every recording call in this module (and the
-#: tracing layer, which checks it too).  Reading an unsynchronized bool
-#: is safe under the GIL; flipping it mid-traffic only loses/gains a few
-#: borderline samples.
-_ENABLED = True
-
-
-def set_enabled(flag: bool) -> bool:
-    """Enable/disable all metric recording; returns the previous state."""
-    global _ENABLED
-    previous = _ENABLED
-    _ENABLED = bool(flag)
-    return previous
-
-
-def enabled() -> bool:
-    """Is observability recording currently on?"""
-    return _ENABLED
-
 
 def log_buckets(
     low_exp: int, high_exp: int, mantissas=(1.0, 2.0, 5.0)
@@ -196,8 +173,6 @@ class Counter(_Metric):
     kind = "counter"
 
     def inc(self, amount: float = 1.0, **labels) -> None:
-        if not _ENABLED:
-            return
         if amount < 0:
             raise ValueError(f"counters only go up, got {amount}")
         key = self._key(labels)
@@ -224,15 +199,11 @@ class Gauge(_Metric):
     kind = "gauge"
 
     def set(self, value: float, **labels) -> None:
-        if not _ENABLED:
-            return
         key = self._key(labels)
         with self._lock:
             self._series[key] = float(value)
 
     def inc(self, amount: float = 1.0, **labels) -> None:
-        if not _ENABLED:
-            return
         key = self._key(labels)
         with self._lock:
             self._series[key] = self._series.get(key, 0.0) + amount
@@ -275,8 +246,6 @@ class Histogram(_Metric):
         self.buckets = bounds
 
     def observe(self, value: float, **labels) -> None:
-        if not _ENABLED:
-            return
         key = self._key(labels)
         index = bisect_left(self.buckets, value)
         with self._lock:

@@ -7,9 +7,6 @@ nanoseconds.  ``timed`` is the standard shape:
 
     with timed(_MATCH_PHASE_SECONDS, phase="signatures"):
         ...hot path...
-
-When observability is disabled (:func:`repro.obs.set_enabled`) the
-context manager skips the clock reads entirely.
 """
 
 from __future__ import annotations
@@ -17,7 +14,7 @@ from __future__ import annotations
 import time
 from contextlib import contextmanager
 
-from repro.obs.metrics import Histogram, enabled
+from repro.obs.metrics import Histogram
 
 __all__ = ["timed"]
 
@@ -25,9 +22,6 @@ __all__ = ["timed"]
 @contextmanager
 def timed(histogram: Histogram, **labels):
     """Observe the block's wall-clock duration (seconds) into *histogram*."""
-    if not enabled():
-        yield
-        return
     start = time.perf_counter()
     try:
         yield

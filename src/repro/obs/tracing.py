@@ -34,8 +34,6 @@ import threading
 import time
 from collections import deque
 
-from repro.obs.metrics import enabled
-
 __all__ = ["Span", "Trace", "Tracer"]
 
 _LOG = logging.getLogger("repro.obs.slow")
@@ -160,9 +158,9 @@ class Tracer:
     N-th request — on a saturated pipelined workload, per-request trace
     and span allocation is the dominant observability cost, so the
     daemon defaults to sampling and ``--trace-sample 1`` opts into full
-    tracing.  Disabled observability (:func:`repro.obs.set_enabled`)
-    makes :meth:`start` return ``None``; instrumentation sites treat a
-    ``None`` trace as "don't record", so the hot path pays one branch.
+    tracing.  An unsampled request gets ``None`` from :meth:`start`;
+    instrumentation sites treat a ``None`` trace as "don't record", so
+    the hot path pays one branch.
     """
 
     def __init__(
@@ -199,8 +197,6 @@ class Tracer:
         still see *all* requests — sampling only thins span detail, the
         measurably expensive part of the hot path.
         """
-        if not enabled():
-            return None
         if self.sample_every > 1:
             # Only ever called from the daemon's event-loop thread; a
             # plain counter is deliberate (no lock on the unsampled path).

@@ -57,8 +57,7 @@ DEFAULT_TRACE_CAPACITY = 256
 
 #: Head-sample span detail to every N-th request by default.  Trace and
 #: span allocation is the dominant observability cost on a saturated
-#: pipelined workload (the <3% overhead gate of
-#: ``benchmarks/bench_obs_overhead.py`` is measured at this default);
+#: pipelined workload (perfbench's ``obs.tracing_overhead`` prices it);
 #: ``serve --trace-sample 1`` opts into tracing every request.
 DEFAULT_TRACE_SAMPLE = 8
 

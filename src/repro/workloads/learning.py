@@ -1,6 +1,6 @@
 """Miss-heavy query traffic for the learn-on-miss serving path.
 
-The matcher benchmarks (:func:`repro.workloads.hit_miss_queries`) lean
+The matcher parity tests (:func:`repro.workloads.hit_miss_queries`) lean
 on hits — the expensive witness searches.  A *learning* daemon is
 stressed by the opposite shape: queries whose signature class the
 library has never seen, each of which mints a class and appends a WAL

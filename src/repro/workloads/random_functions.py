@@ -67,7 +67,7 @@ def consecutive_tables(
 def hit_miss_queries(
     n: int, hits: int, misses: int, seed: int
 ) -> tuple[list[TruthTable], list[TruthTable]]:
-    """``(library corpus, shuffled query mix)`` for matcher benchmarks.
+    """``(library corpus, shuffled query mix)`` for matcher parity tests.
 
     Every *hit* query is a fresh random NPN image of a corpus function —
     so resolving it requires an actual witness search, not the identity

@@ -47,6 +47,25 @@ class TestExactness:
         assert canonical.num_classes == batched.num_classes
         assert partition(canonical) == partition(batched)
 
+    @pytest.mark.parametrize("n", [4, 5, 6])
+    def test_serving_traffic_matches_batched_engine(self, n):
+        # Serving-shaped traffic: 40 hot orbits of 24 NPN images each,
+        # salted with 40 fresh random functions, shuffled.
+        tables, _ = seeded_equivalent_tables(
+            n, orbits=40, members_per_orbit=24, seed=2023
+        )
+        tables += random_tables(n, 40, 2024)
+        random.Random(2025).shuffle(tables)
+        engine = CanonicalClassifier()
+        canonical = engine.classify(tables)
+        batched = BatchedClassifier().classify(tables)
+        assert canonical.num_classes == batched.num_classes
+        assert partition(canonical) == partition(batched)
+        if n == 6:
+            # The signature pre-filter decides the repeats: at least 90%
+            # of the functions never reach an exact canonicalization.
+            assert engine.stats.pruned_fraction >= 0.90
+
     def test_exhaustive_n3_counts(self):
         tables = [TruthTable(3, bits) for bits in range(256)]
         result = CanonicalClassifier().classify(tables)

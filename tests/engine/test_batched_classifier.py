@@ -8,11 +8,7 @@ from repro.core.msv import DEFAULT_PARTS, PART_NAMES, compute_msv, compute_piece
 from repro.engine import BatchedClassifier, PackedTables, SignatureCache
 from repro.engine.signatures import batched_pieces, fwht_batch
 from repro.spectral.walsh import fwht
-from repro.workloads import (
-    packed_equivalent_tables,
-    random_tables,
-    seeded_equivalent_tables,
-)
+from repro.workloads import random_tables, seeded_equivalent_tables
 
 
 class TestNeverSplitParity:
@@ -28,7 +24,7 @@ class TestNeverSplitParity:
         assert batched.buckets_digest() == reference.buckets_digest()
         assert batched.num_classes <= upper_bound
 
-    @pytest.mark.parametrize("n", [0, 1, 7, 8])
+    @pytest.mark.parametrize("n", [0, 1, 5, 6, 7, 8])
     def test_random_tables_identical_buckets(self, n):
         tables = random_tables(n, 64, seed=n + 7)
         reference = FacePointClassifier().classify(tables)
@@ -42,7 +38,9 @@ class TestNeverSplitParity:
         assert batched.buckets_digest() == reference.buckets_digest()
 
     def test_packed_input_matches_list_input(self):
-        packed, _ = packed_equivalent_tables(5, 10, 3, seed=5)
+        packed = PackedTables.from_tables(
+            seeded_equivalent_tables(5, 10, 3, seed=5)[0]
+        )
         tables = packed.to_tables()
         from_packed = BatchedClassifier().classify(packed)
         from_list = BatchedClassifier().classify(tables)

@@ -136,3 +136,36 @@ class TestCanonicalFormPath:
                 small,
                 signatures=[compute_msv(tt, ("c0", "oiv")) for tt in small],
             )
+
+
+class TestScalarMatcherParity:
+    """n=6 queries take the signature-chain path: the kernel-backed
+    matcher must return the scalar backtracker's witness, byte for byte."""
+
+    def test_hit_miss_witnesses_equal_a_scalar_chain_walk(self):
+        from repro.baselines.matcher import find_npn_transform_scalar
+        from repro.workloads import hit_miss_queries
+
+        corpus, queries = hit_miss_queries(6, 300, 300, seed=1105)
+        library = build_library(corpus)
+        signatures = library._signature_engine().signatures(queries)
+        chains = library._chain_index()
+        matches = library.match_many(queries, signatures=signatures)
+        hits = 0
+        for query, signature, match in zip(queries, signatures, matches):
+            expected = None
+            for class_id in chains.get(library.base_id_of(signature), ()):
+                entry = library.classes[class_id]
+                witness = find_npn_transform_scalar(entry.representative, query)
+                if witness is not None:
+                    expected = (class_id, witness)
+                    break
+            assert (match is None) == (expected is None)
+            if match is None:
+                continue
+            assert (match.class_id, match.transform) == expected
+            # Re-verified through the scalar big-int apply, not the
+            # gather kernels that produced the witness.
+            assert match.representative.apply(match.transform) == query
+            hits += 1
+        assert hits == 300

@@ -19,7 +19,6 @@ from repro.obs import (
     Histogram,
     MetricsRegistry,
     log_buckets,
-    set_enabled,
 )
 
 
@@ -226,28 +225,6 @@ class TestRegistry:
         reg = MetricsRegistry()
         reg.counter("e_total", "he", labels=("msg",)).inc(msg='say "hi"\n')
         assert 'msg="say \\"hi\\"\\n"' in reg.render()
-
-
-class TestEnabledFlag:
-    def test_disabled_recording_is_a_noop(self):
-        c = Counter("t_total", "test")
-        h = Histogram("t_seconds", "test", buckets=(1.0,))
-        previous = set_enabled(False)
-        try:
-            c.inc(5)
-            h.observe(0.5)
-        finally:
-            set_enabled(previous)
-        assert c.value() == 0.0
-        assert h.series()["count"] == 0
-
-    def test_set_enabled_returns_previous_state(self):
-        previous = set_enabled(False)
-        try:
-            assert set_enabled(True) is False
-            assert set_enabled(True) is True
-        finally:
-            set_enabled(previous)
 
 
 class TestThreadSafety:

@@ -238,23 +238,6 @@ class TestRegistryDeltas:
             "repro_service_request_seconds_count"
         ]
 
-    def test_disabled_observability_serves_but_records_nothing(
-        self, tiny_library
-    ):
-        reg = obs.registry()
-        requests = reg.get("repro_service_requests_total")
-        previous = obs.set_enabled(False)
-        try:
-            before = requests.value(op="match")
-            with ThreadedService(tiny_library) as svc:
-                with ServiceClient(port=svc.port) as client:
-                    assert client.match(TruthTable.majority(3))["hit"]
-                _, body = http_get(svc.address, "/v1/trace/recent")
-                assert json.loads(body)["traces"] == []
-            assert requests.value(op="match") == before
-        finally:
-            obs.set_enabled(previous)
-
 
 class TestServiceMetricsThreadSafety:
     def test_concurrent_recording_loses_nothing(self):
