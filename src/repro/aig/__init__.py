@@ -7,7 +7,8 @@ replicate that front-end in Python:
 * :mod:`repro.aig.network` — AIG data structure with structural hashing;
 * :mod:`repro.aig.aiger` — ASCII AIGER reader/writer;
 * :mod:`repro.aig.simulate` — bit-parallel simulation and cone functions;
-* :mod:`repro.aig.cuts` — k-feasible priority-cut enumeration;
+* :mod:`repro.aig.cuts` — k-feasible priority-cut enumeration, each cut
+  carrying its truth table;
 * :mod:`repro.aig.builders` — EPFL-like arithmetic/control generators.
 """
 

@@ -8,32 +8,64 @@ most ``max_cuts`` per node (priority cuts) so the enumeration stays
 polynomial on large networks — the standard scheme from cut-based FPGA
 mapping, which is also how the paper extracts Boolean functions from the
 EPFL benchmarks.
+
+Every cut carries an exact leaf mask (a Python int, bit ``i`` set for
+leaf variable ``i``): merging two fanin cuts is ``a.mask | b.mask`` plus
+``bit_count()``, and ``s`` dominates ``c`` when ``s.mask & ~c.mask == 0``
+(checked only against survivors with fewer leaves).
+
+Every kept cut also carries its truth table over its sorted leaves, so
+no cone is walked per cut.  A merged cut's table is the AND of its two
+fanin cuts' tables, each stretched to the union leaves (replicated, then
+its variables swapped into place from the top down) and complemented
+per the fanin literal.  One case breaks that rule: a union leaf can lie
+strictly inside a fanin cut's cone, where
+:func:`~repro.aig.simulate.cone_function` treats it as a free variable
+while the merge would compute it from the fanin cut's leaves.  Each cut
+therefore also tracks the mask of its cone-interior nodes (root
+included, leaves excluded); where the union mask meets either fanin's
+interior, the table comes from ``cone_function`` instead.  Every table
+thus equals :func:`~repro.aig.simulate.cut_function` of the same cut,
+which stays as the reference oracle.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator
-
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import lru_cache
+from itertools import islice, zip_longest
 
 from repro.aig.network import AIG
+from repro.aig.simulate import cone_function
+from repro.core import bitops
+from repro.core.truth_table import TruthTable
 
 __all__ = ["Cut", "enumerate_cuts", "cut_statistics", "iter_cut_functions"]
 
 
 @dataclass(frozen=True)
 class Cut:
-    """An immutable cut: sorted leaf variables plus a 64-bit Bloom signature."""
+    """An immutable cut: leaf variables, their exact bitmask, its function.
+
+    ``function`` is the cut's truth table over its sorted leaves (leaf
+    ``i`` is table variable ``i``) and ``interior`` the mask of the nodes
+    strictly inside its cone.  :func:`enumerate_cuts` fills both in; a
+    cut built by :meth:`of` or :func:`merge_cuts` has no function.
+    Neither takes part in equality: a cut is its leaf set.
+    """
 
     leaves: tuple[int, ...]
-    signature: int
+    mask: int
+    function: int | None = field(default=None, compare=False)
+    interior: int = field(default=0, compare=False, repr=False)
 
     @classmethod
     def of(cls, leaves: tuple[int, ...]) -> "Cut":
-        signature = 0
+        mask = 0
         for leaf in leaves:
-            signature |= 1 << (leaf & 63)
-        return cls(leaves, signature)
+            mask |= 1 << leaf
+        return cls(leaves, mask)
 
     @property
     def size(self) -> int:
@@ -43,29 +75,23 @@ class Cut:
         """True if this cut's leaves are a subset of the other's.
 
         A dominated cut is redundant: any function computable over the
-        superset cut is computable over the subset cut.  The Bloom
-        signature rejects most non-subset pairs in O(1).
+        superset cut is computable over the subset cut.
         """
-        if self.signature & ~other.signature:
-            return False
-        return set(self.leaves) <= set(other.leaves)
+        return self.mask & ~other.mask == 0
 
 
 def merge_cuts(a: Cut, b: Cut, k: int) -> Cut | None:
     """Union of two fanin cuts if it stays k-feasible."""
-    # Bloom popcount is a lower bound on the union size: sound cheap reject.
-    if (a.signature | b.signature).bit_count() > k:
+    mask = a.mask | b.mask
+    if mask.bit_count() > k:
         return None
-    union = tuple(sorted(set(a.leaves) | set(b.leaves)))
-    if len(union) > k:
-        return None
-    return Cut.of(union)
+    return Cut(_leaves(mask), mask)
 
 
 def enumerate_cuts(
     aig: AIG, k: int, max_cuts: int = 16, include_trivial: bool = True
 ) -> dict[int, list[Cut]]:
-    """All (priority) k-feasible cuts of every variable.
+    """All (priority) k-feasible cuts of every variable, with their tables.
 
     Args:
         aig: the network.
@@ -76,32 +102,36 @@ def enumerate_cuts(
 
     Returns:
         Map from variable index to its cut list.  Inputs own just their
-        trivial cut.
+        trivial cut.  Every cut's ``function`` is its truth table.
     """
-    if k < 1:
-        raise ValueError("cut size must be at least 1")
+    if not 1 <= k <= bitops.MAX_VARS:
+        raise ValueError(f"cut size must be in 1..{bitops.MAX_VARS}")
     cuts: dict[int, list[Cut]] = {}
     for variable in aig.input_variables():
-        cuts[variable] = [Cut.of((variable,))]
+        cuts[variable] = [_trivial_cut(variable)]
+    constant = [_CONSTANT_CUT]
     for variable in aig.and_variables():
         f0, f1 = aig.fanins(variable)
-        v0, v1 = f0 // 2, f1 // 2
-        candidates: list[Cut] = []
-        for cut_a in cuts.get(v0, [_constant_cut()]):
-            for cut_b in cuts.get(v1, [_constant_cut()]):
-                merged = merge_cuts(cut_a, cut_b, k)
-                if merged is not None:
-                    candidates.append(merged)
-        kept = _filter_cuts(candidates, max_cuts)
+        # First fanin pair per leaf set, in fanin-cut order.
+        pairs: dict[int, tuple[Cut, Cut]] = {}
+        for cut_a in cuts.get(f0 >> 1, constant):
+            for cut_b in cuts.get(f1 >> 1, constant):
+                mask = cut_a.mask | cut_b.mask
+                if mask.bit_count() <= k and mask not in pairs:
+                    pairs[mask] = (cut_a, cut_b)
+        kept = [
+            _merged(aig, variable, leaves, mask, *pairs[mask], f0 & 1, f1 & 1)
+            for leaves, mask in _select(pairs, max_cuts)
+        ]
         if include_trivial:
-            kept.append(Cut.of((variable,)))
+            kept.append(_trivial_cut(variable))
         cuts[variable] = kept
     return cuts
 
 
 def iter_cut_functions(
     aig: AIG, sizes: Iterable[int], max_cuts: int = 16
-) -> Iterator[tuple[int, Cut, "TruthTable"]]:
+) -> Iterator[tuple[int, Cut, TruthTable]]:
     """Stream ``(root, cut, truth table)`` for every cut of a wanted size.
 
     Every enumerated cut occurrence is yielded — including duplicate
@@ -109,8 +139,9 @@ def iter_cut_functions(
     honest per-cut hit rates (the library cut-matching experiment) or
     deduplicate themselves (the extraction pipeline's behaviour).
     Deterministic: AND variables in topological order, each node's cut
-    list in priority order.  Invalid ``sizes`` raise here, at call time,
-    not at first iteration.
+    list in priority order.  The tables are the ones enumeration
+    carries; nothing is cached between calls.  Invalid ``sizes`` raise
+    here, at call time, not at first iteration.
     """
     wanted = sorted(set(sizes))
     if not wanted or wanted[0] < 1:
@@ -119,14 +150,12 @@ def iter_cut_functions(
 
 
 def _iter_cut_functions(aig: AIG, wanted: list[int], max_cuts: int):
-    from repro.aig.simulate import cut_function
-
     cuts = enumerate_cuts(aig, k=max(wanted), max_cuts=max_cuts)
     wanted_set = set(wanted)
     for variable in aig.and_variables():
         for cut in cuts[variable]:
             if cut.size in wanted_set:
-                yield variable, cut, cut_function(aig, variable, cut.leaves)
+                yield variable, cut, TruthTable(cut.size, cut.function)
 
 
 def cut_statistics(cuts: dict[int, list[Cut]]) -> dict[int, int]:
@@ -138,39 +167,121 @@ def cut_statistics(cuts: dict[int, list[Cut]]) -> dict[int, int]:
     return dict(sorted(histogram.items()))
 
 
-def _constant_cut() -> Cut:
-    """The empty cut owned by the constant node."""
-    return Cut.of(())
+#: The empty cut owned by the constant node; its table is constant 0.
+_CONSTANT_CUT = Cut((), 0, 0)
 
 
-def _filter_cuts(candidates: list[Cut], max_cuts: int) -> list[Cut]:
-    """Remove duplicates and dominated cuts; keep ``max_cuts`` diverse cuts.
+def _trivial_cut(variable: int) -> Cut:
+    """The singleton cut ``{v}``: the projection ``x_0`` over one leaf."""
+    return Cut((variable,), 1 << variable, 0b10)
 
-    Domination is checked ascending by size (only smaller cuts can
-    dominate).  Selection round-robins across size groups instead of
-    keeping only the smallest cuts: the downstream consumer is function
-    *extraction*, which needs large cuts as much as small ones.
+
+def _leaves(mask: int) -> tuple[int, ...]:
+    """The set bits of ``mask``, ascending."""
+    leaves = []
+    while mask:
+        low = mask & -mask
+        leaves.append(low.bit_length() - 1)
+        mask ^= low
+    return tuple(leaves)
+
+
+def _select(
+    pairs: dict[int, tuple[Cut, Cut]], max_cuts: int
+) -> list[tuple[tuple[int, ...], int]]:
+    """Drop dominated leaf sets; keep ``max_cuts`` diverse ones.
+
+    Each set is checked against the survivors of smaller sizes only (an
+    equal-size set can only be dominated by itself), so the check needs
+    no order within a size; the survivors of each size are then sorted
+    by their leaves.  Selection round-robins across size groups instead
+    of keeping only the smallest cuts: the downstream consumer is
+    function *extraction*, which needs large cuts as much as small ones.
+    Returns ``(leaves, mask)`` pairs in selection order.
     """
-    unique: dict[tuple[int, ...], Cut] = {}
-    for cut in candidates:
-        unique.setdefault(cut.leaves, cut)
-    ordered = sorted(unique.values(), key=lambda c: (c.size, c.leaves))
-    survivors: list[Cut] = []
-    for cut in ordered:
-        if any(existing.dominates(cut) for existing in survivors):
+    by_size: dict[int, list[int]] = {}
+    for mask in pairs:
+        by_size.setdefault(mask.bit_count(), []).append(mask)
+    groups = []
+    smaller: list[int] = []
+    for size in sorted(by_size):
+        survivors = []
+        for mask in by_size[size]:
+            for subset in smaller:
+                if subset & mask == subset:
+                    break
+            else:
+                survivors.append(mask)
+        smaller += survivors
+        groups.append(sorted((_leaves(mask), mask) for mask in survivors))
+    ranked = (cut for rank in zip_longest(*groups) for cut in rank if cut is not None)
+    return list(islice(ranked, max_cuts))
+
+
+def _merged(
+    aig: AIG,
+    root: int,
+    leaves: tuple[int, ...],
+    mask: int,
+    cut_a: Cut,
+    cut_b: Cut,
+    negate_a: int,
+    negate_b: int,
+) -> Cut:
+    """The cut of ``root`` over ``leaves``, from its fanin pair."""
+    if (cut_a.interior | cut_b.interior) & mask:
+        return _cone_cut(aig, root, leaves, mask)
+    table = _stretch(cut_a, leaves, negate_a) & _stretch(cut_b, leaves, negate_b)
+    return Cut(leaves, mask, table, cut_a.interior | cut_b.interior | 1 << root)
+
+
+def _cone_cut(aig: AIG, root: int, leaves: tuple[int, ...], mask: int) -> Cut:
+    """A cut whose table the merge cannot give, from the cone walk."""
+    interior = 0
+    stack = [root]
+    while stack:
+        variable = stack.pop()
+        bit = 1 << variable
+        if variable == 0 or (mask | interior) & bit:
             continue
-        survivors.append(cut)
-    by_size: dict[int, list[Cut]] = {}
-    for cut in survivors:
-        by_size.setdefault(cut.size, []).append(cut)
-    kept: list[Cut] = []
-    groups = [by_size[size] for size in sorted(by_size)]
-    position = 0
-    while len(kept) < max_cuts and any(groups):
-        group = groups[position % len(groups)]
-        if group:
-            kept.append(group.pop(0))
-        position += 1
-        if all(not g for g in groups):
-            break
-    return kept
+        interior |= bit
+        f0, f1 = aig.fanins(variable)
+        stack += (f0 >> 1, f1 >> 1)
+    table = cone_function(aig, 2 * root, leaves).bits
+    return Cut(leaves, mask, table, interior)
+
+
+def _stretch(cut: Cut, leaves: tuple[int, ...], negate: int) -> int:
+    """``cut``'s table over the superset ``leaves``, complemented if asked."""
+    table = cut.function
+    if cut.leaves != leaves:
+        positions = tuple(map(leaves.index, cut.leaves))
+        replicate, swaps = _stretch_plan(len(leaves), positions)
+        table *= replicate
+        for shift, low_side in swaps:
+            delta = ((table >> shift) ^ table) & low_side
+            table ^= delta ^ (delta << shift)
+    return table ^ bitops.table_mask(len(leaves)) if negate else table
+
+
+@lru_cache(maxsize=1 << 12)
+def _stretch_plan(
+    n: int, positions: tuple[int, ...]
+) -> tuple[int, tuple[tuple[int, int], ...]]:
+    """How to move an ``m``-variable table onto ``n`` variables.
+
+    Variable ``i`` of the source goes to ``positions[i]`` (ascending).
+    Multiplying by the returned repunit copies the table over the
+    ``n - m`` new (don't-care) variables; the delta swaps, one per moved
+    variable from the top down, then exchange each source variable with
+    the don't-care variable sitting at its target position.
+    """
+    m = len(positions)
+    replicate = bitops.table_mask(n) // bitops.table_mask(m)
+    swaps = []
+    for i in reversed(range(m)):
+        j = positions[i]
+        if j != i:
+            low_side = bitops.var_mask(n, i) & ~bitops.var_mask(n, j)
+            swaps.append(((1 << j) - (1 << i), low_side))
+    return replicate, tuple(swaps)

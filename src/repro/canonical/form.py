@@ -9,10 +9,10 @@ computes.  What changes with arity is only *how* it is computed:
   (byte-identical to the exhaustive enumeration: the ``n!`` permuted
   words are gathered, the input phases added by word-level doublings);
   :func:`repro.kernels.canonical_min_transforms` reduces the same words
-  with ``argmin`` and also returns the transform reaching the form;
-  :func:`canonical_forms_with_witnesses` inverts it into the witness
-  (checked with one apply) that learn-on-miss and the library's
-  ``n <= 5`` match path both answer with;
+  with ``argmin`` and also returns the transform reaching the form
+  (:func:`canonical_forms_with_transforms`); :func:`checked_witness`
+  inverts it into the witness (checked with one apply) that
+  learn-on-miss and the library's ``n <= 5`` match path answer with;
 * ``n > 6`` — :func:`influence_canonical_scalar`, an exact search that
   walks permutations in the influence-sorted candidate order (strong
   incumbent early) and bounds the per-permutation phase enumeration by
@@ -42,7 +42,8 @@ from repro.kernels.ops import canonical_min, canonical_min_transforms, pack_rows
 __all__ = [
     "canonical_form",
     "canonical_forms",
-    "canonical_forms_with_witnesses",
+    "canonical_forms_with_transforms",
+    "checked_witness",
     "influence_canonical_scalar",
     "canonical_class_id",
     "parse_canonical_class_id",
@@ -106,25 +107,31 @@ def canonical_forms(tables, n: int | None = None) -> list[TruthTable]:
     return out
 
 
-def canonical_forms_with_witnesses(
+def canonical_forms_with_transforms(
     tables: Sequence[TruthTable], n: int
-) -> list[tuple[TruthTable, NPNTransform | None]]:
-    """``(canonical form, witness)`` of each table of one kernel arity.
+) -> list[tuple[TruthTable, NPNTransform]]:
+    """``(canonical form, transform reaching it)`` of each table of one arity.
 
     One :func:`~repro.kernels.canonical_min_transforms` call yields the
-    orbit minima and the transforms reaching them; the inverse of each
-    transform maps the form back onto its table.  A witness is kept only
-    if ``form.apply(witness) == table`` holds, so a ``None`` witness
-    means "find one some other way", never a wrong one.  The kernels
-    raise ``ValueError`` above ``MAX_KERNEL_VARS``.
+    orbit minima and the transforms mapping each table onto its form;
+    :func:`checked_witness` turns one into the witness that maps the
+    form back onto its table, so callers pay for it only where they
+    need it.  The kernels raise ``ValueError`` above ``MAX_KERNEL_VARS``.
     """
     minima, transforms = canonical_min_transforms([tt.bits for tt in tables], n)
-    out = []
-    for tt, low, transform in zip(tables, minima.tolist(), transforms):
-        form = TruthTable(n, low)
-        witness = transform.inverse()
-        out.append((form, witness if form.apply(witness) == tt else None))
-    return out
+    return [(TruthTable(n, low), t) for low, t in zip(minima.tolist(), transforms)]
+
+
+def checked_witness(
+    form: TruthTable, transform: NPNTransform, table: TruthTable
+) -> NPNTransform | None:
+    """The inverse of ``transform`` if it maps ``form`` onto ``table``.
+
+    Checked with one apply, so ``None`` means "find one some other
+    way", never a wrong witness.
+    """
+    witness = transform.inverse()
+    return witness if form.apply(witness) == table else None
 
 
 def influence_canonical_scalar(

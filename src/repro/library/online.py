@@ -49,7 +49,8 @@ from repro.baselines.matcher import find_npn_transform
 from repro.canonical.form import (
     canonical_class_id,
     canonical_form,
-    canonical_forms_with_witnesses,
+    canonical_forms_with_transforms,
+    checked_witness,
 )
 from repro.core.msv import DEFAULT_PARTS, MixedSignature
 from repro.core.transforms import NPNTransform
@@ -312,7 +313,8 @@ class LearningLibrary:
         """
         if tt.n > MAX_KERNEL_VARS:
             return canonical_form(tt), None
-        return canonical_forms_with_witnesses([tt], tt.n)[0]
+        form, transform = canonical_forms_with_transforms([tt], tt.n)[0]
+        return form, checked_witness(form, transform, tt)
 
     def _append(self, record: dict) -> None:
         """Write one record, compacting when the segment threshold trips."""

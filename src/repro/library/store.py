@@ -56,7 +56,8 @@ from repro.baselines.matcher import (
 from repro.canonical.form import (
     canonical_class_id,
     canonical_form,
-    canonical_forms_with_witnesses,
+    canonical_forms_with_transforms,
+    checked_witness,
     parse_canonical_class_id,
 )
 from repro.core import bitops
@@ -489,13 +490,18 @@ class ClassLibrary:
         by_arity: dict[int, list[int]],
         out: list[LibraryMatch | None],
     ) -> None:
-        """Resolve small queries by canonical form: id lookup + witness."""
+        """Resolve small queries by canonical form: id lookup + witness.
+
+        The witness is built only for hits: a miss costs one kernel row
+        and one dict lookup, no inverse and no apply check.
+        """
         for n, indices in by_arity.items():
-            forms = canonical_forms_with_witnesses([tts[i] for i in indices], n)
-            for i, (form, witness) in zip(indices, forms):
+            forms = canonical_forms_with_transforms([tts[i] for i in indices], n)
+            for i, (form, transform) in zip(indices, forms):
                 entry = self.classes.get(canonical_class_id(form))
                 if entry is None:
                     continue
+                witness = checked_witness(form, transform, tts[i])
                 if witness is None:  # pragma: no cover - kernel bug
                     witness = find_npn_transform(entry.representative, tts[i])
                 if witness is not None:

@@ -11,9 +11,8 @@ from __future__ import annotations
 
 from collections.abc import Iterable
 
-from repro.aig.cuts import enumerate_cuts
+from repro.aig.cuts import iter_cut_functions
 from repro.aig.network import AIG
-from repro.aig.simulate import cut_function
 from repro.core.truth_table import TruthTable
 
 __all__ = ["extract_cut_functions", "extraction_report"]
@@ -44,28 +43,16 @@ def extract_cut_functions(
     wanted = sorted(set(sizes))
     if not wanted or wanted[0] < 1:
         raise ValueError("cut sizes must be positive")
-    k = max(wanted)
     seen: dict[int, set[int]] = {n: set() for n in wanted}
     collected: dict[int, list[TruthTable]] = {n: [] for n in wanted}
-    budget_left = {
-        n: (limit_per_size if limit_per_size is not None else None) for n in wanted
-    }
     for aig in circuits:
-        cuts = enumerate_cuts(aig, k=k, max_cuts=max_cuts)
-        for variable in aig.and_variables():
-            for cut in cuts[variable]:
-                n = cut.size
-                if n not in seen:
-                    continue
-                if budget_left[n] is not None and budget_left[n] <= 0:
-                    continue
-                tt = cut_function(aig, variable, cut.leaves)
-                if tt.bits in seen[n]:
-                    continue
-                seen[n].add(tt.bits)
-                collected[n].append(tt)
-                if budget_left[n] is not None:
-                    budget_left[n] -= 1
+        for _, _, tt in iter_cut_functions(aig, wanted, max_cuts=max_cuts):
+            bucket = collected[tt.n]
+            if limit_per_size is not None and len(bucket) >= limit_per_size:
+                continue
+            if tt.bits not in seen[tt.n]:
+                seen[tt.n].add(tt.bits)
+                bucket.append(tt)
     return collected
 
 

@@ -82,6 +82,20 @@ class TestCutEnumeration:
         assert Cut.of((1,)).dominates(Cut.of((1, 2)))
         assert not Cut.of((1, 3)).dominates(Cut.of((1, 2)))
 
+    def test_masks_are_exact_for_leaves_64_apart(self):
+        """1 and 65 shared a bit of the old 64-bit Bloom signature."""
+        one, far = Cut.of((1,)), Cut.of((65,))
+        assert one.mask == 1 << 1 and far.mask == 1 << 65
+        assert not one.dominates(far)
+        assert not far.dominates(one)
+        assert one.dominates(Cut.of((1, 65)))
+        assert not Cut.of((1, 65)).dominates(Cut.of((1, 129)))
+        merged = merge_cuts(one, far, 2)
+        assert merged.leaves == (1, 65)
+        assert merged.mask == one.mask | far.mask
+        assert merge_cuts(one, far, 1) is None
+        assert merge_cuts(Cut.of((1, 2)), Cut.of((65, 66)), 3) is None
+
     def test_merge_respects_k(self):
         a, b = Cut.of((1, 2)), Cut.of((3, 4))
         assert merge_cuts(a, b, 4).leaves == (1, 2, 3, 4)

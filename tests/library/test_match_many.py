@@ -99,6 +99,45 @@ class TestCanonicalFormPath:
         assert all(h is not None and h.verify(q) for h, q in zip(hits, queries))
         assert library._chains is None
 
+    def test_witnesses_are_built_for_hits_only(self, monkeypatch):
+        """A miss costs a kernel row and an id lookup: no inverse, no
+        apply check.  Hits keep the kernel's inverted argmin transform."""
+        from repro.canonical.form import canonical_class_id, canonical_form
+        from repro.core.transforms import NPNTransform
+        from repro.kernels import canonical_min_transforms
+
+        library = build_library(random_tables(4, 6, 5))
+        misses = [
+            tt
+            for tt in random_tables(4, 80, 43)
+            if canonical_class_id(canonical_form(tt)) not in library.classes
+        ]
+        assert len(misses) >= 40
+        rng = random.Random(31)
+        hits = [
+            entry.representative.apply(random_transform(4, rng))
+            for entry in library.entries()
+            for _ in range(4)
+        ]
+        _, transforms = canonical_min_transforms([tt.bits for tt in hits], 4)
+        expected = [transform.inverse() for transform in transforms]
+
+        inverses = []
+        inverse = NPNTransform.inverse
+        monkeypatch.setattr(
+            NPNTransform,
+            "inverse",
+            lambda self: inverses.append(self) or inverse(self),
+        )
+        assert library.match_many(misses) == [None] * len(misses)
+        assert inverses == []
+
+        outcomes = library.match_many(misses + hits)
+        assert outcomes[: len(misses)] == [None] * len(misses)
+        assert [o.transform for o in outcomes[len(misses) :]] == expected
+        assert all(o.verify(q) for o, q in zip(outcomes[len(misses) :], hits))
+        assert len(inverses) == len(hits)
+
     def test_kernel_phase_is_timed_and_queries_counted_once(
         self, mixed_library
     ):

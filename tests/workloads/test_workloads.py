@@ -86,6 +86,29 @@ class TestExtraction:
         found_xor = any(are_npn_equivalent(tt, xor3) for tt in functions[3])
         assert found_maj and found_xor
 
+    @pytest.mark.parametrize(
+        "limit, counts, digest",
+        [
+            (None, {4: 33, 6: 38, 8: 34}, "39d24ad49b6c8f2c"),
+            (7, {4: 7, 6: 7, 8: 7}, "0ad29e9a597694b4"),
+        ],
+    )
+    def test_output_pinned_on_ripple_adder_10(self, limit, counts, digest):
+        """Tables, order and ``limit_per_size`` cut-off as recorded from the
+        extraction that walked each cut's cone: carrying tables through
+        enumeration must not change a single function or its position."""
+        import hashlib
+
+        functions = extract_cut_functions(
+            ripple_adder(10), sizes=[4, 6, 8], limit_per_size=limit
+        )
+        assert {n: len(tables) for n, tables in functions.items()} == counts
+        text = ";".join(
+            f"{n}:" + ",".join(tt.to_hex() for tt in functions[n])
+            for n in sorted(functions)
+        )
+        assert hashlib.sha256(text.encode()).hexdigest()[:16] == digest
+
     def test_size_validation(self):
         with pytest.raises(ValueError):
             extract_cut_functions(ripple_adder(4), sizes=[])
