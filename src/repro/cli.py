@@ -133,7 +133,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--library", default="npn_library", help="library directory"
     )
     lib_migrate = lib_sub.add_parser(
-        "migrate", help="convert a version-1 library and its WAL in place"
+        "migrate",
+        help="convert a version-1 or version-2 library and its WAL in place",
     )
     lib_migrate.add_argument(
         "--library", default="npn_library", help="library directory"
@@ -822,7 +823,7 @@ def _cmd_library_migrate(args) -> int:
         print(f"cannot migrate library: {exc}", file=sys.stderr)
         return 2
     print(
-        f"migrated {result.path} to version 2 with {result.merged_records} "
+        f"migrated {result.path} to version 3 with {result.merged_records} "
         f"WAL records ({result.removed_segments} segments) — "
         f"{result.num_classes} classes"
     )

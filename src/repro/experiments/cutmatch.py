@@ -111,7 +111,6 @@ def class_hit_rows(
                 "hits": hits,
                 "representative": f"0x{entry.representative.to_hex()}",
                 "library_size": entry.size,
-                "exact_rep": entry.exact,
             }
         )
     return rows

@@ -7,7 +7,8 @@ representative per NPN class, persists to a versioned
 ``(class id, NPN transform witness)`` pairs via the signature-pruned
 pairwise matcher.  See :mod:`repro.library.store` for the data model,
 :mod:`repro.library.build` for building from a corpus and
-:mod:`repro.library.migrate` for converting version-1 artifacts.
+:mod:`repro.library.migrate` for converting version-1 and version-2
+artifacts.
 """
 
 from repro.library.build import (

@@ -96,7 +96,7 @@ _COMPACTION_SECONDS = _REG.histogram(
 
 @dataclass(frozen=True)
 class CompactionResult:
-    """What one compaction (or one version-1 migration) did.
+    """What one compaction (or one migration) did.
 
     Attributes:
         merged_records: WAL records absorbed into the image.

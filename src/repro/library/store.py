@@ -1,9 +1,8 @@
 """Persistent NPN class library: canonical representatives + witness matching.
 
 A :class:`ClassLibrary` stores one entry per NPN class: a canonical
-representative truth table, the class size observed at build time, and
-the face/point characteristics of the representative.  The library
-closes the loop the bucketing engines leave open — a
+representative truth table and the class size observed at build time.
+The library closes the loop the bucketing engines leave open — a
 :class:`~repro.core.classifier.ClassificationResult` groups functions
 without ever saying *which* class a bucket is or *how* a member maps onto
 it.  Here every class has a stable identity and :meth:`ClassLibrary.match`
@@ -22,24 +21,27 @@ the larger classes into the matching chains that pre-filter
 
 Persistence is a directory holding two files:
 
-* ``manifest.json`` — format name, format version 2, id scheme
-  (``"canonical"``), MSV parts and the per-class metadata (id, arity,
-  size, exactness, representative hex, satisfy count, influence vector);
-* ``classes.npz`` — the representatives as packed little-endian
-  ``uint64`` words plus the size/arity arrays, in manifest order.
+* ``classes.npz`` — every class once: its arity (``ns``), its size
+  (``sizes``) and its representative as packed little-endian ``uint64``
+  words (``reps``), rows sorted by ``(n, representative)``;
+* ``manifest.json`` — a header only: format name, format version 3,
+  MSV parts and the sha256 of ``classes.npz``.
 
-Both files are written deterministically (sorted classes, fixed zip
-timestamps), so rebuilding the same corpus yields byte-identical
-artifacts — the property the regression suite pins.  :meth:`ClassLibrary.load`
-cross-checks the two files against each other and re-verifies every
-class id and representative against a recomputed canonical form, so
-corruption or a format drift fails loudly instead of producing garbage
-matches.  Older, version-1 artifacts are converted once by
-:mod:`repro.library.migrate`.
+Ids are not stored: each is derived from its representative.  Both
+files are written deterministically (sorted rows, canonical JSON, fixed
+zip timestamps), so rebuilding the same corpus yields byte-identical
+artifacts — the property the regression suite pins.  Every
+:meth:`ClassLibrary.load` checks the seal, the array shapes and
+arities, that the rows strictly increase, and that every representative
+is its own orbit minimum, so corruption or a format drift fails loudly
+instead of producing garbage matches.  Older, version-1 and version-2
+artifacts are converted once by :mod:`repro.library.migrate`.
 """
 
 from __future__ import annotations
 
+import hashlib
+import io
 import json
 import zipfile
 from collections.abc import Iterable, Sequence
@@ -58,10 +60,8 @@ from repro.canonical.form import (
     canonical_form,
     canonical_forms_with_transforms,
     checked_witness,
-    parse_canonical_class_id,
 )
 from repro.core import bitops
-from repro.core import characteristics as chars
 from repro.core.msv import DEFAULT_PARTS, MixedSignature, compute_msv, normalize_parts
 from repro.core.transforms import NPNTransform
 from repro.core.truth_table import TruthTable
@@ -75,17 +75,18 @@ __all__ = [
     "LibraryFormatError",
     "FORMAT_NAME",
     "FORMAT_VERSION",
-    "ID_SCHEME",
     "MANIFEST_FILE",
     "TABLES_FILE",
 ]
 
 FORMAT_NAME = "repro-npn-class-library"
-FORMAT_VERSION = 2
-#: The manifest's ``id_scheme`` value: orbit-minimum ids (module docstring).
-ID_SCHEME = "canonical"
+FORMAT_VERSION = 3
 MANIFEST_FILE = "manifest.json"
 TABLES_FILE = "classes.npz"
+#: The arrays of a version-3 ``classes.npz``, one row per class.
+TABLE_ARRAYS = ("ns", "sizes", "reps")
+#: The manifest field holding the sha256 hex digest of ``classes.npz``.
+SEAL_FIELD = "classes_sha256"
 #: Largest arity :meth:`ClassLibrary.match_many` resolves by canonical
 #: form.  Above it the signature chains plus the grouped matcher are
 #: cheaper (random ``n = 6`` queries: ~70-95 µs matcher vs ~420 µs
@@ -107,8 +108,8 @@ _MATCH_QUERIES = _REG.counter(
 )
 _LOAD_SECONDS = _REG.histogram(
     "repro_library_load_seconds",
-    "Wall-clock time of one ClassLibrary.load: reading both files and, "
-    "when verifying, the canonical-representative check.",
+    "Wall-clock time of one ClassLibrary.load: reading both files and "
+    "checking them, the canonical-representative check included.",
 )
 _MATCH_ROUNDS = _REG.counter(
     "repro_library_match_rounds_total",
@@ -123,7 +124,7 @@ class LibraryFormatError(ValueError):
 
 @dataclass(frozen=True)
 class NPNClassEntry:
-    """One NPN class: identity, canonical representative, metadata.
+    """One NPN class: identity, canonical representative, size.
 
     Attributes:
         class_id: stable identity ``n{n}-c{hex}``, a pure function of
@@ -132,42 +133,15 @@ class NPNClassEntry:
             table over the whole NPN orbit.
         size: number of functions classified into this class at build
             time (summed by :meth:`ClassLibrary.merged_with`).
-        exact: True when the representative is the orbit minimum —
-            always, for entries the library creates; kept as a manifest
-            column of the version-2 format.
-        count: satisfy count of the representative (0-ary face char.).
-        influences: ordered influence vector of the representative (the
-            point-face characteristic, an NPN invariant of the class).
     """
 
     class_id: str
     representative: TruthTable
     size: int
-    exact: bool
-    count: int
-    influences: tuple[int, ...]
 
     @property
     def n(self) -> int:
         return self.representative.n
-
-    @classmethod
-    def from_representative(
-        cls,
-        class_id: str,
-        representative: TruthTable,
-        size: int,
-        exact: bool,
-    ) -> "NPNClassEntry":
-        """Build an entry, deriving the metadata from the representative."""
-        return cls(
-            class_id=class_id,
-            representative=representative,
-            size=size,
-            exact=exact,
-            count=representative.count_ones(),
-            influences=tuple(sorted(chars.influences(representative))),
-        )
 
 
 @dataclass(frozen=True)
@@ -258,7 +232,6 @@ class ClassLibrary:
                     "n": n,
                     "classes": len(entries),
                     "functions": sum(e.size for e in entries),
-                    "exact_reps": sum(1 for e in entries if e.exact),
                     "largest_class": max(e.size for e in entries),
                 }
             )
@@ -299,8 +272,7 @@ class ClassLibrary:
         ``canonical_rep`` asserts it already is — the batched build and
         learn paths canonicalize up front and skip the recompute — and
         the id *is* that form, so an explicit ``class_id`` must equal
-        it.  Entries are always ``exact``.  An existing entry absorbs
-        the new size.
+        it.  An existing entry absorbs the new size.
 
         ``signature``, when given, is the MSV of any member of the class
         (it is an NPN invariant) over this library's parts; a new class
@@ -324,7 +296,7 @@ class ClassLibrary:
                 f"class id {class_id!r} does not name the canonical "
                 f"representative (expected {derived!r})"
             )
-        entry = NPNClassEntry.from_representative(class_id, rep, size, exact=True)
+        entry = NPNClassEntry(class_id, rep, size)
         existing = self.classes.get(class_id)
         if existing is not None:
             entry = _merge_entries(existing, entry)
@@ -619,38 +591,16 @@ class ClassLibrary:
     # ------------------------------------------------------------------
 
     def save(self, path: str | Path) -> Path:
-        """Write ``manifest.json`` + ``classes.npz`` under directory ``path``.
+        """Write ``classes.npz`` + ``manifest.json`` under directory ``path``.
 
         Deterministic: the same library content produces byte-identical
-        files on every run and platform (classes sorted by
-        ``(n, class_id)``, canonical JSON, fixed zip timestamps).
+        files on every run and platform (rows sorted by
+        ``(n, representative)``, canonical JSON, fixed zip timestamps).
+        The manifest goes last: it seals the npz bytes just written.
         """
         directory = Path(path)
         directory.mkdir(parents=True, exist_ok=True)
         entries = self.entries()
-        manifest = {
-            "format": FORMAT_NAME,
-            "version": FORMAT_VERSION,
-            "id_scheme": ID_SCHEME,
-            "parts": list(self.parts),
-            "num_classes": len(entries),
-            "num_functions": self.num_functions,
-            "classes": [
-                {
-                    "id": e.class_id,
-                    "n": e.n,
-                    "size": e.size,
-                    "exact": e.exact,
-                    "representative": e.representative.to_hex(),
-                    "count": e.count,
-                    "influences": list(e.influences),
-                }
-                for e in entries
-            ],
-        }
-        (directory / MANIFEST_FILE).write_text(
-            json.dumps(manifest, indent=2, sort_keys=True) + "\n"
-        )
         words = max(
             (bitops.words_per_table(e.n) for e in entries), default=1
         )
@@ -659,70 +609,69 @@ class ClassLibrary:
             bits = e.representative.bits
             for w in range(bitops.words_per_table(e.n)):
                 reps[row, w] = (bits >> (64 * w)) & 0xFFFFFFFFFFFFFFFF
-        _write_npz_deterministic(
-            directory / TABLES_FILE,
+        tables = _npz_bytes(
             {
                 "ns": np.array([e.n for e in entries], dtype=np.int64),
                 "sizes": np.array([e.size for e in entries], dtype=np.int64),
-                "exact": np.array([e.exact for e in entries], dtype=np.uint8),
                 "reps": reps,
-            },
+            }
+        )
+        (directory / TABLES_FILE).write_bytes(tables)
+        manifest = {
+            "format": FORMAT_NAME,
+            "version": FORMAT_VERSION,
+            "parts": list(self.parts),
+            SEAL_FIELD: hashlib.sha256(tables).hexdigest(),
+        }
+        (directory / MANIFEST_FILE).write_text(
+            json.dumps(manifest, indent=2, sort_keys=True) + "\n"
         )
         return directory
 
     @classmethod
-    def load(cls, path: str | Path, verify: bool = True) -> "ClassLibrary":
-        """Read a saved library, validating format, version and integrity.
+    def load(cls, path: str | Path) -> "ClassLibrary":
+        """Read a saved library, checking every part of it.
 
-        Only version-2 manifests load; an older one raises
+        Only version-3 manifests load; an older one raises
         :class:`LibraryFormatError` naming ``repro-npn library migrate``,
-        which converts it in place.  With ``verify`` (the default) every
-        class id must name its stored representative, and every
-        representative must be its own canonical form — recomputed
-        batched per arity — so a corrupted or hand-edited artifact
-        raises :class:`LibraryFormatError` instead of mis-matching
-        queries.
-
-        Both files are read eagerly and every class is materialised as
-        an :class:`NPNClassEntry`; loading never writes to the
-        directory.
+        which converts it in place.  Every load checks that
+        ``classes.npz`` hashes to the manifest's seal, that its arrays
+        have consistent shapes and valid arities, that its rows strictly
+        increase by ``(n, representative)`` — no duplicate, no reorder —
+        and that every representative is its own canonical form,
+        recomputed batched per arity.  A corrupted or hand-edited
+        artifact raises :class:`LibraryFormatError` instead of
+        mis-matching queries.  Class ids are derived from the
+        representatives; loading never writes to the directory.
 
         Every call, failed ones included, is observed into
         ``repro_library_load_seconds``.
         """
         with obs.timed(_LOAD_SECONDS):
-            return cls._read(path, verify)
+            return cls._read(path)
 
     @classmethod
-    def _read(cls, path: str | Path, verify: bool) -> "ClassLibrary":
+    def _read(cls, path: str | Path) -> "ClassLibrary":
         """The body of :meth:`load`, unmetered."""
         directory = Path(path)
         manifest = _read_manifest(directory / MANIFEST_FILE)
-        if manifest.get("id_scheme") != ID_SCHEME:
-            raise LibraryFormatError(
-                f"{directory}: version-{FORMAT_VERSION} manifest carries "
-                f"unknown id scheme {manifest.get('id_scheme')!r}"
-            )
-        arrays = _read_tables(directory / TABLES_FILE)
+        arrays = _read_tables(
+            directory / TABLES_FILE, TABLE_ARRAYS, seal=manifest[SEAL_FIELD]
+        )
         library = _empty_library(directory, manifest)
-        for entry in _read_entries(directory, manifest, arrays):
-            if verify and (
-                parse_canonical_class_id(entry.class_id)
-                != entry.representative
-            ):
+        previous = None
+        for row, (table, size) in enumerate(_table_rows(directory, arrays)):
+            key = (table.n, table.bits)
+            if previous is not None and key <= previous:
                 raise LibraryFormatError(
-                    f"{directory}: class {entry.class_id!r} does not name "
-                    f"its stored representative "
-                    f"{entry.representative.to_hex()!r} — the artifact is "
-                    f"corrupted"
+                    f"{directory}: row {row} of {TABLES_FILE} does not "
+                    f"follow its predecessor — rows must strictly increase "
+                    f"by (n, representative)"
                 )
-            if entry.class_id in library.classes:
-                raise LibraryFormatError(
-                    f"{directory}: duplicate class id {entry.class_id!r}"
-                )
-            library.classes[entry.class_id] = entry
-        if verify:
-            _verify_canonical_reps(directory, library)
+            previous = key
+            class_id = canonical_class_id(table)
+            library.classes[class_id] = NPNClassEntry(class_id, table, size)
+        _verify_canonical_reps(directory, library)
         return library
 
 
@@ -736,42 +685,24 @@ def _empty_library(directory: Path, manifest: dict) -> ClassLibrary:
         ) from exc
 
 
-def _read_entries(
-    directory: Path, manifest: dict, arrays: dict[str, np.ndarray]
-) -> list[NPNClassEntry]:
-    """The manifest's classes, each record cross-checked against the npz.
+def _table_rows(
+    directory: Path, arrays: dict[str, np.ndarray]
+) -> list[tuple[TruthTable, int]]:
+    """``(representative, size)`` of every row of the ``ns``/``sizes``/``reps`` arrays.
 
-    Record types, array shapes and arities are checked before any row is
-    read, so every malformed artifact raises :class:`LibraryFormatError`.
+    Array shapes, lengths and arities are checked before any row is
+    read, so every malformed table file raises :class:`LibraryFormatError`.
     """
-    records = manifest["classes"]
-    if not isinstance(records, list) or not all(
-        isinstance(record, dict) and isinstance(record.get("id"), str)
-        for record in records
-    ):
-        raise LibraryFormatError(
-            f"{directory}: manifest 'classes' must be a list of records "
-            f"that each carry a string 'id'"
-        )
-    ns, sizes, exact, reps = (
-        arrays[name] for name in ("ns", "sizes", "exact", "reps")
-    )
-    if ns.ndim != 1 or sizes.ndim != 1 or exact.ndim != 1 or reps.ndim != 2:
+    ns, sizes, reps = (arrays[name] for name in TABLE_ARRAYS)
+    if ns.ndim != 1 or sizes.ndim != 1 or reps.ndim != 2:
         raise LibraryFormatError(
             f"{directory}: {TABLES_FILE} arrays have the wrong shape "
-            f"(ns, sizes and exact must be 1-D, reps 2-D)"
+            f"(ns and sizes must be 1-D, reps 2-D)"
         )
-    if not (
-        len(records)
-        == manifest["num_classes"]
-        == len(ns)
-        == len(sizes)
-        == len(reps)
-        == len(exact)
-    ):
+    if not len(ns) == len(sizes) == len(reps):
         raise LibraryFormatError(
-            f"{directory}: manifest and {TABLES_FILE} disagree on the "
-            f"number of classes"
+            f"{directory}: {TABLES_FILE} arrays disagree on the number of "
+            f"classes"
         )
     if ns.dtype.kind not in "iu" or (
         len(ns) and not 0 <= ns.min() <= ns.max() <= bitops.MAX_VARS
@@ -786,24 +717,20 @@ def _read_entries(
             f"{directory}: {TABLES_FILE} reps has {reps.shape[1]} word "
             f"column(s); its largest arity needs {words}"
         )
-    entries = []
-    for row, record in enumerate(records):
-        n = int(ns[row])
+    rows = []
+    for row, (n, size, words_of_row) in enumerate(
+        zip(ns.tolist(), sizes.tolist(), reps.tolist())
+    ):
         bits = 0
         for w in range(bitops.words_per_table(n)):
-            bits |= int(reps[row][w]) << (64 * w)
+            bits |= int(words_of_row[w]) << (64 * w)
         try:
-            table = TruthTable(n, bits)
+            rows.append((TruthTable(n, bits), int(size)))
         except ValueError as exc:
             raise LibraryFormatError(
                 f"{directory}: row {row} of {TABLES_FILE}: {exc}"
             ) from exc
-        entry = NPNClassEntry.from_representative(
-            record["id"], table, int(sizes[row]), bool(exact[row])
-        )
-        _check_record(directory, record, entry)
-        entries.append(entry)
-    return entries
+    return rows
 
 
 def _merge_entries(a: NPNClassEntry, b: NPNClassEntry) -> NPNClassEntry:
@@ -814,11 +741,11 @@ def _merge_entries(a: NPNClassEntry, b: NPNClassEntry) -> NPNClassEntry:
 def _verify_canonical_reps(directory: Path, library: ClassLibrary) -> None:
     """Check every stored representative is its own canonical form.
 
-    The per-record check already ties each id to its table; this ties
-    the table to the *orbit* — a tampered representative cannot smuggle
-    a wrong table in under a self-consistent id.  Arities the kernels
-    serve verify as one batched ``canonical_min`` per arity; larger ones
-    go through the scalar canonicalizer.
+    Ids are derived from the tables; this ties each table to its
+    *orbit* — a tampered representative cannot smuggle a wrong table in
+    under a self-consistent id.  Arities the kernels serve verify as one
+    batched ``canonical_min`` per arity; larger ones go through the
+    scalar canonicalizer.
     """
     by_arity: dict[int, list[NPNClassEntry]] = {}
     for entry in library.classes.values():
@@ -848,8 +775,12 @@ def _verify_canonical_reps(directory: Path, library: ClassLibrary) -> None:
             )
 
 
-def _read_manifest(path: Path, version: int = FORMAT_VERSION) -> dict:
-    """The parsed manifest at ``path``, which must be of ``version``."""
+def _read_manifest(
+    path: Path,
+    versions: tuple[int, ...] = (FORMAT_VERSION,),
+    fields: tuple[str, ...] = ("parts", SEAL_FIELD),
+) -> dict:
+    """The parsed manifest at ``path``: one of ``versions``, holding ``fields``."""
     if not path.exists():
         raise LibraryFormatError(f"{path}: library manifest not found")
     try:
@@ -862,7 +793,7 @@ def _read_manifest(path: Path, version: int = FORMAT_VERSION) -> dict:
             f"(format={manifest.get('format') if isinstance(manifest, dict) else None!r})"
         )
     found = manifest.get("version")
-    if found != version:
+    if found not in versions:
         hint = ""
         if found == FORMAT_VERSION:
             hint = "; the library is already current"
@@ -871,51 +802,42 @@ def _read_manifest(path: Path, version: int = FORMAT_VERSION) -> dict:
                 f"; convert it in place with: repro-npn library migrate "
                 f"--library {path.parent}"
             )
+        expected = " or ".join(str(v) for v in versions)
         raise LibraryFormatError(
             f"{path}: unsupported library format version {found!r} "
-            f"(this reader expects version {version}){hint}"
+            f"(this reader expects version {expected}){hint}"
         )
-    for field in ("parts", "num_classes", "classes"):
+    for field in fields:
         if field not in manifest:
             raise LibraryFormatError(f"{path}: manifest is missing {field!r}")
     return manifest
 
 
-def _read_tables(path: Path) -> dict[str, np.ndarray]:
+def _read_tables(
+    path: Path, names: tuple[str, ...], seal: str | None = None
+) -> dict[str, np.ndarray]:
+    """The ``names`` arrays of the npz at ``path``.
+
+    With ``seal``, the file's sha256 hex digest must equal it; the bytes
+    hashed are the bytes parsed.
+    """
     if not path.exists():
         raise LibraryFormatError(f"{path}: library table file not found")
+    data = path.read_bytes()
+    if seal is not None and hashlib.sha256(data).hexdigest() != seal:
+        raise LibraryFormatError(
+            f"{path}: sha256 does not match the manifest's {SEAL_FIELD} — "
+            f"the files are corrupted or out of step"
+        )
     try:
-        with np.load(path) as data:
-            arrays = {name: data[name] for name in ("ns", "sizes", "exact", "reps")}
+        with np.load(io.BytesIO(data)) as npz:
+            arrays = {name: npz[name] for name in names}
     except (OSError, ValueError, KeyError, zipfile.BadZipFile) as exc:
         raise LibraryFormatError(f"{path}: cannot read table arrays: {exc}") from exc
     return arrays
 
 
-def _check_record(directory: Path, record: dict, entry: NPNClassEntry) -> None:
-    """Cross-check one manifest record against the npz-derived entry."""
-    stored = (
-        record.get("id"),
-        record.get("n"),
-        record.get("size"),
-        bool(record.get("exact")),
-        record.get("representative"),
-    )
-    derived = (
-        entry.class_id,
-        entry.n,
-        entry.size,
-        entry.exact,
-        entry.representative.to_hex(),
-    )
-    if stored != derived:
-        raise LibraryFormatError(
-            f"{directory}: manifest record {record.get('id')!r} disagrees "
-            f"with {TABLES_FILE} ({stored} != {derived})"
-        )
-
-
-def _write_npz_deterministic(path: Path, arrays: dict[str, np.ndarray]) -> None:
+def _npz_bytes(arrays: dict[str, np.ndarray]) -> bytes:
     """``np.savez`` with reproducible bytes (fixed entry order and dates).
 
     ``np.savez`` stamps zip entries with the current time, which would
@@ -924,10 +846,12 @@ def _write_npz_deterministic(path: Path, arrays: dict[str, np.ndarray]) -> None:
     assembled by hand with the epoch timestamp.  ``np.load`` reads it
     like any other ``.npz``.
     """
-    with zipfile.ZipFile(path, "w", zipfile.ZIP_STORED) as archive:
+    buffer = io.BytesIO()
+    with zipfile.ZipFile(buffer, "w", zipfile.ZIP_STORED) as archive:
         for name in sorted(arrays):
             info = zipfile.ZipInfo(f"{name}.npy", date_time=(1980, 1, 1, 0, 0, 0))
             with archive.open(info, "w") as handle:
                 np.lib.format.write_array(
                     handle, np.ascontiguousarray(arrays[name])
                 )
+    return buffer.getvalue()

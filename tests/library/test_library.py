@@ -1,13 +1,17 @@
 """Tests for the persistent NPN class library (build/save/load/match/merge)."""
 
+import hashlib
 import json
 import random
+import shutil
 import zipfile
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from repro.baselines.exact_enum import exact_npn_canonical
+from repro.canonical.form import canonical_form
 from repro.core.transforms import random_transform
 from repro.core.truth_table import TruthTable
 from repro.library import (
@@ -15,10 +19,13 @@ from repro.library import (
     LibraryFormatError,
     build_exhaustive_library,
     build_library,
+    migrate_library,
 )
 from repro.library.store import MANIFEST_FILE, TABLES_FILE
 from repro.workloads.library_corpus import exhaustive_tables
 from repro.workloads.random_functions import random_tables
+
+V2_FIXTURE = Path(__file__).parent.parent / "data" / "library_v2"
 
 
 @pytest.fixture(scope="module")
@@ -35,9 +42,9 @@ class TestBuild:
 
     def test_exact_representatives_are_orbit_minima(self, lib3):
         for entry in lib3.entries():
-            assert entry.exact
             canonical = exact_npn_canonical(entry.representative).representative
             assert entry.representative == canonical
+            assert entry.class_id == f"n3-c{canonical.to_hex()}"
 
     def test_class_sizes_partition_the_space(self, lib3):
         assert sum(e.size for e in lib3.entries()) == 256
@@ -47,12 +54,14 @@ class TestBuild:
         tables = list(exhaustive_tables(2)) + random_tables(5, 120, seed=9)
         snapshots = {
             engine: [
-                (e.class_id, e.representative, e.size, e.exact)
+                (e.class_id, e.representative, e.size)
                 for e in build_library(tables, engine=engine).entries()
             ]
             for engine in ("perfn", "batched")
         }
         assert snapshots["perfn"] == snapshots["batched"]
+        for _, representative, _ in snapshots["batched"]:
+            assert representative == canonical_form(representative)
 
     def test_canonical_engine_splits_a_shared_signature_bucket(self):
         # Two n=5 orbits with one MSV: a signature bucket holds both, so
@@ -79,7 +88,7 @@ class TestBuild:
         assert row["n"] == 3
         assert row["classes"] == 14
         assert row["functions"] == 256
-        assert row["exact_reps"] == 14
+        assert set(row) == {"n", "classes", "functions", "largest_class"}
 
 
 class TestMatch:
@@ -115,7 +124,10 @@ class TestMatch:
             hit = library.match(query)
             assert hit is not None
             assert hit.verify(query)
-            assert hit.entry.exact
+            assert (
+                hit.representative
+                == exact_npn_canonical(query).representative
+            )
 
     def test_class_id_rejects_foreign_parts(self, lib3):
         from repro.core.msv import compute_msv
@@ -356,11 +368,13 @@ class TestPersistence:
         assert after == before  # and none rewritten
 
     def test_compressed_tables_file_loads(self, lib3, tmp_path):
-        # A foreign tool may rewrite classes.npz with DEFLATE members.
+        # A foreign tool may rewrite classes.npz with DEFLATE members;
+        # resealed, the image loads as before.
         lib3.save(tmp_path)
         with np.load(tmp_path / TABLES_FILE) as data:
             arrays = {name: data[name] for name in data.files}
         np.savez_compressed(tmp_path / TABLES_FILE, **arrays)
+        _reseal(tmp_path)
         loaded = ClassLibrary.load(tmp_path)
         assert loaded.entries() == lib3.entries()
 
@@ -400,12 +414,11 @@ class TestPersistence:
             ClassLibrary.load(tmp_path / "lib")
 
     def test_class_count_mismatch(self, lib3, tmp_path):
-        lib3.save(tmp_path / "lib")
-        _edit_manifest(
-            tmp_path / "lib", lambda m: m["classes"].pop()
-        )
+        directory = tmp_path / "lib"
+        lib3.save(directory)
+        _rewrite_tables(directory, lambda a: a.update(sizes=a["sizes"][:-1]))
         with pytest.raises(LibraryFormatError, match="number of classes"):
-            ClassLibrary.load(tmp_path / "lib")
+            ClassLibrary.load(directory)
 
     @pytest.mark.parametrize(
         "field, corrupt",
@@ -439,49 +452,73 @@ class TestPersistence:
     def test_malformed_artifact_is_a_format_error(
         self, lib3, tmp_path, field, corrupt
     ):
+        """Malformed tables fail a resealed load; malformed per-class
+        records, which only the old formats carry, fail their migration."""
+        if field == "manifest":
+            directory = _copy_v2(tmp_path)
+            _edit_manifest(directory, corrupt)
+            with pytest.raises(LibraryFormatError):
+                migrate_library(directory)
+            return
         directory = tmp_path / "lib"
         lib3.save(directory)
-        if field == "manifest":
-            _edit_manifest(directory, corrupt)
-        else:
-            with np.load(directory / TABLES_FILE) as data:
-                arrays = {name: data[name].copy() for name in data.files}
-            corrupt(arrays)
-            _write_raw_npz(directory / TABLES_FILE, arrays)
+        _rewrite_tables(directory, corrupt)
         with pytest.raises(LibraryFormatError):
             ClassLibrary.load(directory)
 
-    def test_tampered_representative_hex(self, lib3, tmp_path):
-        lib3.save(tmp_path / "lib")
+    def test_tampered_representative_hex(self, tmp_path):
+        """A version-2 record whose hex disagrees with its npz row."""
+        directory = _copy_v2(tmp_path)
         _edit_manifest(
-            tmp_path / "lib",
+            directory,
             lambda m: m["classes"][0].update(representative="ff"),
         )
         with pytest.raises(LibraryFormatError, match="disagrees"):
-            ClassLibrary.load(tmp_path / "lib")
+            migrate_library(directory)
 
-    def test_tampered_table_words_fail_identity_check(self, lib3, tmp_path):
-        """A rep swapped consistently in both files still fails the id check."""
+    @pytest.mark.parametrize("part", ["npz-byte", "manifest-sha256"])
+    def test_broken_seal_is_refused(self, lib3, tmp_path, part):
+        """One flipped byte of ``classes.npz``, or an edited seal."""
         directory = tmp_path / "lib"
         lib3.save(directory)
-        with np.load(directory / TABLES_FILE) as data:
-            arrays = {name: data[name].copy() for name in data.files}
-        # Swap class 0's representative for class 1's: both files stay
-        # mutually consistent, but the stored id no longer names the
-        # representative it now carries.
-        arrays["reps"][0] = arrays["reps"][1]
-        _write_raw_npz(directory / TABLES_FILE, arrays)
-        _edit_manifest(
-            directory,
-            lambda m: m["classes"][0].update(
-                representative=m["classes"][1]["representative"]
-            ),
-        )
-        with pytest.raises(LibraryFormatError, match="does not name"):
+        if part == "npz-byte":
+            path = directory / TABLES_FILE
+            data = bytearray(path.read_bytes())
+            data[len(data) // 2] ^= 0x01
+            path.write_bytes(bytes(data))
+        else:
+            _edit_manifest(
+                directory,
+                lambda m: m.update(classes_sha256=m["classes_sha256"][::-1]),
+            )
+        with pytest.raises(LibraryFormatError, match="sha256"):
             ClassLibrary.load(directory)
-        # Without verification the corruption goes through — the flag
-        # exists for trusted artifacts only.
-        ClassLibrary.load(directory, verify=False)
+
+    def test_tampered_table_words_fail_identity_check(self, lib3, tmp_path):
+        """A resealed npz storing one class twice fails the row order.
+
+        Both rows are orbit minima and each id is derived from its row,
+        so only the strictly-increasing check can catch the repeat.
+        """
+        directory = tmp_path / "lib"
+        lib3.save(directory)
+        _rewrite_tables(
+            directory, lambda a: a["reps"].__setitem__(0, a["reps"][1])
+        )
+        with pytest.raises(LibraryFormatError, match="strictly increase"):
+            ClassLibrary.load(directory)
+
+    def test_swapped_rows_break_the_row_order(self, lib3, tmp_path):
+        directory = tmp_path / "lib"
+        lib3.save(directory)
+
+        def swap(arrays):
+            for name in ("ns", "sizes", "reps"):
+                arrays[name][[0, 1]] = arrays[name][[1, 0]]
+
+        _rewrite_tables(directory, swap)
+        with pytest.raises(LibraryFormatError, match="strictly increase"):
+            ClassLibrary.load(directory)
 
     def test_corrupted_parts_field(self, lib3, tmp_path):
         lib3.save(tmp_path / "lib")
@@ -492,6 +529,7 @@ class TestPersistence:
     def test_corrupted_zip_payload(self, lib3, tmp_path):
         lib3.save(tmp_path / "lib")
         (tmp_path / "lib" / TABLES_FILE).write_bytes(b"\x00" * 64)
+        _reseal(tmp_path / "lib")
         with pytest.raises(LibraryFormatError, match="cannot read"):
             ClassLibrary.load(tmp_path / "lib")
 
@@ -503,6 +541,21 @@ def _edit_manifest(directory, mutate) -> None:
     path.write_text(json.dumps(manifest))
 
 
+def _reseal(directory) -> None:
+    """Make the manifest's seal name the current ``classes.npz`` bytes."""
+    digest = hashlib.sha256((directory / TABLES_FILE).read_bytes()).hexdigest()
+    _edit_manifest(directory, lambda m: m.update(classes_sha256=digest))
+
+
+def _rewrite_tables(directory, mutate) -> None:
+    """Apply ``mutate`` to the npz arrays, rewrite the file and reseal it."""
+    with np.load(directory / TABLES_FILE) as data:
+        arrays = {name: data[name].copy() for name in data.files}
+    mutate(arrays)
+    _write_raw_npz(directory / TABLES_FILE, arrays)
+    _reseal(directory)
+
+
 def _write_raw_npz(path, arrays) -> None:
     with zipfile.ZipFile(path, "w", zipfile.ZIP_STORED) as archive:
         for name, array in arrays.items():
@@ -510,31 +563,43 @@ def _write_raw_npz(path, arrays) -> None:
                 np.lib.format.write_array(handle, array)
 
 
-class TestIdSchemePersistence:
-    """Artifacts are version 2 and name the canonical id scheme."""
+def _copy_v2(tmp_path):
+    """A scratch copy of the version-2 fixture library."""
+    directory = tmp_path / "v2"
+    shutil.copytree(V2_FIXTURE, directory)
+    return directory
 
-    def test_canonical_round_trip_is_version_2(self, lib3, tmp_path):
-        lib3.save(tmp_path / "lib")
-        manifest = json.loads((tmp_path / "lib" / MANIFEST_FILE).read_text())
-        assert manifest["version"] == 2
-        assert manifest["id_scheme"] == "canonical"
-        loaded = ClassLibrary.load(tmp_path / "lib")
+
+class TestIdSchemePersistence:
+    """Artifacts are version 3; ids are derived from the representatives."""
+
+    def test_canonical_round_trip_is_version_3(self, lib3, tmp_path):
+        directory = tmp_path / "lib"
+        lib3.save(directory)
+        tables = (directory / TABLES_FILE).read_bytes()
+        assert json.loads((directory / MANIFEST_FILE).read_text()) == {
+            "format": "repro-npn-class-library",
+            "version": 3,
+            "parts": list(lib3.parts),
+            "classes_sha256": hashlib.sha256(tables).hexdigest(),
+        }
+        with np.load(directory / TABLES_FILE) as data:
+            assert sorted(data.files) == ["ns", "reps", "sizes"]
+        loaded = ClassLibrary.load(directory)
         assert {e.class_id for e in loaded.entries()} == {
             e.class_id for e in lib3.entries()
         }
 
-    def test_v2_manifest_with_unknown_scheme_rejected(self, lib3, tmp_path):
-        lib3.save(tmp_path / "lib")
-        _edit_manifest(
-            tmp_path / "lib", lambda m: m.update(id_scheme="garbage")
-        )
+    def test_v2_manifest_with_unknown_scheme_rejected(self, tmp_path):
+        directory = _copy_v2(tmp_path)
+        _edit_manifest(directory, lambda m: m.update(id_scheme="garbage"))
         with pytest.raises(LibraryFormatError, match="id scheme"):
-            ClassLibrary.load(tmp_path / "lib")
+            migrate_library(directory)
 
     def test_load_rejects_non_minimum_canonical_rep(self, lib3, tmp_path):
-        # Consistent tamper: replace one rep with a *non-minimum* orbit
-        # member and rewrite its id to name the impostor.  The per-row id
-        # check passes by construction; only the orbit-minimum
+        # Replace one rep with a *non-minimum* member of its orbit and
+        # keep the rows sorted and sealed: the derived id names the
+        # impostor and the row order holds, so only the orbit-minimum
         # verification pass can catch it.
         directory = tmp_path / "lib"
         lib3.save(directory)
@@ -542,19 +607,14 @@ class TestIdSchemePersistence:
             e for e in lib3.entries() if e.representative != ~e.representative
         )
         impostor = ~victim.representative  # same orbit, not the minimum
-        bogus_id = f"n{impostor.n}-c{impostor.to_hex()}"
-        with np.load(directory / TABLES_FILE) as data:
-            arrays = {name: data[name].copy() for name in data.files}
-        row = [e.class_id for e in lib3.entries()].index(victim.class_id)
-        arrays["reps"][row][0] = impostor.bits
-        _write_raw_npz(directory / TABLES_FILE, arrays)
+        row = lib3.entries().index(victim)
 
-        def tamper(manifest):
-            record = manifest["classes"][row]
-            record["id"] = bogus_id
-            record["representative"] = impostor.to_hex()
+        def tamper(arrays):
+            arrays["reps"][row][0] = impostor.bits
+            order = np.argsort(arrays["reps"][:, 0], kind="stable")
+            for name in ("ns", "sizes", "reps"):
+                arrays[name] = arrays[name][order]
 
-        _edit_manifest(directory, tamper)
+        _rewrite_tables(directory, tamper)
         with pytest.raises(LibraryFormatError, match="non-canonical"):
             ClassLibrary.load(directory)
-        ClassLibrary.load(directory, verify=False)  # trusted escape hatch

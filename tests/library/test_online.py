@@ -81,7 +81,6 @@ class TestLearn:
         learner = make_learner(tmp_path)
         tt = TruthTable.random(4, random.Random(2))
         outcome = learner.learn(tt)
-        assert outcome.entry.exact
         assert (
             outcome.representative
             == exact_npn_canonical(tt).representative
@@ -250,7 +249,8 @@ class TestCollidingBatchRegression:
         # Ids are pure functions of the orbit — no overflow machinery.
         assert first.class_id == canonical_class_id(canonical_form(tt_a))
         assert second.class_id == canonical_class_id(canonical_form(tt_b))
-        assert first.entry.exact and second.entry.exact
+        assert first.representative == canonical_form(tt_a)
+        assert second.representative == canonical_form(tt_b)
         # A duplicate miss (same batch, different orbit member) resolves
         # to the existing class without a second mint.
         repeat = learner.learn(tt_a.apply(random_transform(5, rng)))

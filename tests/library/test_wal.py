@@ -26,6 +26,7 @@ from hypothesis import given, strategies as st
 from repro.core.truth_table import TruthTable
 from repro.library import (
     DEFAULT_SEGMENT_BYTES,
+    ClassLibrary,
     FSYNC_POLICIES,
     LearningLibrary,
     SegmentWriter,
@@ -268,5 +269,16 @@ class TestCompactionDeterminism:
 
     def test_replayed_then_compacted_equals_direct_save(self, minted_records):
         image = _compact_image(minted_records, segmentation=[2, 5])
-        manifest = json.loads(image[MANIFEST_FILE].decode())
-        assert manifest["num_classes"] == len(minted_records)
+        direct = ClassLibrary()
+        for record in minted_records:
+            direct.add_class(
+                TruthTable.from_hex(record["n"], record["representative"]),
+                size=record["size"],
+            )
+        assert direct.num_classes == len(minted_records)
+        with tempfile.TemporaryDirectory() as tmp:
+            direct.save(tmp)
+            assert image == {
+                name: (Path(tmp) / name).read_bytes()
+                for name in (MANIFEST_FILE, TABLES_FILE)
+            }

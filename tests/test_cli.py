@@ -254,7 +254,7 @@ class TestLibraryCommands:
         broken = tmp_path / "broken"
         shutil.copytree(lib_dir, broken)
         manifest = json.loads((broken / "manifest.json").read_text())
-        del manifest["classes"][0]["id"]
+        manifest["classes_sha256"] = "0" * 64  # no longer seals the npz
         (broken / "manifest.json").write_text(json.dumps(manifest))
         assert main(["library", "stats", "--library", str(broken)]) == 2
         err = capsys.readouterr().err
@@ -500,7 +500,7 @@ class TestLearnAndCompactCli:
 
         assert main(["library", "migrate", "--library", str(lib)]) == 0
         out = capsys.readouterr().out
-        assert "to version 2 with 2 WAL records (1 segments)" in out
+        assert "to version 3 with 2 WAL records (1 segments)" in out
         assert "20 classes" in out
         assert main(["library", "match", "0x17", "--n", "3",
                      "--library", str(lib)]) == 0
