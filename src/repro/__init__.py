@@ -6,9 +6,11 @@ Public API highlights:
 * :class:`repro.NPNTransform` — the NPN transformation group.
 * :mod:`repro.core.signatures` — the paper's OCV/OIV/OSV/OSDV vectors.
 * :class:`repro.FacePointClassifier` — Algorithm 1 of the paper.
-* :mod:`repro.engine` — batched classification: packed ``uint64`` batches,
-  vectorized signatures, LRU signature cache (``BatchedClassifier``).
-* :mod:`repro.baselines` — exact engine and the Table III baselines.
+* :mod:`repro.engine` — batched classification: packed ``uint64`` batches
+  and vectorized signatures (``BatchedClassifier``).
+* :mod:`repro.baselines` — the exact engine (``ExactClassifier``:
+  signature buckets, complete matcher inside each) and the Table III
+  baselines.
 * :mod:`repro.aig` / :mod:`repro.workloads` — circuits, cut enumeration and
   the EPFL-like benchmark pipeline.
 """

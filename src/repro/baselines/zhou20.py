@@ -77,23 +77,6 @@ def _flip_swap_descent(table: int, n: int, allow_output: bool) -> int:
     return table
 
 
-def count_symmetric_ties(tt: TruthTable) -> int:
-    """Residual tie-block pairs that are genuine variable symmetries.
-
-    Instrumentation for the ablation benches: symmetric ties are harmless
-    (any order yields the same table); the dangerous ties are the
-    non-symmetric ones the local search must resolve.
-    """
-    normalized, _, _ = phase_normalize(tt)
-    symmetric = 0
-    for block in refine_partition(normalized):
-        for a_index in range(len(block)):
-            for b_index in range(a_index + 1, len(block)):
-                if normalized.has_symmetric_pair(block[a_index], block[b_index]):
-                    symmetric += 1
-    return symmetric
-
-
 @register_classifier
 class Zhou20Classifier(KeyedClassifier):
     """Classifier keyed by the Zhou'20-style canonical form."""

@@ -8,13 +8,13 @@ canonical form:
   incumbent early;
 * :mod:`repro.canonical.form` — the exact canonicalizer: ``canonical_min``
   gather kernels for ``n <= 6``, an influence-ordered, incumbent-bounded
-  scalar search above, and the ``n{n}-c{hex}`` class-id scheme;
-* :mod:`repro.canonical.engine` — :class:`CanonicalClassifier`, the
-  hybrid engine that uses the MixedSignature as a cheap pre-filter and
-  the exact form as the decider.
+  scalar search above, and the ``n{n}-c{hex}`` class-id scheme.
+
+Exact *classification* is :class:`repro.baselines.exact.ExactClassifier`
+(signature buckets, matcher inside each bucket); a class library then
+names each class by the canonical form of its first member.
 """
 
-from repro.canonical.engine import CanonicalClass, CanonicalClassifier
 from repro.canonical.form import (
     canonical_class_id,
     canonical_form,
@@ -24,8 +24,6 @@ from repro.canonical.form import (
 from repro.canonical.influence import candidate_permutations, influence_vector
 
 __all__ = [
-    "CanonicalClass",
-    "CanonicalClassifier",
     "canonical_class_id",
     "canonical_form",
     "canonical_forms",

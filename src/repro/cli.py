@@ -47,15 +47,16 @@ def build_parser() -> argparse.ArgumentParser:
         "--method",
         default="ours",
         choices=sorted(registered_classifiers()),
-        help="classifier to use",
+        help="classifier to use (exact: signature buckets resolved by "
+        "the complete matcher, one group per NPN class)",
     )
     classify.add_argument(
         "--engine",
         default="perfn",
         choices=ENGINE_NAMES,
-        help="engine for --method ours: one function at a time (perfn), "
-        "the packed/vectorized batch engine (batched), or the "
-        "signature-prefiltered exact canonical-form engine (canonical)",
+        help="engine for --method ours: one function at a time (perfn) "
+        "or the packed/vectorized batch engine (batched); both give "
+        "the same buckets",
     )
     classify.add_argument(
         "--show-classes", action="store_true", help="print class members"
@@ -113,12 +114,11 @@ def build_parser() -> argparse.ArgumentParser:
         "--out", default="npn_library", help="output directory (default npn_library)"
     )
     lib_build.add_argument(
-        "--engine",
-        default="batched",
-        choices=ENGINE_NAMES,
-        help="classification engine (perfn and batched build the same "
-        "library; canonical splits the rare signature buckets above n=4 "
-        "that hold more than one NPN class)",
+        "--exact",
+        action="store_true",
+        help="one class per NPN orbit: split the rare signature buckets "
+        "above n=4 that hold more than one NPN class (default: one "
+        "class per signature bucket)",
     )
     lib_stats = lib_sub.add_parser("stats", help="summarise a saved library")
     lib_stats.add_argument(
@@ -779,7 +779,7 @@ def _cmd_library_build(args) -> int:
     corpus = chain.from_iterable(
         corpus_for_arity(n, args.samples, args.seed) for n in arities
     )
-    library = build_library(corpus, engine=args.engine)
+    library = build_library(corpus, exact=args.exact)
     path = library.save(args.out)
     print(
         format_table(

@@ -8,31 +8,29 @@ the bulk counterpart the Section V-C linearity claim deserves:
   ``[batch, 2**n / 64]`` ``uint64`` matrix;
 * :mod:`repro.engine.signatures` — every MSV part computed vectorized
   across the whole batch;
-* :class:`~repro.engine.cache.SignatureCache` — LRU memoisation keyed on
-  ``(table, n, parts)`` for repeated workloads;
 * :class:`~repro.engine.classifier.BatchedClassifier` — Algorithm 1 with
   buckets byte-identical to ``FacePointClassifier``'s.
+
+Exact classes are :class:`repro.baselines.exact.ExactClassifier`'s job:
+it buckets by these signatures and decides inside each bucket with the
+complete matcher.
 """
 
 from repro.core.classifier import FacePointClassifier
 from repro.core.msv import DEFAULT_PARTS
-from repro.engine.cache import CacheStats, SignatureCache
 from repro.engine.classifier import BatchedClassifier
 from repro.engine.packed import PackedTables
 from repro.engine.signatures import batched_pieces
 
 #: Engine names accepted by :func:`make_classifier` (and the CLI flags).
-ENGINE_NAMES = ("perfn", "batched", "canonical")
+ENGINE_NAMES = ("perfn", "batched")
 
 
 def make_classifier(engine: str = "batched", parts=DEFAULT_PARTS):
-    """One constructor for every engine, keyed by name.
+    """One constructor for both signature engines, keyed by name.
 
     ``perfn`` (the paper's per-function reference) and ``batched``
-    produce byte-identical buckets on the same input.  ``canonical`` is
-    the exact engine: signatures as the pre-filter, the influence-aided
-    canonical form as the decider, result groups keyed by true orbit
-    minima (:mod:`repro.canonical`).
+    produce byte-identical buckets on the same input.
     """
     if engine not in ENGINE_NAMES:
         raise ValueError(
@@ -40,12 +38,7 @@ def make_classifier(engine: str = "batched", parts=DEFAULT_PARTS):
         )
     if engine == "perfn":
         return FacePointClassifier(parts)
-    if engine == "batched":
-        return BatchedClassifier(parts)
-    # Lazy import: repro.canonical.engine builds on this package.
-    from repro.canonical.engine import CanonicalClassifier
-
-    return CanonicalClassifier(parts)
+    return BatchedClassifier(parts)
 
 
 __all__ = [
@@ -53,7 +46,5 @@ __all__ = [
     "ENGINE_NAMES",
     "make_classifier",
     "PackedTables",
-    "SignatureCache",
-    "CacheStats",
     "batched_pieces",
 ]

@@ -3,8 +3,7 @@
 :class:`BatchedClassifier` is a drop-in replacement for
 :class:`repro.core.classifier.FacePointClassifier` that moves the
 signature computation from one big-int at a time to whole
-:class:`~repro.engine.packed.PackedTables` batches, and memoises results
-in an LRU :class:`~repro.engine.cache.SignatureCache`.
+:class:`~repro.engine.packed.PackedTables` batches.
 
 Contract: for any input sequence the classifier produces *identical*
 buckets to ``FacePointClassifier`` — same :class:`MixedSignature` keys,
@@ -26,7 +25,6 @@ from repro.core.msv import (
     normalize_parts,
 )
 from repro.core.truth_table import TruthTable
-from repro.engine.cache import CacheStats, SignatureCache
 from repro.engine.packed import PackedTables
 from repro.engine.signatures import batched_pieces
 
@@ -34,13 +32,11 @@ __all__ = ["BatchedClassifier"]
 
 
 class BatchedClassifier:
-    """NPN classifier with a vectorized hot path and a signature cache.
+    """NPN classifier with a vectorized hot path.
 
     Args:
         parts: which signature vectors make up the MSV (same selection as
             ``FacePointClassifier``).
-        cache_size: LRU capacity of the signature cache; ``0`` disables
-            caching.
         chunk_size: rows per vectorized chunk; ``None`` picks a size that
             keeps the ``[chunk, 2**n]`` temporaries cache-resident.
 
@@ -56,19 +52,17 @@ class BatchedClassifier:
     def __init__(
         self,
         parts: Iterable[str] = DEFAULT_PARTS,
-        cache_size: int = 1 << 16,
         chunk_size: int | None = None,
     ) -> None:
         self.parts = normalize_parts(parts)
         self.chunk_size = chunk_size
-        self.cache = SignatureCache(maxsize=cache_size)
 
     # ------------------------------------------------------------------
     # Signatures
     # ------------------------------------------------------------------
 
     def signature(self, tt: TruthTable) -> MixedSignature:
-        """The MSV of one function (cached)."""
+        """The MSV of one function."""
         return self.signatures([tt])[0]
 
     def signatures(
@@ -78,8 +72,8 @@ class BatchedClassifier:
 
         Accepts a sequence of :class:`TruthTable` (arities may be mixed —
         rows are grouped per ``n`` internally) or an already-packed
-        :class:`PackedTables` batch.  Cached signatures are reused; only
-        the misses go through the vectorized kernels.
+        :class:`PackedTables` batch.  Each distinct table goes through
+        the vectorized kernels once per call.
         """
         if isinstance(tables, PackedTables):
             return self._signatures_one_arity(
@@ -99,32 +93,18 @@ class BatchedClassifier:
     def _signatures_one_arity(
         self, n: int, bits: list[int], packed: PackedTables | None = None
     ) -> list[MixedSignature]:
+        if not bits:
+            return []
         parts = self.parts
-        out: list[MixedSignature | None] = [None] * len(bits)
-        misses: list[int] = []  # first position of each distinct missing table
-        missing: set[int] = set()
-        for index, value in enumerate(bits):
-            cached = self.cache.get((value, n, parts))
-            if cached is not None:
-                out[index] = cached
-            elif value not in missing:
-                missing.add(value)
-                misses.append(index)
-        if misses:
-            if packed is not None and len(misses) == len(bits):
-                batch = packed
-            else:
-                batch = PackedTables.from_ints(n, (bits[i] for i in misses))
-            pieces = batched_pieces(batch, parts, self.chunk_size)
-            resolved: dict[int, MixedSignature] = {}
-            for index, piece in zip(misses, pieces):
-                sig = MixedSignature(n, parts, canonical_key(piece, parts))
-                resolved[bits[index]] = sig
-                self.cache.put((bits[index], n, parts), sig)
-            for index, value in enumerate(bits):
-                if out[index] is None:
-                    out[index] = resolved[value]
-        return out  # type: ignore[return-value]
+        distinct = dict.fromkeys(bits)  # first-seen order
+        if packed is None or len(distinct) < len(bits):
+            packed = PackedTables.from_ints(n, distinct)
+        pieces = batched_pieces(packed, parts, self.chunk_size)
+        resolved = {
+            value: MixedSignature(n, parts, canonical_key(piece, parts))
+            for value, piece in zip(distinct, pieces)
+        }
+        return [resolved[value] for value in bits]
 
     # ------------------------------------------------------------------
     # Classification
@@ -154,13 +134,5 @@ class BatchedClassifier:
         """Number of classes without retaining group membership."""
         return len(set(self.signatures(tables)))
 
-    @property
-    def cache_stats(self) -> CacheStats:
-        """Hit/miss/eviction counters of the signature cache."""
-        return self.cache.stats
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return (
-            f"BatchedClassifier(parts={self.parts}, "
-            f"cache={len(self.cache)}/{self.cache.maxsize})"
-        )
+        return f"BatchedClassifier(parts={self.parts})"

@@ -96,7 +96,7 @@ def shard_keys(tables, parts=DEFAULT_PARTS) -> list[str]:
     big-int computation per table.
     """
     tables = list(tables)
-    signatures = BatchedClassifier(parts, cache_size=0).signatures(tables)
+    signatures = BatchedClassifier(parts).signatures(tables)
     return [
         shard_key_of(table, parts, signature=signature)
         for table, signature in zip(tables, signatures)

@@ -351,7 +351,7 @@ class RouterService(LineProtocolServer):
             return
         t0 = time.perf_counter()
         try:
-            classifier = BatchedClassifier(self.parts, cache_size=0)
+            classifier = BatchedClassifier(self.parts)
             signatures = classifier.signatures([table for table, _ in pending])
             # Formatted here rather than through ring.shard_keys: one
             # call of this module's shard_key_of per routed request is

@@ -411,9 +411,8 @@ class ClassLibrary:
         coalescer calls this with ``signatures`` it already computed on
         its shared engine (all of them are checked against the
         library's parts, kernel-path queries included); leave it
-        ``None`` to let the library compute the ones it needs on a
-        lazily created batched classifier whose signature cache
-        persists across calls.
+        ``None`` to let the library compute the ones it needs on its
+        lazily created batched classifier.
         """
         tts = list(tts)
         if signatures is not None:

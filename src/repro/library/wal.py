@@ -325,11 +325,6 @@ class SegmentWriter:
     def closed(self) -> bool:
         return self._handle.closed
 
-    @property
-    def bytes_written(self) -> int:
-        """Current segment size in bytes (magic included)."""
-        return self._handle.tell() if not self.closed else 0
-
     def append(self, record: dict) -> int:
         """Durably append one record; returns the segment size after it."""
         if self.closed:

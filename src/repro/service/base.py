@@ -167,10 +167,6 @@ class LineProtocolServer:
         if self._server is not None:
             await self._server.wait_closed()
 
-    def request_stop(self) -> None:
-        """Ask :meth:`serve_forever` to begin its drain (signal-safe)."""
-        self._stopping.set()
-
     async def serve_forever(self, ready_message: bool = True) -> None:
         """Run until SIGTERM/SIGINT, then drain and return.
 

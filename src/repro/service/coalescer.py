@@ -12,9 +12,9 @@ coalescer wins it back:
 2. a single worker task gathers whatever is queued, up to ``max_batch``
    requests, waiting at most ``max_wait_ms`` for stragglers once the
    first request of a batch arrived;
-3. the batch's signatures are computed in one vectorized pass on the
-   shared :class:`~repro.engine.BatchedClassifier` and
-   matches resolved through :meth:`ClassLibrary.match_many`, off the
+3. the signatures of the batch's ``match`` requests are computed in one
+   vectorized pass on the shared :class:`~repro.engine.BatchedClassifier`
+   and matches resolved through :meth:`ClassLibrary.match_many`, off the
    event loop on a dedicated executor thread so I/O keeps flowing —
    and keeps *filling the next batch* — while NumPy crunches;
 4. results fan back out through per-request futures, with ``match``
@@ -330,22 +330,20 @@ class Coalescer:
     def _process(self, batch: list) -> list:
         """Resolve one batch (runs on the executor thread).
 
-        One vectorized signature pass over every table in the batch —
-        mixed arities allowed — then per-request resolution: ``classify``
-        resolves ids through :meth:`_classify_ids` (batched exact
-        canonicalization), ``match`` runs the witness search via
-        :meth:`ClassLibrary.match_many`.
+        One vectorized signature pass over the batch's ``match`` tables —
+        mixed arities allowed — then per-request resolution: ``match``
+        runs the witness search via :meth:`ClassLibrary.match_many`, and
+        ``classify`` resolves ids through :meth:`_classify_ids` (batched
+        exact canonicalization, no signatures needed).
         """
         tables = [p.table for p in batch]
-        t_start = time.perf_counter()
-        signatures = self.classifier.signatures(tables)
-        t_signed = time.perf_counter()
         match_indices = [i for i, p in enumerate(batch) if p.op == "match"]
-        matches = self.library.match_many(
-            [tables[i] for i in match_indices],
-            signatures=[signatures[i] for i in match_indices],
-        )
-        by_index = dict(zip(match_indices, matches))
+        match_tables = [tables[i] for i in match_indices]
+        t_start = time.perf_counter()
+        signatures = self.classifier.signatures(match_tables)
+        t_signed = time.perf_counter()
+        matches = self.library.match_many(match_tables, signatures=signatures)
+        by_index = dict(zip(match_indices, zip(matches, signatures)))
         t_matched = time.perf_counter()
         classify_indices = [i for i, p in enumerate(batch) if p.op != "match"]
         class_ids = dict(
@@ -356,17 +354,19 @@ class Coalescer:
         )
         t_classified = time.perf_counter()
         # Per-request spans for the batch phases the request shared: the
-        # signature pass covers everyone; matcher and canonical-search
-        # spans go only to the requests that took those paths.  Meta
-        # dicts are shared across the batch (spans never mutate them).
-        sig_meta = {"batch": len(batch)}
+        # signature and matcher spans go to the match requests, the
+        # canonical-search span to the classify requests.  Meta dicts are
+        # shared across the batch (spans never mutate them).
+        sig_meta = {"batch": len(match_indices)}
         match_meta = {"rows": len(match_indices)}
         classify_meta = {"rows": len(classify_indices)}
         for index, pending in enumerate(batch):
             if pending.trace is None:
                 continue
-            pending.trace.add_span("signatures", t_start, t_signed, sig_meta)
             if pending.op == "match":
+                pending.trace.add_span(
+                    "signatures", t_start, t_signed, sig_meta
+                )
                 pending.trace.add_span(
                     "match", t_signed, t_matched, match_meta
                 )
@@ -377,15 +377,13 @@ class Coalescer:
         results = []
         for index, pending in enumerate(batch):
             if pending.op == "match":
-                outcome = by_index[index]
+                outcome, signature = by_index[index]
                 if outcome is None and self.learner is not None:
                     # Learn-on-miss: mint the class (WAL-logged) and
                     # answer with a verified match against it.
                     before = self.learner.minted
                     t_learn = time.perf_counter()
-                    outcome = self.learner.learn(
-                        tables[index], signatures[index]
-                    )
+                    outcome = self.learner.learn(tables[index], signature)
                     if pending.trace is not None:
                         pending.trace.add_span(
                             "learn",
@@ -430,11 +428,6 @@ class Coalescer:
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
-
-    def classify_offline(self, table: TruthTable) -> tuple[str, bool]:
-        """The classify answer without going through a batch (for tests)."""
-        class_id = self._classify_ids([table])[0]
-        return class_id, class_id in self.library.classes
 
     @property
     def pending(self) -> int:

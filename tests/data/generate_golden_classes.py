@@ -4,7 +4,8 @@
 
 The golden file pins class counts and order-sensitive bucket digests for
 fixed seeds at n = 4..6.  ``tests/properties/test_golden_classes.py``
-checks them against all three engines and the library match path; a
+checks them against both signature engines, the exact classifier and
+the library match path; a
 digest drift means buckets split, merged, or reordered — bless it here
 only after confirming the change is intentional.
 """
@@ -47,7 +48,7 @@ def main() -> None:
     for spec in WORKLOADS:
         tables = workload_tables(spec)
         result = FacePointClassifier().classify(tables)
-        library = library_from_result(result)
+        library = library_from_result(result, result.parts)
         entries.append(
             spec
             | {

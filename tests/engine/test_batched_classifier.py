@@ -1,11 +1,11 @@
-"""BatchedClassifier: never-split parity, cache behaviour, batched pieces."""
+"""BatchedClassifier: never-split parity, in-batch dedupe, batched pieces."""
 
 import numpy as np
 import pytest
 
 from repro.core.classifier import FacePointClassifier
 from repro.core.msv import DEFAULT_PARTS, PART_NAMES, compute_msv, compute_pieces
-from repro.engine import BatchedClassifier, PackedTables, SignatureCache
+from repro.engine import BatchedClassifier, PackedTables
 from repro.engine.signatures import batched_pieces, fwht_batch
 from repro.spectral.walsh import fwht
 from repro.workloads import random_tables, seeded_equivalent_tables
@@ -109,64 +109,19 @@ class TestBatchedPieces:
         assert np.array_equal(fwht_batch(wide.T), np.stack([fwht(r) for r in wide.T]))
 
 
-class TestSignatureCache:
-    def test_hit_miss_accounting(self):
-        cache = SignatureCache(maxsize=4)
-        key = (0b1010, 2, DEFAULT_PARTS)
-        assert cache.get(key) is None
-        assert cache.stats.misses == 1
-        signature = compute_msv(random_tables(2, 1, seed=1)[0])
-        cache.put(key, signature)
-        assert cache.get(key) is signature
-        assert cache.stats.hits == 1
-        assert cache.stats.hit_rate == 0.5
+class TestInBatchDedupe:
+    def test_in_batch_duplicates_computed_once(self, monkeypatch):
+        import repro.engine.classifier as engine_classifier
 
-    def test_lru_eviction_order(self):
-        cache = SignatureCache(maxsize=2)
-        sig = compute_msv(random_tables(2, 1, seed=2)[0])
-        cache.put((1, 2, DEFAULT_PARTS), sig)
-        cache.put((2, 2, DEFAULT_PARTS), sig)
-        assert cache.get((1, 2, DEFAULT_PARTS)) is sig  # refresh key 1
-        cache.put((3, 2, DEFAULT_PARTS), sig)  # evicts key 2, not key 1
-        assert cache.stats.evictions == 1
-        assert (1, 2, DEFAULT_PARTS) in cache
-        assert (2, 2, DEFAULT_PARTS) not in cache
+        rows = []
 
-    def test_zero_size_disables_caching(self):
-        cache = SignatureCache(maxsize=0)
-        sig = compute_msv(random_tables(2, 1, seed=3)[0])
-        cache.put((1, 2, DEFAULT_PARTS), sig)
-        assert len(cache) == 0
-        assert cache.get((1, 2, DEFAULT_PARTS)) is None
+        def spy(packed, *args, **kwargs):
+            rows.append(len(packed))
+            return batched_pieces(packed, *args, **kwargs)
 
-    def test_rejects_negative_size(self):
-        with pytest.raises(ValueError):
-            SignatureCache(maxsize=-1)
-
-    def test_classifier_cache_hits_on_repeat(self):
-        tables = random_tables(4, 30, seed=13)
-        classifier = BatchedClassifier()
-        first = classifier.classify(tables)
-        assert classifier.cache_stats.hits == 0
-        second = classifier.classify(tables)
-        assert second.buckets_digest() == first.buckets_digest()
-        assert classifier.cache_stats.hits == len(tables)
-        assert classifier.cache_stats.evictions == 0
-
-    def test_in_batch_duplicates_computed_once(self):
-        tt = random_tables(4, 1, seed=17)[0]
-        classifier = BatchedClassifier()
-        signatures = classifier.signatures([tt, tt, tt])
-        assert signatures[0] == signatures[1] == signatures[2]
-        # one distinct table cached, duplicates resolved within the batch
-        assert len(classifier.cache) == 1
-
-    def test_disabled_cache_still_classifies(self):
-        tables = random_tables(3, 12, seed=19)
-        classifier = BatchedClassifier(cache_size=0)
-        reference = FacePointClassifier().classify(tables)
-        assert (
-            classifier.classify(tables).buckets_digest()
-            == reference.buckets_digest()
-        )
-        assert classifier.cache_stats.hits == 0
+        monkeypatch.setattr(engine_classifier, "batched_pieces", spy)
+        a, b = random_tables(4, 2, seed=17)
+        signatures = BatchedClassifier().signatures([a, b, a, a, b])
+        assert signatures[0] == signatures[2] == signatures[3]
+        assert signatures[1] == signatures[4]
+        assert rows == [2]  # one kernel row per distinct table

@@ -15,14 +15,13 @@ from repro.engine import ENGINE_NAMES, BatchedClassifier, make_classifier
 
 class TestMakeClassifier:
     def test_engine_names_cover_all_engines(self):
-        assert ENGINE_NAMES == ("perfn", "batched", "canonical")
+        assert ENGINE_NAMES == ("perfn", "batched")
 
     def test_each_name_builds_its_engine(self):
-        from repro.canonical.engine import CanonicalClassifier
-
         assert isinstance(make_classifier("perfn"), FacePointClassifier)
         assert isinstance(make_classifier("batched"), BatchedClassifier)
-        assert isinstance(make_classifier("canonical"), CanonicalClassifier)
+        with pytest.raises(ValueError):
+            make_classifier("canonical")
 
     def test_default_is_batched(self):
         assert isinstance(make_classifier(), BatchedClassifier)

@@ -12,6 +12,8 @@ import pytest
 
 from repro.baselines.exact_enum import exact_npn_canonical
 from repro.canonical.form import canonical_form
+from repro.core.classifier import FacePointClassifier
+from repro.core.msv import DEFAULT_PARTS
 from repro.core.transforms import random_transform
 from repro.core.truth_table import TruthTable
 from repro.library import (
@@ -19,6 +21,7 @@ from repro.library import (
     LibraryFormatError,
     build_exhaustive_library,
     build_library,
+    library_from_result,
     migrate_library,
 )
 from repro.library.store import MANIFEST_FILE, TABLES_FILE
@@ -52,28 +55,32 @@ class TestBuild:
     def test_engines_build_identical_libraries(self):
         """The two signature engines build byte-identical libraries."""
         tables = list(exhaustive_tables(2)) + random_tables(5, 120, seed=9)
-        snapshots = {
-            engine: [
-                (e.class_id, e.representative, e.size)
-                for e in build_library(tables, engine=engine).entries()
-            ]
-            for engine in ("perfn", "batched")
-        }
-        assert snapshots["perfn"] == snapshots["batched"]
-        for _, representative, _ in snapshots["batched"]:
-            assert representative == canonical_form(representative)
 
-    def test_canonical_engine_splits_a_shared_signature_bucket(self):
+        def snapshot(library):
+            return [
+                (e.class_id, e.representative, e.size) for e in library.entries()
+            ]
+
+        perfn = library_from_result(
+            FacePointClassifier().classify(tables), DEFAULT_PARTS
+        )
+        batched = build_library(tables)
+        assert snapshot(perfn) == snapshot(batched)
+        for entry in batched.entries():
+            assert entry.representative == canonical_form(entry.representative)
+
+    def test_exact_build_splits_a_shared_signature_bucket(self):
         # Two n=5 orbits with one MSV: a signature bucket holds both, so
-        # the signature engines build one class and canonical builds two.
+        # the signature engines build one class and the exact build two.
         pair = [TruthTable(5, 0x3DE88452), TruthTable(5, 0x83161D9A)]
         orbits = {exact_npn_canonical(tt).representative for tt in pair}
         assert len(orbits) == 2
-        for engine in ("perfn", "batched"):
-            assert build_library(pair, engine=engine).num_classes == 1
-        canonical = build_library(pair, engine="canonical")
-        assert canonical.num_classes == 2
-        assert {e.representative for e in canonical.entries()} == orbits
+        assert build_library(pair).num_classes == 1
+        perfn = FacePointClassifier().classify(pair)
+        assert library_from_result(perfn, DEFAULT_PARTS).num_classes == 1
+        exact = build_library(pair, exact=True)
+        assert exact.num_classes == 2
+        assert {e.representative for e in exact.entries()} == orbits
 
     def test_add_class_accumulates_size(self):
         library = ClassLibrary()

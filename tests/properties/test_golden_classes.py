@@ -17,9 +17,11 @@ from pathlib import Path
 
 import pytest
 
+from repro.baselines.exact import ExactClassifier
 from repro.core.classifier import FacePointClassifier
+from repro.core.msv import DEFAULT_PARTS
 from repro.engine import BatchedClassifier
-from repro.library import library_from_result
+from repro.library import build_library, library_from_result
 
 GOLDEN_PATH = Path(__file__).parent.parent / "data" / "golden_classes.json"
 GOLDEN = json.loads(GOLDEN_PATH.read_text())
@@ -59,7 +61,8 @@ class TestLibraryIdentityPins:
         them) are byte-identical to the golden data — the gather-kernel
         build path must not move a single class."""
         spec, tables = golden_case
-        library = library_from_result(FacePointClassifier().classify(tables))
+        result = FacePointClassifier().classify(tables)
+        library = library_from_result(result, DEFAULT_PARTS)
         derived = {
             entry.class_id: entry.representative.to_hex()
             for entry in library.entries()
@@ -68,7 +71,8 @@ class TestLibraryIdentityPins:
 
     def test_batched_engine_builds_identical_ids(self, golden_case):
         spec, tables = golden_case
-        library = library_from_result(BatchedClassifier().classify(tables))
+        result = BatchedClassifier().classify(tables)
+        library = library_from_result(result, DEFAULT_PARTS)
         assert {
             e.class_id: e.representative.to_hex() for e in library.entries()
         } == spec["classes"]
@@ -83,7 +87,7 @@ class TestLibraryMatchPath:
         """
         spec, tables = golden_case
         result = FacePointClassifier().classify(tables)
-        library = library_from_result(result)
+        library = library_from_result(result, result.parts)
         assert library.num_classes == spec["num_classes"]
         assert library.num_functions == spec["num_functions"]
         seen_classes = set()
@@ -95,21 +99,19 @@ class TestLibraryMatchPath:
         assert len(seen_classes) == spec["num_classes"]
 
 
-class TestCanonicalEngineAgainstGolden:
+class TestExactClassifierAgainstGolden:
     """The exact engine must reproduce the golden class structure.
 
-    Its keys are canonical forms (not signatures), so the order-sensitive
-    bucket digest differs by construction — the pins here are the class
-    count, the member partition, and the portable ids.
+    Its keys are ``(signature, ordinal)`` pairs in a plain grouping (no
+    bucket digest), so the pins here are the class count, the member
+    partition, and the portable ids of the exact library build.
     """
 
     def test_counts_and_partition_match(self, golden_case):
-        from repro.canonical.engine import CanonicalClassifier
-
         spec, tables = golden_case
-        canonical = CanonicalClassifier().classify(tables)
+        exact = ExactClassifier().classify(tables)
         reference = FacePointClassifier().classify(tables)
-        assert canonical.num_classes == spec["num_classes"]
+        assert exact.num_classes == spec["num_classes"]
 
         def partition(result):
             return sorted(
@@ -117,13 +119,11 @@ class TestCanonicalEngineAgainstGolden:
                 for members in result.groups.values()
             )
 
-        assert partition(canonical) == partition(reference)
+        assert partition(exact) == partition(reference)
 
     def test_library_ids_are_golden_canonical_ids(self, golden_case):
-        from repro.canonical.engine import CanonicalClassifier
-
         spec, tables = golden_case
-        library = library_from_result(CanonicalClassifier().classify(tables))
+        library = build_library(tables, exact=True)
         assert {
             e.class_id: e.representative.to_hex() for e in library.entries()
         } == spec["classes"]

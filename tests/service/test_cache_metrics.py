@@ -1,13 +1,25 @@
-"""MatchCache accounting."""
+"""MatchCache accounting: the registry series are the one source of counts."""
 
 import pytest
 
+from repro import obs
 from repro.core.truth_table import TruthTable
 from repro.service.cache import MatchCache
 
 
+def _lookups(result: str) -> float:
+    return obs.registry().get("repro_cache_match_lookups_total").value(
+        result=result
+    )
+
+
+def _evictions() -> float:
+    return obs.registry().get("repro_cache_match_evictions_total").value()
+
+
 class TestMatchCache:
     def test_miss_then_hit(self, tiny_library):
+        hits, misses = _lookups("hit"), _lookups("miss")
         cache = MatchCache(maxsize=8)
         query = TruthTable(3, 0xE8)
         found, _ = cache.get(query)
@@ -16,9 +28,8 @@ class TestMatchCache:
         cache.put(query, outcome)
         found, cached = cache.get(query)
         assert found and cached is outcome
-        assert cache.stats.hits == 1
-        assert cache.stats.misses == 1
-        assert cache.stats.hit_rate == 0.5
+        assert _lookups("hit") == hits + 1
+        assert _lookups("miss") == misses + 1
 
     def test_negative_outcome_is_cached(self):
         cache = MatchCache(maxsize=8)
@@ -34,13 +45,14 @@ class TestMatchCache:
         assert not found
 
     def test_lru_eviction(self):
+        evictions = _evictions()
         cache = MatchCache(maxsize=2)
         a, b, c = (TruthTable(3, bits) for bits in (1, 2, 3))
         cache.put(a, None)
         cache.put(b, None)
         cache.get(a)  # refresh a; b is now LRU
         cache.put(c, None)
-        assert cache.stats.evictions == 1
+        assert _evictions() == evictions + 1
         assert cache.get(b) == (False, None)
         assert cache.get(a)[0] and cache.get(c)[0]
 

@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 from repro.cli import main, parse_tables
+from repro.library import ClassLibrary
 
 
 class TestParsing:
@@ -77,20 +78,14 @@ class TestCommands:
         assert perfn_lines[1].split("(")[0] == batched_lines[1].split("(")[0]
         assert perfn_lines[2:] == batched_lines[2:]  # same classes, same order
 
-    def test_classify_canonical_engine_requires_ours(self, tmp_path, capsys):
-        path = tmp_path / "tables.txt"
-        path.write_text("11101000\n")
-        assert main(
-            ["classify", str(path), "--method", "kitty", "--engine", "canonical"]
-        ) == 2
-        assert "only applies" in capsys.readouterr().err
-
     @pytest.mark.parametrize(
         "argv",
         [
             ["classify", "-", "--engine", "sharded"],
+            ["classify", "-", "--engine", "canonical"],
             ["classify", "-", "--workers", "2"],
             ["library", "build", "--workers", "2"],
+            ["library", "build", "--engine", "batched"],
             ["serve", "--engine", "batched"],
             ["worker", "--id", "w0", "--ring", "w0", "--engine", "batched"],
             ["table3", "--sharded-workers", "2"],
@@ -167,6 +162,24 @@ class TestLibraryCommands:
         assert "saved 14 classes" in out
         assert (out_dir / "manifest.json").exists()
         assert (out_dir / "classes.npz").exists()
+
+    def test_exact_build(self, tmp_path, capsys):
+        """``--exact`` builds one class per orbit.  These 300 n=5 samples
+        hold no two orbits with one MSV, so its classes equal the
+        signature buckets of the default build."""
+        classes = {}
+        for flags in ([], ["--exact"]):
+            out_dir = tmp_path / ("exact" if flags else "buckets")
+            assert main(
+                ["library", "build", "--inputs", "3,5", "--samples", "300",
+                 "--out", str(out_dir), *flags]
+            ) == 0
+            assert "saved 314 classes" in capsys.readouterr().out
+            library = ClassLibrary.load(out_dir)
+            classes[bool(flags)] = {
+                e.class_id: e.size for e in library.entries()
+            }
+        assert classes[True] == classes[False]
 
     def test_build_rejects_bad_arity_spec(self, tmp_path, capsys):
         assert main(
