@@ -3,21 +3,27 @@
 One rule everywhere: the canonical representative of ``f`` is the
 lexicographically smallest truth table in ``f``'s full NPN orbit — the
 same value :func:`repro.baselines.exact_enum.exact_npn_canonical`
-computes.  What changes with arity is only *how* it is computed:
+computes.  This module is the only place that decides *how* it is
+computed, and callers hand it batches of any arity mix:
 
-* ``n <= 6`` — the batched :func:`repro.kernels.canonical_min` kernel
-  (byte-identical to the exhaustive enumeration: the ``n!`` permuted
-  words are gathered, the input phases added by word-level doublings);
-  :func:`repro.kernels.canonical_min_transforms` reduces the same words
-  with ``argmin`` and also returns the transform reaching the form
-  (:func:`canonical_forms_with_transforms`); :func:`checked_witness`
-  inverts it into the witness (checked with one apply) that
-  learn-on-miss and the library's ``n <= 5`` match path answer with;
+* ``n <= 6`` — one batched :func:`repro.kernels.canonical_min` call per
+  arity (byte-identical to the exhaustive enumeration: the ``n!``
+  permuted words are gathered, the input phases added by word-level
+  doublings); :func:`repro.kernels.canonical_min_transforms` reduces
+  the same words with ``argmin`` and also returns the transform
+  reaching the form;
 * ``n > 6`` — :func:`influence_canonical_scalar`, an exact search that
   walks permutations in the influence-sorted candidate order (strong
   incumbent early) and bounds the per-permutation phase enumeration by
   the incumbent's most-significant 64-bit word, so almost every phase
-  assignment is rejected from its top word alone.
+  assignment is rejected from its top word alone.  Its argmin is
+  decoded into a transform exactly like a kernel column, and each
+  distinct table of the batch is searched once.
+
+So :func:`canonical_forms_with_transforms` yields a transform onto the
+form at every arity, and :func:`checked_witness` inverts it into the
+witness (checked with one apply) that learn-on-miss and the library's
+match path answer with.
 
 Class ids are a pure function of the orbit: ``n{n}-c{hex}`` where the
 hex *is* the canonical representative (fixed width, MSB first).  Two
@@ -27,7 +33,8 @@ orbit — the property signature-digest ids could not offer.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Iterable
+from itertools import repeat
 
 import numpy as np
 
@@ -37,7 +44,12 @@ from repro.core import bitops
 from repro.core.transforms import NPNTransform
 from repro.core.truth_table import TruthTable
 from repro.kernels.gather import MAX_KERNEL_VARS
-from repro.kernels.ops import canonical_min, canonical_min_transforms, pack_rows
+from repro.kernels.ops import (
+    canonical_min,
+    canonical_min_transforms,
+    image_transform,
+    pack_rows,
+)
 
 __all__ = [
     "canonical_form",
@@ -49,10 +61,10 @@ __all__ = [
     "parse_canonical_class_id",
 ]
 
-#: Registry mirror of the scalar search's per-call counters dict: how
-#: hard the incumbent-bounded search worked (``permutations`` tried,
-#: ``phase_candidates`` screened by top word, ``phases_materialized``
-#: fully built) — the pruned fraction is 1 - materialized/candidates.
+#: How hard the incumbent-bounded scalar search worked, by step kind:
+#: ``permutations`` tried, ``phase_candidates`` screened by top word,
+#: ``phases_materialized`` fully built — the pruned fraction is
+#: 1 - materialized/candidates.
 _SEARCH_STEPS = obs.registry().counter(
     "repro_canonical_search_steps_total",
     "Influence-aided scalar canonical search work, by step kind.",
@@ -65,78 +77,84 @@ _SCALAR_ENTRY_BUDGET = 1 << 22
 
 def canonical_form(tt: TruthTable) -> TruthTable:
     """Exact canonical representative (orbit minimum) of one function."""
-    if tt.n <= MAX_KERNEL_VARS:
-        return TruthTable(tt.n, int(canonical_min([tt.bits], tt.n)[0]))
-    return influence_canonical_scalar(tt)
+    return canonical_forms([tt])[0]
 
 
-def canonical_forms(tables, n: int | None = None) -> list[TruthTable]:
-    """Exact canonical representatives of a same-arity batch.
+def canonical_forms(tables: Iterable, n: int | None = None) -> list[TruthTable]:
+    """Exact canonical representatives of a batch, in input order.
 
-    ``n <= 6`` runs as one batched kernel call; larger arities fall back
-    to the scalar search per table (deduplicated by raw bits, since the
-    scalar path is the expensive one).
+    Tables may mix arities: each arity up to ``MAX_KERNEL_VARS`` is one
+    batched kernel call, and larger ones take the scalar search once per
+    distinct table.  Raw integers are tables of arity ``n``.
     """
-    items = list(tables)
-    if not items:
-        return []
-    arity = n
-    ints: list[int] = []
-    for item in items:
-        if isinstance(item, TruthTable):
-            if arity is None:
-                arity = item.n
-            elif item.n != arity:
-                raise ValueError(f"mixed arities in batch: {item.n} != {arity}")
-            ints.append(item.bits)
-        else:
-            ints.append(int(item))
-    if arity is None:
-        raise ValueError("pass n when tables are raw integers")
-    if arity <= MAX_KERNEL_VARS:
-        mins = canonical_min(ints, arity)
-        return [TruthTable(arity, int(value)) for value in mins]
-    cache: dict[int, TruthTable] = {}
-    out = []
-    for bits in ints:
-        rep = cache.get(bits)
-        if rep is None:
-            rep = influence_canonical_scalar(TruthTable(arity, bits))
-            cache[bits] = rep
-        out.append(rep)
-    return out
+    return [form for form, _ in _canonicalize(tables, n, transforms=False)]
 
 
 def canonical_forms_with_transforms(
-    tables: Sequence[TruthTable], n: int
+    tables: Iterable[TruthTable],
 ) -> list[tuple[TruthTable, NPNTransform]]:
-    """``(canonical form, transform reaching it)`` of each table of one arity.
+    """``(canonical form, transform reaching it)`` of each table, in input order.
 
-    One :func:`~repro.kernels.canonical_min_transforms` call yields the
-    orbit minima and the transforms mapping each table onto its form;
+    Batched like :func:`canonical_forms`: the kernel's argmin transform
+    up to ``MAX_KERNEL_VARS``, the scalar search's above, so
+    ``table.apply(transform) == form`` at every arity.
     :func:`checked_witness` turns one into the witness that maps the
     form back onto its table, so callers pay for it only where they
-    need it.  The kernels raise ``ValueError`` above ``MAX_KERNEL_VARS``.
+    need it.
     """
-    minima, transforms = canonical_min_transforms([tt.bits for tt in tables], n)
-    return [(TruthTable(n, low), t) for low, t in zip(minima.tolist(), transforms)]
+    return _canonicalize(tables, None, transforms=True)
+
+
+def _canonicalize(tables: Iterable, n: int | None, transforms: bool) -> list:
+    """``(form, transform or None)`` per table: the one arity dispatch."""
+    rows: list[tuple[int, int]] = []
+    for item in tables:
+        if isinstance(item, TruthTable):
+            rows.append((item.n, item.bits))
+        elif n is None:
+            raise ValueError("pass n when tables are raw integers")
+        else:
+            rows.append((n, int(item)))
+    by_arity: dict[int, list[int]] = {}
+    for index, (arity, _) in enumerate(rows):
+        by_arity.setdefault(arity, []).append(index)
+    out: list = [None] * len(rows)
+    for arity, indices in by_arity.items():
+        ints = [rows[i][1] for i in indices]
+        if arity > MAX_KERNEL_VARS:
+            searched: dict[int, tuple[int, NPNTransform]] = {}
+            for bits in ints:
+                if bits not in searched:
+                    searched[bits] = _influence_search(TruthTable(arity, bits))
+            results = [searched[bits] for bits in ints]
+        elif transforms:
+            minima, found = canonical_min_transforms(ints, arity)
+            results = zip(minima.tolist(), found)
+        else:
+            results = zip(canonical_min(ints, arity).tolist(), repeat(None))
+        for index, (low, transform) in zip(indices, results):
+            out[index] = (TruthTable(arity, low), transform)
+    return out
 
 
 def checked_witness(
     form: TruthTable, transform: NPNTransform, table: TruthTable
-) -> NPNTransform | None:
-    """The inverse of ``transform`` if it maps ``form`` onto ``table``.
+) -> NPNTransform:
+    """The inverse of ``transform``, checked to map ``form`` onto ``table``.
 
-    Checked with one apply, so ``None`` means "find one some other
-    way", never a wrong witness.
+    One apply; a failure is a canonicalizer bug, so it raises
+    ``RuntimeError`` rather than return a wrong witness.
     """
     witness = transform.inverse()
-    return witness if form.apply(witness) == table else None
+    if form.apply(witness) != table:
+        raise RuntimeError(
+            f"canonicalizer bug: transform {transform.as_dict()} does not "
+            f"map {table!r} onto its canonical form {form!r}"
+        )
+    return witness
 
 
-def influence_canonical_scalar(
-    tt: TruthTable, stats: dict | None = None
-) -> TruthTable:
+def influence_canonical_scalar(tt: TruthTable) -> TruthTable:
     """Exact orbit minimum by influence-ordered, incumbent-bounded search.
 
     Enumerates both output phases and all ``n!`` permutations — in the
@@ -148,24 +166,35 @@ def influence_canonical_scalar(
     (sound: the top word is the most-significant lexicographic prefix).
 
     Works at any arity — small ``n`` exercise the same code in tests —
-    and is byte-identical to ``exact_npn_canonical``.  ``stats``, when
-    given, accumulates ``permutations``, ``phase_candidates`` and
-    ``phases_materialized`` counters.
+    and is byte-identical to ``exact_npn_canonical``.  Its work is
+    counted in ``repro_canonical_search_steps_total{kind}``.
+    """
+    return TruthTable(tt.n, _influence_search(tt)[0])
+
+
+def _influence_search(tt: TruthTable) -> tuple[int, NPNTransform]:
+    """The orbit minimum's bits and the transform reaching it.
+
+    The argmin image is ``permute(tt, perm)`` with the image variables
+    of ``mask`` flipped (and the output negated for output phase 1),
+    so it decodes exactly like a kernel column.
     """
     n = tt.n
     if n == 0:
-        return TruthTable(0, 0)  # orbit of a constant is {f, ~f}
+        return 0, NPNTransform((), 0, tt.bits)  # orbit of a constant is {f, ~f}
     size = 1 << n
     perms = candidate_permutations(influence_vector(tt))
+    # Every orbit holds a table below the all-ones mask (f or ~f), so
+    # the strict ``<`` below always records an argmin.
     best = bitops.table_mask(n)
+    argmin = None
     mask_chunk = max(1, _SCALAR_ENTRY_BUDGET // size)
     all_masks = np.arange(size, dtype=np.intp)
     minterms = all_masks[None, :]
-    counters = {"permutations": 0, "phase_candidates": 0, "phases_materialized": 0}
+    candidates = materialized = 0
     for output_phase in (0, 1):
         base = tt.bits if output_phase == 0 else bitops.flip_output(tt.bits, n)
         for perm in perms:
-            counters["permutations"] += 1
             permuted = bitops.permute_inputs(base, n, perm)
             raw = permuted.to_bytes(max(1, size // 8), "little")
             bits = np.unpackbits(
@@ -173,14 +202,16 @@ def influence_canonical_scalar(
             )[:size]
             for start in range(0, size, mask_chunk):
                 masks = all_masks[start : start + mask_chunk]
-                counters["phase_candidates"] += len(masks)
+                candidates += len(masks)
                 # images[m, x] = permuted[x ^ m] == flip_inputs(permuted, m)
                 images = bits[masks[:, None] ^ minterms]
                 if size <= 64:
-                    counters["phases_materialized"] += len(masks)
-                    low = int(pack_rows(images).min())
-                    if low < best:
-                        best = low
+                    materialized += len(masks)
+                    packed = pack_rows(images)
+                    row = int(packed.argmin())
+                    if int(packed[row]) < best:
+                        best = int(packed[row])
+                        argmin = (perm, int(masks[row]), output_phase)
                     continue
                 msb_first = images[:, ::-1]
                 top = (
@@ -192,19 +223,18 @@ def influence_canonical_scalar(
                 )
                 survivors = np.nonzero(top <= np.uint64(best >> (size - 64)))[0]
                 for row in survivors:
-                    counters["phases_materialized"] += 1
+                    materialized += 1
                     value = int.from_bytes(
                         np.packbits(msb_first[row], bitorder="big").tobytes(),
                         "big",
                     )
                     if value < best:
                         best = value
-    if stats is not None:
-        for key, value in counters.items():
-            stats[key] = stats.get(key, 0) + value
-    for kind, value in counters.items():
-        _SEARCH_STEPS.inc(value, kind=kind)
-    return TruthTable(n, best)
+                        argmin = (perm, int(masks[row]), output_phase)
+    _SEARCH_STEPS.inc(2 * len(perms), kind="permutations")
+    _SEARCH_STEPS.inc(candidates, kind="phase_candidates")
+    _SEARCH_STEPS.inc(materialized, kind="phases_materialized")
+    return best, image_transform(*argmin)
 
 
 def canonical_class_id(rep: TruthTable) -> str:

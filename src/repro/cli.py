@@ -29,7 +29,6 @@ import sys
 from repro.analysis.tables import format_table
 from repro.baselines.base import registered_classifiers
 from repro.core.truth_table import TruthTable
-from repro.engine import ENGINE_NAMES
 
 __all__ = ["main", "build_parser"]
 
@@ -47,16 +46,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--method",
         default="ours",
         choices=sorted(registered_classifiers()),
-        help="classifier to use (exact: signature buckets resolved by "
-        "the complete matcher, one group per NPN class)",
-    )
-    classify.add_argument(
-        "--engine",
-        default="perfn",
-        choices=ENGINE_NAMES,
-        help="engine for --method ours: one function at a time (perfn) "
-        "or the packed/vectorized batch engine (batched); both give "
-        "the same buckets",
+        help="classifier to use (ours: the batched signature engine; "
+        "exact: signature buckets resolved by the complete matcher, one "
+        "group per NPN class)",
     )
     classify.add_argument(
         "--show-classes", action="store_true", help="print class members"
@@ -565,13 +557,8 @@ def _run(args) -> int:
 
 def _cmd_classify(args) -> int:
     from repro.baselines import get_classifier
+    from repro.engine import BatchedClassifier
 
-    if args.engine != "perfn" and args.method != "ours":
-        print(
-            f"--engine {args.engine} only applies to --method ours",
-            file=sys.stderr,
-        )
-        return 2
     if args.file == "-":
         lines = sys.stdin.readlines()
     else:
@@ -581,17 +568,13 @@ def _cmd_classify(args) -> int:
     if not tables:
         print("no truth tables found", file=sys.stderr)
         return 1
-    if args.method == "ours" and args.engine != "perfn":
-        from repro.engine import make_classifier
-
-        classifier = make_classifier(args.engine)
-        label = f"ours, {args.engine} engine"
+    if args.method == "ours":
+        classifier = BatchedClassifier()
     else:
         classifier = get_classifier(args.method)
-        label = args.method
     result = classifier.classify(tables)
     print(f"functions: {result.num_functions}")
-    print(f"classes:   {result.num_classes} ({label})")
+    print(f"classes:   {result.num_classes} ({args.method})")
     if args.show_classes:
         for index, members in enumerate(result.groups.values()):
             rendered = " ".join(str(tt) for tt in members)
@@ -620,30 +603,39 @@ def _cmd_signatures(args) -> int:
 
 
 def _cmd_canonical(args) -> int:
-    from repro.baselines.matcher import find_npn_transform
+    from repro import obs
     from repro.canonical import (
         canonical_class_id,
-        canonical_form,
+        canonical_forms_with_transforms,
         influence_canonical_scalar,
         influence_vector,
     )
 
     tt = _parse_one(args.table, args.n)
-    canonical = canonical_form(tt)
-    witness = find_npn_transform(tt, canonical)
+    canonical, witness = canonical_forms_with_transforms([tt])[0]
     print(f"function:   {tt!r}")
     print(f"influence:  {influence_vector(tt)}")
     print(f"canonical:  {canonical!r}  binary={canonical.to_binary()}")
     print(f"class id:   {canonical_class_id(canonical)}")
-    print(f"witness:    {witness}")
+    print(f"witness:    {witness}  (maps the function onto its canonical form)")
+    print(
+        f"            perm={witness.perm} input_phase={witness.input_phase:#x} "
+        f"output_phase={witness.output_phase}"
+    )
     if args.search_stats:
-        stats: dict = {}
-        scalar = influence_canonical_scalar(tt, stats=stats)
-        assert scalar == canonical, "scalar search disagrees with kernel"
+        steps = obs.registry().get("repro_canonical_search_steps_total")
+        kinds = ("permutations", "phase_candidates", "phases_materialized")
+        before = [steps.value(kind=kind) for kind in kinds]
+        scalar = influence_canonical_scalar(tt)
+        if scalar != canonical:  # pragma: no cover - canonicalizer bug
+            print("scalar search disagrees with the canonical form", file=sys.stderr)
+            return 1
+        permutations, candidates, materialized = (
+            int(steps.value(kind=kind) - start) for kind, start in zip(kinds, before)
+        )
         print(
-            f"search:     {stats['permutations']} permutations, "
-            f"{stats['phase_candidates']} phase candidates, "
-            f"{stats['phases_materialized']} materialized"
+            f"search:     {permutations} permutations, "
+            f"{candidates} phase candidates, {materialized} materialized"
         )
     return 0
 

@@ -16,35 +16,12 @@ it buckets by these signatures and decides inside each bucket with the
 complete matcher.
 """
 
-from repro.core.classifier import FacePointClassifier
-from repro.core.msv import DEFAULT_PARTS
 from repro.engine.classifier import BatchedClassifier
 from repro.engine.packed import PackedTables
 from repro.engine.signatures import batched_pieces
 
-#: Engine names accepted by :func:`make_classifier` (and the CLI flags).
-ENGINE_NAMES = ("perfn", "batched")
-
-
-def make_classifier(engine: str = "batched", parts=DEFAULT_PARTS):
-    """One constructor for both signature engines, keyed by name.
-
-    ``perfn`` (the paper's per-function reference) and ``batched``
-    produce byte-identical buckets on the same input.
-    """
-    if engine not in ENGINE_NAMES:
-        raise ValueError(
-            f"unknown engine {engine!r}; known: {', '.join(ENGINE_NAMES)}"
-        )
-    if engine == "perfn":
-        return FacePointClassifier(parts)
-    return BatchedClassifier(parts)
-
-
 __all__ = [
     "BatchedClassifier",
-    "ENGINE_NAMES",
-    "make_classifier",
     "PackedTables",
     "batched_pieces",
 ]

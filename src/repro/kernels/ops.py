@@ -46,6 +46,7 @@ __all__ = [
     "orbit_chunks",
     "canonical_min",
     "canonical_min_transforms",
+    "image_transform",
 ]
 
 #: Soft cap on the number of ``uint8`` entries any gather materialises.
@@ -316,10 +317,25 @@ def canonical_min_transforms(
         columns = np.where(output, high_col, low_col)
         for column, flip in zip(columns.tolist(), output.tolist()):
             image_flips, perm_row = divmod(column, gt.num_perms)
-            perm = tuple(gt.perms[perm_row].tolist())
-            phase = 0
-            for i, var in enumerate(perm):
-                phase |= ((image_flips >> var) & 1) << i
-            transforms.append(NPNTransform(perm, phase, int(flip)))
+            transforms.append(
+                image_transform(gt.perms[perm_row].tolist(), image_flips, flip)
+            )
     return minima, transforms
+
+
+def image_transform(
+    perm: Sequence[int], image_flips: int, output: int
+) -> NPNTransform:
+    """The transform reaching one NP image, decoded like a kernel column.
+
+    The image permutes the table by ``perm``, then flips the *image*
+    variables set in ``image_flips``, then negates the output if
+    ``output``.  Input ``i`` of the table reads image variable
+    ``perm[i]``, so its input-phase bit is bit ``perm[i]`` of
+    ``image_flips``.
+    """
+    phase = 0
+    for i, var in enumerate(perm):
+        phase |= ((image_flips >> var) & 1) << i
+    return NPNTransform(tuple(perm), phase, int(output))
 

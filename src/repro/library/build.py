@@ -1,10 +1,8 @@
 """Building class libraries from classification results and corpora.
 
 Every class representative is the *exact orbit minimum* at every arity —
-computed through the batched :func:`repro.canonical.form.canonical_forms`
-path (``canonical_min`` gather kernels for ``n <= 6``, the
-influence-guided scalar search above), one call per arity over the first
-member of every group.  The class id is a pure function of the orbit
+computed by one :func:`repro.canonical.form.canonical_forms` call over
+the first member of every group, whatever their arities.  The class id is a pure function of the orbit
 (``n{n}-c{hex}``), so two independently built libraries mint identical
 ids for the same orbit.
 
@@ -48,19 +46,13 @@ def library_from_result(
     """Build a library over ``parts`` from any classifier's groups.
 
     Every group becomes one class, named by the canonical form of its
-    first member — canonicalized in one batch per arity.
+    first member — all canonicalized in one batch.
     """
     library = ClassLibrary(parts)
     groups = list(result.groups.values())
-    firsts_by_n: dict[int, list[int]] = {}
-    for index, members in enumerate(groups):
-        firsts_by_n.setdefault(members[0].n, []).append(index)
-    reps: dict[int, TruthTable] = {}
-    for n, indices in firsts_by_n.items():
-        forms = canonical_forms([groups[i][0] for i in indices], n)
-        reps.update(zip(indices, forms))
-    for index, members in enumerate(groups):
-        library.add_class(reps[index], size=len(members), canonical_rep=True)
+    forms = canonical_forms([members[0] for members in groups])
+    for form, members in zip(forms, groups):
+        library.add_class(form, size=len(members), canonical_rep=True)
     return library
 
 

@@ -47,7 +47,7 @@ def migrate_library(directory: str | Path) -> CompactionResult:
     """Rewrite the version-1 or version-2 library at ``directory`` as version 3.
 
     Under the learner lock, the old image and every segment's intact
-    records are canonicalized per arity into a fresh library, sizes of
+    records are canonicalized in one batch into a fresh library, sizes of
     one orbit summed; it is saved in place and the absorbed segments
     deleted.  ``merged_records`` counts the records folded in on top of
     the old image.  Raises :class:`LibraryFormatError` (without touching
@@ -80,19 +80,15 @@ def migrate_library(directory: str | Path) -> CompactionResult:
             for record in replay_segment(segment).records:
                 table, size = parse_record(record, segment)
                 rows.append((str(record["class_id"]), table, size))
-        by_arity: dict[int, list[tuple]] = {}
-        for row in rows:
-            by_arity.setdefault(row[1].n, []).append(row)
-        for n, batch in sorted(by_arity.items()):
-            forms = canonical_forms([table for _, table, _ in batch], n)
-            for form, (stored_id, _, size) in zip(forms, batch):
-                if named and stored_id != canonical_class_id(form):
-                    raise LibraryFormatError(
-                        f"{directory}: class {stored_id!r} does not name "
-                        f"its canonical form {canonical_class_id(form)!r} "
-                        f"— the artifact is corrupted"
-                    )
-                library.add_class(form, size=size, canonical_rep=True)
+        forms = canonical_forms([table for _, table, _ in rows])
+        for form, (stored_id, _, size) in zip(forms, rows):
+            if named and stored_id != canonical_class_id(form):
+                raise LibraryFormatError(
+                    f"{directory}: class {stored_id!r} does not name "
+                    f"its canonical form {canonical_class_id(form)!r} "
+                    f"— the artifact is corrupted"
+                )
+            library.add_class(form, size=size, canonical_rep=True)
         path = library.save(directory)
         for segment in segments:
             segment.unlink()

@@ -33,10 +33,12 @@ Minting keeps the library's representative contract: the minted
 representative is the exact orbit minimum at every arity and the id is
 ``n{n}-c{hex}`` — a pure function of the orbit, so ids cannot collide.
 The returned :class:`LibraryMatch` carries a verified witness, so a
-learned answer is exactly as trustworthy as a built one.  At ``n <= 6``
-that witness comes from the same kernel call as the form (the inverse
-of its argmin transform, checked with one apply); otherwise the matcher
-finds it.
+learned answer is exactly as trustworthy as a built one.  At every
+arity that witness comes from the same
+:func:`~repro.canonical.form.canonical_forms_with_transforms` call as
+the form: the inverse of its argmin transform, checked with one apply.
+Replay canonicalizes every WAL record in one
+:func:`~repro.canonical.form.canonical_forms` call.
 """
 
 from __future__ import annotations
@@ -45,17 +47,15 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from repro import obs
-from repro.baselines.matcher import find_npn_transform
+from repro.canonical.form import canonical_form  # noqa: F401 - a perfbench span target
 from repro.canonical.form import (
     canonical_class_id,
-    canonical_form,
+    canonical_forms,
     canonical_forms_with_transforms,
     checked_witness,
 )
 from repro.core.msv import DEFAULT_PARTS, MixedSignature
-from repro.core.transforms import NPNTransform
 from repro.core.truth_table import TruthTable
-from repro.kernels.gather import MAX_KERNEL_VARS
 from repro.library.store import ClassLibrary, LibraryMatch, MANIFEST_FILE
 from repro.library.wal import (
     SegmentWriter,
@@ -210,28 +210,28 @@ class LearningLibrary:
         return learner
 
     def _replay(self) -> None:
-        """Apply every segment's intact records to the in-memory library."""
-        for path in list_segments(self.directory):
-            replay = replay_segment(path)
-            for record in replay.records:
-                self._apply_record(record, path)
-            self.pending_records += len(replay.records)
+        """Fold every segment's intact records into the in-memory library.
 
-    def _apply_record(self, record: dict, path: Path) -> None:
-        """Validate one WAL record and fold it into the library."""
-        representative, size = parse_record(record, path)
-        try:
-            # add_class validates the record's id against the
-            # representative's canonical form.
-            self.library.add_class(
-                representative, size=size, class_id=str(record["class_id"])
-            )
-        except ValueError as exc:
-            raise WalError(
-                f"{path}: record class id {record['class_id']!r} fails its "
-                f"identity check ({exc}) — the segment is corrupted or was "
-                f"produced by an incompatible implementation"
-            ) from exc
+        Each record's fields are checked, then all representatives are
+        canonicalized in one batch and each record's id must name its
+        canonical form.
+        """
+        records = []
+        for path in list_segments(self.directory):
+            for record in replay_segment(path).records:
+                records.append((path, record, *parse_record(record, path)))
+        forms = canonical_forms([rep for _, _, rep, _ in records])
+        for (path, record, _, size), form in zip(records, forms):
+            expected = canonical_class_id(form)
+            if str(record["class_id"]) != expected:
+                raise WalError(
+                    f"{path}: record class id {record['class_id']!r} fails "
+                    f"its identity check (its representative's canonical "
+                    f"id is {expected!r}) — the segment is corrupted or was "
+                    f"produced by an incompatible implementation"
+                )
+            self.library.add_class(form, size=size, canonical_rep=True)
+        self.pending_records += len(records)
 
     # ------------------------------------------------------------------
     # Learning
@@ -245,33 +245,25 @@ class LearningLibrary:
         Call this only after :meth:`ClassLibrary.match` returned ``None``.
 
         The query is canonicalized — its orbit's id is then an exact
-        key.  At ``n <= 6`` this is one
-        :func:`~repro.kernels.canonical_min_transforms` call, which also
-        yields the transform onto the form; its inverse is the reply's
-        witness once ``representative.apply(witness) == tt`` holds (the
-        matcher runs only if that check fails, and always above
-        ``n = 6``).  A stored entry under that id (a duplicate miss
-        inside one coalescer batch, racing the mint) resolves to the
-        existing class; otherwise the class is minted under its
+        key.  One :func:`~repro.canonical.form.canonical_forms_with_transforms`
+        call also yields the transform onto the form; its inverse is
+        the reply's witness, checked with one apply by
+        :func:`~repro.canonical.form.checked_witness`.  A stored entry
+        under that id (a duplicate miss inside one coalescer batch,
+        racing the mint) resolves to the existing class; otherwise the class is minted under its
         canonical id and WAL-logged, and ``signature`` — the query's
         MSV, an NPN invariant — indexes it in the matching chains.
         Digest collisions cannot happen: two colliding misses in one
         batch mint two *different* ids, so no verification-by-digest
         ever decides an answer.  The reply carries a verified witness.
         """
-        representative, witness = self._canonicalize(tt)
+        representative, transform = canonical_forms_with_transforms([tt])[0]
+        witness = checked_witness(representative, transform, tt)
         class_id = canonical_class_id(representative)
         existing = self.library.classes.get(class_id)
         if existing is not None:
-            # The id names its representative, so the kernel witness
-            # onto ``representative`` maps the stored one too.
-            if witness is None:
-                witness = find_npn_transform(existing.representative, tt)
-            if witness is None:  # pragma: no cover - canonical id broken
-                raise WalError(
-                    f"stored class {class_id!r} has no transform onto "
-                    f"its own orbit member {tt!r}"
-                )
+            # The id names its representative, so the witness onto
+            # ``representative`` maps the stored one too.
             return LibraryMatch(existing, witness)
         entry = self.library.add_class(
             representative,
@@ -280,13 +272,6 @@ class LearningLibrary:
             canonical_rep=True,
             signature=signature,
         )
-        if witness is None:
-            witness = find_npn_transform(entry.representative, tt)
-        if witness is None:  # pragma: no cover - canonical form broken
-            raise WalError(
-                f"minted representative {entry.representative!r} has no "
-                f"transform onto its own class member {tt!r}"
-            )
         self._append(
             {
                 "class_id": entry.class_id,
@@ -299,22 +284,6 @@ class LearningLibrary:
         self.minted += 1
         _MINTED.inc()
         return LibraryMatch(entry, witness)
-
-    def _canonicalize(
-        self, tt: TruthTable
-    ) -> tuple[TruthTable, NPNTransform | None]:
-        """``(canonical form, witness mapping it onto tt or None)``.
-
-        Up to ``MAX_KERNEL_VARS`` one kernel call yields both the orbit
-        minimum and the transform reaching it; the inverse is checked
-        with one apply and dropped (leaving the matcher to find one) if
-        it fails.  Larger arities take the scalar canonical search and
-        return no witness.
-        """
-        if tt.n > MAX_KERNEL_VARS:
-            return canonical_form(tt), None
-        form, transform = canonical_forms_with_transforms([tt], tt.n)[0]
-        return form, checked_witness(form, transform, tt)
 
     def _append(self, record: dict) -> None:
         """Write one record, compacting when the segment threshold trips."""

@@ -10,6 +10,8 @@ recovers an explicit :class:`~repro.core.transforms.NPNTransform` witness
 mapping the stored representative onto any queried function: by the
 query's canonical form up to ``KERNEL_MATCH_VARS`` inputs, via the
 signature-pruned matcher of :mod:`repro.baselines.matcher` above.
+Every canonical form comes from :mod:`repro.canonical.form`, which
+alone picks the canonicalizer for each arity of a batch.
 
 Every representative is the *exact orbit minimum*
 (:mod:`repro.canonical.form`) and the id is ``n{n}-c{hex}`` where the
@@ -31,10 +33,11 @@ Ids are not stored: each is derived from its representative.  Both
 files are written deterministically (sorted rows, canonical JSON, fixed
 zip timestamps), so rebuilding the same corpus yields byte-identical
 artifacts — the property the regression suite pins.  Every
-:meth:`ClassLibrary.load` checks the seal, the array shapes and
-arities, that the rows strictly increase, and that every representative
-is its own orbit minimum, so corruption or a format drift fails loudly
-instead of producing garbage matches.  Older, version-1 and version-2
+:meth:`ClassLibrary.load` checks the seal, the array shapes, arities
+and sizes, that the rows strictly increase, and that every
+representative is its own orbit minimum (one
+:func:`~repro.canonical.form.canonical_forms` call), so corruption or
+a format drift fails loudly instead of producing garbage matches.  Older, version-1 and version-2
 artifacts are converted once by :mod:`repro.library.migrate`.
 """
 
@@ -51,13 +54,11 @@ from pathlib import Path
 import numpy as np
 
 from repro import obs
-from repro.baselines.matcher import (
-    find_npn_transform,
-    find_npn_transforms_grouped,
-)
+from repro.baselines.matcher import find_npn_transforms_grouped
 from repro.canonical.form import (
     canonical_class_id,
     canonical_form,
+    canonical_forms,
     canonical_forms_with_transforms,
     checked_witness,
 )
@@ -65,8 +66,7 @@ from repro.core import bitops
 from repro.core.msv import DEFAULT_PARTS, MixedSignature, compute_msv, normalize_parts
 from repro.core.transforms import NPNTransform
 from repro.core.truth_table import TruthTable
-from repro.kernels.gather import MAX_KERNEL_VARS
-from repro.kernels.ops import canonical_min
+from repro.kernels import canonical_min  # noqa: F401 - a perfbench span target
 
 __all__ = [
     "ClassLibrary",
@@ -150,8 +150,9 @@ class LibraryMatch:
 
     ``transform`` maps the stored representative onto the queried
     function: ``entry.representative.apply(transform) == query``.  It is
-    verified by the matcher before being returned, and :meth:`verify`
-    re-checks it against any table.
+    verified before being returned (by one apply check, or by the
+    matcher on the chain path), and :meth:`verify` re-checks it against
+    any table.
     """
 
     entry: NPNClassEntry
@@ -396,10 +397,12 @@ class ClassLibrary:
         """Resolve many queries in one batched pass, preserving order.
 
         Queries of arity ``n <= KERNEL_MATCH_VARS`` take one
-        :func:`~repro.kernels.canonical_min_transforms` call per arity:
-        the orbit minimum *is* the class id, so ``classes[id]`` is the
-        answer, and the inverse of the argmin transform is the witness
-        (kept after one apply check).  No signature, no chain walk.
+        :func:`~repro.canonical.form.canonical_forms_with_transforms`
+        call, whatever their arities: the orbit minimum *is* the class
+        id, so ``classes[id]`` is the answer, and the inverse of the
+        transform onto the form is the witness (checked with one apply
+        by :func:`~repro.canonical.form.checked_witness`, which raises
+        on a canonicalizer bug).  No signature, no chain walk.
 
         Larger queries compute their signatures in a single vectorized
         batch through the packed engine; the witness searches then run
@@ -430,16 +433,13 @@ class ClassLibrary:
             _MATCH_QUERIES.inc(len(tts), outcome="miss")
             return [None] * len(tts)
         out: list[LibraryMatch | None] = [None] * len(tts)
-        by_arity: dict[int, list[int]] = {}
+        small: list[int] = []
         chained: list[int] = []
         for index, tt in enumerate(tts):
-            if tt.n <= KERNEL_MATCH_VARS:
-                by_arity.setdefault(tt.n, []).append(index)
-            else:
-                chained.append(index)
-        if by_arity:
+            (small if tt.n <= KERNEL_MATCH_VARS else chained).append(index)
+        if small:
             with obs.timed(_MATCH_PHASE_SECONDS, phase="kernel"):
-                self._match_by_form(tts, by_arity, out)
+                self._match_by_form(tts, small, out)
         if chained:
             if signatures is None:
                 with obs.timed(_MATCH_PHASE_SECONDS, phase="signatures"):
@@ -458,7 +458,7 @@ class ClassLibrary:
     def _match_by_form(
         self,
         tts: list[TruthTable],
-        by_arity: dict[int, list[int]],
+        indices: list[int],
         out: list[LibraryMatch | None],
     ) -> None:
         """Resolve small queries by canonical form: id lookup + witness.
@@ -466,17 +466,13 @@ class ClassLibrary:
         The witness is built only for hits: a miss costs one kernel row
         and one dict lookup, no inverse and no apply check.
         """
-        for n, indices in by_arity.items():
-            forms = canonical_forms_with_transforms([tts[i] for i in indices], n)
-            for i, (form, transform) in zip(indices, forms):
-                entry = self.classes.get(canonical_class_id(form))
-                if entry is None:
-                    continue
-                witness = checked_witness(form, transform, tts[i])
-                if witness is None:  # pragma: no cover - kernel bug
-                    witness = find_npn_transform(entry.representative, tts[i])
-                if witness is not None:
-                    out[i] = LibraryMatch(entry, witness)
+        forms = canonical_forms_with_transforms([tts[i] for i in indices])
+        for i, (form, transform) in zip(indices, forms):
+            entry = self.classes.get(canonical_class_id(form))
+            if entry is not None:
+                out[i] = LibraryMatch(
+                    entry, checked_witness(form, transform, tts[i])
+                )
 
     def _match_by_chain(
         self,
@@ -635,10 +631,10 @@ class ClassLibrary:
         :class:`LibraryFormatError` naming ``repro-npn library migrate``,
         which converts it in place.  Every load checks that
         ``classes.npz`` hashes to the manifest's seal, that its arrays
-        have consistent shapes and valid arities, that its rows strictly
-        increase by ``(n, representative)`` — no duplicate, no reorder —
-        and that every representative is its own canonical form,
-        recomputed batched per arity.  A corrupted or hand-edited
+        have consistent shapes, valid arities and sizes of at least one,
+        that its rows strictly increase by ``(n, representative)`` — no
+        duplicate, no reorder — and that every representative is its own
+        canonical form, recomputed in one batch.  A corrupted or hand-edited
         artifact raises :class:`LibraryFormatError` instead of
         mis-matching queries.  Class ids are derived from the
         representatives; loading never writes to the directory.
@@ -689,8 +685,8 @@ def _table_rows(
 ) -> list[tuple[TruthTable, int]]:
     """``(representative, size)`` of every row of the ``ns``/``sizes``/``reps`` arrays.
 
-    Array shapes, lengths and arities are checked before any row is
-    read, so every malformed table file raises :class:`LibraryFormatError`.
+    Array shapes, lengths, arities and sizes are checked before any row
+    is read, so every malformed table file raises :class:`LibraryFormatError`.
     """
     ns, sizes, reps = (arrays[name] for name in TABLE_ARRAYS)
     if ns.ndim != 1 or sizes.ndim != 1 or reps.ndim != 2:
@@ -710,7 +706,12 @@ def _table_rows(
             f"{directory}: {TABLES_FILE} stores an arity that is not an "
             f"integer in 0..{bitops.MAX_VARS}"
         )
-    words = bitops.words_per_table(int(ns.max(initial=0)))
+    if sizes.dtype.kind not in "iu" or (len(sizes) and sizes.min() < 1):
+        raise LibraryFormatError(
+            f"{directory}: {TABLES_FILE} stores a class size that is not "
+            f"an integer >= 1"
+        )
+    words =bitops.words_per_table(int(ns.max(initial=0)))
     if reps.shape[1] < words:
         raise LibraryFormatError(
             f"{directory}: {TABLES_FILE} reps has {reps.shape[1]} word "
@@ -742,32 +743,15 @@ def _verify_canonical_reps(directory: Path, library: ClassLibrary) -> None:
 
     Ids are derived from the tables; this ties each table to its
     *orbit* — a tampered representative cannot smuggle a wrong table in
-    under a self-consistent id.  Arities the kernels serve verify as one
-    batched ``canonical_min`` per arity; larger ones go through the
-    scalar canonicalizer.
+    under a self-consistent id.  All representatives go through one
+    :func:`~repro.canonical.form.canonical_forms` call.
     """
-    by_arity: dict[int, list[NPNClassEntry]] = {}
-    for entry in library.classes.values():
-        by_arity.setdefault(entry.n, []).append(entry)
-    for n, entries in sorted(by_arity.items()):
-        if n <= MAX_KERNEL_VARS:
-            minima = canonical_min(
-                [e.representative.bits for e in entries], n
-            )
-            bad = [
-                e
-                for e, low in zip(entries, minima)
-                if e.representative.bits != int(low)
-            ]
-        else:
-            bad = [
-                e
-                for e in entries
-                if canonical_form(e.representative) != e.representative
-            ]
-        if bad:
+    entries = list(library.classes.values())
+    forms = canonical_forms([e.representative for e in entries])
+    for entry, form in zip(entries, forms):
+        if form != entry.representative:
             raise LibraryFormatError(
-                f"{directory}: class {bad[0].class_id!r} stores a "
+                f"{directory}: class {entry.class_id!r} stores a "
                 f"non-canonical representative (not its orbit minimum) — "
                 f"the artifact is corrupted or was produced by an "
                 f"incompatible canonicalizer"

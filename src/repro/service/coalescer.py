@@ -401,20 +401,11 @@ class Coalescer:
         """Class ids of the batch's ``classify`` requests.
 
         Ids are a function of the orbit, not the signature, so the
-        tables are exact-canonicalized — batched per arity through the
-        same kernels the engines use.
+        tables are exact-canonicalized in one batch.
         """
         if not tables:
             return []
-        out: list[str | None] = [None] * len(tables)
-        by_arity: dict[int, list[int]] = {}
-        for index, table in enumerate(tables):
-            by_arity.setdefault(table.n, []).append(index)
-        for n, indices in by_arity.items():
-            forms = canonical_forms([tables[i] for i in indices], n)
-            for i, rep in zip(indices, forms):
-                out[i] = canonical_class_id(rep)
-        return out  # type: ignore[return-value]
+        return [canonical_class_id(rep) for rep in canonical_forms(tables)]
 
     def _publish(self, batch: list, results: list) -> None:
         """Fan results back out to futures; feed the match cache."""

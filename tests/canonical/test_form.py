@@ -12,27 +12,46 @@ search must both be byte-identical to
   strided oracle slice;
 * on random samples at n = 4..5 for the scalar path;
 * at n = 7 (beyond the kernels) via orbit invariance + witness checks,
-  where no enumeration oracle is feasible.
+  where no enumeration oracle is feasible;
+* on hypothesis-drawn mixed-arity batches through the one front door,
+  transforms included.
 """
 
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from repro import obs
 from repro.baselines.exact_enum import exact_npn_canonical
 from repro.baselines.matcher import find_npn_transform
+from repro.canonical import form as form_module
 from repro.canonical.form import (
     canonical_class_id,
     canonical_form,
     canonical_forms,
+    canonical_forms_with_transforms,
+    checked_witness,
     influence_canonical_scalar,
     parse_canonical_class_id,
 )
-from repro.core.transforms import random_transform
+from repro.core.transforms import NPNTransform, random_transform
 from repro.core.truth_table import TruthTable
+from tests.strategies import truth_tables
 
 #: NPN class counts over all n-variable functions (OEIS A000370).
 KNOWN_NPN_CLASSES = {0: 1, 1: 2, 2: 4, 3: 14, 4: 222}
+
+SEARCH_KINDS = ("permutations", "phase_candidates", "phases_materialized")
+
+
+def search_steps(run) -> dict:
+    """``repro_canonical_search_steps_total`` deltas around ``run()``."""
+    steps = obs.registry().get("repro_canonical_search_steps_total")
+    before = {kind: steps.value(kind=kind) for kind in SEARCH_KINDS}
+    run()
+    return {kind: steps.value(kind=kind) - before[kind] for kind in SEARCH_KINDS}
 
 
 class TestSmallArityParity:
@@ -77,9 +96,8 @@ class TestScalarSearch:
             assert influence_canonical_scalar(tt) == canonical_form(tt)
 
     def test_stats_counters_accumulate(self):
-        stats: dict = {}
         tt = TruthTable.random(5, random.Random(51))
-        influence_canonical_scalar(tt, stats=stats)
+        stats = search_steps(lambda: influence_canonical_scalar(tt))
         assert stats["permutations"] == 2 * 120  # both output phases
         assert stats["phase_candidates"] == 2 * 120 * 32
         assert 0 < stats["phases_materialized"] <= stats["phase_candidates"]
@@ -87,9 +105,10 @@ class TestScalarSearch:
     def test_n7_top_word_bound_prunes(self):
         # Beyond the kernels: the incumbent's most-significant word must
         # reject almost every phase candidate without materializing it.
-        stats: dict = {}
         tt = TruthTable.random(7, random.Random(52))
-        rep = influence_canonical_scalar(tt, stats=stats)
+        found = []
+        stats = search_steps(lambda: found.append(influence_canonical_scalar(tt)))
+        rep = found[0]
         assert stats["phases_materialized"] < stats["phase_candidates"] // 100
         # Membership + minimality evidence: the rep is in the orbit and
         # no smaller than any sampled orbit member.
@@ -112,9 +131,12 @@ class TestBatchApi:
     def test_empty_batch(self):
         assert canonical_forms([], 5) == []
 
-    def test_mixed_arities_rejected(self):
-        with pytest.raises(ValueError, match="mixed arities"):
-            canonical_forms([TruthTable(3, 1), TruthTable(4, 1)])
+    def test_mixed_arities_keep_input_order(self):
+        tables = [TruthTable(3, 0xE8), TruthTable(4, 0x6AC5), TruthTable(3, 0x17)]
+        forms = canonical_forms(tables)
+        assert forms == [canonical_form(tt) for tt in tables]
+        assert [form.n for form in forms] == [3, 4, 3]
+        assert forms[0] == forms[2]  # majority and its complement
 
     def test_raw_ints_need_n(self):
         with pytest.raises(ValueError, match="pass n"):
@@ -122,8 +144,56 @@ class TestBatchApi:
 
     def test_scalar_batch_dedups_by_bits(self):
         tt = TruthTable.random(7, random.Random(54))
-        forms = canonical_forms([tt, tt, tt])
+        forms = []
+        stats = search_steps(lambda: forms.extend(canonical_forms([tt, tt, tt])))
         assert forms[0] == forms[1] == forms[2]
+        assert stats["permutations"] == 2 * 5040  # one search, not three
+
+
+#: A mixed batch beyond the kernels: two n = 7 tables (one repeated, so
+#: the scalar path's dedup hands both copies the same transform) between
+#: kernel-path tables.
+_N7 = TruthTable(7, int("96e1c3a5" * 4, 16))
+_N7_OTHER = TruthTable(7, int("0f1e2d3c4b5a6978" * 2, 16))
+
+
+class TestFrontDoor:
+    """One call for any arity mix: forms, input order and transforms."""
+
+    @settings(max_examples=40)
+    @given(st.lists(truth_tables(min_n=0, max_n=6), min_size=1, max_size=8))
+    @example([TruthTable(3, 0xE8), _N7, TruthTable(0, 1), _N7, TruthTable(6, 1)])
+    @example([_N7_OTHER, TruthTable(5, 0x3DE88452)])
+    def test_mixed_arity_batches(self, tables):
+        pairs = canonical_forms_with_transforms(tables)
+        forms = canonical_forms(tables)
+        assert [form for form, _ in pairs] == forms
+        for tt, form, (_, transform) in zip(tables, forms, pairs):
+            assert form.n == tt.n  # output order follows input order
+            if tt.n <= 5:
+                assert form == exact_npn_canonical(tt).representative
+            if tt.n <= 6:  # above, the form *is* the scalar search's
+                assert form == influence_canonical_scalar(tt)
+            assert tt.apply(transform) == form
+            assert form.apply(checked_witness(form, transform, tt)) == tt
+
+    def test_wrong_kernel_transform_makes_checked_witness_raise(
+        self, monkeypatch
+    ):
+        real = form_module.canonical_min_transforms
+
+        def wrong(ints, n):
+            minima, transforms = real(ints, n)
+            return minima, [
+                NPNTransform(t.perm, t.input_phase, 1 - t.output_phase)
+                for t in transforms
+            ]
+
+        monkeypatch.setattr(form_module, "canonical_min_transforms", wrong)
+        tt = TruthTable(4, 0x6AC5)
+        form, transform = canonical_forms_with_transforms([tt])[0]
+        with pytest.raises(RuntimeError, match="canonicalizer bug"):
+            checked_witness(form, transform, tt)
 
 
 class TestClassIds:

@@ -441,6 +441,9 @@ class TestPersistence:
             ("tables", lambda a: a.update(reps=a["reps"][:, 0])),
             ("tables", lambda a: a["reps"].__setitem__((0, 0), 0x1FF)),
             ("tables", lambda a: a.update(sizes=a["sizes"][:, None])),
+            ("tables", lambda a: a.update(sizes=np.full_like(a["sizes"], -5))),
+            ("tables", lambda a: a.update(sizes=np.zeros_like(a["sizes"]))),
+            ("tables", lambda a: a.update(sizes=np.full(a["sizes"].shape, 2.5))),
         ],
         ids=[
             "record-without-id",
@@ -454,6 +457,9 @@ class TestPersistence:
             "one-dimensional-reps",
             "rep-wider-than-its-arity",
             "two-dimensional-sizes",
+            "negative-sizes",
+            "zero-sizes",
+            "float-sizes",
         ],
     )
     def test_malformed_artifact_is_a_format_error(
@@ -526,6 +532,25 @@ class TestPersistence:
         _rewrite_tables(directory, swap)
         with pytest.raises(LibraryFormatError, match="strictly increase"):
             ClassLibrary.load(directory)
+
+    def test_load_verifies_with_one_kernel_call_per_arity(
+        self, tmp_path, monkeypatch
+    ):
+        from repro.canonical import form
+
+        rng = random.Random(17)
+        tables = [TruthTable.random(n, rng) for n in (3, 4, 5, 6) for _ in range(9)]
+        build_library(tables).save(tmp_path / "lib")
+        arities = []
+        real = form.canonical_min
+        monkeypatch.setattr(
+            form,
+            "canonical_min",
+            lambda ints, n: arities.append(n) or real(ints, n),
+        )
+        loaded = ClassLibrary.load(tmp_path / "lib")
+        assert sorted(arities) == [3, 4, 5, 6]
+        assert loaded.arities() == (3, 4, 5, 6)
 
     def test_corrupted_parts_field(self, lib3, tmp_path):
         lib3.save(tmp_path / "lib")

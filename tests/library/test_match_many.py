@@ -99,6 +99,49 @@ class TestCanonicalFormPath:
         assert all(h is not None and h.verify(q) for h, q in zip(hits, queries))
         assert library._chains is None
 
+    def test_mixed_small_arities_take_one_canonicalization_call(
+        self, monkeypatch
+    ):
+        """Queries of n = 2..5 share one front-door call; only hits invert."""
+        from repro.core.transforms import NPNTransform
+        from repro.library import store
+
+        library = build_library(
+            [tt for n in (2, 3, 4, 5) for tt in random_tables(n, 5, 60 + n)]
+        )
+        rng = random.Random(61)
+        hits = [
+            e.representative.apply(random_transform(e.n, rng))
+            for e in library.entries()
+        ]
+        misses = [
+            tt
+            for n in (3, 4, 5)
+            for tt in random_tables(n, 30, 70 + n)
+            if library.match(tt) is None
+        ]
+        queries = hits + misses
+        random.Random(62).shuffle(queries)
+        calls, inverses = [], []
+        real = store.canonical_forms_with_transforms
+        monkeypatch.setattr(
+            store,
+            "canonical_forms_with_transforms",
+            lambda tables: calls.append(len(tables)) or real(tables),
+        )
+        inverse = NPNTransform.inverse
+        monkeypatch.setattr(
+            NPNTransform,
+            "inverse",
+            lambda self: inverses.append(self) or inverse(self),
+        )
+        outcomes = library.match_many(queries)
+        assert calls == [len(queries)]
+        assert len(inverses) == len(hits)
+        for query, outcome in zip(queries, outcomes):
+            assert (outcome is None) == (query in misses)
+            assert outcome is None or outcome.verify(query)
+
     def test_witnesses_are_built_for_hits_only(self, monkeypatch):
         """A miss costs a kernel row and an id lookup: no inverse, no
         apply check.  Hits keep the kernel's inverted argmin transform."""

@@ -162,6 +162,43 @@ class TestReplayAndRecovery:
         with pytest.raises(WalError, match="missing fields"):
             make_learner(tmp_path)
 
+    def test_replay_canonicalizes_every_record_in_one_call(
+        self, tmp_path, monkeypatch
+    ):
+        from repro.library import online, store
+
+        learner = make_learner(tmp_path, segment_bytes=1 << 30)
+        rng = random.Random(9)
+        queries = [TruthTable.random(n, rng) for n in (2, 3, 4, 5, 6) * 3]
+        for index, tt in enumerate(queries):
+            learner.learn(tt)
+            if index % 5 == 4:
+                learner.close_segment()  # spread the records over segments
+        learner.close_segment()
+        records = sum(len(replay_segment(s).records) for s in learner.segments)
+        assert len(learner.segments) == 3 and records == learner.minted
+        learner.close()
+
+        batches = []
+        real = online.canonical_forms
+        monkeypatch.setattr(
+            online,
+            "canonical_forms",
+            lambda tables: batches.append(len(tables)) or real(tables),
+        )
+        monkeypatch.setattr(
+            store,
+            "canonical_form",
+            lambda tt: pytest.fail("replay canonicalized one record alone"),
+        )
+        recovered = make_learner(tmp_path)
+        assert batches == [records]
+        assert recovered.pending_records == records
+        for tt in queries:
+            hit = recovered.library.match(tt)
+            assert hit is not None and hit.verify(tt)
+        recovered.close()
+
     def test_replay_on_top_of_saved_image(self, tmp_path):
         base = build_exhaustive_library(3)
         base.save(tmp_path)
@@ -270,20 +307,20 @@ class TestCollidingBatchRegression:
 
 
 class TestKernelWitnessLearnPath:
-    """The canonical learn path at n <= 6: one kernel call, no matcher.
+    """The canonical learn path at every arity: one call, no matcher.
 
-    ``canonical_min_transforms`` yields the form and the transform onto
-    it; the learner answers with its inverse after one apply check.
+    ``canonical_forms_with_transforms`` yields the form and the
+    transform onto it (the kernel's up to n = 6, the scalar search's
+    above); the learner answers with its inverse after one apply check.
     """
 
     @staticmethod
     def forbid_matcher(monkeypatch):
-        def refuse(source, target):
-            raise AssertionError("learn() fell back to find_npn_transform")
+        def refuse(*args):
+            raise AssertionError("learn() fell back to the matcher")
 
-        monkeypatch.setattr(
-            "repro.library.online.find_npn_transform", refuse
-        )
+        for name in ("find_npn_transform", "find_npn_transforms_grouped"):
+            monkeypatch.setattr(f"repro.baselines.matcher.{name}", refuse)
 
     def test_mint_and_resolve_never_call_the_matcher(
         self, tmp_path, monkeypatch
@@ -363,24 +400,37 @@ class TestKernelWitnessLearnPath:
     def test_n7_miss_learns_through_the_scalar_path(
         self, tmp_path, monkeypatch
     ):
-        from repro.canonical.form import canonical_form
-        from repro.library import online
+        from repro.canonical.form import influence_canonical_scalar
 
-        calls = []
-        real = online.find_npn_transform
-
-        def spy(source, target):
-            calls.append(target)
-            return real(source, target)
-
-        monkeypatch.setattr(online, "find_npn_transform", spy)
+        self.forbid_matcher(monkeypatch)
         learner = make_learner(tmp_path)
         tt = TruthTable.random(7, random.Random(34))
         outcome = learner.learn(tt)
         assert outcome is not None and outcome.verify(tt)
-        assert outcome.representative == canonical_form(tt)
-        assert calls == [tt]
+        assert outcome.representative == influence_canonical_scalar(tt)
         assert learner.minted == 1
+        learner.close()
+
+    def test_a_witness_that_fails_its_apply_check_raises(
+        self, tmp_path, monkeypatch
+    ):
+        from repro.core.transforms import NPNTransform
+        from repro.library import online
+
+        real = online.canonical_forms_with_transforms
+
+        def wrong(tables):
+            return [
+                (form, NPNTransform(t.perm, t.input_phase, 1 - t.output_phase))
+                for form, t in real(tables)
+            ]
+
+        monkeypatch.setattr(online, "canonical_forms_with_transforms", wrong)
+        learner = make_learner(tmp_path)
+        with pytest.raises(RuntimeError, match="canonicalizer bug"):
+            learner.learn(TruthTable.majority(3))
+        # Raised before any mutation: nothing stored, nothing logged.
+        assert learner.library.num_classes == 0 and learner.minted == 0
         learner.close()
 
     def test_wal_replay_reproduces_the_same_ids(self, tmp_path):

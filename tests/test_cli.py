@@ -49,40 +49,30 @@ class TestCommands:
         assert main(["classify", str(path), "--method", "kitty"]) == 0
         assert "classes:   1" in capsys.readouterr().out
 
-    def test_classify_batched_engine(self, tmp_path, capsys):
+    def test_classify_ours_runs_the_batched_engine(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        from repro.engine import BatchedClassifier
+
+        calls = []
+        classify = BatchedClassifier.classify
+        monkeypatch.setattr(
+            BatchedClassifier,
+            "classify",
+            lambda self, tables: calls.append(len(tables)) or classify(self, tables),
+        )
         path = tmp_path / "tables.txt"
         path.write_text("11101000\n00010111\n10000000\n")
-        assert main(["classify", str(path), "--engine", "batched"]) == 0
-        out = capsys.readouterr().out
-        assert "classes:   2 (ours, batched engine)" in out
-
-    def test_classify_batched_engine_requires_ours(self, tmp_path, capsys):
-        path = tmp_path / "tables.txt"
-        path.write_text("11101000\n")
-        assert main(
-            ["classify", str(path), "--method", "kitty", "--engine", "batched"]
-        ) == 2
-        assert "only applies" in capsys.readouterr().err
-
-    def test_classify_batched_engine_matches_perfn(self, tmp_path, capsys):
-        path = tmp_path / "tables.txt"
-        path.write_text("11101000\n00010111\n10000000\n01100110\n")
-        assert main(["classify", str(path), "--show-classes"]) == 0
-        perfn_out = capsys.readouterr().out
-        assert main(
-            ["classify", str(path), "--engine", "batched", "--show-classes"]
-        ) == 0
-        batched_out = capsys.readouterr().out
-        perfn_lines, batched_lines = perfn_out.splitlines(), batched_out.splitlines()
-        assert perfn_lines[0] == batched_lines[0]
-        assert perfn_lines[1].split("(")[0] == batched_lines[1].split("(")[0]
-        assert perfn_lines[2:] == batched_lines[2:]  # same classes, same order
+        assert main(["classify", str(path)]) == 0
+        assert "classes:   2 (ours)" in capsys.readouterr().out
+        assert calls == [3]
 
     @pytest.mark.parametrize(
         "argv",
         [
             ["classify", "-", "--engine", "sharded"],
             ["classify", "-", "--engine", "canonical"],
+            ["classify", "-", "--engine", "batched"],
             ["classify", "-", "--workers", "2"],
             ["library", "build", "--workers", "2"],
             ["library", "build", "--engine", "batched"],
@@ -98,6 +88,46 @@ class TestCommands:
             main(argv)
         assert excinfo.value.code == 2
         capsys.readouterr()
+
+    def test_canonical_prints_a_witness_that_verifies(self, capsys):
+        import ast
+        import re
+
+        from repro.canonical.form import canonical_form
+        from repro.core.transforms import NPNTransform
+        from repro.core.truth_table import TruthTable
+
+        for table, n in (("0x6ac5", 4), ("0x1ee17a2f", 5)):
+            assert main(["canonical", table, "--n", str(n)]) == 0
+            out = capsys.readouterr().out
+            found = re.search(
+                r"perm=(\(.*?\)) input_phase=(0x[0-9a-f]+) output_phase=(\d)",
+                out,
+            )
+            witness = NPNTransform(
+                ast.literal_eval(found.group(1)),
+                int(found.group(2), 16),
+                int(found.group(3)),
+            )
+            tt = TruthTable.from_hex(n, table[2:])
+            assert tt.apply(witness) == canonical_form(tt)
+            assert f"class id:   n{n}-c{canonical_form(tt).to_hex()}" in out
+
+    def test_canonical_search_stats_count_the_scalar_search_at_n7(self, capsys):
+        import re
+
+        table = "0x" + "3c5a96e1" * 4
+        assert main(["canonical", table, "--n", "7", "--search-stats"]) == 0
+        out = capsys.readouterr().out
+        found = re.search(
+            r"search: +(\d+) permutations, (\d+) phase candidates, "
+            r"(\d+) materialized",
+            out,
+        )
+        permutations, candidates, materialized = map(int, found.groups())
+        assert permutations == 2 * 5040  # both output phases, all 7! orders
+        assert candidates == permutations * 128
+        assert 0 < materialized < candidates
 
     def test_classify_empty_file(self, tmp_path, capsys):
         path = tmp_path / "empty.txt"
