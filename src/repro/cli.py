@@ -610,8 +610,12 @@ def _cmd_canonical(args) -> int:
         influence_canonical_scalar,
         influence_vector,
     )
+    from repro.kernels.gather import MAX_KERNEL_VARS
 
     tt = _parse_one(args.table, args.n)
+    steps = obs.registry().get("repro_canonical_search_steps_total")
+    kinds = ("permutations", "phase_candidates", "phases_materialized")
+    before = [steps.value(kind=kind) for kind in kinds]
     canonical, witness = canonical_forms_with_transforms([tt])[0]
     print(f"function:   {tt!r}")
     print(f"influence:  {influence_vector(tt)}")
@@ -623,13 +627,13 @@ def _cmd_canonical(args) -> int:
         f"output_phase={witness.output_phase}"
     )
     if args.search_stats:
-        steps = obs.registry().get("repro_canonical_search_steps_total")
-        kinds = ("permutations", "phase_candidates", "phases_materialized")
-        before = [steps.value(kind=kind) for kind in kinds]
-        scalar = influence_canonical_scalar(tt)
-        if scalar != canonical:  # pragma: no cover - canonicalizer bug
-            print("scalar search disagrees with the canonical form", file=sys.stderr)
-            return 1
+        # Above MAX_KERNEL_VARS the form came from the scalar search;
+        # up to it the kernel searched nothing, so run the search once.
+        if tt.n <= MAX_KERNEL_VARS:
+            scalar = influence_canonical_scalar(tt)
+            if scalar != canonical:  # pragma: no cover - canonicalizer bug
+                sys.stderr.write("scalar search disagrees with the canonical form\n")
+                return 1
         permutations, candidates, materialized = (
             int(steps.value(kind=kind) - start) for kind, start in zip(kinds, before)
         )

@@ -13,8 +13,9 @@ Lifecycle::
     open()     claim the learner lock (wal/LOCK), load manifest+npz (if
                present), replay WAL segments — tolerating a torn final
                record — into memory
-    learn()    miss -> canonical form + witness -> add_class (or resolve
-               an existing id) -> WAL append
+    learn()    a batch of misses -> canonical forms + witnesses (reusing
+               the match's) -> add_class (or resolve an existing id)
+               -> WAL append
     compact()  rewrite manifest+npz from the in-memory state, delete
                the segments it absorbed (lock stays held)
     close()    seal the active segment and release the learner lock
@@ -36,13 +37,16 @@ The returned :class:`LibraryMatch` carries a verified witness, so a
 learned answer is exactly as trustworthy as a built one.  At every
 arity that witness comes from the same
 :func:`~repro.canonical.form.canonical_forms_with_transforms` call as
-the form: the inverse of its argmin transform, checked with one apply.
+the form — the match's own at ``n <= KERNEL_MATCH_VARS``, one call per
+learned batch for the rest: the inverse of its argmin transform,
+checked with one apply.
 Replay canonicalizes every WAL record in one
 :func:`~repro.canonical.form.canonical_forms` call.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -55,6 +59,7 @@ from repro.canonical.form import (
     checked_witness,
 )
 from repro.core.msv import DEFAULT_PARTS, MixedSignature
+from repro.core.transforms import NPNTransform
 from repro.core.truth_table import TruthTable
 from repro.library.store import ClassLibrary, LibraryMatch, MANIFEST_FILE
 from repro.library.wal import (
@@ -238,52 +243,57 @@ class LearningLibrary:
     # ------------------------------------------------------------------
 
     def learn(
-        self, tt: TruthTable, signature: MixedSignature | None = None
-    ) -> LibraryMatch:
-        """Mint (or resolve) the class of a query that missed the library.
+        self,
+        tts: Iterable[TruthTable],
+        forms: Sequence[tuple[TruthTable, NPNTransform] | None] | None = None,
+        signatures: Sequence[MixedSignature | None] | None = None,
+    ) -> list[LibraryMatch]:
+        """Mint (or resolve) the classes of queries that missed the library.
 
-        Call this only after :meth:`ClassLibrary.match` returned ``None``.
-
-        The query is canonicalized — its orbit's id is then an exact
-        key.  One :func:`~repro.canonical.form.canonical_forms_with_transforms`
-        call also yields the transform onto the form; its inverse is
-        the reply's witness, checked with one apply by
-        :func:`~repro.canonical.form.checked_witness`.  A stored entry
-        under that id (a duplicate miss inside one coalescer batch,
-        racing the mint) resolves to the existing class; otherwise the class is minted under its
-        canonical id and WAL-logged, and ``signature`` — the query's
-        MSV, an NPN invariant — indexes it in the matching chains.
-        Digest collisions cannot happen: two colliding misses in one
-        batch mint two *different* ids, so no verification-by-digest
-        ever decides an answer.  The reply carries a verified witness.
+        :meth:`ClassLibrary.match_many` passes each miss's ``(form,
+        transform)`` at ``n <= KERNEL_MATCH_VARS`` and its signature
+        above; the queries without a form are canonicalized in one
+        :func:`~repro.canonical.form.canonical_forms_with_transforms`
+        call.  Every witness, the transform's inverse, is checked with
+        one apply before anything is stored.  A query whose orbit id is
+        stored — minted earlier in this batch included — resolves to
+        that class; any other is minted, WAL-logged and indexed in the
+        matching chains under its signature, an NPN invariant.
         """
-        representative, transform = canonical_forms_with_transforms([tt])[0]
-        witness = checked_witness(representative, transform, tt)
-        class_id = canonical_class_id(representative)
-        existing = self.library.classes.get(class_id)
-        if existing is not None:
+        tts = list(tts)
+        forms = list(forms or [None] * len(tts))
+        unformed = [i for i, form in enumerate(forms) if form is None]
+        for i, form in zip(
+            unformed, canonical_forms_with_transforms([tts[i] for i in unformed])
+        ):
+            forms[i] = form
+        witnesses = [
+            checked_witness(form, transform, tt)
+            for tt, (form, transform) in zip(tts, forms)
+        ]
+        signatures = signatures or [None] * len(tts)
+        out = []
+        for (form, _), witness, signature in zip(forms, witnesses, signatures):
             # The id names its representative, so the witness onto
-            # ``representative`` maps the stored one too.
-            return LibraryMatch(existing, witness)
-        entry = self.library.add_class(
-            representative,
-            size=1,
-            class_id=class_id,
-            canonical_rep=True,
-            signature=signature,
-        )
-        self._append(
-            {
-                "class_id": entry.class_id,
-                "n": entry.n,
-                "representative": entry.representative.to_hex(),
-                "size": 1,
-                "exact": True,
-            }
-        )
-        self.minted += 1
-        _MINTED.inc()
-        return LibraryMatch(entry, witness)
+            # ``form`` maps the stored one too.
+            entry = self.library.classes.get(canonical_class_id(form))
+            if entry is None:
+                entry = self.library.add_class(
+                    form, size=1, canonical_rep=True, signature=signature
+                )
+                self._append(
+                    {
+                        "class_id": entry.class_id,
+                        "n": entry.n,
+                        "representative": entry.representative.to_hex(),
+                        "size": 1,
+                        "exact": True,
+                    }
+                )
+                self.minted += 1
+                _MINTED.inc()
+            out.append(LibraryMatch(entry, witness))
+        return out
 
     def _append(self, record: dict) -> None:
         """Write one record, compacting when the segment threshold trips."""

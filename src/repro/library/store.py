@@ -47,7 +47,7 @@ import hashlib
 import io
 import json
 import zipfile
-from collections.abc import Iterable, Sequence
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -66,6 +66,7 @@ from repro.core import bitops
 from repro.core.msv import DEFAULT_PARTS, MixedSignature, compute_msv, normalize_parts
 from repro.core.transforms import NPNTransform
 from repro.core.truth_table import TruthTable
+from repro.engine import BatchedClassifier
 from repro.kernels import canonical_min  # noqa: F401 - a perfbench span target
 
 __all__ = [
@@ -98,7 +99,7 @@ _MATCH_PHASE_SECONDS = _REG.histogram(
     "repro_library_match_seconds",
     "match_many phase timings per batch: the canonical-form kernel pass "
     "of small queries, the vectorized signature pass and the grouped "
-    "witness-search rounds of the rest.",
+    "witness-search rounds of the rest, and the learn step of the misses.",
     labels=("phase",),
 )
 _MATCH_QUERIES = _REG.counter(
@@ -249,21 +250,16 @@ class ClassLibrary:
         pre-filter bucket of every class whose orbit has this signature
         (several classes share it when their signatures collide).
         """
-        self._check_parts(signature)
-        return f"n{signature.n}-{signature.digest()}"
-
-    def _check_parts(self, signature: MixedSignature) -> None:
-        """Refuse a signature computed over other MSV parts."""
         if signature.parts != self.parts:
             raise ValueError(
                 f"signature parts {signature.parts} != library parts {self.parts}"
             )
+        return f"n{signature.n}-{signature.digest()}"
 
     def add_class(
         self,
         representative: TruthTable,
         size: int,
-        class_id: str | None = None,
         canonical_rep: bool = False,
         signature: MixedSignature | None = None,
     ) -> NPNClassEntry:
@@ -272,31 +268,15 @@ class ClassLibrary:
         The representative is canonicalized (exact orbit minimum) unless
         ``canonical_rep`` asserts it already is — the batched build and
         learn paths canonicalize up front and skip the recompute — and
-        the id *is* that form, so an explicit ``class_id`` must equal
-        it.  An existing entry absorbs the new size.
+        the id *is* that form.  An existing entry absorbs the new size.
 
         ``signature``, when given, is the MSV of any member of the class
         (it is an NPN invariant) over this library's parts; a new class
         is indexed in the matching chains under it instead of
         recomputing the representative's.
         """
-        if signature is not None and (
-            signature.n != representative.n or signature.parts != self.parts
-        ):
-            raise ValueError(
-                f"signature (n={signature.n}, parts={signature.parts}) does "
-                f"not fit a class of arity {representative.n} over "
-                f"{self.parts}"
-            )
         rep = representative if canonical_rep else canonical_form(representative)
-        derived = canonical_class_id(rep)
-        if class_id is None:
-            class_id = derived
-        elif class_id != derived:
-            raise ValueError(
-                f"class id {class_id!r} does not name the canonical "
-                f"representative (expected {derived!r})"
-            )
+        class_id = canonical_class_id(rep)
         entry = NPNClassEntry(class_id, rep, size)
         existing = self.classes.get(class_id)
         if existing is not None:
@@ -392,7 +372,7 @@ class ClassLibrary:
     def match_many(
         self,
         tts: Iterable[TruthTable],
-        signatures: Sequence[MixedSignature] | None = None,
+        learn: Callable[..., list[LibraryMatch]] | None = None,
     ) -> list[LibraryMatch | None]:
         """Resolve many queries in one batched pass, preserving order.
 
@@ -404,29 +384,22 @@ class ClassLibrary:
         by :func:`~repro.canonical.form.checked_witness`, which raises
         on a canonicalizer bug).  No signature, no chain walk.
 
-        Larger queries compute their signatures in a single vectorized
-        batch through the packed engine; the witness searches then run
-        through the gather kernels with candidate checks batched
-        **across queries sharing a class** — one variable-key pass per
-        arity, one gather per class group — instead of a scalar search
-        per query.  Representative keys are cached on the library, so
-        repeated calls never recompute them.  The online service's
-        coalescer calls this with ``signatures`` it already computed on
-        its shared engine (all of them are checked against the
-        library's parts, kernel-path queries included); leave it
-        ``None`` to let the library compute the ones it needs on its
-        lazily created batched classifier.
+        Larger queries are signed in one
+        :meth:`~repro.engine.BatchedClassifier.signatures` call; the
+        witness searches then run through the gather kernels with
+        candidate checks batched **across queries sharing a class** —
+        one variable-key pass per arity, one gather per class group —
+        instead of a scalar search per query.
+
+        ``learn`` (``serve --learn`` passes
+        :meth:`~repro.library.online.LearningLibrary.learn`) is called
+        once, after the hit/miss counters, as ``learn(tables, forms,
+        signatures)`` with the misses and the ``(form, transform)`` or
+        signature this pass computed for each (``None`` for the other);
+        its matches replace the misses' ``None``.
         """
         tts = list(tts)
-        if signatures is not None:
-            signatures = list(signatures)
-            if len(signatures) != len(tts):
-                raise ValueError(
-                    f"{len(signatures)} signatures for {len(tts)} queries"
-                )
-            for signature in signatures:
-                self._check_parts(signature)
-        if not self.classes or not tts:
+        if not tts or (not self.classes and learn is None):
             # A library with no classes yet (empty, or all knowledge
             # still in un-replayed WAL segments) answers every query
             # with a clean miss — no signature pass, no matcher call.
@@ -437,22 +410,30 @@ class ClassLibrary:
         chained: list[int] = []
         for index, tt in enumerate(tts):
             (small if tt.n <= KERNEL_MATCH_VARS else chained).append(index)
+        forms: dict[int, tuple[TruthTable, NPNTransform]] = {}
+        signatures: dict[int, MixedSignature] = {}
         if small:
             with obs.timed(_MATCH_PHASE_SECONDS, phase="kernel"):
-                self._match_by_form(tts, small, out)
+                forms = self._match_by_form(tts, small, out)
         if chained:
-            if signatures is None:
-                with obs.timed(_MATCH_PHASE_SECONDS, phase="signatures"):
-                    chain_signatures = self._signature_engine().signatures(
-                        [tts[i] for i in chained]
-                    )
-            else:
-                chain_signatures = [signatures[i] for i in chained]
+            rows = [tts[i] for i in chained]
+            with obs.timed(_MATCH_PHASE_SECONDS, phase="signatures"):
+                signed = BatchedClassifier(self.parts).signatures(rows)
+            signatures = dict(zip(chained, signed))
             with obs.timed(_MATCH_PHASE_SECONDS, phase="witness"):
-                self._match_by_chain(tts, chained, chain_signatures, out)
-        hits = sum(1 for o in out if o is not None)
-        _MATCH_QUERIES.inc(hits, outcome="hit")
-        _MATCH_QUERIES.inc(len(out) - hits, outcome="miss")
+                self._match_by_chain(tts, signatures, out)
+        misses = [i for i, match in enumerate(out) if match is None]
+        _MATCH_QUERIES.inc(len(out) - len(misses), outcome="hit")
+        _MATCH_QUERIES.inc(len(misses), outcome="miss")
+        if learn is not None and misses:
+            with obs.timed(_MATCH_PHASE_SECONDS, phase="learn"):
+                learned = learn(
+                    [tts[i] for i in misses],
+                    [forms.get(i) for i in misses],
+                    [signatures.get(i) for i in misses],
+                )
+            for i, match in zip(misses, learned):
+                out[i] = match
         return out
 
     def _match_by_form(
@@ -460,30 +441,33 @@ class ClassLibrary:
         tts: list[TruthTable],
         indices: list[int],
         out: list[LibraryMatch | None],
-    ) -> None:
+    ) -> dict[int, tuple[TruthTable, NPNTransform]]:
         """Resolve small queries by canonical form: id lookup + witness.
 
         The witness is built only for hits: a miss costs one kernel row
-        and one dict lookup, no inverse and no apply check.
+        and one dict lookup, no inverse and no apply check.  Returns
+        each query's ``(form, transform)`` by index, for the learner.
         """
-        forms = canonical_forms_with_transforms([tts[i] for i in indices])
-        for i, (form, transform) in zip(indices, forms):
+        rows = [tts[i] for i in indices]
+        forms = dict(zip(indices, canonical_forms_with_transforms(rows)))
+        for i, (form, transform) in forms.items():
             entry = self.classes.get(canonical_class_id(form))
             if entry is not None:
                 out[i] = LibraryMatch(
                     entry, checked_witness(form, transform, tts[i])
                 )
+        return forms
 
     def _match_by_chain(
         self,
         tts: list[TruthTable],
-        chained: list[int],
-        signatures: Sequence[MixedSignature],
+        signatures: dict[int, MixedSignature],
         out: list[LibraryMatch | None],
     ) -> None:
         """Resolve queries by walking their signature chains.
 
-        Each query's chain holds the classes indexed under its signature
+        ``signatures`` maps each query's index to its signature.  Each
+        query's chain holds the classes indexed under its signature
         digest, in id order.  Round by round, queries whose candidate
         proves NPN-inequivalent advance to the next chain position;
         single-entry chains — the overwhelmingly common case — finish in
@@ -491,7 +475,7 @@ class ClassLibrary:
         """
         chains = self._chain_index()
         active: dict[int, tuple[list[str], int]] = {}
-        for index, signature in zip(chained, signatures):
+        for index, signature in signatures.items():
             chain = chains.get(self.base_id_of(signature))
             if chain:
                 active[index] = (chain, 0)
@@ -532,16 +516,15 @@ class ClassLibrary:
         indexed representative's signature is recomputed — one
         vectorized batch — to group the classes under their digest
         buckets, ordered by id (deterministic: the fixed-width hex sorts
-        numerically).
+        numerically).  A library with no such class signs nothing.
         """
         if self._chains is None:
             chains: dict[str, list[str]] = {}
             entries = [
                 e for e in self.entries() if e.n > KERNEL_MATCH_VARS
             ]
-            signatures = self._signature_engine().signatures(
-                [e.representative for e in entries]
-            )
+            reps = [e.representative for e in entries]
+            signatures = BatchedClassifier(self.parts).signatures(reps) if reps else []
             for entry, signature in zip(entries, signatures):
                 chains.setdefault(self.base_id_of(signature), []).append(
                     entry.class_id
@@ -567,19 +550,6 @@ class ClassLibrary:
         chain = self._chains.setdefault(self.base_id_of(signature), [])
         chain.append(entry.class_id)
         chain.sort()
-
-    def _signature_engine(self):
-        """Shared batched classifier for bulk signature computation."""
-        engine = getattr(self, "_bulk_engine", None)
-        if engine is None:
-            # Imported lazily: repro.engine depends on repro.core only,
-            # but keeping the library importable without the engine
-            # package keeps layering honest for light-weight consumers.
-            from repro.engine import BatchedClassifier
-
-            engine = BatchedClassifier(self.parts)
-            self._bulk_engine = engine
-        return engine
 
     # ------------------------------------------------------------------
     # Persistence

@@ -3,7 +3,7 @@
 A :class:`Trace` is created when the daemon decodes a request and is
 carried (via the coalescer's pending entry) through every stage the
 request touches: protocol decode, coalescer queue wait, the batch's
-signature pass, matcher, canonical search, learn-on-miss, and the reply
+match (learn-on-miss included) or canonical search, and the reply
 write.  Each stage appends a :class:`Span` — a named ``[start, end)``
 interval on the process-local ``perf_counter`` clock plus optional
 metadata (batch size, cache hit, minted class id).

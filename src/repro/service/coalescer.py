@@ -12,26 +12,27 @@ coalescer wins it back:
 2. a single worker task gathers whatever is queued, up to ``max_batch``
    requests, waiting at most ``max_wait_ms`` for stragglers once the
    first request of a batch arrived;
-3. the signatures of the batch's ``match`` requests are computed in one
-   vectorized pass on the shared :class:`~repro.engine.BatchedClassifier`
-   and matches resolved through :meth:`ClassLibrary.match_many`, off the
-   event loop on a dedicated executor thread so I/O keeps flowing —
-   and keeps *filling the next batch* — while NumPy crunches;
+3. the batch's ``match`` requests are resolved by one
+   :meth:`ClassLibrary.match_many` call, which signs the queries it
+   needs signed itself, off the event loop on a dedicated executor
+   thread so I/O keeps flowing — and keeps *filling the next batch* —
+   while NumPy crunches;
 4. results fan back out through per-request futures, with ``match``
    outcomes recorded in the LRU :class:`~repro.service.cache.MatchCache`
    (hits short-circuit before ever reaching a batch).
 
-``max_batch=1`` degenerates to classic request-at-a-time serving — the
-configuration the throughput benchmark uses as its baseline.
+``max_batch=1`` degenerates to request-at-a-time serving.
 
 With a :class:`~repro.library.online.LearningLibrary` attached
-(``serve --learn``), a ``match`` miss takes one extra step on the same
-executor thread: the query's class is minted, WAL-logged, and the reply
-upgraded to a verified hit against the new class — so the *first* miss
-already answers with a class id, and every subsequent equivalent query
-hits it through the cache or the normal match path.  The drain hook
-compacts the WAL into the library image after the backlog is answered,
-so a SIGTERM'd learning daemon leaves a clean artifact behind.
+(``serve --learn``), its :meth:`~repro.library.online.LearningLibrary.learn`
+is the ``learn`` of that same ``match_many`` call: the batch's misses
+are minted, WAL-logged and answered as verified hits against the new
+classes, reusing the forms and signatures the match computed — so the
+*first* miss already answers with a class id, and every subsequent
+equivalent query hits it through the cache or the normal match path.
+The drain hook compacts the WAL into the library image after the
+backlog is answered, so a SIGTERM'd learning daemon leaves a clean
+artifact behind.
 """
 
 from __future__ import annotations
@@ -46,7 +47,6 @@ from repro import obs
 from repro.canonical.form import canonical_class_id, canonical_forms
 from repro.obs import Trace
 from repro.core.truth_table import TruthTable
-from repro.engine import BatchedClassifier
 from repro.library.online import LearningLibrary
 from repro.library.store import ClassLibrary
 from repro.service.cache import MatchCache
@@ -149,7 +149,6 @@ class Coalescer:
             )
         self.library = library
         self.learner = learner
-        self.classifier = BatchedClassifier(library.parts)
         self.max_batch = max_batch
         self.max_wait_ms = max_wait_ms
         self.cache = MatchCache(cache_size)
@@ -330,71 +329,35 @@ class Coalescer:
     def _process(self, batch: list) -> list:
         """Resolve one batch (runs on the executor thread).
 
-        One vectorized signature pass over the batch's ``match`` tables —
-        mixed arities allowed — then per-request resolution: ``match``
-        runs the witness search via :meth:`ClassLibrary.match_many`, and
-        ``classify`` resolves ids through :meth:`_classify_ids` (batched
-        exact canonicalization, no signatures needed).
+        The batch's ``match`` tables — mixed arities allowed — go to one
+        :meth:`ClassLibrary.match_many` call, which learns its misses
+        when a learner is attached; ``classify`` resolves ids through
+        :meth:`_classify_ids` (batched exact canonicalization).
         """
-        tables = [p.table for p in batch]
-        match_indices = [i for i, p in enumerate(batch) if p.op == "match"]
-        match_tables = [tables[i] for i in match_indices]
+        match_tables = [p.table for p in batch if p.op == "match"]
+        classify_tables = [p.table for p in batch if p.op != "match"]
+        learn = self.learner.learn if self.learner is not None else None
         t_start = time.perf_counter()
-        signatures = self.classifier.signatures(match_tables)
-        t_signed = time.perf_counter()
-        matches = self.library.match_many(match_tables, signatures=signatures)
-        by_index = dict(zip(match_indices, zip(matches, signatures)))
+        # Both answer lists are in batch order: the loop below walks them.
+        matches = iter(self.library.match_many(match_tables, learn=learn))
         t_matched = time.perf_counter()
-        classify_indices = [i for i, p in enumerate(batch) if p.op != "match"]
-        class_ids = dict(
-            zip(
-                classify_indices,
-                self._classify_ids([tables[i] for i in classify_indices]),
-            )
-        )
+        class_ids = iter(self._classify_ids(classify_tables))
         t_classified = time.perf_counter()
-        # Per-request spans for the batch phases the request shared: the
-        # signature and matcher spans go to the match requests, the
-        # canonical-search span to the classify requests.  Meta dicts are
-        # shared across the batch (spans never mutate them).
-        sig_meta = {"batch": len(match_indices)}
-        match_meta = {"rows": len(match_indices)}
-        classify_meta = {"rows": len(classify_indices)}
-        for index, pending in enumerate(batch):
-            if pending.trace is None:
-                continue
-            if pending.op == "match":
-                pending.trace.add_span(
-                    "signatures", t_start, t_signed, sig_meta
-                )
-                pending.trace.add_span(
-                    "match", t_signed, t_matched, match_meta
-                )
-            else:
-                pending.trace.add_span(
-                    "classify", t_matched, t_classified, classify_meta
-                )
+        # One span per request for the batch phase it shared.  Meta
+        # dicts are shared across the batch (spans never mutate them).
+        match_meta = {"rows": len(match_tables)}
+        classify_meta = {"rows": len(classify_tables)}
         results = []
-        for index, pending in enumerate(batch):
+        for pending in batch:
             if pending.op == "match":
-                outcome, signature = by_index[index]
-                if outcome is None and self.learner is not None:
-                    # Learn-on-miss: mint the class (WAL-logged) and
-                    # answer with a verified match against it.
-                    before = self.learner.minted
-                    t_learn = time.perf_counter()
-                    outcome = self.learner.learn(tables[index], signature)
-                    if pending.trace is not None:
-                        pending.trace.add_span(
-                            "learn",
-                            t_learn,
-                            time.perf_counter(),
-                            {"minted": self.learner.minted > before},
-                        )
-                results.append((outcome, False))
+                span = ("match", t_start, t_matched, match_meta)
+                results.append((next(matches), False))
             else:  # classify
-                class_id = class_ids[index]
+                span = ("classify", t_matched, t_classified, classify_meta)
+                class_id = next(class_ids)
                 results.append((class_id, class_id in self.library.classes))
+            if pending.trace is not None:
+                pending.trace.add_span(*span)
         return results
 
     def _classify_ids(self, tables: list) -> list[str]:

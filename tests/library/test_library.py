@@ -237,37 +237,10 @@ class TestMatchMany:
     def test_empty_input(self, lib3):
         assert lib3.match_many([]) == []
 
-    def test_accepts_precomputed_signatures(self, lib3):
-        from repro.core.msv import compute_msv
-
-        queries = [TruthTable.majority(3), TruthTable(3, 0xE8)]
-        signatures = [compute_msv(tt, lib3.parts) for tt in queries]
-        bulk = lib3.match_many(queries, signatures=signatures)
-        assert all(hit is not None and hit.verify(q) for hit, q in zip(bulk, queries))
-
-    def test_rejects_mismatched_signature_count(self, lib3):
-        from repro.core.msv import compute_msv
-
-        queries = [TruthTable.majority(3), TruthTable(3, 0xE8)]
-        with pytest.raises(ValueError):
-            lib3.match_many(queries, signatures=[compute_msv(queries[0])])
-
-    def test_rejects_foreign_part_signatures(self, lib3):
-        from repro.core.msv import compute_msv
-
-        maj = TruthTable.majority(3)
-        with pytest.raises(ValueError):
-            lib3.match_many([maj], signatures=[compute_msv(maj, ("c0", "oiv"))])
-
     def test_match_delegates_to_match_many(self, lib3):
         # The single-query path is the bulk path: same hit, same witness.
         maj = TruthTable.majority(3)
         assert lib3.match(maj).class_id == lib3.match_many([maj])[0].class_id
-
-    def test_bulk_signature_engine_is_reused(self, lib3):
-        engine_a = lib3._signature_engine()
-        lib3.match_many([TruthTable.majority(3)])
-        assert lib3._signature_engine() is engine_a
 
 
 class TestMerge:

@@ -44,7 +44,7 @@ class TestAcquireRelease:
         # Compaction happens mid-serve; the learner is still the active
         # learner afterwards and must not open the door to a second one.
         with LearningLibrary.open(tmp_path, create=True) as learner:
-            learner.learn(TruthTable.majority(3))
+            learner.learn([TruthTable.majority(3)])
             learner.compact()
             assert lock_path(tmp_path).exists()
 
@@ -99,7 +99,7 @@ class TestTakeover:
         # A learner reopened in the same process (crash recovery tests,
         # REPL sessions) must not deadlock against its own earlier open.
         first = LearningLibrary.open(tmp_path, create=True)
-        first.learn(TruthTable.majority(3))
+        first.learn([TruthTable.majority(3)])
         first.close_segment()
         second = LearningLibrary.open(tmp_path, create=True)
         assert second.library.num_classes == 1

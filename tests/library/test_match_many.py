@@ -6,6 +6,7 @@ import pytest
 
 from repro.baselines.exact_enum import exact_npn_canonical
 from repro.core.transforms import random_transform
+from repro.engine import BatchedClassifier
 from repro.kernels.gather import clear_memory_cache
 from repro.library import build_library
 from repro.workloads import random_tables
@@ -91,9 +92,8 @@ class TestCanonicalFormPath:
             lambda pairs: pytest.fail("n <= 5 query reached the matcher"),
         )
         monkeypatch.setattr(
-            library,
-            "_signature_engine",
-            lambda: pytest.fail("n <= 5 query computed a signature"),
+            "repro.library.store.BatchedClassifier",
+            lambda parts: pytest.fail("n <= 5 query computed a signature"),
         )
         hits = library.match_many(queries)
         assert all(h is not None and h.verify(q) for h, q in zip(hits, queries))
@@ -206,19 +206,6 @@ class TestCanonicalFormPath:
         assert after[1] == before[1] + 1
         assert after[2] == before[2] + len(batch)
 
-    def test_foreign_signatures_are_rejected_on_the_kernel_path(
-        self, mixed_library
-    ):
-        from repro.core.msv import compute_msv
-
-        library, tables = mixed_library
-        small = [tt for tt in tables if tt.n == 4][:3]
-        with pytest.raises(ValueError):
-            library.match_many(
-                small,
-                signatures=[compute_msv(tt, ("c0", "oiv")) for tt in small],
-            )
-
 
 class TestScalarMatcherParity:
     """n=6 queries take the signature-chain path: the kernel-backed
@@ -230,9 +217,9 @@ class TestScalarMatcherParity:
 
         corpus, queries = hit_miss_queries(6, 300, 300, seed=1105)
         library = build_library(corpus)
-        signatures = library._signature_engine().signatures(queries)
+        signatures = BatchedClassifier(library.parts).signatures(queries)
         chains = library._chain_index()
-        matches = library.match_many(queries, signatures=signatures)
+        matches = library.match_many(queries)
         hits = 0
         for query, signature, match in zip(queries, signatures, matches):
             expected = None

@@ -214,6 +214,6 @@ def test_migrated_library_learns_on(v1_copy):
     try:
         tt = TruthTable.from_hex(6, "0123456789abcdef")
         assert learner.library.match(tt) is None
-        assert learner.learn(tt).verify(tt)
+        assert learner.learn([tt])[0].verify(tt)
     finally:
         learner.close()

@@ -221,7 +221,7 @@ def minted_records():
     with tempfile.TemporaryDirectory() as tmp:
         learner = LearningLibrary.open(tmp, create=True)
         while learner.minted < 8:
-            learner.learn(TruthTable.random(4, rng))
+            learner.learn([TruthTable.random(4, rng)])
         learner.close_segment()
         records = [
             record

@@ -13,6 +13,7 @@ import pytest
 from repro import obs
 from repro.core.classifier import FacePointClassifier
 from repro.core.truth_table import TruthTable
+from repro.engine import BatchedClassifier
 from repro.service.coalescer import Coalescer
 from repro.service.protocol import ProtocolError
 
@@ -152,33 +153,75 @@ class TestResults:
                 assert outcome is not None and outcome.class_id == class_id
 
     @pytest.mark.parametrize("ops", [("classify",) * 6, ("classify", "match") * 3])
-    def test_signatures_only_for_match_rows(self, tiny_library, batch_sizes, ops):
-        # classify resolves by canonical form: only match rows are signed.
+    def test_signatures_only_for_match_rows(
+        self, tiny_library, batch_sizes, ops, monkeypatch
+    ):
+        # classify resolves by canonical form: only match rows reach the
+        # library's one match_many call, which signs what it needs itself.
+        signed = []
+        match_many = tiny_library.match_many
+
+        def spy(tables, learn=None):
+            signed.append(len(tables))
+            return match_many(tables, learn=learn)
+
+        monkeypatch.setattr(tiny_library, "match_many", spy)
+
         async def scenario():
             coalescer = Coalescer(tiny_library, max_batch=16, max_wait_ms=20.0)
-            signed = []
-            signatures = coalescer.classifier.signatures
-
-            def spy(tables):
-                signed.append(len(tables))
-                return signatures(tables)
-
-            coalescer.classifier.signatures = spy
             coalescer.start()
             futures = [
                 coalescer.submit(op, tt) for op, tt in zip(ops, tables(len(ops)))
             ]
             await asyncio.gather(*futures)
             await coalescer.stop()
-            return signed
 
-        signed = asyncio.run(scenario())
+        asyncio.run(scenario())
         assert sum(batch_sizes().values()) == 1  # one batch for every op
-        assert sum(signed) == ops.count("match")
+        assert signed == [ops.count("match")]
+
+    def test_a_learning_batch_signs_only_its_n6_match_rows(
+        self, tmp_path, monkeypatch
+    ):
+        from repro.library import LearningLibrary
+
+        learner = LearningLibrary.open(tmp_path, create=True)
+        signed = []
+        signatures = BatchedClassifier.signatures
+        monkeypatch.setattr(
+            BatchedClassifier,
+            "signatures",
+            lambda self, rows: signed.append(len(rows)) or signatures(self, rows),
+        )
+
+        def recompute(*args):
+            # An Exception, so the coalescer fails the batch instead of
+            # its worker task dying with the futures unresolved.
+            raise AssertionError("a mint recomputed its signature")
+
+        monkeypatch.setattr("repro.library.store.compute_msv", recompute)
+        queries = tables(2, n=4, start=7) + tables(2, n=6, start=7)
+
+        async def scenario():
+            coalescer = Coalescer(
+                learner.library, max_batch=16, max_wait_ms=0, learner=learner
+            )
+            futures = [coalescer.submit("match", tt) for tt in queries]
+            futures.append(coalescer.submit("classify", queries[-1]))
+            coalescer.start()  # everything is queued: one batch
+            results = await asyncio.gather(*futures)
+            await coalescer.stop()
+            return results
+
+        results = asyncio.run(scenario())
+        assert signed == [2]  # the n = 6 rows, once; learning signs nothing
+        for query, (outcome, _) in zip(queries, results):
+            assert outcome.verify(query)
+        assert learner.minted == 4
 
     def test_answers_match_the_per_function_reference(self, tiny_library):
-        # The daemon signs batches with BatchedClassifier; its signatures
-        # and answers must be the per-function reference engine's.
+        # The library signs batches with BatchedClassifier; its signatures
+        # and the daemon's answers must be the per-function reference's.
         queries = tables(6)
 
         async def scenario():
@@ -187,11 +230,11 @@ class TestResults:
             futures = [coalescer.submit("match", tt) for tt in queries]
             results = await asyncio.gather(*futures)
             await coalescer.stop()
-            return coalescer, results
+            return results
 
-        coalescer, results = asyncio.run(scenario())
+        results = asyncio.run(scenario())
         reference = FacePointClassifier(tiny_library.parts)
-        assert coalescer.classifier.signatures(queries) == [
+        assert BatchedClassifier(tiny_library.parts).signatures(queries) == [
             reference.signature(tt) for tt in queries
         ]
         for query, (outcome, _) in zip(queries, results):
@@ -336,6 +379,9 @@ class TestDrain:
             def __init__(self, library):
                 self.library = library
                 self.closed = False
+
+            def learn(self, tables, forms, signatures):
+                raise AssertionError("every query of the backlog hits")
 
             def compact(self):
                 raise OSError("no space left on device")

@@ -99,7 +99,9 @@ class TestTraceEndpoint:
             if t["op"] == "match"
             for s in t["spans"]
         }
-        assert {"decode", "queue", "signatures", "match", "reply"} <= match_spans
+        # The library signs inside its one match call: no span of its own.
+        assert {"decode", "queue", "match", "reply"} <= match_spans
+        assert "signatures" not in match_spans
         # A classify request resolves by canonical form alone: it pays
         # for no signature pass.
         classify_spans = {s["name"] for s in by_op["classify"]["spans"]}
@@ -110,6 +112,26 @@ class TestTraceEndpoint:
             assert trace["meta"]["transport"] == "ndjson"
             for span in trace["spans"]:
                 assert span["duration_ms"] >= 0
+
+    def test_learned_miss_is_timed_as_the_learn_phase_of_match(
+        self, tiny_library, tmp_path
+    ):
+        from repro.library import LearningLibrary
+
+        tiny_library.save(tmp_path)
+        learner = LearningLibrary.open(tmp_path)
+        learn_seconds = obs.registry().get("repro_library_match_seconds")
+        before = learn_seconds.series(phase="learn")["count"]
+        with ThreadedService(
+            learner.library, learner=learner, trace_sample=1
+        ) as svc, ServiceClient(port=svc.port) as client:
+            miss = TruthTable.from_hex(5, "1ee17a2f")
+            assert client.match(miss)["hit"]
+            _, body = http_get(svc.address, "/v1/trace/recent")
+        assert learn_seconds.series(phase="learn")["count"] == before + 1
+        (trace,) = [t for t in json.loads(body)["traces"] if t["op"] == "match"]
+        names = [s["name"] for s in trace["spans"]]
+        assert names.count("match") == 1 and "learn" not in names
 
     def test_cache_hit_is_annotated_and_skips_engine_stages(
         self, observed_service

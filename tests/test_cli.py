@@ -113,11 +113,24 @@ class TestCommands:
             assert tt.apply(witness) == canonical_form(tt)
             assert f"class id:   n{n}-c{canonical_form(tt).to_hex()}" in out
 
-    def test_canonical_search_stats_count_the_scalar_search_at_n7(self, capsys):
+    def test_canonical_search_stats_count_the_scalar_search_at_n7(
+        self, capsys, monkeypatch
+    ):
         import re
 
+        from repro.canonical import form
+
+        searches = []
+        search = form._influence_search
+        monkeypatch.setattr(
+            form,
+            "_influence_search",
+            lambda tt: searches.append(tt) or search(tt),
+        )
         table = "0x" + "3c5a96e1" * 4
         assert main(["canonical", table, "--n", "7", "--search-stats"]) == 0
+        # The counters are the front-door call's: one search, not two.
+        assert len(searches) == 1
         out = capsys.readouterr().out
         found = re.search(
             r"search: +(\d+) permutations, (\d+) phase candidates, "
@@ -128,6 +141,24 @@ class TestCommands:
         assert permutations == 2 * 5040  # both output phases, all 7! orders
         assert candidates == permutations * 128
         assert 0 < materialized < candidates
+
+    def test_canonical_search_stats_run_one_scalar_search_at_n4(
+        self, capsys, monkeypatch
+    ):
+        # The kernel searches nothing, so the counters come from one
+        # scalar search run for them.
+        from repro.canonical import form
+
+        searches = []
+        search = form._influence_search
+        monkeypatch.setattr(
+            form,
+            "_influence_search",
+            lambda tt: searches.append(tt) or search(tt),
+        )
+        assert main(["canonical", "0x6ac5", "--n", "4", "--search-stats"]) == 0
+        assert len(searches) == 1
+        assert "search:     48 permutations" in capsys.readouterr().out
 
     def test_classify_empty_file(self, tmp_path, capsys):
         path = tmp_path / "empty.txt"
@@ -516,7 +547,7 @@ class TestLearnAndCompactCli:
             ["library", "build", "--inputs", "1-2", "--out", str(lib)]
         ) == 0
         learner = LearningLibrary.open(lib)
-        learner.learn(TruthTable.random(5, random.Random(31)))
+        learner.learn([TruthTable.random(5, random.Random(31))])
         learner.close_segment()  # "crash": segment left behind
         assert len(list_segments(lib)) == 1
 

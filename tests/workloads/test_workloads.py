@@ -224,7 +224,7 @@ class TestMissHeavyQueries:
         lib3.save(tmp_path)
         learner = LearningLibrary.open(tmp_path)
         misses = miss_heavy_queries(lib3, 5, 6, seed=25, miss_fraction=1.0)
-        distinct = {learner.learn(tt).class_id for tt in misses}
+        distinct = {learner.learn([tt])[0].class_id for tt in misses}
         assert learner.minted == len(distinct)
         for tt in with_repeats(misses, repeats=2, seed=26):
             hit = learner.library.match(tt)
