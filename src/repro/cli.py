@@ -984,9 +984,7 @@ def _cmd_worker(args) -> int:
     library = _load_library_or_fail(args.library)
     if library is None:
         return 2
-    shard = library.subset(
-        ring.shard_filter(args.worker_id, library.parts)
-    )
+    shard = library.subset(ring.shard_filter(args.worker_id))
     worker = FabricWorker(
         shard,
         worker_id=args.worker_id,

@@ -1,7 +1,7 @@
 """Worker registry: who is serving, and how much we trust them right now.
 
 Every worker daemon registers with the router (capabilities: address,
-arities, id scheme, parts, learning) and then heartbeats periodically.
+arities, class count, learning) and then heartbeats periodically.
 The registry turns those heartbeats into a per-worker trust state:
 
 ::

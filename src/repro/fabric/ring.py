@@ -9,8 +9,8 @@ library at all, and a worker can decide which classes it owns without
 talking to anyone.  The exact-canonical class ids make class
 identity injective across machines; the digest shard key on
 top of them makes ownership *stable* — a class always hashes to the
-same point of the ring, whatever order libraries were built or merged
-in.
+same point of the ring, whatever order libraries were built in.  The
+MSV is always the library's, :attr:`ClassLibrary.parts`.
 
 The ring itself is the textbook construction: every worker id is hashed
 onto ``vnodes`` points of a 64-bit circle, a key is owned by the first
@@ -30,14 +30,9 @@ from __future__ import annotations
 import bisect
 import hashlib
 
-from repro.core.msv import (
-    DEFAULT_PARTS,
-    MixedSignature,
-    compute_msv,
-    normalize_parts,
-)
-from repro.core.truth_table import TruthTable
+from repro.core.msv import MixedSignature
 from repro.engine.classifier import BatchedClassifier
+from repro.library.store import ClassLibrary
 
 __all__ = [
     "HashRing",
@@ -66,41 +61,20 @@ def _hash64(text: str) -> int:
     )
 
 
-def shard_key_of(
-    table: TruthTable,
-    parts=DEFAULT_PARTS,
-    signature: MixedSignature | None = None,
-) -> str:
-    """The shard key of a query (== its class's key, by NPN invariance).
+def shard_key_of(signature: MixedSignature) -> str:
+    """The shard key of a query's MSV (== its class's key, by NPN invariance).
 
-    ``signature`` is the table's MSV when a batched pass already
-    computed it (the router's per-tick flush, :func:`shard_keys`); the
-    key is then only formatted here, so its format stays defined in one
-    place.  Without it the MSV is computed on the big-int path.
+    The key is the library's digest bucket id,
+    :meth:`ClassLibrary.base_id_of`; the MSVs come from a batched pass
+    (the router's per-tick flush, :func:`shard_keys`).
     """
-    if signature is None:
-        signature = compute_msv(table, parts)
-    elif signature.n != table.n or signature.parts != normalize_parts(parts):
-        raise ValueError(
-            f"signature (n={signature.n}, parts={signature.parts}) does "
-            f"not describe this table (n={table.n}, parts={tuple(parts)})"
-        )
-    return f"n{signature.n}-{signature.digest()}"
+    return ClassLibrary.base_id_of(signature)
 
 
-def shard_keys(tables, parts=DEFAULT_PARTS) -> list[str]:
-    """Shard keys of many tables (arities may mix) in one batched pass.
-
-    Byte-identical to ``[shard_key_of(t, parts) for t in tables]``; the
-    MSVs come from one :class:`BatchedClassifier` pass instead of one
-    big-int computation per table.
-    """
-    tables = list(tables)
-    signatures = BatchedClassifier(parts).signatures(tables)
-    return [
-        shard_key_of(table, parts, signature=signature)
-        for table, signature in zip(tables, signatures)
-    ]
+def shard_keys(tables) -> list[str]:
+    """Shard keys of many tables (arities may mix) in one batched pass."""
+    signatures = BatchedClassifier().signatures(list(tables))
+    return [shard_key_of(signature) for signature in signatures]
 
 
 def parse_ring_spec(spec: str) -> tuple[str, ...]:
@@ -192,8 +166,8 @@ class HashRing:
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"bad ring spec {spec!r}: {exc}") from None
 
-    def shard_filter(self, node: str, parts=DEFAULT_PARTS) -> "ShardFilter":
-        """Predicate over library entries: does ``node`` hold this class?
+    def shard_filter(self, node: str) -> "ShardFilter":
+        """Which library entries ``node`` holds.
 
         Feed it to :meth:`ClassLibrary.subset` to load a worker's shard
         (its owned arcs plus the replicas of its predecessors); the
@@ -201,7 +175,7 @@ class HashRing:
         """
         if node not in self.nodes:
             raise ValueError(f"node {node!r} is not on the ring {self.nodes}")
-        return ShardFilter(self, node, parts)
+        return ShardFilter(self, node)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
@@ -213,22 +187,16 @@ class HashRing:
 class ShardFilter:
     """Which library entries one ring node holds (see ``shard_filter``).
 
-    Callable on one entry, like any :meth:`ClassLibrary.subset`
-    predicate; :meth:`select` answers for many entries at once from one
-    batched signature pass, which is how ``subset`` loads a shard.
+    :meth:`select` answers for many entries at once from one batched
+    signature pass, which is how :meth:`ClassLibrary.subset` loads a
+    shard.
     """
 
-    def __init__(self, ring: HashRing, node: str, parts=DEFAULT_PARTS) -> None:
+    def __init__(self, ring: HashRing, node: str) -> None:
         self.ring = ring
         self.node = node
-        self.parts = parts
-
-    def __call__(self, entry) -> bool:
-        return self.select([entry])[0]
 
     def select(self, entries) -> list[bool]:
         """Ownership of each entry's class, in input order."""
-        keys = shard_keys(
-            [entry.representative for entry in entries], self.parts
-        )
+        keys = shard_keys([entry.representative for entry in entries])
         return [self.ring.covers(key, self.node) for key in keys]

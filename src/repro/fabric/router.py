@@ -46,7 +46,6 @@ import os
 import time
 
 from repro import obs
-from repro.core.msv import DEFAULT_PARTS, normalize_parts
 from repro.core.truth_table import TruthTable
 from repro.engine.classifier import BatchedClassifier
 from repro.fabric.backoff import RetryPolicy
@@ -163,7 +162,6 @@ class RouterService(LineProtocolServer):
             capacity=trace_capacity, slow_ms=slow_ms, sample_every=trace_sample
         )
         self.ring: HashRing | None = None
-        self.parts: tuple[str, ...] = DEFAULT_PARTS
         self.channels: dict[str, WorkerChannel] = {}
         #: Table ops waiting for this tick's batched shard-key pass.
         self._key_queue: list[tuple[TruthTable, asyncio.Future]] = []
@@ -283,32 +281,17 @@ class RouterService(LineProtocolServer):
                 "bad_request",
                 f"worker {worker_id!r} is not on its own ring {ring.nodes}",
             )
-        parts = worker.get("parts")
-        if parts is not None:
-            try:
-                parts = normalize_parts(parts)
-            except ValueError as exc:
-                raise ProtocolError("bad_request", f"bad parts: {exc}")
         if self.ring is None:
             # First registration pins the fabric's shape; everyone after
             # must agree, or shard ownership would diverge between the
             # router's routing and the workers' loaded shards.
             self.ring = ring
-            if parts is not None:
-                self.parts = parts
-        else:
-            if ring.spec() != self.ring.spec():
-                raise ProtocolError(
-                    "bad_request",
-                    f"ring mismatch: router has {self.ring.spec()}, "
-                    f"worker {worker_id!r} announced {ring.spec()}",
-                )
-            if parts is not None and parts != self.parts:
-                raise ProtocolError(
-                    "bad_request",
-                    f"MSV parts mismatch: router has {self.parts}, "
-                    f"worker {worker_id!r} announced {parts}",
-                )
+        elif ring.spec() != self.ring.spec():
+            raise ProtocolError(
+                "bad_request",
+                f"ring mismatch: router has {self.ring.spec()}, "
+                f"worker {worker_id!r} announced {ring.spec()}",
+            )
         capabilities = {
             key: worker.get(key)
             for key in ("arities", "classes", "learning", "pid")
@@ -351,16 +334,14 @@ class RouterService(LineProtocolServer):
             return
         t0 = time.perf_counter()
         try:
-            classifier = BatchedClassifier(self.parts)
-            signatures = classifier.signatures([table for table, _ in pending])
+            signatures = BatchedClassifier().signatures(
+                [table for table, _ in pending]
+            )
             # Formatted here rather than through ring.shard_keys: one
             # call of this module's shard_key_of per routed request is
             # what perfbench's traced run counts against the
             # repro_fabric_requests_total series.
-            keys = [
-                shard_key_of(table, self.parts, signature=signature)
-                for (table, _), signature in zip(pending, signatures)
-            ]
+            keys = [shard_key_of(signature) for signature in signatures]
         except Exception as exc:  # engine bug — fail the tick, not the router
             logging.getLogger("repro.fabric.router").exception(
                 "shard-key pass over %d requests failed", len(pending)
@@ -584,7 +565,6 @@ class RouterService(LineProtocolServer):
             "role": "router",
             "address": self.address,
             "transports": ["ndjson", "http/1.0"],
-            "parts": list(self.parts),
             "policy": {
                 "attempts": self.policy.attempts,
                 "base_ms": self.policy.base_ms,

@@ -170,7 +170,6 @@ class FabricWorker(ClassificationService):
                 "worker_id": self.worker_id,
                 "address": self.address,
                 "ring": self.ring.spec(),
-                "parts": list(self.library.parts),
                 "arities": sorted(self.library.arities()),
                 "classes": self.library.num_classes,
                 "learning": self.coalescer.learner is not None,

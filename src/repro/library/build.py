@@ -26,7 +26,6 @@ from repro.baselines.base import GroupingResult
 from repro.baselines.exact import ExactClassifier
 from repro.canonical.form import canonical_forms
 from repro.core.classifier import ClassificationResult
-from repro.core.msv import DEFAULT_PARTS
 from repro.core.truth_table import TruthTable
 from repro.engine import BatchedClassifier
 from repro.kernels import canonical_min  # noqa: F401 - a perfbench span target
@@ -41,14 +40,14 @@ __all__ = [
 
 
 def library_from_result(
-    result: ClassificationResult | GroupingResult, parts
+    result: ClassificationResult | GroupingResult,
 ) -> ClassLibrary:
-    """Build a library over ``parts`` from any classifier's groups.
+    """Build a library from any classifier's groups.
 
     Every group becomes one class, named by the canonical form of its
     first member — all canonicalized in one batch.
     """
-    library = ClassLibrary(parts)
+    library = ClassLibrary()
     groups = list(result.groups.values())
     forms = canonical_forms([members[0] for members in groups])
     for form, members in zip(forms, groups):
@@ -57,9 +56,7 @@ def library_from_result(
 
 
 def build_library(
-    tables: Iterable[TruthTable],
-    parts=DEFAULT_PARTS,
-    exact: bool = False,
+    tables: Iterable[TruthTable], exact: bool = False
 ) -> ClassLibrary:
     """Classify ``tables`` and build a library.
 
@@ -68,18 +65,15 @@ def build_library(
     :class:`~repro.baselines.exact.ExactClassifier` instead, so a
     bucket holding two NPN orbits becomes two classes.
     """
-    if exact:
-        classifier = ExactClassifier(bucket_parts=parts)
-    else:
-        classifier = BatchedClassifier(parts)
-    return library_from_result(classifier.classify(list(tables)), parts)
+    classifier = ExactClassifier() if exact else BatchedClassifier()
+    return library_from_result(classifier.classify(list(tables)))
 
 
-def build_exhaustive_library(n: int, parts=DEFAULT_PARTS) -> ClassLibrary:
+def build_exhaustive_library(n: int) -> ClassLibrary:
     """Library over *all* ``2^(2^n)`` functions of ``n`` variables (n <= 4).
 
     The complete class inventory of the arity; at n = 4 this is the
     classical 222 NPN classes.  The MSV is exact up to n = 4, so the
     signature buckets already are the classes.
     """
-    return build_library(exhaustive_tables(n), parts=parts)
+    return build_library(exhaustive_tables(n))

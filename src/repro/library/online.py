@@ -58,7 +58,7 @@ from repro.canonical.form import (
     canonical_forms_with_transforms,
     checked_witness,
 )
-from repro.core.msv import DEFAULT_PARTS, MixedSignature
+from repro.core.msv import MixedSignature
 from repro.core.transforms import NPNTransform
 from repro.core.truth_table import TruthTable
 from repro.library.store import ClassLibrary, LibraryMatch, MANIFEST_FILE
@@ -181,13 +181,12 @@ class LearningLibrary:
         segment_bytes: int = DEFAULT_SEGMENT_BYTES,
         fsync: str = "close",
         create: bool = False,
-        parts=DEFAULT_PARTS,
     ) -> "LearningLibrary":
         """Load the image (if any) and replay every WAL segment.
 
         With ``create``, a directory holding no image yet starts from an
-        empty library over ``parts`` — the segment-only crash case and
-        the grow-from-nothing case.  Without it, a missing image raises
+        empty library — the segment-only crash case and the
+        grow-from-nothing case.  Without it, a missing image raises
         like :meth:`ClassLibrary.load`.  Torn final records are
         truncated away by the replay, never re-served.
 
@@ -204,7 +203,7 @@ class LearningLibrary:
             if (directory / MANIFEST_FILE).exists() or not create:
                 library = ClassLibrary.load(directory)
             else:
-                library = ClassLibrary(parts)
+                library = ClassLibrary()
             learner = cls(
                 library, directory, segment_bytes=segment_bytes, fsync=fsync
             )

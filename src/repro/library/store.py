@@ -17,9 +17,8 @@ Every representative is the *exact orbit minimum*
 (:mod:`repro.canonical.form`) and the id is ``n{n}-c{hex}`` where the
 hex **is** the representative.  Ids are a pure function of the orbit:
 injective (no collisions, ever), identical across machines and build
-orders, so libraries merge by id safely.  The MSV digest only buckets
-the larger classes into the matching chains that pre-filter
-:meth:`ClassLibrary.match`.
+orders.  The MSV digest only buckets the larger classes into the
+matching chains that pre-filter :meth:`ClassLibrary.match`.
 
 Persistence is a directory holding two files:
 
@@ -63,7 +62,7 @@ from repro.canonical.form import (
     checked_witness,
 )
 from repro.core import bitops
-from repro.core.msv import DEFAULT_PARTS, MixedSignature, compute_msv, normalize_parts
+from repro.core.msv import DEFAULT_PARTS, MixedSignature, compute_msv
 from repro.core.transforms import NPNTransform
 from repro.core.truth_table import TruthTable
 from repro.engine import BatchedClassifier
@@ -133,7 +132,8 @@ class NPNClassEntry:
         representative: the class's canonical truth table, the minimum
             table over the whole NPN orbit.
         size: number of functions classified into this class at build
-            time (summed by :meth:`ClassLibrary.merged_with`).
+            time (summed by :meth:`ClassLibrary.add_class` when the class
+            is added again).
     """
 
     class_id: str
@@ -175,11 +175,9 @@ class LibraryMatch:
 class ClassLibrary:
     """Disk-backed collection of NPN classes with witness-producing lookup.
 
-    Args:
-        parts: MSV part selection the library's signature pre-filter is
-            defined over.  Matching a query recomputes its MSV with the
-            *same* parts, so a library only answers queries in the
-            signature space it was built in.
+    The signature pre-filter of the larger classes and the fabric's
+    shard key are both the paper's full MSV, :data:`DEFAULT_PARTS`;
+    the part ablations live in the classifiers only.
 
     Example:
         >>> from repro.library import build_exhaustive_library
@@ -192,8 +190,10 @@ class ClassLibrary:
         True
     """
 
-    def __init__(self, parts=DEFAULT_PARTS) -> None:
-        self.parts = normalize_parts(parts)
+    #: The MSV parts every signature of a library is computed over.
+    parts = DEFAULT_PARTS
+
+    def __init__(self) -> None:
         self.classes: dict[str, NPNClassEntry] = {}
         #: Lazy signature-digest index: digest bucket id -> ordered list
         #: of candidate class ids (the matching chain).  ``None`` until the
@@ -243,17 +243,15 @@ class ClassLibrary:
     # Construction
     # ------------------------------------------------------------------
 
-    def base_id_of(self, signature: MixedSignature) -> str:
+    @staticmethod
+    def base_id_of(signature: MixedSignature) -> str:
         """The signature's digest bucket id ``n{n}-{digest}``.
 
         The matching chains are indexed under this key: it is the
         pre-filter bucket of every class whose orbit has this signature
-        (several classes share it when their signatures collide).
+        (several classes share it when their signatures collide).  The
+        fabric's shard key is the same string.
         """
-        if signature.parts != self.parts:
-            raise ValueError(
-                f"signature parts {signature.parts} != library parts {self.parts}"
-            )
         return f"n{signature.n}-{signature.digest()}"
 
     def add_class(
@@ -271,9 +269,8 @@ class ClassLibrary:
         the id *is* that form.  An existing entry absorbs the new size.
 
         ``signature``, when given, is the MSV of any member of the class
-        (it is an NPN invariant) over this library's parts; a new class
-        is indexed in the matching chains under it instead of
-        recomputing the representative's.
+        (it is an NPN invariant); a new class is indexed in the matching
+        chains under it instead of recomputing the representative's.
         """
         rep = representative if canonical_rep else canonical_form(representative)
         class_id = canonical_class_id(rep)
@@ -286,35 +283,8 @@ class ClassLibrary:
             self._chain_insert(entry, signature)
         return entry
 
-    def merged_with(self, other: "ClassLibrary") -> "ClassLibrary":
-        """Union of two libraries over the same MSV parts.
-
-        Shared classes sum their sizes.  Ids embed the representative,
-        so equal ids always mean the same orbit and no matcher runs; one
-        id carrying two different tables means a corrupted input.
-        """
-        if other.parts != self.parts:
-            raise ValueError(
-                f"cannot merge libraries with different MSV parts: "
-                f"{self.parts} vs {other.parts}"
-            )
-        merged = ClassLibrary(self.parts)
-        merged.classes = dict(self.classes)
-        for class_id, entry in other.classes.items():
-            existing = merged.classes.get(class_id)
-            if existing is None:
-                merged.classes[class_id] = entry
-            elif existing.representative == entry.representative:
-                merged.classes[class_id] = _merge_entries(existing, entry)
-            else:
-                raise LibraryFormatError(
-                    f"class {class_id!r} carries two different canonical "
-                    f"representatives — one input library is corrupted"
-                )
-        return merged
-
     def subset(self, keep) -> "ClassLibrary":
-        """A new library holding only the entries ``keep(entry)`` accepts.
+        """A new library holding only the entries ``keep`` selects.
 
         The distributed fabric's shard loader: a worker keeps the
         classes whose signature-digest shard key it owns on the
@@ -325,17 +295,12 @@ class ClassLibrary:
         frozen dataclasses — and *not* re-verified: the source library
         already verified them at load time.
 
-        A ``keep`` with a ``select(entries) -> list[bool]`` method (the
-        ring's shard filter) is asked once for every entry, so it can
-        answer from one batched pass instead of one call per entry.
+        ``keep.select(entries) -> list[bool]`` is asked once for every
+        entry, so the ring's shard filter answers from one batched pass.
         """
-        shard = ClassLibrary(self.parts)
+        shard = ClassLibrary()
         items = list(self.classes.items())
-        select = getattr(keep, "select", None)
-        if select is not None:
-            kept = select([entry for _, entry in items])
-        else:
-            kept = [keep(entry) for _, entry in items]
+        kept = keep.select([entry for _, entry in items])
         shard.classes = {
             class_id: entry
             for (class_id, entry), wanted in zip(items, kept)
@@ -641,13 +606,13 @@ class ClassLibrary:
 
 
 def _empty_library(directory: Path, manifest: dict) -> ClassLibrary:
-    """A library over the manifest's MSV parts, holding no classes yet."""
-    try:
-        return ClassLibrary(manifest["parts"])
-    except (ValueError, TypeError) as exc:
+    """An empty library, once the manifest names the library's MSV parts."""
+    if manifest["parts"] != list(ClassLibrary.parts):
         raise LibraryFormatError(
-            f"{directory}: manifest parts are invalid: {exc}"
-        ) from exc
+            f"{directory}: manifest parts are invalid: "
+            f"{manifest['parts']!r} is not {list(ClassLibrary.parts)}"
+        )
+    return ClassLibrary()
 
 
 def _table_rows(

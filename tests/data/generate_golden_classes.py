@@ -48,7 +48,7 @@ def main() -> None:
     for spec in WORKLOADS:
         tables = workload_tables(spec)
         result = FacePointClassifier().classify(tables)
-        library = library_from_result(result, result.parts)
+        library = library_from_result(result)
         entries.append(
             spec
             | {

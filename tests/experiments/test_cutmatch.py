@@ -13,14 +13,14 @@ from repro.experiments.cutmatch import (
     cut_match_rows,
     run_cut_matching,
 )
-from repro.library import build_exhaustive_library, build_library
+from repro.library import build_library
+from repro.workloads.library_corpus import exhaustive_tables
 
 
 @pytest.fixture(scope="module")
 def lib23():
     """Complete class inventory for arities 2 and 3."""
-    lib2 = build_exhaustive_library(2)
-    return lib2.merged_with(build_exhaustive_library(3))
+    return build_library([*exhaustive_tables(2), *exhaustive_tables(3)])
 
 
 class TestIterCutFunctions:

@@ -8,14 +8,13 @@ just a liveness test.
 
 import pytest
 
-from repro.library import build_exhaustive_library
+from repro.library import build_library
+from repro.workloads.library_corpus import exhaustive_tables
 
 
 @pytest.fixture(scope="session")
 def tiny_library():
-    library = build_exhaustive_library(2).merged_with(
-        build_exhaustive_library(3)
-    )
+    library = build_library([*exhaustive_tables(2), *exhaustive_tables(3)])
     assert library.num_classes == 4 + 14
     return library
 

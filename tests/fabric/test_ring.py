@@ -6,10 +6,9 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.msv import DEFAULT_PARTS
+from repro.core.msv import compute_msv
 from repro.core.transforms import random_transform
 from repro.core.truth_table import TruthTable
-from repro.engine import BatchedClassifier
 from repro.fabric.ring import (
     DEFAULT_REPLICAS,
     HashRing,
@@ -26,9 +25,6 @@ from tests.strategies import npn_transforms, truth_tables
 # accepts.
 MIN_KEY_VARS = 0
 MAX_KEY_VARS = 8
-
-#: A non-default MSV selection, as a worker may announce at registration.
-OTHER_PARTS = ("c0", "ocv1", "osv_full")
 
 
 @st.composite
@@ -49,23 +45,29 @@ def key_batches(draw, min_n=MIN_KEY_VARS, max_n=MAX_KEY_VARS):
     return draw(st.permutations(batch))
 
 
-def scalar_keep(ring, node, parts):
-    """The per-entry filter shard loading used before batching."""
-    return lambda entry: ring.covers(
-        shard_key_of(entry.representative, parts), node
-    )
+def key_of(table):
+    """The shard key of one table, from its big-int MSV."""
+    return shard_key_of(compute_msv(table))
 
 
-def router_keys(tables, parts):
-    """Keys from the router's per-tick flush, after a registration that
-    announced ``parts``."""
+class Keep:
+    """A :meth:`ClassLibrary.subset` selection by a per-entry predicate."""
+
+    def __init__(self, predicate):
+        self.predicate = predicate
+
+    def select(self, entries):
+        return [self.predicate(entry) for entry in entries]
+
+
+def router_keys(tables):
+    """Keys from the router's per-tick flush, after one registration."""
     router = RouterService(port=0)
     router._register({
         "worker": {
             "worker_id": "w0",
             "address": "127.0.0.1:1",
             "ring": HashRing(("w0",)).spec(),
-            "parts": list(parts),
         }
     })
 
@@ -162,19 +164,15 @@ class TestShardKeys:
         rng = random.Random(2023)
         for value in (0xE8, 0x96, 0x1B, 0x80):
             table = TruthTable(3, value)
-            key = shard_key_of(table, tiny_library.parts)
+            key = key_of(table)
             for _ in range(10):
                 transformed = table.apply(random_transform(3, rng))
-                assert (
-                    shard_key_of(transformed, tiny_library.parts) == key
-                )
+                assert key_of(transformed) == key
 
     def test_shard_filter_partitions_the_library(self, tiny_library):
         ring = HashRing(("w0", "w1", "w2"))
         shards = {
-            node: tiny_library.subset(
-                ring.shard_filter(node, tiny_library.parts)
-            )
+            node: tiny_library.subset(ring.shard_filter(node))
             for node in ring.nodes
         }
         # Every class is held by exactly `replicas` workers...
@@ -201,13 +199,13 @@ class TestShardKeys:
             assert source.num_classes == 200
         ring = HashRing(("w0", "w1", "w2"))
         for node in ring.nodes:
-            batched = source.subset(ring.shard_filter(node, source.parts))
-            scalar = source.subset(scalar_keep(ring, node, source.parts))
-            assert list(batched.classes) == list(scalar.classes)
-            # The filter still answers one entry at a time, too.
-            one = ring.shard_filter(node, source.parts)
-            for entry in source.classes.values():
-                assert one(entry) == (entry.class_id in scalar.classes)
+            batched = source.subset(ring.shard_filter(node))
+            scalar = [
+                class_id
+                for class_id, entry in source.classes.items()
+                if ring.covers(key_of(entry.representative), node)
+            ]
+            assert list(batched.classes) == scalar
 
     def test_shard_filter_rejects_foreign_node(self):
         ring = HashRing(("w0", "w1"))
@@ -219,15 +217,13 @@ class TestShardKeys:
         # still matches it — the property the router relies on.
         ring = HashRing(("w0", "w1", "w2"))
         shards = {
-            node: tiny_library.subset(
-                ring.shard_filter(node, tiny_library.parts)
-            )
+            node: tiny_library.subset(ring.shard_filter(node))
             for node in ring.nodes
         }
         rng = random.Random(7)
         for _ in range(50):
             table = TruthTable(3, rng.randrange(1 << 8))
-            key = shard_key_of(table, tiny_library.parts)
+            key = key_of(table)
             for owner in ring.owners(key):
                 hit = shards[owner].match(table)
                 assert hit is not None
@@ -235,34 +231,22 @@ class TestShardKeys:
 
 
 class TestBatchedShardKeys:
-    @pytest.mark.parametrize("parts", [DEFAULT_PARTS, OTHER_PARTS])
     @settings(max_examples=25, deadline=None)
     @given(batch=key_batches())
-    def test_batched_keys_equal_scalar_keys(self, parts, batch):
-        expected = [shard_key_of(table, parts) for table in batch]
-        assert shard_keys(batch, parts) == expected
-        assert router_keys(batch, parts) == expected
-
-    def test_signature_must_describe_the_table(self):
-        table = TruthTable(3, 0xE8)
-        (signature,) = BatchedClassifier(OTHER_PARTS).signatures([table])
-        with pytest.raises(ValueError):
-            shard_key_of(table, DEFAULT_PARTS, signature=signature)
-        with pytest.raises(ValueError):
-            shard_key_of(TruthTable(4, 0xE8), OTHER_PARTS, signature=signature)
-        assert shard_key_of(
-            table, OTHER_PARTS, signature=signature
-        ) == shard_key_of(table, OTHER_PARTS)
+    def test_batched_keys_equal_scalar_keys(self, batch):
+        expected = [key_of(table) for table in batch]
+        assert shard_keys(batch) == expected
+        assert router_keys(batch) == expected
 
 
 class TestSubset:
     def test_subset_preserves_scheme_and_parts(self, tiny_library):
-        subset = tiny_library.subset(lambda entry: entry.n == 2)
+        subset = tiny_library.subset(Keep(lambda entry: entry.n == 2))
         assert subset.parts == tiny_library.parts
         assert subset.num_classes == 4
         assert all(entry.n == 2 for entry in subset.classes.values())
 
     def test_empty_subset_serves_misses(self, tiny_library):
-        empty = tiny_library.subset(lambda entry: False)
+        empty = tiny_library.subset(Keep(lambda entry: False))
         assert empty.num_classes == 0
         assert empty.match(TruthTable(3, 0xE8)) is None

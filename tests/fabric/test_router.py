@@ -18,6 +18,7 @@ import time
 import pytest
 
 from repro import obs
+from repro.core.msv import compute_msv
 from repro.core.truth_table import TruthTable
 from repro.fabric import router as router_module
 from repro.fabric.backoff import RetryPolicy
@@ -113,9 +114,7 @@ def stub_router(monkeypatch, attempt, attempts=3):
 
 
 def make_worker(tiny_library, worker_id, ring, router_address, **kwargs):
-    shard = tiny_library.subset(
-        ring.shard_filter(worker_id, tiny_library.parts)
-    )
+    shard = tiny_library.subset(ring.shard_filter(worker_id))
     return FabricWorker(
         shard,
         worker_id=worker_id,
@@ -173,6 +172,24 @@ class TestControlPlane:
             assert info["state"] == "alive"
             assert info["capabilities"]["classes"] == worker.library.num_classes
             assert info["capabilities"]["arities"] == [2, 3]
+
+    def test_registration_still_carrying_parts_registers(self):
+        # A worker of an older build may still send ``parts``; every
+        # shard key is the library's one MSV, so the field is ignored.
+        router = RouterService(port=0)
+        reply = router._register(
+            {
+                "worker": {
+                    "worker_id": "w0",
+                    "address": "127.0.0.1:1",
+                    "ring": HashRing(("w0",)).spec(),
+                    "parts": ["c0", "oiv"],
+                }
+            }
+        )
+        assert reply["registered"] is True
+        assert router.registry.snapshot()["workers"]["w0"]["state"] == "alive"
+        assert "parts" not in router.identity()
 
     def test_ring_mismatch_is_rejected(self, fabric):
         router, _ = fabric
@@ -464,7 +481,7 @@ class TestBatchedShardKeys:
             if index in (1, 4, 5):
                 assert isinstance(result, asyncio.CancelledError)
             else:
-                assert result == shard_key_of(table, router.parts)
+                assert result == shard_key_of(compute_msv(table))
         assert router._key_queue == []
 
     def test_client_gone_mid_burst_leaves_others_answered(self, fabric):
@@ -611,7 +628,7 @@ class TestWorkerDaemon:
                 1
                 for entry in tiny_library.classes.values()
                 if router.ring.covers(
-                    shard_key_of(entry.representative, tiny_library.parts),
+                    shard_key_of(compute_msv(entry.representative)),
                     worker.worker_id,
                 )
             )

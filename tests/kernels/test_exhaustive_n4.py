@@ -27,7 +27,7 @@ def test_exhaustive_n4_canonical_minima_match_library_path():
     assert result.num_classes == N4_CLASS_COUNT
 
     minimum_of = dict(zip((t.bits for t in tables), minima.tolist()))
-    library = library_from_result(result, result.parts)
+    library = library_from_result(result)
     assert library.num_classes == N4_CLASS_COUNT
     representative_bits = {
         entry.representative.bits for entry in library.classes.values()

@@ -1,4 +1,4 @@
-"""Tests for the persistent NPN class library (build/save/load/match/merge)."""
+"""Tests for the persistent NPN class library (build/save/load/match)."""
 
 import hashlib
 import json
@@ -13,7 +13,6 @@ import pytest
 from repro.baselines.exact_enum import exact_npn_canonical
 from repro.canonical.form import canonical_form
 from repro.core.classifier import FacePointClassifier
-from repro.core.msv import DEFAULT_PARTS
 from repro.core.transforms import random_transform
 from repro.core.truth_table import TruthTable
 from repro.library import (
@@ -61,9 +60,7 @@ class TestBuild:
                 (e.class_id, e.representative, e.size) for e in library.entries()
             ]
 
-        perfn = library_from_result(
-            FacePointClassifier().classify(tables), DEFAULT_PARTS
-        )
+        perfn = library_from_result(FacePointClassifier().classify(tables))
         batched = build_library(tables)
         assert snapshot(perfn) == snapshot(batched)
         for entry in batched.entries():
@@ -77,7 +74,7 @@ class TestBuild:
         assert len(orbits) == 2
         assert build_library(pair).num_classes == 1
         perfn = FacePointClassifier().classify(pair)
-        assert library_from_result(perfn, DEFAULT_PARTS).num_classes == 1
+        assert library_from_result(perfn).num_classes == 1
         exact = build_library(pair, exact=True)
         assert exact.num_classes == 2
         assert {e.representative for e in exact.entries()} == orbits
@@ -135,13 +132,6 @@ class TestMatch:
                 hit.representative
                 == exact_npn_canonical(query).representative
             )
-
-    def test_class_id_rejects_foreign_parts(self, lib3):
-        from repro.core.msv import compute_msv
-
-        signature = compute_msv(TruthTable.majority(3), ("c0", "oiv"))
-        with pytest.raises(ValueError):
-            lib3.base_id_of(signature)
 
     def test_libray_match_verify_rejects_other_query(self, lib3):
         maj = TruthTable.majority(3)
@@ -243,41 +233,6 @@ class TestMatchMany:
         assert lib3.match(maj).class_id == lib3.match_many([maj])[0].class_id
 
 
-class TestMerge:
-    def test_merge_of_halves_equals_full_build(self):
-        tables = list(exhaustive_tables(3))
-        full = build_library(tables)
-        left = build_library(tables[:100])
-        right = build_library(tables[100:])
-        merged = left.merged_with(right)
-        assert {e.class_id: e.size for e in merged.entries()} == {
-            e.class_id: e.size for e in full.entries()
-        }
-        assert [e.representative for e in merged.entries()] == [
-            e.representative for e in full.entries()
-        ]
-
-    def test_merge_keeps_smaller_elected_representative(self):
-        rng = random.Random(13)
-        seed_fn = TruthTable.random(5, rng)
-        images = [seed_fn.apply(random_transform(5, rng)) for _ in range(8)]
-        lib_a = build_library(images[:4])
-        lib_b = build_library(images[4:])
-        merged = lib_a.merged_with(lib_b)
-        (entry,) = merged.entries()
-        assert entry.size == 8
-        assert entry.representative == min(
-            a.representative
-            for lib in (lib_a, lib_b)
-            for a in lib.entries()
-        )
-
-    def test_merge_rejects_different_parts(self, lib3):
-        other = ClassLibrary(parts=("c0", "oiv"))
-        with pytest.raises(ValueError):
-            lib3.merged_with(other)
-
-
 class TestPersistence:
     def test_save_load_round_trip(self, lib3, tmp_path):
         lib3.save(tmp_path / "lib")
@@ -310,6 +265,43 @@ class TestPersistence:
         build_exhaustive_library(3).save(second)  # independent rebuild
         for name in (MANIFEST_FILE, TABLES_FILE):
             assert (first / name).read_bytes() == (second / name).read_bytes()
+
+    @pytest.mark.parametrize(
+        "corpus, manifest_sha256, tables_sha256",
+        [
+            (
+                "exhaustive-n3",
+                "6fb804d5bc0b65f607fbece257b4e24d49599fbde091035748418884b3caac01",
+                "f679f39bdaf4373eac55812cfbc0050dab7a8ace72b9cd1748dd14529313717c",
+            ),
+            (
+                "mixed-n2-6",
+                "1759ba4fdea32b96c9cb5a7c4c624746702c073fb72dfe855e1ca0044223bce4",
+                "cf034f86016c23e5c70a0ebf02398e969d89605f1fa93caca0c53fcb26341ed5",
+            ),
+        ],
+    )
+    def test_saved_bytes_are_pinned(
+        self, corpus, manifest_sha256, tables_sha256, tmp_path
+    ):
+        """The version-3 files of two fixed corpora, byte for byte."""
+        if corpus == "exhaustive-n3":
+            library = build_exhaustive_library(3)
+        else:
+            library = build_library(
+                [
+                    *exhaustive_tables(2),
+                    *exhaustive_tables(3),
+                    *random_tables(5, 40, 7),
+                    *random_tables(6, 40, 7),
+                ]
+            )
+        library.save(tmp_path)
+        digests = [
+            hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+            for name in (MANIFEST_FILE, TABLES_FILE)
+        ]
+        assert digests == [manifest_sha256, tables_sha256]
 
     def test_round_trip_preserves_metadata(self, lib3, tmp_path):
         lib3.save(tmp_path / "lib")
@@ -526,10 +518,13 @@ class TestPersistence:
         assert loaded.arities() == (3, 4, 5, 6)
 
     def test_corrupted_parts_field(self, lib3, tmp_path):
+        """Only the full MSV is a library's signature: a valid but
+        different part list is refused like garbage."""
         lib3.save(tmp_path / "lib")
-        _edit_manifest(tmp_path / "lib", lambda m: m.update(parts="garbage"))
-        with pytest.raises(LibraryFormatError, match="parts are invalid"):
-            ClassLibrary.load(tmp_path / "lib")
+        for parts in ("garbage", ["c0", "oiv"]):
+            _edit_manifest(tmp_path / "lib", lambda m: m.update(parts=parts))
+            with pytest.raises(LibraryFormatError, match="parts are invalid"):
+                ClassLibrary.load(tmp_path / "lib")
 
     def test_corrupted_zip_payload(self, lib3, tmp_path):
         lib3.save(tmp_path / "lib")

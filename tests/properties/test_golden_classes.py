@@ -19,7 +19,6 @@ import pytest
 
 from repro.baselines.exact import ExactClassifier
 from repro.core.classifier import FacePointClassifier
-from repro.core.msv import DEFAULT_PARTS
 from repro.engine import BatchedClassifier
 from repro.library import build_library, library_from_result
 
@@ -62,7 +61,7 @@ class TestLibraryIdentityPins:
         build path must not move a single class."""
         spec, tables = golden_case
         result = FacePointClassifier().classify(tables)
-        library = library_from_result(result, DEFAULT_PARTS)
+        library = library_from_result(result)
         derived = {
             entry.class_id: entry.representative.to_hex()
             for entry in library.entries()
@@ -72,7 +71,7 @@ class TestLibraryIdentityPins:
     def test_batched_engine_builds_identical_ids(self, golden_case):
         spec, tables = golden_case
         result = BatchedClassifier().classify(tables)
-        library = library_from_result(result, DEFAULT_PARTS)
+        library = library_from_result(result)
         assert {
             e.class_id: e.representative.to_hex() for e in library.entries()
         } == spec["classes"]
@@ -87,7 +86,7 @@ class TestLibraryMatchPath:
         """
         spec, tables = golden_case
         result = FacePointClassifier().classify(tables)
-        library = library_from_result(result, result.parts)
+        library = library_from_result(result)
         assert library.num_classes == spec["num_classes"]
         assert library.num_functions == spec["num_functions"]
         seen_classes = set()
