@@ -249,18 +249,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="cadence workers are told to heartbeat at",
     )
     router.add_argument(
-        "--suspect-misses",
-        type=int,
-        default=3,
-        help="missed heartbeat intervals before a worker is suspected",
-    )
-    router.add_argument(
-        "--evict-misses",
-        type=int,
-        default=8,
-        help="missed heartbeat intervals before a worker is evicted",
-    )
-    router.add_argument(
         "--slow-ms",
         type=float,
         default=None,
@@ -937,8 +925,6 @@ def _cmd_router(args) -> int:
             port=args.port,
             policy=policy,
             heartbeat_interval_s=args.heartbeat_interval_s,
-            suspect_misses=args.suspect_misses,
-            evict_misses=args.evict_misses,
             slow_ms=DEFAULT_SLOW_MS if args.slow_ms is None else args.slow_ms,
             trace_sample=(
                 DEFAULT_TRACE_SAMPLE

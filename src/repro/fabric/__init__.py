@@ -10,8 +10,8 @@ digests:
   its sleep schedule from;
 * :mod:`repro.fabric.channel` — the pipelined router→worker connection;
 * :mod:`repro.fabric.router` — the client-facing daemon tying them
-  together: shard routing, timeouts, retries, hedging, drain-aware
-  failover, degraded mode;
+  together: shard routing, timeouts, retries onto untried replicas,
+  drain-aware failover, degraded mode;
 * :mod:`repro.fabric.worker` — a classification daemon serving its
   shard, registered and heartbeating;
 * :mod:`repro.fabric.chaos` — the fault-injection harness the soak

@@ -8,21 +8,22 @@ The registry turns those heartbeats into a per-worker trust state:
 
                  register                  heartbeat
     (unknown) ────────────> ALIVE <──────────────────┐
-                              │ miss >= suspect_misses
+                              │ miss >= 3 (DEFAULT_SUSPECT_MISSES)
                               v
                            SUSPECT ──────────────────┘  (heartbeat revives)
-                              │ miss >= evict_misses
+                              │ miss >= 8 (DEFAULT_EVICT_MISSES)
                               v
                             DEAD  (evicted; re-registering revives)
 
        drain op (SIGTERM'd worker)
-    ALIVE/SUSPECT ────────────> DRAINING ──(evict_misses silent)──> DEAD
+    ALIVE/SUSPECT ────────────> DRAINING ──(8 misses silent)──> DEAD
 
-The router routes new work to ALIVE workers, hedges SUSPECT ones against
-their ring successor, and sends *nothing new* to DRAINING or DEAD ones —
-a draining worker keeps answering its in-flight backlog, which is
-exactly what drain-aware failover means.  All transitions are counted in
-the metrics registry so a scrape shows flapping at a glance.
+The router routes new work to ALIVE workers, tries a SUSPECT one only
+once every ALIVE owner of the shard was tried, and sends *nothing new*
+to DRAINING or DEAD ones — a draining worker keeps answering its
+in-flight backlog, which is exactly what drain-aware failover means.
+All transitions are counted in the metrics registry so a scrape shows
+flapping at a glance.
 
 Time is injected (``clock``) so the state machine is unit-testable
 without sleeping.
@@ -55,7 +56,8 @@ DEAD = "dead"
 WORKER_STATES = (ALIVE, SUSPECT, DRAINING, DEAD)
 
 DEFAULT_HEARTBEAT_INTERVAL_S = 1.0
-#: Missed heartbeat intervals before a worker is suspected (hedged).
+#: Missed heartbeat intervals before a worker is suspected (tried only
+#: after every ALIVE owner of a shard).
 DEFAULT_SUSPECT_MISSES = 3
 #: Missed heartbeat intervals before a worker is evicted outright.
 DEFAULT_EVICT_MISSES = 8
@@ -99,29 +101,20 @@ class WorkerRegistry:
     """Tracks worker liveness from registrations, heartbeats and drains.
 
     Args:
-        heartbeat_interval_s: the cadence workers were told to beat at.
-        suspect_misses / evict_misses: missed-interval thresholds of the
-            ALIVE -> SUSPECT -> DEAD ladder.
+        heartbeat_interval_s: the cadence workers were told to beat at;
+            the ALIVE -> SUSPECT -> DEAD ladder counts missed intervals
+            of it (``DEFAULT_SUSPECT_MISSES`` / ``DEFAULT_EVICT_MISSES``).
         clock: monotonic time source (injected for tests).
     """
 
     def __init__(
         self,
         heartbeat_interval_s: float = DEFAULT_HEARTBEAT_INTERVAL_S,
-        suspect_misses: int = DEFAULT_SUSPECT_MISSES,
-        evict_misses: int = DEFAULT_EVICT_MISSES,
         clock=time.monotonic,
     ) -> None:
         if heartbeat_interval_s <= 0:
             raise ValueError("heartbeat_interval_s must be > 0")
-        if not 0 < suspect_misses < evict_misses:
-            raise ValueError(
-                "need 0 < suspect_misses < evict_misses, got "
-                f"{suspect_misses} / {evict_misses}"
-            )
         self.heartbeat_interval_s = heartbeat_interval_s
-        self.suspect_misses = suspect_misses
-        self.evict_misses = evict_misses
         self._clock = clock
         self.workers: dict[str, WorkerInfo] = {}
 
@@ -187,10 +180,10 @@ class WorkerRegistry:
         for info in self.workers.values():
             misses = (now - info.last_seen) / self.heartbeat_interval_s
             if info.state in (ALIVE, SUSPECT, DRAINING):
-                if misses >= self.evict_misses:
+                if misses >= DEFAULT_EVICT_MISSES:
                     self._set_state(info, DEAD)
                     transitions.append((info.worker_id, DEAD))
-                elif info.state == ALIVE and misses >= self.suspect_misses:
+                elif info.state == ALIVE and misses >= DEFAULT_SUSPECT_MISSES:
                     self._set_state(info, SUSPECT)
                     transitions.append((info.worker_id, SUSPECT))
         return transitions
@@ -217,9 +210,10 @@ class WorkerRegistry:
         """The candidates new work may go to, in preference order.
 
         ALIVE workers first (in candidate order), then SUSPECT ones —
-        a suspect owner is still *tried* (hedged), but never preferred
-        over a healthy replica.  DRAINING and DEAD workers are excluded:
-        that exclusion is the routing half of drain-aware failover.
+        a suspect owner is still *tried* once the router has tried every
+        healthy replica, but never preferred over one.  DRAINING and
+        DEAD workers are excluded: that exclusion is the routing half of
+        drain-aware failover.
         """
         alive = [w for w in candidates if self.state_of(w) == ALIVE]
         suspect = [w for w in candidates if self.state_of(w) == SUSPECT]
@@ -239,8 +233,8 @@ class WorkerRegistry:
             },
             "counts": self.counts(),
             "heartbeat_interval_s": self.heartbeat_interval_s,
-            "suspect_misses": self.suspect_misses,
-            "evict_misses": self.evict_misses,
+            "suspect_misses": DEFAULT_SUSPECT_MISSES,
+            "evict_misses": DEFAULT_EVICT_MISSES,
         }
 
     # ------------------------------------------------------------------

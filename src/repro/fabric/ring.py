@@ -16,7 +16,7 @@ The ring itself is the textbook construction: every worker id is hashed
 onto ``vnodes`` points of a 64-bit circle, a key is owned by the first
 ``replicas`` *distinct* workers clockwise from its hash.  Replication is
 what makes failover answer *correctly*: the ring successor of a suspect
-owner holds a replica of the same shard, so a hedged or failed-over
+owner holds a replica of the same shard, so a retried or failed-over
 request gets the same verified witness the owner would have served —
 not a spurious miss.
 

@@ -24,13 +24,11 @@ Robustness is the point, and it is layered:
   (:class:`RetryPolicy.timeout_ms`); a stalled worker costs one
   deadline, never a hung client;
 * **retries** — failed attempts (timeout, dead channel, retryable
-  worker error) back off with capped-exponential + full-jitter delays
-  and re-pick the best live candidate, which after a death is the
-  replica that holds the same shard;
-* **hedging** — a SUSPECT owner (missed heartbeats, dead channel) is
-  raced against the ring successor; first good reply wins, and because
-  the successor replicates the shard its answer is the same verified
-  witness;
+  worker error) back off with capped-exponential + full-jitter delays.
+  Each attempt goes to the first routable owner (ALIVE before SUSPECT)
+  this request has not tried yet, or to the first routable owner once
+  all were tried.  After a failure that is the replica holding the same
+  shard, so the answer is the same verified witness;
 * **drain-aware failover** — a worker's SIGTERM drain notice stops new
   routing instantly while its in-flight backlog finishes on the still-
   open channel;
@@ -50,13 +48,7 @@ from repro.core.truth_table import TruthTable
 from repro.engine.classifier import BatchedClassifier
 from repro.fabric.backoff import RetryPolicy
 from repro.fabric.channel import ChannelClosed, DispatchTimeout, WorkerChannel
-from repro.fabric.registry import (
-    DEFAULT_EVICT_MISSES,
-    DEFAULT_HEARTBEAT_INTERVAL_S,
-    DEFAULT_SUSPECT_MISSES,
-    SUSPECT,
-    WorkerRegistry,
-)
+from repro.fabric.registry import DEFAULT_HEARTBEAT_INTERVAL_S, WorkerRegistry
 from repro.fabric.ring import HashRing, shard_key_of
 from repro.service.base import LineProtocolServer
 from repro.service.protocol import (
@@ -65,6 +57,11 @@ from repro.service.protocol import (
     REQUEST_OPS,
     ProtocolError,
     Request,
+)
+from repro.service.server import (
+    DEFAULT_SLOW_MS,
+    DEFAULT_TRACE_CAPACITY,
+    DEFAULT_TRACE_SAMPLE,
 )
 
 __all__ = ["RouterService", "DEFAULT_ROUTER_PORT", "RETRYABLE_WORKER_ERRORS"]
@@ -94,10 +91,6 @@ _RETRIES = _REG.counter(
     "repro_fabric_retries_total",
     "Re-dispatches after a failed attempt, by failure reason.",
     labels=("reason",),
-)
-_HEDGES = _REG.counter(
-    "repro_fabric_hedges_total",
-    "Hedged dispatches (suspect owner raced against its ring successor).",
 )
 _DEGRADED = _REG.counter(
     "repro_fabric_degraded_total",
@@ -130,10 +123,10 @@ class RouterService(LineProtocolServer):
         host/port: client-facing bind address.
         policy: dispatch :class:`RetryPolicy` (attempts, backoff,
             per-attempt timeout).
-        heartbeat_interval_s / suspect_misses / evict_misses: the
-            registry's trust ladder (see :class:`WorkerRegistry`).
-        trace_sample / trace_capacity / slow_ms: request tracing knobs,
-            mirroring the serving daemon's.
+        heartbeat_interval_s: the cadence workers are told to beat at
+            (see :class:`WorkerRegistry`).
+        trace_sample / slow_ms: request tracing knobs, mirroring the
+            serving daemon's.
     """
 
     allowed_ops = ROUTER_OPS
@@ -145,21 +138,18 @@ class RouterService(LineProtocolServer):
         port: int = DEFAULT_ROUTER_PORT,
         policy: RetryPolicy | None = None,
         heartbeat_interval_s: float = DEFAULT_HEARTBEAT_INTERVAL_S,
-        suspect_misses: int = DEFAULT_SUSPECT_MISSES,
-        evict_misses: int = DEFAULT_EVICT_MISSES,
-        trace_sample: int = 8,
-        trace_capacity: int = 256,
-        slow_ms: float = 250.0,
+        trace_sample: int = DEFAULT_TRACE_SAMPLE,
+        slow_ms: float = DEFAULT_SLOW_MS,
     ) -> None:
         super().__init__(host=host, port=port)
         self.policy = policy if policy is not None else RetryPolicy()
         self.registry = WorkerRegistry(
-            heartbeat_interval_s=heartbeat_interval_s,
-            suspect_misses=suspect_misses,
-            evict_misses=evict_misses,
+            heartbeat_interval_s=heartbeat_interval_s
         )
         self.tracer = obs.Tracer(
-            capacity=trace_capacity, slow_ms=slow_ms, sample_every=trace_sample
+            capacity=DEFAULT_TRACE_CAPACITY,
+            slow_ms=slow_ms,
+            sample_every=trace_sample,
         )
         self.ring: HashRing | None = None
         self.channels: dict[str, WorkerChannel] = {}
@@ -382,7 +372,7 @@ class RouterService(LineProtocolServer):
         dispatch_start = time.perf_counter()
         failure: str = ""
         failure_kind: str = "unavailable"
-        hedged = False
+        tried: set[str] = set()
         for attempt in range(self.policy.attempts):
             routable = self.registry.routable(owners)
             if not routable:
@@ -393,21 +383,12 @@ class RouterService(LineProtocolServer):
                     f"(owners: {', '.join(owners)}); degraded until one "
                     f"re-registers",
                 )
-            primary = routable[0]
-            hedge = None
-            if len(routable) > 1 and any(
-                self.registry.state_of(owner) == SUSPECT for owner in owners
-            ):
-                # Some owner of this shard is under suspicion (missed
-                # heartbeats or a dead channel): race the two best
-                # candidates instead of betting one deadline on either.
-                # ``routable`` sorts alive before suspect, so this pairs
-                # the healthy replica with the suspect owner; the first
-                # good reply wins and the straggler is cancelled.
-                hedge = routable[1]
-                hedged = True
+            worker = next((w for w in routable if w not in tried), routable[0])
+            tried.add(worker)
             try:
-                reply = await self._attempt(primary, hedge, payload)
+                reply = await self._dispatch_to(
+                    worker, payload, self.policy.timeout_s
+                )
             except DispatchTimeout as exc:
                 failure, failure_kind, reason = str(exc), "timeout", "timeout"
             except ChannelClosed as exc:
@@ -420,11 +401,7 @@ class RouterService(LineProtocolServer):
                             "dispatch",
                             dispatch_start,
                             time.perf_counter(),
-                            {
-                                "worker": primary,
-                                "attempts": attempt + 1,
-                                "hedged": hedged,
-                            },
+                            {"worker": worker, "attempts": attempt + 1},
                         )
                     return reply.get("result", {})
                 error = reply.get("error", {})
@@ -433,9 +410,9 @@ class RouterService(LineProtocolServer):
                 if error_type not in RETRYABLE_WORKER_ERRORS:
                     raise ProtocolError(
                         error_type if error_type in ERROR_TYPES else "internal",
-                        f"worker {primary}: {message}",
+                        f"worker {worker}: {message}",
                     )
-                failure = f"worker {primary}: [{error_type}] {message}"
+                failure = f"worker {worker}: [{error_type}] {message}"
                 failure_kind, reason = "unavailable", error_type
             if attempt + 1 < self.policy.attempts:
                 # Only a re-dispatch is a retry; the last failure is not.
@@ -446,53 +423,6 @@ class RouterService(LineProtocolServer):
             f"shard {key} gave no answer after {self.policy.attempts} "
             f"attempts; last failure: {failure}",
         )
-
-    async def _attempt(
-        self, primary: str, hedge: str | None, payload: dict
-    ) -> dict:
-        """One dispatch attempt, optionally hedged to the ring successor.
-
-        Returns the first ``ok`` reply; an error reply is returned only
-        when no racer did better; transport failures raise only when
-        every racer failed.
-        """
-        timeout = self.policy.timeout_s
-        primary_task = asyncio.ensure_future(
-            self._dispatch_to(primary, payload, timeout)
-        )
-        if hedge is None:
-            return await primary_task
-        _HEDGES.inc()
-        tasks = {
-            primary_task,
-            asyncio.ensure_future(self._dispatch_to(hedge, payload, timeout)),
-        }
-        first_reply: dict | None = None
-        first_error: Exception | None = None
-        while tasks:
-            done, tasks = await asyncio.wait(
-                tasks, return_when=asyncio.FIRST_COMPLETED
-            )
-            # Retrieve every finished racer's exception before any return:
-            # a failed hedge finishing beside an ok primary would otherwise
-            # be logged as "Task exception was never retrieved".
-            outcomes = [(task, task.exception()) for task in done]
-            for task, exc in outcomes:
-                if exc is not None:
-                    first_error = first_error or exc
-                    continue
-                reply = task.result()
-                if reply.get("ok"):
-                    for straggler in tasks:
-                        straggler.cancel()
-                    if tasks:
-                        await asyncio.gather(*tasks, return_exceptions=True)
-                    return reply
-                first_reply = first_reply or reply
-        if first_reply is not None:
-            return first_reply
-        assert first_error is not None
-        raise first_error
 
     async def _dispatch_to(
         self, worker_id: str, payload: dict, timeout: float | None
@@ -545,7 +475,6 @@ class RouterService(LineProtocolServer):
         snapshot["identity"] = self.identity()
         snapshot["fabric"] = {
             "retries": int(sum(value for _, value in _RETRIES.items())),
-            "hedges": int(_HEDGES.value()),
             "degraded": int(_DEGRADED.value()),
             "channels": {
                 worker_id: {

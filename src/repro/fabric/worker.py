@@ -38,6 +38,10 @@ __all__ = ["FabricWorker"]
 #: Ceiling for one control-plane round trip (register/heartbeat/drain).
 CONTROL_TIMEOUT_S = 2.0
 
+#: Backoff between registration tries; the loop retries forever, so
+#: only the delay schedule is read.
+REGISTER_BACKOFF = RetryPolicy(base_ms=100.0, cap_ms=2000.0)
+
 
 class FabricWorker(ClassificationService):
     """A classification daemon that registers and heartbeats with a router.
@@ -59,20 +63,14 @@ class FabricWorker(ClassificationService):
         worker_id: str,
         router_address: str,
         ring: HashRing,
-        heartbeat_interval_s: float = DEFAULT_HEARTBEAT_INTERVAL_S,
-        register_policy: RetryPolicy | None = None,
         **service_kwargs,
     ) -> None:
         super().__init__(library, **service_kwargs)
         self.worker_id = worker_id
         self.router_address = router_address
         self.ring = ring
-        self.heartbeat_interval_s = heartbeat_interval_s
-        self.register_policy = (
-            register_policy
-            if register_policy is not None
-            else RetryPolicy(attempts=3, base_ms=100.0, cap_ms=2000.0)
-        )
+        #: Replaced by the router's cadence from its registration reply.
+        self.heartbeat_interval_s = DEFAULT_HEARTBEAT_INTERVAL_S
         self.registered = False
         self._control_task: asyncio.Task | None = None
 
@@ -159,7 +157,7 @@ class FabricWorker(ClassificationService):
                 await asyncio.sleep(60.0)
                 continue
             await asyncio.sleep(
-                self.register_policy.delay_ms(min(retry, 16)) / 1000.0
+                REGISTER_BACKOFF.delay_ms(min(retry, 16)) / 1000.0
             )
             retry += 1
 

@@ -78,8 +78,6 @@ class ClassificationService(LineProtocolServer):
         slow_ms: requests slower than this (end-to-end) are kept in the
             slow-request ring and logged (``serve --slow-ms``; ``<= 0``
             disables the slow log).
-        trace_capacity: bound of the recent-trace ring served by
-            ``GET /v1/trace/recent``.
         trace_sample: head-sample span detail to every N-th request
             (``serve --trace-sample``; ``1`` traces every request).
     """
@@ -95,13 +93,12 @@ class ClassificationService(LineProtocolServer):
         cache_size: int = 1 << 16,
         learner=None,
         slow_ms: float = DEFAULT_SLOW_MS,
-        trace_capacity: int = DEFAULT_TRACE_CAPACITY,
         trace_sample: int = DEFAULT_TRACE_SAMPLE,
     ) -> None:
         super().__init__(host=host, port=port)
         self.library = library
         self.tracer = obs.Tracer(
-            capacity=trace_capacity,
+            capacity=DEFAULT_TRACE_CAPACITY,
             slow_ms=slow_ms,
             sample_every=trace_sample,
         )

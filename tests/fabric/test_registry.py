@@ -29,12 +29,7 @@ def clock():
 
 @pytest.fixture()
 def registry(clock):
-    return WorkerRegistry(
-        heartbeat_interval_s=1.0,
-        suspect_misses=3,
-        evict_misses=8,
-        clock=clock,
-    )
+    return WorkerRegistry(heartbeat_interval_s=1.0, clock=clock)
 
 
 class TestLadder:
@@ -141,7 +136,3 @@ class TestValidation:
     def test_rejects_bad_intervals(self):
         with pytest.raises(ValueError):
             WorkerRegistry(heartbeat_interval_s=0.0)
-        with pytest.raises(ValueError):
-            WorkerRegistry(suspect_misses=5, evict_misses=5)
-        with pytest.raises(ValueError):
-            WorkerRegistry(suspect_misses=0, evict_misses=3)

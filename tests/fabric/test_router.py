@@ -8,9 +8,8 @@ worker that accepts connections and never answers).
 """
 
 import asyncio
-import gc
+import contextlib
 import json
-import logging
 import socket
 import threading
 import time
@@ -87,8 +86,9 @@ def http_stats(address):
     return json.loads(body)
 
 
-def stub_router(monkeypatch, attempt, attempts=3):
-    """A router with one registered worker whose dispatches ``attempt`` answers.
+def stub_router(monkeypatch, dispatch, attempts=3, workers=("w0",)):
+    """A router with registered ``workers`` whose dispatches ``dispatch``
+    answers, called as ``dispatch(worker_id, payload, timeout)``.
 
     No worker daemon runs, so the process's ``repro_service_*`` request
     series see only what the router itself counts.
@@ -100,16 +100,17 @@ def stub_router(monkeypatch, attempt, attempts=3):
         ),
         heartbeat_interval_s=30.0,
     )
-    router._register(
-        {
-            "worker": {
-                "worker_id": "w0",
-                "address": "127.0.0.1:9",
-                "ring": HashRing(("w0",)).spec(),
+    for worker_id in workers:
+        router._register(
+            {
+                "worker": {
+                    "worker_id": worker_id,
+                    "address": "127.0.0.1:9",
+                    "ring": HashRing(workers).spec(),
+                }
             }
-        }
-    )
-    monkeypatch.setattr(router, "_attempt", attempt)
+        )
+    monkeypatch.setattr(router, "_dispatch_to", dispatch)
     return router
 
 
@@ -121,7 +122,6 @@ def make_worker(tiny_library, worker_id, ring, router_address, **kwargs):
         router_address=router_address,
         ring=ring,
         port=0,
-        heartbeat_interval_s=0.1,
         **kwargs,
     )
 
@@ -349,7 +349,7 @@ class TestOneCounterPerEvent:
     def test_routed_request_counts_in_the_fabric_family_only(
         self, monkeypatch
     ):
-        async def answered(primary, hedge, payload):
+        async def answered(worker_id, payload, timeout):
             return {"ok": True, "result": {"hit": False, "n": 3}}
 
         reg = obs.registry()
@@ -371,7 +371,7 @@ class TestOneCounterPerEvent:
         assert after == (before[0] + 1, before[1])
 
     def test_exhausted_attempts_count_only_re_dispatches(self, monkeypatch):
-        async def times_out(primary, hedge, payload):
+        async def times_out(worker_id, payload, timeout):
             raise DispatchTimeout("injected deadline miss")
 
         router = stub_router(monkeypatch, times_out, attempts=3)
@@ -497,116 +497,124 @@ class TestBatchedShardKeys:
             assert ServiceClient.verify(reply["result"], tables[i])
 
 
-class TestTimeoutsAndHedging:
+@contextlib.contextmanager
+def hole_beside_replica(tiny_library):
+    """A router whose ring is a real worker plus a black hole.
+
+    The black hole is a listener that accepts and never replies: the
+    gray failure.  Both own every shard, so the real worker is the
+    replica of whatever the ring routes to the hole first.
+    """
+    hole = socket.socket()
+    hole.bind(("127.0.0.1", 0))
+    hole.listen(8)
+    hole_port = hole.getsockname()[1]
+    accepted = []
+
+    def accept_forever():
+        try:
+            while True:
+                conn, _ = hole.accept()
+                accepted.append(conn)  # keep open, never answer
+        except OSError:
+            pass
+
+    thread = threading.Thread(target=accept_forever, daemon=True)
+    thread.start()
+
+    ring = HashRing(("real", "hole"))
+    router = RouterService(
+        port=0,
+        policy=RetryPolicy(
+            attempts=3, base_ms=5.0, cap_ms=20.0, timeout_ms=300.0
+        ),
+        heartbeat_interval_s=30.0,  # liveness driven by data plane here
+    )
+    try:
+        with ThreadedService(router) as router_host:
+            worker = make_worker(
+                tiny_library, "real", ring, router_host.address
+            )
+            with ThreadedService(worker):
+                wait_for(
+                    lambda: router.registry.counts()["alive"] >= 1,
+                    message="real worker to register",
+                )
+                # Hand-register the black hole so the ring routes half
+                # its keys there first.
+                with ServiceClient(port=router.port) as client:
+                    client._roundtrip(
+                        {
+                            "op": "register",
+                            "id": 0,
+                            "worker": {
+                                "worker_id": "hole",
+                                "address": f"127.0.0.1:{hole_port}",
+                                "ring": ring.spec(),
+                            },
+                        }
+                    )
+                yield router
+    finally:
+        hole.close()
+        for conn in accepted:
+            conn.close()
+
+
+def match_verified(router, values):
+    with ServiceClient(port=router.port) as client:
+        for value in values:
+            table = TruthTable(3, value)
+            result = client.match(table)
+            assert result["hit"]
+            assert ServiceClient.verify(result, table)
+
+
+class TestTimeouts:
     def test_black_hole_worker_times_out_and_replica_answers(
         self, tiny_library
     ):
-        # A listener that accepts and never replies: the gray failure.
-        hole = socket.socket()
-        hole.bind(("127.0.0.1", 0))
-        hole.listen(8)
-        hole_port = hole.getsockname()[1]
-        accepted = []
+        with hole_beside_replica(tiny_library) as router:
+            match_verified(router, range(0, 256, 5))
+            stats = router._stats_snapshot()
+            # Some keys were owned by the hole first: the router must
+            # have timed out and retried onto the replica.
+            assert stats["fabric"]["retries"] >= 1
+            assert router.registry.state_of("hole") == "suspect"
 
-        def accept_forever():
-            try:
-                while True:
-                    conn, _ = hole.accept()
-                    accepted.append(conn)  # keep open, never answer
-            except OSError:
-                pass
-
-        thread = threading.Thread(target=accept_forever, daemon=True)
-        thread.start()
-
-        ring = HashRing(("real", "hole"))
-        router = RouterService(
-            port=0,
-            policy=RetryPolicy(
-                attempts=3, base_ms=5.0, cap_ms=20.0, timeout_ms=300.0
-            ),
-            heartbeat_interval_s=30.0,  # liveness driven by data plane here
-        )
-        try:
-            with ThreadedService(router) as router_host:
-                worker = make_worker(
-                    tiny_library, "real", ring, router_host.address
-                )
-                with ThreadedService(worker):
-                    wait_for(
-                        lambda: router.registry.counts()["alive"] >= 1,
-                        message="real worker to register",
-                    )
-                    # Hand-register the black hole so the ring routes
-                    # half its keys there first.
-                    with ServiceClient(port=router.port) as client:
-                        client._roundtrip(
-                            {
-                                "op": "register",
-                                "id": 0,
-                                "worker": {
-                                    "worker_id": "hole",
-                                    "address": f"127.0.0.1:{hole_port}",
-                                    "ring": ring.spec(),
-                                },
-                            }
-                        )
-                        for value in range(0, 256, 5):
-                            table = TruthTable(3, value)
-                            result = client.match(table)
-                            assert result["hit"]
-                            assert ServiceClient.verify(result, table)
-                    stats = router._stats_snapshot()
-                    # Some keys were owned by the hole first: the router
-                    # must have timed out and retried onto the replica.
-                    assert stats["fabric"]["retries"] >= 1
-                    assert router.registry.state_of("hole") == "suspect"
-                    # Once suspect, dispatches hedge to the successor.
-                    assert stats["fabric"]["hedges"] >= 1
-        finally:
-            hole.close()
-            for conn in accepted:
-                conn.close()
-
-    def test_refused_hedge_beside_ok_primary_is_retrieved(
-        self, monkeypatch, caplog
+    def test_suspect_owner_gets_no_dispatch_while_a_replica_is_alive(
+        self, tiny_library
     ):
-        # Both racers finish in one asyncio.wait round, and the ok primary
-        # is looked at first: the refused hedge must still be retrieved,
-        # or asyncio logs "Task exception was never retrieved" for it.
-        router = RouterService(port=0)
-
-        async def answered():
-            return {"ok": True}
-
-        async def refused():
-            raise ChannelClosed("Connect call failed")
-
-        def dispatch(worker_id, payload, timeout):
-            return answered() if worker_id == "primary" else refused()
-
-        real_wait = asyncio.wait
-        rounds = []
-
-        async def ok_first_wait(tasks, **kwargs):
-            done, pending = await real_wait(tasks, **kwargs)
-            rounds.append(len(done))
-            ordered = sorted(
-                done, key=lambda task: task.get_coro().__name__ != "answered"
+        with hole_beside_replica(tiny_library) as router:
+            match_verified(router, range(0, 256, 5))
+            assert router.registry.state_of("hole") == "suspect"
+            into_hole = scraped(
+                router.address, "repro_fabric_dispatch_seconds_count",
+                worker="hole",
             )
-            return ordered, pending
+            match_verified(router, range(1, 256, 5))
+            assert scraped(
+                router.address, "repro_fabric_dispatch_seconds_count",
+                worker="hole",
+            ) == into_hole
 
-        monkeypatch.setattr(router, "_dispatch_to", dispatch)
-        monkeypatch.setattr(router_module.asyncio, "wait", ok_first_wait)
-        with caplog.at_level(logging.ERROR, logger="asyncio"):
-            reply = asyncio.run(router._attempt("primary", "hedge", {}))
-            gc.collect()
-        assert reply == {"ok": True}
-        assert rounds == [2]
-        assert not [
-            record for record in caplog.records
-            if "never retrieved" in record.getMessage()
-        ]
+    def test_retry_goes_to_an_untried_owner(self, monkeypatch):
+        calls = []
+
+        async def first_refused(worker_id, payload, timeout):
+            calls.append(worker_id)
+            if len(calls) == 1:
+                raise ChannelClosed("Connect call failed")
+            return {"ok": True, "result": {"hit": False, "worker": worker_id}}
+
+        router = stub_router(monkeypatch, first_refused, workers=("a", "b"))
+        for worker_id in ("a", "b"):
+            router.registry.mark_suspect(worker_id)
+        with ThreadedService(router) as host:
+            with ServiceClient(port=host.port) as client:
+                result = client.match(TruthTable(3, 0xE8))
+        assert sorted(calls) == ["a", "b"]
+        assert result["worker"] == calls[1]
 
 
 class TestWorkerDaemon:

@@ -608,7 +608,6 @@ class TestFabricCommands:
             (["--base-ms", "-1"], "base_ms"),
             (["--timeout-ms", "0"], "timeout_ms"),
             (["--heartbeat-interval-s", "0"], "heartbeat"),
-            (["--suspect-misses", "9", "--evict-misses", "9"], "misses"),
             (["--trace-sample", "0"], "trace-sample"),
         ):
             assert main(["router", "--port", "0", *flags]) == 2
