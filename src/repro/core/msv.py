@@ -28,12 +28,10 @@ The complement-polarity key is *derived*, not recomputed: cofactor counts
 complement within their face size, influence and the sensitivity profile
 are unchanged, and the 0/1-split vectors simply swap.
 
-Key assembly is split from per-function computation so other producers of
-the raw characteristics — in particular the batched engine in
-:mod:`repro.engine`, which computes them vectorized over a whole packed
-batch — build *byte-identical* keys: they fill a :class:`SignaturePieces`
-and call :func:`msv_from_pieces`, the exact code path
-:func:`compute_msv` uses.
+:func:`compute_msv` is the oracle of the batched engine
+(:mod:`repro.engine.signatures`), which builds the same keys as flat
+integer rows over a whole packed batch; the tests hold the two
+byte-identical for every part selection.
 """
 
 from __future__ import annotations
@@ -201,11 +199,7 @@ def compute_msv(tt: TruthTable, parts=DEFAULT_PARTS) -> MixedSignature:
 
 
 def compute_pieces(tt: TruthTable, selected: tuple[str, ...]) -> SignaturePieces:
-    """Per-function (big-int kernel) computation of the raw pieces.
-
-    The batched counterpart is ``repro.engine.signatures.batched_pieces``,
-    which fills the same container from packed ``uint64`` arrays.
-    """
+    """Per-function (big-int kernel) computation of the raw pieces."""
     n = tt.n
     pieces = SignaturePieces(n=n, count=tt.count_ones())
     need = set(selected)

@@ -6,8 +6,8 @@ the bulk counterpart the Section V-C linearity claim deserves:
 
 * :class:`~repro.engine.packed.PackedTables` — many truth tables as one
   ``[batch, 2**n / 64]`` ``uint64`` matrix;
-* :mod:`repro.engine.signatures` — every MSV part computed vectorized
-  across the whole batch;
+* :mod:`repro.engine.signatures` — every MSV key computed as flat
+  integer rows across the whole batch;
 * :class:`~repro.engine.classifier.BatchedClassifier` — Algorithm 1 with
   buckets byte-identical to ``FacePointClassifier``'s.
 
@@ -18,10 +18,8 @@ complete matcher.
 
 from repro.engine.classifier import BatchedClassifier
 from repro.engine.packed import PackedTables
-from repro.engine.signatures import batched_pieces
 
 __all__ = [
     "BatchedClassifier",
     "PackedTables",
-    "batched_pieces",
 ]

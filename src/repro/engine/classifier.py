@@ -3,14 +3,15 @@
 :class:`BatchedClassifier` is a drop-in replacement for
 :class:`repro.core.classifier.FacePointClassifier` that moves the
 signature computation from one big-int at a time to whole
-:class:`~repro.engine.packed.PackedTables` batches.
+:class:`~repro.engine.packed.PackedTables` batches: each distinct table
+of a call is one flat row of :func:`repro.engine.signatures.signature_keys`.
 
 Contract: for any input sequence the classifier produces *identical*
 buckets to ``FacePointClassifier`` — same :class:`MixedSignature` keys,
-same first-seen group order, same member order.  The never-split
-invariant (NPN-equivalent functions always share a bucket) is therefore
-inherited rather than re-proved: both paths assemble keys through
-:func:`repro.core.msv.msv_from_pieces`.
+same first-seen group order, same member order.  The keys are checked
+byte for byte against :func:`repro.core.msv.compute_msv`, the scalar
+oracle, for every part selection; the never-split invariant
+(NPN-equivalent functions always share a bucket) carries over from it.
 """
 
 from __future__ import annotations
@@ -18,15 +19,10 @@ from __future__ import annotations
 from collections.abc import Iterable, Sequence
 
 from repro.core.classifier import ClassificationResult
-from repro.core.msv import (
-    DEFAULT_PARTS,
-    MixedSignature,
-    canonical_key,
-    normalize_parts,
-)
+from repro.core.msv import DEFAULT_PARTS, MixedSignature, normalize_parts
 from repro.core.truth_table import TruthTable
 from repro.engine.packed import PackedTables
-from repro.engine.signatures import batched_pieces
+from repro.engine.signatures import signature_keys
 
 __all__ = ["BatchedClassifier"]
 
@@ -37,8 +33,6 @@ class BatchedClassifier:
     Args:
         parts: which signature vectors make up the MSV (same selection as
             ``FacePointClassifier``).
-        chunk_size: rows per vectorized chunk; ``None`` picks a size that
-            keeps the ``[chunk, 2**n]`` temporaries cache-resident.
 
     Example:
         >>> from repro import TruthTable
@@ -49,13 +43,8 @@ class BatchedClassifier:
         1
     """
 
-    def __init__(
-        self,
-        parts: Iterable[str] = DEFAULT_PARTS,
-        chunk_size: int | None = None,
-    ) -> None:
+    def __init__(self, parts: Iterable[str] = DEFAULT_PARTS) -> None:
         self.parts = normalize_parts(parts)
-        self.chunk_size = chunk_size
 
     # ------------------------------------------------------------------
     # Signatures
@@ -99,10 +88,10 @@ class BatchedClassifier:
         distinct = dict.fromkeys(bits)  # first-seen order
         if packed is None or len(distinct) < len(bits):
             packed = PackedTables.from_ints(n, distinct)
-        pieces = batched_pieces(packed, parts, self.chunk_size)
+        keys = signature_keys(packed, parts)
         resolved = {
-            value: MixedSignature(n, parts, canonical_key(piece, parts))
-            for value, piece in zip(distinct, pieces)
+            value: MixedSignature(n, parts, key)
+            for value, key in zip(distinct, keys)
         }
         return [resolved[value] for value in bits]
 

@@ -34,7 +34,7 @@ __all__ = [
     "masked_popcount_rows",
     "flip_input_packed",
     "sensitivity_words_packed",
-    "unpack_bits",
+    "unpack_word_bits",
 ]
 
 _WORD_INDEX_BITS = 6  # log2(bitops.WORD_BITS)
@@ -173,11 +173,6 @@ def flip_input_packed(words: np.ndarray, n: int, i: int) -> np.ndarray:
 def sensitivity_words_packed(words: np.ndarray, n: int, i: int) -> np.ndarray:
     """Batched :func:`repro.core.bitops.sensitivity_word`."""
     return words ^ flip_input_packed(words, n, i)
-
-
-def unpack_bits(packed: PackedTables) -> np.ndarray:
-    """Unpack to a ``[batch, 2**n]`` ``uint8`` bit matrix (minterm order)."""
-    return unpack_word_bits(packed.words, packed.n)
 
 
 def unpack_word_bits(words: np.ndarray, n: int) -> np.ndarray:

@@ -17,8 +17,8 @@ Every representative is the *exact orbit minimum*
 (:mod:`repro.canonical.form`) and the id is ``n{n}-c{hex}`` where the
 hex **is** the representative.  Ids are a pure function of the orbit:
 injective (no collisions, ever), identical across machines and build
-orders.  The MSV digest only buckets the larger classes into the
-matching chains that pre-filter :meth:`ClassLibrary.match`.
+orders.  The MSV only buckets the larger classes into the matching
+chains that pre-filter :meth:`ClassLibrary.match`.
 
 Persistence is a directory holding two files:
 
@@ -195,11 +195,15 @@ class ClassLibrary:
 
     def __init__(self) -> None:
         self.classes: dict[str, NPNClassEntry] = {}
-        #: Lazy signature-digest index: digest bucket id -> ordered list
-        #: of candidate class ids (the matching chain).  ``None`` until the
-        #: first :meth:`match_many`; kept incrementally by
-        #: :meth:`add_class`, dropped on wholesale mutation.
-        self._chains: dict[str, list[str]] | None = None
+        #: Lazy signature index: ``hash(signature)`` -> ordered list of
+        #: candidate class ids (the matching chain).  Equal signatures
+        #: hash equal, so no class is lost; a hash collision only
+        #: lengthens a chain, and the matcher proves every witness.  The
+        #: digest (:meth:`base_id_of`) stays off this path: it costs a
+        #: ``repr`` and a blake2b per query.  ``None`` until the first
+        #: :meth:`match_many`; kept incrementally by :meth:`add_class`,
+        #: dropped on wholesale mutation.
+        self._chains: dict[int, list[str]] | None = None
 
     # ------------------------------------------------------------------
     # Introspection
@@ -247,10 +251,11 @@ class ClassLibrary:
     def base_id_of(signature: MixedSignature) -> str:
         """The signature's digest bucket id ``n{n}-{digest}``.
 
-        The matching chains are indexed under this key: it is the
-        pre-filter bucket of every class whose orbit has this signature
-        (several classes share it when their signatures collide).  The
-        fabric's shard key is the same string.
+        It names the bucket of every class whose orbit has this
+        signature (several classes share it when their signatures
+        collide), stable across processes: the fabric's shard key is
+        the same string.  The in-memory matching chains key on
+        ``hash(signature)`` instead.
         """
         return f"n{signature.n}-{signature.digest()}"
 
@@ -432,8 +437,8 @@ class ClassLibrary:
         """Resolve queries by walking their signature chains.
 
         ``signatures`` maps each query's index to its signature.  Each
-        query's chain holds the classes indexed under its signature
-        digest, in id order.  Round by round, queries whose candidate
+        query's chain holds the classes indexed under its signature's
+        hash, in id order.  Round by round, queries whose candidate
         proves NPN-inequivalent advance to the next chain position;
         single-entry chains — the overwhelmingly common case — finish in
         one grouped matcher round.
@@ -441,7 +446,7 @@ class ClassLibrary:
         chains = self._chain_index()
         active: dict[int, tuple[list[str], int]] = {}
         for index, signature in signatures.items():
-            chain = chains.get(self.base_id_of(signature))
+            chain = chains.get(hash(signature))
             if chain:
                 active[index] = (chain, 0)
         while active:
@@ -473,25 +478,25 @@ class ClassLibrary:
     # Candidate-chain index
     # ------------------------------------------------------------------
 
-    def _chain_index(self) -> dict[str, list[str]]:
-        """Digest bucket id -> ordered candidate class ids, built lazily.
+    def _chain_index(self) -> dict[int, list[str]]:
+        """Signature hash -> ordered candidate class ids, built lazily.
 
         Only classes above ``KERNEL_MATCH_VARS`` are indexed: smaller
         queries resolve by canonical form and never walk a chain.  Every
         indexed representative's signature is recomputed — one
-        vectorized batch — to group the classes under their digest
-        buckets, ordered by id (deterministic: the fixed-width hex sorts
+        vectorized batch — to group the classes under their signature
+        hashes, ordered by id (deterministic: the fixed-width hex sorts
         numerically).  A library with no such class signs nothing.
         """
         if self._chains is None:
-            chains: dict[str, list[str]] = {}
+            chains: dict[int, list[str]] = {}
             entries = [
                 e for e in self.entries() if e.n > KERNEL_MATCH_VARS
             ]
             reps = [e.representative for e in entries]
             signatures = BatchedClassifier(self.parts).signatures(reps) if reps else []
             for entry, signature in zip(entries, signatures):
-                chains.setdefault(self.base_id_of(signature), []).append(
+                chains.setdefault(hash(signature), []).append(
                     entry.class_id
                 )
             self._chains = chains
@@ -512,7 +517,7 @@ class ClassLibrary:
             return
         if signature is None:
             signature = compute_msv(entry.representative, self.parts)
-        chain = self._chains.setdefault(self.base_id_of(signature), [])
+        chain = self._chains.setdefault(hash(signature), [])
         chain.append(entry.class_id)
         chain.sort()
 

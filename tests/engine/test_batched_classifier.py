@@ -1,14 +1,66 @@
-"""BatchedClassifier: never-split parity, in-batch dedupe, batched pieces."""
+"""BatchedClassifier: keys equal to compute_msv, never-split parity, dedupe."""
 
-import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.classifier import FacePointClassifier
-from repro.core.msv import DEFAULT_PARTS, PART_NAMES, compute_msv, compute_pieces
+from repro.core.msv import (
+    PART_NAMES,
+    compute_msv,
+    compute_pieces,
+    msv_from_pieces,
+    normalize_parts,
+)
+from repro.core.truth_table import TruthTable
 from repro.engine import BatchedClassifier, PackedTables
-from repro.engine.signatures import batched_pieces, fwht_batch
-from repro.spectral.walsh import fwht
+from repro.engine.signatures import _chunk_rows, signature_keys
+from repro.experiments.table2 import COLUMNS
 from repro.workloads import random_tables, seeded_equivalent_tables
+from tests.strategies import npn_orbits, truth_tables
+
+#: Every part selection of Table II, plus all parts at once.
+SELECTIONS = sorted(
+    {normalize_parts(parts) for parts in COLUMNS.values()} | {PART_NAMES}
+)
+
+
+@st.composite
+def balanced_tables(draw, n: int) -> TruthTable:
+    """A function with exactly half its minterms set (the phase tie).
+
+    No 0-variable function is balanced; n = 0 draws a constant.
+    """
+    if n == 0:
+        return TruthTable(0, draw(st.integers(0, 1)))
+    order = draw(st.permutations(range(1 << n)))
+    return TruthTable(n, sum(1 << m for m in order[: 1 << (n - 1)]))
+
+
+@st.composite
+def signature_batches(draw, n: int) -> list[TruthTable]:
+    """Random, balanced and constant tables plus NPN images, shuffled."""
+    tables = draw(st.lists(truth_tables(n=n), max_size=4))
+    tables += draw(st.lists(balanced_tables(n), min_size=1, max_size=3))
+    tables += [TruthTable(n, 0), ~TruthTable(n, 0)]
+    seed_function, images = draw(npn_orbits(n=n, max_images=3))
+    tables += [seed_function, *images, ~images[0]]
+    return draw(st.permutations(tables))
+
+
+class TestKeysEqualComputeMsv:
+    """The batched engine's keys are ``compute_msv``'s, byte for byte."""
+
+    @pytest.mark.parametrize("n", range(9))
+    @settings(max_examples=12)
+    @given(data=st.data())
+    def test_signatures_and_digests_equal_the_oracle(self, n, data):
+        parts = data.draw(st.sampled_from(SELECTIONS))
+        tables = data.draw(signature_batches(n))
+        batched = BatchedClassifier(parts).signatures(tables)
+        oracle = [compute_msv(tt, parts) for tt in tables]
+        assert batched == oracle
+        assert [s.digest() for s in batched] == [s.digest() for s in oracle]
 
 
 class TestNeverSplitParity:
@@ -64,49 +116,28 @@ class TestNeverSplitParity:
         )
 
     def test_chunking_does_not_change_results(self):
-        tables = random_tables(5, 50, seed=31)
-        small_chunks = BatchedClassifier(chunk_size=7).classify(tables)
-        one_chunk = BatchedClassifier(chunk_size=1000).classify(tables)
-        assert small_chunks.buckets_digest() == one_chunk.buckets_digest()
+        step = _chunk_rows(6)
+        distinct = random_tables(6, step + 24, seed=31)
+        # Rows from both sides of the chunk boundary repeat in the batch.
+        # Dedupe keeps first-seen order, so the kernel sees ``distinct``
+        # as is and its boundary falls inside the repeated window.
+        window = distinct[step - 3 : step + 3]
+        tables = distinct[:step] + window + distinct[step:] + window[::-1]
+        signatures = BatchedClassifier().signatures(tables)
+        assert signatures == [compute_msv(tt) for tt in tables]
 
 
 class TestBatchedPieces:
     @pytest.mark.parametrize("n", [0, 1, 2, 4, 6, 7])
     def test_matches_per_function_pieces(self, n):
+        """Each part alone: its batched key is the per-function pieces'."""
         tables = random_tables(n, 20, seed=n + 40)
         packed = PackedTables.from_tables(tables)
-        selected = tuple(name for name in PART_NAMES if name != "spectral")
-        bulk = batched_pieces(packed, selected)
-        for piece, tt in zip(bulk, tables):
-            reference = compute_pieces(tt, selected)
-            assert piece.count == reference.count
-            assert sorted(piece.cof1) == sorted(reference.cof1)
-            assert sorted(piece.cof2) == sorted(reference.cof2)
-            assert sorted(piece.cof3) == sorted(reference.cof3)
-            for field in (
-                "oiv",
-                "hist1",
-                "hist0",
-                "hist_full",
-                "osdv1",
-                "osdv0",
-                "osdv_full",
-            ):
-                assert getattr(piece, field) == getattr(reference, field), field
-
-    def test_fwht_batch_matches_scalar_fwht(self):
-        rng = np.random.default_rng(3)
-        block = rng.integers(-5, 6, size=(9, 32), dtype=np.int64)
-        original = block.copy()
-        batched = fwht_batch(block)
-        assert np.array_equal(block, original)  # input is never modified
-        for row_in, row_out in zip(block, batched):
-            assert np.array_equal(fwht(row_in), row_out)
-
-    def test_fwht_batch_accepts_non_contiguous_input(self):
-        rng = np.random.default_rng(4)
-        wide = rng.integers(-3, 4, size=(16, 9), dtype=np.int64)
-        assert np.array_equal(fwht_batch(wide.T), np.stack([fwht(r) for r in wide.T]))
+        for name in PART_NAMES:
+            keys = signature_keys(packed, (name,))
+            for key, tt in zip(keys, tables):
+                reference = msv_from_pieces(compute_pieces(tt, (name,)), (name,))
+                assert key == reference.key, name
 
 
 class TestInBatchDedupe:
@@ -117,9 +148,9 @@ class TestInBatchDedupe:
 
         def spy(packed, *args, **kwargs):
             rows.append(len(packed))
-            return batched_pieces(packed, *args, **kwargs)
+            return signature_keys(packed, *args, **kwargs)
 
-        monkeypatch.setattr(engine_classifier, "batched_pieces", spy)
+        monkeypatch.setattr(engine_classifier, "signature_keys", spy)
         a, b = random_tables(4, 2, seed=17)
         signatures = BatchedClassifier().signatures([a, b, a, a, b])
         assert signatures[0] == signatures[2] == signatures[3]

@@ -12,7 +12,7 @@ from repro.engine.packed import (
     popcount_rows,
     popcount_words,
     sensitivity_words_packed,
-    unpack_bits,
+    unpack_word_bits,
 )
 from repro.workloads import random_tables
 
@@ -115,7 +115,7 @@ class TestKernels:
 
     def test_unpack_bits_matches_bit_array(self, batch):
         tables, packed = batch
-        bits = unpack_bits(packed)
+        bits = unpack_word_bits(packed.words, packed.n)
         assert bits.shape == (len(tables), 1 << packed.n)
         for row, tt in zip(bits, tables):
             assert np.array_equal(row, tt.bit_array())

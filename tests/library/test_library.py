@@ -141,11 +141,13 @@ class TestMatch:
 
 
 class TestChainWalk:
-    """Classes sharing a signature digest share one matching chain.
+    """Classes sharing a chain key share one matching chain.
 
-    Real digest collisions between NPN classes are rare to find by
-    search, so these tests index a class under another class's
-    signature with ``add_class(signature=...)``.  The constant-0 class
+    The chain key is ``hash(signature)``.  Real signature collisions
+    between NPN classes are rare to find by search, so these tests index
+    a class under another class's signature with
+    ``add_class(signature=...)``, or put two classes under one key as a
+    hash collision would.  The constant-0 class
     has the smallest id of its arity, so it always heads the chain.
     Chains index only ``n >= 6`` classes (smaller queries resolve by
     canonical form), so the functions here have six variables.
@@ -164,9 +166,7 @@ class TestChainWalk:
         library.add_class(
             zero, size=1, signature=compute_msv(tt, library.parts)
         )
-        chain = library._chains[
-            library.base_id_of(compute_msv(tt, library.parts))
-        ]
+        chain = library._chains[hash(compute_msv(tt, library.parts))]
         assert chain[0] == library.lookup(zero).class_id
         assert len(chain) == 1 + with_tt
         return library
@@ -195,6 +195,27 @@ class TestChainWalk:
         tt = TruthTable.random(6, random.Random(63))
         library = self.chained(tt, with_tt=False)
         assert library.match(tt) is None
+
+    def test_colliding_chain_key_resolves_each_query_to_its_class(self):
+        from repro.core.msv import compute_msv
+
+        rng = random.Random(64)
+        tables = [TruthTable.random(6, rng) for _ in range(2)]
+        library = ClassLibrary()
+        for tt in tables:
+            library.add_class(tt, size=1)
+        chains = library._chain_index()
+        keys = [hash(compute_msv(tt, library.parts)) for tt in tables]
+        assert keys[0] != keys[1]
+        # A hash collision: both signatures find one chain of two classes.
+        shared = sorted(chains.pop(keys[0]) + chains.pop(keys[1]))
+        chains[keys[0]] = chains[keys[1]] = shared
+        for tt in tables:
+            image = tt.apply(random_transform(6, rng))
+            hit = library.match(image)
+            assert hit is not None
+            assert hit.class_id == library.lookup(tt).class_id
+            assert hit.verify(image)
 
 
 class TestMatchMany:

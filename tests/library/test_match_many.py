@@ -223,7 +223,7 @@ class TestScalarMatcherParity:
         hits = 0
         for query, signature, match in zip(queries, signatures, matches):
             expected = None
-            for class_id in chains.get(library.base_id_of(signature), ()):
+            for class_id in chains.get(hash(signature), ()):
                 entry = library.classes[class_id]
                 witness = find_npn_transform_scalar(entry.representative, query)
                 if witness is not None:

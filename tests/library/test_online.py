@@ -375,6 +375,11 @@ class TestKernelWitnessLearnPath:
             assert outcome.verify(tt)
         monkeypatch.undo()
         incremental = {key: list(ids) for key, ids in library._chains.items()}
+        # Each n = 6 mint is indexed under its signature's hash.
+        for tt, signature in zip(burst, signatures):
+            if tt.n == 6:
+                class_id = library.lookup(tt).class_id
+                assert class_id in incremental[hash(signature)]
         library._chains = None
         assert library._chain_index() == incremental
         for tt in burst:
