@@ -298,12 +298,16 @@ def _pair_distances(spectra: np.ndarray, n: int) -> np.ndarray:
 
 
 def _fwht_minterms_first(out: np.ndarray) -> np.ndarray:
-    """Unnormalised integer Walsh-Hadamard transform along axis 0, in place.
+    """Unnormalised integer Walsh-Hadamard transform along axis 0.
 
     ``out`` is ``[2**n, columns]`` with the minterm axis first, so every
     butterfly step adds and subtracts contiguous blocks of whole rows
     (``right' = left - right`` is computed as ``left' - 2 * right``).
+    A C-contiguous ``out`` is transformed in place and returned; any
+    other layout is transformed in a contiguous copy, so callers must
+    use the return value.
     """
+    out = np.ascontiguousarray(out)
     size = out.shape[0]
     h = 1
     while h < size:

@@ -1,5 +1,6 @@
 """BatchedClassifier: keys equal to compute_msv, never-split parity, dedupe."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,8 +15,13 @@ from repro.core.msv import (
 )
 from repro.core.truth_table import TruthTable
 from repro.engine import BatchedClassifier, PackedTables
-from repro.engine.signatures import _chunk_rows, signature_keys
+from repro.engine.signatures import (
+    _chunk_rows,
+    _fwht_minterms_first,
+    signature_keys,
+)
 from repro.experiments.table2 import COLUMNS
+from repro.spectral.walsh import fwht
 from repro.workloads import random_tables, seeded_equivalent_tables
 from tests.strategies import npn_orbits, truth_tables
 
@@ -59,6 +65,18 @@ class TestKeysEqualComputeMsv:
         tables = data.draw(signature_batches(n))
         batched = BatchedClassifier(parts).signatures(tables)
         oracle = [compute_msv(tt, parts) for tt in tables]
+        assert batched == oracle
+        assert [s.digest() for s in batched] == [s.digest() for s in oracle]
+
+    def test_int64_butterfly_above_int32_range_equals_the_oracle(self):
+        # The stacked transform runs in int64 from n = 11 (8**n >= 2**31).
+        # At n = 12 a constant table's distance sums reach 2**33, which
+        # int32 would wrap.
+        n = 12
+        tables = random_tables(n, 3, seed=53)
+        tables += [TruthTable(n, (1 << (1 << (n - 1))) - 1), TruthTable(n, 0)]
+        batched = BatchedClassifier(PART_NAMES).signatures(tables)
+        oracle = [compute_msv(tt, PART_NAMES) for tt in tables]
         assert batched == oracle
         assert [s.digest() for s in batched] == [s.digest() for s in oracle]
 
@@ -138,6 +156,24 @@ class TestBatchedPieces:
             for key, tt in zip(keys, tables):
                 reference = msv_from_pieces(compute_pieces(tt, (name,)), (name,))
                 assert key == reference.key, name
+
+    def test_fwht_batch_matches_scalar_fwht(self):
+        """The stacked butterfly transforms each column like ``fwht``."""
+        rng = np.random.default_rng(3)
+        for dtype in (np.int32, np.int64):
+            stack = rng.integers(-5, 6, size=(32, 9)).astype(dtype)
+            original = stack.copy()
+            spectra = _fwht_minterms_first(stack)
+            assert spectra is stack  # contiguous input: in place
+            for column_in, column_out in zip(original.T, spectra.T):
+                assert np.array_equal(fwht(column_in), column_out)
+
+    def test_fwht_batch_accepts_non_contiguous_input(self):
+        rng = np.random.default_rng(4)
+        wide = rng.integers(-3, 4, size=(9, 16), dtype=np.int64)
+        original = wide.copy()
+        spectra = _fwht_minterms_first(wide.T)
+        assert np.array_equal(spectra, np.stack([fwht(r) for r in original]).T)
 
 
 class TestInBatchDedupe:
