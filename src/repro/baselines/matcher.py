@@ -16,9 +16,13 @@ reach of exhaustive enumeration:
 3. enumerate the transforms surviving the key and first-level cofactor
    constraints and check them **all in one vectorized gather+compare**
    through :mod:`repro.kernels` (``n <= 6``): variable keys are
-   computed batched as int64 rows, candidate index maps are looked up
-   in the precomputed gather table, and one fancy-indexed gather checks
-   every candidate of every query — across queries and across sources;
+   computed batched as int64 rows; a target with one key-equal variable
+   per slot reads its permutation straight off the candidate masks,
+   every other target tests all ``n!`` permutations of the gather table
+   in one fancy-index; one fancy-indexed gather per surviving
+   (target, permutation) pair — across queries and across sources —
+   packs its image, and its free input polarities expand by
+   ``np.repeat`` into in-word input flips of that image;
 4. targets whose candidates exceed a cap (highly symmetric functions)
    are decided by exact canonical forms instead: one batched
    exhaustive kernel pass over them and their sources, equal minima
@@ -48,7 +52,6 @@ whose cost does not depend on the symmetry.
 
 from __future__ import annotations
 
-import itertools
 from collections.abc import Iterator, Sequence
 from functools import lru_cache
 
@@ -63,7 +66,6 @@ from repro.kernels import MAX_KERNEL_VARS
 
 __all__ = [
     "find_npn_transform",
-    "find_npn_transforms_from",
     "find_npn_transforms_grouped",
     "find_npn_transform_scalar",
     "are_npn_equivalent",
@@ -74,18 +76,24 @@ __all__ = [
 #: sized for a working set of library representatives plus recent queries.
 VARIABLE_KEY_CACHE_SIZE = 4096
 
-#: Per-target candidate budget of the batched path; targets enumerating
-#: more (highly symmetric functions) are resolved by comparing exact
-#: canonical forms instead.  Measured on a 2-core x86 host: matching the
-#: EPFL-like cut functions runs at 8.4k cuts/s with a cap of 1,024, 8.6k
-#: at 512 and 9.7k at 256; at 128 random ``n = 6`` hits get 10-25%
-#: slower (some of them overflow) for no clear gain on the cuts.
-_BULK_CANDIDATE_CAP = 256
+#: Per-target, per-output-phase candidate budget of the batched path;
+#: targets enumerating more (highly symmetric functions) are resolved by
+#: comparing exact canonical forms instead.  Of the 246 distinct
+#: ``n = 6`` cut functions of ``perfbench``'s ``cuts-library`` circuits,
+#: 36 overflow a cap of 256, 28 of 512, 10 of 1,024, 6 of 4,096 and none
+#: of 46,080 (= 6! * 2**6).  Matching all of them in one grouped call
+#: took a median 40, 37, 34, 35, 36 and 87 ms at caps 256, 512, 1,024,
+#: 2,048, 4,096 and 46,080 (11 interleaved calls each on a 2-core x86
+#: host, Python 3.11, numpy 2.4).
+_BULK_CANDIDATE_CAP = 1024
 
-#: Candidate rows the batched path accumulates before a gather flush —
-#: bounds the numpy intermediates and the Python candidate lists no
-#: matter how large (or how symmetric) the query batch is.
-_GATHER_WINDOW = 1 << 16
+#: Entry budget of the batched path's temporaries: at most this many
+#: (search row, permutation) pairs are tested at once, and at most this
+#: many candidates (plus one pair's ``2**n``) checked at once — bounding
+#: numpy intermediates no matter how large (or how symmetric) the query
+#: batch is.  At ``1 << 16`` the ``cuts-library`` peak RSS rose by
+#: 1.7 MiB over this value, for no measured speed.
+_GATHER_WINDOW = 1 << 14
 
 
 def find_npn_transform(
@@ -96,18 +104,6 @@ def find_npn_transform(
     Complete: returns a transform iff the functions are NPN equivalent.
     """
     return find_npn_transforms_grouped([(source, [target])])[0][0]
-
-
-def find_npn_transforms_from(
-    source: TruthTable, targets: Sequence[TruthTable]
-) -> list[NPNTransform | None]:
-    """Witnesses mapping ``source`` onto each target, sharing all pruning.
-
-    The single-source bulk form of :func:`find_npn_transform`; entry
-    ``i`` is ``None`` when ``targets[i]`` is not NPN-equivalent to
-    ``source`` (including arity mismatches).
-    """
-    return find_npn_transforms_grouped([(source, list(targets))])[0]
 
 
 def find_npn_transforms_grouped(
@@ -256,14 +252,10 @@ def _vector_search_arity(
 ) -> None:
     """Resolve all pending (pair, target) slots of one arity in-place."""
     size = 1 << n
-    mask = bitops.table_mask(n)
 
-    # One batched key pass over every pending target; the complement
-    # encodings (for output phase 1) are derived, not recomputed.
-    matrices = kernels.key_matrices(
-        n, [pairs[p][1][t].bits for p, t in pending]
-    )
-    complements = kernels.complement_key_matrices(matrices, n)
+    # One batched key pass over every pending target.
+    target_ints = [pairs[p][1][t].bits for p, t in pending]
+    matrices = kernels.key_matrices(n, target_ints)
 
     # Distinct sources of this arity share bit-matrix rows in the gather
     # and stack their (LRU-cached) key rows for the candidate matrices.
@@ -280,129 +272,99 @@ def _vector_search_arity(
             src_ints.append(source.bits)
             src_stack.append(_source_key_matrix(source))
         src_of_target[k] = row
-    s_keys = np.stack([s[0] for s in src_stack])[src_of_target]
-    s_cofs = np.stack([s[1] for s in src_stack])[src_of_target]
     s_counts = np.array([s[2] for s in src_stack], dtype=np.int64)[
         src_of_target
     ]
 
-    # Candidate matrices across the whole batch: ``masks[k][i][v]`` is
-    # the bitmask of input polarities slot ``i`` may take reading
-    # variable ``v`` (0 when the keys differ or no polarity fits), and
-    # ``counts[k][i]`` the number of key-equal candidates (the slot
-    # ordering criterion of the scalar backtracker).  Phase-1 state is
-    # computed lazily, only over the sub-batch whose satisfy counts make
-    # output negation viable at all.
-    phase0_viable = s_counts == matrices.counts
-    phase1_viable = s_counts == size - matrices.counts
-    phase_state: list[dict | None] = [None, None]
-    for phase, viable, key_state in (
-        (0, phase0_viable, matrices),
-        (1, phase1_viable, complements),
-    ):
-        if not viable.any():
-            continue
-        rows = np.flatnonzero(viable)
-        sub = kernels.KeyMatrices(
-            key_state.counts[rows],
-            key_state.keys[rows],
-            key_state.cofactors[rows],
-        )
-        phase_state[phase] = _phase_state(
-            s_keys[rows], s_cofs[rows], sub, rows, n
-        )
+    # One search row per (target, output phase) whose satisfy counts
+    # make the phase viable at all; phase-0 rows come first.
+    viable0 = np.flatnonzero(s_counts == matrices.counts)
+    viable1 = np.flatnonzero(s_counts == size - matrices.counts)
+    targets = np.concatenate([viable0, viable1])
+    if not targets.size:
+        return
+    t_keys = matrices.keys[viable0]
+    t_cofs = matrices.cofactors[viable0]
+    goals = np.array(target_ints, dtype=np.uint64)[targets]
+    if viable1.size:
+        # Output phase 1 matches ``~target``, whose key encodings are
+        # derived, not recomputed.
+        complements = kernels.complement_key_matrices(matrices, n)
+        t_keys = np.concatenate([t_keys, complements.keys[viable1]])
+        t_cofs = np.concatenate([t_cofs, complements.cofactors[viable1]])
+        goals[viable0.size :] ^= np.uint64(bitops.table_mask(n))
+    sources = src_of_target[targets]
+    masks, counts = _candidate_masks(
+        np.stack([s[0] for s in src_stack])[sources],
+        np.stack([s[1] for s in src_stack])[sources],
+        t_keys,
+        t_cofs,
+    )
 
     table = kernels.gather_table(n)
     src_bits = kernels.bit_matrix(n, src_ints)
+    slots = np.arange(n, dtype=np.int8)
 
-    cand_perms: list[tuple[int, ...]] = []
-    cand_phases: list[int] = []
-    cand_src: list[int] = []
-    segments: list[tuple[int, int, int, int, int, int]] = []
-    overflow: list[int] = []
+    def first_hits(row, perm_row, phase):
+        """Each target's hit with the smallest order key.
 
-    def flush() -> None:
-        """Gather-and-compare the accumulated candidate window.
-
-        Windows bound both the numpy intermediates and the Python
-        candidate lists — the batched path never materialises more than
-        ``_GATHER_WINDOW`` candidate rows at once, mirroring the entry
-        budget the kernels apply everywhere else.  A target's segments
-        are always flushed together (the window only rolls over between
-        targets), so the phase-0-before-phase-1 resolution order holds.
+        The key weighs the digit ``perm[s] * 2 + polarity[s]`` of slot
+        ``s`` by ``(2n)^(n-1-d)`` at its stable most-constrained-first
+        depth ``d``, and ranks output phase 1 after all of phase 0: the
+        smallest key is the backtracker's first hit.
         """
-        if not cand_perms:
-            return
-        rows = np.fromiter(
-            (table.row_of(perm) for perm in cand_perms),
-            dtype=np.intp,
-            count=len(cand_perms),
+        if row.size < 2:
+            return row, perm_row, phase
+        radix = 2 * n
+        depth = np.argsort(
+            np.argsort(counts[row], axis=1, kind="stable"), axis=1
         )
-        maps = table.index_maps(rows, np.array(cand_phases, dtype=np.uint8))
-        images = src_bits[np.array(cand_src, dtype=np.intp)[:, None], maps]
-        packed = kernels.pack_rows(images).tolist()
-        # Segments preserve the search order: output phase 0 before 1,
-        # then candidate enumeration order — the first hit is the witness
-        # the scalar backtracker would have returned.
-        for p, t, output_phase, start, stop, g_value in segments:
-            if results[p][t] is not None:
-                continue
-            for c in range(start, stop):
-                if packed[c] == g_value:
-                    results[p][t] = NPNTransform(
-                        cand_perms[c], cand_phases[c], output_phase
-                    )
-                    break
-        cand_perms.clear()
-        cand_phases.clear()
-        cand_src.clear()
-        segments.clear()
+        digits = table.perms[perm_row] * 2 + ((phase[:, None] >> slots) & 1)
+        key = (digits * radix ** (n - 1 - depth)).sum(axis=1)
+        key += (row >= viable0.size) * radix**n
+        target = targets[row]
+        order = np.lexsort((key, target))
+        first = np.ones(order.size, dtype=bool)
+        first[1:] = target[order[1:]] != target[order[:-1]]
+        won = order[first]
+        return row[won], perm_row[won], phase[won]
 
-    for k, (p, t) in enumerate(pending):
-        target = pairs[p][1][t]
-        collected: list[tuple[int, list, int]] | None = []
-        for output_phase, state in enumerate(phase_state):
-            if state is None:
-                continue
-            local = state["local"].get(k)
-            if local is None:
-                continue
-            unique = state["unique"][local]
-            if unique is not None:
-                candidates = [unique] if unique else []
-            else:
-                candidates = _collect_assignments(
-                    n,
-                    state["masks"][local].tolist(),
-                    state["counts"][local].tolist(),
-                    _BULK_CANDIDATE_CAP,
-                )
-            if candidates is None:
-                collected = None  # highly symmetric: canonical forms decide
-                break
-            if not candidates:
-                continue
-            g_value = target.bits if output_phase == 0 else target.bits ^ mask
-            collected.append((output_phase, candidates, g_value))
-        if collected is None:
-            overflow.append(k)
-            continue
-        row = int(src_of_target[k])
-        for output_phase, candidates, g_value in collected:
-            start = len(cand_perms)
-            for perm, phase in candidates:
-                cand_perms.append(perm)
-                cand_phases.append(phase)
-                cand_src.append(row)
-            segments.append(
-                (p, t, output_phase, start, len(cand_perms), g_value)
+    # One gather per (row, permutation) pair, with its forced
+    # polarities; its free ones expand by flipping the packed image.
+    over_cap = np.zeros(len(targets), dtype=bool)
+    hits = []
+    for row, perm_row, sel in _candidate_pairs(n, masks, counts, over_cap):
+        phase = ((sel == 2) << slots).sum(axis=1, dtype=np.uint8)
+        maps = table.index_maps(perm_row, phase)
+        images = kernels.pack_rows(src_bits[sources[row][:, None], maps])
+        free = sel == 3
+        if free.any():
+            row, perm_row, phase, images = _flip_free(
+                table.perms, row, perm_row, phase, images, free
             )
-        if len(cand_perms) >= _GATHER_WINDOW:
-            flush()
-    flush()
+        hit = np.flatnonzero(images == goals[row])
+        if hit.size:
+            hits.append(first_hits(row[hit], perm_row[hit], phase[hit]))
+    if len(hits) > 1:  # windows reduce separately: once more across them
+        hits = [first_hits(*map(np.concatenate, zip(*hits)))]
 
+    overflow = set(targets[over_cap].tolist())
+    for row, perm_row, phase in hits:
+        for k, perm, input_phase, output_phase in zip(
+            targets[row].tolist(),
+            table.perms[perm_row].tolist(),
+            phase.tolist(),
+            (row >= viable0.size).tolist(),
+        ):
+            if k not in overflow:
+                p, t = pending[k]
+                results[p][t] = NPNTransform(
+                    tuple(perm), input_phase, int(output_phase)
+                )
     if overflow:
-        _resolve_by_canonical_form(n, pairs, pending, overflow, results)
+        _resolve_by_canonical_form(
+            n, pairs, pending, sorted(overflow), results
+        )
 
 
 def _resolve_by_canonical_form(
@@ -435,29 +397,21 @@ def _resolve_by_canonical_form(
             )
 
 
-def _phase_state(
+def _candidate_masks(
     s_keys: np.ndarray,
     s_cofs: np.ndarray,
-    t_matrices: kernels.KeyMatrices,
-    rows: np.ndarray,
-    n: int,
-) -> dict:
-    """Candidate state for one output phase over a viable sub-batch.
+    t_keys: np.ndarray,
+    t_cofs: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """``(masks, counts)`` of a batch of (source, target) search rows.
 
-    ``masks[l][i][v]``: bit ``b`` set iff slot ``i`` of the source may
+    ``masks[l, i, v]``: bit ``b`` set iff slot ``i`` of the source may
     read target variable ``v`` with input polarity ``b`` — keys equal
     and the first-level cofactor counts line up (g-words with ``x_v =
-    c`` are f-words with ``w_i = c ^ b``).  ``counts[l][i]`` counts
+    c`` are f-words with ``w_i = c ^ b``).  ``counts[l, i]`` counts
     key-equal candidates only (polarity-blind), preserving the scalar
     backtracker's most-constrained-slot ordering.
-
-    ``unique[l]`` resolves the dominant case without any Python search:
-    the single surviving assignment as ``(perm, phase)`` when every slot
-    has exactly one key-equal candidate with exactly one feasible
-    polarity, ``()`` when the matrices already prove no assignment
-    exists, and ``None`` when the backtracking collector must run.
     """
-    t_keys, t_cofs = t_matrices.keys, t_matrices.cofactors
     equal_keys = (s_keys[:, :, None, :] == t_keys[:, None, :, :]).all(-1)
     s_view = s_cofs[:, :, None, :]  # [L, slot, 1, col]
     t_view = t_cofs[:, None, :, :]  # [L, 1, var, col]
@@ -466,86 +420,149 @@ def _phase_state(
     masks = np.where(
         equal_keys, pol0.astype(np.int8) | (pol1.astype(np.int8) << 1), np.int8(0)
     )
-    counts = equal_keys.sum(axis=-1)
-
-    total = len(rows)
-    unique: list[tuple | None] = [None] * total
-    if n:
-        single = (counts == 1).all(axis=1)
-        perm = equal_keys.argmax(axis=-1)
-        perm_ok = (np.sort(perm, axis=1) == np.arange(n)).all(axis=1)
-        polarity = np.take_along_axis(masks, perm[..., None], axis=2)[..., 0]
-        nonzero = (polarity != 0).all(axis=1)
-        one_polarity = (polarity & (polarity - 1) == 0).all(axis=1)
-        rejected = (counts == 0).any(axis=1) | (single & ~(perm_ok & nonzero))
-        resolved = single & perm_ok & nonzero & one_polarity
-        phases = (((polarity >> 1) & 1) << np.arange(n)).sum(axis=1)
-        perm_rows = perm.tolist()
-        phase_values = phases.tolist()
-        for l in np.flatnonzero(rejected):
-            unique[l] = ()
-        for l in np.flatnonzero(resolved):
-            unique[l] = (tuple(perm_rows[l]), phase_values[l])
-    return {
-        "local": {int(k): l for l, k in enumerate(rows)},
-        "masks": masks,
-        "counts": counts,
-        "unique": unique,
-    }
+    return masks, equal_keys.sum(axis=-1)
 
 
-def _slot_order(order_counts: list) -> list[int]:
-    """Most-constrained-first slot order (the backtracker's heuristic)."""
-    return sorted(range(len(order_counts)), key=order_counts.__getitem__)
+def _candidate_pairs(
+    n: int, masks: np.ndarray, counts: np.ndarray, over_cap: np.ndarray
+) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Windows of ``(row, perm row, slot masks)`` candidate pairs.
 
+    A pair is one search row and one gather-table permutation every
+    slot of which has a feasible polarity (``sel[s]`` is the mask of
+    slot ``s`` at its variable); it stands for the ``2**f`` candidates
+    over its ``f`` free (mask ``3``) slots.  Rows whose candidate total
+    exceeds ``_BULK_CANDIDATE_CAP`` are flagged in ``over_cap`` and
+    yield nothing.
 
-def _collect_assignments(
-    n: int, mask_rows: list, order_counts: list, cap: int
-) -> list[tuple[tuple[int, ...], int]] | None:
-    """All ``(perm, input_phase)`` assignments, or ``None`` over ``cap``.
-
-    Stops the enumeration one past ``cap``, so an overflowing target
-    costs ``cap + 1`` assignments, not its whole candidate set.
+    Rows with exactly one key-equal variable per slot read their
+    permutation straight off the masks.  Every other row is tested
+    against all ``n!`` permutations of the gather table in one
+    fancy-index, ``_GATHER_WINDOW // n!`` rows at a time.  There the
+    ``n`` slot masks of one permutation are read as the bytes of one
+    ``uint64`` word, so the feasibility test and the count of free
+    slots are a few word operations per permutation.
     """
-    out = list(
-        itertools.islice(_iter_assignments(n, mask_rows, order_counts), cap + 1)
-    )
-    return None if len(out) > cap else out
-
-
-def _iter_assignments(
-    n: int, mask_rows: list, order_counts: list
-) -> Iterator[tuple[tuple[int, ...], int]]:
-    """Every assignment the masks allow, in the backtracker's order."""
-    if min(order_counts, default=1) == 0:
+    single = (counts == 1).all(axis=1)
+    rows = np.flatnonzero(single)
+    if rows.size:
+        ranks, place = _perm_ranks(n)
+        sub = masks[rows]  # only the key-equal variable's mask can be nonzero
+        sel = sub.max(axis=2)
+        perm_rows = ranks[sub.argmax(axis=2) @ place]
+        totals = 1 << (sel == 3).sum(axis=1)
+        ok = (perm_rows >= 0) & sel.all(axis=1)
+        if totals.max() > _BULK_CANDIDATE_CAP:
+            capped = totals > _BULK_CANDIDATE_CAP
+            over_cap[rows[ok & capped]] = True
+            ok &= ~capped
+        if not ok.all():
+            rows, perm_rows = rows[ok], perm_rows[ok]
+            sel, totals = sel[ok], totals[ok]
+        yield from _windows(rows, perm_rows, sel, totals)
+    if single.all():
         return
-    order = _slot_order(order_counts)
-    slot_var = [0] * n
-    slot_pol = [0] * n
-    used = [False] * n
+    rows = np.flatnonzero(~single & (counts > 0).all(axis=1))
+    # Byte ``n * n`` of a row is a neutral ``1`` the unused bytes read.
+    flat = np.ones((len(masks), n * n + 1), dtype=np.int8)
+    flat[:, : n * n] = masks.reshape(len(masks), n * n)
+    index = _slot_bytes(n)
+    ones = np.uint64(0x0101010101010101)
+    step = max(1, _GATHER_WINDOW // len(index))
+    for start in range(0, rows.size, step):
+        chunk = rows[start : start + step]
+        sel = np.take(flat[chunk], index, axis=1)  # [R, n!, 8]
+        word = sel.view(np.uint64)[..., 0]
+        # Bit 0 of byte ``s``: slot ``s`` has some polarity / has both.
+        feasible = ((word | (word >> 1)) & ones) == ones
+        free = ((word & (word >> 1) & ones) * ones) >> 56  # sums the bytes
+        per_perm = feasible << free.astype(np.int16)
+        capped = per_perm.sum(axis=1) > _BULK_CANDIDATE_CAP
+        over_cap[chunk[capped]] = True
+        per_perm[capped] = 0
+        r, p = np.nonzero(per_perm)
+        yield from _windows(chunk[r], p, sel[r, p, :n], per_perm[r, p])
 
-    def extend(depth: int) -> Iterator[tuple[tuple[int, ...], int]]:
-        if depth == n:
-            phase = 0
-            for i in range(n):
-                phase |= slot_pol[i] << i
-            yield tuple(slot_var), phase
-            return
-        slot = order[depth]
-        row = mask_rows[slot]
-        for v in range(n):
-            allowed = row[v]
-            if not allowed or used[v]:
-                continue
-            used[v] = True
-            slot_var[slot] = v
-            for polarity in (0, 1):
-                if (allowed >> polarity) & 1:
-                    slot_pol[slot] = polarity
-                    yield from extend(depth + 1)
-            used[v] = False
 
-    yield from extend(0)
+def _windows(
+    rows: np.ndarray,
+    perm_rows: np.ndarray,
+    sels: np.ndarray,
+    totals: np.ndarray,
+) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Split pairs into windows of at most ``_GATHER_WINDOW`` candidates
+    (or one pair's ``totals``, when that alone is more)."""
+    ends = np.cumsum(totals)
+    start = 0
+    while start < rows.size:
+        base = ends[start - 1] if start else 0
+        stop = max(
+            start + 1,
+            int(np.searchsorted(ends, base + _GATHER_WINDOW, "right")),
+        )
+        yield rows[start:stop], perm_rows[start:stop], sels[start:stop]
+        start = stop
+
+
+def _flip_free(
+    perms: np.ndarray,
+    rows: np.ndarray,
+    perm_rows: np.ndarray,
+    phases: np.ndarray,
+    images: np.ndarray,
+    free: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Expand each pair into its ``2**f`` candidates by ``np.repeat``.
+
+    Candidate ``c`` of a pair reads bit ``j`` of ``c`` as the polarity
+    of its ``j``-th free slot.  Flipping slot ``s`` flips the image's
+    input ``perm[s]``: a swap of the packed word's ``2**perm[s]``-blocks
+    — no second gather.
+    """
+    count = 1 << free.sum(axis=1)
+    pair = np.repeat(np.arange(count.size), count)
+    offset = np.arange(pair.size) - np.repeat(np.cumsum(count) - count, count)
+    before = np.cumsum(free, axis=1) - free  # free slots ahead of each slot
+    phases = phases[pair]
+    images = images[pair]
+    for s in np.flatnonzero(free.any(axis=0)):
+        bit = (offset >> before[pair, s]) & 1
+        flip = np.flatnonzero(free[pair, s] & (bit == 1))
+        var = perms[perm_rows[pair[flip]], s]
+        images[flip] = kernels.flip_input(images[flip], var, perms.shape[1])
+        phases[flip] |= np.uint8(1 << s)
+    return rows[pair], perm_rows[pair], phases, images
+
+
+@lru_cache(maxsize=None)
+def _perm_ranks(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """``(ranks, place)``: the gather-table row of ``perm`` is
+    ``ranks[perm @ place]``, or ``-1`` when ``perm`` repeats a variable.
+
+    ``place`` reads a variable vector as a base-``n`` number; a
+    permutation's row is its lexicographic rank (the
+    :func:`itertools.permutations` order of the gather table).
+    """
+    place = n ** np.arange(n)
+    ranks = np.full(n**n, -1, dtype=np.int16)  # n! <= 720
+    perms = kernels.gather_table(n).perms.astype(np.intp)
+    ranks[perms @ place] = np.arange(len(perms))
+    ranks.setflags(write=False)
+    return ranks, place
+
+
+@lru_cache(maxsize=None)
+def _slot_bytes(n: int) -> np.ndarray:
+    """``[n!, 8]`` index into a row's flattened ``[n * n + 1]`` masks.
+
+    Byte ``s < n`` of permutation ``p`` reads ``masks[s, perms[p, s]]``;
+    the bytes past ``n`` read the neutral entry ``n * n``.
+    """
+    perms = kernels.gather_table(n).perms.astype(np.intp)
+    index = np.full((len(perms), 8), n * n, dtype=np.intp)
+    index[:, :n] = np.arange(n) * n + perms
+    index.setflags(write=False)
+    return index
 
 
 # ----------------------------------------------------------------------

@@ -36,6 +36,7 @@ from repro.kernels.ops import (
     bit_matrix,
     canonical_min,
     canonical_min_transforms,
+    flip_input,
     orbit,
     orbit_chunks,
     pack_rows,
@@ -54,6 +55,7 @@ __all__ = [
     "apply_transforms",
     "bit_matrix",
     "pack_rows",
+    "flip_input",
     "transform_index_maps",
     "orbit",
     "orbit_chunks",

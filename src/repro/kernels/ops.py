@@ -29,6 +29,7 @@ orbit is built with shifts and masks on ``uint64`` words.
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator, Sequence
+from functools import lru_cache
 
 import numpy as np
 
@@ -40,6 +41,7 @@ from repro.kernels.gather import MAX_KERNEL_VARS, GatherTable, gather_table
 __all__ = [
     "bit_matrix",
     "pack_rows",
+    "flip_input",
     "transform_index_maps",
     "apply_transforms",
     "orbit",
@@ -233,6 +235,32 @@ def orbit(
     )
 
 
+def flip_input(words: np.ndarray, var, n: int) -> np.ndarray:
+    """Packed ``n``-input tables ``words`` with input ``var`` negated.
+
+    Negating ``x_v`` swaps each word's ``2**v``-bit blocks where
+    ``x_v = 0`` and ``x_v = 1``.  ``var`` is one input or an integer
+    array of inputs broadcasting against ``words``.
+    """
+    shifts, lows = _flip_masks(n)
+    shift, low = shifts[var], lows[var]
+    return ((words >> shift) & low) | ((words & low) << shift)
+
+
+@lru_cache(maxsize=None)
+def _flip_masks(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """``(shifts, lows)`` per input ``v``: the block width ``2**v`` and
+    the minterms of an ``n``-input table with ``x_v = 0``, as ``uint64``."""
+    shifts = np.array([1 << v for v in range(n)], dtype=np.uint64)
+    full = bitops.table_mask(n)
+    lows = np.array(
+        [full & ~bitops.var_mask(n, v) for v in range(n)], dtype=np.uint64
+    )
+    shifts.setflags(write=False)
+    lows.setflags(write=False)
+    return shifts, lows
+
+
 def _np_image_words(
     gt: GatherTable, ints: Sequence[int]
 ) -> Iterator[tuple[int, np.ndarray]]:
@@ -249,18 +277,12 @@ def _np_image_words(
     ``perms[p][i]`` of ``j``.
     """
     n = gt.n
-    full = bitops.table_mask(n)
-    lows = [
-        (np.uint64(1 << i), np.uint64(full & ~bitops.var_mask(n, i)))
-        for i in range(n)
-    ]
     chunk = max(1, _WORD_BUDGET // gt.np_group_order)
     for start in range(0, len(ints), chunk):
         bits = bit_matrix(n, ints[start : start + chunk])
         words = pack_rows(bits[:, gt.perm_maps])  # [chunk, n!]
-        for shift, low in lows:
-            flipped = ((words >> shift) & low) | ((words & low) << shift)
-            words = np.concatenate([words, flipped], axis=1)
+        for i in range(n):
+            words = np.concatenate([words, flip_input(words, i, n)], axis=1)
         yield start, words
 
 

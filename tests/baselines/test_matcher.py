@@ -2,6 +2,7 @@
 
 import functools
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -13,7 +14,6 @@ from repro.baselines.matcher import (
     are_npn_equivalent,
     find_npn_transform,
     find_npn_transform_scalar,
-    find_npn_transforms_from,
     find_npn_transforms_grouped,
     variable_keys,
 )
@@ -205,23 +205,53 @@ class TestScalarParity:
         assert witness == image_to_form.inverse().compose(to_form)
 
     def test_symmetric_inequivalent_overflow_pair_is_none(self, monkeypatch):
-        """Two quadratic forms whose graphs (a 6-cycle, two triangles)
-        are not isomorphic share every variable key and the satisfy
-        count, so they overflow the candidate cap — and are rejected."""
+        """Two quadratic forms whose graphs (two triangles; a 4-clique
+        with two ears) are not isomorphic share every variable key and
+        the satisfy count, and every cofactor is balanced: all 46,080
+        NP transforms are candidates, so the pair overflows the cap —
+        and is rejected."""
         calls = self.spy_overflow(monkeypatch)
 
         def quadratic(edges):
             return TruthTable.from_function(
-                6,
-                lambda *xs: (sum(xs[a] & xs[b] for a, b in edges) + xs[0]) % 2,
+                6, lambda *xs: sum(xs[a] & xs[b] for a, b in edges) % 2
             )
 
-        cycle = quadratic([(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 0)])
         triangles = quadratic([(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)])
-        assert cycle.count_ones() == triangles.count_ones()
-        assert find_npn_transform(cycle, triangles) is None
+        clique = [(a, b) for a in range(4) for b in range(a + 1, 4)]
+        ears = quadratic(clique + [(0, 4), (1, 4), (2, 5), (3, 5)])
+        assert triangles.count_ones() == ears.count_ones()
+        assert sorted(variable_keys(triangles)) == sorted(variable_keys(ears))
+        assert find_npn_transform(triangles, ears) is None
         assert calls == [1]
-        assert find_npn_transform_scalar(cycle, triangles) is None
+        assert find_npn_transform_scalar(triangles, ears) is None
+
+    @pytest.mark.parametrize("cap, overflows", [(720, False), (719, True)])
+    def test_candidate_cap_boundary(self, monkeypatch, cap, overflows):
+        """A target with exactly the cap's candidates takes the gather,
+        one with a candidate more overflows.  The 6-input threshold-4
+        function has 6! = 720: every permutation, one polarity a slot."""
+        monkeypatch.setattr(matcher, "_BULK_CANDIDATE_CAP", cap)
+        calls = self.spy_overflow(monkeypatch)
+        source = _weight_function(6, range(4, 7))
+        image = source.apply(random_transform(6, random.Random(3)))
+        witness = find_npn_transform(source, image)
+        assert calls == ([1] if overflows else [])
+        assert witness is not None and source.apply(witness) == image
+        if not overflows:
+            assert witness == find_npn_transform_scalar(source, image)
+
+    def test_small_windows_give_the_same_witnesses(self, monkeypatch):
+        """Chunked enumeration and windowed gathers — one pair or one
+        row at a time — pick the same witnesses as one big window."""
+        rng = random.Random(31)
+        groups = []
+        for source in _cut_function_pool(6)[:12]:
+            targets = [source.apply(random_transform(6, rng)) for _ in range(3)]
+            groups.append((source, targets + [TruthTable.random(6, rng)]))
+        expected = find_npn_transforms_grouped(groups)
+        monkeypatch.setattr(matcher, "_GATHER_WINDOW", 64)
+        assert find_npn_transforms_grouped(groups) == expected
 
     def test_large_arity_falls_back_to_scalar(self):
         rng = random.Random(77)
@@ -241,7 +271,7 @@ class TestBulkAPIs:
             + [TruthTable.random(5, rng) for _ in range(10)]
             + [source, ~source]
         )
-        bulk = find_npn_transforms_from(source, targets)
+        bulk = find_npn_transforms_grouped([(source, targets)])[0]
         singles = [find_npn_transform(source, t) for t in targets]
         assert bulk == singles
 
@@ -262,14 +292,14 @@ class TestBulkAPIs:
 
     def test_arity_mismatch_target_is_none(self):
         source = TruthTable.random(4, random.Random(8))
-        bulk = find_npn_transforms_from(
-            source, [TruthTable(3, 6), source]
-        )
+        bulk = find_npn_transforms_grouped(
+            [(source, [TruthTable(3, 6), source])]
+        )[0]
         assert bulk[0] is None
         assert bulk[1] is not None and bulk[1].is_identity
 
     def test_empty_targets(self):
-        assert find_npn_transforms_from(TruthTable.majority(3), []) == []
+        assert find_npn_transforms_grouped([(TruthTable.majority(3), [])]) == [[]]
         assert find_npn_transforms_grouped([]) == []
 
 
@@ -291,7 +321,9 @@ class TestVerificationFinalStep:
             ],
         )
         assert find_npn_transform(and3, or3) is None
-        assert find_npn_transforms_from(and3, [or3, or3]) == [None, None]
+        assert find_npn_transforms_grouped([(and3, [or3, or3])]) == [
+            [None, None]
+        ]
 
     def test_bogus_scalar_search_result_is_rejected(self, monkeypatch):
         and3 = TruthTable.from_function(3, lambda a, b, c: a & b & c)
@@ -434,3 +466,33 @@ def test_symmetric_verdicts_match_the_scalar_search(data):
             assert (witness is None) == (scalar is None)
             if witness is not None:
                 assert source.apply(witness) == target
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_witnesses_below_the_cap_match_the_scalar_search(data):
+    """On tie-heavy sources, every target the over-cap resolver does not
+    receive gets the scalar backtracker's witness byte for byte."""
+    n = data.draw(arities(3, 6), label="n")
+    groups = []
+    for _ in range(data.draw(st.integers(1, 3), label="groups")):
+        source = data.draw(symmetric_functions(n), label="source")
+        targets = [
+            source.apply(data.draw(npn_transforms(n=n), label="transform")),
+            source.apply(data.draw(npn_transforms(n=n), label="transform")),
+            data.draw(symmetric_functions(n), label="other"),
+        ]
+        groups.append((source, targets))
+    overflowed = set()
+    resolve = matcher._resolve_by_canonical_form
+
+    def spy(n, pairs, pending, overflow, results):
+        overflowed.update(pending[k] for k in overflow)
+        resolve(n, pairs, pending, overflow, results)
+
+    with mock.patch.object(matcher, "_resolve_by_canonical_form", spy):
+        rows = find_npn_transforms_grouped(groups)
+    for p, ((source, targets), row) in enumerate(zip(groups, rows)):
+        for t, (target, witness) in enumerate(zip(targets, row)):
+            if (p, t) not in overflowed:
+                assert witness == find_npn_transform_scalar(source, target)

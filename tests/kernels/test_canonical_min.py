@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 
 from repro.baselines.exact_enum import exact_npn_canonical
 from repro.core import bitops
+from repro.core.transforms import NPNTransform
 from repro.core.truth_table import TruthTable
 from repro.kernels import ops
 from repro.kernels.gather import MAX_KERNEL_VARS, gather_table
@@ -126,3 +127,21 @@ def test_transforms_accept_truth_tables_and_check_arity():
         canonical_min_transforms([tt.bits])
     with pytest.raises(ValueError):
         canonical_min_transforms([tt], n=4)
+
+
+@pytest.mark.parametrize("n", range(1, MAX_KERNEL_VARS + 1))
+@settings(max_examples=10)
+@given(data=st.data())
+def test_flip_input_negates_one_input_per_word(n, data):
+    tables = data.draw(truth_table_batches(n, max_size=8))
+    words = np.array([t.bits for t in tables], dtype=np.uint64)
+    var = np.array(
+        data.draw(st.lists(st.integers(0, n - 1), min_size=len(tables),
+                           max_size=len(tables))),
+        dtype=np.intp,
+    )
+    flipped = ops.flip_input(words, var, n).tolist()
+    for tt, v, image in zip(tables, var.tolist(), flipped):
+        flip = NPNTransform(tuple(range(n)), 1 << v, 0)
+        assert image == tt.apply(flip).bits
+        assert int(ops.flip_input(np.uint64(tt.bits), v, n)) == image
