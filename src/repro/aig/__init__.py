@@ -7,8 +7,8 @@ replicate that front-end in Python:
 * :mod:`repro.aig.network` — AIG data structure with structural hashing;
 * :mod:`repro.aig.aiger` — ASCII AIGER reader/writer;
 * :mod:`repro.aig.simulate` — bit-parallel simulation and cone functions;
-* :mod:`repro.aig.cuts` — k-feasible priority-cut enumeration, each cut
-  carrying its truth table;
+* :mod:`repro.aig.cuts` — k-feasible priority-cut enumeration, every
+  kept cut's truth table from one simulation per circuit;
 * :mod:`repro.aig.builders` — EPFL-like arithmetic/control generators.
 """
 

@@ -9,39 +9,40 @@ polynomial on large networks — the standard scheme from cut-based FPGA
 mapping, which is also how the paper extracts Boolean functions from the
 EPFL benchmarks.
 
-Every cut carries an exact leaf mask (a Python int, bit ``i`` set for
-leaf variable ``i``): merging two fanin cuts is ``a.mask | b.mask`` plus
-``bit_count()``, and ``s`` dominates ``c`` when ``s.mask & ~c.mask == 0``
-(checked only against survivors with fewer leaves).
-
-Every kept cut also carries its truth table over its sorted leaves, so
-no cone is walked per cut.  A merged cut's table is the AND of its two
-fanin cuts' tables, each stretched to the union leaves (replicated, then
-its variables swapped into place from the top down) and complemented
-per the fanin literal.  One case breaks that rule: a union leaf can lie
-strictly inside a fanin cut's cone, where
-:func:`~repro.aig.simulate.cone_function` treats it as a free variable
-while the merge would compute it from the fanin cut's leaves.  Each cut
-therefore also tracks the mask of its cone-interior nodes (root
-included, leaves excluded); where the union mask meets either fanin's
-interior, the table comes from ``cone_function`` instead.  Every table
-thus equals :func:`~repro.aig.simulate.cut_function` of the same cut,
-which stays as the reference oracle.
+Phase 1 picks the leaf sets on plain int masks and builds no table.  Bit
+``top - v`` stands for variable ``v`` (``top`` the largest index), so the
+descending order of equal-size masks is the ascending order of their
+sorted leaves.  Phase 2 computes every kept cut's table in one
+level-synchronous numpy simulation per circuit: a cut is a column of
+``uint64`` words (``2^(n-6)`` for an ``n``-leaf cut with ``n > 6``), each
+level's AND nodes are one gather, and each leaf is then overwritten with
+its projection word at its own level.  A leaf inside another leaf's cone
+thus stays a free variable, as in :func:`~repro.aig.simulate.cone_function`,
+so every table equals :func:`~repro.aig.simulate.cut_function`, which
+stays as the reference oracle.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
-from functools import lru_cache
-from itertools import islice, zip_longest
+from itertools import chain, islice, zip_longest
+from typing import NamedTuple
+
+import numpy as np
 
 from repro.aig.network import AIG
-from repro.aig.simulate import cone_function
 from repro.core import bitops
 from repro.core.truth_table import TruthTable
 
-__all__ = ["Cut", "enumerate_cuts", "cut_statistics", "iter_cut_functions"]
+__all__ = [
+    "Cut", "CutArrays", "cut_arrays", "enumerate_cuts", "cut_statistics",
+    "iter_cut_functions",
+]
+
+#: Word budget of one simulation block's value matrix (``rows x columns x
+#: words``); a block holds as many cut columns as fit, and at least one.
+_BLOCK_WORDS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -49,23 +50,21 @@ class Cut:
     """An immutable cut: leaf variables, their exact bitmask, its function.
 
     ``function`` is the cut's truth table over its sorted leaves (leaf
-    ``i`` is table variable ``i``) and ``interior`` the mask of the nodes
-    strictly inside its cone.  :func:`enumerate_cuts` fills both in; a
-    cut built by :meth:`of` or :func:`merge_cuts` has no function.
-    Neither takes part in equality: a cut is its leaf set.
+    ``i`` is table variable ``i``).  :func:`enumerate_cuts` fills it in;
+    a cut built by :meth:`of` alone has none.  It takes no part in
+    equality: a cut is its leaf set.
     """
 
     leaves: tuple[int, ...]
     mask: int
     function: int | None = field(default=None, compare=False)
-    interior: int = field(default=0, compare=False, repr=False)
 
     @classmethod
-    def of(cls, leaves: tuple[int, ...]) -> "Cut":
+    def of(cls, leaves: tuple[int, ...], function: int | None = None) -> "Cut":
         mask = 0
         for leaf in leaves:
             mask |= 1 << leaf
-        return cls(leaves, mask)
+        return cls(leaves, mask, function)
 
     @property
     def size(self) -> int:
@@ -80,12 +79,59 @@ class Cut:
         return self.mask & ~other.mask == 0
 
 
-def merge_cuts(a: Cut, b: Cut, k: int) -> Cut | None:
-    """Union of two fanin cuts if it stays k-feasible."""
-    mask = a.mask | b.mask
-    if mask.bit_count() > k:
-        return None
-    return Cut(_leaves(mask), mask)
+class CutArrays(NamedTuple):
+    """Kept cuts of a network's AND nodes, one row each, in enumeration
+    order: AND variables topologically, each node's cuts in priority
+    order, its trivial cut last.  ``tables[i]`` is cut ``i``'s table over
+    its sorted ``leaves[i]`` as little-endian ``uint64`` words (one, or
+    ``2^(k-6)`` for ``k > 6``), zero beyond its ``2^sizes[i]`` bits."""
+
+    roots: np.ndarray
+    sizes: np.ndarray
+    leaves: list[tuple[int, ...]]
+    tables: np.ndarray
+
+    def functions(self) -> list[int]:
+        """Every row's table as one Python int."""
+        if self.tables.shape[1] == 1:
+            return self.tables[:, 0].tolist()
+        return [int.from_bytes(row.tobytes(), "little") for row in self.tables]
+
+
+def cut_arrays(
+    aig: AIG, sizes: Iterable[int], max_cuts: int = 16, include_trivial: bool = True
+) -> CutArrays:
+    """The priority cuts of the wanted ``sizes``, with their tables.
+
+    Args:
+        aig: the network.
+        sizes: leaf counts to return; the largest is the cut size ``k``
+            (the paper sweeps the equivalent of 4..10), and selection
+            sees every size up to it.
+        max_cuts: per-node cap; the kept cuts are the smallest ones
+            (classical priority-cut pruning).
+        include_trivial: keep the singleton ``{v}`` cut on AND nodes.
+    """
+    wanted = set(sizes)
+    if not wanted or min(wanted) < 1:
+        raise ValueError("cut sizes must be positive")
+    if max(wanted) > bitops.MAX_VARS:
+        raise ValueError(f"cut size must be in 1..{bitops.MAX_VARS}")
+    fanins = [aig.fanins(variable) for variable in aig.and_variables()]
+    top = aig.num_vars - 1
+    roots: list[int] = []
+    leaves: list[tuple[int, ...]] = []
+    for root, masks in zip(
+        aig.and_variables(),
+        _priority_masks(aig, fanins, max(wanted), max_cuts, include_trivial),
+    ):
+        masks = [mask for mask in masks if mask.bit_count() in wanted]
+        roots += [root] * len(masks)
+        leaves += [_leaves(mask, top) for mask in masks]
+    root_array = np.array(roots, dtype=np.int64)
+    size_array = np.fromiter(map(len, leaves), dtype=np.int64, count=len(leaves))
+    tables = _simulate(aig, fanins, root_array, size_array, leaves, max(wanted))
+    return CutArrays(root_array, size_array, leaves, tables)
 
 
 def enumerate_cuts(
@@ -93,39 +139,19 @@ def enumerate_cuts(
 ) -> dict[int, list[Cut]]:
     """All (priority) k-feasible cuts of every variable, with their tables.
 
-    Args:
-        aig: the network.
-        k: maximum cut size (the paper sweeps the equivalent of 4..10).
-        max_cuts: per-node cap; the kept cuts are the smallest ones
-            (classical priority-cut pruning).
-        include_trivial: keep the singleton ``{v}`` cut on AND nodes.
+    Arguments as for :func:`cut_arrays` with ``sizes = 1..k``.
 
     Returns:
         Map from variable index to its cut list.  Inputs own just their
         trivial cut.  Every cut's ``function`` is its truth table.
     """
-    if not 1 <= k <= bitops.MAX_VARS:
-        raise ValueError(f"cut size must be in 1..{bitops.MAX_VARS}")
-    cuts: dict[int, list[Cut]] = {}
-    for variable in aig.input_variables():
-        cuts[variable] = [_trivial_cut(variable)]
-    constant = [_CONSTANT_CUT]
-    for variable in aig.and_variables():
-        f0, f1 = aig.fanins(variable)
-        # First fanin pair per leaf set, in fanin-cut order.
-        pairs: dict[int, tuple[Cut, Cut]] = {}
-        for cut_a in cuts.get(f0 >> 1, constant):
-            for cut_b in cuts.get(f1 >> 1, constant):
-                mask = cut_a.mask | cut_b.mask
-                if mask.bit_count() <= k and mask not in pairs:
-                    pairs[mask] = (cut_a, cut_b)
-        kept = [
-            _merged(aig, variable, leaves, mask, *pairs[mask], f0 & 1, f1 & 1)
-            for leaves, mask in _select(pairs, max_cuts)
-        ]
-        if include_trivial:
-            kept.append(_trivial_cut(variable))
-        cuts[variable] = kept
+    arrays = cut_arrays(aig, range(1, k + 1), max_cuts, include_trivial)
+    cuts = {v: [Cut.of((v,), 0b10)] for v in aig.input_variables()}
+    cuts.update((v, []) for v in aig.and_variables())
+    for root, leaves, function in zip(
+        arrays.roots.tolist(), arrays.leaves, arrays.functions()
+    ):
+        cuts[root].append(Cut.of(leaves, function))
     return cuts
 
 
@@ -136,26 +162,19 @@ def iter_cut_functions(
 
     Every enumerated cut occurrence is yielded — including duplicate
     functions from different nodes — so downstream consumers can count
-    honest per-cut hit rates (the library cut-matching experiment) or
-    deduplicate themselves (the extraction pipeline's behaviour).
-    Deterministic: AND variables in topological order, each node's cut
-    list in priority order.  The tables are the ones enumeration
-    carries; nothing is cached between calls.  Invalid ``sizes`` raise
-    here, at call time, not at first iteration.
+    honest per-cut hit rates or deduplicate themselves (the extraction
+    pipeline's behaviour).  Deterministic: AND variables in topological
+    order, each node's cut list in priority order.  The cuts are
+    enumerated at call time, so invalid ``sizes`` raise here; nothing is
+    cached between calls.
     """
-    wanted = sorted(set(sizes))
-    if not wanted or wanted[0] < 1:
-        raise ValueError("cut sizes must be positive")
-    return _iter_cut_functions(aig, wanted, max_cuts)
-
-
-def _iter_cut_functions(aig: AIG, wanted: list[int], max_cuts: int):
-    cuts = enumerate_cuts(aig, k=max(wanted), max_cuts=max_cuts)
-    wanted_set = set(wanted)
-    for variable in aig.and_variables():
-        for cut in cuts[variable]:
-            if cut.size in wanted_set:
-                yield variable, cut, TruthTable(cut.size, cut.function)
+    arrays = cut_arrays(aig, sizes, max_cuts)
+    return (
+        (root, Cut.of(leaves, function), TruthTable(len(leaves), function))
+        for root, leaves, function in zip(
+            arrays.roots.tolist(), arrays.leaves, arrays.functions()
+        )
+    )
 
 
 def cut_statistics(cuts: dict[int, list[Cut]]) -> dict[int, int]:
@@ -167,41 +186,38 @@ def cut_statistics(cuts: dict[int, list[Cut]]) -> dict[int, int]:
     return dict(sorted(histogram.items()))
 
 
-#: The empty cut owned by the constant node; its table is constant 0.
-_CONSTANT_CUT = Cut((), 0, 0)
+def _priority_masks(
+    aig: AIG, fanins: list, k: int, max_cuts: int, include_trivial: bool
+) -> list[list[int]]:
+    """Phase 1: every AND node's kept leaf sets, as masks."""
+    top = aig.num_vars - 1
+    # Indexed by variable.  An AND node never has a constant fanin.
+    masks: list[list[int]] = [[]]
+    masks += ([1 << (top - variable)] for variable in aig.input_variables())
+    for variable, (f0, f1) in zip(aig.and_variables(), fanins):
+        by_size: dict[int, list[int]] = {}
+        for mask in {a | b for a in masks[f0 >> 1] for b in masks[f1 >> 1]}:
+            size = mask.bit_count()
+            if size <= k:
+                by_size.setdefault(size, []).append(mask)
+        kept = _select(by_size, max_cuts)
+        if include_trivial:
+            kept.append(1 << (top - variable))
+        masks.append(kept)
+    return masks[aig.num_inputs + 1 :]
 
 
-def _trivial_cut(variable: int) -> Cut:
-    """The singleton cut ``{v}``: the projection ``x_0`` over one leaf."""
-    return Cut((variable,), 1 << variable, 0b10)
-
-
-def _leaves(mask: int) -> tuple[int, ...]:
-    """The set bits of ``mask``, ascending."""
-    leaves = []
-    while mask:
-        low = mask & -mask
-        leaves.append(low.bit_length() - 1)
-        mask ^= low
-    return tuple(leaves)
-
-
-def _select(
-    pairs: dict[int, tuple[Cut, Cut]], max_cuts: int
-) -> list[tuple[tuple[int, ...], int]]:
+def _select(by_size: dict[int, list[int]], max_cuts: int) -> list[int]:
     """Drop dominated leaf sets; keep ``max_cuts`` diverse ones.
 
     Each set is checked against the survivors of smaller sizes only (an
     equal-size set can only be dominated by itself), so the check needs
     no order within a size; the survivors of each size are then sorted
-    by their leaves.  Selection round-robins across size groups instead
-    of keeping only the smallest cuts: the downstream consumer is
-    function *extraction*, which needs large cuts as much as small ones.
-    Returns ``(leaves, mask)`` pairs in selection order.
+    by their leaves (descending masks).  Selection round-robins across
+    size groups instead of keeping only the smallest cuts: the
+    downstream consumer is function *extraction*, which needs large cuts
+    as much as small ones.  Returns the masks in selection order.
     """
-    by_size: dict[int, list[int]] = {}
-    for mask in pairs:
-        by_size.setdefault(mask.bit_count(), []).append(mask)
     groups = []
     smaller: list[int] = []
     for size in sorted(by_size):
@@ -213,75 +229,136 @@ def _select(
             else:
                 survivors.append(mask)
         smaller += survivors
-        groups.append(sorted((_leaves(mask), mask) for mask in survivors))
-    ranked = (cut for rank in zip_longest(*groups) for cut in rank if cut is not None)
+        groups.append(sorted(survivors, reverse=True))
+    ranked = (m for rank in zip_longest(*groups) for m in rank if m is not None)
     return list(islice(ranked, max_cuts))
 
 
-def _merged(
-    aig: AIG,
-    root: int,
-    leaves: tuple[int, ...],
-    mask: int,
-    cut_a: Cut,
-    cut_b: Cut,
-    negate_a: int,
-    negate_b: int,
-) -> Cut:
-    """The cut of ``root`` over ``leaves``, from its fanin pair."""
-    if (cut_a.interior | cut_b.interior) & mask:
-        return _cone_cut(aig, root, leaves, mask)
-    table = _stretch(cut_a, leaves, negate_a) & _stretch(cut_b, leaves, negate_b)
-    return Cut(leaves, mask, table, cut_a.interior | cut_b.interior | 1 << root)
+def _leaves(mask: int, top: int) -> tuple[int, ...]:
+    """The variables of a phase-1 mask, ascending."""
+    leaves = []
+    while mask:
+        high = mask.bit_length() - 1
+        leaves.append(top - high)
+        mask ^= 1 << high
+    return tuple(leaves)
 
 
-def _cone_cut(aig: AIG, root: int, leaves: tuple[int, ...], mask: int) -> Cut:
-    """A cut whose table the merge cannot give, from the cone walk."""
-    interior = 0
-    stack = [root]
-    while stack:
-        variable = stack.pop()
-        bit = 1 << variable
-        if variable == 0 or (mask | interior) & bit:
-            continue
-        interior |= bit
-        f0, f1 = aig.fanins(variable)
-        stack += (f0 >> 1, f1 >> 1)
-    table = cone_function(aig, 2 * root, leaves).bits
-    return Cut(leaves, mask, table, interior)
+#: Table mask of an ``n``-leaf cut below six leaves, and the XOR word of a
+#: fanin literal's complement bit.
+_SHORT_MASKS = np.array([bitops.table_mask(n) for n in range(6)], dtype=np.uint64)
+_NEGATE = np.array([0, bitops.table_mask(6)], dtype=np.uint64)
 
 
-def _stretch(cut: Cut, leaves: tuple[int, ...], negate: int) -> int:
-    """``cut``'s table over the superset ``leaves``, complemented if asked."""
-    table = cut.function
-    if cut.leaves != leaves:
-        positions = tuple(map(leaves.index, cut.leaves))
-        replicate, swaps = _stretch_plan(len(leaves), positions)
-        table *= replicate
-        for shift, low_side in swaps:
-            delta = ((table >> shift) ^ table) & low_side
-            table ^= delta ^ (delta << shift)
-    return table ^ bitops.table_mask(len(leaves)) if negate else table
+def _simulate(
+    aig: AIG, fanins: list, roots: np.ndarray, sizes: np.ndarray, leaves: list, k: int
+) -> np.ndarray:
+    """Phase 2: every cut's table, one row of ``2^max(0, k-6)`` words.
 
-
-@lru_cache(maxsize=1 << 12)
-def _stretch_plan(
-    n: int, positions: tuple[int, ...]
-) -> tuple[int, tuple[tuple[int, int], ...]]:
-    """How to move an ``m``-variable table onto ``n`` variables.
-
-    Variable ``i`` of the source goes to ``positions[i]`` (ascending).
-    Multiplying by the returned repunit copies the table over the
-    ``n - m`` new (don't-care) variables; the delta swaps, one per moved
-    variable from the top down, then exchange each source variable with
-    the don't-care variable sitting at its target position.
+    Cuts with equal word counts run together, in blocks of columns.
     """
-    m = len(positions)
-    replicate = bitops.table_mask(n) // bitops.table_mask(m)
-    swaps = []
-    for i in reversed(range(m)):
-        j = positions[i]
-        if j != i:
-            low_side = bitops.var_mask(n, i) & ~bitops.var_mask(n, j)
-            swaps.append(((1 << j) - (1 << i), low_side))
-    return replicate, tuple(swaps)
+    tables = np.zeros((len(roots), 1 << max(0, k - 6)), dtype=np.uint64)
+    flat = np.fromiter(chain.from_iterable(leaves), np.int64, int(sizes.sum()))
+    starts = np.cumsum(sizes) - sizes
+    entry_cut = np.repeat(np.arange(len(roots)), sizes)
+    entry_position = np.arange(len(flat)) - starts[entry_cut]
+    net = _Netlist(aig, fanins)
+    words = np.left_shift(1, np.maximum(sizes - 6, 0))
+    for width in np.unique(words).tolist():
+        columns = np.flatnonzero(words == width)
+        projections = _projections(width)
+        for block in _blocks(roots[columns], flat[starts[columns]], width):
+            cols = columns[block]
+            column_of = np.full(len(roots), -1)
+            column_of[cols] = np.arange(len(cols))
+            entry_column = column_of[entry_cut]
+            entries = entry_column >= 0
+            tables[cols, :width] = _simulate_block(
+                net,
+                roots[cols],
+                flat[entries],
+                entry_column[entries],
+                projections[entry_position[entries]],
+            )
+    short = sizes < 6
+    tables[short, 0] &= _SHORT_MASKS[sizes[short]]
+    return tables
+
+
+def _projections(width: int) -> np.ndarray:
+    """Row ``i`` is the projection ``x_i`` as ``width`` words."""
+    n = 5 + width.bit_length()
+    return np.array([bitops.to_words(bitops.var_mask(n, i), n) for i in range(n)])
+
+
+def _blocks(roots: np.ndarray, first: np.ndarray, width: int) -> Iterator[slice]:
+    """Consecutive column slices whose value matrix fits the word budget:
+    a block has a row per variable from its smallest first leaf to its
+    largest root, plus a zero row."""
+    start, count = 0, len(roots)
+    while start < count:
+        span = min(count - start, max(1, _BLOCK_WORDS // (2 * width)))
+        low = np.minimum.accumulate(first[start : start + span])
+        high = np.maximum.accumulate(roots[start : start + span])
+        cost = (high - low + 2) * np.arange(1, span + 1) * width
+        end = start + max(1, int(np.searchsorted(cost, _BLOCK_WORDS, "right")))
+        yield slice(start, end)
+        start = end
+
+
+class _Netlist:
+    """The network as arrays: levels, fanin variables, negation words."""
+
+    def __init__(self, aig: AIG, fanins: list):
+        level = [0] * (aig.num_inputs + 1)
+        for f0, f1 in fanins:
+            level.append(1 + max(level[f0 >> 1], level[f1 >> 1]))
+        self.level = np.array(level, dtype=np.int64)
+        self.by_level = np.argsort(self.level, kind="stable")
+        literals = np.zeros((aig.num_vars, 2), dtype=np.int64)
+        literals[aig.num_inputs + 1 :] = np.reshape(fanins, (-1, 2))
+        self.fanin = literals >> 1
+        self.negate = _NEGATE[literals & 1][:, :, None, None]
+
+
+def _simulate_block(
+    net: _Netlist,
+    roots: np.ndarray,
+    leaf: np.ndarray,
+    column: np.ndarray,
+    word: np.ndarray,
+) -> np.ndarray:
+    """The root words of one block; ``leaf[i]`` of column ``column[i]``
+    takes the projection ``word[i]``.
+
+    Rows run over the variables from the smallest leaf to the largest
+    root in level order, so each level's AND nodes are one slice.  The
+    last row stays zero and stands in for every fanin below the smallest
+    leaf, which no cut of the block reaches.
+    """
+    variables = net.by_level
+    level = net.level[variables]
+    keep = (variables >= leaf.min()) & (variables <= roots.max())
+    keep &= level <= net.level[roots].max()
+    variables, level = variables[keep], level[keep]
+    row_of = np.full(len(net.level), len(variables))
+    row_of[variables] = np.arange(len(variables))
+    values = np.zeros((len(variables) + 1, len(roots), word.shape[1]), dtype=np.uint64)
+    fanin_row = row_of[net.fanin[variables]]
+    negate = net.negate[variables]
+    order = np.argsort(net.level[leaf], kind="stable")
+    leaf, column, word = leaf[order], column[order], word[order]
+    leaf_row = row_of[leaf]
+    levels = np.arange(int(level[-1]) + 2)
+    row_at = np.searchsorted(level, levels).tolist()
+    leaf_at = np.searchsorted(net.level[leaf], levels).tolist()
+    for lv in range(len(levels) - 1):
+        s, e = row_at[lv], row_at[lv + 1]
+        if lv and e > s:
+            pair = values[fanin_row[s:e]]
+            pair ^= negate[s:e]
+            np.bitwise_and(pair[:, 0], pair[:, 1], out=values[s:e])
+        a, b = leaf_at[lv], leaf_at[lv + 1]
+        if b > a:
+            values[leaf_row[a:b], column[a:b]] = word[a:b]
+    return values[row_of[roots], np.arange(len(roots))]

@@ -8,10 +8,10 @@ sweeping the network once — the standard trick behind truth-table
 computation in cut-based technology mapping.
 
 Cut enumeration (:mod:`repro.aig.cuts`) does not call
-:func:`cut_function` per cut: it carries each cut's table through the
-fanin merges and calls :func:`cone_function` only where a union leaf
-lies inside a fanin cut's cone.  :func:`cut_function` stays as the
-reference oracle that every carried table must equal.
+:func:`cut_function` per cut: it computes every kept cut's table in one
+level-synchronous numpy simulation per circuit, with each leaf a free
+variable as here.  :func:`cut_function` stays as the reference oracle
+that every enumerated table must equal.
 """
 
 from __future__ import annotations
@@ -90,7 +90,7 @@ def cut_function(aig: AIG, root: int, cut: Iterable[int]) -> TruthTable:
     """Truth table of AND variable ``root`` over a cut's leaves (sorted).
 
     The reference oracle for the tables :func:`repro.aig.cuts.enumerate_cuts`
-    carries: one fresh cone walk per call.
+    computes: one fresh cone walk per call.
     """
     return cone_function(aig, 2 * root, sorted(cut))
 

@@ -9,20 +9,28 @@ rate a technology mapper would see when using the library as its cell
 index), and which classes absorb the most cuts.
 
 Matching is deduplicated on the raw truth table across the whole run
-and batched: all circuits' cuts are enumerated first, and their distinct
-functions resolve in one :meth:`~repro.library.ClassLibrary.match_many`
-call.  A function appearing at hundreds of nodes is resolved once — at
-``n <= 5`` by its canonical form (one kernel pass per arity, the form
-*is* the class id), above that by signature plus witness search — which
-is precisely the economics that make a persistent library worth
-building.
+and batched: every circuit's cuts come from one
+:func:`~repro.aig.cuts.cut_arrays` call (root, size and table arrays),
+the ``(size, table)`` rows of all circuits are deduplicated with
+``np.unique``, and only the distinct functions become
+:class:`~repro.core.truth_table.TruthTable` objects, resolved in one
+:meth:`~repro.library.ClassLibrary.match_many` call.  A function
+appearing at hundreds of nodes is resolved once — at ``n <= 5`` by its
+canonical form (one kernel pass per arity, the form *is* the class id),
+above that by signature plus witness search — which is precisely the
+economics that make a persistent library worth building.  Per-circuit
+counts are array reductions over the occurrences' distinct-function ids.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 
-from repro.aig.cuts import iter_cut_functions
+import numpy as np
+
+from repro.aig.cuts import cut_arrays
+# Not called here: perfbench's ``aig.enumerate`` span wraps this name.
+from repro.aig.cuts import iter_cut_functions  # noqa: F401
 from repro.aig.network import AIG
 from repro.core.truth_table import TruthTable
 from repro.library.store import ClassLibrary
@@ -45,37 +53,37 @@ def run_cut_matching(
     Every returned hit carried a verified witness; a query no stored
     class matches counts as a miss.
     """
-    per_circuit: list[tuple[str, list[tuple[int, int]]]] = []
-    distinct: dict[tuple[int, int], TruthTable] = {}
-    for name, aig in sorted(circuits.items()):
-        keys = []
-        for _, _, tt in iter_cut_functions(aig, sizes, max_cuts=max_cuts):
-            key = (tt.n, tt.bits)
-            keys.append(key)
-            distinct.setdefault(key, tt)
-        per_circuit.append((name, keys))
-    matches = library.match_many(distinct.values())
-    memo: dict[tuple[int, int], str | None] = {
-        key: None if hit is None else hit.class_id
-        for key, hit in zip(distinct, matches)
-    }
-    class_hits: Counter = Counter()
-    rows: list[dict] = []
-    totals = Counter()
-    total_unique: set[tuple[int, int]] = set()
-    for name, keys in per_circuit:
-        matched = 0
-        for key in keys:
-            class_id = memo[key]
-            if class_id is not None:
-                matched += 1
-                class_hits[class_id] += 1
-        unique = set(keys)
-        rows.append(_row(name, len(keys), matched, unique, memo))
-        totals["cuts"] += len(keys)
-        totals["matched"] += matched
-        total_unique |= unique
-    rows.append(_row("TOTAL", totals["cuts"], totals["matched"], total_unique, memo))
+    names = sorted(circuits)
+    # One row per cut occurrence: its size, then its table words.
+    keys = [
+        np.column_stack([cuts.sizes.astype(np.uint64), cuts.tables])
+        for cuts in (cut_arrays(circuits[name], sizes, max_cuts) for name in names)
+    ]
+    occurrences = np.concatenate(keys) if keys else np.zeros((0, 2), np.uint64)
+    _, first, inverse = np.unique(
+        occurrences, axis=0, return_index=True, return_inverse=True
+    )
+    # Distinct functions numbered in order of first occurrence.
+    function_of = np.argsort(np.argsort(first))[inverse.reshape(-1)]
+    distinct = [
+        TruthTable(int(row[0]), int.from_bytes(row[1:].tobytes(), "little"))
+        for row in occurrences[np.sort(first)]
+    ]
+    # Classes numbered in order of first hit, as the counter lists them.
+    class_ids: dict[str, int] = {}
+    class_of = np.full(len(distinct), -1, dtype=np.int64)
+    for function, hit in enumerate(library.match_many(distinct)):
+        if hit is not None:
+            class_of[function] = class_ids.setdefault(hit.class_id, len(class_ids))
+    hits = np.bincount(class_of[function_of] + 1, minlength=len(class_ids) + 1)
+    class_hits = Counter(dict(zip(class_ids, hits[1:].tolist())))
+    rows = [
+        _row(name, functions, class_of)
+        for name, functions in zip(
+            names, np.split(function_of, np.cumsum([len(key) for key in keys])[:-1])
+        )
+    ]
+    rows.append(_row("TOTAL", function_of, class_of))
     return rows, class_hits
 
 
@@ -116,13 +124,16 @@ def class_hit_rows(
     return rows
 
 
-def _row(name: str, cuts: int, matched: int, unique, memo) -> dict:
-    matched_unique = sum(1 for key in unique if memo[key] is not None)
+def _row(name: str, functions: np.ndarray, class_of: np.ndarray) -> dict:
+    """Summary of one circuit's occurrences, given as distinct-function ids."""
+    cuts = len(functions)
+    matched = int((class_of[functions] >= 0).sum())
+    unique = np.unique(functions)
     return {
         "circuit": name,
         "cuts": cuts,
         "matched": matched,
         "hit_rate": round(matched / cuts, 4) if cuts else 0.0,
         "unique_functions": len(unique),
-        "unique_matched": matched_unique,
+        "unique_matched": int((class_of[unique] >= 0).sum()),
     }

@@ -5,7 +5,7 @@ import random
 import pytest
 
 from repro.aig import aiger, builders
-from repro.aig.cuts import Cut, cut_statistics, enumerate_cuts, merge_cuts
+from repro.aig.cuts import Cut, cut_statistics, enumerate_cuts
 from repro.aig.network import AIG
 from repro.aig.simulate import cone_function, cut_function, simulate, simulate_words
 from repro.core.truth_table import TruthTable
@@ -90,16 +90,6 @@ class TestCutEnumeration:
         assert not far.dominates(one)
         assert one.dominates(Cut.of((1, 65)))
         assert not Cut.of((1, 65)).dominates(Cut.of((1, 129)))
-        merged = merge_cuts(one, far, 2)
-        assert merged.leaves == (1, 65)
-        assert merged.mask == one.mask | far.mask
-        assert merge_cuts(one, far, 1) is None
-        assert merge_cuts(Cut.of((1, 2)), Cut.of((65, 66)), 3) is None
-
-    def test_merge_respects_k(self):
-        a, b = Cut.of((1, 2)), Cut.of((3, 4))
-        assert merge_cuts(a, b, 4).leaves == (1, 2, 3, 4)
-        assert merge_cuts(a, b, 3) is None
 
     def test_inputs_have_trivial_cut(self):
         aig, _ = sample_aig()

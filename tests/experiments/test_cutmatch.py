@@ -3,24 +3,94 @@
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.aig import builders
 from repro.aig.cuts import iter_cut_functions
 from repro.core.truth_table import TruthTable
 from repro.experiments.cutmatch import (
-    _row,
     class_hit_rows,
     cut_match_rows,
     run_cut_matching,
 )
 from repro.library import build_library
+from repro.workloads.epfl import epfl_like_suite
 from repro.workloads.library_corpus import exhaustive_tables
+
+#: The suite circuits the ``cuts-library`` benchmark matches.
+CUTS_LIBRARY_CIRCUITS = (
+    "adder", "arbiter", "cla", "comparator", "max", "parity", "priority",
+    "subtractor",
+)
+
+
+def reference_matching(library, circuits, sizes, max_cuts=16):
+    """Rows and class hits counted one cut occurrence at a time, from
+    ``iter_cut_functions`` and ``library.match`` (memoised per table)."""
+    memo, class_hits, rows = {}, Counter(), []
+    every_cut = every_match = 0
+    every_unique = set()
+
+    def row(name, cuts, matched, unique):
+        return {
+            "circuit": name,
+            "cuts": cuts,
+            "matched": matched,
+            "hit_rate": round(matched / cuts, 4) if cuts else 0.0,
+            "unique_functions": len(unique),
+            "unique_matched": sum(memo[key] is not None for key in unique),
+        }
+
+    for name, aig in sorted(circuits.items()):
+        cuts = matched = 0
+        unique = set()
+        for _, _, tt in iter_cut_functions(aig, sizes, max_cuts=max_cuts):
+            cuts += 1
+            key = (tt.n, tt.bits)
+            unique.add(key)
+            if key not in memo:
+                hit = library.match(tt)
+                assert hit is None or hit.verify(tt)
+                memo[key] = None if hit is None else hit.class_id
+            if memo[key] is not None:
+                matched += 1
+                class_hits[memo[key]] += 1
+        rows.append(row(name, cuts, matched, unique))
+        every_cut += cuts
+        every_match += matched
+        every_unique |= unique
+    rows.append(row("TOTAL", every_cut, every_match, every_unique))
+    return rows, class_hits
+
+
+def assert_matches_reference(library, circuits, sizes, max_cuts=16):
+    rows, class_hits = run_cut_matching(library, circuits, sizes, max_cuts)
+    expected_rows, expected_hits = reference_matching(
+        library, circuits, sizes, max_cuts
+    )
+    assert rows == expected_rows
+    # Equal counts, listed in the same (first-hit) order.
+    assert list(class_hits.items()) == list(expected_hits.items())
+    return rows
 
 
 @pytest.fixture(scope="module")
 def lib23():
     """Complete class inventory for arities 2 and 3."""
     return build_library([*exhaustive_tables(2), *exhaustive_tables(3)])
+
+
+@pytest.fixture(scope="module")
+def lib_mixed():
+    """Every class at arities 2 and 3, plus the 4- and 5-cut functions of
+    two small builders: random networks both hit and miss it."""
+    cut_tables = [
+        tt
+        for aig in (builders.ripple_adder(3), builders.majority_voter(5))
+        for _, _, tt in iter_cut_functions(aig, (4, 5))
+    ]
+    return build_library([*exhaustive_tables(2), *exhaustive_tables(3), *cut_tables])
 
 
 class TestIterCutFunctions:
@@ -104,36 +174,8 @@ class TestRunCutMatching:
 
 
 class TestBatchedParity:
-    """One batched ``match_many`` pass reports exactly what matching each
-    distinct function with ``library.match`` does."""
-
-    @staticmethod
-    def reference(library, circuits, sizes, max_cuts=16):
-        """The per-function loop: memoised ``library.match`` calls."""
-        memo, class_hits, rows = {}, Counter(), []
-        totals, total_unique = Counter(), set()
-        for name, aig in sorted(circuits.items()):
-            cuts = matched = 0
-            unique = set()
-            for _, _, tt in iter_cut_functions(aig, sizes, max_cuts=max_cuts):
-                cuts += 1
-                key = (tt.n, tt.bits)
-                unique.add(key)
-                if key not in memo:
-                    hit = library.match(tt)
-                    assert hit is None or hit.verify(tt)
-                    memo[key] = None if hit is None else hit.class_id
-                if memo[key] is not None:
-                    matched += 1
-                    class_hits[memo[key]] += 1
-            rows.append(_row(name, cuts, matched, unique, memo))
-            totals["cuts"] += cuts
-            totals["matched"] += matched
-            total_unique |= unique
-        rows.append(
-            _row("TOTAL", totals["cuts"], totals["matched"], total_unique, memo)
-        )
-        return rows, class_hits
+    """One batched ``match_many`` pass over the cut arrays reports exactly
+    what matching each cut occurrence with ``library.match`` does."""
 
     def test_rows_and_class_hits_equal_per_function_matching(self):
         circuits = {
@@ -153,13 +195,45 @@ class TestBatchedParity:
             for _, _, tt in iter_cut_functions(circuits[name], sizes)
         }
         library = build_library(tables.values())
-        rows, class_hits = run_cut_matching(library, circuits, sizes=sizes)
-        expected_rows, expected_hits = self.reference(library, circuits, sizes)
-        assert rows == expected_rows
-        assert class_hits == expected_hits
-        total = rows[-1]
+        total = assert_matches_reference(library, circuits, sizes)[-1]
         assert 0 < total["matched"] < total["cuts"]
         assert {n for n, _ in tables} == set(sizes)
+
+    def test_cuts_library_circuits_equal_per_occurrence_matching(self):
+        suite = epfl_like_suite()
+        circuits = {name: suite[name] for name in CUTS_LIBRARY_CIRCUITS}
+        sizes = (4, 5, 6)
+        tables = {
+            (tt.n, tt.bits): tt
+            for name in CUTS_LIBRARY_CIRCUITS[::2]
+            for _, _, tt in iter_cut_functions(circuits[name], sizes)
+        }
+        library = build_library(tables.values())
+        total = assert_matches_reference(library, circuits, sizes)[-1]
+        assert 0 < total["matched"] < total["cuts"]
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        networks=st.lists(
+            st.tuples(
+                st.integers(min_value=0, max_value=10_000),
+                st.integers(min_value=2, max_value=8),
+                st.integers(min_value=1, max_value=40),
+            ),
+            min_size=1,
+            max_size=3,
+        ),
+        sizes=st.sets(st.integers(min_value=2, max_value=5), min_size=1),
+        max_cuts=st.integers(min_value=1, max_value=16),
+    )
+    def test_random_control_equals_per_occurrence_matching(
+        self, lib_mixed, networks, sizes, max_cuts
+    ):
+        circuits = {
+            f"net{index}": builders.random_control(inputs, gates, seed)
+            for index, (seed, inputs, gates) in enumerate(networks)
+        }
+        assert_matches_reference(lib_mixed, circuits, sorted(sizes), max_cuts)
 
 
 class TestReportRows:
