@@ -692,12 +692,13 @@ def _parse_sizes(spec: str) -> list[int]:
     return sizes
 
 
-def _load_library_or_fail(path: str):
-    """Load a library or print the error plus the recovery command."""
+def _load_library_or_fail(path: str, keep=None):
+    """Load a library (``keep``: see ``ClassLibrary.load``) or print the
+    error plus the recovery command."""
     from repro.library import ClassLibrary, LibraryFormatError
 
     try:
-        return ClassLibrary.load(path)
+        return ClassLibrary.load(path, keep)
     except LibraryFormatError as exc:
         print(
             f"cannot load library: {exc}\n"
@@ -965,12 +966,14 @@ def _cmd_worker(args) -> int:
             file=sys.stderr,
         )
         return 2
-    # Read-only shard serving: each worker loads the whole library and
-    # keeps only the entries its ring arcs own (plus replicas).
-    library = _load_library_or_fail(args.library)
-    if library is None:
+    # Read-only shard serving: each worker reads the whole library and
+    # keeps (and verifies) only the entries its ring arcs own (plus
+    # replicas).
+    shard = _load_library_or_fail(
+        args.library, ring.shard_filter(args.worker_id)
+    )
+    if shard is None:
         return 2
-    shard = library.subset(ring.shard_filter(args.worker_id))
     worker = FabricWorker(
         shard,
         worker_id=args.worker_id,

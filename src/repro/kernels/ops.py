@@ -16,14 +16,17 @@ Four primitives, all operating on batches and all exact:
   reaching each one (an argmin witness, decoded from the winning
   column).
 
-Everything routes through the same two moves: unpack tables to a
-``[B, 2**n]`` bit matrix once, gather it through precomputed index maps,
-and pack the gathered bits back to ``uint64`` rows.  Output negation is
-a single XOR with the full table mask after packing.  The canonical
-minimum gathers only the ``n!`` permutations that way; the ``2**n``
-input phases of each permuted word are ``n`` word-level doublings
-(swap the halves where ``x_i = 0`` and ``x_i = 1``), so the whole NP
-orbit is built with shifts and masks on ``uint64`` words.
+The transform primitives route through the same two moves: unpack
+tables to a ``[B, 2**n]`` bit matrix once, gather it through
+precomputed index maps, and pack the gathered bits back to ``uint64``
+rows.  Output negation is a single XOR with the full table mask after
+packing.  The canonical minimum gathers no bits: its ``n!`` permuted
+words come from a chain of word-level variable swaps (one delta swap
+per swapped pair, each level broadcast over the batch), and the
+``2**n`` input phases of each permuted word are ``n`` in-place
+word-level doublings (swap the halves where ``x_i = 0`` and
+``x_i = 1``), so the whole NP orbit is built with shifts and masks on
+``uint64`` words.
 """
 
 from __future__ import annotations
@@ -55,11 +58,14 @@ __all__ = [
 _ENTRY_BUDGET = 1 << 25
 
 #: Soft cap on the ``uint64`` image words one canonical-minimum chunk
-#: holds: one ``n = 6`` table (46 080 words, 360 KiB), 12 at ``n = 5``,
-#: 120 at ``n = 4``.  Larger chunks measured slower per table at n = 6
-#: (0.40 ms alone, 0.80 ms in pairs, 0.52 ms in eights on a 2-core x86
-#: host), and no faster at n = 4 and 5.
-_WORD_BUDGET = 46080
+#: holds: two ``n = 6`` tables (92 160 words, 720 KiB, plus a half-size
+#: scratch array), 24 at ``n = 5``, 240 at ``n = 4``.  Per table on a
+#: 2-core x86 host (Xeon, 2 MiB L2 per core), ``n = 6`` took about
+#: 0.13 ms alone, 0.11 ms in chunks of two or three and 0.11-0.15 ms
+#: in chunks of eight, which spill out of L2; ``n = 5`` about 17-20 us
+#: and ``n = 4`` about 3 us per table at any chunk size from half to
+#: eight times this one.
+_WORD_BUDGET = 92160
 
 
 def _as_ints(tables) -> tuple[int | None, list[int]]:
@@ -269,21 +275,117 @@ def _np_image_words(
     Yields ``(start, words)`` with ``words`` of shape ``[chunk, n! * 2**n]``
     for the rows ``ints[start : start + chunk]``.  Column ``p + n! * j``
     is the image under permutation ``perms[p]`` followed by flipping the
-    *image* variables set in ``j``: only the ``n!`` permuted words are
-    gathered bit by bit, and each variable ``i`` then doubles the columns
-    with one word-level swap of the ``2**i``-bit blocks where ``x_i = 0``
-    and ``x_i = 1``.  In :class:`~repro.core.transforms.NPNTransform`
+    *image* variables set in ``j``.  The ``n!`` permuted words come from
+    the variable-swap chain of :func:`_swap_chain_words`, reordered by
+    :func:`_swap_chain_order` into ``perms`` order; each variable
+    ``i`` then doubles the columns in place with one word-level swap of
+    the ``2**i``-bit blocks where ``x_i = 0`` and ``x_i = 1``, written
+    through ``out=`` into the preallocated chunk and one half-size
+    scratch array.  In :class:`~repro.core.transforms.NPNTransform`
     terms the input phase of column ``j`` has bit ``i`` equal to bit
     ``perms[p][i]`` of ``j``.
+
+    Every chunk is written into the same buffer, so a caller reduces
+    ``words`` before it advances the iterator (or copies it).
     """
     n = gt.n
-    chunk = max(1, _WORD_BUDGET // gt.np_group_order)
+    group = gt.np_group_order
+    shifts, lows = _flip_masks(n)
+    chunk = max(1, min(len(ints), _WORD_BUDGET // group))
+    buffer = np.empty((chunk, group), dtype=np.uint64)
+    scratch = np.empty((chunk, group >> 1), dtype=np.uint64)
     for start in range(0, len(ints), chunk):
-        bits = bit_matrix(n, ints[start : start + chunk])
-        words = pack_rows(bits[:, gt.perm_maps])  # [chunk, n!]
-        for i in range(n):
-            words = np.concatenate([words, flip_input(words, i, n)], axis=1)
+        rows = np.array(ints[start : start + chunk], dtype=np.uint64)
+        words = buffer[: len(rows)]
+        np.take(
+            _swap_chain_words(n, rows),
+            _swap_chain_order(n),
+            axis=1,
+            out=words[:, : gt.num_perms],
+        )
+        width = gt.num_perms
+        for shift, low in zip(shifts, lows):
+            src, tmp = words[:, :width], scratch[: len(rows), :width]
+            dst = words[:, width : 2 * width]
+            np.right_shift(src, shift, out=dst)
+            np.bitwise_and(dst, low, out=dst)
+            np.bitwise_and(src, low, out=tmp)
+            np.left_shift(tmp, shift, out=tmp)
+            np.bitwise_or(dst, tmp, out=dst)
+            width *= 2
         yield start, words
+
+
+def _swap_chain_words(n: int, rows: np.ndarray) -> np.ndarray:
+    """``[B, n!]`` permuted words of ``rows`` in the swap chain's order.
+
+    Level ``j = 1 .. n-1`` turns the images over the first ``j`` inputs
+    into those over ``j + 1``: each word is kept, then swapped input
+    ``x_j`` with each ``x_k``, ``k < j``.  A swap is one delta swap,
+    ``t = ((w >> d) ^ w) & m; w ^ t ^ (t << d)`` with ``d = 2**j - 2**k``
+    and ``m`` the minterms with ``x_k = 1, x_j = 0``, broadcast over the
+    whole level at once.
+    """
+    words = rows[:, None]
+    for shifts, masks, spreads in _swap_levels(n):
+        kept = words[:, None, :]
+        t = kept >> shifts
+        t ^= kept
+        t &= masks
+        t *= spreads
+        level = t ^ kept
+        words = level.reshape(len(rows), -1)
+    return words
+
+
+@lru_cache(maxsize=None)
+def _swap_levels(n: int) -> tuple[tuple[np.ndarray, ...], ...]:
+    """``(shifts, masks, spreads)`` of each chain level ``j = 1 .. n-1``.
+
+    Row ``0`` of each ``[j + 1, 1]`` ``uint64`` column keeps the word (a
+    zero mask); row ``k + 1`` swaps ``x_k`` with ``x_j``: shift
+    ``d = 2**j - 2**k``, mask of the minterms with ``x_k = 1, x_j = 0``
+    and spread ``2**d + 1``.  The masked bits and their shifted copies
+    never overlap, so ``t * (2**d + 1) == t ^ (t << d)``.
+    """
+    full = bitops.table_mask(n)
+    levels = []
+    for j in range(1, n):
+        shifts = [0] + [(1 << j) - (1 << k) for k in range(j)]
+        masks = [0] + [
+            bitops.var_mask(n, k) & full & ~bitops.var_mask(n, j)
+            for k in range(j)
+        ]
+        spreads = [(1 << d) + 1 for d in shifts]
+        level = tuple(
+            np.array(column, dtype=np.uint64)[:, None]
+            for column in (shifts, masks, spreads)
+        )
+        for column in level:
+            column.setflags(write=False)
+        levels.append(level)
+    return tuple(levels)
+
+
+@lru_cache(maxsize=None)
+def _swap_chain_order(n: int) -> np.ndarray:
+    """``[n!]`` index: entry ``p`` is the chain column of ``perms[p]``.
+
+    Read off by running the chain on the projections ``x_0 .. x_{n-1}``:
+    under ``perms[p]`` projection ``x_i`` becomes ``x_{perms[p][i]}``.
+    """
+    projections = [bitops.var_mask(n, i) for i in range(n)]
+    chain = _swap_chain_words(n, np.array(projections, dtype=np.uint64))
+    column_of = {
+        tuple(projections.index(word) for word in images): column
+        for column, images in enumerate(chain.T.tolist())
+    }
+    order = np.array(
+        [column_of[tuple(perm)] for perm in gather_table(n).perms.tolist()],
+        dtype=np.intp,
+    )
+    order.setflags(write=False)
+    return order
 
 
 def canonical_min(

@@ -297,8 +297,9 @@ class ClassLibrary:
         :meth:`repro.fabric.ring.HashRing.shard_filter`) and drops the
         rest, so N workers hold ~1/N of the library each (times the
         replication factor).  Entries are shared by reference — they are
-        frozen dataclasses — and *not* re-verified: the source library
-        already verified them at load time.
+        frozen dataclasses — and *not* verified here: a loaded library
+        verified its entries, and :meth:`load` with ``keep`` subsets
+        first and then verifies only the kept ones.
 
         ``keep.select(entries) -> list[bool]`` is asked once for every
         entry, so the ring's shard filter answers from one batched pass.
@@ -564,7 +565,7 @@ class ClassLibrary:
         return directory
 
     @classmethod
-    def load(cls, path: str | Path) -> "ClassLibrary":
+    def load(cls, path: str | Path, keep=None) -> "ClassLibrary":
         """Read a saved library, checking every part of it.
 
         Only version-3 manifests load; an older one raises
@@ -579,14 +580,21 @@ class ClassLibrary:
         mis-matching queries.  Class ids are derived from the
         representatives; loading never writes to the directory.
 
+        With ``keep`` (a :meth:`subset` selector, such as a worker's
+        :meth:`~repro.fabric.ring.HashRing.shard_filter`) the load
+        returns only the entries ``keep`` selects.  The seal, shape and
+        row-order checks still cover the whole file, but only the kept
+        representatives are canonicalized: a worker pays the orbit
+        check for its own shard, not for the whole library.
+
         Every call, failed ones included, is observed into
         ``repro_library_load_seconds``.
         """
         with obs.timed(_LOAD_SECONDS):
-            return cls._read(path)
+            return cls._read(path, keep)
 
     @classmethod
-    def _read(cls, path: str | Path) -> "ClassLibrary":
+    def _read(cls, path: str | Path, keep=None) -> "ClassLibrary":
         """The body of :meth:`load`, unmetered."""
         directory = Path(path)
         manifest = _read_manifest(directory / MANIFEST_FILE)
@@ -606,6 +614,8 @@ class ClassLibrary:
             previous = key
             class_id = canonical_class_id(table)
             library.classes[class_id] = NPNClassEntry(class_id, table, size)
+        if keep is not None:
+            library = library.subset(keep)
         _verify_canonical_reps(directory, library)
         return library
 

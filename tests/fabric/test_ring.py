@@ -16,8 +16,11 @@ from repro.fabric.ring import (
     shard_key_of,
     shard_keys,
 )
+from repro.cli import main
 from repro.fabric.router import RouterService
-from repro.library import build_library
+from repro.library import ClassLibrary, LibraryFormatError, build_library
+from repro.library import store
+from tests.library.test_library import _rewrite_tables
 from tests.strategies import npn_transforms, truth_tables
 
 # The differential suite is parametric over the arity range: n=0 is the
@@ -250,3 +253,94 @@ class TestSubset:
         empty = tiny_library.subset(Keep(lambda entry: False))
         assert empty.num_classes == 0
         assert empty.match(TruthTable(3, 0xE8)) is None
+
+
+class TestShardLoad:
+    """A worker's load verifies only the rows its shard keeps."""
+
+    RING = ("w0", "w1", "w2")
+
+    @pytest.fixture
+    def tampered(self, tiny_library, tmp_path):
+        """The tiny library, resealed with its last row replaced by the
+        constant-1 table: a non-canonical representative whose row still
+        sorts last, so only the orbit check can catch it."""
+        path = tmp_path / "lib"
+        tiny_library.save(path)
+
+        def plant(arrays):
+            assert int(arrays["ns"][-1]) == 3
+            arrays["reps"][-1, 0] = 0xFF
+
+        _rewrite_tables(path, plant)
+        bad = TruthTable(3, 0xFF)
+        owners = HashRing(self.RING).owners(key_of(bad))
+        assert 0 < len(owners) < len(self.RING)
+        return path, bad, owners
+
+    def test_only_the_owners_of_a_bad_row_refuse_it(self, tampered):
+        path, bad, owners = tampered
+        ring = HashRing(self.RING)
+        with pytest.raises(LibraryFormatError, match="non-canonical"):
+            ClassLibrary.load(path)
+        for node in self.RING:
+            keep = ring.shard_filter(node)
+            if node in owners:
+                with pytest.raises(LibraryFormatError, match="non-canonical"):
+                    ClassLibrary.load(path, keep)
+            else:
+                shard = ClassLibrary.load(path, keep)
+                assert shard.num_classes > 0
+                assert bad not in [
+                    e.representative for e in shard.classes.values()
+                ]
+
+    def test_verify_canonicalizes_exactly_the_kept_rows(
+        self, tiny_library, tmp_path, monkeypatch
+    ):
+        path = tmp_path / "lib"
+        tiny_library.save(path)
+        seen = []
+        real = store.canonical_forms
+        monkeypatch.setattr(
+            store,
+            "canonical_forms",
+            lambda tables, *args: seen.append(list(tables))
+            or real(tables, *args),
+        )
+        ring = HashRing(self.RING)
+        for node in self.RING:
+            seen.clear()
+            shard = ClassLibrary.load(path, ring.shard_filter(node))
+            expected = tiny_library.subset(ring.shard_filter(node))
+            assert list(shard.classes) == list(expected.classes)
+            assert seen == [
+                [e.representative for e in expected.classes.values()]
+            ]
+            assert 0 < shard.num_classes < tiny_library.num_classes
+
+    def test_worker_command_loads_only_its_shard(self, tampered, monkeypatch,
+                                                 capsys):
+        path, _, owners = tampered
+        served = {}
+
+        class StubWorker:
+            def __init__(self, shard, worker_id, **kwargs):
+                served[worker_id] = shard
+
+            async def serve_forever(self):
+                return None
+
+        monkeypatch.setattr("repro.fabric.worker.FabricWorker", StubWorker)
+        for node in self.RING:
+            code = main([
+                "worker", "--id", node, "--ring", ",".join(self.RING),
+                "--library", str(path), "--port", "0",
+            ])
+            if node in owners:
+                assert code == 2
+                assert "non-canonical" in capsys.readouterr().err
+                assert node not in served
+            else:
+                assert code == 0
+                assert served[node].num_classes > 0
