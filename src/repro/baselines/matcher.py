@@ -27,8 +27,11 @@ reach of exhaustive enumeration:
    are decided by exact canonical forms instead: one batched
    exhaustive kernel pass over them and their sources, equal minima
    meaning equivalent;
-5. the witnessing transform is verified in a single final step — the
-   one place verification happens, for every search path.
+5. every witnessing transform is verified in a single final step — the
+   one place verification happens, for every search path: one
+   pairwise gather (:func:`repro.kernels.apply_pairwise`) checks all
+   witnesses of an arity ``n <= 6`` at once, and a scalar apply checks
+   each larger one.
 
 Below the cap the witness returned is the first surviving candidate in
 the deterministic search order (most-constrained slot first, candidate
@@ -120,7 +123,10 @@ def find_npn_transforms_grouped(
     Every returned witness passes the single final verification step —
     ``source.apply(witness) == target`` — regardless of which search
     path produced it (identity short-circuit, vectorized gather,
-    canonical-form comparison, or the ``n > 6`` scalar fallback).
+    canonical-form comparison, or the ``n > 6`` scalar fallback).  The
+    step checks all witnesses of one arity ``n <= 6`` in one
+    :func:`~repro.kernels.apply_pairwise` gather, and each larger one
+    with a scalar apply; a witness that fails it becomes ``None``.
 
     Targets whose candidate sets exceed ``_BULK_CANDIDATE_CAP`` (highly
     symmetric functions such as XOR or majority) skip the gather: one
@@ -131,14 +137,43 @@ def find_npn_transforms_grouped(
     backtracker would find.
     """
     pairs = [(source, list(targets)) for source, targets in pairs]
-    raw = _search_transforms_grouped(pairs)
-    return [
-        [
-            w if w is not None and source.apply(w) == target else None
-            for w, target in zip(row, targets)
-        ]
-        for row, (source, targets) in zip(raw, pairs)
-    ]
+    return _verified(pairs, _search_transforms_grouped(pairs))
+
+
+def _verified(
+    pairs: list[tuple[TruthTable, list[TruthTable]]],
+    raw: list[list[NPNTransform | None]],
+) -> list[list[NPNTransform | None]]:
+    """``raw`` with every witness ``w`` failing ``source.apply(w) ==
+    target`` replaced by ``None`` — the one verification step.
+
+    The witnesses of each arity up to ``MAX_KERNEL_VARS`` are applied in
+    one :func:`~repro.kernels.apply_pairwise` gather; larger ones (and a
+    target of another arity) take the scalar apply.
+    """
+    out = [list(row) for row in raw]
+    batched: dict[int, list[tuple[int, int]]] = {}
+    for p, (row, (source, targets)) in enumerate(zip(raw, pairs)):
+        n = source.n
+        for t, (w, target) in enumerate(zip(row, targets)):
+            if w is None:
+                continue
+            if n <= MAX_KERNEL_VARS and target.n == n:
+                batched.setdefault(n, []).append((p, t))
+            elif source.apply(w) != target:
+                out[p][t] = None
+    for n, slots in batched.items():
+        images = kernels.apply_pairwise(
+            [pairs[p][0].bits for p, _ in slots],
+            [raw[p][t] for p, t in slots],
+            n,
+        )
+        goals = np.array(
+            [pairs[p][1][t].bits for p, t in slots], dtype=np.uint64
+        )
+        for p, t in np.array(slots)[images != goals].tolist():
+            out[p][t] = None
+    return out
 
 
 def are_npn_equivalent(a: TruthTable, b: TruthTable) -> bool:

@@ -21,9 +21,9 @@ computed, and callers hand it batches of any arity mix:
   distinct table of the batch is searched once.
 
 So :func:`canonical_forms_with_transforms` yields a transform onto the
-form at every arity, and :func:`checked_witness` inverts it into the
-witness (checked with one apply) that learn-on-miss and the library's
-match path answer with.
+form at every arity, and :func:`checked_witnesses` inverts a batch of
+them into the witnesses (checked with one pairwise gather per arity)
+that learn-on-miss and the library's match path answer with.
 
 Class ids are a pure function of the orbit: ``n{n}-c{hex}`` where the
 hex *is* the canonical representative (fixed width, MSB first).  Two
@@ -33,7 +33,7 @@ orbit — the property signature-digest ids could not offer.
 
 from __future__ import annotations
 
-from collections.abc import Iterable
+from collections.abc import Iterable, Sequence
 from itertools import repeat
 
 import numpy as np
@@ -45,6 +45,7 @@ from repro.core.transforms import NPNTransform
 from repro.core.truth_table import TruthTable
 from repro.kernels.gather import MAX_KERNEL_VARS
 from repro.kernels.ops import (
+    apply_pairwise,
     canonical_min,
     canonical_min_transforms,
     image_transform,
@@ -56,6 +57,7 @@ __all__ = [
     "canonical_forms",
     "canonical_forms_with_transforms",
     "checked_witness",
+    "checked_witnesses",
     "influence_canonical_scalar",
     "canonical_class_id",
     "parse_canonical_class_id",
@@ -142,16 +144,50 @@ def checked_witness(
 ) -> NPNTransform:
     """The inverse of ``transform``, checked to map ``form`` onto ``table``.
 
-    One apply; a failure is a canonicalizer bug, so it raises
-    ``RuntimeError`` rather than return a wrong witness.
+    One row of :func:`checked_witnesses`; a failure is a canonicalizer
+    bug, so it raises ``RuntimeError`` rather than return a wrong
+    witness.
     """
-    witness = transform.inverse()
-    if form.apply(witness) != table:
-        raise RuntimeError(
-            f"canonicalizer bug: transform {transform.as_dict()} does not "
-            f"map {table!r} onto its canonical form {form!r}"
-        )
-    return witness
+    return checked_witnesses([(form, transform)], [table])[0]
+
+
+def checked_witnesses(
+    forms: Sequence[tuple[TruthTable, NPNTransform]],
+    tables: Sequence[TruthTable],
+) -> list[NPNTransform]:
+    """Per row, the inverse of the transform, checked to map the form
+    onto its table.
+
+    ``forms[k]`` is ``(form, transform)`` with ``tables[k].apply(
+    transform) == form``, as :func:`canonical_forms_with_transforms`
+    returns them.  The witnesses of each arity up to ``MAX_KERNEL_VARS``
+    are checked in one :func:`~repro.kernels.ops.apply_pairwise` gather,
+    larger ones with one scalar apply each.  Any failure is a
+    canonicalizer bug: it raises ``RuntimeError`` before anything is
+    returned.
+    """
+    witnesses = [transform.inverse() for _, transform in forms]
+    by_arity: dict[int, list[int]] = {}
+    for k, (form, _) in enumerate(forms):
+        by_arity.setdefault(form.n, []).append(k)
+    for n, rows in by_arity.items():
+        if n > MAX_KERNEL_VARS:
+            images = [forms[k][0].apply(witnesses[k]).bits for k in rows]
+        else:
+            images = apply_pairwise(
+                [forms[k][0].bits for k in rows],
+                [witnesses[k] for k in rows],
+                n,
+            ).tolist()
+        for k, image in zip(rows, images):
+            table = tables[k]
+            if table.n != n or image != table.bits:
+                form, transform = forms[k]
+                raise RuntimeError(
+                    f"canonicalizer bug: transform {transform.as_dict()} does "
+                    f"not map {table!r} onto its canonical form {form!r}"
+                )
+    return witnesses
 
 
 def influence_canonical_scalar(tt: TruthTable) -> TruthTable:

@@ -5,7 +5,9 @@ transform is a precomputable *index gather*, not a loop.  This package
 precomputes per-arity gather tables (built on first use, memory-cached
 per process) and exposes vectorized primitives on top of them:
 
-* :func:`apply_transforms` — many tables × many transforms in one gather;
+* :func:`apply_transforms` — many tables × many transforms in one gather,
+  and :func:`apply_pairwise` — each table under its own transform (the
+  batched witness check);
 * :func:`orbit` / :func:`orbit_chunks` — exhaustive orbit enumeration;
 * :func:`canonical_min` — batched exhaustive canonical minima, and
   :func:`canonical_min_transforms` — the same plus the transform
@@ -32,6 +34,7 @@ from repro.kernels.keys import (
     key_matrices,
 )
 from repro.kernels.ops import (
+    apply_pairwise,
     apply_transforms,
     bit_matrix,
     canonical_min,
@@ -53,6 +56,7 @@ __all__ = [
     "key_matrices",
     "complement_key_matrices",
     "apply_transforms",
+    "apply_pairwise",
     "bit_matrix",
     "pack_rows",
     "flip_input",

@@ -15,7 +15,9 @@ lex-max histogram)`` with each histogram packed MSB-first into one word
 variables have equal matcher keys **iff** their key rows are equal —
 the parity suite pins this — which lets the matcher build its candidate
 lists from plain integer comparisons with no per-variable Python
-assembly.
+assembly.  All of it is integer numpy on the calling thread: the
+histograms are two ``np.bincount`` calls over (row, variable, level)
+cells, with no BLAS call whose worker threads would spin beside it.
 
 The polarity handling is shared with the matcher: under output negation
 the sensitivity profile (hence influence and both histograms) is
@@ -26,6 +28,7 @@ size, so :func:`complement_key_matrices` derives the encoding of every
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -41,8 +44,13 @@ KEY_WIDTH = 5
 #: Bits per histogram level in the packed encoding (counts fit 7 bits).
 _HIST_LEVEL_BITS = 7
 
-#: Rows per chunk for the ``[B, 2**n, n+1]`` histogram temporaries.
-_KEYS_CHUNK = 8192
+#: Rows per chunk for the histogram temporaries; at ``n = 6`` a chunk's
+#: cell array is ``[chunk, 192]`` ``intp`` (1.5 MiB at 1,024 rows).  On a
+#: 2-core x86 host (Python 3.11, numpy 2.4) 16,384 ``n = 6`` rows took
+#: a median 58-60 ms in chunks of 512 to 2,048 rows, 68 ms at 4,096,
+#: 75 ms at 256 and 80 ms at 8,192, whose temporaries spill out of L2
+#: (9 interleaved calls each).
+_KEYS_CHUNK = 1024
 
 
 class KeyMatrices(NamedTuple):
@@ -115,20 +123,21 @@ def _chunk_matrices(n: int, ints: list[int]) -> KeyMatrices:
         return KeyMatrices(counts, keys, cofactors)
 
     minterms = np.arange(size)
-    # varbits[i, m] = 1 iff bit i of minterm m — the var_mask bit arrays.
-    varbits = ((minterms[None, :] >> np.arange(n)[:, None]) & 1).astype(
-        np.int64
-    )
+    var_of, minterm_of = _set_bits(n)
 
     # Sensitivity words per variable (bits ^ x_i-flipped bits), influence
-    # and the per-word sensitivity profile, all in one pass.
-    profile = np.zeros((batch, size), dtype=np.int64)
+    # and the per-word sensitivity profile (at most n), all in one pass.
+    profile = np.zeros((batch, size), dtype=np.uint8)
     for i in range(n):
-        sens = bits ^ bits[:, minterms ^ (1 << i)]
+        sens = bits ^ np.take(bits, minterms ^ (1 << i), axis=1)
         keys[:, i, 0] = sens.sum(axis=1, dtype=np.int64) >> 1
         profile += sens
 
-    ones_side = bits.astype(np.int64) @ varbits.T  # [B, n]
+    ones_side = (
+        np.take(bits, minterm_of, axis=1)
+        .reshape(batch, n, size >> 1)
+        .sum(axis=2, dtype=np.int64)
+    )  # [B, n]
     neg_side = counts[:, None] - ones_side
     cofactors[:, :, 0] = neg_side
     cofactors[:, :, 1] = ones_side
@@ -136,20 +145,37 @@ def _chunk_matrices(n: int, ints: list[int]) -> KeyMatrices:
     np.maximum(neg_side, ones_side, out=keys[:, :, 2])
 
     # hist[b, i, s] = |{m : varbit_i(m) = 1, profile[b, m] = s}| and the
-    # zero-side complement — packed MSB-first so lexicographic order of
-    # the histogram tuples is numeric order of the packed words.  The
-    # contraction runs in float32 (exact: all counts are < 2**24) so it
-    # goes through BLAS instead of the much slower integer loops.
-    onehot = (profile[:, :, None] == np.arange(n + 1)).astype(np.float32)
-    hist_pos = (
-        np.tensordot(onehot, varbits.astype(np.float32), axes=([1], [1]))
-        .astype(np.int64)
-        .transpose(0, 2, 1)
-    )
-    hist_neg = onehot.sum(axis=1, dtype=np.int64)[:, None, :] - hist_pos
+    # zero-side complement, from integer bincounts over (row, variable,
+    # level) cells — packed MSB-first so lexicographic order of the
+    # histogram tuples is numeric order of the packed words.
+    levels = n + 1
+    row_base = np.arange(batch, dtype=np.intp)[:, None] * levels
+    cells = np.take(profile, minterm_of, axis=1).astype(np.intp)
+    cells += var_of * levels
+    cells += row_base * n
+    hist_pos = np.bincount(
+        cells.ravel(), minlength=batch * n * levels
+    ).reshape(batch, n, levels)
+    totals = np.bincount(
+        (row_base + profile).ravel(), minlength=batch * levels
+    ).reshape(batch, 1, levels)
+    hist_neg = totals - hist_pos
     shifts = (_HIST_LEVEL_BITS * np.arange(n, -1, -1)).astype(np.int64)
     packed_pos = (hist_pos << shifts).sum(axis=2)
     packed_neg = (hist_neg << shifts).sum(axis=2)
     np.minimum(packed_neg, packed_pos, out=keys[:, :, 3])
     np.maximum(packed_neg, packed_pos, out=keys[:, :, 4])
     return KeyMatrices(counts, keys, cofactors)
+
+
+@lru_cache(maxsize=None)
+def _set_bits(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """``(var_of, minterm_of)``: every ``(i, m)`` with bit ``i`` of ``m``
+    set, variable-major — ``n * 2**(n-1)`` pairs, as ``[P]`` ``intp``."""
+    minterms = np.arange(1 << n)
+    var_of, minterm_of = np.nonzero(
+        (minterms[None, :] >> np.arange(n)[:, None]) & 1
+    )
+    var_of.setflags(write=False)
+    minterm_of.setflags(write=False)
+    return var_of, minterm_of

@@ -1,9 +1,11 @@
 """Vectorized transform primitives on top of the gather tables.
 
-Four primitives, all operating on batches and all exact:
+Five primitives, all operating on batches and all exact:
 
 * :func:`apply_transforms` — every table × every transform in one numpy
   gather (``[B, T]`` ``uint64`` images);
+* :func:`apply_pairwise` — each table under its own transform in one
+  gather (``[K]`` ``uint64`` images), the batched witness check;
 * :func:`orbit` / :func:`orbit_chunks` — the full exhaustive NPN orbit
   of one table, as one array for small arities and as streamed chunks
   for ``n = 5, 6`` where the intermediate bit matrices are what costs
@@ -47,6 +49,7 @@ __all__ = [
     "flip_input",
     "transform_index_maps",
     "apply_transforms",
+    "apply_pairwise",
     "orbit",
     "orbit_chunks",
     "canonical_min",
@@ -100,17 +103,15 @@ def bit_matrix(n: int, ints: Sequence[int]) -> np.ndarray:
     """``[B, 2**n]`` ``uint8`` bit matrix of raw integer tables.
 
     Row ``b``, column ``m`` holds bit ``m`` of table ``b`` — the
-    unpacked form every gather operates on.  One serialisation pass, no
-    per-row numpy.
+    unpacked form every gather operates on.  One conversion to
+    little-endian ``uint64`` words, no per-row numpy.
     """
     if n > MAX_KERNEL_VARS:
         raise ValueError(f"kernels serve n <= {MAX_KERNEL_VARS}, got n={n}")
     size = 1 << n
-    raw = b"".join(value.to_bytes(8, "little") for value in ints)
+    words = np.array(ints, dtype="<u8").reshape(-1)
     matrix = np.unpackbits(
-        np.frombuffer(raw, dtype=np.uint8).reshape(-1, 8),
-        axis=1,
-        bitorder="little",
+        words.view(np.uint8).reshape(-1, 8), axis=1, bitorder="little"
     )
     return matrix[:, :size]
 
@@ -144,21 +145,17 @@ def transform_index_maps(
     returned separately because it acts after packing.
     """
     table = gather_table(n)
-    rows = np.fromiter(
-        (table.row_of(t.perm) for t in transforms),
-        dtype=np.intp,
-        count=len(transforms),
-    )
-    phases = np.fromiter(
-        (t.input_phase for t in transforms),
-        dtype=np.uint8,
-        count=len(transforms),
-    )
-    outputs = np.fromiter(
-        (t.output_phase for t in transforms),
-        dtype=np.uint8,
-        count=len(transforms),
-    )
+    try:
+        rows = np.fromiter(
+            [table.row_of(t.perm) for t in transforms], dtype=np.intp
+        )
+    except KeyError:
+        bad = next(t for t in transforms if t.n != n)
+        raise ValueError(
+            f"transform arity {bad.n} != table arity {n}"
+        ) from None
+    phases = np.fromiter([t.input_phase for t in transforms], dtype=np.uint8)
+    outputs = np.fromiter([t.output_phase for t in transforms], dtype=np.uint8)
     return table.index_maps(rows, phases), outputs
 
 
@@ -176,11 +173,6 @@ def apply_transforms(
     """
     transforms = list(transforms)
     batch_n, ints = _batch_arity(tables, n)
-    for t in transforms:
-        if t.n != batch_n:
-            raise ValueError(
-                f"transform arity {t.n} != table arity {batch_n}"
-            )
     size = 1 << batch_n
     bits = bit_matrix(batch_n, ints)
     out = np.empty((len(ints), len(transforms)), dtype=np.uint64)
@@ -197,6 +189,35 @@ def apply_transforms(
             packed[:, flip] ^= mask
         out[:, start:stop] = packed
     return out
+
+
+def apply_pairwise(
+    tables,
+    transforms: Sequence[NPNTransform],
+    n: int | None = None,
+) -> np.ndarray:
+    """Image of each table under its own transform: ``[K]`` ``uint64``.
+
+    ``result[k] == transforms[k].apply_table(tables[k], n)`` — the
+    pairwise twin of :func:`apply_transforms`: one gather maps row ``k``
+    of the bit matrix through the index map of ``transforms[k]``, so a
+    whole batch of witnesses is checked with one call.
+    """
+    transforms = list(transforms)
+    batch_n, ints = _batch_arity(tables, n)
+    if len(transforms) != len(ints):
+        raise ValueError(
+            f"{len(ints)} tables but {len(transforms)} transforms"
+        )
+    bits = bit_matrix(batch_n, ints)
+    if not ints:
+        return np.zeros(0, dtype=np.uint64)
+    maps, outputs = transform_index_maps(batch_n, transforms)
+    images = pack_rows(np.take_along_axis(bits, maps, axis=1))
+    images ^= outputs.astype(np.uint64) * np.uint64(
+        bitops.table_mask(batch_n)
+    )
+    return images
 
 
 def orbit_chunks(

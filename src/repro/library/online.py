@@ -39,7 +39,8 @@ arity that witness comes from the same
 :func:`~repro.canonical.form.canonical_forms_with_transforms` call as
 the form — the match's own at ``n <= KERNEL_MATCH_VARS``, one call per
 learned batch for the rest: the inverse of its argmin transform,
-checked with one apply.
+checked for the whole batch by
+:func:`~repro.canonical.form.checked_witnesses`.
 Replay canonicalizes every WAL record in one
 :func:`~repro.canonical.form.canonical_forms` call.
 """
@@ -56,7 +57,7 @@ from repro.canonical.form import (
     canonical_class_id,
     canonical_forms,
     canonical_forms_with_transforms,
-    checked_witness,
+    checked_witnesses,
 )
 from repro.core.msv import MixedSignature
 from repro.core.transforms import NPNTransform
@@ -253,8 +254,8 @@ class LearningLibrary:
         transform)`` at ``n <= KERNEL_MATCH_VARS`` and its signature
         above; the queries without a form are canonicalized in one
         :func:`~repro.canonical.form.canonical_forms_with_transforms`
-        call.  Every witness, the transform's inverse, is checked with
-        one apply before anything is stored.  A query whose orbit id is
+        call.  Every witness, the transform's inverse, is checked before
+        anything is stored (one gather per arity).  A query whose orbit id is
         stored — minted earlier in this batch included — resolves to
         that class; any other is minted, WAL-logged and indexed in the
         matching chains under its signature, an NPN invariant.
@@ -266,10 +267,7 @@ class LearningLibrary:
             unformed, canonical_forms_with_transforms([tts[i] for i in unformed])
         ):
             forms[i] = form
-        witnesses = [
-            checked_witness(form, transform, tt)
-            for tt, (form, transform) in zip(tts, forms)
-        ]
+        witnesses = checked_witnesses(forms, tts)
         signatures = signatures or [None] * len(tts)
         out = []
         for (form, _), witness, signature in zip(forms, witnesses, signatures):

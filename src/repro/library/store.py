@@ -59,7 +59,7 @@ from repro.canonical.form import (
     canonical_form,
     canonical_forms,
     canonical_forms_with_transforms,
-    checked_witness,
+    checked_witnesses,
 )
 from repro.core import bitops
 from repro.core.msv import DEFAULT_PARTS, MixedSignature, compute_msv
@@ -151,8 +151,9 @@ class LibraryMatch:
 
     ``transform`` maps the stored representative onto the queried
     function: ``entry.representative.apply(transform) == query``.  It is
-    verified before being returned (by one apply check, or by the
-    matcher on the chain path), and :meth:`verify` re-checks it against
+    verified before being returned (by
+    :func:`~repro.canonical.form.checked_witnesses`, or by the matcher
+    on the chain path), and :meth:`verify` re-checks it against
     any table.
     """
 
@@ -351,9 +352,10 @@ class ClassLibrary:
         :func:`~repro.canonical.form.canonical_forms_with_transforms`
         call, whatever their arities: the orbit minimum *is* the class
         id, so ``classes[id]`` is the answer, and the inverse of the
-        transform onto the form is the witness (checked with one apply
-        by :func:`~repro.canonical.form.checked_witness`, which raises
-        on a canonicalizer bug).  No signature, no chain walk.
+        transform onto the form is the witness (all hits checked in one
+        gather per arity by
+        :func:`~repro.canonical.form.checked_witnesses`, which raises on
+        a canonicalizer bug).  No signature, no chain walk.
 
         Larger queries are signed in one
         :meth:`~repro.engine.BatchedClassifier.signatures` call; the
@@ -415,18 +417,23 @@ class ClassLibrary:
     ) -> dict[int, tuple[TruthTable, NPNTransform]]:
         """Resolve small queries by canonical form: id lookup + witness.
 
-        The witness is built only for hits: a miss costs one kernel row
-        and one dict lookup, no inverse and no apply check.  Returns
-        each query's ``(form, transform)`` by index, for the learner.
+        The witnesses are built only for hits, and checked in one batch:
+        a miss costs one kernel row and one dict lookup, no inverse and
+        no apply check.  Returns each query's ``(form, transform)`` by
+        index, for the learner.
         """
         rows = [tts[i] for i in indices]
         forms = dict(zip(indices, canonical_forms_with_transforms(rows)))
-        for i, (form, transform) in forms.items():
+        hits = []
+        for i, (form, _) in forms.items():
             entry = self.classes.get(canonical_class_id(form))
             if entry is not None:
-                out[i] = LibraryMatch(
-                    entry, checked_witness(form, transform, tts[i])
-                )
+                hits.append((i, entry))
+        witnesses = checked_witnesses(
+            [forms[i] for i, _ in hits], [tts[i] for i, _ in hits]
+        )
+        for (i, entry), witness in zip(hits, witnesses):
+            out[i] = LibraryMatch(entry, witness)
         return forms
 
     def _match_by_chain(

@@ -335,6 +335,44 @@ class TestVerificationFinalStep:
         )
         assert find_npn_transform_scalar(and3, or3) is None
 
+    @pytest.mark.parametrize("n", range(0, 9))
+    def test_batched_check_equals_the_scalar_check(self, n, monkeypatch):
+        """Right, wrong and missing witnesses over several sources: the
+        step keeps exactly those with ``source.apply(w) == target``."""
+        rng = random.Random(400 + n)
+        pairs, planted = [], []
+        for _ in range(3):
+            source = TruthTable.random(n, rng)
+            targets, witnesses = [], []
+            for _ in range(8):
+                truth = random_transform(n, rng)
+                targets.append(
+                    source.apply(truth)
+                    if rng.random() < 0.7
+                    else TruthTable.random(n, rng)
+                )
+                witnesses.append(
+                    rng.choice([truth, truth, random_transform(n, rng), None])
+                )
+            pairs.append((source, targets))
+            planted.append(witnesses)
+        monkeypatch.setattr(
+            matcher, "_search_transforms_grouped", lambda pairs: planted
+        )
+        expected = [
+            [
+                w if w is not None and source.apply(w) == target else None
+                for w, target in zip(witnesses, targets)
+            ]
+            for (source, targets), witnesses in zip(pairs, planted)
+        ]
+        assert find_npn_transforms_grouped(pairs) == expected
+        flat = [w for row in expected for w in row]
+        assert any(w is not None for w in flat)
+        assert sum(w is None for w in flat) > sum(
+            w is None for row in planted for w in row
+        )
+
     def test_genuine_witnesses_survive_verification(self, monkeypatch):
         """The verification step passes every honest search result."""
         tt = TruthTable.majority(3)

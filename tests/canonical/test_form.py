@@ -33,6 +33,7 @@ from repro.canonical.form import (
     canonical_forms,
     canonical_forms_with_transforms,
     checked_witness,
+    checked_witnesses,
     influence_canonical_scalar,
     parse_canonical_class_id,
 )
@@ -194,6 +195,31 @@ class TestFrontDoor:
         form, transform = canonical_forms_with_transforms([tt])[0]
         with pytest.raises(RuntimeError, match="canonicalizer bug"):
             checked_witness(form, transform, tt)
+
+
+    def test_checked_witnesses_check_a_mixed_arity_batch(self):
+        rng = random.Random(71)
+        tables = [TruthTable.random(n, rng) for n in (0, 3, 5, 6, 7, 5, 3)]
+        forms = canonical_forms_with_transforms(tables)
+        witnesses = checked_witnesses(forms, tables)
+        assert witnesses == [t.inverse() for _, t in forms]
+        for tt, (form, _), witness in zip(tables, forms, witnesses):
+            assert form.apply(witness) == tt
+
+    @pytest.mark.parametrize("bad_row", [2, 4])
+    def test_one_wrong_row_makes_checked_witnesses_raise(self, bad_row):
+        """One corrupted transform among good ones — at a kernel arity
+        (row 2, n = 5) or above it (row 4, n = 7) — fails the batch."""
+        rng = random.Random(72)
+        tables = [TruthTable.random(n, rng) for n in (4, 5, 5, 6, 7)]
+        forms = canonical_forms_with_transforms(tables)
+        form, t = forms[bad_row]
+        forms[bad_row] = (
+            form,
+            NPNTransform(t.perm, t.input_phase, 1 - t.output_phase),
+        )
+        with pytest.raises(RuntimeError, match="canonicalizer bug"):
+            checked_witnesses(forms, tables)
 
 
 class TestClassIds:

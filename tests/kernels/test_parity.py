@@ -1,23 +1,28 @@
 """Parity suite: every kernel primitive against its scalar oracle.
 
 The acceptance contract of the kernels layer: ``apply_transforms``,
-``orbit`` and ``canonical_min`` agree with the scalar
-:meth:`NPNTransform.apply` / :func:`exact_npn_canonical` for **all**
-transforms at ``n <= 3``, and under seeded fuzz at ``n = 5, 6``; the
-batched key rows agree with the matcher's scalar ``variable_keys``
-everywhere.
+``apply_pairwise``, ``orbit`` and ``canonical_min`` agree with the
+scalar :meth:`NPNTransform.apply` / :func:`exact_npn_canonical` for
+**all** transforms at ``n <= 3``, and under seeded or hypothesis fuzz
+up to ``n = 6``; the batched key rows agree with the matcher's scalar
+``variable_keys`` everywhere, and their integer histograms with the
+float one-hot contraction they replaced.
 """
 
 import random
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro import kernels
 from repro.baselines.exact_enum import exact_npn_canonical
 from repro.baselines.matcher import variable_keys
 from repro.core.transforms import all_transforms, random_transform
 from repro.core.truth_table import TruthTable
+from repro.kernels import keys as keys_module
+from tests.strategies import npn_transforms, truth_table_batches, truth_tables
 
 
 def _sample_tables(n, count, seed):
@@ -87,6 +92,36 @@ class TestApplyTransformsFuzz:
         for b, tt in enumerate(tables):
             for t, transform in enumerate(transforms):
                 assert int(images[b, t]) == tt.apply(transform).bits
+
+
+class TestApplyPairwise:
+    @given(data=st.data())
+    def test_each_row_equals_its_scalar_apply(self, data):
+        n = data.draw(st.integers(0, 6))
+        tables = data.draw(st.lists(truth_tables(n=n), max_size=12))
+        transforms = [data.draw(npn_transforms(n=n)) for _ in tables]
+        images = kernels.apply_pairwise(tables, transforms, n)
+        assert images.dtype == np.uint64 and images.shape == (len(tables),)
+        assert images.tolist() == [
+            t.apply_table(tt.bits, n) for tt, t in zip(tables, transforms)
+        ]
+
+    def test_every_transform_of_one_table_at_n3(self):
+        tt = TruthTable(3, 0b11101000)
+        transforms = list(all_transforms(3))
+        images = kernels.apply_pairwise(
+            [tt.bits] * len(transforms), transforms, 3
+        )
+        assert images.tolist() == [tt.apply(t).bits for t in transforms]
+
+    def test_lengths_and_arities_must_agree(self):
+        from repro.core.transforms import NPNTransform
+
+        with pytest.raises(ValueError, match="2 tables but 1 transforms"):
+            kernels.apply_pairwise([1, 2], [NPNTransform.identity(2)], 2)
+        with pytest.raises(ValueError, match="arity 2 != table arity 3"):
+            kernels.apply_pairwise([7], [NPNTransform.identity(2)], 3)
+        assert kernels.apply_pairwise([], [], 4).shape == (0,)
 
 
 class TestOrbit:
@@ -234,3 +269,68 @@ class TestBitMatrixRoundTrip:
         assert bits.shape == (25, 1 << n)
         packed = kernels.pack_rows(bits)
         assert packed.tolist() == ints
+
+
+def _one_hot_key_matrices(n, ints):
+    """The float32 one-hot + ``tensordot`` key construction that the
+    integer ``bincount`` histograms replaced — the reference they must
+    equal cell for cell."""
+    size = 1 << n
+    bits = kernels.bit_matrix(n, ints)
+    batch = bits.shape[0]
+    counts = bits.sum(axis=1, dtype=np.int64)
+    keys = np.zeros((batch, n, kernels.KEY_WIDTH), dtype=np.int64)
+    cofactors = np.zeros((batch, n, 2), dtype=np.int64)
+    if n == 0:
+        return counts, keys, cofactors
+    minterms = np.arange(size)
+    varbits = ((minterms[None, :] >> np.arange(n)[:, None]) & 1).astype(
+        np.int64
+    )
+    profile = np.zeros((batch, size), dtype=np.int64)
+    for i in range(n):
+        sens = bits ^ bits[:, minterms ^ (1 << i)]
+        keys[:, i, 0] = sens.sum(axis=1, dtype=np.int64) >> 1
+        profile += sens
+    ones_side = bits.astype(np.int64) @ varbits.T
+    neg_side = counts[:, None] - ones_side
+    cofactors[:, :, 0] = neg_side
+    cofactors[:, :, 1] = ones_side
+    np.minimum(neg_side, ones_side, out=keys[:, :, 1])
+    np.maximum(neg_side, ones_side, out=keys[:, :, 2])
+    onehot = (profile[:, :, None] == np.arange(n + 1)).astype(np.float32)
+    hist_pos = (
+        np.tensordot(onehot, varbits.astype(np.float32), axes=([1], [1]))
+        .astype(np.int64)
+        .transpose(0, 2, 1)
+    )
+    hist_neg = onehot.sum(axis=1, dtype=np.int64)[:, None, :] - hist_pos
+    shifts = (7 * np.arange(n, -1, -1)).astype(np.int64)
+    packed_pos = (hist_pos << shifts).sum(axis=2)
+    packed_neg = (hist_neg << shifts).sum(axis=2)
+    np.minimum(packed_neg, packed_pos, out=keys[:, :, 3])
+    np.maximum(packed_neg, packed_pos, out=keys[:, :, 4])
+    return counts, keys, cofactors
+
+
+def _assert_keys_equal_one_hot(n, ints):
+    matrices = kernels.key_matrices(n, ints)
+    for got, want in zip(matrices, _one_hot_key_matrices(n, ints)):
+        assert got.dtype == np.int64
+        assert np.array_equal(got, want)
+
+
+class TestIntegerHistograms:
+    @pytest.mark.parametrize("n", range(0, 4))
+    def test_every_table_at_small_n(self, n):
+        _assert_keys_equal_one_hot(n, list(range(1 << (1 << n))))
+
+    @given(tables=truth_table_batches(min_n=4, max_n=6, min_size=1))
+    def test_drawn_batches(self, tables):
+        _assert_keys_equal_one_hot(tables[0].n, [t.bits for t in tables])
+
+    @given(tables=truth_table_batches(min_n=4, max_n=6, min_size=4))
+    def test_drawn_batches_across_chunk_boundaries(self, tables):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(keys_module, "_KEYS_CHUNK", 3)
+            _assert_keys_equal_one_hot(tables[0].n, [t.bits for t in tables])
