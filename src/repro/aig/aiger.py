@@ -10,11 +10,10 @@ tools and externally supplied benchmarks can be fed to the pipeline.
 from __future__ import annotations
 
 import io
-from pathlib import Path
 
 from repro.aig.network import AIG
 
-__all__ = ["write_aiger", "read_aiger", "dumps", "loads"]
+__all__ = ["dumps", "loads"]
 
 
 def dumps(aig: AIG) -> str:
@@ -101,17 +100,6 @@ def loads(text: str, name: str = "aig") -> AIG:
         if symbol is not None:
             aig._inputs[position] = symbol
     return aig
-
-
-def write_aiger(aig: AIG, path: str | Path) -> None:
-    """Write an ASCII AIGER file."""
-    Path(path).write_text(dumps(aig))
-
-
-def read_aiger(path: str | Path) -> AIG:
-    """Read an ASCII AIGER file."""
-    path = Path(path)
-    return loads(path.read_text(), name=path.stem)
 
 
 def _map_literal(rebuilt: dict[int, int], literal: int) -> int:

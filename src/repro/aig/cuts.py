@@ -47,36 +47,20 @@ _BLOCK_WORDS = 1 << 16
 
 @dataclass(frozen=True)
 class Cut:
-    """An immutable cut: leaf variables, their exact bitmask, its function.
+    """An immutable cut: leaf variables and its function.
 
     ``function`` is the cut's truth table over its sorted leaves (leaf
     ``i`` is table variable ``i``).  :func:`enumerate_cuts` fills it in;
-    a cut built by :meth:`of` alone has none.  It takes no part in
+    a cut built from its leaves alone has none.  It takes no part in
     equality: a cut is its leaf set.
     """
 
     leaves: tuple[int, ...]
-    mask: int
     function: int | None = field(default=None, compare=False)
-
-    @classmethod
-    def of(cls, leaves: tuple[int, ...], function: int | None = None) -> "Cut":
-        mask = 0
-        for leaf in leaves:
-            mask |= 1 << leaf
-        return cls(leaves, mask, function)
 
     @property
     def size(self) -> int:
         return len(self.leaves)
-
-    def dominates(self, other: "Cut") -> bool:
-        """True if this cut's leaves are a subset of the other's.
-
-        A dominated cut is redundant: any function computable over the
-        superset cut is computable over the subset cut.
-        """
-        return self.mask & ~other.mask == 0
 
 
 class CutArrays(NamedTuple):
@@ -146,12 +130,12 @@ def enumerate_cuts(
         trivial cut.  Every cut's ``function`` is its truth table.
     """
     arrays = cut_arrays(aig, range(1, k + 1), max_cuts, include_trivial)
-    cuts = {v: [Cut.of((v,), 0b10)] for v in aig.input_variables()}
+    cuts = {v: [Cut((v,), 0b10)] for v in aig.input_variables()}
     cuts.update((v, []) for v in aig.and_variables())
     for root, leaves, function in zip(
         arrays.roots.tolist(), arrays.leaves, arrays.functions()
     ):
-        cuts[root].append(Cut.of(leaves, function))
+        cuts[root].append(Cut(leaves, function))
     return cuts
 
 
@@ -170,7 +154,7 @@ def iter_cut_functions(
     """
     arrays = cut_arrays(aig, sizes, max_cuts)
     return (
-        (root, Cut.of(leaves, function), TruthTable(len(leaves), function))
+        (root, Cut(leaves, function), TruthTable(len(leaves), function))
         for root, leaves, function in zip(
             arrays.roots.tolist(), arrays.leaves, arrays.functions()
         )

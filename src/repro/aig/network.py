@@ -96,9 +96,6 @@ class AIG:
     def add_or(self, a: Literal, b: Literal) -> Literal:
         return self.add_and(a ^ 1, b ^ 1) ^ 1
 
-    def add_nand(self, a: Literal, b: Literal) -> Literal:
-        return self.add_and(a, b) ^ 1
-
     def add_xor(self, a: Literal, b: Literal) -> Literal:
         return self.add_or(self.add_and(a, b ^ 1), self.add_and(a ^ 1, b))
 
@@ -193,9 +190,6 @@ class AIG:
     def is_input(self, variable: int) -> bool:
         return 1 <= variable <= len(self._inputs)
 
-    def is_and(self, variable: int) -> bool:
-        return 1 + len(self._inputs) <= variable < self.num_vars
-
     def levels(self) -> dict[int, int]:
         """Logic depth of every variable (inputs and constant at level 0)."""
         level = {0: 0}
@@ -212,17 +206,6 @@ class AIG:
             return 0
         level = self.levels()
         return max(level[lit // 2] for lit, __ in self._outputs)
-
-    def fanout_counts(self) -> dict[int, int]:
-        """Number of AND/output references to each variable."""
-        counts = {v: 0 for v in range(self.num_vars)}
-        for v in self.and_variables():
-            f0, f1 = self.fanins(v)
-            counts[f0 // 2] += 1
-            counts[f1 // 2] += 1
-        for lit, __ in self._outputs:
-            counts[lit // 2] += 1
-        return counts
 
     def _check_literal(self, literal: Literal) -> None:
         if not 0 <= literal < 2 * self.num_vars:

@@ -1,16 +1,11 @@
 """Analysis helpers: accuracy stats, paper-style tables, timing harness."""
 
-from repro.analysis.stats import (
-    accuracy,
-    class_count_matrix,
-    refinement_holds,
-)
+from repro.analysis.stats import accuracy, refinement_holds
 from repro.analysis.tables import format_table, write_markdown_table
 from repro.analysis.timing import TimedRun, time_classifier
 
 __all__ = [
     "accuracy",
-    "class_count_matrix",
     "refinement_holds",
     "format_table",
     "write_markdown_table",

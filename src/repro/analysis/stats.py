@@ -8,17 +8,9 @@ exact count.  For a sound signature classifier ``#classes <= #exact``
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Sequence
+from collections.abc import Sequence
 
-from repro.core.classifier import FacePointClassifier
-from repro.core.truth_table import TruthTable
-
-__all__ = [
-    "accuracy",
-    "class_count_matrix",
-    "refinement_holds",
-    "collision_examples",
-]
+__all__ = ["accuracy", "refinement_holds"]
 
 
 def accuracy(claimed_classes: int, exact_classes: int) -> float:
@@ -32,16 +24,6 @@ def accuracy(claimed_classes: int, exact_classes: int) -> float:
     return claimed_classes / exact_classes
 
 
-def class_count_matrix(
-    tables: Sequence[TruthTable], part_selections: dict[str, Iterable[str]]
-) -> dict[str, int]:
-    """Class counts for several MSV part selections (Table II columns)."""
-    return {
-        label: FacePointClassifier(parts).count_classes(tables)
-        for label, parts in part_selections.items()
-    }
-
-
 def refinement_holds(counts: Sequence[int]) -> bool:
     """True if the class-count sequence is non-decreasing.
 
@@ -50,29 +32,3 @@ def refinement_holds(counts: Sequence[int]) -> bool:
     """
     return all(a <= b for a, b in zip(counts, counts[1:]))
 
-
-def collision_examples(
-    tables: Sequence[TruthTable],
-    parts: Iterable[str],
-    max_examples: int = 5,
-) -> list[tuple[TruthTable, TruthTable]]:
-    """Pairs of NPN-*non*-equivalent functions sharing an MSV.
-
-    These are exactly the classifier's inaccuracies (paper Section V-C:
-    "our classifier cannot return exact matching solutions").  Expensive
-    — calls the exact matcher inside shared buckets — so bounded by
-    ``max_examples``.
-    """
-    from repro.baselines.matcher import are_npn_equivalent
-
-    clf = FacePointClassifier(parts)
-    examples: list[tuple[TruthTable, TruthTable]] = []
-    for members in clf.classify(tables).groups.values():
-        representative = members[0]
-        for other in members[1:]:
-            if len(examples) >= max_examples:
-                return examples
-            if not are_npn_equivalent(representative, other):
-                examples.append((representative, other))
-                break
-    return examples

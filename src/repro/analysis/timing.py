@@ -33,10 +33,6 @@ class TimedRun:
     chunk_seconds: list[float] = field(default_factory=list)
 
     @property
-    def per_function_us(self) -> float:
-        return 1e6 * self.seconds / self.functions if self.functions else 0.0
-
-    @property
     def chunk_stdev(self) -> float:
         """Spread of per-chunk runtimes — the Fig. 5 stability metric."""
         if len(self.chunk_seconds) < 2:

@@ -47,11 +47,6 @@ class ExactStats:
     match_successes: int = 0
     collision_buckets: set = field(default_factory=set)
 
-    @property
-    def bucket_collisions(self) -> int:
-        """Buckets holding more than one exact class (MSV inexactness)."""
-        return len(self.collision_buckets)
-
 
 @register_classifier
 class ExactClassifier:

@@ -60,7 +60,6 @@ __all__ = [
     "checked_witnesses",
     "influence_canonical_scalar",
     "canonical_class_id",
-    "parse_canonical_class_id",
 ]
 
 #: How hard the incumbent-bounded scalar search worked, by step kind:
@@ -281,15 +280,3 @@ def canonical_class_id(rep: TruthTable) -> str:
     on every machine.
     """
     return f"n{rep.n}-c{rep.to_hex()}"
-
-
-def parse_canonical_class_id(class_id: str) -> TruthTable | None:
-    """Recover the representative from a canonical id; ``None`` if not one."""
-    head, sep, payload = class_id.partition("-c")
-    if not sep or not head.startswith("n") or not payload:
-        return None
-    try:
-        n = int(head[1:])
-        return TruthTable.from_hex(n, payload)
-    except (ValueError, TypeError):
-        return None

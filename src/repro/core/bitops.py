@@ -22,7 +22,6 @@ import numpy as np
 __all__ = [
     "table_mask",
     "var_mask",
-    "all_var_masks",
     "popcount",
     "flip_output",
     "flip_input",
@@ -35,15 +34,11 @@ __all__ = [
     "insert_variable",
     "sensitivity_word",
     "to_bit_array",
-    "from_bit_array",
     "to_words",
     "from_words",
     "words_per_table",
     "mask_words",
-    "var_mask_words",
     "popcount_table",
-    "indices_by_weight",
-    "hamming_distance",
     "MAX_VARS",
     "WORD_BITS",
 ]
@@ -80,12 +75,6 @@ def var_mask(n: int, i: int) -> int:
     for start in range(0, 1 << n, period):
         mask |= block << start
     return mask
-
-
-@lru_cache(maxsize=None)
-def all_var_masks(n: int) -> tuple[int, ...]:
-    """Tuple of :func:`var_mask` for every variable of an ``n``-var table."""
-    return tuple(var_mask(n, i) for i in range(n))
 
 
 def popcount(x: int) -> int:
@@ -264,12 +253,6 @@ def to_bit_array(table: int, n: int) -> np.ndarray:
     return np.unpackbits(raw, bitorder="little")[: 1 << n]
 
 
-def from_bit_array(bits: np.ndarray) -> int:
-    """Inverse of :func:`to_bit_array`."""
-    packed = np.packbits(np.asarray(bits, dtype=np.uint8), bitorder="little")
-    return int.from_bytes(packed.tobytes(), "little")
-
-
 def words_per_table(n: int) -> int:
     """Number of 64-bit words a ``2**n``-bit truth table packs into.
 
@@ -306,14 +289,6 @@ def mask_words(mask: int, n: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def var_mask_words(n: int, i: int) -> np.ndarray:
-    """:func:`var_mask` in packed word form (read-only cached array)."""
-    words = mask_words(var_mask(n, i), n)
-    words.setflags(write=False)
-    return words
-
-
-@lru_cache(maxsize=None)
 def popcount_table(n: int) -> np.ndarray:
     """``popcount_table(n)[m]`` is the Hamming weight of index ``m < 2**n``."""
     _check_n(n)
@@ -321,18 +296,6 @@ def popcount_table(n: int) -> np.ndarray:
     for i in range(n):
         counts += (np.arange(1 << n) >> i) & 1
     return counts
-
-
-@lru_cache(maxsize=None)
-def indices_by_weight(n: int) -> tuple[np.ndarray, ...]:
-    """Tuple indexed by weight ``w``: the minterm indices of weight ``w``."""
-    counts = popcount_table(n)
-    return tuple(np.flatnonzero(counts == w) for w in range(n + 1))
-
-
-def hamming_distance(x: int, y: int) -> int:
-    """Hamming distance between two minterm indices (Definition 9)."""
-    return (x ^ y).bit_count()
 
 
 def _check_n(n: int) -> None:

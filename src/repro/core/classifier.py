@@ -70,15 +70,6 @@ class ClassificationResult:
         ).encode()
         return hashlib.blake2b(payload, digest_size=16).hexdigest()
 
-    def merged_with(self, other: "ClassificationResult") -> "ClassificationResult":
-        """Union of two runs over the same parts."""
-        if other.parts != self.parts:
-            raise ValueError("cannot merge results with different MSV parts")
-        merged = ClassificationResult(self.parts, dict(self.groups))
-        for signature, members in other.groups.items():
-            merged.groups.setdefault(signature, []).extend(members)
-        return merged
-
 
 class FacePointClassifier:
     """NPN classifier driven purely by signature vectors (Algorithm 1).

@@ -38,7 +38,6 @@ __all__ = [
     "osv0",
     "osv1",
     "osv_histogram",
-    "osv01_histograms",
     "osdv",
     "osdv0",
     "osdv1",
@@ -104,15 +103,6 @@ def osv_histogram(tt: TruthTable) -> tuple[int, ...]:
     """Histogram form of ``OSV``: entry ``s`` counts words with ``sen = s``."""
     profile = chars.sensitivity_profile(tt)
     return tuple(np.bincount(profile, minlength=tt.n + 1).tolist())
-
-
-def osv01_histograms(tt: TruthTable) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """``(OSV0, OSV1)`` as histograms over sensitivity levels ``0..n``."""
-    profile = chars.sensitivity_profile(tt)
-    ones = tt.bit_array().astype(bool)
-    hist0 = np.bincount(profile[~ones], minlength=tt.n + 1)
-    hist1 = np.bincount(profile[ones], minlength=tt.n + 1)
-    return tuple(hist0.tolist()), tuple(hist1.tolist())
 
 
 # ----------------------------------------------------------------------

@@ -65,16 +65,6 @@ class NPNTransform:
         """The neutral element for ``n`` variables."""
         return cls(tuple(range(n)), 0, 0)
 
-    @classmethod
-    def from_parts(
-        cls,
-        perm: tuple[int, ...] | list[int],
-        input_phase: int = 0,
-        output_phase: int = 0,
-    ) -> "NPNTransform":
-        """Build a transform, accepting any sequence for ``perm``."""
-        return cls(tuple(perm), input_phase, output_phase)
-
     # ------------------------------------------------------------------
     # Group structure
     # ------------------------------------------------------------------

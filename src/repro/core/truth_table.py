@@ -82,16 +82,6 @@ class TruthTable:
         return cls(n, bits)
 
     @classmethod
-    def from_minterms(cls, n: int, minterms: Iterable[int]) -> "TruthTable":
-        """Build from the set of satisfying minterm indices."""
-        bits = 0
-        for m in minterms:
-            if not 0 <= m < (1 << n):
-                raise ValueError(f"minterm {m} out of range for n={n}")
-            bits |= 1 << m
-        return cls(n, bits)
-
-    @classmethod
     def constant(cls, n: int, value: int) -> "TruthTable":
         """The constant-0 or constant-1 function."""
         return cls(n, bitops.table_mask(n) if value else 0)
@@ -137,17 +127,10 @@ class TruthTable:
         """Satisfy count ``|f|`` — the 0-ary cofactor signature."""
         return bitops.popcount(self.bits)
 
-    def count_zeros(self) -> int:
-        return (1 << self.n) - self.count_ones()
-
     @property
     def is_balanced(self) -> bool:
         """True iff ``|f| == |~f| == 2^(n-1)`` (paper Section II-A)."""
         return self.count_ones() * 2 == 1 << self.n
-
-    @property
-    def is_constant(self) -> bool:
-        return self.bits in (0, bitops.table_mask(self.n))
 
     def minterms(self) -> Iterator[int]:
         """Indices of the satisfying assignments, ascending."""
@@ -174,12 +157,6 @@ class TruthTable:
         """True iff ``f`` is invariant under swapping ``x_i`` and ``x_j``."""
         return bitops.swap_inputs(self.bits, self.n, i, j) == self.bits
 
-    def has_skew_symmetric_pair(self, i: int, j: int) -> bool:
-        """True iff ``f`` is invariant under swapping ``x_i`` with ``~x_j``."""
-        flipped = bitops.flip_input(self.bits, self.n, i)
-        flipped = bitops.flip_input(flipped, self.n, j)
-        return bitops.swap_inputs(flipped, self.n, i, j) == self.bits
-
     # ------------------------------------------------------------------
     # Boolean algebra
     # ------------------------------------------------------------------
@@ -195,10 +172,6 @@ class TruthTable:
 
     def __xor__(self, other: "TruthTable") -> "TruthTable":
         return TruthTable(self.n, self.bits ^ self._same_arity(other).bits)
-
-    def implies(self, other: "TruthTable") -> bool:
-        """True iff ``f <= g`` pointwise."""
-        return self.bits & ~self._same_arity(other).bits == 0
 
     # ------------------------------------------------------------------
     # Cofactors and transformations
@@ -243,19 +216,6 @@ class TruthTable:
         for k in range(self.n, n):
             bits = bitops.insert_variable(bits, k, k)
         return TruthTable(n, bits)
-
-    def extend_insert(self, i: int) -> "TruthTable":
-        """Insert a don't-care variable at index ``i`` (arity ``n+1``)."""
-        return TruthTable(self.n + 1, bitops.insert_variable(self.bits, self.n, i))
-
-    def shrink_to_support(self) -> "TruthTable":
-        """Project out all non-essential variables."""
-        table, n = self.bits, self.n
-        for i in range(n - 1, -1, -1):
-            if bitops.sensitivity_word(table, n, i) == 0:
-                table = bitops.project_cofactor(table, n, i, 0)
-                n -= 1
-        return TruthTable(n, table)
 
     # ------------------------------------------------------------------
     # Rendering

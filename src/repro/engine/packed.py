@@ -6,21 +6,13 @@ layout of :func:`repro.core.bitops.to_words` stacked row-wise.  Every
 kernel in this module acts on *all rows at once*, which is what turns
 Algorithm 1's per-function loop into a handful of NumPy passes.
 
-The word-level tricks mirror the big-int kernel in
-:mod:`repro.core.bitops` exactly:
-
-* a variable ``i < 6`` lives *inside* each word, so flipping it is the
-  same masked-shift trick, applied elementwise;
-* a variable ``i >= 6`` spans words, so flipping it swaps word blocks at
-  stride ``2**(i-6)`` — pure array reshuffling, no bit arithmetic.
-
-Property tests assert each kernel against its big-int twin.
+The popcount and unpacking kernels mirror their big-int twins in
+:mod:`repro.core.bitops`, and the tests assert each against its twin.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
-from functools import lru_cache
 
 import numpy as np
 
@@ -32,12 +24,8 @@ __all__ = [
     "popcount_words",
     "popcount_rows",
     "masked_popcount_rows",
-    "flip_input_packed",
-    "sensitivity_words_packed",
     "unpack_word_bits",
 ]
-
-_WORD_INDEX_BITS = 6  # log2(bitops.WORD_BITS)
 
 
 class PackedTables:
@@ -154,27 +142,6 @@ def masked_popcount_rows(words: np.ndarray, masks: np.ndarray) -> np.ndarray:
     return popcount_words(words[:, None, :] & masks[None, :, :]).sum(axis=-1)
 
 
-def flip_input_packed(words: np.ndarray, n: int, i: int) -> np.ndarray:
-    """Batched :func:`repro.core.bitops.flip_input` on a packed array."""
-    if not 0 <= i < n:
-        raise ValueError(f"variable index {i} out of range for n={n}")
-    if i < _WORD_INDEX_BITS:
-        mask_hi = _inword_var_mask(min(n, _WORD_INDEX_BITS), i)
-        shift = np.uint64(1 << i)
-        hi = words & mask_hi
-        lo = words & ~mask_hi
-        return (hi >> shift) | (lo << shift)
-    stride = 1 << (i - _WORD_INDEX_BITS)
-    batch, width = words.shape
-    blocks = words.reshape(batch, width // (2 * stride), 2, stride)
-    return blocks[:, :, ::-1, :].reshape(batch, width)
-
-
-def sensitivity_words_packed(words: np.ndarray, n: int, i: int) -> np.ndarray:
-    """Batched :func:`repro.core.bitops.sensitivity_word`."""
-    return words ^ flip_input_packed(words, n, i)
-
-
 def unpack_word_bits(words: np.ndarray, n: int) -> np.ndarray:
     """Unpack a raw ``[batch, W]`` array to ``[batch, 2**n]`` bits.
 
@@ -185,9 +152,3 @@ def unpack_word_bits(words: np.ndarray, n: int) -> np.ndarray:
     bytes_view = np.ascontiguousarray(words.astype("<u8", copy=False)).view(np.uint8)
     bits = np.unpackbits(bytes_view, axis=1, bitorder="little")
     return bits[:, : 1 << n]
-
-
-@lru_cache(maxsize=None)
-def _inword_var_mask(n: int, i: int) -> np.uint64:
-    """``var_mask(n, i)`` for a variable that fits inside one word."""
-    return np.uint64(bitops.var_mask(n, i))

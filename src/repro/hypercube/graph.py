@@ -27,7 +27,6 @@ __all__ = [
     "hypercube_graph",
     "induced_subgraph",
     "npn_equivalent_by_automorphism",
-    "subgraph_degree_histogram",
 ]
 
 
@@ -87,16 +86,3 @@ def npn_equivalent_by_automorphism(a: TruthTable, b: TruthTable) -> bool:
             return True
     return False
 
-
-def subgraph_degree_histogram(tt: TruthTable) -> tuple[int, ...]:
-    """Degree histogram of the induced subgraph — an NPN invariant.
-
-    The degree of a 1-minterm in the induced subgraph is ``n`` minus its
-    local sensitivity, so this histogram is a reshaping of the paper's
-    ``OSV1`` (the tests assert the correspondence).
-    """
-    graph = induced_subgraph(tt)
-    counts = [0] * (tt.n + 1)
-    for __, degree in graph.degree():
-        counts[degree] += 1
-    return tuple(counts)

@@ -89,8 +89,9 @@ TABLE_ARRAYS = ("ns", "sizes", "reps")
 SEAL_FIELD = "classes_sha256"
 #: Largest arity :meth:`ClassLibrary.match_many` resolves by canonical
 #: form.  Above it the signature chains plus the grouped matcher are
-#: cheaper (random ``n = 6`` queries: ~70-95 µs matcher vs ~420 µs
-#: kernel on a 2-core x86 host).
+#: cheaper.  ``n = 6`` hits from a 64-class library, in µs per query on a
+#: 2-core x86 host (chains vs form path): 829-861 vs 314-367 for a lone
+#: query, but 101-109 vs 158-173 at batch 16 and 37-39 vs 149-161 at 256.
 KERNEL_MATCH_VARS = 5
 
 _REG = obs.registry()

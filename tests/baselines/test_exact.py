@@ -114,7 +114,7 @@ class TestExactClassifier:
         xor3 = TruthTable.from_function(3, lambda a, b, c: a ^ b ^ c)
         result = clf.classify([maj, xor3])  # same |f| = 4, not equivalent
         assert result.num_classes == 2
-        assert clf.stats.bucket_collisions == 1
+        assert len(clf.stats.collision_buckets) == 1
 
 
 class TestGroupedRounds:
@@ -135,7 +135,7 @@ class TestGroupedRounds:
         clf = ExactClassifier()
         result = clf.classify(COLLISION_PAIR)
         assert result.num_classes == 2
-        assert clf.stats.bucket_collisions == 1
+        assert len(clf.stats.collision_buckets) == 1
         assert clf.stats.match_attempts == 1
         assert clf.stats.match_successes == 0
 

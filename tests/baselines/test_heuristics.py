@@ -41,7 +41,7 @@ class TestRefinementMachinery:
         for _ in range(20):
             tt = TruthTable.random(4, rng)
             normalized, _, _ = phase_normalize(tt)
-            assert normalized.count_ones() <= normalized.count_zeros()
+            assert 2 * normalized.count_ones() <= 1 << normalized.n
             for i in range(4):
                 assert normalized.cofactor_count(i, 1) <= (
                     normalized.cofactor_count(i, 0)
@@ -141,7 +141,7 @@ class TestHeuristicCharacter:
             tt = TruthTable.random(4, rng)
             canon = huang_canonical(tt)
             # Phase-normalised: minority ones globally.
-            assert canon.count_ones() <= canon.count_zeros()
+            assert 2 * canon.count_ones() <= 1 << canon.n
 
     def test_petkovska_budget_zero_degrades_gracefully(self):
         tables = random_set(4, 60, seed=9)

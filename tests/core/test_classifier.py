@@ -2,8 +2,6 @@
 
 import random
 
-import pytest
-
 from repro.core.classifier import ClassificationResult, FacePointClassifier
 from repro.core.transforms import all_transforms, random_transform
 from repro.core.truth_table import TruthTable
@@ -51,21 +49,6 @@ class TestBasicClassification:
         result = FacePointClassifier().classify([maj, ~maj])
         assert set(result.class_of(maj.flip_input(0))) == {maj, ~maj}
         assert result.class_of(TruthTable.constant(3, 1)) == []
-
-    def test_merged_with(self):
-        clf = FacePointClassifier()
-        maj = TruthTable.majority(3)
-        left = clf.classify([maj])
-        right = clf.classify([~maj, TruthTable.constant(3, 0)])
-        merged = left.merged_with(right)
-        assert merged.num_classes == 2
-        assert merged.num_functions == 3
-
-    def test_merged_with_rejects_other_parts(self):
-        a = FacePointClassifier(["oiv"]).classify([])
-        b = FacePointClassifier(["osv"]).classify([])
-        with pytest.raises(ValueError):
-            a.merged_with(b)
 
 
 class TestPartAblations:

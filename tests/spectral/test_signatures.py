@@ -2,18 +2,12 @@
 
 import random
 
-import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.transforms import random_transform
 from repro.core.truth_table import TruthTable
-from repro.spectral.signatures import (
-    spectral_moments,
-    spectral_signature,
-    spectral_weight_signature,
-)
+from repro.spectral.signatures import spectral_signature
 
 
 class TestSpectralSignature:
@@ -31,47 +25,6 @@ class TestSpectralSignature:
                 tt = TruthTable.random(n, rng)
                 image = tt.apply(random_transform(n, rng))
                 assert spectral_signature(image) == spectral_signature(tt)
-
-    def test_weight_signature_refines(self):
-        rng = random.Random(1)
-        for _ in range(10):
-            tt = TruthTable.random(4, rng)
-            flat = tuple(
-                sorted(c for group in spectral_weight_signature(tt) for c in group)
-            )
-            assert flat == spectral_signature(tt)
-
-    def test_weight_signature_npn_invariance(self):
-        rng = random.Random(2)
-        for _ in range(15):
-            tt = TruthTable.random(4, rng)
-            image = tt.apply(random_transform(4, rng))
-            assert spectral_weight_signature(image) == spectral_weight_signature(tt)
-
-    def test_weight_signature_discriminates_where_flat_cannot(self):
-        """Two functions with equal sorted |spectrum| but different
-        weight-class layout exist; the weight signature splits them."""
-        found = None
-        rng = random.Random(3)
-        seen = {}
-        for _ in range(4000):
-            tt = TruthTable.random(4, rng)
-            key = spectral_signature(tt)
-            if key in seen and spectral_weight_signature(seen[key]) != (
-                spectral_weight_signature(tt)
-            ):
-                found = (seen[key], tt)
-                break
-            seen.setdefault(key, tt)
-        assert found is not None
-
-    def test_moments(self):
-        rng = random.Random(4)
-        for n in range(1, 6):
-            tt = TruthTable.random(n, rng)
-            order2, order4 = spectral_moments(tt, orders=(2, 4))
-            assert order2 == 1 << (2 * n)  # Parseval self-check
-            assert order4 >= 0
 
 
 @settings(max_examples=40, deadline=None)
