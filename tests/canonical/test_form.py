@@ -18,12 +18,14 @@ search must both be byte-identical to
 """
 
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro import obs
+from repro.aig.builders import ripple_adder
 from repro.baselines.exact_enum import exact_npn_canonical
 from repro.baselines.matcher import find_npn_transform
 from repro.canonical import form as form_module
@@ -38,6 +40,7 @@ from repro.canonical.form import (
 )
 from repro.core.transforms import NPNTransform, random_transform
 from repro.core.truth_table import TruthTable
+from repro.workloads.extraction import extract_cut_functions
 from tests.strategies import truth_tables
 
 #: NPN class counts over all n-variable functions (OEIS A000370).
@@ -234,3 +237,21 @@ class TestClassIds:
         reps = set(canonical_forms(tables))
         ids = {canonical_class_id(rep) for rep in reps}
         assert len(ids) == len(reps)
+
+
+class TestClassDistribution:
+    """Counting canonical forms is a function set's class distribution."""
+
+    def test_orbit_members_count_together(self):
+        maj = TruthTable.majority(3)
+        counts = Counter(canonical_forms([maj, ~maj, maj.flip_input(0)]))
+        assert counts == {canonical_form(maj): 3}
+
+    def test_circuit_cuts_concentrate_on_few_classes(self):
+        cuts = extract_cut_functions(ripple_adder(6), sizes=[3])[3]
+        counts = Counter(canonical_forms(cuts))
+        assert sum(counts.values()) == len(cuts)
+        # The adder's cone logic concentrates on few classes.
+        assert len(counts) < len(cuts)
+        for tt in cuts:
+            assert canonical_form(tt) in counts

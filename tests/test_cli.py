@@ -1,7 +1,10 @@
 """Tests for the command-line interface."""
 
+import ast
+import io
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -10,6 +13,8 @@ from pathlib import Path
 import pytest
 
 from repro.cli import main, parse_tables
+from repro.core.transforms import NPNTransform
+from repro.core.truth_table import TruthTable
 from repro.library import ClassLibrary
 
 
@@ -164,6 +169,42 @@ class TestCommands:
         path = tmp_path / "empty.txt"
         path.write_text("\n")
         assert main(["classify", str(path)]) == 1
+
+    def test_classify_reads_stdin_and_shows_classes(self, monkeypatch, capsys):
+        monkeypatch.setattr(
+            "sys.stdin", io.StringIO("11101000\n01110001\n10000000\n")
+        )
+        assert main(["classify", "-", "--show-classes"]) == 0
+        out = capsys.readouterr().out
+        assert "functions: 3" in out
+        assert "classes:   2 (ours)" in out
+        assert "class 0: 0xe8 0x71" in out
+        assert "class 1: 0x80" in out
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["match", "11101000", "01110001"],
+            ["match", "0xe8", "0x71", "--n", "3"],
+        ],
+    )
+    def test_match_prints_a_transform_that_maps_source_to_target(
+        self, argv, capsys
+    ):
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        perm, input_phase, output_phase = re.search(
+            r"perm=(\(.*\)) input_phase=(0x[0-9a-f]+) output_phase=(\d)", out
+        ).groups()
+        transform = NPNTransform(
+            ast.literal_eval(perm), int(input_phase, 16), int(output_phase)
+        )
+        source = TruthTable.from_binary("11101000")
+        assert source.apply(transform) == TruthTable.from_binary("01110001")
+
+    def test_match_reports_inequivalent_functions(self, capsys):
+        assert main(["match", "11101000", "10000000"]) == 1
+        assert capsys.readouterr().out == "NOT NPN equivalent\n"
 
     def test_signatures_command(self, capsys):
         assert main(["signatures", "11101000"]) == 0
@@ -445,6 +486,14 @@ class TestServeAndQueryCommands:
         assert "cannot reach" in err
         assert "repro-npn serve" in err
 
+    @pytest.mark.parametrize("command", [["trace"], ["stats", "--prometheus"]])
+    def test_http_queries_report_unreachable_daemon(self, command, capsys):
+        """The HTTP-backed queries fail as the NDJSON ones do."""
+        assert main(["query", *command, "--addr", "127.0.0.1:1"]) == 2
+        err = capsys.readouterr().err
+        assert "cannot reach" in err
+        assert "repro-npn serve" in err
+
     def test_query_bad_table_is_typed_error(self, served, capsys):
         assert main(
             ["query", "classify", "0xe8a", "--addr", served.address]
@@ -534,6 +583,14 @@ class TestLearnAndCompactCli:
         capsys.readouterr()
         assert main(["library", "compact", "--library", str(lib)]) == 0
         assert "no write-ahead segments" in capsys.readouterr().out
+
+    def test_compact_reports_an_unreadable_library(self, tmp_path, capsys):
+        (tmp_path / "manifest.json").write_text('{"version": 3')
+        for _ in range(2):  # the failed open released the learner lock
+            assert main(["library", "compact", "--library", str(tmp_path)]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("cannot open library: ")
+            assert "not valid JSON" in err
 
     def test_compact_merges_leftover_segments(self, tmp_path, capsys):
         """A crashed learner's segment is absorbed by the CLI compaction."""

@@ -84,15 +84,16 @@ def _skipped_lines(tree: ast.Module) -> set[int]:
 
 
 @functools.cache
-def _uncalled_definitions() -> tuple[tuple[str, int, str], ...]:
-    """``(path, line, name)`` of every definition no other line names."""
+def _uncalled_definitions(root: Path = SRC) -> tuple[tuple[str, int, str], ...]:
+    """``(path, line, name)`` of every definition under ``root`` that no
+    other line there names."""
     lines_naming = defaultdict(set)  # name -> {(path, line)}
     definitions = []
-    for path in sorted(SRC.rglob("*.py")):
+    for path in sorted(root.rglob("*.py")):
         text = path.read_text()
         tree = ast.parse(text)
         skipped = _skipped_lines(tree)
-        relative = str(path.relative_to(SRC.parent))
+        relative = str(path.relative_to(root.parent))
         for number, line in enumerate(text.splitlines(), 1):
             if number not in skipped:
                 for word in set(re.findall(r"\w+", line)):
@@ -125,3 +126,45 @@ def test_every_kept_name_is_still_uncalled():
     """An entry whose name was deleted or gained a caller in src/ goes."""
     uncalled = {name for _, _, name in _uncalled_definitions()}
     assert sorted(set(KEPT) - uncalled) == []
+
+
+def _scan(tmp_path: Path, files: dict[str, str]) -> list[str]:
+    """Names the scan reports for a package made of ``files``."""
+    root = tmp_path / "pkg"
+    root.mkdir()
+    for name, text in files.items():
+        (root / name).write_text(text)
+    return sorted(name for _, _, name in _uncalled_definitions(root))
+
+
+def test_scan_reports_a_definition_no_other_line_names(tmp_path):
+    files = {
+        "a.py": "def used():\n    pass\n\n\ndef unused():\n    pass\n",
+        "b.py": "from .a import used\n\nclass Caller:\n    x = used()\n",
+    }
+    assert _scan(tmp_path, files) == ["Caller", "unused"]
+
+
+def test_scan_ignores_import_and_all_lines(tmp_path):
+    """A re-export names a definition without calling it."""
+    files = {
+        "__init__.py": 'from .a import helper\n\n__all__ = [\n    "helper",\n]\n',
+        "a.py": "def helper():\n    pass\n",
+    }
+    assert _scan(tmp_path, files) == ["helper"]
+
+
+def test_scan_counts_a_mention_on_any_other_line(tmp_path):
+    """Calls, attribute access and comments all count; the scan is textual."""
+    files = {
+        "a.py": (
+            "def f():\n    pass\n\n\ndef g():\n    pass\n\n\n"
+            "class K:\n    pass\n"
+        ),
+        "b.py": (
+            "import pkg.a\n\nvalue = pkg.a.f()\n"
+            "# K is kept for the docs\n"
+            "def main():\n    return g\n\n\nmain()\n"
+        ),
+    }
+    assert _scan(tmp_path, files) == []
