@@ -1,11 +1,10 @@
-"""And-Inverter Graph substrate: networks, I/O, simulation, cuts, builders.
+"""And-Inverter Graph substrate: networks, simulation, cuts, builders.
 
 The paper extracts its benchmark truth tables from the EPFL combinational
 suite "using cut enumeration".  This package provides everything needed to
 replicate that front-end in Python:
 
 * :mod:`repro.aig.network` — AIG data structure with structural hashing;
-* :mod:`repro.aig.aiger` — ASCII AIGER reader/writer;
 * :mod:`repro.aig.simulate` — bit-parallel simulation and cone functions;
 * :mod:`repro.aig.cuts` — k-feasible priority-cut enumeration, every
   kept cut's truth table from one simulation per circuit;

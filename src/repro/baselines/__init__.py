@@ -6,6 +6,9 @@
   pruning (the ICCAD'21 [6] style search; exact).
 * :mod:`repro.baselines.exact` — bucketed exact classifier built from the
   two above (the "#Exact Classes" oracle for every table).
+* :mod:`repro.baselines.guided` — exact canonical form enumerated only
+  over face/point-key-respecting transforms (the paper's future work),
+  registered as ``guided``.
 * :mod:`repro.baselines.huang13` — Huang et al., FPT'13 (``testnpn -6``):
   ultra-fast heuristic canonical form, heavily overcounts classes.
 * :mod:`repro.baselines.petkovska16` — Petkovska et al., FPL'16
@@ -24,6 +27,7 @@ from repro.baselines.base import (
 )
 from repro.baselines.exact import ExactClassifier
 from repro.baselines.exact_enum import ExactEnumerationClassifier, exact_npn_canonical
+from repro.baselines.guided import GuidedExactClassifier
 from repro.baselines.huang13 import Huang13Classifier
 from repro.baselines.matcher import find_npn_transform
 from repro.baselines.petkovska16 import Petkovska16Classifier
@@ -37,6 +41,7 @@ __all__ = [
     "ExactClassifier",
     "ExactEnumerationClassifier",
     "exact_npn_canonical",
+    "GuidedExactClassifier",
     "find_npn_transform",
     "Huang13Classifier",
     "Petkovska16Classifier",

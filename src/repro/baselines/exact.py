@@ -8,7 +8,8 @@ bucket — and the (rare) multi-member buckets are resolved by the complete
 matcher of :mod:`repro.baselines.matcher`.
 
 This is the one exact engine of the package.  Signatures come from one
-vectorized :class:`~repro.engine.classifier.BatchedClassifier` pass, and
+vectorized :class:`~repro.engine.classifier.BatchedClassifier` pass —
+a bucket is the arity plus the flat MSV row's bytes — and
 the buckets are resolved in rounds of
 :func:`~repro.baselines.matcher.find_npn_transforms_grouped`: in round
 ``k`` every still-unassigned member of every bucket is checked against
@@ -74,13 +75,15 @@ class ExactClassifier:
     def classify(self, tables: Iterable[TruthTable]) -> GroupingResult:
         """Group into *exact* NPN classes.
 
-        Class keys are ``(msv, ordinal)`` pairs: the bucket signature plus
-        the index of the exact class inside the bucket.  Groups come in
-        first-seen order with members in input order.
+        Class keys are ``((n, msv), ordinal)`` pairs: the bucket — the
+        arity and the MSV key, the flat row's bytes — plus the index of
+        the exact class inside the bucket.  Groups come in first-seen
+        order with members in input order.
         """
         members = list(tables)
         stats = self.stats = ExactStats(functions=len(members))
-        signatures = BatchedClassifier(self.bucket_parts).signatures(members)
+        keys = BatchedClassifier(self.bucket_parts).signatures(members)
+        signatures = [(tt.n, key) for tt, key in zip(members, keys)]
         buckets: dict = {}
         for index, signature in enumerate(signatures):
             buckets.setdefault(signature, []).append(index)

@@ -97,10 +97,10 @@ class FacePointClassifier:
         return compute_msv(tt, self.parts)
 
     def signatures(self, tables: Iterable[TruthTable]) -> list[MixedSignature]:
-        """MSVs of many functions, in input order.
+        """MSVs of many functions, in input order: a plain loop.
 
-        The bulk entry point every engine shares (the batched engine
-        overrides it with a vectorized pass); here it is a plain loop.
+        The batched engine's ``signatures`` returns each MSV flat, as
+        its row's bytes, from a vectorized pass.
         """
         return [self.signature(tt) for tt in tables]
 

@@ -83,19 +83,16 @@ class MixedSignature:
     key: tuple
 
     def digest(self) -> str:
-        """Stable 16-hex-digit digest of the key (for logs and storage).
+        """Stable 16-hex-digit digest of the nested key, as
+        ``repro-npn signatures`` prints it.
 
-        Memoized on the instance: the ``repr`` of a large nested key
-        tuple costs more than the whole gather-kernel witness search, and
-        the library match path derives a class id from every query's
-        signature.
+        No serving path uses it: the library chains and the exact
+        classifier key on the flat MSV row of
+        :mod:`repro.engine.signatures`, and the fabric's shard key is a
+        64-bit hash of that row (:func:`repro.fabric.ring.shard_key_of`).
         """
-        cached = getattr(self, "_digest", None)
-        if cached is None:
-            payload = repr((self.n, self.parts, self.key)).encode()
-            cached = hashlib.blake2b(payload, digest_size=8).hexdigest()
-            object.__setattr__(self, "_digest", cached)
-        return cached
+        payload = repr((self.n, self.parts, self.key)).encode()
+        return hashlib.blake2b(payload, digest_size=8).hexdigest()
 
 
 def normalize_parts(parts) -> tuple[str, ...]:

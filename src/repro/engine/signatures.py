@@ -22,10 +22,13 @@ passes over the whole chunk:
   sides.  The output-negation rule of Theorems 3-4 then picks each
   row's phase with one vectorized lexicographic compare.
 
-Only the chosen rows leave NumPy (one ``tolist()`` per chunk), and only
-they are sliced into the nested :attr:`MixedSignature.key` tuple by a
-layout cached per ``(n, parts)``.  Keys are byte-identical to
-``compute_msv``'s; the tests check that per part selection.
+The chosen rows are the key: :func:`row_bytes` turns each into one
+``bytes`` object, which the library chains, the exact classifier's
+buckets and the fabric's shard key use as is.  Only where the paper's
+nested :attr:`MixedSignature.key` is printed or pinned does
+:func:`nested_keys` slice a row into those tuples, by a layout cached
+per ``(n, parts)``.  Flattened, ``compute_msv``'s keys equal the rows;
+the tests check that per part selection.
 """
 
 from __future__ import annotations
@@ -45,7 +48,7 @@ from repro.engine.packed import (
     unpack_word_bits,
 )
 
-__all__ = ["signature_keys"]
+__all__ = ["signature_keys", "row_bytes", "nested_keys"]
 
 #: Entries of the largest per-chunk work array: the ``[2**n, rows, levels]``
 #: indicator stack.  Keeps a chunk's temporaries cache-sized (about 270
@@ -59,8 +62,8 @@ _POINT_PARTS = frozenset({"oiv", "osv", "osv_full", "osdv", "osdv_full", "spectr
 _SCALAR, _TUPLE, _PAIR = 0, 1, 2
 
 
-def signature_keys(packed: PackedTables, parts: tuple[str, ...]) -> list[tuple]:
-    """Phase-canonical MSV keys of every row, in row order.
+def signature_keys(packed: PackedTables, parts: tuple[str, ...]) -> np.ndarray:
+    """Phase-canonical MSV rows of every table: ``[rows, width]`` int64.
 
     ``parts`` is a normalized selection
     (:func:`repro.core.msv.normalize_parts`).  The batch is cut into
@@ -69,11 +72,35 @@ def signature_keys(packed: PackedTables, parts: tuple[str, ...]) -> list[tuple]:
     n = packed.n
     layout = _layout(n, parts)
     step = _chunk_rows(n)
-    keys: list[tuple] = []
-    for start in range(0, len(packed), step):
-        rows = _chosen_rows(packed.words[start : start + step], n, parts, layout)
-        keys.extend(_nest(rows.tolist(), layout.spans))
-    return keys
+    chunks = [
+        _chosen_rows(packed.words[start : start + step], n, parts, layout)
+        for start in range(0, len(packed), step)
+    ]
+    if len(chunks) == 1:
+        return chunks[0]
+    if not chunks:
+        return np.empty((0, layout.width), dtype=np.int64)
+    return np.concatenate(chunks)
+
+
+def row_bytes(rows: np.ndarray) -> list[bytes]:
+    """Each row's little-endian bytes: the hashable key of one table.
+
+    The byte order is fixed, so a key hashes alike on every platform.
+    Rows of different arities may share a width; callers that mix
+    arities pair each key with its ``n``.
+    """
+    rows = np.ascontiguousarray(rows, dtype="<i8")
+    if not rows.shape[1]:
+        return [b""] * len(rows)
+    return rows.view(f"V{rows.shape[1] * 8}").ravel().tolist()
+
+
+def nested_keys(n: int, parts: tuple[str, ...], keys: list[bytes]) -> list[tuple]:
+    """The nested ``compute_msv`` key tuples of :func:`row_bytes` keys."""
+    layout = _layout(n, parts)
+    rows = np.frombuffer(b"".join(keys), dtype="<i8").reshape(len(keys), layout.width)
+    return _nest(rows.tolist(), layout.spans)
 
 
 def _chunk_rows(n: int) -> int:

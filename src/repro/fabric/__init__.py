@@ -1,7 +1,7 @@
 """Fault-tolerant distributed serving fabric.
 
-One router, many workers, one consistent-hash ring over signature
-digests:
+One router, many workers, one consistent-hash ring over hashed MSV
+rows:
 
 * :mod:`repro.fabric.ring` — who owns which classes (and why a query
   hashes to the same shard as its class);

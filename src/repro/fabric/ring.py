@@ -1,28 +1,30 @@
-"""Consistent-hash ring over signature digests: who owns which classes.
+"""Consistent-hash ring over MSV rows: who owns which classes.
 
-The fabric partitions the class library by the **signature digest** of
-each class — the ``n{n}-{digest}`` bucket id of
-:meth:`ClassLibrary.base_id_of`.  The MSV is an NPN invariant, so a
-*query* hashes to exactly the same shard key as the class it belongs to
-(if any): the router can compute a query's owner without knowing the
-library at all, and a worker can decide which classes it owns without
-talking to anyone.  The exact-canonical class ids make class
-identity injective across machines; the digest shard key on
+The fabric partitions the class library by the **shard key** of each
+class: a 64-bit blake2b over the arity and the bytes of the class's flat
+MSV row (:func:`repro.engine.signatures.signature_keys`, the library's
+:attr:`ClassLibrary.parts`), written as 16 hex digits.  The MSV is an
+NPN invariant, so a *query* hashes to exactly the same shard key as the
+class it belongs to (if any): the router can compute a query's owner
+without knowing the library at all, and a worker can decide which
+classes it owns without talking to anyone.  The exact-canonical class
+ids make class identity injective across machines; the shard key on
 top of them makes ownership *stable* — a class always hashes to the
-same point of the ring, whatever order libraries were built in.  The
-MSV is always the library's, :attr:`ClassLibrary.parts`.
+same point of the ring, whatever order libraries were built in.
 
 The ring itself is the textbook construction: every worker id is hashed
 onto ``vnodes`` points of a 64-bit circle, a key is owned by the first
-``replicas`` *distinct* workers clockwise from its hash.  Replication is
-what makes failover answer *correctly*: the ring successor of a suspect
-owner holds a replica of the same shard, so a retried or failed-over
-request gets the same verified witness the owner would have served —
-not a spurious miss.
+``replicas`` *distinct* workers clockwise from its point — the key's
+own 64 bits.  Replication is what makes failover answer *correctly*:
+the ring successor of a suspect owner holds a replica of the same
+shard, so a retried or failed-over request gets the same verified
+witness the owner would have served — not a spurious miss.
 
-Everything here is deterministic (blake2b, no process seed), so router
-and workers build byte-identical rings from the same spec — the
-registration handshake rejects workers whose spec disagrees.
+Everything here is deterministic (blake2b over little-endian rows, no
+process seed), so router and workers build byte-identical rings from the
+same spec.  The spec names the key scheme, :data:`KEY_SCHEME`; the
+registration handshake rejects a worker whose spec disagrees on it or on
+the ring's shape.
 """
 
 from __future__ import annotations
@@ -30,21 +32,20 @@ from __future__ import annotations
 import bisect
 import hashlib
 
-from repro.core.msv import MixedSignature
 from repro.engine.classifier import BatchedClassifier
-from repro.library.store import ClassLibrary
 
 __all__ = [
     "HashRing",
     "ShardFilter",
     "DEFAULT_VNODES",
     "DEFAULT_REPLICAS",
+    "KEY_SCHEME",
     "shard_key_of",
     "shard_keys",
     "parse_ring_spec",
 ]
 
-#: Virtual nodes per worker: enough that 2-4 workers split the digest
+#: Virtual nodes per worker: enough that 2-4 workers split the key
 #: space within a few percent of evenly, cheap enough to rebuild on
 #: every membership change.
 DEFAULT_VNODES = 64
@@ -54,6 +55,10 @@ DEFAULT_VNODES = 64
 #: degrading to a miss.
 DEFAULT_REPLICAS = 2
 
+#: How a shard key is made (see :func:`shard_key_of`).  Every ring spec
+#: carries it; a ring built from a spec naming another scheme is refused.
+KEY_SCHEME = "msv-row-blake2b64"
+
 
 def _hash64(text: str) -> int:
     return int.from_bytes(
@@ -61,20 +66,21 @@ def _hash64(text: str) -> int:
     )
 
 
-def shard_key_of(signature: MixedSignature) -> str:
-    """The shard key of a query's MSV (== its class's key, by NPN invariance).
+def shard_key_of(n: int, row: bytes) -> str:
+    """The shard key of an ``n``-input MSV key (== its class's key).
 
-    The key is the library's digest bucket id,
-    :meth:`ClassLibrary.base_id_of`; the MSVs come from a batched pass
-    (the router's per-tick flush, :func:`shard_keys`).
+    ``row`` is one key of :meth:`BatchedClassifier.signatures`, the flat
+    MSV row's little-endian bytes; the key is a 64-bit blake2b of ``n``
+    and those bytes, as 16 hex digits.
     """
-    return ClassLibrary.base_id_of(signature)
+    return hashlib.blake2b(bytes((n,)) + row, digest_size=8).hexdigest()
 
 
 def shard_keys(tables) -> list[str]:
     """Shard keys of many tables (arities may mix) in one batched pass."""
-    signatures = BatchedClassifier().signatures(list(tables))
-    return [shard_key_of(signature) for signature in signatures]
+    tables = list(tables)
+    rows = BatchedClassifier().signatures(tables)
+    return [shard_key_of(table.n, row) for table, row in zip(tables, rows)]
 
 
 def parse_ring_spec(spec: str) -> tuple[str, ...]:
@@ -127,8 +133,12 @@ class HashRing:
         self._owners_at = [node for _, node in points]
 
     def owners(self, key: str) -> tuple[str, ...]:
-        """The ``replicas`` distinct nodes owning ``key``, primary first."""
-        start = bisect.bisect_right(self._points, _hash64(key))
+        """The ``replicas`` distinct nodes owning ``key``, primary first.
+
+        ``key`` is a :func:`shard_key_of` string; its 64 bits are its
+        point on the ring.
+        """
+        start = bisect.bisect_right(self._points, int(key, 16))
         seen: list[str] = []
         total = len(self._owners_at)
         for step in range(total):
@@ -153,11 +163,17 @@ class HashRing:
             "nodes": list(self.nodes),
             "vnodes": self.vnodes,
             "replicas": self.replicas,
+            "keys": KEY_SCHEME,
         }
 
     @classmethod
     def from_spec(cls, spec: dict) -> "HashRing":
+        """The ring a spec describes; a spec of another key scheme fails."""
         try:
+            if spec["keys"] != KEY_SCHEME:
+                raise ValueError(
+                    f"key scheme {spec['keys']!r} is not {KEY_SCHEME!r}"
+                )
             return cls(
                 tuple(spec["nodes"]),
                 vnodes=int(spec["vnodes"]),

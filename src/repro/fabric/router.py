@@ -5,12 +5,13 @@ classification daemon — NDJSON lines and the HTTP/1.0 front, same ops,
 same error taxonomy — so every existing client, the CLI, and the smoke
 jobs work against it unchanged.  Behind that front it routes:
 
-1. a table op's **shard key** is the signature digest of the query
-   (``n{n}-{digest}`` — NPN-invariant, so a query hashes exactly where
-   its class lives).  Keys are computed per event-loop tick, not per
-   request: every table op queued in one tick shares one vectorized
-   :class:`BatchedClassifier` pass (mixed arities included), flushed by
-   a ``call_soon`` callback that resolves each request's future;
+1. a table op's **shard key** is the hashed flat MSV row of the query
+   (:func:`~repro.fabric.ring.shard_key_of` — NPN-invariant, so a query
+   hashes exactly where its class lives).  Keys are computed per
+   event-loop tick, not per request: every table op queued in one tick
+   shares one vectorized :class:`BatchedClassifier` pass (mixed arities
+   included), flushed by a ``call_soon`` callback that resolves each
+   request's future;
 2. the consistent-hash ring names the key's owner and replica workers;
 3. the request is dispatched over the owner's pipelined channel, where
    concurrent requests to the same shard coalesce into burst writes the
@@ -324,14 +325,17 @@ class RouterService(LineProtocolServer):
             return
         t0 = time.perf_counter()
         try:
-            signatures = BatchedClassifier().signatures(
+            rows = BatchedClassifier().signatures(
                 [table for table, _ in pending]
             )
-            # Formatted here rather than through ring.shard_keys: one
-            # call of this module's shard_key_of per routed request is
-            # what perfbench's traced run counts against the
+            # Hashed here rather than through ring.shard_keys: one call
+            # of this module's shard_key_of per routed request is what
+            # perfbench's traced run counts against the
             # repro_fabric_requests_total series.
-            keys = [shard_key_of(signature) for signature in signatures]
+            keys = [
+                shard_key_of(table.n, row)
+                for (table, _), row in zip(pending, rows)
+            ]
         except Exception as exc:  # engine bug — fail the tick, not the router
             logging.getLogger("repro.fabric.router").exception(
                 "shard-key pass over %d requests failed", len(pending)

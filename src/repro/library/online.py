@@ -59,7 +59,6 @@ from repro.canonical.form import (
     canonical_forms_with_transforms,
     checked_witnesses,
 )
-from repro.core.msv import MixedSignature
 from repro.core.transforms import NPNTransform
 from repro.core.truth_table import TruthTable
 from repro.library.store import ClassLibrary, LibraryMatch, MANIFEST_FILE
@@ -246,13 +245,13 @@ class LearningLibrary:
         self,
         tts: Iterable[TruthTable],
         forms: Sequence[tuple[TruthTable, NPNTransform] | None] | None = None,
-        signatures: Sequence[MixedSignature | None] | None = None,
+        signatures: Sequence[bytes | None] | None = None,
     ) -> list[LibraryMatch]:
         """Mint (or resolve) the classes of queries that missed the library.
 
         :meth:`ClassLibrary.match_many` passes each miss's ``(form,
-        transform)`` at ``n <= KERNEL_MATCH_VARS`` and its signature
-        above; the queries without a form are canonicalized in one
+        transform)`` at ``n <= KERNEL_MATCH_VARS`` and its MSV key (the
+        flat row's bytes) above; the queries without a form are canonicalized in one
         :func:`~repro.canonical.form.canonical_forms_with_transforms`
         call.  Every witness, the transform's inverse, is checked before
         anything is stored (one gather per arity).  A query whose orbit id is

@@ -62,10 +62,11 @@ from repro.canonical.form import (
     checked_witnesses,
 )
 from repro.core import bitops
-from repro.core.msv import DEFAULT_PARTS, MixedSignature, compute_msv
+from repro.core.msv import DEFAULT_PARTS, MixedSignature
 from repro.core.transforms import NPNTransform
 from repro.core.truth_table import TruthTable
-from repro.engine import BatchedClassifier
+from repro.engine import BatchedClassifier, PackedTables
+from repro.engine.signatures import row_bytes, signature_keys
 from repro.kernels import canonical_min  # noqa: F401 - a perfbench span target
 
 __all__ = [
@@ -197,15 +198,15 @@ class ClassLibrary:
 
     def __init__(self) -> None:
         self.classes: dict[str, NPNClassEntry] = {}
-        #: Lazy signature index: ``hash(signature)`` -> ordered list of
-        #: candidate class ids (the matching chain).  Equal signatures
-        #: hash equal, so no class is lost; a hash collision only
-        #: lengthens a chain, and the matcher proves every witness.  The
-        #: digest (:meth:`base_id_of`) stays off this path: it costs a
-        #: ``repr`` and a blake2b per query.  ``None`` until the first
-        #: :meth:`match_many`; kept incrementally by :meth:`add_class`,
-        #: dropped on wholesale mutation.
-        self._chains: dict[int, list[str]] | None = None
+        #: Lazy signature index: a flat MSV row's bytes -> ordered list
+        #: of candidate class ids (the matching chain).  A chain holds
+        #: exactly the classes of one signature; the matcher proves
+        #: every witness.  At the library's parts the row width grows
+        #: with ``n``, so rows of two arities never share a key.
+        #: ``None`` until the first :meth:`match_many`; kept
+        #: incrementally by :meth:`add_class`, dropped on wholesale
+        #: mutation.
+        self._chains: dict[bytes, list[str]] | None = None
 
     # ------------------------------------------------------------------
     # Introspection
@@ -255,9 +256,11 @@ class ClassLibrary:
 
         It names the bucket of every class whose orbit has this
         signature (several classes share it when their signatures
-        collide), stable across processes: the fabric's shard key is
-        the same string.  The in-memory matching chains key on
-        ``hash(signature)`` instead.
+        collide), stable across processes.  No serving path uses it:
+        the matching chains and the fabric's shard key key on the flat
+        MSV row.  It stays because perfbench's ``_SignatureScreen``
+        (``perfbench/workloads.py``) screens the learn workload's
+        traffic with it.
         """
         return f"n{signature.n}-{signature.digest()}"
 
@@ -266,7 +269,7 @@ class ClassLibrary:
         representative: TruthTable,
         size: int,
         canonical_rep: bool = False,
-        signature: MixedSignature | None = None,
+        signature: bytes | None = None,
     ) -> NPNClassEntry:
         """Insert (or grow) the class of ``representative``.
 
@@ -275,9 +278,11 @@ class ClassLibrary:
         learn paths canonicalize up front and skip the recompute — and
         the id *is* that form.  An existing entry absorbs the new size.
 
-        ``signature``, when given, is the MSV of any member of the class
-        (it is an NPN invariant); a new class is indexed in the matching
-        chains under it instead of recomputing the representative's.
+        ``signature``, when given, is the MSV key (the flat row's bytes
+        of :meth:`BatchedClassifier.signatures`) of any member of the
+        class — it is an NPN invariant; a new class is indexed in the
+        matching chains under it instead of recomputing the
+        representative's.
         """
         rep = representative if canonical_rep else canonical_form(representative)
         class_id = canonical_class_id(rep)
@@ -294,8 +299,8 @@ class ClassLibrary:
         """A new library holding only the entries ``keep`` selects.
 
         The distributed fabric's shard loader: a worker keeps the
-        classes whose signature-digest shard key it owns on the
-        consistent-hash ring (see
+        classes whose shard key — the hashed flat MSV row of the
+        representative — it owns on the consistent-hash ring (see
         :meth:`repro.fabric.ring.HashRing.shard_filter`) and drops the
         rest, so N workers hold ~1/N of the library each (times the
         replication factor).  Entries are shared by reference — they are
@@ -385,7 +390,7 @@ class ClassLibrary:
         for index, tt in enumerate(tts):
             (small if tt.n <= KERNEL_MATCH_VARS else chained).append(index)
         forms: dict[int, tuple[TruthTable, NPNTransform]] = {}
-        signatures: dict[int, MixedSignature] = {}
+        signatures: dict[int, bytes] = {}
         if small:
             with obs.timed(_MATCH_PHASE_SECONDS, phase="kernel"):
                 forms = self._match_by_form(tts, small, out)
@@ -440,14 +445,14 @@ class ClassLibrary:
     def _match_by_chain(
         self,
         tts: list[TruthTable],
-        signatures: dict[int, MixedSignature],
+        signatures: dict[int, bytes],
         out: list[LibraryMatch | None],
     ) -> None:
         """Resolve queries by walking their signature chains.
 
-        ``signatures`` maps each query's index to its signature.  Each
-        query's chain holds the classes indexed under its signature's
-        hash, in id order.  Round by round, queries whose candidate
+        ``signatures`` maps each query's index to its MSV key.  Each
+        query's chain holds the classes indexed under that key, in id
+        order.  Round by round, queries whose candidate
         proves NPN-inequivalent advance to the next chain position;
         single-entry chains — the overwhelmingly common case — finish in
         one grouped matcher round.
@@ -455,7 +460,7 @@ class ClassLibrary:
         chains = self._chain_index()
         active: dict[int, tuple[list[str], int]] = {}
         for index, signature in signatures.items():
-            chain = chains.get(hash(signature))
+            chain = chains.get(signature)
             if chain:
                 active[index] = (chain, 0)
         while active:
@@ -487,48 +492,51 @@ class ClassLibrary:
     # Candidate-chain index
     # ------------------------------------------------------------------
 
-    def _chain_index(self) -> dict[int, list[str]]:
-        """Signature hash -> ordered candidate class ids, built lazily.
+    def _chain_index(self) -> dict[bytes, list[str]]:
+        """MSV key -> ordered candidate class ids, built lazily.
 
         Only classes above ``KERNEL_MATCH_VARS`` are indexed: smaller
         queries resolve by canonical form and never walk a chain.  Every
-        indexed representative's signature is recomputed — one
-        vectorized batch — to group the classes under their signature
-        hashes, ordered by id (deterministic: the fixed-width hex sorts
-        numerically).  A library with no such class signs nothing.
+        indexed representative's MSV row is recomputed — one vectorized
+        pass per arity — to group the classes under their keys, ordered
+        by id (deterministic: the fixed-width hex sorts numerically).
+        A library with no such class signs nothing.
         """
         if self._chains is None:
-            chains: dict[int, list[str]] = {}
-            entries = [
-                e for e in self.entries() if e.n > KERNEL_MATCH_VARS
-            ]
-            reps = [e.representative for e in entries]
-            signatures = BatchedClassifier(self.parts).signatures(reps) if reps else []
-            for entry, signature in zip(entries, signatures):
-                chains.setdefault(hash(signature), []).append(
-                    entry.class_id
-                )
+            chains: dict[bytes, list[str]] = {}
+            by_arity: dict[int, list[NPNClassEntry]] = {}
+            for entry in self.entries():
+                if entry.n > KERNEL_MATCH_VARS:
+                    by_arity.setdefault(entry.n, []).append(entry)
+            for entries in by_arity.values():
+                for entry, key in zip(entries, self._keys(entries)):
+                    chains.setdefault(key, []).append(entry.class_id)
             self._chains = chains
         return self._chains
 
     def _chain_insert(
         self,
         entry: NPNClassEntry,
-        signature: MixedSignature | None = None,
+        signature: bytes | None = None,
     ) -> None:
         """Incrementally index one new class (the learner's mint path).
 
-        ``signature`` (any member's MSV) saves recomputing the
+        ``signature`` (any member's MSV key) saves recomputing the
         representative's.  Classes the canonical-form path serves
         (``n <= KERNEL_MATCH_VARS``) are not indexed.
         """
         if self._chains is None or entry.n <= KERNEL_MATCH_VARS:
             return
         if signature is None:
-            signature = compute_msv(entry.representative, self.parts)
-        chain = self._chains.setdefault(hash(signature), [])
+            (signature,) = self._keys([entry])
+        chain = self._chains.setdefault(signature, [])
         chain.append(entry.class_id)
         chain.sort()
+
+    def _keys(self, entries: list[NPNClassEntry]) -> list[bytes]:
+        """MSV keys of one arity's representatives, in one kernel pass."""
+        packed = PackedTables.from_tables([e.representative for e in entries])
+        return row_bytes(signature_keys(packed, self.parts))
 
     # ------------------------------------------------------------------
     # Persistence

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from repro.aig import aiger, builders
+from repro.aig import builders
 from repro.aig.cuts import Cut, cut_statistics, enumerate_cuts
 from repro.aig.network import AIG
 from repro.aig.simulate import cone_function, cut_function, simulate, simulate_words
@@ -139,50 +139,3 @@ class TestCutEnumeration:
         aig, _ = sample_aig()
         with pytest.raises(ValueError):
             enumerate_cuts(aig, k=0)
-
-
-class TestAiger:
-    def test_roundtrip_preserves_behaviour(self):
-        rng = random.Random(1)
-        for build in (
-            lambda: builders.ripple_adder(4),
-            lambda: builders.priority_encoder(5),
-            lambda: builders.random_control(5, 30, seed=9),
-        ):
-            original = build()
-            rebuilt = aiger.loads(aiger.dumps(original))
-            assert rebuilt.num_inputs == original.num_inputs
-            assert rebuilt.num_outputs == original.num_outputs
-            for _ in range(10):
-                stimulus = [rng.getrandbits(1) for _ in range(original.num_inputs)]
-                assert simulate(rebuilt, stimulus) == simulate(original, stimulus)
-
-    def test_roundtrip_preserves_names(self):
-        original = builders.ripple_adder(2)
-        rebuilt = aiger.loads(aiger.dumps(original))
-        assert rebuilt.input_names() == original.input_names()
-        assert [n for _, n in rebuilt.outputs()] == [
-            n for _, n in original.outputs()
-        ]
-
-    def test_parse_minimal(self):
-        text = "aag 3 2 0 1 1\n2\n4\n6\n6 4 2\n"
-        aig = aiger.loads(text)
-        assert aig.num_inputs == 2
-        assert simulate(aig, [1, 1]) == [1]
-        assert simulate(aig, [1, 0]) == [0]
-
-    def test_parse_rejects_latches(self):
-        with pytest.raises(ValueError):
-            aiger.loads("aag 1 0 1 0 0\n2 3\n")
-
-    def test_parse_rejects_garbage(self):
-        with pytest.raises(ValueError):
-            aiger.loads("not aiger")
-        with pytest.raises(ValueError):
-            aiger.loads("")
-
-    def test_parse_rejects_forward_reference(self):
-        text = "aag 3 1 0 1 2\n2\n4\n4 6 2\n6 2 2\n"
-        with pytest.raises(ValueError):
-            aiger.loads(text)

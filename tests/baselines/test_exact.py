@@ -14,6 +14,7 @@ from repro.core.msv import DEFAULT_PARTS, compute_msv
 from repro.core.transforms import random_transform
 from repro.core.truth_table import TruthTable
 from repro.workloads.random_functions import random_tables
+from tests.msv_rows import flat_key
 from tests.strategies import npn_transforms, truth_table_batches
 
 #: Two n=5 orbits that share one MSV: the full signature bucket holds both.
@@ -27,7 +28,7 @@ def sequential_classify(bucket_parts, tables):
     buckets: dict = {}
     for tt in tables:
         stats.functions += 1
-        signature = compute_msv(tt, bucket_parts)
+        signature = (tt.n, flat_key(compute_msv(tt, bucket_parts)))
         representatives = buckets.setdefault(signature, [])
         matched = None
         for ordinal, rep in enumerate(representatives):

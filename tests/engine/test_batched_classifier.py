@@ -1,4 +1,4 @@
-"""BatchedClassifier: keys equal to compute_msv, never-split parity, dedupe."""
+"""BatchedClassifier: rows equal to compute_msv, never-split parity, dedupe."""
 
 import numpy as np
 import pytest
@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from repro.core.classifier import FacePointClassifier
 from repro.core.msv import (
     PART_NAMES,
+    MixedSignature,
     compute_msv,
     compute_pieces,
     msv_from_pieces,
@@ -18,11 +19,13 @@ from repro.engine import BatchedClassifier, PackedTables
 from repro.engine.signatures import (
     _chunk_rows,
     _fwht_minterms_first,
+    nested_keys,
     signature_keys,
 )
 from repro.experiments.table2 import COLUMNS
 from repro.spectral.walsh import fwht
 from repro.workloads import random_tables, seeded_equivalent_tables
+from tests.msv_rows import flat_key, flatten
 from tests.strategies import npn_orbits, truth_tables
 
 #: Every part selection of Table II, plus all parts at once.
@@ -54,19 +57,32 @@ def signature_batches(draw, n: int) -> list[TruthTable]:
     return draw(st.permutations(tables))
 
 
+def assert_rows_equal_the_oracle(tables, parts):
+    """The flat rows are ``compute_msv``'s flattened keys, and nesting
+    them gives back its keys and digests."""
+    n = tables[0].n
+    batched = BatchedClassifier(parts).signatures(tables)
+    oracle = [compute_msv(tt, parts) for tt in tables]
+    assert batched == [flat_key(signature) for signature in oracle]
+    nested = [MixedSignature(n, parts, key) for key in nested_keys(n, parts, batched)]
+    assert nested == oracle
+    assert [s.digest() for s in nested] == [s.digest() for s in oracle]
+
+
 class TestKeysEqualComputeMsv:
-    """The batched engine's keys are ``compute_msv``'s, byte for byte."""
+    """The batched engine's rows are ``compute_msv``'s keys, flattened."""
 
     @pytest.mark.parametrize("n", range(9))
     @settings(max_examples=12)
     @given(data=st.data())
     def test_signatures_and_digests_equal_the_oracle(self, n, data):
         parts = data.draw(st.sampled_from(SELECTIONS))
-        tables = data.draw(signature_batches(n))
-        batched = BatchedClassifier(parts).signatures(tables)
-        oracle = [compute_msv(tt, parts) for tt in tables]
-        assert batched == oracle
-        assert [s.digest() for s in batched] == [s.digest() for s in oracle]
+        assert_rows_equal_the_oracle(data.draw(signature_batches(n)), parts)
+
+    @pytest.mark.parametrize("parts", SELECTIONS)
+    def test_every_selection_equals_the_oracle(self, parts):
+        for n in range(9):
+            assert_rows_equal_the_oracle(random_tables(n, 6, seed=n), parts)
 
     def test_int64_butterfly_above_int32_range_equals_the_oracle(self):
         # The stacked transform runs in int64 from n = 11 (8**n >= 2**31).
@@ -75,10 +91,7 @@ class TestKeysEqualComputeMsv:
         n = 12
         tables = random_tables(n, 3, seed=53)
         tables += [TruthTable(n, (1 << (1 << (n - 1))) - 1), TruthTable(n, 0)]
-        batched = BatchedClassifier(PART_NAMES).signatures(tables)
-        oracle = [compute_msv(tt, PART_NAMES) for tt in tables]
-        assert batched == oracle
-        assert [s.digest() for s in batched] == [s.digest() for s in oracle]
+        assert_rows_equal_the_oracle(tables, PART_NAMES)
 
 
 class TestNeverSplitParity:
@@ -120,11 +133,13 @@ class TestNeverSplitParity:
         tables = random_tables(3, 10, seed=1) + random_tables(5, 10, seed=2)
         tables = [tables[i] for i in (5, 12, 0, 19, 7, 15, 3)]
         classifier = BatchedClassifier()
-        assert classifier.signatures(tables) == [compute_msv(tt) for tt in tables]
+        assert classifier.signatures(tables) == [
+            flat_key(compute_msv(tt)) for tt in tables
+        ]
 
     def test_single_signature_matches_compute_msv(self):
         tt = random_tables(6, 1, seed=77)[0]
-        assert BatchedClassifier().signature(tt) == compute_msv(tt)
+        assert BatchedClassifier().signatures([tt]) == [flat_key(compute_msv(tt))]
 
     def test_count_classes(self):
         tables, _ = seeded_equivalent_tables(4, 8, 3, seed=21)
@@ -142,7 +157,7 @@ class TestNeverSplitParity:
         window = distinct[step - 3 : step + 3]
         tables = distinct[:step] + window + distinct[step:] + window[::-1]
         signatures = BatchedClassifier().signatures(tables)
-        assert signatures == [compute_msv(tt) for tt in tables]
+        assert signatures == [flat_key(compute_msv(tt)) for tt in tables]
 
 
 class TestBatchedPieces:
@@ -152,10 +167,11 @@ class TestBatchedPieces:
         tables = random_tables(n, 20, seed=n + 40)
         packed = PackedTables.from_tables(tables)
         for name in PART_NAMES:
-            keys = signature_keys(packed, (name,))
-            for key, tt in zip(keys, tables):
+            rows = signature_keys(packed, (name,))
+            assert rows.dtype == np.int64 and rows.shape[0] == len(tables)
+            for row, tt in zip(rows.tolist(), tables):
                 reference = msv_from_pieces(compute_pieces(tt, (name,)), (name,))
-                assert key == reference.key, name
+                assert row == flatten(reference.key), name
 
     def test_fwht_batch_matches_scalar_fwht(self):
         """The stacked butterfly transforms each column like ``fwht``."""

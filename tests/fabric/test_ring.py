@@ -6,14 +6,13 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.msv import compute_msv
 from repro.core.transforms import random_transform
 from repro.core.truth_table import TruthTable
 from repro.fabric.ring import (
     DEFAULT_REPLICAS,
+    KEY_SCHEME,
     HashRing,
     parse_ring_spec,
-    shard_key_of,
     shard_keys,
 )
 from repro.cli import main
@@ -21,6 +20,7 @@ from repro.fabric.router import RouterService
 from repro.library import ClassLibrary, LibraryFormatError, build_library
 from repro.library import store
 from tests.library.test_library import _rewrite_tables
+from tests.msv_rows import scalar_shard_key as key_of
 from tests.strategies import npn_transforms, truth_tables
 
 # The differential suite is parametric over the arity range: n=0 is the
@@ -48,9 +48,10 @@ def key_batches(draw, min_n=MIN_KEY_VARS, max_n=MAX_KEY_VARS):
     return draw(st.permutations(batch))
 
 
-def key_of(table):
-    """The shard key of one table, from its big-int MSV."""
-    return shard_key_of(compute_msv(table))
+def spread_keys(count, seed=0):
+    """``count`` shard-key strings: 16 hex digits spread over the ring."""
+    rng = random.Random(seed)
+    return [f"{rng.getrandbits(64):016x}" for _ in range(count)]
 
 
 class Keep:
@@ -95,12 +96,23 @@ class TestRingSpec:
     def test_spec_roundtrip(self):
         ring = HashRing(("w0", "w1", "w2"), vnodes=16, replicas=2)
         clone = HashRing.from_spec(ring.spec())
-        for i in range(200):
-            assert ring.owners(f"key-{i}") == clone.owners(f"key-{i}")
+        for key in spread_keys(200):
+            assert ring.owners(key) == clone.owners(key)
 
     def test_from_spec_rejects_garbage(self):
         with pytest.raises(ValueError):
             HashRing.from_spec({"nodes": ["w0"]})
+
+    @pytest.mark.parametrize("scheme", [None, "n{n}-{digest}", 1])
+    def test_from_spec_rejects_another_key_scheme(self, scheme):
+        spec = HashRing(("w0",)).spec()
+        assert spec["keys"] == KEY_SCHEME
+        if scheme is None:
+            del spec["keys"]
+        else:
+            spec["keys"] = scheme
+        with pytest.raises(ValueError, match="bad ring spec"):
+            HashRing.from_spec(spec)
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -119,29 +131,28 @@ class TestRingSpec:
 class TestOwnership:
     def test_owners_are_distinct_and_replica_many(self):
         ring = HashRing(("w0", "w1", "w2", "w3"), replicas=3)
-        for i in range(300):
-            owners = ring.owners(f"key-{i}")
+        for key in spread_keys(300):
+            owners = ring.owners(key)
             assert len(owners) == 3
             assert len(set(owners)) == 3
 
     def test_replicas_clamped_to_membership(self):
         ring = HashRing(("w0", "w1"), replicas=5)
         assert ring.replicas == 2
-        assert set(ring.owners("anything")) == {"w0", "w1"}
+        assert set(ring.owners(spread_keys(1)[0])) == {"w0", "w1"}
 
     def test_determinism_across_instances(self):
         a = HashRing(("w0", "w1", "w2"))
         b = HashRing(("w0", "w1", "w2"))
-        assert [a.owner(f"k{i}") for i in range(100)] == [
-            b.owner(f"k{i}") for i in range(100)
-        ]
+        keys = spread_keys(100)
+        assert [a.owner(key) for key in keys] == [b.owner(key) for key in keys]
 
     def test_membership_change_moves_few_keys(self):
         # The property consistent hashing exists for: adding a node
         # remaps only the keys the new node takes over.
         before = HashRing(("w0", "w1", "w2"))
         after = HashRing(("w0", "w1", "w2", "w3"))
-        keys = [f"key-{i}" for i in range(1000)]
+        keys = spread_keys(1000)
         moved = sum(
             1
             for key in keys
@@ -154,13 +165,29 @@ class TestOwnership:
     def test_balance_within_reason(self):
         ring = HashRing(("w0", "w1", "w2"))
         counts = {"w0": 0, "w1": 0, "w2": 0}
-        for i in range(3000):
-            counts[ring.owner(f"key-{i}")] += 1
+        for key in spread_keys(3000):
+            counts[ring.owner(key)] += 1
         for count in counts.values():
             assert 500 < count < 1700  # no node starved or dominant
 
 
 class TestShardKeys:
+    #: Keys of fixed tables.  Row bytes are little-endian and the hash is
+    #: blake2b, so these hold on any host and under any PYTHONHASHSEED
+    #: (which is random per interpreter unless set).
+    PINNED = {
+        (0, 0x1): "07c2c2c850358745",
+        (3, 0xE8): "72fb60aecd5e6ea1",
+        (4, 0x6AC5): "08cdb1d4bae31549",
+        (6, 0x0123456789ABCDEF): "2d2e6cf9102d3b7c",
+        (7, (1 << 128) - 3): "b631e089f7c28089",
+    }
+
+    def test_pinned_keys(self):
+        tables = [TruthTable(n, bits) for n, bits in self.PINNED]
+        assert shard_keys(tables) == list(self.PINNED.values())
+        assert [key_of(table) for table in tables] == list(self.PINNED.values())
+
     def test_npn_equivalent_queries_share_a_shard(self, tiny_library):
         # The MSV is NPN-invariant: any transform of a function must
         # hash to the same shard its class representative lives on.

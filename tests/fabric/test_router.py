@@ -17,16 +17,17 @@ import time
 import pytest
 
 from repro import obs
-from repro.core.msv import compute_msv
 from repro.core.truth_table import TruthTable
 from repro.fabric import router as router_module
 from repro.fabric.backoff import RetryPolicy
 from repro.fabric.channel import ChannelClosed, DispatchTimeout
-from repro.fabric.ring import HashRing, shard_key_of
+from repro.fabric.ring import HashRing
 from repro.fabric.router import RouterService
 from repro.fabric.worker import FabricWorker
 from repro.service import ServiceClient, ServiceError, ThreadedService
 from repro.service.client import http_get
+from repro.service.protocol import ProtocolError
+from tests.msv_rows import scalar_shard_key
 
 RING = ("w0", "w1")
 
@@ -191,9 +192,15 @@ class TestControlPlane:
         assert router.registry.snapshot()["workers"]["w0"]["state"] == "alive"
         assert "parts" not in router.identity()
 
-    def test_ring_mismatch_is_rejected(self, fabric):
+    @pytest.mark.parametrize("wrong", ["nodes", "keys"])
+    def test_ring_mismatch_is_rejected(self, fabric, wrong):
         router, _ = fabric
-        wrong = HashRing(("w0", "w1", "intruder"))
+        if wrong == "nodes":
+            worker_id, expected = "intruder", "ring mismatch"
+            spec = HashRing(("w0", "w1", "intruder")).spec()
+        else:
+            worker_id, expected = "w1", "key scheme"
+            spec = {**HashRing(RING).spec(), "keys": "n{n}-{digest}"}
         with socket.create_connection(
             ("127.0.0.1", router.port), timeout=10
         ) as sock:
@@ -203,9 +210,9 @@ class TestControlPlane:
                         "op": "register",
                         "id": 1,
                         "worker": {
-                            "worker_id": "intruder",
+                            "worker_id": worker_id,
                             "address": "127.0.0.1:1",
-                            "ring": wrong.spec(),
+                            "ring": spec,
                         },
                     }
                 ).encode()
@@ -214,7 +221,14 @@ class TestControlPlane:
             reply = json.loads(sock.makefile("rb").readline())
         assert not reply["ok"]
         assert reply["error"]["type"] == "bad_request"
-        assert "ring mismatch" in reply["error"]["message"]
+        assert expected in reply["error"]["message"]
+        if wrong == "keys":
+            # The first registrant pins the ring, so it is checked too.
+            fresh = RouterService(port=0)
+            worker = {"worker_id": "w0", "address": "127.0.0.1:1", "ring": spec}
+            with pytest.raises(ProtocolError, match=expected):
+                fresh._register({"worker": worker})
+            assert fresh.ring is None
 
     def test_heartbeat_for_unknown_worker_says_so(self, fabric):
         router, _ = fabric
@@ -481,7 +495,7 @@ class TestBatchedShardKeys:
             if index in (1, 4, 5):
                 assert isinstance(result, asyncio.CancelledError)
             else:
-                assert result == shard_key_of(compute_msv(table))
+                assert result == scalar_shard_key(table)
         assert router._key_queue == []
 
     def test_client_gone_mid_burst_leaves_others_answered(self, fabric):
@@ -636,8 +650,7 @@ class TestWorkerDaemon:
                 1
                 for entry in tiny_library.classes.values()
                 if router.ring.covers(
-                    shard_key_of(compute_msv(entry.representative)),
-                    worker.worker_id,
+                    scalar_shard_key(entry.representative), worker.worker_id
                 )
             )
             assert worker.library.num_classes == expected

@@ -15,6 +15,7 @@ from repro.canonical.form import canonical_form
 from repro.core.classifier import FacePointClassifier
 from repro.core.transforms import random_transform
 from repro.core.truth_table import TruthTable
+from repro.engine import BatchedClassifier
 from repro.library import (
     ClassLibrary,
     LibraryFormatError,
@@ -143,11 +144,11 @@ class TestMatch:
 class TestChainWalk:
     """Classes sharing a chain key share one matching chain.
 
-    The chain key is ``hash(signature)``.  Real signature collisions
-    between NPN classes are rare to find by search, so these tests index
-    a class under another class's signature with
+    The chain key is the flat MSV row's bytes.  Real signature
+    collisions between NPN classes are rare to find by search, so these
+    tests index a class under another class's key with
     ``add_class(signature=...)``, or put two classes under one key as a
-    hash collision would.  The constant-0 class
+    signature collision would.  The constant-0 class
     has the smallest id of its arity, so it always heads the chain.
     Chains index only ``n >= 6`` classes (smaller queries resolve by
     canonical form), so the functions here have six variables.
@@ -156,17 +157,14 @@ class TestChainWalk:
     @staticmethod
     def chained(tt: TruthTable, with_tt: bool) -> ClassLibrary:
         """Constant-0 indexed under ``tt``'s signature, ahead of ``tt``."""
-        from repro.core.msv import compute_msv
-
         library = ClassLibrary()
         if with_tt:
             library.add_class(tt, size=1)
         library._chain_index()
         zero = TruthTable(tt.n, 0)
-        library.add_class(
-            zero, size=1, signature=compute_msv(tt, library.parts)
-        )
-        chain = library._chains[hash(compute_msv(tt, library.parts))]
+        (key,) = BatchedClassifier(library.parts).signatures([tt])
+        library.add_class(zero, size=1, signature=key)
+        chain = library._chains[key]
         assert chain[0] == library.lookup(zero).class_id
         assert len(chain) == 1 + with_tt
         return library
@@ -197,17 +195,15 @@ class TestChainWalk:
         assert library.match(tt) is None
 
     def test_colliding_chain_key_resolves_each_query_to_its_class(self):
-        from repro.core.msv import compute_msv
-
         rng = random.Random(64)
         tables = [TruthTable.random(6, rng) for _ in range(2)]
         library = ClassLibrary()
         for tt in tables:
             library.add_class(tt, size=1)
         chains = library._chain_index()
-        keys = [hash(compute_msv(tt, library.parts)) for tt in tables]
+        keys = BatchedClassifier(library.parts).signatures(tables)
         assert keys[0] != keys[1]
-        # A hash collision: both signatures find one chain of two classes.
+        # A signature collision: both keys find one chain of two classes.
         shared = sorted(chains.pop(keys[0]) + chains.pop(keys[1]))
         chains[keys[0]] = chains[keys[1]] = shared
         for tt in tables:

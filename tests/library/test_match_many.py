@@ -223,7 +223,7 @@ class TestScalarMatcherParity:
         hits = 0
         for query, signature, match in zip(queries, signatures, matches):
             expected = None
-            for class_id in chains.get(hash(signature), ()):
+            for class_id in chains.get(signature, ()):
                 entry = library.classes[class_id]
                 witness = find_npn_transform_scalar(entry.representative, query)
                 if witness is not None:
@@ -238,3 +238,33 @@ class TestScalarMatcherParity:
             assert match.representative.apply(match.transform) == query
             hits += 1
         assert hits == 300
+
+
+class TestFlatKeys:
+    """The chain path keys on the engine's flat rows: n = 6 hits and the
+    learner's mints never nest a row into the paper's key tuples."""
+
+    def test_n6_hits_and_learn_never_nest(self, tmp_path, monkeypatch):
+        from repro.engine import signatures as engine_signatures
+        from repro.library import LearningLibrary
+
+        corpus = random_tables(6, 24, 5)
+        library = build_library(corpus)
+        rng = random.Random(6)
+        hits = [tt.apply(random_transform(6, rng)) for tt in corpus]
+        misses = random_tables(6, 8, 7)
+        nested = []
+        real = engine_signatures._nest
+        monkeypatch.setattr(
+            engine_signatures,
+            "_nest",
+            lambda *args: nested.append(args) or real(*args),
+        )
+        matches = library.match_many(hits)
+        assert all(m is not None and m.verify(q) for m, q in zip(matches, hits))
+        learner = LearningLibrary(library, tmp_path)
+        learned = library.match_many(misses, learn=learner.learn)
+        assert learner.minted == len(misses)
+        assert all(m.verify(q) for m, q in zip(learned, misses))
+        learner.close()
+        assert nested == []

@@ -351,7 +351,7 @@ class TestKernelWitnessLearnPath:
     def test_incremental_chains_match_a_rebuilt_index(
         self, tmp_path, monkeypatch
     ):
-        from repro.core.msv import compute_msv
+        from repro.engine import BatchedClassifier
 
         learner = make_learner(tmp_path)
         library = learner.library
@@ -364,10 +364,10 @@ class TestKernelWitnessLearnPath:
         burst = [
             TruthTable.random(n, rng) for n in (3, 4, 5, 6) for _ in range(12)
         ]
-        signatures = [compute_msv(tt, library.parts) for tt in burst]
+        signatures = BatchedClassifier(library.parts).signatures(burst)
         # The passed signatures index the mints: no recomputation.
         monkeypatch.setattr(
-            "repro.library.store.compute_msv",
+            "repro.library.store.signature_keys",
             lambda *args: pytest.fail("_chain_insert recomputed the MSV"),
         )
         for tt, signature in zip(burst, signatures):
@@ -375,11 +375,11 @@ class TestKernelWitnessLearnPath:
             assert outcome.verify(tt)
         monkeypatch.undo()
         incremental = {key: list(ids) for key, ids in library._chains.items()}
-        # Each n = 6 mint is indexed under its signature's hash.
+        # Each n = 6 mint is indexed under its MSV key.
         for tt, signature in zip(burst, signatures):
             if tt.n == 6:
                 class_id = library.lookup(tt).class_id
-                assert class_id in incremental[hash(signature)]
+                assert class_id in incremental[signature]
         library._chains = None
         assert library._chain_index() == incremental
         for tt in burst:

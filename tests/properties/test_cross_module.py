@@ -2,8 +2,8 @@
 
 Where the per-module suites check local contracts, these tie whole
 subsystems together on randomly generated structures: random AIGs through
-cut enumeration against brute-force simulation, AIGER round-trips, and
-the agreement of all four NPN-equivalence engines.
+cut enumeration against brute-force simulation, and the agreement of all
+four NPN-equivalence engines.
 """
 
 import random
@@ -12,10 +12,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.aig import aiger
 from repro.aig.builders import random_control
 from repro.aig.cuts import enumerate_cuts
-from repro.aig.simulate import cut_function, simulate, simulate_words
+from repro.aig.simulate import cut_function, simulate_words
 from repro.baselines.exact_enum import exact_npn_canonical
 from repro.baselines.guided import guided_exact_canonical
 from repro.baselines.matcher import are_npn_equivalent
@@ -45,18 +44,6 @@ def test_random_aig_cut_functions_match_simulation(seed):
                 for pos, leaf in enumerate(sorted(cut.leaves))
             )
             assert tt.evaluate(index) == (words[2 * variable] & 1)
-
-
-@settings(max_examples=25, deadline=None)
-@given(st.integers(min_value=0, max_value=10_000))
-def test_random_aig_aiger_roundtrip(seed):
-    """dumps/loads preserves the observable behaviour of random AIGs."""
-    rng = random.Random(seed ^ 0xA5A5)
-    original = random_control(inputs=4, gates=25, seed=seed)
-    rebuilt = aiger.loads(aiger.dumps(original))
-    for _ in range(8):
-        stimulus = [rng.getrandbits(1) for _ in range(4)]
-        assert simulate(rebuilt, stimulus) == simulate(original, stimulus)
 
 
 @settings(max_examples=30, deadline=None)

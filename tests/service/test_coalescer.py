@@ -16,6 +16,7 @@ from repro.core.truth_table import TruthTable
 from repro.engine import BatchedClassifier
 from repro.service.coalescer import Coalescer
 from repro.service.protocol import ProtocolError
+from tests.msv_rows import flat_key
 
 
 def tables(count, n=3, start=1):
@@ -199,7 +200,7 @@ class TestResults:
             # its worker task dying with the futures unresolved.
             raise AssertionError("a mint recomputed its signature")
 
-        monkeypatch.setattr("repro.library.store.compute_msv", recompute)
+        monkeypatch.setattr("repro.library.store.signature_keys", recompute)
         queries = tables(2, n=4, start=7) + tables(2, n=6, start=7)
 
         async def scenario():
@@ -235,7 +236,7 @@ class TestResults:
         results = asyncio.run(scenario())
         reference = FacePointClassifier(tiny_library.parts)
         assert BatchedClassifier(tiny_library.parts).signatures(queries) == [
-            reference.signature(tt) for tt in queries
+            flat_key(reference.signature(tt)) for tt in queries
         ]
         for query, (outcome, _) in zip(queries, results):
             offline = tiny_library.match(query)

@@ -18,6 +18,18 @@ from repro.core.truth_table import TruthTable
 from repro.library import ClassLibrary
 
 
+def fresh_cli(*args: str) -> subprocess.CompletedProcess:
+    """``repro-npn *args`` in a new interpreter, ``src`` on its path."""
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    existing = env.get("PYTHONPATH")
+    env["PYTHONPATH"] = src + (os.pathsep + existing if existing else "")
+    return subprocess.run(
+        [sys.executable, "-m", "repro", *args],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+
+
 class TestParsing:
     def test_parse_binary_lines(self):
         tables = parse_tables(["11101000", "", "# comment", "0110"])
@@ -53,6 +65,25 @@ class TestCommands:
         path.write_text("11101000\n00010111\n")
         assert main(["classify", str(path), "--method", "kitty"]) == 0
         assert "classes:   1" in capsys.readouterr().out
+
+    def test_classify_guided_in_a_fresh_process_agrees_with_exact(
+        self, tmp_path
+    ):
+        # The --method choices are read from the registry at import, so
+        # only a new interpreter shows a classifier no module registers.
+        files = {
+            3: "11101000\n00010111\n10000000\n01111111\n10010110\n",
+            4: "0x6ac5\n0x5c3a\n0x8000\n0x0001\n0x6996\n0x9669\n",
+        }
+        for n, text in files.items():
+            path = tmp_path / f"n{n}.txt"
+            path.write_text(text)
+            counts = {}
+            for method in ("guided", "exact"):
+                done = fresh_cli("classify", str(path), "--method", method)
+                assert done.returncode == 0, done.stderr
+                counts[method] = re.search(r"classes:\s+(\d+)", done.stdout)[1]
+            assert counts["guided"] == counts["exact"], n
 
     def test_classify_ours_runs_the_batched_engine(
         self, tmp_path, capsys, monkeypatch

@@ -1,10 +1,17 @@
-"""Every module-level function and class of ``src/repro`` has a caller there.
+"""Every module-level function and class of ``src/repro`` has a caller there,
+and every module of it an importer.
 
 A definition whose name appears on no other line of ``src/repro`` is code
 that only the tests call.  ``__all__`` entries and import lines do not
 count as callers: a re-export calls nothing.  Such code is deleted, or it
 is named in ``KEPT`` with the reason it stays.  The scan is textual, so a
 name that only a comment or docstring mentions counts as called.
+
+A whole module escapes that scan when a test imports it and calls its
+names in the module itself: a module that no other module of
+``src/repro`` imports is deleted too, or named in ``UNIMPORTED`` with the
+reason it stays.  A registered classifier counts only once a module
+imports it, since the registry fills at import.
 """
 
 import ast
@@ -59,10 +66,23 @@ KEPT = {
         "registered as 'ours'; experiments/table3.py and experiments/fig5.py "
         "reach it through get_classifier"
     ),
-    "GuidedExactClassifier": "registered as 'guided'",
+    "GuidedExactClassifier": (
+        "registered as 'guided' once baselines/__init__.py imports it; "
+        "reached through get_classifier and `classify --method guided`"
+    ),
     "Huang13Classifier": "registered as 'huang13'",
     "Petkovska16Classifier": "registered as 'petkovska16'",
     "Zhou20Classifier": "registered as 'zhou20'",
+}
+
+
+#: Modules of ``src/repro`` that no other module there imports.
+UNIMPORTED = {
+    "repro.__main__": "the entry point of `python -m repro`",
+    "repro.fabric.chaos": (
+        "the fault-injection harness: perfbench and "
+        "tests/fabric/test_chaos.py import it"
+    ),
 }
 
 
@@ -128,6 +148,40 @@ def test_every_kept_name_is_still_uncalled():
     assert sorted(set(KEPT) - uncalled) == []
 
 
+@functools.cache
+def _unimported_modules(root: Path = SRC) -> tuple[str, ...]:
+    """Dotted names of the non-package modules under ``root`` that no
+    other module there imports."""
+    modules = set()
+    imported = set()
+    for path in sorted(root.rglob("*.py")):
+        parts = path.relative_to(root.parent).with_suffix("").parts
+        package = ".".join(parts[:-1])
+        if parts[-1] != "__init__":
+            modules.add(".".join(parts))
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                imported.update(alias.name for alias in node.names)
+            elif isinstance(node, ast.ImportFrom):
+                base = package.rsplit(".", node.level - 1)[0] if node.level else ""
+                base = ".".join(filter(None, (base, node.module)))
+                imported.add(base)
+                imported.update(f"{base}.{alias.name}" for alias in node.names)
+    return tuple(sorted(modules - imported))
+
+
+def test_every_module_is_imported_in_src():
+    unexplained = sorted(set(_unimported_modules()) - set(UNIMPORTED))
+    assert not unexplained, (
+        "no module of src/repro imports these; delete them or add them to "
+        "UNIMPORTED with a reason:\n" + "\n".join(unexplained)
+    )
+
+
+def test_every_unimported_name_is_still_unimported():
+    assert sorted(set(UNIMPORTED) - set(_unimported_modules())) == []
+
+
 def _scan(tmp_path: Path, files: dict[str, str]) -> list[str]:
     """Names the scan reports for a package made of ``files``."""
     root = tmp_path / "pkg"
@@ -168,3 +222,18 @@ def test_scan_counts_a_mention_on_any_other_line(tmp_path):
         ),
     }
     assert _scan(tmp_path, files) == []
+
+
+def test_module_scan_reports_a_module_no_other_module_imports(tmp_path):
+    root = tmp_path / "pkg"
+    root.mkdir()
+    files = {
+        "__init__.py": "from . import a\n",
+        "a.py": "from pkg.b import value\n",
+        "b.py": "value = 1\n",
+        "c.py": "import pkg.a\n",
+        "d.py": "from .b import value\n",
+    }
+    for name, text in files.items():
+        (root / name).write_text(text)
+    assert _unimported_modules(root) == ("pkg.c", "pkg.d")
