@@ -39,8 +39,9 @@ class KeyedClassifier:
     """Base class for classifiers that map each function to a hashable key.
 
     Subclasses implement :meth:`key`; two functions land in the same class
-    iff their keys are equal.  Canonical-form methods return the canonical
-    truth table bits as the key.
+    iff their keys are equal.  Canonical-form methods return ``(n, bits)``
+    of the canonical truth table, so equal bits of different arities
+    (n=3 ``0x80`` and n=4 ``0x0080``) stay apart.
     """
 
     #: short identifier used by benches and the CLI

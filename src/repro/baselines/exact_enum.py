@@ -122,4 +122,4 @@ class ExactEnumerationClassifier(KeyedClassifier):
     name = "kitty"
 
     def key(self, tt: TruthTable):
-        return exact_npn_canonical(tt).representative.bits
+        return tt.n, exact_npn_canonical(tt).representative.bits

@@ -160,4 +160,4 @@ class GuidedExactClassifier(KeyedClassifier):
     name = "guided"
 
     def key(self, tt: TruthTable):
-        return guided_exact_canonical(tt).bits
+        return tt.n, guided_exact_canonical(tt).bits

@@ -43,4 +43,4 @@ class Huang13Classifier(KeyedClassifier):
     name = "huang13"
 
     def key(self, tt: TruthTable):
-        return huang_canonical(tt).bits
+        return tt.n, huang_canonical(tt).bits

@@ -88,4 +88,4 @@ class Petkovska16Classifier(KeyedClassifier):
         self.budget = budget
 
     def key(self, tt: TruthTable):
-        return petkovska_canonical(tt, self.budget).bits
+        return tt.n, petkovska_canonical(tt, self.budget).bits

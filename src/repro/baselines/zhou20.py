@@ -84,4 +84,4 @@ class Zhou20Classifier(KeyedClassifier):
     name = "zhou20"
 
     def key(self, tt: TruthTable):
-        return zhou_canonical(tt).bits
+        return tt.n, zhou_canonical(tt).bits

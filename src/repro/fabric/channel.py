@@ -16,9 +16,14 @@ Failure semantics are strict so the router's retry loop stays simple:
   in-flight requests with :class:`ChannelClosed` and tears the channel
   down; the next :meth:`request` redials from scratch;
 * a per-request timeout abandons only that request (the reply, if it
-  ever arrives, is dropped by id);
-* the channel never interprets replies — worker-side errors come back
-  as normal reply dicts for the router to map onto its own taxonomy.
+  ever arrives, is dropped by id).  The deadline is one
+  ``loop.call_later`` timer, cancelled when the reply arrives;
+* the channel reads only a reply's id.  An ok reply line in the fixed
+  form the worker's ``encode_line`` writes (``{"id": N, "ok": true,
+  ...``) comes back as its undecoded tail, an
+  :class:`~repro.service.protocol.EncodedOk` the router relays under
+  its client's id; every other line is decoded, so worker-side errors
+  come back as reply dicts for the router to map onto its own taxonomy.
 """
 
 from __future__ import annotations
@@ -26,7 +31,7 @@ from __future__ import annotations
 import asyncio
 import json
 
-from repro.service.protocol import MAX_LINE_BYTES
+from repro.service.protocol import MAX_LINE_BYTES, EncodedOk, split_ok_line
 
 __all__ = ["WorkerChannel", "ChannelClosed", "DispatchTimeout"]
 
@@ -73,11 +78,15 @@ class WorkerChannel:
     def inflight(self) -> int:
         return len(self._pending)
 
-    async def request(self, payload: dict, timeout: float | None) -> dict:
-        """Send one request dict; await its reply dict.
+    async def request(
+        self, payload: dict, timeout: float | None
+    ) -> EncodedOk | dict:
+        """Send one request dict; await its reply.
 
-        The payload's ``id`` is overwritten with a channel-internal id
-        (the router keeps the client's id on its own side).  Raises
+        The reply is an :class:`EncodedOk` for an ok reply line the
+        worker encoded, else the decoded reply dict.  The payload's
+        ``id`` is overwritten with a channel-internal id (the router
+        keeps the client's id on its own side).  Raises
         :class:`ChannelClosed` on transport death and
         :class:`DispatchTimeout` on deadline.
         """
@@ -87,23 +96,31 @@ class WorkerChannel:
         self._next_id += 1
         internal_id = self._next_id
         payload = dict(payload, id=internal_id)
-        future: asyncio.Future = asyncio.get_running_loop().create_future()
+        loop = asyncio.get_running_loop()
+        future: asyncio.Future = loop.create_future()
         self._pending[internal_id] = future
         assert self._sendq is not None
         self._sendq.put_nowait(
             json.dumps(payload, sort_keys=True).encode() + b"\n"
         )
+        timer = (
+            None if timeout is None
+            else loop.call_later(timeout, self._expire, future, timeout)
+        )
         try:
-            if timeout is None:
-                return await future
-            return await asyncio.wait_for(future, timeout)
-        except asyncio.TimeoutError:
-            raise DispatchTimeout(
+            return await future
+        finally:
+            if timer is not None:
+                timer.cancel()
+            self._pending.pop(internal_id, None)
+
+    def _expire(self, future: asyncio.Future, timeout: float) -> None:
+        """Fail one request whose deadline passed before its reply."""
+        if not future.done():
+            future.set_exception(DispatchTimeout(
                 f"worker {self.worker_id} ({self.address}) took more than "
                 f"{timeout:.3f}s"
-            ) from None
-        finally:
-            self._pending.pop(internal_id, None)
+            ))
 
     async def close(self) -> None:
         """Tear the channel down; in-flight requests fail ChannelClosed."""
@@ -174,13 +191,18 @@ class WorkerChannel:
                         )
                     )
                     return
-                try:
-                    reply = json.loads(line)
-                except json.JSONDecodeError:
-                    continue  # junk line; the matching request will time out
-                if not isinstance(reply, dict):
-                    continue
-                future = self._pending.pop(reply.get("id"), None)
+                split = split_ok_line(line)
+                if split is not None:
+                    reply_id, reply = split
+                else:
+                    try:
+                        reply = json.loads(line)
+                    except json.JSONDecodeError:
+                        continue  # junk line; its request will time out
+                    if not isinstance(reply, dict):
+                        continue
+                    reply_id = reply.get("id")
+                future = self._pending.pop(reply_id, None)
                 if future is not None and not future.done():
                     future.set_result(reply)
         except asyncio.CancelledError:

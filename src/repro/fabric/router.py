@@ -16,8 +16,10 @@ jobs work against it unchanged.  Behind that front it routes:
 3. the request is dispatched over the owner's pipelined channel, where
    concurrent requests to the same shard coalesce into burst writes the
    worker's micro-batcher folds into packed engine passes;
-4. the reply is re-associated by request id and written back under the
-   client's own id.
+4. the channel re-associates the reply by request id; an ok reply is
+   relayed as the worker's bytes, its id field swapped for the
+   client's own id, without decoding or re-encoding the result (an
+   error reply is decoded and mapped onto the router's taxonomy).
 
 Robustness is the point, and it is layered:
 
@@ -56,6 +58,7 @@ from repro.service.protocol import (
     ERROR_TYPES,
     FABRIC_OPS,
     REQUEST_OPS,
+    EncodedOk,
     ProtocolError,
     Request,
 )
@@ -218,7 +221,9 @@ class RouterService(LineProtocolServer):
     # Request resolution
     # ------------------------------------------------------------------
 
-    async def _resolve(self, request: Request, trace=None) -> dict:
+    async def _resolve(
+        self, request: Request, trace=None
+    ) -> dict | EncodedOk:
         if request.op == "ping":
             return {
                 "pong": True,
@@ -350,7 +355,9 @@ class RouterService(LineProtocolServer):
         for (_, future), key in zip(pending, keys):
             future.set_result(key)
 
-    async def _route_table_op(self, request: Request, trace=None) -> dict:
+    async def _route_table_op(
+        self, request: Request, trace=None
+    ) -> dict | EncodedOk:
         route_start = time.perf_counter()
         key = await self._shard_key(request.table)
         if self.ring is None:
@@ -399,7 +406,7 @@ class RouterService(LineProtocolServer):
                 failure, failure_kind = str(exc), "unavailable"
                 reason = "channel_closed"
             else:
-                if reply.get("ok"):
+                if _is_ok(reply):
                     if trace is not None:
                         trace.add_span(
                             "dispatch",
@@ -407,6 +414,8 @@ class RouterService(LineProtocolServer):
                             time.perf_counter(),
                             {"worker": worker, "attempts": attempt + 1},
                         )
+                    if isinstance(reply, EncodedOk):
+                        return reply
                     return reply.get("result", {})
                 error = reply.get("error", {})
                 error_type = error.get("type", "internal")
@@ -430,7 +439,7 @@ class RouterService(LineProtocolServer):
 
     async def _dispatch_to(
         self, worker_id: str, payload: dict, timeout: float | None
-    ) -> dict:
+    ) -> EncodedOk | dict:
         channel = self._channel(worker_id)
         t0 = time.perf_counter()
         try:
@@ -449,9 +458,7 @@ class RouterService(LineProtocolServer):
             _DISPATCH_SECONDS.observe(
                 time.perf_counter() - t0, worker=worker_id
             )
-        _DISPATCHES.inc(
-            outcome="ok" if reply.get("ok") else "worker_error"
-        )
+        _DISPATCHES.inc(outcome="ok" if _is_ok(reply) else "worker_error")
         return reply
 
     def _channel(self, worker_id: str) -> WorkerChannel:
@@ -506,3 +513,8 @@ class RouterService(LineProtocolServer):
             },
             "workers": self.registry.counts(),
         }
+
+
+def _is_ok(reply: EncodedOk | dict) -> bool:
+    """Whether a worker reply is a success (relayed bytes always are)."""
+    return isinstance(reply, EncodedOk) or bool(reply.get("ok"))

@@ -11,7 +11,10 @@ identical between them:
   parseable ready/exit banner lines);
 * connection tracking and teardown;
 * NDJSON framing — one reply task per line, bounded in-flight replies
-  so a write-only client cannot grow the daemon's buffers;
+  so a write-only client cannot grow the daemon's buffers, and one
+  ``write`` per event-loop tick carrying every reply line the
+  connection's tasks queued in it (flushed before the connection
+  closes; HTTP responses are written directly);
 * the request front — parse, trace (``decode`` and ``reply`` spans),
   count, resolve, reply — for NDJSON lines and for the HTTP routes
   ``GET /v1/stats``, ``GET /v1/trace/recent``, ``POST /v1/classify``
@@ -62,6 +65,38 @@ __all__ = ["LineProtocolServer", "best_effort_id", "query_int"]
 #: even against a client that pipelines forever without reading.
 MAX_INFLIGHT_REPLIES = 1024
 
+
+class _ReplyLines:
+    """The NDJSON reply lines of one connection not yet written.
+
+    The first line queued in an event-loop tick schedules a flush for
+    the next one, so the replies of one coalescer batch (or one burst of
+    routed replies) leave in a single ``write``.
+    """
+
+    __slots__ = ("writer", "lines")
+
+    def __init__(self, writer: asyncio.StreamWriter) -> None:
+        self.writer = writer
+        self.lines: list[bytes] = []
+
+    def put(self, line: bytes) -> None:
+        if not self.lines:
+            asyncio.get_running_loop().call_soon(self.flush)
+        self.lines.append(line)
+
+    def flush(self) -> None:
+        lines, self.lines = self.lines, []
+        transport = self.writer.transport
+        if lines and transport is not None and not transport.is_closing():
+            self.writer.write(b"".join(lines))
+
+    def close(self) -> None:
+        """Write what is queued, then close the connection."""
+        self.flush()
+        self.writer.close()
+
+
 _REG = obs.registry()
 _REQUESTS = _REG.counter(
     "repro_service_requests_total", "Accepted requests by op.", labels=("op",)
@@ -90,7 +125,8 @@ class LineProtocolServer:
         self._requested_port = port
         self._server: asyncio.base_events.Server | None = None
         self._connections: set[asyncio.Task] = set()
-        self._writers: set[asyncio.StreamWriter] = set()
+        #: Every open connection's queue of unwritten NDJSON replies.
+        self._replies: dict[asyncio.StreamWriter, _ReplyLines] = {}
         self._stopping = asyncio.Event()
         self.started = time.monotonic()
 
@@ -98,7 +134,9 @@ class LineProtocolServer:
     # Subclass hooks
     # ------------------------------------------------------------------
 
-    async def _resolve(self, request: Request, trace=None) -> dict:
+    async def _resolve(
+        self, request: Request, trace=None
+    ) -> dict | protocol.EncodedOk:
         """The result payload of one request other than ``stats``."""
         raise NotImplementedError
 
@@ -145,8 +183,8 @@ class LineProtocolServer:
         # Closing the transports feeds EOF to every connection reader, so
         # handlers exit their read loops normally — cancellation is only
         # the fallback for a handler that still hasn't finished.
-        for writer in list(self._writers):
-            writer.close()
+        for replies in list(self._replies.values()):
+            replies.close()
         if self._connections:
             _done, pending = await asyncio.wait(
                 list(self._connections), timeout=5.0
@@ -155,7 +193,7 @@ class LineProtocolServer:
                 # A client that stopped reading keeps close() from ever
                 # flushing, and its reply writes wait in drain() for good:
                 # drop the unsent bytes so those writes fail.
-                for writer in list(self._writers):
+                for writer in list(self._replies):
                     writer.transport.abort()
             for task in pending:
                 task.cancel()
@@ -211,19 +249,19 @@ class LineProtocolServer:
         if task is not None:
             self._connections.add(task)
             task.add_done_callback(self._connections.discard)
-        self._writers.add(writer)
+        replies = self._replies[writer] = _ReplyLines(writer)
         try:
             try:
                 first = await self._read_line(reader)
             except ProtocolError as exc:
-                await self._reject_line(writer, None, exc)
+                await self._reject_line(replies, None, exc)
                 return
             if first is None:
                 return
             if any(first.startswith(verb) for verb in HTTP_METHODS):
                 await self._serve_http(first, reader, writer)
             else:
-                await self._serve_ndjson(first, reader, writer)
+                await self._serve_ndjson(first, reader, replies)
         except (
             ConnectionResetError,
             BrokenPipeError,
@@ -231,8 +269,8 @@ class LineProtocolServer:
         ):
             pass  # client went away / drain cancelled the connection
         finally:
-            self._writers.discard(writer)
-            writer.close()
+            self._replies.pop(writer, None)
+            replies.close()
             try:
                 await writer.wait_closed()
             except (
@@ -262,42 +300,41 @@ class LineProtocolServer:
         self,
         first: bytes,
         reader: asyncio.StreamReader,
-        writer: asyncio.StreamWriter,
+        replies: _ReplyLines,
     ) -> None:
-        replies: set[asyncio.Task] = set()
+        tasks: set[asyncio.Task] = set()
         line: bytes | None = first
         try:
             while line is not None:
                 if line.strip():
-                    task = asyncio.ensure_future(self._answer_line(writer, line))
-                    replies.add(task)
-                    task.add_done_callback(replies.discard)
-                    if len(replies) >= MAX_INFLIGHT_REPLIES:
+                    task = asyncio.ensure_future(self._answer_line(replies, line))
+                    tasks.add(task)
+                    task.add_done_callback(tasks.discard)
+                    if len(tasks) >= MAX_INFLIGHT_REPLIES:
                         # Stop reading until the client consumes replies:
                         # reply tasks block on drain(), so a client that
                         # writes but never reads parks here instead of
                         # growing the daemon's buffers.
                         await asyncio.wait(
-                            replies, return_when=asyncio.FIRST_COMPLETED
+                            tasks, return_when=asyncio.FIRST_COMPLETED
                         )
                 try:
                     line = await self._read_line(reader)
                 except ProtocolError as exc:
                     # Framing is lost beyond an oversized line: reply,
                     # then hang up instead of guessing where it ends.
-                    await self._reject_line(writer, None, exc)
+                    await self._reject_line(replies, None, exc)
                     return
         finally:
-            if replies:
-                await asyncio.gather(*replies, return_exceptions=True)
+            if tasks:
+                await asyncio.gather(*tasks, return_exceptions=True)
+            replies.flush()
             try:
-                await writer.drain()
+                await replies.writer.drain()
             except (ConnectionResetError, BrokenPipeError, OSError):
                 pass
 
-    async def _answer_line(
-        self, writer: asyncio.StreamWriter, line: bytes
-    ) -> None:
+    async def _answer_line(self, replies: _ReplyLines, line: bytes) -> None:
         """Resolve one NDJSON request line and write its reply line."""
         t0 = asyncio.get_running_loop().time()
         trace = self.tracer.start("?", transport="ndjson")
@@ -309,7 +346,7 @@ class LineProtocolServer:
                 trace.op = "invalid"
                 trace.annotate(error=exc.error_type)
                 self.tracer.finish(trace)
-            await self._reject_line(writer, best_effort_id(line), exc)
+            await self._reject_line(replies, best_effort_id(line), exc)
             return
         if trace is not None:
             trace.op = request.op
@@ -317,17 +354,19 @@ class LineProtocolServer:
         try:
             result = await self._answer(request, trace, t0)
         except ProtocolError as exc:
-            await self._reject_line(writer, request.id, exc)
+            await self._reject_line(replies, request.id, exc)
             return
         reply_start = time.perf_counter()
-        await self._write(writer, protocol.encode_line(
-            protocol.ok_reply(request.id, request.op, result)
-        ))
+        await self._reply(
+            replies, protocol.ok_line(request.id, request.op, result)
+        )
         if trace is not None:
             trace.add_span("reply", reply_start, time.perf_counter())
             self.tracer.finish(trace)
 
-    async def _answer(self, request: Request, trace, t0: float) -> dict:
+    async def _answer(
+        self, request: Request, trace, t0: float
+    ) -> dict | protocol.EncodedOk:
         """Count, resolve and time one parsed request (both fronts).
 
         A failure finishes the trace and propagates; the caller's reject
@@ -349,17 +388,32 @@ class LineProtocolServer:
 
     async def _reject_line(
         self,
-        writer: asyncio.StreamWriter,
+        replies: _ReplyLines,
         request_id: object,
         exc: ProtocolError,
     ) -> None:
         _ERRORS.inc(type=exc.error_type)
-        await self._write(writer, protocol.encode_line(
+        await self._reply(replies, protocol.encode_line(
             protocol.error_reply(request_id, exc.error_type, exc.message)
         ))
 
+    async def _reply(self, replies: _ReplyLines, line: bytes) -> None:
+        """Queue one reply line + drain (flow control against slow readers).
+
+        The drain waits while the transport's buffer is above its high
+        water mark, so at most one tick of queued lines lands on a
+        client that does not read.
+        """
+        replies.put(line)
+        if replies.writer.transport.is_closing():
+            return
+        try:
+            await replies.writer.drain()
+        except (ConnectionResetError, BrokenPipeError, OSError):
+            pass  # client went away; the read loop will see EOF
+
     async def _write(self, writer: asyncio.StreamWriter, payload: bytes) -> None:
-        """One whole-line write + drain (flow control against slow readers)."""
+        """One whole HTTP response write + drain."""
         if writer.transport is None or writer.transport.is_closing():
             return
         writer.write(payload)
@@ -425,6 +479,8 @@ class LineProtocolServer:
             trace = self.tracer.start(op, transport="http")
             request = Request(op=op, id=data.get("id"), table=table)
             result = await self._answer(request, trace, t0)
+            if isinstance(result, protocol.EncodedOk):
+                result = result.result()
             self.tracer.finish(trace)
             return 200, {"ok": True, "op": op, "result": result}
         raise ProtocolError("bad_request", f"no route for {method} {path}")

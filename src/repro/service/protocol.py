@@ -62,6 +62,9 @@ __all__ = [
     "ok_reply",
     "error_reply",
     "encode_line",
+    "EncodedOk",
+    "split_ok_line",
+    "ok_line",
     "match_payload",
     "classify_payload",
     "http_response",
@@ -240,6 +243,61 @@ def error_reply(
 def encode_line(reply: dict) -> bytes:
     """One reply as a newline-terminated JSON line."""
     return json.dumps(reply, sort_keys=True).encode() + b"\n"
+
+
+# With sorted keys an ok reply line with an id always opens with
+# ``{"id": <id>, "ok": true, `` and goes on with ``"op"`` and ``"result"``.
+_ID_HEAD = b'{"id": '
+_OK_MARK = b', "ok": true, '
+#: Longest id field :func:`split_ok_line` reads: 20 digits, then the mark.
+_ID_SPAN = len(_ID_HEAD) + 20 + len(_OK_MARK)
+
+
+@dataclass(frozen=True)
+class EncodedOk:
+    """An ok reply still encoded: the bytes after its ``"ok": true, ``.
+
+    The fabric router relays a worker's ok reply as these bytes under
+    its client's own id, so a routed hit is never decoded or re-encoded.
+    """
+
+    tail: bytes
+
+    def line(self, request_id: object) -> bytes:
+        """The line ``encode_line(ok_reply(request_id, ...))`` writes."""
+        if request_id is None:
+            return b'{"ok": true, ' + self.tail
+        if type(request_id) is int:
+            text = str(request_id)
+        else:
+            text = json.dumps(request_id, sort_keys=True)
+        return _ID_HEAD + text.encode() + _OK_MARK + self.tail
+
+    def result(self) -> dict:
+        """The decoded ``result`` object."""
+        return json.loads(b"{" + self.tail)["result"]
+
+
+def split_ok_line(line: bytes) -> tuple[int, EncodedOk] | None:
+    """``(id, tail)`` of an :func:`encode_line` ok reply with an integer id.
+
+    ``None`` for any other line (error replies, other ids, other
+    encoders); those are for the caller to decode.
+    """
+    if not line.startswith(_ID_HEAD):
+        return None
+    end = line.find(_OK_MARK, len(_ID_HEAD), _ID_SPAN)
+    digits = line[len(_ID_HEAD):end]
+    if end < 0 or not digits.isdigit():
+        return None
+    return int(digits), EncodedOk(line[end + len(_OK_MARK):])
+
+
+def ok_line(request_id: object, op: str, result: dict | EncodedOk) -> bytes:
+    """The reply line of a successful request (``result`` may be encoded)."""
+    if isinstance(result, EncodedOk):
+        return result.line(request_id)
+    return encode_line(ok_reply(request_id, op, result))
 
 
 def match_payload(query: TruthTable, match, cached: bool) -> dict:

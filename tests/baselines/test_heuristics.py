@@ -100,7 +100,7 @@ class TestHeuristicCharacter:
         clf = cls()
         for _ in range(10):
             tt = TruthTable.random(4, rng)
-            canon = TruthTable(4, clf.key(tt))
+            canon = TruthTable(*clf.key(tt))
             assert are_npn_equivalent(tt, canon)
 
     @pytest.mark.parametrize("cls", HEURISTICS)

@@ -3,7 +3,8 @@
 The router's retry loop leans on exactly three channel behaviours —
 typed timeout, typed death-of-everything-in-flight, transparent redial —
 so each gets a direct test against a scripted asyncio server rather than
-a real worker.
+a real worker.  So does the relay form of a reply: an ok line as the
+worker's ``encode_line`` writes it comes back undecoded.
 """
 
 import asyncio
@@ -12,6 +13,7 @@ import json
 import pytest
 
 from repro.fabric.channel import ChannelClosed, DispatchTimeout, WorkerChannel
+from repro.service.protocol import EncodedOk, encode_line, ok_reply
 
 
 class ScriptedPeer:
@@ -56,10 +58,26 @@ async def echo_ok(request, _writer):
     return json.dumps(reply).encode() + b"\n"
 
 
+async def echo_encoded(request, _writer):
+    """The ok line a worker writes: ``encode_line`` sorts its keys."""
+    return encode_line(ok_reply(request["id"], request["op"], {"echo": request}))
+
+
+def echoed(reply) -> dict:
+    """The echoed request of either reply form."""
+    if isinstance(reply, EncodedOk):
+        return reply.result()["echo"]
+    assert reply["ok"]
+    return reply["result"]["echo"]
+
+
 class TestRoundTrips:
-    def test_pipelined_requests_reassociate_by_id(self):
+    @pytest.mark.parametrize(
+        "answer, form", [(echo_ok, dict), (echo_encoded, EncodedOk)]
+    )
+    def test_pipelined_requests_reassociate_by_id(self, answer, form):
         async def scenario():
-            async with ScriptedPeer(echo_ok) as peer:
+            async with ScriptedPeer(answer) as peer:
                 channel = WorkerChannel("w0", peer.address)
                 replies = await asyncio.gather(
                     *(
@@ -73,8 +91,8 @@ class TestRoundTrips:
         connections, replies = asyncio.run(scenario())
         assert connections == 1  # one persistent connection, not 16 dials
         for i, reply in enumerate(replies):
-            assert reply["ok"]
-            assert reply["result"]["echo"]["seq"] == i
+            assert type(reply) is form
+            assert echoed(reply)["seq"] == i
 
     def test_junk_lines_are_skipped_not_fatal(self):
         async def junk_then_ok(request, writer):
@@ -164,3 +182,69 @@ class TestFailureSemantics:
                 await channel.request({"op": "ping"}, 1.0)
 
         asyncio.run(scenario())
+
+
+class TestDeadline:
+    @pytest.mark.parametrize("answer", [echo_ok, echo_encoded])
+    def test_late_reply_is_dropped_and_the_channel_stays_usable(self, answer):
+        sent = []
+
+        async def late_first(request, writer):
+            if request.get("seq") == 0:
+                await asyncio.sleep(0.3)
+            sent.append(request["seq"])
+            return await answer(request, writer)
+
+        async def scenario():
+            async with ScriptedPeer(late_first) as peer:
+                channel = WorkerChannel("w0", peer.address)
+                with pytest.raises(
+                    DispatchTimeout,
+                    match=rf"^worker w0 \({peer.address}\) took more than "
+                    r"0\.100s$",
+                ):
+                    await channel.request({"op": "ping", "seq": 0}, 0.1)
+                assert channel.inflight == 0
+                while not sent:  # the late reply reaches the channel
+                    await asyncio.sleep(0.05)
+                await asyncio.sleep(0.05)
+                assert channel.inflight == 0
+                assert channel.connected
+                reply = await channel.request({"op": "ping", "seq": 1}, 5.0)
+                assert channel.inflight == 0
+                await channel.close()
+                return peer.connections, reply
+
+        connections, reply = asyncio.run(scenario())
+        assert connections == 1
+        assert echoed(reply)["seq"] == 1
+
+    @pytest.mark.parametrize("timeout", [5.0, None])
+    def test_reply_in_time_cancels_its_timer(self, timeout):
+        async def scenario():
+            loop = asyncio.get_running_loop()
+            timers = []
+            call_later = loop.call_later
+
+            def spy(delay, callback, *args, **kwargs):
+                handle = call_later(delay, callback, *args, **kwargs)
+                if getattr(callback, "__func__", None) is WorkerChannel._expire:
+                    timers.append((delay, handle))
+                return handle
+
+            loop.call_later = spy
+            async with ScriptedPeer(echo_encoded) as peer:
+                channel = WorkerChannel("w0", peer.address)
+                reply = await channel.request({"op": "ping", "seq": 3}, timeout)
+                assert channel.inflight == 0
+                await channel.close()
+            return timers, reply
+
+        timers, reply = asyncio.run(scenario())
+        assert echoed(reply)["seq"] == 3
+        if timeout is None:
+            assert timers == []
+        else:
+            ((delay, handle),) = timers
+            assert delay == timeout
+            assert handle.cancelled()

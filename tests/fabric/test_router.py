@@ -11,13 +11,17 @@ import asyncio
 import contextlib
 import json
 import socket
+import socketserver
 import threading
 import time
+import urllib.request
+from types import SimpleNamespace
 
 import pytest
 
 from repro import obs
 from repro.core.truth_table import TruthTable
+from repro.fabric import channel as channel_module
 from repro.fabric import router as router_module
 from repro.fabric.backoff import RetryPolicy
 from repro.fabric.channel import ChannelClosed, DispatchTimeout
@@ -25,8 +29,14 @@ from repro.fabric.ring import HashRing
 from repro.fabric.router import RouterService
 from repro.fabric.worker import FabricWorker
 from repro.service import ServiceClient, ServiceError, ThreadedService
+from repro.service import protocol
 from repro.service.client import http_get
-from repro.service.protocol import ProtocolError
+from repro.service.protocol import (
+    ProtocolError,
+    encode_line,
+    error_reply,
+    ok_reply,
+)
 from tests.msv_rows import scalar_shard_key
 
 RING = ("w0", "w1")
@@ -85,6 +95,14 @@ def http_stats(address):
     status, body = http_get(address, "/v1/stats")
     assert status == 200
     return json.loads(body)
+
+
+def http_post(address, path, body: dict) -> dict:
+    request = urllib.request.Request(
+        f"http://{address}{path}", data=json.dumps(body).encode(), method="POST"
+    )
+    with urllib.request.urlopen(request, timeout=10) as response:
+        return json.loads(response.read())
 
 
 def stub_router(monkeypatch, dispatch, attempts=3, workers=("w0",)):
@@ -328,18 +346,17 @@ class TestRouting:
         assert status == 200
         assert json.loads(body)["identity"]["role"] == "router"
 
-    def test_http_post_routes_through_fabric(self, fabric):
+    def test_http_post_routes_through_fabric(self, fabric, tiny_library):
         router, _ = fabric
-        import urllib.request
-
-        request = urllib.request.Request(
-            f"http://{router.address}/v1/match",
-            data=json.dumps({"table": "0xe8", "n": 3}).encode(),
-            method="POST",
-        )
-        with urllib.request.urlopen(request, timeout=10) as response:
-            payload = json.loads(response.read())
-        assert payload["ok"] and payload["result"]["hit"]
+        # The relayed reply is decoded into the same body a bare daemon
+        # sends.
+        body = {"table": "0xe8", "n": 3}
+        with ThreadedService(tiny_library) as daemon:
+            bare = http_post(daemon.address, "/v1/match", body)
+        routed = http_post(router.address, "/v1/match", body)
+        assert routed == bare
+        assert routed["ok"] and routed["result"]["hit"]
+        assert ServiceClient.verify(routed["result"], TruthTable(3, 0xE8))
 
     def test_trace_spans_cover_route_dispatch_reply(self, fabric):
         router, _ = fabric
@@ -684,3 +701,170 @@ class TestWorkerDaemon:
             assert swallowed
         finally:
             host.stop()
+
+
+def raw_lines(port, payload: bytes, count: int) -> list[bytes]:
+    """Write ``payload`` in one send; the first ``count`` reply lines."""
+    with socket.create_connection(("127.0.0.1", port), timeout=30) as sock:
+        sock.sendall(payload)
+        stream = sock.makefile("rb")
+        return [stream.readline() for _ in range(count)]
+
+
+@contextlib.contextmanager
+def scripted_worker(answer):
+    """A worker stand-in: each request line is answered ``answer(request)``.
+
+    Yields ``(address, requests)``, ``requests`` growing with every
+    request line read, so a test can count the router's dispatches.
+    """
+    requests = []
+
+    class Handler(socketserver.StreamRequestHandler):
+        def handle(self):
+            for line in self.rfile:
+                requests.append(json.loads(line))
+                self.wfile.write(answer(requests[-1]))
+
+    server = socketserver.ThreadingTCPServer(("127.0.0.1", 0), Handler)
+    server.daemon_threads = True
+    thread = threading.Thread(
+        target=server.serve_forever, kwargs={"poll_interval": 0.02},
+        daemon=True,
+    )
+    thread.start()
+    try:
+        yield f"127.0.0.1:{server.server_address[1]}", requests
+    finally:
+        server.shutdown()
+        server.server_close()
+
+
+@contextlib.contextmanager
+def routed_to(address):
+    """A running router whose one registered worker ``w0`` is ``address``."""
+    router = RouterService(
+        port=0,
+        policy=RetryPolicy(
+            attempts=3, base_ms=1.0, cap_ms=2.0, timeout_ms=2000.0
+        ),
+        heartbeat_interval_s=30.0,
+    )
+    router._register(
+        {
+            "worker": {
+                "worker_id": "w0",
+                "address": address,
+                "ring": HashRing(("w0",)).spec(),
+            }
+        }
+    )
+    with ThreadedService(router) as host:
+        yield host
+
+
+MISS = {"hit": False, "n": 3, "cached": False}
+
+
+class TestRelay:
+    """An ok worker reply is relayed as bytes under the client's id."""
+
+    @pytest.mark.parametrize(
+        "client_id", [lambda i: i, lambda i: f"q-{i}", None],
+        ids=["int", "str", "absent"],
+    )
+    def test_routed_line_is_the_bare_daemons_line(
+        self, fabric, tiny_library, client_id
+    ):
+        router, _ = fabric
+        # Distinct tables, so no answer depends on what either side has
+        # cached; the n=4 ones miss the n<=3 library.
+        tables = [TruthTable(3, value) for value in range(0, 256, 9)] + [
+            TruthTable(4, 0x6AC5), TruthTable(4, 0x8000)
+        ]
+        lines = []
+        for i, table in enumerate(tables):
+            line = {"op": "match", "table": f"0x{table.to_hex()}", "n": table.n}
+            if client_id is not None:
+                line["id"] = client_id(i)
+            lines.append(json.dumps(line).encode() + b"\n")
+        payload = b"".join(lines)
+        with ThreadedService(tiny_library) as daemon:
+            bare = raw_lines(daemon.port, payload, len(tables))
+        routed = raw_lines(router.port, payload, len(tables))
+        # Pipelined replies may leave in any order, on either side.
+        assert sorted(routed) == sorted(bare)
+        assert sum(b'"hit": true' in line for line in routed) == len(tables) - 2
+
+    def test_routed_hit_is_neither_decoded_nor_re_encoded(self, monkeypatch):
+        calls = []
+
+        def counted(name, function):
+            return lambda *args, **kwargs: (
+                calls.append(name) or function(*args, **kwargs)
+            )
+
+        def answer(request):
+            return encode_line(ok_reply(request["id"], request["op"], MISS))
+
+        with scripted_worker(answer) as (address, requests):
+            with routed_to(address) as host:
+                # The channel's own json: the worker decodes with its own.
+                monkeypatch.setattr(channel_module, "json", SimpleNamespace(
+                    dumps=json.dumps,
+                    loads=counted("loads", json.loads),
+                    JSONDecodeError=json.JSONDecodeError,
+                ))
+                monkeypatch.setattr(
+                    protocol, "encode_line",
+                    counted("encode_line", protocol.encode_line),
+                )
+                with ServiceClient(port=host.port) as client:
+                    assert client.match(TruthTable(3, 0xE8)) == MISS
+        assert len(requests) == 1
+        assert calls == []
+
+    def test_line_without_the_ok_prefix_is_decoded_and_re_encoded(self):
+        def unsorted(request):
+            reply = {"ok": True, "id": request["id"], "op": "match",
+                     "result": MISS}
+            return json.dumps(reply).encode() + b"\n"
+
+        request = b'{"op": "match", "id": "c", "table": "0xe8", "n": 3}\n'
+        with scripted_worker(unsorted) as (address, _):
+            with routed_to(address) as host:
+                (line,) = raw_lines(host.port, request, 1)
+        assert line == encode_line(ok_reply("c", "match", MISS))
+
+    def test_worker_bad_request_is_the_clients_bad_request(self):
+        def refuse(request):
+            return encode_line(
+                error_reply(request["id"], "bad_request", "no such table")
+            )
+
+        with scripted_worker(refuse) as (address, requests):
+            with routed_to(address) as host:
+                with ServiceClient(port=host.port) as client:
+                    with pytest.raises(ServiceError) as excinfo:
+                        client.match(TruthTable(3, 0xE8))
+        assert excinfo.value.error_type == "bad_request"
+        assert excinfo.value.message == "worker w0: no such table"
+        assert len(requests) == 1  # a client error is not retried
+
+    @pytest.mark.parametrize("error_type", ["overloaded", "shutting_down"])
+    def test_busy_worker_is_retried(self, error_type):
+        def busy_once(request):
+            if len(requests) == 1:
+                return encode_line(
+                    error_reply(request["id"], error_type, "busy")
+                )
+            return encode_line(ok_reply(request["id"], request["op"], MISS))
+
+        retries = obs.registry().get("repro_fabric_retries_total")
+        before = retries.value(reason=error_type)
+        with scripted_worker(busy_once) as (address, requests):
+            with routed_to(address) as host:
+                with ServiceClient(port=host.port) as client:
+                    assert client.match(TruthTable(3, 0xE8)) == MISS
+        assert len(requests) == 2
+        assert retries.value(reason=error_type) == before + 1

@@ -129,6 +129,57 @@ class TestReplies:
         assert payload == {"hit": False, "n": 3, "cached": False}
 
 
+RESULT = {"hit": True, "n": 3, "class_id": "n3-c80", "note": "ü \"q\""}
+
+
+class TestEncodedOk:
+    """The relay form of an ok reply: its worker bytes under a new id."""
+
+    @pytest.mark.parametrize(
+        "client_id",
+        [0, 7, 2**63, "q-7", 'ü"x', None, 1.5, True, [1, "a"], {"b": 1, "a": 2}],
+    )
+    def test_relayed_line_is_the_encoded_line(self, client_id):
+        worker_line = protocol.encode_line(protocol.ok_reply(41, "match", RESULT))
+        worker_id, relayed = protocol.split_ok_line(worker_line)
+        assert worker_id == 41
+        assert relayed.line(client_id) == protocol.encode_line(
+            protocol.ok_reply(client_id, "match", RESULT)
+        )
+        assert protocol.ok_line(client_id, "match", relayed) == relayed.line(
+            client_id
+        )
+        assert relayed.result() == RESULT
+
+    @pytest.mark.parametrize("worker_id", [0, 9, 10**19])
+    def test_split_reads_integer_ids(self, worker_id):
+        line = protocol.encode_line(protocol.ok_reply(worker_id, "ping", {}))
+        assert protocol.split_ok_line(line)[0] == worker_id
+
+    @pytest.mark.parametrize(
+        "line",
+        [
+            protocol.encode_line(protocol.error_reply(3, "overloaded", "full")),
+            protocol.encode_line(protocol.ok_reply(None, "match", RESULT)),
+            protocol.encode_line(protocol.ok_reply("3", "match", RESULT)),
+            protocol.encode_line(protocol.ok_reply(-3, "match", RESULT)),
+            protocol.encode_line(protocol.ok_reply(True, "match", RESULT)),
+            protocol.encode_line(protocol.ok_reply(3.0, "match", RESULT)),
+            protocol.encode_line(protocol.ok_reply(10**20, "match", RESULT)),
+            json.dumps({"ok": True, "id": 3, "result": RESULT}).encode(),
+            b'{"id": 3, "ok": false, "op": "match"}\n',
+            b"not json\n",
+        ],
+    )
+    def test_other_lines_are_left_to_the_decoder(self, line):
+        assert protocol.split_ok_line(line) is None
+
+    def test_ok_line_encodes_a_plain_result(self):
+        assert protocol.ok_line(3, "match", RESULT) == protocol.encode_line(
+            protocol.ok_reply(3, "match", RESULT)
+        )
+
+
 class TestHttpResponse:
     def test_shape(self):
         raw = protocol.http_response(200, {"status": "ok"})

@@ -7,6 +7,7 @@ checks.  The SIGTERM drain runs against a real ``repro serve``
 subprocess — the only way to test signal handling honestly.
 """
 
+import asyncio
 import json
 import os
 import random
@@ -22,6 +23,7 @@ import pytest
 
 from repro.core.transforms import random_transform
 from repro.core.truth_table import TruthTable
+from repro.service.base import _ReplyLines
 from repro.service import (
     MAX_LINE_BYTES,
     ServiceClient,
@@ -282,6 +284,85 @@ class TestConcurrencySoak:
                     assert ServiceClient.verify(result, query)
                 checked += 1
         assert checked == 240
+
+
+def match_burst(tables) -> bytes:
+    """One pipelined ``match`` line per table, ids numbered from 0."""
+    return b"".join(
+        json.dumps(
+            {"op": "match", "id": i, "table": f"0x{t.to_hex()}", "n": t.n}
+        ).encode()
+        + b"\n"
+        for i, t in enumerate(tables)
+    )
+
+
+class TestReplyCoalescing:
+    """NDJSON reply lines queued in one event-loop tick share one write."""
+
+    def test_one_batch_of_replies_takes_fewer_writes(
+        self, tiny_library, batch_sizes, monkeypatch
+    ):
+        writes = []
+        write = asyncio.StreamWriter.write
+        monkeypatch.setattr(
+            asyncio.StreamWriter,
+            "write",
+            lambda self, data: writes.append(data) or write(self, data),
+        )
+        # Distinct tables, so none is answered from the match cache.
+        tables = [TruthTable(3, value) for value in range(0, 256, 8)]
+        with ThreadedService(
+            tiny_library, max_batch=len(tables), max_wait_ms=500.0
+        ) as svc:
+            lines = raw_exchange(svc.port, match_burst(tables), len(tables))
+        assert batch_sizes() == {str(len(tables)): 1}
+        assert 1 <= len(writes) < len(tables)
+        replies = [json.loads(line) for line in lines]
+        assert sorted(reply["id"] for reply in replies) == list(
+            range(len(tables))
+        )
+        for reply in replies:
+            table = tables[reply["id"]]
+            assert ServiceClient.verify(reply["result"], table)
+
+    def test_replies_of_a_half_closed_connection_are_written(
+        self, tiny_library
+    ):
+        # The client sends its burst and EOF at once; the batch is still
+        # waiting for stragglers when the read loop ends.
+        tables = [TruthTable(3, value) for value in range(1, 256, 16)]
+        with ThreadedService(
+            tiny_library, max_batch=64, max_wait_ms=100.0
+        ) as svc:
+            with socket.create_connection(
+                ("127.0.0.1", svc.port), timeout=10
+            ) as sock:
+                sock.sendall(match_burst(tables))
+                sock.shutdown(socket.SHUT_WR)
+                received = sock.makefile("rb").read()
+        lines = received.splitlines()
+        assert len(lines) == len(tables)
+        assert all(json.loads(line)["ok"] for line in lines)
+
+    def test_line_queued_just_before_close_is_written(self):
+        async def scenario():
+            async def handle(_reader, writer):
+                replies = _ReplyLines(writer)
+                replies.put(b'{"ok": true}\n')
+                replies.put(b'{"ok": false}\n')
+                replies.close()  # in the same tick as the puts
+
+            server = await asyncio.start_server(handle, "127.0.0.1", 0)
+            port = server.sockets[0].getsockname()[1]
+            reader, writer = await asyncio.open_connection("127.0.0.1", port)
+            received = await reader.read()  # to EOF
+            writer.close()
+            server.close()
+            await server.wait_closed()
+            return received
+
+        assert asyncio.run(scenario()) == b'{"ok": true}\n{"ok": false}\n'
 
 
 class TestSigtermDrain:

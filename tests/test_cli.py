@@ -12,6 +12,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.baselines.base import registered_classifiers
 from repro.cli import main, parse_tables
 from repro.core.transforms import NPNTransform
 from repro.core.truth_table import TruthTable
@@ -84,6 +85,19 @@ class TestCommands:
                 assert done.returncode == 0, done.stderr
                 counts[method] = re.search(r"classes:\s+(\d+)", done.stdout)[1]
             assert counts["guided"] == counts["exact"], n
+
+    @pytest.mark.parametrize("method", registered_classifiers())
+    def test_classify_keeps_arities_apart(self, tmp_path, capsys, method):
+        # Two NPN classes, AND3 and AND4, each with its output-negated
+        # image; the bits 0x80 and 0x0080 agree, the arities do not.
+        path = tmp_path / "mixed.txt"
+        path.write_text("10000000\n01111111\n0x8000\n0x0001\n")
+        assert main(["classify", str(path), "--method", method,
+                     "--show-classes"]) == 0
+        out = capsys.readouterr().out
+        assert f"classes:   2 ({method})" in out
+        for members in re.findall(r"class \d+: (.*)", out):
+            assert len({len(member) for member in members.split()}) == 1
 
     def test_classify_ours_runs_the_batched_engine(
         self, tmp_path, capsys, monkeypatch
