@@ -18,12 +18,15 @@ Failure semantics are strict so the router's retry loop stays simple:
 * a per-request timeout abandons only that request (the reply, if it
   ever arrives, is dropped by id).  The deadline is one
   ``loop.call_later`` timer, cancelled when the reply arrives;
-* the channel reads only a reply's id.  An ok reply line in the fixed
-  form the worker's ``encode_line`` writes (``{"id": N, "ok": true,
-  ...``) comes back as its undecoded tail, an
+* the channel reads only a reply's id.  An ok reply comes back as an
   :class:`~repro.service.protocol.EncodedOk` the router relays under
-  its client's id; every other line is decoded, so worker-side errors
-  come back as reply dicts for the router to map onto its own taxonomy.
+  its client's id: a whole line in the fixed form the worker's
+  ``encode_line`` writes (``{"id": N, "ok": true, ...``) is kept as
+  its undecoded tail, and any other ok line is decoded and its result
+  encoded once.  An error reply comes back as the decoded reply dict
+  for the router to map onto its own taxonomy.  A line cut short of
+  its newline (a worker killed mid-write) is never a reply: the
+  connection's EOF fails it with :class:`ChannelClosed`.
 """
 
 from __future__ import annotations
@@ -83,8 +86,8 @@ class WorkerChannel:
     ) -> EncodedOk | dict:
         """Send one request dict; await its reply.
 
-        The reply is an :class:`EncodedOk` for an ok reply line the
-        worker encoded, else the decoded reply dict.  The payload's
+        The reply is an :class:`EncodedOk` for an ok reply, else the
+        decoded error reply dict.  The payload's
         ``id`` is overwritten with a channel-internal id (the router
         keeps the client's id on its own side).  Raises
         :class:`ChannelClosed` on transport death and
@@ -108,11 +111,15 @@ class WorkerChannel:
             else loop.call_later(timeout, self._expire, future, timeout)
         )
         try:
-            return await future
+            reply = await future
         finally:
             if timer is not None:
                 timer.cancel()
             self._pending.pop(internal_id, None)
+        if isinstance(reply, dict) and reply.get("ok"):
+            # An ok line from another encoder: one form for every success.
+            return EncodedOk.of(payload["op"], reply.get("result", {}))
+        return reply
 
     def _expire(self, future: asyncio.Future, timeout: float) -> None:
         """Fail one request whose deadline passed before its reply."""

@@ -357,7 +357,7 @@ class RouterService(LineProtocolServer):
 
     async def _route_table_op(
         self, request: Request, trace=None
-    ) -> dict | EncodedOk:
+    ) -> EncodedOk:
         route_start = time.perf_counter()
         key = await self._shard_key(request.table)
         if self.ring is None:
@@ -406,7 +406,7 @@ class RouterService(LineProtocolServer):
                 failure, failure_kind = str(exc), "unavailable"
                 reason = "channel_closed"
             else:
-                if _is_ok(reply):
+                if isinstance(reply, EncodedOk):
                     if trace is not None:
                         trace.add_span(
                             "dispatch",
@@ -414,9 +414,7 @@ class RouterService(LineProtocolServer):
                             time.perf_counter(),
                             {"worker": worker, "attempts": attempt + 1},
                         )
-                    if isinstance(reply, EncodedOk):
-                        return reply
-                    return reply.get("result", {})
+                    return reply
                 error = reply.get("error", {})
                 error_type = error.get("type", "internal")
                 message = error.get("message", "")
@@ -458,7 +456,9 @@ class RouterService(LineProtocolServer):
             _DISPATCH_SECONDS.observe(
                 time.perf_counter() - t0, worker=worker_id
             )
-        _DISPATCHES.inc(outcome="ok" if _is_ok(reply) else "worker_error")
+        _DISPATCHES.inc(
+            outcome="ok" if isinstance(reply, EncodedOk) else "worker_error"
+        )
         return reply
 
     def _channel(self, worker_id: str) -> WorkerChannel:
@@ -513,8 +513,3 @@ class RouterService(LineProtocolServer):
             },
             "workers": self.registry.counts(),
         }
-
-
-def _is_ok(reply: EncodedOk | dict) -> bool:
-    """Whether a worker reply is a success (relayed bytes always are)."""
-    return isinstance(reply, EncodedOk) or bool(reply.get("ok"))

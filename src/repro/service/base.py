@@ -357,9 +357,13 @@ class LineProtocolServer:
             await self._reject_line(replies, request.id, exc)
             return
         reply_start = time.perf_counter()
-        await self._reply(
-            replies, protocol.ok_line(request.id, request.op, result)
-        )
+        if isinstance(result, protocol.EncodedOk):
+            line = result.line(request.id)
+        else:
+            line = protocol.encode_line(
+                protocol.ok_reply(request.id, request.op, result)
+            )
+        await self._reply(replies, line)
         if trace is not None:
             trace.add_span("reply", reply_start, time.perf_counter())
             self.tracer.finish(trace)

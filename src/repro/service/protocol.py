@@ -64,7 +64,6 @@ __all__ = [
     "encode_line",
     "EncodedOk",
     "split_ok_line",
-    "ok_line",
     "match_payload",
     "classify_payload",
     "http_response",
@@ -249,6 +248,7 @@ def encode_line(reply: dict) -> bytes:
 # ``{"id": <id>, "ok": true, `` and goes on with ``"op"`` and ``"result"``.
 _ID_HEAD = b'{"id": '
 _OK_MARK = b', "ok": true, '
+_OK_HEAD = b'{"ok": true, '
 #: Longest id field :func:`split_ok_line` reads: 20 digits, then the mark.
 _ID_SPAN = len(_ID_HEAD) + 20 + len(_OK_MARK)
 
@@ -263,10 +263,15 @@ class EncodedOk:
 
     tail: bytes
 
+    @classmethod
+    def of(cls, op: str, result: dict) -> "EncodedOk":
+        """Encode ``result`` as the ok reply of one ``op``."""
+        return cls(encode_line(ok_reply(None, op, result))[len(_OK_HEAD):])
+
     def line(self, request_id: object) -> bytes:
         """The line ``encode_line(ok_reply(request_id, ...))`` writes."""
         if request_id is None:
-            return b'{"ok": true, ' + self.tail
+            return _OK_HEAD + self.tail
         if type(request_id) is int:
             text = str(request_id)
         else:
@@ -282,22 +287,16 @@ def split_ok_line(line: bytes) -> tuple[int, EncodedOk] | None:
     """``(id, tail)`` of an :func:`encode_line` ok reply with an integer id.
 
     ``None`` for any other line (error replies, other ids, other
-    encoders); those are for the caller to decode.
+    encoders, a line cut short of its newline); those are for the
+    caller to decode.
     """
-    if not line.startswith(_ID_HEAD):
+    if not (line.startswith(_ID_HEAD) and line.endswith(b"\n")):
         return None
     end = line.find(_OK_MARK, len(_ID_HEAD), _ID_SPAN)
     digits = line[len(_ID_HEAD):end]
     if end < 0 or not digits.isdigit():
         return None
     return int(digits), EncodedOk(line[end + len(_OK_MARK):])
-
-
-def ok_line(request_id: object, op: str, result: dict | EncodedOk) -> bytes:
-    """The reply line of a successful request (``result`` may be encoded)."""
-    if isinstance(result, EncodedOk):
-        return result.line(request_id)
-    return encode_line(ok_reply(request_id, op, result))
 
 
 def match_payload(query: TruthTable, match, cached: bool) -> dict:

@@ -3,8 +3,9 @@
 The router's retry loop leans on exactly three channel behaviours —
 typed timeout, typed death-of-everything-in-flight, transparent redial —
 so each gets a direct test against a scripted asyncio server rather than
-a real worker.  So does the relay form of a reply: an ok line as the
-worker's ``encode_line`` writes it comes back undecoded.
+a real worker.  So does the relay form of a reply: every ok reply comes
+back as an ``EncodedOk``, undecoded when the worker's ``encode_line``
+wrote it, and a line cut short by the worker's death is never a reply.
 """
 
 import asyncio
@@ -64,18 +65,14 @@ async def echo_encoded(request, _writer):
 
 
 def echoed(reply) -> dict:
-    """The echoed request of either reply form."""
-    if isinstance(reply, EncodedOk):
-        return reply.result()["echo"]
-    assert reply["ok"]
-    return reply["result"]["echo"]
+    """The echoed request of an ok reply."""
+    assert isinstance(reply, EncodedOk)
+    return reply.result()["echo"]
 
 
 class TestRoundTrips:
-    @pytest.mark.parametrize(
-        "answer, form", [(echo_ok, dict), (echo_encoded, EncodedOk)]
-    )
-    def test_pipelined_requests_reassociate_by_id(self, answer, form):
+    @pytest.mark.parametrize("answer", [echo_ok, echo_encoded])
+    def test_pipelined_requests_reassociate_by_id(self, answer):
         async def scenario():
             async with ScriptedPeer(answer) as peer:
                 channel = WorkerChannel("w0", peer.address)
@@ -91,8 +88,20 @@ class TestRoundTrips:
         connections, replies = asyncio.run(scenario())
         assert connections == 1  # one persistent connection, not 16 dials
         for i, reply in enumerate(replies):
-            assert type(reply) is form
             assert echoed(reply)["seq"] == i
+
+    def test_unsorted_ok_line_is_re_encoded_once(self):
+        async def scenario():
+            async with ScriptedPeer(echo_ok) as peer:
+                channel = WorkerChannel("w0", peer.address)
+                reply = await channel.request({"op": "ping", "seq": 4}, 5.0)
+                await channel.close()
+                return reply
+
+        reply = asyncio.run(scenario())
+        assert reply.line(9) == encode_line(
+            ok_reply(9, "ping", reply.result())
+        )
 
     def test_junk_lines_are_skipped_not_fatal(self):
         async def junk_then_ok(request, writer):
@@ -106,7 +115,7 @@ class TestRoundTrips:
                 await channel.close()
                 return reply
 
-        assert asyncio.run(scenario())["ok"]
+        assert echoed(asyncio.run(scenario()))["op"] == "ping"
 
 
 class TestFailureSemantics:
@@ -150,15 +159,47 @@ class TestFailureSemantics:
         async def scenario():
             async with ScriptedPeer(echo_ok) as peer:
                 channel = WorkerChannel("w0", peer.address)
-                assert (await channel.request({"op": "ping"}, 5.0))["ok"]
+                echoed(await channel.request({"op": "ping"}, 5.0))
                 # Simulate transport death without closing the channel.
                 await channel._teardown(ChannelClosed("test-induced"))
                 assert not channel.connected
-                assert (await channel.request({"op": "ping"}, 5.0))["ok"]
+                echoed(await channel.request({"op": "ping"}, 5.0))
                 await channel.close()
                 return peer.connections
 
         assert asyncio.run(scenario()) == 2
+
+    @pytest.mark.parametrize("cut", [len(b'{"id": 1, "ok": true, '), 40, -2])
+    def test_ok_line_cut_by_peer_death_is_channel_closed(self, cut):
+        # A worker killed mid-write leaves the tail of one write without
+        # its newline; that fragment must fail the request, not answer it.
+        async def whole_then_cut(request, writer):
+            if request.get("seq") == 0:
+                return None  # answered together with the second request
+            lines = [
+                encode_line(ok_reply(id_, "ping", {"echo": {"seq": seq}}))
+                for id_, seq in ((request["id"] - 1, 0), (request["id"], 1))
+            ]
+            writer.write(lines[0] + lines[1][:cut])
+            await writer.drain()
+            writer.close()
+            return None
+
+        async def scenario():
+            async with ScriptedPeer(whole_then_cut) as peer:
+                channel = WorkerChannel("w0", peer.address)
+                first = asyncio.ensure_future(
+                    channel.request({"op": "ping", "seq": 0}, 5.0)
+                )
+                await asyncio.sleep(0.05)
+                with pytest.raises(ChannelClosed):
+                    await channel.request({"op": "ping", "seq": 1}, 5.0)
+                reply = await first
+                assert channel.inflight == 0
+                await channel.close()
+                return reply
+
+        assert echoed(asyncio.run(scenario()))["seq"] == 0
 
     def test_connect_refused_is_channel_closed(self):
         async def scenario():

@@ -32,6 +32,7 @@ from repro.service import ServiceClient, ServiceError, ThreadedService
 from repro.service import protocol
 from repro.service.client import http_get
 from repro.service.protocol import (
+    EncodedOk,
     ProtocolError,
     encode_line,
     error_reply,
@@ -381,7 +382,7 @@ class TestOneCounterPerEvent:
         self, monkeypatch
     ):
         async def answered(worker_id, payload, timeout):
-            return {"ok": True, "result": {"hit": False, "n": 3}}
+            return EncodedOk.of("match", {"hit": False, "n": 3})
 
         reg = obs.registry()
         routed = reg.get("repro_fabric_requests_total")
@@ -636,7 +637,7 @@ class TestTimeouts:
             calls.append(worker_id)
             if len(calls) == 1:
                 raise ChannelClosed("Connect call failed")
-            return {"ok": True, "result": {"hit": False, "worker": worker_id}}
+            return EncodedOk.of("match", {"hit": False, "worker": worker_id})
 
         router = stub_router(monkeypatch, first_refused, workers=("a", "b"))
         for worker_id in ("a", "b"):

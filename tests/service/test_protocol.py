@@ -146,10 +146,8 @@ class TestEncodedOk:
         assert relayed.line(client_id) == protocol.encode_line(
             protocol.ok_reply(client_id, "match", RESULT)
         )
-        assert protocol.ok_line(client_id, "match", relayed) == relayed.line(
-            client_id
-        )
         assert relayed.result() == RESULT
+        assert protocol.EncodedOk.of("match", RESULT) == relayed
 
     @pytest.mark.parametrize("worker_id", [0, 9, 10**19])
     def test_split_reads_integer_ids(self, worker_id):
@@ -174,10 +172,10 @@ class TestEncodedOk:
     def test_other_lines_are_left_to_the_decoder(self, line):
         assert protocol.split_ok_line(line) is None
 
-    def test_ok_line_encodes_a_plain_result(self):
-        assert protocol.ok_line(3, "match", RESULT) == protocol.encode_line(
-            protocol.ok_reply(3, "match", RESULT)
-        )
+    @pytest.mark.parametrize("cut", [len(b'{"id": 41, "ok": true, '), 50, -1])
+    def test_line_cut_short_of_its_newline_is_not_relayed(self, cut):
+        line = protocol.encode_line(protocol.ok_reply(41, "match", RESULT))
+        assert protocol.split_ok_line(line[:cut]) is None
 
 
 class TestHttpResponse:
