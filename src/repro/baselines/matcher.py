@@ -63,7 +63,7 @@ import numpy as np
 from repro import kernels
 from repro.core import bitops
 from repro.core import characteristics as chars
-from repro.core.transforms import NPNTransform
+from repro.core.transforms import NPNTransform, TransformColumns
 from repro.core.truth_table import TruthTable
 from repro.kernels import MAX_KERNEL_VARS
 
@@ -137,42 +137,33 @@ def find_npn_transforms_grouped(
     backtracker would find.
     """
     pairs = [(source, list(targets)) for source, targets in pairs]
-    return _verified(pairs, _search_transforms_grouped(pairs))
-
-
-def _verified(
-    pairs: list[tuple[TruthTable, list[TruthTable]]],
-    raw: list[list[NPNTransform | None]],
-) -> list[list[NPNTransform | None]]:
-    """``raw`` with every witness ``w`` failing ``source.apply(w) ==
-    target`` replaced by ``None`` — the one verification step.
-
-    The witnesses of each arity up to ``MAX_KERNEL_VARS`` are applied in
-    one :func:`~repro.kernels.apply_pairwise` gather; larger ones (and a
-    target of another arity) take the scalar apply.
-    """
-    out = [list(row) for row in raw]
-    batched: dict[int, list[tuple[int, int]]] = {}
-    for p, (row, (source, targets)) in enumerate(zip(raw, pairs)):
-        n = source.n
-        for t, (w, target) in enumerate(zip(row, targets)):
-            if w is None:
-                continue
-            if n <= MAX_KERNEL_VARS and target.n == n:
-                batched.setdefault(n, []).append((p, t))
-            elif source.apply(w) != target:
-                out[p][t] = None
-    for n, slots in batched.items():
+    out: list[list[NPNTransform | None]] = [
+        [None] * len(targets) for _, targets in pairs
+    ]
+    slots_by_n: dict[int, list[tuple[int, int]]] = {}
+    for p, (source, targets) in enumerate(pairs):
+        for t, target in enumerate(targets):
+            if target.n == source.n:
+                slots_by_n.setdefault(source.n, []).append((p, t))
+    for n, slots in slots_by_n.items():
+        sources = [pairs[p][0] for p, _ in slots]
+        targets = [pairs[p][1][t] for p, t in slots]
+        if n > MAX_KERNEL_VARS:
+            for (p, t), source, target in zip(slots, sources, targets):
+                witness = _scalar_search(source, target, variable_keys)
+                if witness is not None and source.apply(witness) == target:
+                    out[p][t] = witness
+            continue
+        found, witnesses = _search_arity(n, sources, targets)
+        # The one verification step: one pairwise gather for the arity.
         images = kernels.apply_pairwise(
-            [pairs[p][0].bits for p, _ in slots],
-            [raw[p][t] for p, t in slots],
-            n,
+            [sources[k].bits for k in found.tolist()], witnesses, n
         )
-        goals = np.array(
-            [pairs[p][1][t].bits for p, t in slots], dtype=np.uint64
-        )
-        for p, t in np.array(slots)[images != goals].tolist():
-            out[p][t] = None
+        goals = [targets[k].bits for k in found.tolist()]
+        ok = np.flatnonzero(images == np.array(goals, dtype=np.uint64))
+        for k, witness in zip(found[ok].tolist(), witnesses.take(ok)):
+            p, t = slots[k]
+            out[p][t] = witness
     return out
 
 
@@ -248,48 +239,28 @@ def _source_key_matrix(tt: TruthTable) -> tuple[np.ndarray, np.ndarray, int]:
 # ----------------------------------------------------------------------
 
 
-def _search_transforms_grouped(
-    pairs: list[tuple[TruthTable, list[TruthTable]]],
-) -> list[list[NPNTransform | None]]:
-    """Unverified witnesses per pair group (the caller verifies, once)."""
-    results: list[list[NPNTransform | None]] = [
-        [None] * len(targets) for _, targets in pairs
-    ]
-    pending_by_n: dict[int, list[tuple[int, int]]] = {}
-    for p, (source, targets) in enumerate(pairs):
-        n = source.n
-        for t, target in enumerate(targets):
-            if target.n != n:
-                continue
-            if n == 0:
-                results[p][t] = NPNTransform(
-                    (), 0, (source.bits ^ target.bits) & 1
-                )
-            elif target.bits == source.bits:
-                # Identical tables need no search: the identity witnesses
-                # them.  Library matching hits this constantly (queries
-                # equal to stored representatives), so skip the keys.
-                results[p][t] = NPNTransform.identity(n)
-            elif n > MAX_KERNEL_VARS:
-                results[p][t] = _scalar_search(source, target, variable_keys)
-            else:
-                pending_by_n.setdefault(n, []).append((p, t))
-    for n, pending in pending_by_n.items():
-        _vector_search_arity(n, pairs, pending, results)
-    return results
-
-
-def _vector_search_arity(
-    n: int,
-    pairs: list[tuple[TruthTable, list[TruthTable]]],
-    pending: list[tuple[int, int]],
-    results: list[list[NPNTransform | None]],
-) -> None:
-    """Resolve all pending (pair, target) slots of one arity in-place."""
+def _search_arity(
+    n: int, source_tables: list[TruthTable], target_tables: list[TruthTable]
+) -> tuple[np.ndarray, TransformColumns]:
+    """Unverified witnesses of one arity's ``(source, target)`` slots:
+    ``(slot indices, witness rows)`` (the caller verifies, once)."""
+    src = np.array([s.bits for s in source_tables], dtype=np.uint64)
+    tgt = np.array([t.bits for t in target_tables], dtype=np.uint64)
+    # Identical tables need no search: the identity witnesses them, and
+    # a constant (n = 0) reaches its complement by output negation.
+    # Library matching hits this constantly (queries equal to stored
+    # representatives), so skip the keys.
+    same = np.flatnonzero((src == tgt) | (n == 0))
+    pending = np.flatnonzero((src != tgt) & (n > 0))
+    # Found so far: (slots, gather-table rows, input and output phases);
+    # row 0 of the gather table is the identity permutation.
+    zeros = np.zeros_like(same)
+    found = [(same, zeros, zeros, (src ^ tgt)[same])]
     size = 1 << n
 
     # One batched key pass over every pending target.
-    target_ints = [pairs[p][1][t].bits for p, t in pending]
+    pending_sources = [source_tables[k] for k in pending.tolist()]
+    target_ints = tgt[pending].tolist()
     matrices = kernels.key_matrices(n, target_ints)
 
     # Distinct sources of this arity share bit-matrix rows in the gather
@@ -297,9 +268,8 @@ def _vector_search_arity(
     src_rows: dict[int, int] = {}
     src_ints: list[int] = []
     src_stack: list[tuple[np.ndarray, np.ndarray, int]] = []
-    src_of_target = np.empty(len(pending), dtype=np.intp)
-    for k, (p, _) in enumerate(pending):
-        source = pairs[p][0]
+    src_of_target = np.empty(len(pending_sources), dtype=np.intp)
+    for k, source in enumerate(pending_sources):
         row = src_rows.get(source.bits)
         if row is None:
             row = len(src_ints)
@@ -317,7 +287,7 @@ def _vector_search_arity(
     viable1 = np.flatnonzero(s_counts == size - matrices.counts)
     targets = np.concatenate([viable0, viable1])
     if not targets.size:
-        return
+        return _witness_rows(n, found)
     t_keys = matrices.keys[viable0]
     t_cofs = matrices.cofactors[viable0]
     goals = np.array(target_ints, dtype=np.uint64)[targets]
@@ -383,53 +353,67 @@ def _vector_search_arity(
     if len(hits) > 1:  # windows reduce separately: once more across them
         hits = [first_hits(*map(np.concatenate, zip(*hits)))]
 
-    overflow = set(targets[over_cap].tolist())
+    # A target with an over-cap row is resolved by canonical form.
+    overflowed = np.zeros(len(target_ints), dtype=bool)
+    overflowed[targets[over_cap]] = True
     for row, perm_row, phase in hits:
-        for k, perm, input_phase, output_phase in zip(
-            targets[row].tolist(),
-            table.perms[perm_row].tolist(),
-            phase.tolist(),
-            (row >= viable0.size).tolist(),
-        ):
-            if k not in overflow:
-                p, t = pending[k]
-                results[p][t] = NPNTransform(
-                    tuple(perm), input_phase, int(output_phase)
-                )
-    if overflow:
-        _resolve_by_canonical_form(
-            n, pairs, pending, sorted(overflow), results
+        keep = ~overflowed[targets[row]]
+        found.append(
+            (
+                pending[targets[row[keep]]],
+                perm_row[keep],
+                phase[keep],
+                row[keep] >= viable0.size,
+            )
         )
+    slots, witnesses = _witness_rows(n, found)
+    if overflowed.any():
+        resolved, composed = _resolve_by_canonical_form(
+            n, pending_sources, target_ints, np.flatnonzero(overflowed)
+        )
+        slots = np.concatenate([slots, pending[resolved]])
+        witnesses = TransformColumns.concatenate([witnesses, composed])
+    return slots, witnesses
+
+
+def _witness_rows(
+    n: int, found: list[tuple[np.ndarray, ...]]
+) -> tuple[np.ndarray, TransformColumns]:
+    """``(slots, witness rows)`` of ``(slots, gather-table rows, input
+    phases, output phases)`` blocks."""
+    slots, perm_rows, phases, outputs = map(np.concatenate, zip(*found))
+    perms = kernels.gather_table(n).perms[perm_rows]
+    return slots, TransformColumns.of_arity(n, perms, phases, outputs)
 
 
 def _resolve_by_canonical_form(
     n: int,
-    pairs: list[tuple[TruthTable, list[TruthTable]]],
-    pending: list[tuple[int, int]],
-    overflow: list[int],
-    results: list[list[NPNTransform | None]],
-) -> None:
+    sources: list[TruthTable],
+    target_ints: list[int],
+    overflow: np.ndarray,
+) -> tuple[np.ndarray, TransformColumns]:
     """Resolve the over-cap targets with one exhaustive kernel pass.
 
     The overflow targets and their distinct sources go through one
     :func:`~repro.kernels.canonical_min_transforms` call.  A pair is
     equivalent iff both reach the same orbit minimum; then
-    ``T_t⁻¹ ∘ T_s`` maps the source onto the target.
+    ``T_t⁻¹ ∘ T_s`` maps the source onto the target, composed for every
+    equivalent pair at once.
     """
-    slots = [pending[k] for k in overflow]
     src_rows: dict[int, int] = {}
-    for p, _ in slots:
-        src_rows.setdefault(pairs[p][0].bits, len(slots) + len(src_rows))
+    for k in overflow.tolist():
+        src_rows.setdefault(sources[k].bits, len(overflow) + len(src_rows))
     minima, transforms = kernels.canonical_min_transforms(
-        [pairs[p][1][t].bits for p, t in slots] + list(src_rows), n
+        [target_ints[k] for k in overflow.tolist()] + list(src_rows), n
     )
-    minima = minima.tolist()
-    for row, (p, t) in enumerate(slots):
-        source = src_rows[pairs[p][0].bits]
-        if minima[row] == minima[source]:
-            results[p][t] = transforms[row].inverse().compose(
-                transforms[source]
-            )
+    source_rows = np.array(
+        [src_rows[sources[k].bits] for k in overflow.tolist()], dtype=np.intp
+    )
+    equal = np.flatnonzero(minima[: len(overflow)] == minima[source_rows])
+    composed = transforms.take(equal).inverse().compose(
+        transforms.take(source_rows[equal])
+    )
+    return overflow[equal], composed
 
 
 def _candidate_masks(
@@ -481,10 +465,9 @@ def _candidate_pairs(
     single = (counts == 1).all(axis=1)
     rows = np.flatnonzero(single)
     if rows.size:
-        ranks, place = _perm_ranks(n)
         sub = masks[rows]  # only the key-equal variable's mask can be nonzero
         sel = sub.max(axis=2)
-        perm_rows = ranks[sub.argmax(axis=2) @ place]
+        perm_rows = kernels.gather_table(n).rows_for(sub.argmax(axis=2))
         totals = 1 << (sel == 3).sum(axis=1)
         ok = (perm_rows >= 0) & sel.all(axis=1)
         if totals.max() > _BULK_CANDIDATE_CAP:
@@ -567,23 +550,6 @@ def _flip_free(
         images[flip] = kernels.flip_input(images[flip], var, perms.shape[1])
         phases[flip] |= np.uint8(1 << s)
     return rows[pair], perm_rows[pair], phases, images
-
-
-@lru_cache(maxsize=None)
-def _perm_ranks(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """``(ranks, place)``: the gather-table row of ``perm`` is
-    ``ranks[perm @ place]``, or ``-1`` when ``perm`` repeats a variable.
-
-    ``place`` reads a variable vector as a base-``n`` number; a
-    permutation's row is its lexicographic rank (the
-    :func:`itertools.permutations` order of the gather table).
-    """
-    place = n ** np.arange(n)
-    ranks = np.full(n**n, -1, dtype=np.int16)  # n! <= 720
-    perms = kernels.gather_table(n).perms.astype(np.intp)
-    ranks[perms @ place] = np.arange(len(perms))
-    ranks.setflags(write=False)
-    return ranks, place
 
 
 @lru_cache(maxsize=None)

@@ -10,20 +10,25 @@ computed, and callers hand it batches of any arity mix:
   arity (byte-identical to the exhaustive enumeration: the ``n!``
   permuted words are gathered, the input phases added by word-level
   doublings); :func:`repro.kernels.canonical_min_transforms` reduces
-  the same words with ``argmin`` and also returns the transform
-  reaching the form;
+  the same words with ``argmin`` and decodes the transforms reaching
+  the forms in one array pass;
 * ``n > 6`` — :func:`influence_canonical_scalar`, an exact search that
   walks permutations in the influence-sorted candidate order (strong
   incumbent early) and bounds the per-permutation phase enumeration by
   the incumbent's most-significant 64-bit word, so almost every phase
-  assignment is rejected from its top word alone.  Its argmin is
-  decoded into a transform exactly like a kernel column, and each
-  distinct table of the batch is searched once.
+  assignment is rejected from its top word alone.  Its argmin goes
+  through the kernel's column decode
+  (:func:`repro.kernels.ops.decode_images`), and each distinct table
+  of the batch is searched once.
 
-So :func:`canonical_forms_with_transforms` yields a transform onto the
-form at every arity, and :func:`checked_witnesses` inverts a batch of
-them into the witnesses (checked with one pairwise gather per arity)
-that learn-on-miss and the library's match path answer with.
+So :func:`canonical_forms_with_transforms` yields the transforms onto
+the forms at every arity as one
+:class:`~repro.core.transforms.TransformColumns` batch in input order,
+and :func:`checked_witnesses` inverts a batch of them at once into the
+witnesses (checked with one pairwise gather per arity) that
+learn-on-miss and the library's match path answer with.  No
+:class:`~repro.core.transforms.NPNTransform` is built here: the caller
+builds one per witness it returns.
 
 Class ids are a pure function of the orbit: ``n{n}-c{hex}`` where the
 hex *is* the canonical representative (fixed width, MSB first).  Two
@@ -34,21 +39,20 @@ orbit — the property signature-digest ids could not offer.
 from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
-from itertools import repeat
 
 import numpy as np
 
 from repro import obs
 from repro.canonical.influence import candidate_permutations, influence_vector
 from repro.core import bitops
-from repro.core.transforms import NPNTransform
+from repro.core.transforms import TransformColumns
 from repro.core.truth_table import TruthTable
 from repro.kernels.gather import MAX_KERNEL_VARS
 from repro.kernels.ops import (
     apply_pairwise,
     canonical_min,
     canonical_min_transforms,
-    image_transform,
+    decode_images,
     pack_rows,
 )
 
@@ -56,7 +60,6 @@ __all__ = [
     "canonical_form",
     "canonical_forms",
     "canonical_forms_with_transforms",
-    "checked_witness",
     "checked_witnesses",
     "influence_canonical_scalar",
     "canonical_class_id",
@@ -88,26 +91,29 @@ def canonical_forms(tables: Iterable, n: int | None = None) -> list[TruthTable]:
     batched kernel call, and larger ones take the scalar search once per
     distinct table.  Raw integers are tables of arity ``n``.
     """
-    return [form for form, _ in _canonicalize(tables, n, transforms=False)]
+    return _canonicalize(tables, n, transforms=False)[0]
 
 
 def canonical_forms_with_transforms(
     tables: Iterable[TruthTable],
-) -> list[tuple[TruthTable, NPNTransform]]:
-    """``(canonical form, transform reaching it)`` of each table, in input order.
+) -> tuple[list[TruthTable], TransformColumns]:
+    """The canonical forms of a batch and the transforms reaching them.
 
-    Batched like :func:`canonical_forms`: the kernel's argmin transform
-    up to ``MAX_KERNEL_VARS``, the scalar search's above, so
-    ``table.apply(transform) == form`` at every arity.
-    :func:`checked_witness` turns one into the witness that maps the
-    form back onto its table, so callers pay for it only where they
-    need it.
+    Batched like :func:`canonical_forms`: the kernel's argmin transforms
+    up to ``MAX_KERNEL_VARS``, the scalar search's above, so row ``k``
+    of the transforms maps ``tables[k]`` onto ``forms[k]`` at every
+    arity.  Both come back in input order; :func:`checked_witnesses`
+    turns the rows a caller needs into the witnesses that map the forms
+    back onto their tables.
     """
     return _canonicalize(tables, None, transforms=True)
 
 
-def _canonicalize(tables: Iterable, n: int | None, transforms: bool) -> list:
-    """``(form, transform or None)`` per table: the one arity dispatch."""
+def _canonicalize(
+    tables: Iterable, n: int | None, transforms: bool
+) -> tuple[list[TruthTable], TransformColumns | None]:
+    """``(forms, transforms or None)`` in input order: the one arity
+    dispatch."""
     rows: list[tuple[int, int]] = []
     for item in tables:
         if isinstance(item, TruthTable):
@@ -119,74 +125,78 @@ def _canonicalize(tables: Iterable, n: int | None, transforms: bool) -> list:
     by_arity: dict[int, list[int]] = {}
     for index, (arity, _) in enumerate(rows):
         by_arity.setdefault(arity, []).append(index)
-    out: list = [None] * len(rows)
+    forms: list = [None] * len(rows)
+    parts: list[TransformColumns] = []
     for arity, indices in by_arity.items():
         ints = [rows[i][1] for i in indices]
         if arity > MAX_KERNEL_VARS:
-            searched: dict[int, tuple[int, NPNTransform]] = {}
+            searched: dict[int, tuple[int, tuple]] = {}
             for bits in ints:
                 if bits not in searched:
                     searched[bits] = _influence_search(TruthTable(arity, bits))
-            results = [searched[bits] for bits in ints]
+            lows = [searched[bits][0] for bits in ints]
+            if transforms:
+                argmins = zip(*(searched[bits][1] for bits in ints))
+                parts.append(decode_images(*argmins))
         elif transforms:
-            minima, found = canonical_min_transforms(ints, arity)
-            results = zip(minima.tolist(), found)
+            minima, part = canonical_min_transforms(ints, arity)
+            lows = minima.tolist()
+            parts.append(part)
         else:
-            results = zip(canonical_min(ints, arity).tolist(), repeat(None))
-        for index, (low, transform) in zip(indices, results):
-            out[index] = (TruthTable(arity, low), transform)
-    return out
-
-
-def checked_witness(
-    form: TruthTable, transform: NPNTransform, table: TruthTable
-) -> NPNTransform:
-    """The inverse of ``transform``, checked to map ``form`` onto ``table``.
-
-    One row of :func:`checked_witnesses`; a failure is a canonicalizer
-    bug, so it raises ``RuntimeError`` rather than return a wrong
-    witness.
-    """
-    return checked_witnesses([(form, transform)], [table])[0]
+            lows = canonical_min(ints, arity).tolist()
+        for index, low in zip(indices, lows):
+            forms[index] = TruthTable(arity, low)
+    if not transforms:
+        return forms, None
+    if len(parts) == 1:  # one arity: already in input order
+        return forms, parts[0]
+    order = [i for indices in by_arity.values() for i in indices]
+    return forms, TransformColumns.concatenate(parts).take(np.argsort(order))
 
 
 def checked_witnesses(
-    forms: Sequence[tuple[TruthTable, NPNTransform]],
+    forms: Sequence[TruthTable],
+    transforms: TransformColumns,
     tables: Sequence[TruthTable],
-) -> list[NPNTransform]:
+) -> TransformColumns:
     """Per row, the inverse of the transform, checked to map the form
     onto its table.
 
-    ``forms[k]`` is ``(form, transform)`` with ``tables[k].apply(
-    transform) == form``, as :func:`canonical_forms_with_transforms`
-    returns them.  The witnesses of each arity up to ``MAX_KERNEL_VARS``
-    are checked in one :func:`~repro.kernels.ops.apply_pairwise` gather,
-    larger ones with one scalar apply each.  Any failure is a
-    canonicalizer bug: it raises ``RuntimeError`` before anything is
-    returned.
+    Row ``k`` of ``transforms`` maps ``tables[k]`` onto ``forms[k]``, as
+    :func:`canonical_forms_with_transforms` returns them.  The whole
+    batch is inverted at once; the witnesses of each arity up to
+    ``MAX_KERNEL_VARS`` are checked in one
+    :func:`~repro.kernels.ops.apply_pairwise` gather, larger ones with
+    one scalar apply each.  Any failure is a canonicalizer bug: it
+    raises ``RuntimeError`` before anything is returned.
     """
-    witnesses = [transform.inverse() for _, transform in forms]
+    witnesses = transforms.inverse()
     by_arity: dict[int, list[int]] = {}
-    for k, (form, _) in enumerate(forms):
+    for k, form in enumerate(forms):
         by_arity.setdefault(form.n, []).append(k)
     for n, rows in by_arity.items():
         if n > MAX_KERNEL_VARS:
-            images = [forms[k][0].apply(witnesses[k]).bits for k in rows]
+            images = [_apply_row(forms[k], witnesses, k).bits for k in rows]
         else:
             images = apply_pairwise(
-                [forms[k][0].bits for k in rows],
-                [witnesses[k] for k in rows],
-                n,
+                [forms[k].bits for k in rows], witnesses.take(rows), n
             ).tolist()
         for k, image in zip(rows, images):
             table = tables[k]
             if table.n != n or image != table.bits:
-                form, transform = forms[k]
+                (transform,) = transforms.take([k])
                 raise RuntimeError(
                     f"canonicalizer bug: transform {transform.as_dict()} does "
-                    f"not map {table!r} onto its canonical form {form!r}"
+                    f"not map {table!r} onto its canonical form {forms[k]!r}"
                 )
     return witnesses
+
+
+def _apply_row(table: TruthTable, rows: TransformColumns, k: int) -> TruthTable:
+    """``table`` under row ``k`` of ``rows``, by truth-table operations."""
+    perm = tuple(rows.perms[k, : table.n].tolist())
+    image = table.flip_inputs(int(rows.input_phases[k])).permute(perm)
+    return ~image if rows.output_phases[k] else image
 
 
 def influence_canonical_scalar(tt: TruthTable) -> TruthTable:
@@ -207,16 +217,17 @@ def influence_canonical_scalar(tt: TruthTable) -> TruthTable:
     return TruthTable(tt.n, _influence_search(tt)[0])
 
 
-def _influence_search(tt: TruthTable) -> tuple[int, NPNTransform]:
-    """The orbit minimum's bits and the transform reaching it.
+def _influence_search(tt: TruthTable) -> tuple[int, tuple]:
+    """The orbit minimum's bits and its argmin ``(perm, mask, output)``.
 
     The argmin image is ``permute(tt, perm)`` with the image variables
     of ``mask`` flipped (and the output negated for output phase 1),
-    so it decodes exactly like a kernel column.
+    so :func:`~repro.kernels.ops.decode_images` decodes it exactly like
+    a kernel column.
     """
     n = tt.n
     if n == 0:
-        return 0, NPNTransform((), 0, tt.bits)  # orbit of a constant is {f, ~f}
+        return 0, ((), 0, tt.bits)  # orbit of a constant is {f, ~f}
     size = 1 << n
     perms = candidate_permutations(influence_vector(tt))
     # Every orbit holds a table below the all-ones mask (f or ~f), so
@@ -269,7 +280,7 @@ def _influence_search(tt: TruthTable) -> tuple[int, NPNTransform]:
     _SEARCH_STEPS.inc(2 * len(perms), kind="permutations")
     _SEARCH_STEPS.inc(candidates, kind="phase_candidates")
     _SEARCH_STEPS.inc(materialized, kind="phases_materialized")
-    return best, image_transform(*argmin)
+    return best, argmin
 
 
 def canonical_class_id(rep: TruthTable) -> str:

@@ -604,7 +604,7 @@ def _cmd_canonical(args) -> int:
     steps = obs.registry().get("repro_canonical_search_steps_total")
     kinds = ("permutations", "phase_candidates", "phases_materialized")
     before = [steps.value(kind=kind) for kind in kinds]
-    canonical, witness = canonical_forms_with_transforms([tt])[0]
+    (canonical,), (witness,) = canonical_forms_with_transforms([tt])
     print(f"function:   {tt!r}")
     print(f"influence:  {influence_vector(tt)}")
     print(f"canonical:  {canonical!r}  binary={canonical.to_binary()}")

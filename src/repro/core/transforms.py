@@ -17,18 +17,31 @@ negations gives **P equivalence**.
 Transformations form a group of order ``2^(n+1) * n!``; :meth:`compose`
 and :meth:`inverse` implement the group operations and
 :func:`all_transforms` enumerates the group.
+
+Below the public API a batch of transforms travels as one
+:class:`TransformColumns` value; an :class:`NPNTransform` is built only
+for a witness that is returned.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from math import factorial
 
+import numpy as np
+
 from repro.core import bitops
 
-__all__ = ["NPNTransform", "all_transforms", "group_order", "random_transform"]
+__all__ = [
+    "NPNTransform",
+    "TransformColumns",
+    "all_transforms",
+    "group_order",
+    "random_transform",
+]
 
 
 @dataclass(frozen=True)
@@ -154,12 +167,17 @@ class NPNTransform:
 
     @classmethod
     def from_dict(cls, data: dict) -> "NPNTransform":
-        """Inverse of :meth:`as_dict`; validates like the constructor."""
-        return cls(
-            tuple(data["perm"]),
-            int(data.get("input_phase", 0)),
-            int(data.get("output_phase", 0)),
-        )
+        """Inverse of :meth:`as_dict`; validates like the constructor.
+
+        The dict is outside input (a served witness), so every perm
+        entry and phase must be an ``int`` — not a ``bool``, a float or
+        a string — or ``ValueError`` is raised.
+        """
+        perm = tuple(data["perm"])
+        phases = data.get("input_phase", 0), data.get("output_phase", 0)
+        if not all(type(value) is int for value in (*perm, *phases)):
+            raise ValueError(f"transform fields must be integers: {data!r}")
+        return cls(perm, *phases)
 
     # ------------------------------------------------------------------
     # Misc
@@ -172,6 +190,111 @@ class NPNTransform:
         )
         prefix = "~" if self.output_phase else ""
         return f"{prefix}f({neg})"
+
+
+@dataclass(frozen=True)
+class TransformColumns:
+    """A batch of NPN transforms as parallel arrays.
+
+    Row ``k`` is ``(perms[k, :ns[k]], input_phases[k], output_phases[k])``,
+    the permutations ``intp`` and the phases ``int64``.  Rows may mix
+    arities: ``perms`` holds the identity beyond each row's arity, a
+    padding :meth:`inverse` and :meth:`compose` keep.  Each
+    operation agrees row by row with its :class:`NPNTransform`
+    reference; iterating builds one :class:`NPNTransform` per row.
+    """
+
+    ns: np.ndarray
+    perms: np.ndarray
+    input_phases: np.ndarray
+    output_phases: np.ndarray
+
+    @classmethod
+    def of_arity(
+        cls, n: int, perms, input_phases, output_phases
+    ) -> "TransformColumns":
+        """Rows all of arity ``n``; ``perms`` is ``[K, n]``."""
+        input_phases = np.asarray(input_phases, dtype=np.int64)
+        rows = len(input_phases)
+        return cls(
+            np.full(rows, n, dtype=np.intp),
+            np.asarray(perms, dtype=np.intp).reshape(rows, n),
+            input_phases,
+            np.asarray(output_phases, dtype=np.int64),
+        )
+
+    @classmethod
+    def concatenate(
+        cls, parts: Sequence["TransformColumns"]
+    ) -> "TransformColumns":
+        """The rows of ``parts``, in order, padded to one width."""
+        if not parts:
+            return cls.of_arity(0, [], [], [])
+        width = max(part.perms.shape[1] for part in parts)
+        return cls(
+            np.concatenate([part.ns for part in parts]),
+            np.concatenate([part._padded(width) for part in parts]),
+            np.concatenate([part.input_phases for part in parts]),
+            np.concatenate([part.output_phases for part in parts]),
+        )
+
+    def __len__(self) -> int:
+        return len(self.ns)
+
+    def __iter__(self) -> Iterator[NPNTransform]:
+        """One :class:`NPNTransform` per row, in order."""
+        for n, perm, input_phase, output_phase in zip(
+            self.ns.tolist(),
+            self.perms.tolist(),
+            self.input_phases.tolist(),
+            self.output_phases.tolist(),
+        ):
+            yield NPNTransform(tuple(perm[:n]), input_phase, output_phase)
+
+    def take(self, rows) -> "TransformColumns":
+        """The rows at the integer indices ``rows``, in that order."""
+        rows = np.asarray(rows, dtype=np.intp)
+        return TransformColumns(
+            self.ns[rows],
+            self.perms[rows],
+            self.input_phases[rows],
+            self.output_phases[rows],
+        )
+
+    def inverse(self) -> "TransformColumns":
+        """Row by row :meth:`NPNTransform.inverse`."""
+        rows, width = self.perms.shape
+        perms = np.empty_like(self.perms)
+        perms[np.arange(rows)[:, None], self.perms] = np.arange(width)
+        # Input phase bit ``i`` moves to bit ``perms[i]``.
+        bits = (self.input_phases[:, None] >> np.arange(width)) & 1
+        phases = (bits << self.perms).sum(axis=1, dtype=np.int64)
+        return TransformColumns(self.ns, perms, phases, self.output_phases)
+
+    def compose(self, other: "TransformColumns") -> "TransformColumns":
+        """Row by row :meth:`NPNTransform.compose`: ``other`` first."""
+        if not np.array_equal(self.ns, other.ns):
+            raise ValueError("cannot compose transforms of different arity")
+        width = max(self.perms.shape[1], other.perms.shape[1])
+        inner = other._padded(width)
+        perms = np.take_along_axis(self._padded(width), inner, axis=1)
+        # Bit ``i``: bit ``inner[i]`` of this phase, xor bit ``i`` of other's.
+        bits = (self.input_phases[:, None] >> inner) & 1
+        phases = (bits << np.arange(width)).sum(axis=1, dtype=np.int64)
+        return TransformColumns(
+            self.ns,
+            perms,
+            phases ^ other.input_phases,
+            self.output_phases ^ other.output_phases,
+        )
+
+    def _padded(self, width: int) -> np.ndarray:
+        """``perms`` widened to ``width`` columns with the identity."""
+        rows, have = self.perms.shape
+        if have == width:
+            return self.perms
+        padding = np.broadcast_to(np.arange(have, width), (rows, width - have))
+        return np.concatenate([self.perms, padding], axis=1)
 
 
 def group_order(n: int) -> int:

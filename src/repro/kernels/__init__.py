@@ -5,20 +5,23 @@ transform is a precomputable *index gather*, not a loop.  This package
 precomputes per-arity gather tables (built on first use, memory-cached
 per process) and exposes vectorized primitives on top of them:
 
-* :func:`apply_transforms` — many tables × many transforms in one gather,
-  and :func:`apply_pairwise` — each table under its own transform (the
+* :func:`apply_pairwise` — each table under its own transform (the
   batched witness check);
 * :func:`orbit` / :func:`orbit_chunks` — exhaustive orbit enumeration;
 * :func:`canonical_min` — batched exhaustive canonical minima, and
   :func:`canonical_min_transforms` — the same plus the transform
-  reaching each minimum;
+  reaching each minimum, decoded by :func:`decode_images`;
 * :func:`key_matrices` — batched matcher variable keys in int64 rows.
 
-The matcher (:mod:`repro.baselines.matcher`), the class library
+Transforms go in and come out as
+:class:`~repro.core.transforms.TransformColumns` batches.  The matcher
+(:mod:`repro.baselines.matcher`), the class library
 (:mod:`repro.library`) and — through them — the online service all run
 their exact-matching hot paths through these kernels; the scalar
-implementations remain as oracles and as the ``n > 6`` fallback.
-Depends on :mod:`repro.core` only.
+:class:`~repro.core.transforms.NPNTransform` operations remain as
+oracles, and above ``n = 6`` the scalar matcher and the influence
+search take over (:func:`decode_images` decodes that search's argmin
+too).  Depends on :mod:`repro.core` only.
 """
 
 from repro.kernels.gather import (
@@ -35,15 +38,14 @@ from repro.kernels.keys import (
 )
 from repro.kernels.ops import (
     apply_pairwise,
-    apply_transforms,
     bit_matrix,
     canonical_min,
     canonical_min_transforms,
+    decode_images,
     flip_input,
     orbit,
     orbit_chunks,
     pack_rows,
-    transform_index_maps,
 )
 
 __all__ = [
@@ -55,14 +57,13 @@ __all__ = [
     "KeyMatrices",
     "key_matrices",
     "complement_key_matrices",
-    "apply_transforms",
     "apply_pairwise",
     "bit_matrix",
     "pack_rows",
     "flip_input",
-    "transform_index_maps",
     "orbit",
     "orbit_chunks",
     "canonical_min",
     "canonical_min_transforms",
+    "decode_images",
 ]

@@ -76,9 +76,11 @@ class GatherTable:
         """Order of the NP (no output negation) group: ``2**n * n!``."""
         return self.num_perms << self.n
 
-    def row_of(self, perm: tuple[int, ...]) -> int:
-        """Row index of a permutation (O(1) dict lookup)."""
-        return _perm_rows(self.n)[tuple(perm)]
+    def rows_for(self, perms: np.ndarray) -> np.ndarray:
+        """Row of each ``[..., n]`` variable vector, ``-1`` where one
+        repeats a variable: a vectorized lexicographic-rank lookup."""
+        ranks, place = _perm_ranks(self.n)
+        return ranks[perms @ place]
 
     def index_maps(self, rows: np.ndarray, phases: np.ndarray) -> np.ndarray:
         """``[C, 2**n]`` gather maps for ``C`` (perm row, input phase) pairs.
@@ -119,7 +121,7 @@ def gather_table(n: int) -> GatherTable:
 def clear_memory_cache() -> None:
     """Drop all memory-cached tables (test isolation helper)."""
     _TABLES.clear()
-    _perm_rows.cache_clear()
+    _perm_ranks.cache_clear()
 
 
 # ----------------------------------------------------------------------
@@ -159,10 +161,12 @@ def _frozen_table(n: int, perms: np.ndarray, maps: np.ndarray) -> GatherTable:
 
 
 @lru_cache(maxsize=None)
-def _perm_rows(n: int) -> dict[tuple[int, ...], int]:
-    """Permutation tuple -> row index, in construction order."""
-    return {
-        perm: row
-        for row, perm in enumerate(itertools.permutations(range(n)))
-    }
-
+def _perm_ranks(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """``(ranks, place)``: the row of ``perm`` is ``ranks[perm @ place]``
+    (``place`` reads it as a base-``n`` number; ``-1``: no permutation)."""
+    place = n ** np.arange(n)
+    ranks = np.full(n**n, -1, dtype=np.int16)  # n! <= 720
+    perms = gather_table(n).perms.astype(np.intp)
+    ranks[perms @ place] = np.arange(len(perms))
+    ranks.setflags(write=False)
+    return ranks, place

@@ -1,9 +1,7 @@
 """Vectorized transform primitives on top of the gather tables.
 
-Five primitives, all operating on batches and all exact:
+Four primitives, all operating on batches and all exact:
 
-* :func:`apply_transforms` — every table × every transform in one numpy
-  gather (``[B, T]`` ``uint64`` images);
 * :func:`apply_pairwise` — each table under its own transform in one
   gather (``[K]`` ``uint64`` images), the batched witness check;
 * :func:`orbit` / :func:`orbit_chunks` — the full exhaustive NPN orbit
@@ -15,10 +13,11 @@ Five primitives, all operating on batches and all exact:
   byte-identical to
   :func:`repro.baselines.exact_enum.exact_npn_canonical`;
 * :func:`canonical_min_transforms` — the same minima plus the transform
-  reaching each one (an argmin witness, decoded from the winning
-  column).
+  reaching each one (an argmin witness), decoded from the winning
+  columns in one :func:`decode_images` array pass into a
+  :class:`~repro.core.transforms.TransformColumns` batch.
 
-The transform primitives route through the same two moves: unpack
+The gather primitives route through the same two moves: unpack
 tables to a ``[B, 2**n]`` bit matrix once, gather it through
 precomputed index maps, and pack the gathered bits back to ``uint64``
 rows.  Output negation is a single XOR with the full table mask after
@@ -39,7 +38,7 @@ from functools import lru_cache
 import numpy as np
 
 from repro.core import bitops
-from repro.core.transforms import NPNTransform
+from repro.core.transforms import TransformColumns
 from repro.core.truth_table import TruthTable
 from repro.kernels.gather import MAX_KERNEL_VARS, GatherTable, gather_table
 
@@ -47,14 +46,12 @@ __all__ = [
     "bit_matrix",
     "pack_rows",
     "flip_input",
-    "transform_index_maps",
-    "apply_transforms",
     "apply_pairwise",
     "orbit",
     "orbit_chunks",
     "canonical_min",
     "canonical_min_transforms",
-    "image_transform",
+    "decode_images",
 ]
 
 #: Soft cap on the number of ``uint8`` entries any gather materialises.
@@ -135,75 +132,19 @@ def pack_rows(bits: np.ndarray) -> np.ndarray:
     )
 
 
-def transform_index_maps(
-    n: int, transforms: Sequence[NPNTransform]
-) -> tuple[np.ndarray, np.ndarray]:
-    """``([T, 2**n] uint8 gather maps, [T] uint8 output phases)``.
-
-    Row ``t`` maps image minterms of ``transforms[t]`` to source
-    minterms (input permutation and phase folded in); output negation is
-    returned separately because it acts after packing.
-    """
-    table = gather_table(n)
-    try:
-        rows = np.fromiter(
-            [table.row_of(t.perm) for t in transforms], dtype=np.intp
-        )
-    except KeyError:
-        bad = next(t for t in transforms if t.n != n)
-        raise ValueError(
-            f"transform arity {bad.n} != table arity {n}"
-        ) from None
-    phases = np.fromiter([t.input_phase for t in transforms], dtype=np.uint8)
-    outputs = np.fromiter([t.output_phase for t in transforms], dtype=np.uint8)
-    return table.index_maps(rows, phases), outputs
-
-
-def apply_transforms(
-    tables,
-    transforms: Sequence[NPNTransform],
-    n: int | None = None,
-) -> np.ndarray:
-    """Image of every table under every transform: ``[B, T]`` ``uint64``.
-
-    ``result[b, t] == transforms[t].apply_table(tables[b], n)`` for all
-    pairs — many tables × many transforms in one gather.  ``tables`` may
-    be :class:`TruthTable` objects or raw integers (then ``n`` is
-    required); all transforms must act on the same arity.
-    """
-    transforms = list(transforms)
-    batch_n, ints = _batch_arity(tables, n)
-    size = 1 << batch_n
-    bits = bit_matrix(batch_n, ints)
-    out = np.empty((len(ints), len(transforms)), dtype=np.uint64)
-    if not transforms:
-        return out
-    mask = np.uint64(bitops.table_mask(batch_n))
-    chunk = max(1, _ENTRY_BUDGET // max(1, len(ints) * size))
-    for start in range(0, len(transforms), chunk):
-        stop = min(start + chunk, len(transforms))
-        maps, outputs = transform_index_maps(batch_n, transforms[start:stop])
-        packed = pack_rows(bits[:, maps])  # [B, chunk]
-        flip = outputs.astype(bool)
-        if flip.any():
-            packed[:, flip] ^= mask
-        out[:, start:stop] = packed
-    return out
-
-
 def apply_pairwise(
     tables,
-    transforms: Sequence[NPNTransform],
+    transforms: TransformColumns,
     n: int | None = None,
 ) -> np.ndarray:
     """Image of each table under its own transform: ``[K]`` ``uint64``.
 
-    ``result[k] == transforms[k].apply_table(tables[k], n)`` — the
-    pairwise twin of :func:`apply_transforms`: one gather maps row ``k``
-    of the bit matrix through the index map of ``transforms[k]``, so a
-    whole batch of witnesses is checked with one call.
+    ``result[k]`` is row ``k`` of ``transforms`` applied to
+    ``tables[k]``: one gather maps row ``k`` of the bit matrix through
+    that row's index map (its permutation's gather-table row, found by
+    one vectorized lookup, XOR its input phase), so a whole batch of
+    witnesses is checked with one call.
     """
-    transforms = list(transforms)
     batch_n, ints = _batch_arity(tables, n)
     if len(transforms) != len(ints):
         raise ValueError(
@@ -212,9 +153,18 @@ def apply_pairwise(
     bits = bit_matrix(batch_n, ints)
     if not ints:
         return np.zeros(0, dtype=np.uint64)
-    maps, outputs = transform_index_maps(batch_n, transforms)
+    wrong = transforms.ns != batch_n
+    if wrong.any():
+        raise ValueError(
+            f"transform arity {transforms.ns[wrong][0]} != table arity "
+            f"{batch_n}"
+        )
+    table = gather_table(batch_n)
+    maps = table.index_maps(
+        table.rows_for(transforms.perms[:, :batch_n]), transforms.input_phases
+    )
     images = pack_rows(np.take_along_axis(bits, maps, axis=1))
-    images ^= outputs.astype(np.uint64) * np.uint64(
+    images ^= transforms.output_phases.astype(np.uint64) * np.uint64(
         bitops.table_mask(batch_n)
     )
     return images
@@ -436,51 +386,48 @@ def canonical_min(
 def canonical_min_transforms(
     tables: Iterable,
     n: int | None = None,
-) -> tuple[np.ndarray, list[NPNTransform]]:
+) -> tuple[np.ndarray, TransformColumns]:
     """:func:`canonical_min` plus, per table, a transform reaching it.
 
-    Returns ``(minima, transforms)`` with
-    ``transforms[b].apply_table(tables[b], n) == minima[b]`` — the
-    argmin witness of the same word array :func:`canonical_min` reduces,
-    so the form costs nothing extra and its transform is one decode.
-    The inverse transform maps the canonical representative back onto
-    the table (the learn-on-miss witness).
+    Returns ``(minima, transforms)`` where row ``b`` of ``transforms``
+    maps ``tables[b]`` onto ``minima[b]`` — the argmin witness of the
+    same word array :func:`canonical_min` reduces, decoded for the whole
+    batch in one :func:`decode_images` pass.  The inverse transform maps
+    the canonical representative back onto the table (the learn-on-miss
+    witness).
     """
     batch_n, ints = _batch_arity(tables, n)
     gt = gather_table(batch_n)
     mask = np.uint64(bitops.table_mask(batch_n))
     minima = np.empty(len(ints), dtype=np.uint64)
-    transforms: list[NPNTransform] = []
+    columns = np.empty(len(ints), dtype=np.intp)
+    outputs = np.empty(len(ints), dtype=bool)
     for start, words in _np_image_words(gt, ints):
+        stop = start + len(words)
         low_col = words.argmin(axis=1)
         high_col = words.argmax(axis=1)
         rows = np.arange(len(words))
         low = words[rows, low_col]
         negated = words[rows, high_col] ^ mask
         output = negated < low
-        minima[start : start + len(words)] = np.where(output, negated, low)
-        columns = np.where(output, high_col, low_col)
-        for column, flip in zip(columns.tolist(), output.tolist()):
-            image_flips, perm_row = divmod(column, gt.num_perms)
-            transforms.append(
-                image_transform(gt.perms[perm_row].tolist(), image_flips, flip)
-            )
-    return minima, transforms
+        minima[start:stop] = np.where(output, negated, low)
+        columns[start:stop] = np.where(output, high_col, low_col)
+        outputs[start:stop] = output
+    image_flips, perm_rows = np.divmod(columns, gt.num_perms)
+    return minima, decode_images(gt.perms[perm_rows], image_flips, outputs)
 
 
-def image_transform(
-    perm: Sequence[int], image_flips: int, output: int
-) -> NPNTransform:
-    """The transform reaching one NP image, decoded like a kernel column.
+def decode_images(perms, image_flips, outputs) -> TransformColumns:
+    """The transforms reaching NP images decoded like kernel columns.
 
-    The image permutes the table by ``perm``, then flips the *image*
-    variables set in ``image_flips``, then negates the output if
-    ``output``.  Input ``i`` of the table reads image variable
-    ``perm[i]``, so its input-phase bit is bit ``perm[i]`` of
-    ``image_flips``.
+    Row ``k``'s image permutes the table by ``perms[k]`` (``[K, n]``),
+    then flips the *image* variables set in ``image_flips[k]``, then
+    negates the output if ``outputs[k]``.  Input ``i`` of the table
+    reads image variable ``perms[k, i]``, so its input-phase bit is bit
+    ``perms[k, i]`` of ``image_flips[k]``.
     """
-    phase = 0
-    for i, var in enumerate(perm):
-        phase |= ((image_flips >> var) & 1) << i
-    return NPNTransform(tuple(perm), phase, int(output))
-
+    perms = np.asarray(perms, dtype=np.intp)
+    flips = np.asarray(image_flips, dtype=np.int64)
+    bits = (flips[:, None] >> perms) & 1
+    phases = (bits << np.arange(perms.shape[1])).sum(axis=1, dtype=np.int64)
+    return TransformColumns.of_arity(perms.shape[1], perms, phases, outputs)

@@ -39,8 +39,9 @@ arity that witness comes from the same
 :func:`~repro.canonical.form.canonical_forms_with_transforms` call as
 the form — the match's own at ``n <= KERNEL_MATCH_VARS``, one call per
 learned batch for the rest: the inverse of its argmin transform,
-checked for the whole batch by
-:func:`~repro.canonical.form.checked_witnesses`.
+taken and checked as one column batch by
+:func:`~repro.canonical.form.checked_witnesses`, with one
+:class:`~repro.core.transforms.NPNTransform` built per answer.
 Replay canonicalizes every WAL record in one
 :func:`~repro.canonical.form.canonical_forms` call.
 """
@@ -59,7 +60,7 @@ from repro.canonical.form import (
     canonical_forms_with_transforms,
     checked_witnesses,
 )
-from repro.core.transforms import NPNTransform
+from repro.core.transforms import TransformColumns
 from repro.core.truth_table import TruthTable
 from repro.library.store import ClassLibrary, LibraryMatch, MANIFEST_FILE
 from repro.library.wal import (
@@ -244,32 +245,32 @@ class LearningLibrary:
     def learn(
         self,
         tts: Iterable[TruthTable],
-        forms: Sequence[tuple[TruthTable, NPNTransform] | None] | None = None,
+        forms: tuple[Sequence[TruthTable], TransformColumns] | None = None,
         signatures: Sequence[bytes | None] | None = None,
     ) -> list[LibraryMatch]:
         """Mint (or resolve) the classes of queries that missed the library.
 
-        :meth:`ClassLibrary.match_many` passes each miss's ``(form,
-        transform)`` at ``n <= KERNEL_MATCH_VARS`` and its MSV key (the
-        flat row's bytes) above; the queries without a form are canonicalized in one
+        :meth:`ClassLibrary.match_many` passes ``forms``, the canonical
+        forms of the leading queries (its misses at ``n <=
+        KERNEL_MATCH_VARS``) and the transforms onto them, and each
+        miss's MSV key (the flat row's bytes) above; the other queries
+        are canonicalized in one
         :func:`~repro.canonical.form.canonical_forms_with_transforms`
         call.  Every witness, the transform's inverse, is checked before
-        anything is stored (one gather per arity).  A query whose orbit id is
-        stored — minted earlier in this batch included — resolves to
-        that class; any other is minted, WAL-logged and indexed in the
+        anything is stored (one gather per arity).  A query whose orbit
+        id is stored — minted earlier in this batch included — resolves
+        to that class; any other is minted, WAL-logged and indexed in the
         matching chains under its signature, an NPN invariant.
         """
         tts = list(tts)
-        forms = list(forms or [None] * len(tts))
-        unformed = [i for i, form in enumerate(forms) if form is None]
-        for i, form in zip(
-            unformed, canonical_forms_with_transforms([tts[i] for i in unformed])
-        ):
-            forms[i] = form
-        witnesses = checked_witnesses(forms, tts)
+        known, transforms = forms or ([], TransformColumns.concatenate([]))
+        rest, more = canonical_forms_with_transforms(tts[len(known) :])
+        forms = [*known, *rest]
+        transforms = TransformColumns.concatenate([transforms, more])
+        witnesses = checked_witnesses(forms, transforms, tts)
         signatures = signatures or [None] * len(tts)
         out = []
-        for (form, _), witness, signature in zip(forms, witnesses, signatures):
+        for form, witness, signature in zip(forms, witnesses, signatures):
             # The id names its representative, so the witness onto
             # ``form`` maps the stored one too.
             entry = self.library.classes.get(canonical_class_id(form))

@@ -63,7 +63,7 @@ from repro.canonical.form import (
 )
 from repro.core import bitops
 from repro.core.msv import DEFAULT_PARTS, MixedSignature
-from repro.core.transforms import NPNTransform
+from repro.core.transforms import NPNTransform, TransformColumns
 from repro.core.truth_table import TruthTable
 from repro.engine import BatchedClassifier, PackedTables
 from repro.engine.signatures import row_bytes, signature_keys
@@ -373,9 +373,10 @@ class ClassLibrary:
         ``learn`` (``serve --learn`` passes
         :meth:`~repro.library.online.LearningLibrary.learn`) is called
         once, after the hit/miss counters, as ``learn(tables, forms,
-        signatures)`` with the misses and the ``(form, transform)`` or
-        signature this pass computed for each (``None`` for the other);
-        its matches replace the misses' ``None``.
+        signatures)`` with the misses, the small ones first:
+        ``forms`` holds their canonical forms and the transforms onto
+        them from this pass, ``signatures`` each miss's MSV key or
+        ``None``.  Its matches replace the misses' ``None``.
         """
         tts = list(tts)
         if not tts or (not self.classes and learn is None):
@@ -389,11 +390,12 @@ class ClassLibrary:
         chained: list[int] = []
         for index, tt in enumerate(tts):
             (small if tt.n <= KERNEL_MATCH_VARS else chained).append(index)
-        forms: dict[int, tuple[TruthTable, NPNTransform]] = {}
+        forms: list[TruthTable] = []
+        transforms = TransformColumns.concatenate([])
         signatures: dict[int, bytes] = {}
         if small:
             with obs.timed(_MATCH_PHASE_SECONDS, phase="kernel"):
-                forms = self._match_by_form(tts, small, out)
+                forms, transforms = self._match_by_form(tts, small, out)
         if chained:
             rows = [tts[i] for i in chained]
             with obs.timed(_MATCH_PHASE_SECONDS, phase="signatures"):
@@ -405,10 +407,13 @@ class ClassLibrary:
         _MATCH_QUERIES.inc(len(out) - len(misses), outcome="hit")
         _MATCH_QUERIES.inc(len(misses), outcome="miss")
         if learn is not None and misses:
+            formed = [row for row, i in enumerate(small) if out[i] is None]
+            misses = [small[row] for row in formed]
+            misses += [i for i in chained if out[i] is None]
             with obs.timed(_MATCH_PHASE_SECONDS, phase="learn"):
                 learned = learn(
                     [tts[i] for i in misses],
-                    [forms.get(i) for i in misses],
+                    ([forms[row] for row in formed], transforms.take(formed)),
                     [signatures.get(i) for i in misses],
                 )
             for i, match in zip(misses, learned):
@@ -420,27 +425,32 @@ class ClassLibrary:
         tts: list[TruthTable],
         indices: list[int],
         out: list[LibraryMatch | None],
-    ) -> dict[int, tuple[TruthTable, NPNTransform]]:
+    ) -> tuple[list[TruthTable], TransformColumns]:
         """Resolve small queries by canonical form: id lookup + witness.
 
-        The witnesses are built only for hits, and checked in one batch:
-        a miss costs one kernel row and one dict lookup, no inverse and
-        no apply check.  Returns each query's ``(form, transform)`` by
-        index, for the learner.
+        Only hits are inverted and checked, in one batch, and only a hit
+        builds an :class:`~repro.core.transforms.NPNTransform`: a miss
+        costs one kernel row and one dict lookup.  Returns the forms of
+        the queries at ``indices`` and the transforms onto them, for the
+        learner.
         """
-        rows = [tts[i] for i in indices]
-        forms = dict(zip(indices, canonical_forms_with_transforms(rows)))
+        forms, transforms = canonical_forms_with_transforms(
+            [tts[i] for i in indices]
+        )
         hits = []
-        for i, (form, _) in forms.items():
+        for row, form in enumerate(forms):
             entry = self.classes.get(canonical_class_id(form))
             if entry is not None:
-                hits.append((i, entry))
+                hits.append((row, entry))
+        rows = [row for row, _ in hits]
         witnesses = checked_witnesses(
-            [forms[i] for i, _ in hits], [tts[i] for i, _ in hits]
+            [forms[row] for row in rows],
+            transforms.take(rows),
+            [tts[indices[row]] for row in rows],
         )
-        for (i, entry), witness in zip(hits, witnesses):
-            out[i] = LibraryMatch(entry, witness)
-        return forms
+        for (row, entry), witness in zip(hits, witnesses):
+            out[indices[row]] = LibraryMatch(entry, witness)
+        return forms, transforms
 
     def _match_by_chain(
         self,

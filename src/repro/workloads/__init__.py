@@ -10,10 +10,8 @@ from repro.workloads.library_corpus import (
 )
 from repro.workloads.random_functions import (
     consecutive_tables,
-    hit_miss_queries,
     iter_random_tables,
     random_tables,
-    seeded_equivalent_tables,
 )
 
 __all__ = [
@@ -24,8 +22,6 @@ __all__ = [
     "random_tables",
     "iter_random_tables",
     "consecutive_tables",
-    "seeded_equivalent_tables",
-    "hit_miss_queries",
     "miss_heavy_queries",
     "with_repeats",
     "exhaustive_tables",

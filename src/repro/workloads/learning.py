@@ -1,7 +1,7 @@
 """Miss-heavy query traffic for the learn-on-miss serving path.
 
-The matcher parity tests (:func:`repro.workloads.hit_miss_queries`) lean
-on hits — the expensive witness searches.  A *learning* daemon is
+The matcher parity tests lean on hits — the expensive witness
+searches.  A *learning* daemon is
 stressed by the opposite shape: queries whose signature class the
 library has never seen, each of which mints a class and appends a WAL
 record.  :func:`miss_heavy_queries` builds that traffic against a

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.analysis.stats import accuracy, refinement_holds
+from repro.analysis.stats import refinement_holds
 from repro.analysis.tables import (
     format_markdown_table,
     format_table,
@@ -14,13 +14,6 @@ from repro.workloads.random_functions import random_tables
 
 
 class TestStats:
-    def test_accuracy(self):
-        assert accuracy(49, 49) == 1.0
-        assert accuracy(251, 49) > 1
-        assert accuracy(44, 49) < 1
-        with pytest.raises(ValueError):
-            accuracy(10, 0)
-
     def test_refinement_holds(self):
         assert refinement_holds([1, 2, 2, 5])
         assert not refinement_holds([3, 2])

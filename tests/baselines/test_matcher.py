@@ -4,6 +4,7 @@ import functools
 import random
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -19,7 +20,8 @@ from repro.baselines.matcher import (
 )
 from repro.core.transforms import NPNTransform, random_transform
 from repro.core.truth_table import TruthTable
-from tests.strategies import arities, npn_transforms, truth_tables
+from repro.kernels import MAX_KERNEL_VARS
+from tests.strategies import arities, columns_of, npn_transforms, truth_tables
 
 
 class TestPositiveMatches:
@@ -179,9 +181,9 @@ class TestScalarParity:
         calls = []
         real = matcher._resolve_by_canonical_form
 
-        def spy(n, pairs, pending, overflow, results):
+        def spy(n, sources, target_ints, overflow):
             calls.append(len(overflow))
-            real(n, pairs, pending, overflow, results)
+            return real(n, sources, target_ints, overflow)
 
         monkeypatch.setattr(matcher, "_resolve_by_canonical_form", spy)
         return calls
@@ -315,10 +317,11 @@ class TestVerificationFinalStep:
         bogus = NPNTransform((0, 1, 2), 0, 0)  # and3.apply(bogus) != or3
         monkeypatch.setattr(
             matcher,
-            "_search_transforms_grouped",
-            lambda pairs: [
-                [bogus] * len(targets) for _, targets in pairs
-            ],
+            "_search_arity",
+            lambda n, sources, targets: (
+                np.arange(len(targets)),
+                columns_of([bogus] * len(targets)),
+            ),
         )
         assert find_npn_transform(and3, or3) is None
         assert find_npn_transforms_grouped([(and3, [or3, or3])]) == [
@@ -356,9 +359,22 @@ class TestVerificationFinalStep:
                 )
             pairs.append((source, targets))
             planted.append(witnesses)
-        monkeypatch.setattr(
-            matcher, "_search_transforms_grouped", lambda pairs: planted
-        )
+        answers = [w for row in planted for w in row]
+        if n > MAX_KERNEL_VARS:
+            answers = iter(answers)
+            monkeypatch.setattr(
+                matcher, "_scalar_search", lambda *args: next(answers)
+            )
+        else:
+            found = [k for k, w in enumerate(answers) if w is not None]
+            monkeypatch.setattr(
+                matcher,
+                "_search_arity",
+                lambda n, sources, targets: (
+                    np.array(found, dtype=np.intp),
+                    columns_of([answers[k] for k in found]),
+                ),
+            )
         expected = [
             [
                 w if w is not None and source.apply(w) == target else None
@@ -524,13 +540,13 @@ def test_witnesses_below_the_cap_match_the_scalar_search(data):
     overflowed = set()
     resolve = matcher._resolve_by_canonical_form
 
-    def spy(n, pairs, pending, overflow, results):
-        overflowed.update(pending[k] for k in overflow)
-        resolve(n, pairs, pending, overflow, results)
+    def spy(n, sources, target_ints, overflow):
+        overflowed.update((sources[k].bits, target_ints[k]) for k in overflow)
+        return resolve(n, sources, target_ints, overflow)
 
     with mock.patch.object(matcher, "_resolve_by_canonical_form", spy):
         rows = find_npn_transforms_grouped(groups)
-    for p, ((source, targets), row) in enumerate(zip(groups, rows)):
-        for t, (target, witness) in enumerate(zip(targets, row)):
-            if (p, t) not in overflowed:
+    for (source, targets), row in zip(groups, rows):
+        for target, witness in zip(targets, row):
+            if (source.bits, target.bits) not in overflowed:
                 assert witness == find_npn_transform_scalar(source, target)

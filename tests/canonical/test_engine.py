@@ -15,10 +15,8 @@ from repro.baselines.exact import ExactClassifier, ExactStats
 from repro.core.truth_table import TruthTable
 from repro.engine import BatchedClassifier
 from repro.library import build_library
-from repro.workloads.random_functions import (
-    random_tables,
-    seeded_equivalent_tables,
-)
+from repro.workloads.random_functions import random_tables
+from tests.corpora import seeded_equivalent_tables
 
 
 def partition(result):

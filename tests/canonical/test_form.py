@@ -34,11 +34,10 @@ from repro.canonical.form import (
     canonical_form,
     canonical_forms,
     canonical_forms_with_transforms,
-    checked_witness,
     checked_witnesses,
     influence_canonical_scalar,
 )
-from repro.core.transforms import NPNTransform, random_transform
+from repro.core.transforms import TransformColumns, random_transform
 from repro.core.truth_table import TruthTable
 from repro.workloads.extraction import extract_cut_functions
 from tests.strategies import truth_tables
@@ -168,44 +167,50 @@ class TestFrontDoor:
     @example([TruthTable(3, 0xE8), _N7, TruthTable(0, 1), _N7, TruthTable(6, 1)])
     @example([_N7_OTHER, TruthTable(5, 0x3DE88452)])
     def test_mixed_arity_batches(self, tables):
-        pairs = canonical_forms_with_transforms(tables)
-        forms = canonical_forms(tables)
-        assert [form for form, _ in pairs] == forms
-        for tt, form, (_, transform) in zip(tables, forms, pairs):
+        forms, transforms = canonical_forms_with_transforms(tables)
+        assert forms == canonical_forms(tables)
+        assert isinstance(transforms, TransformColumns)
+        assert transforms.ns.tolist() == [tt.n for tt in tables]
+        witnesses = checked_witnesses(forms, transforms, tables)
+        for tt, form, transform, witness in zip(
+            tables, forms, transforms, witnesses
+        ):
             assert form.n == tt.n  # output order follows input order
             if tt.n <= 5:
                 assert form == exact_npn_canonical(tt).representative
             if tt.n <= 6:  # above, the form *is* the scalar search's
                 assert form == influence_canonical_scalar(tt)
             assert tt.apply(transform) == form
-            assert form.apply(checked_witness(form, transform, tt)) == tt
+            assert witness == transform.inverse()
+            assert form.apply(witness) == tt
 
-    def test_wrong_kernel_transform_makes_checked_witness_raise(
+    def test_wrong_kernel_transform_makes_checked_witnesses_raise(
         self, monkeypatch
     ):
         real = form_module.canonical_min_transforms
 
         def wrong(ints, n):
             minima, transforms = real(ints, n)
-            return minima, [
-                NPNTransform(t.perm, t.input_phase, 1 - t.output_phase)
-                for t in transforms
-            ]
+            return minima, TransformColumns(
+                transforms.ns,
+                transforms.perms,
+                transforms.input_phases,
+                1 - transforms.output_phases,
+            )
 
         monkeypatch.setattr(form_module, "canonical_min_transforms", wrong)
         tt = TruthTable(4, 0x6AC5)
-        form, transform = canonical_forms_with_transforms([tt])[0]
+        forms, transforms = canonical_forms_with_transforms([tt])
         with pytest.raises(RuntimeError, match="canonicalizer bug"):
-            checked_witness(form, transform, tt)
-
+            checked_witnesses(forms, transforms, [tt])
 
     def test_checked_witnesses_check_a_mixed_arity_batch(self):
         rng = random.Random(71)
         tables = [TruthTable.random(n, rng) for n in (0, 3, 5, 6, 7, 5, 3)]
-        forms = canonical_forms_with_transforms(tables)
-        witnesses = checked_witnesses(forms, tables)
-        assert witnesses == [t.inverse() for _, t in forms]
-        for tt, (form, _), witness in zip(tables, forms, witnesses):
+        forms, transforms = canonical_forms_with_transforms(tables)
+        witnesses = checked_witnesses(forms, transforms, tables)
+        assert list(witnesses) == [t.inverse() for t in transforms]
+        for tt, form, witness in zip(tables, forms, witnesses):
             assert form.apply(witness) == tt
 
     @pytest.mark.parametrize("bad_row", [2, 4])
@@ -214,14 +219,14 @@ class TestFrontDoor:
         (row 2, n = 5) or above it (row 4, n = 7) — fails the batch."""
         rng = random.Random(72)
         tables = [TruthTable.random(n, rng) for n in (4, 5, 5, 6, 7)]
-        forms = canonical_forms_with_transforms(tables)
-        form, t = forms[bad_row]
-        forms[bad_row] = (
-            form,
-            NPNTransform(t.perm, t.input_phase, 1 - t.output_phase),
+        forms, transforms = canonical_forms_with_transforms(tables)
+        outputs = transforms.output_phases.copy()
+        outputs[bad_row] ^= 1
+        corrupted = TransformColumns(
+            transforms.ns, transforms.perms, transforms.input_phases, outputs
         )
         with pytest.raises(RuntimeError, match="canonicalizer bug"):
-            checked_witnesses(forms, tables)
+            checked_witnesses(forms, corrupted, tables)
 
 
 class TestClassIds:

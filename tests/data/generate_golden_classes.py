@@ -1,6 +1,6 @@
 """Regenerate ``golden_classes.json`` — run only to bless an intended change.
 
-    PYTHONPATH=src python tests/data/generate_golden_classes.py
+    PYTHONPATH=src python -m tests.data.generate_golden_classes
 
 The golden file pins class counts and order-sensitive bucket digests for
 fixed seeds at n = 4..6.  ``tests/properties/test_golden_classes.py``
@@ -17,10 +17,8 @@ from pathlib import Path
 
 from repro.core.classifier import FacePointClassifier
 from repro.library import library_from_result
-from repro.workloads.random_functions import (
-    random_tables,
-    seeded_equivalent_tables,
-)
+from repro.workloads.random_functions import random_tables
+from tests.corpora import seeded_equivalent_tables
 
 GOLDEN_PATH = Path(__file__).parent / "golden_classes.json"
 

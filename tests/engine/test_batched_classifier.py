@@ -24,7 +24,8 @@ from repro.engine.signatures import (
 )
 from repro.experiments.table2 import COLUMNS
 from repro.spectral.walsh import fwht
-from repro.workloads import random_tables, seeded_equivalent_tables
+from repro.workloads import random_tables
+from tests.corpora import seeded_equivalent_tables
 from tests.msv_rows import flat_key, flatten
 from tests.strategies import npn_orbits, truth_tables
 

@@ -35,20 +35,29 @@ class TestConstruction:
         """Row ``p``, phase ``q`` maps minterm ``m`` to apply_index(m)."""
         table = gather_table(n)
         for transform in all_transforms(n, include_output=False):
-            row = table.row_of(transform.perm)
+            row = table.rows_for(np.array(transform.perm))
             maps = table.index_maps(
                 np.array([row]), np.array([transform.input_phase])
             )[0]
             for m in range(1 << n):
                 assert maps[m] == transform.apply_index(m)
 
-    def test_row_of_every_permutation(self):
-        table = gather_table(4)
+    @pytest.mark.parametrize("n", range(0, MAX_KERNEL_VARS + 1))
+    def test_rows_for_every_permutation(self, n):
         import itertools
 
-        for row, perm in enumerate(itertools.permutations(range(4))):
-            assert table.row_of(perm) == row
-            assert tuple(table.perms[row]) == perm
+        table = gather_table(n)
+        perms = np.array(
+            list(itertools.permutations(range(n))), dtype=np.intp
+        ).reshape(table.num_perms, n)
+        rows = table.rows_for(perms)
+        assert rows.tolist() == list(range(table.num_perms))
+        assert np.array_equal(table.perms[rows], perms)
+
+    def test_rows_for_a_repeated_variable_is_minus_one(self):
+        table = gather_table(3)
+        vectors = np.array([[0, 0, 1], [2, 1, 0], [1, 1, 1]])
+        assert table.rows_for(vectors).tolist() == [-1, 5, -1]
 
     def test_group_index_maps_order(self):
         """Block enumeration is permutation-major, phase-minor."""

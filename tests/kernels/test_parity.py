@@ -1,7 +1,7 @@
 """Parity suite: every kernel primitive against its scalar oracle.
 
-The acceptance contract of the kernels layer: ``apply_transforms``,
-``apply_pairwise``, ``orbit`` and ``canonical_min`` agree with the
+The acceptance contract of the kernels layer: ``apply_pairwise``,
+``orbit`` and ``canonical_min`` agree with the
 scalar :meth:`NPNTransform.apply` / :func:`exact_npn_canonical` for
 **all** transforms at ``n <= 3``, and under seeded or hypothesis fuzz
 up to ``n = 6``; the batched key rows agree with the matcher's scalar
@@ -19,10 +19,15 @@ from hypothesis import strategies as st
 from repro import kernels
 from repro.baselines.exact_enum import exact_npn_canonical
 from repro.baselines.matcher import variable_keys
-from repro.core.transforms import all_transforms, random_transform
+from repro.core.transforms import NPNTransform, all_transforms, random_transform
 from repro.core.truth_table import TruthTable
 from repro.kernels import keys as keys_module
-from tests.strategies import npn_transforms, truth_table_batches, truth_tables
+from tests.strategies import (
+    columns_of,
+    npn_transforms,
+    truth_table_batches,
+    truth_tables,
+)
 
 
 def _sample_tables(n, count, seed):
@@ -39,89 +44,45 @@ def _sample_tables(n, count, seed):
     return structured + randoms
 
 
-class TestApplyTransformsAllTransformsSmallN:
-    @pytest.mark.parametrize("n", range(0, 4))
-    def test_every_transform_every_table(self, n):
-        """Exhaustive group parity at n <= 3 (group order up to 96)."""
-        tables = _sample_tables(n, 12, seed=n)
-        transforms = list(all_transforms(n))
-        images = kernels.apply_transforms(tables, transforms)
-        assert images.shape == (len(tables), len(transforms))
-        assert images.dtype == np.uint64
-        for b, tt in enumerate(tables):
-            for t, transform in enumerate(transforms):
-                assert int(images[b, t]) == tt.apply(transform).bits
-
-    def test_raw_ints_need_n(self):
-        with pytest.raises(ValueError, match="pass n"):
-            kernels.apply_transforms([5, 9], [])
-
-    def test_raw_ints_with_n(self):
-        transforms = list(all_transforms(2, include_output=False))
-        images = kernels.apply_transforms([0b0110, 0b1000], transforms, n=2)
-        for b, bits in enumerate((0b0110, 0b1000)):
-            for t, transform in enumerate(transforms):
-                assert int(images[b, t]) == transform.apply_table(bits, 2)
-
-    def test_mixed_arity_batch_rejected(self):
-        with pytest.raises(ValueError, match="mixed arities"):
-            kernels.apply_transforms(
-                [TruthTable(2, 3), TruthTable(3, 3)], []
-            )
-
-    def test_transform_arity_mismatch_rejected(self):
-        from repro.core.transforms import NPNTransform
-
-        with pytest.raises(ValueError, match="transform arity"):
-            kernels.apply_transforms(
-                [TruthTable(3, 7)], [NPNTransform.identity(2)]
-            )
-
-    def test_arity_above_kernel_range_rejected(self):
-        with pytest.raises(ValueError, match="n <= 6"):
-            kernels.apply_transforms([TruthTable(7, 1)], [])
-
-
-class TestApplyTransformsFuzz:
-    @pytest.mark.parametrize("n", [4, 5, 6])
-    def test_seeded_fuzz(self, n):
-        rng = random.Random(1000 + n)
-        tables = [TruthTable.random(n, rng) for _ in range(10)]
-        transforms = [random_transform(n, rng) for _ in range(60)]
-        images = kernels.apply_transforms(tables, transforms)
-        for b, tt in enumerate(tables):
-            for t, transform in enumerate(transforms):
-                assert int(images[b, t]) == tt.apply(transform).bits
-
-
 class TestApplyPairwise:
     @given(data=st.data())
     def test_each_row_equals_its_scalar_apply(self, data):
         n = data.draw(st.integers(0, 6))
         tables = data.draw(st.lists(truth_tables(n=n), max_size=12))
         transforms = [data.draw(npn_transforms(n=n)) for _ in tables]
-        images = kernels.apply_pairwise(tables, transforms, n)
+        images = kernels.apply_pairwise(tables, columns_of(transforms), n)
         assert images.dtype == np.uint64 and images.shape == (len(tables),)
         assert images.tolist() == [
-            t.apply_table(tt.bits, n) for tt, t in zip(tables, transforms)
+            tt.apply(t).bits for tt, t in zip(tables, transforms)
         ]
 
     def test_every_transform_of_one_table_at_n3(self):
         tt = TruthTable(3, 0b11101000)
         transforms = list(all_transforms(3))
         images = kernels.apply_pairwise(
-            [tt.bits] * len(transforms), transforms, 3
+            [tt.bits] * len(transforms), columns_of(transforms), 3
         )
         assert images.tolist() == [tt.apply(t).bits for t in transforms]
 
     def test_lengths_and_arities_must_agree(self):
-        from repro.core.transforms import NPNTransform
-
+        identity = columns_of([NPNTransform.identity(2)])
         with pytest.raises(ValueError, match="2 tables but 1 transforms"):
-            kernels.apply_pairwise([1, 2], [NPNTransform.identity(2)], 2)
+            kernels.apply_pairwise([1, 2], identity, 2)
         with pytest.raises(ValueError, match="arity 2 != table arity 3"):
-            kernels.apply_pairwise([7], [NPNTransform.identity(2)], 3)
-        assert kernels.apply_pairwise([], [], 4).shape == (0,)
+            kernels.apply_pairwise([7], identity, 3)
+        assert kernels.apply_pairwise([], columns_of([]), 4).shape == (0,)
+
+    def test_batch_checks(self):
+        with pytest.raises(ValueError, match="pass n"):
+            kernels.apply_pairwise([5, 9], columns_of([]))
+        with pytest.raises(ValueError, match="mixed arities"):
+            kernels.apply_pairwise(
+                [TruthTable(2, 3), TruthTable(3, 3)], columns_of([])
+            )
+        with pytest.raises(ValueError, match="n <= 6"):
+            kernels.apply_pairwise(
+                [TruthTable(7, 1)], columns_of([NPNTransform.identity(7)])
+            )
 
 
 class TestOrbit:
@@ -248,8 +209,6 @@ class TestKeyMatrices:
     def test_np_invariance_of_rows(self):
         """Key row multisets are NP invariants, like the scalar keys."""
         rng = random.Random(80)
-        from repro.core.transforms import NPNTransform
-
         for _ in range(10):
             tt = TruthTable.random(5, rng)
             t = random_transform(5, rng)

@@ -19,6 +19,20 @@ def fresh_kernel_cache():
     clear_memory_cache()
 
 
+def spy_constructions(monkeypatch) -> list:
+    """Record every ``NPNTransform`` built from now on."""
+    from repro.core.transforms import NPNTransform
+
+    built = []
+    real = NPNTransform.__post_init__
+    monkeypatch.setattr(
+        NPNTransform,
+        "__post_init__",
+        lambda self: built.append(self) or real(self),
+    )
+    return built
+
+
 @pytest.fixture()
 def mixed_library():
     tables = random_tables(4, 60, 1) + random_tables(5, 60, 2) + random_tables(
@@ -102,8 +116,8 @@ class TestCanonicalFormPath:
     def test_mixed_small_arities_take_one_canonicalization_call(
         self, monkeypatch
     ):
-        """Queries of n = 2..5 share one front-door call; only hits invert."""
-        from repro.core.transforms import NPNTransform
+        """Queries of n = 2..5 share one front-door call; only hits
+        build a witness object."""
         from repro.library import store
 
         library = build_library(
@@ -122,31 +136,25 @@ class TestCanonicalFormPath:
         ]
         queries = hits + misses
         random.Random(62).shuffle(queries)
-        calls, inverses = [], []
+        calls = []
         real = store.canonical_forms_with_transforms
         monkeypatch.setattr(
             store,
             "canonical_forms_with_transforms",
             lambda tables: calls.append(len(tables)) or real(tables),
         )
-        inverse = NPNTransform.inverse
-        monkeypatch.setattr(
-            NPNTransform,
-            "inverse",
-            lambda self: inverses.append(self) or inverse(self),
-        )
+        built = spy_constructions(monkeypatch)
         outcomes = library.match_many(queries)
         assert calls == [len(queries)]
-        assert len(inverses) == len(hits)
+        assert len(built) == len(hits)
         for query, outcome in zip(queries, outcomes):
             assert (outcome is None) == (query in misses)
             assert outcome is None or outcome.verify(query)
 
     def test_witnesses_are_built_for_hits_only(self, monkeypatch):
-        """A miss costs a kernel row and an id lookup: no inverse, no
-        apply check.  Hits keep the kernel's inverted argmin transform."""
+        """A miss costs a kernel row and an id lookup: no witness object.
+        Hits keep the kernel's inverted argmin transform."""
         from repro.canonical.form import canonical_class_id, canonical_form
-        from repro.core.transforms import NPNTransform
         from repro.kernels import canonical_min_transforms
 
         library = build_library(random_tables(4, 6, 5))
@@ -165,21 +173,15 @@ class TestCanonicalFormPath:
         _, transforms = canonical_min_transforms([tt.bits for tt in hits], 4)
         expected = [transform.inverse() for transform in transforms]
 
-        inverses = []
-        inverse = NPNTransform.inverse
-        monkeypatch.setattr(
-            NPNTransform,
-            "inverse",
-            lambda self: inverses.append(self) or inverse(self),
-        )
+        built = spy_constructions(monkeypatch)
         assert library.match_many(misses) == [None] * len(misses)
-        assert inverses == []
+        assert built == []
 
         outcomes = library.match_many(misses + hits)
         assert outcomes[: len(misses)] == [None] * len(misses)
         assert [o.transform for o in outcomes[len(misses) :]] == expected
         assert all(o.verify(q) for o, q in zip(outcomes[len(misses) :], hits))
-        assert len(inverses) == len(hits)
+        assert len(built) == len(hits)
 
     def test_kernel_phase_is_timed_and_queries_counted_once(
         self, mixed_library
@@ -213,7 +215,7 @@ class TestScalarMatcherParity:
 
     def test_hit_miss_witnesses_equal_a_scalar_chain_walk(self):
         from repro.baselines.matcher import find_npn_transform_scalar
-        from repro.workloads import hit_miss_queries
+        from tests.corpora import hit_miss_queries
 
         corpus, queries = hit_miss_queries(6, 300, 300, seed=1105)
         library = build_library(corpus)
@@ -268,3 +270,41 @@ class TestFlatKeys:
         assert all(m.verify(q) for m, q in zip(learned, misses))
         learner.close()
         assert nested == []
+
+
+class TestWitnessBoundary:
+    """Transforms travel as columns below the API: ``match_many`` builds
+    exactly one ``NPNTransform`` per answer it returns — hit or mint —
+    and none for a miss."""
+
+    @staticmethod
+    def mixed_batch():
+        corpus = [tt for n in (3, 4, 5, 6) for tt in random_tables(n, 12, n)]
+        rng = random.Random(90)
+        hits = [tt.apply(random_transform(tt.n, rng)) for tt in corpus]
+        misses = [tt for n in (3, 4, 5, 6) for tt in random_tables(n, 12, 90 + n)]
+        queries = hits + misses + hits[:6]  # repeats share a class
+        random.Random(91).shuffle(queries)
+        return build_library(corpus), queries
+
+    def test_read_only_builds_one_per_hit(self, monkeypatch):
+        library, queries = self.mixed_batch()
+        built = spy_constructions(monkeypatch)
+        outcomes = library.match_many(queries)
+        answers = [o for o in outcomes if o is not None]
+        assert len(built) == len(answers)
+        assert 0 < len(answers) < len(queries)
+        assert {o.transform.n for o in answers} == {3, 4, 5, 6}
+        assert all(o is None or o.verify(q) for o, q in zip(outcomes, queries))
+
+    def test_learning_builds_one_per_hit_or_mint(self, tmp_path, monkeypatch):
+        from repro.library import LearningLibrary
+
+        library, queries = self.mixed_batch()
+        learner = LearningLibrary(library, tmp_path)
+        built = spy_constructions(monkeypatch)
+        outcomes = library.match_many(queries, learn=learner.learn)
+        learner.close()
+        assert None not in outcomes and learner.minted > 0
+        assert len(built) == len(outcomes)
+        assert all(o.verify(q) for o, q in zip(outcomes, queries))

@@ -404,16 +404,16 @@ class TestKernelWitnessLearnPath:
     def test_a_witness_that_fails_its_apply_check_raises(
         self, tmp_path, monkeypatch
     ):
-        from repro.core.transforms import NPNTransform
+        from repro.core.transforms import TransformColumns
         from repro.library import online
 
         real = online.canonical_forms_with_transforms
 
         def wrong(tables):
-            return [
-                (form, NPNTransform(t.perm, t.input_phase, 1 - t.output_phase))
-                for form, t in real(tables)
-            ]
+            forms, t = real(tables)
+            return forms, TransformColumns(
+                t.ns, t.perms, t.input_phases, 1 - t.output_phases
+            )
 
         monkeypatch.setattr(online, "canonical_forms_with_transforms", wrong)
         learner = make_learner(tmp_path)

@@ -9,7 +9,7 @@ that silently splits, merges, or reorders an orbit fails loudly here
 instead of surfacing as a wrong experiment table months later.
 
 To bless an *intentional* change, rerun
-``PYTHONPATH=src python tests/data/generate_golden_classes.py``.
+``PYTHONPATH=src python -m tests.data.generate_golden_classes``.
 """
 
 import json

@@ -98,3 +98,19 @@ def test_from_dict_rejects_invalid_payloads():
         NPNTransform.from_dict({"perm": [0, 1], "input_phase": 4})
     with pytest.raises(ValueError):
         NPNTransform.from_dict({"perm": [0, 1], "output_phase": 2})
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [
+        {"perm": [1, 0], "input_phase": 1.9},
+        {"perm": [1, 0], "input_phase": True},
+        {"perm": [1, 0], "output_phase": "1"},
+        {"perm": [True, False]},
+    ],
+)
+def test_from_dict_rejects_fields_that_are_not_ints(payload):
+    """A served witness is outside input: a float, bool or string field
+    is refused, not rounded or coerced."""
+    with pytest.raises(ValueError, match="must be integers"):
+        NPNTransform.from_dict(payload)

@@ -20,6 +20,9 @@ Strategies:
   ``2^(2^n)`` functions of the drawn arity;
 * :func:`truth_table_batches` — same-arity lists (packed-engine input);
 * :func:`npn_transforms` — :class:`NPNTransform` group elements;
+* :func:`transform_lists` — lists of them, each of its own drawn arity
+  (the mixed-arity batches :class:`TransformColumns` carries), and
+  :func:`columns_of`, the columns holding such a list;
 * :func:`tables_with_transforms` — ``(table, [transforms...])`` tuples
   sharing one arity, the shape the group-law and witness suites consume;
 * :func:`npn_orbits` — ``(seed table, [NPN images...])`` built through
@@ -31,7 +34,7 @@ from __future__ import annotations
 
 from hypothesis import strategies as st
 
-from repro.core.transforms import NPNTransform
+from repro.core.transforms import NPNTransform, TransformColumns
 from repro.core.truth_table import TruthTable
 
 __all__ = [
@@ -41,6 +44,8 @@ __all__ = [
     "truth_tables",
     "truth_table_batches",
     "npn_transforms",
+    "transform_lists",
+    "columns_of",
     "tables_with_transforms",
     "npn_orbits",
 ]
@@ -103,6 +108,31 @@ def npn_transforms(
     input_phase = draw(st.integers(min_value=0, max_value=(1 << arity) - 1))
     output_phase = draw(st.integers(min_value=0, max_value=1))
     return NPNTransform(perm, input_phase, output_phase)
+
+
+@st.composite
+def transform_lists(
+    draw,
+    min_n: int = MIN_FUZZ_VARS,
+    max_n: int = MAX_FUZZ_VARS,
+    max_size: int = 12,
+) -> list[NPNTransform]:
+    """Transforms each drawing its own arity from ``[min_n, max_n]``."""
+    return draw(
+        st.lists(npn_transforms(min_n=min_n, max_n=max_n), max_size=max_size)
+    )
+
+
+def columns_of(transforms) -> TransformColumns:
+    """The :class:`TransformColumns` whose rows are ``transforms``."""
+    return TransformColumns.concatenate(
+        [
+            TransformColumns.of_arity(
+                t.n, [t.perm], [t.input_phase], [t.output_phase]
+            )
+            for t in transforms
+        ]
+    )
 
 
 @st.composite

@@ -1,11 +1,12 @@
 """Every module-level function and class of ``src/repro`` has a caller there,
 and every module of it an importer.
 
-A definition whose name appears on no other line of ``src/repro`` is code
-that only the tests call.  ``__all__`` entries and import lines do not
-count as callers: a re-export calls nothing.  Such code is deleted, or it
-is named in ``KEPT`` with the reason it stays.  The scan is textual, so a
-name that only a comment or docstring mentions counts as called.
+A definition whose name no other line of ``src/repro`` uses in code is
+code that only the tests call.  Only code counts, read off the syntax
+tree: a name or an attribute, also inside a quoted annotation (a
+forward reference).  Comments, docstrings and other strings do not, and
+neither do ``__all__`` entries and imports: a re-export calls nothing.  Such code is deleted, or it is named in ``KEPT`` with the
+reason it stays.
 
 A whole module escapes that scan when a test imports it and calls its
 names in the module itself: a module that no other module of
@@ -16,7 +17,6 @@ imports it, since the registry fills at import.
 
 import ast
 import functools
-import re
 from collections import defaultdict
 from pathlib import Path
 
@@ -34,6 +34,20 @@ KEPT = {
     "npn_equivalent_by_automorphism": (
         "oracle: NPN equivalence through hypercube automorphisms, sharing "
         "no code with the truth-table kernels"
+    ),
+    "find_npn_transform_scalar": (
+        "oracle: the scalar backtracker the kernel matcher's witnesses "
+        "must equal below the candidate cap"
+    ),
+    "cut_function": "oracle for the cut tables aig/cuts.py simulates",
+    "simulate": (
+        "oracle: one input assignment through the AIG, which the builder "
+        "tests check against arithmetic"
+    ),
+    "orbit": "oracle: the exhaustive orbit the class inventory tests check",
+    "sensitivity": (
+        "oracle: Section II's sen(f), checked against known functions and "
+        "the sensitivity profile"
     ),
     # The paper's Section II definitions, checked against known functions.
     "local_sensitivity": "Definition 4, sen(f, X)",
@@ -60,6 +74,15 @@ KEPT = {
         "call it"
     ),
     "wait_until": "perfbench/workloads.py polls its daemons with it",
+    "random_tables": "perfbench/workloads.py builds its libraries with it",
+    "miss_heavy_queries": "perfbench/workloads.py builds serve-learn traffic",
+    "with_repeats": "perfbench/workloads.py builds serve-learn traffic",
+    "enumerate_cuts": "benchmarks/bench_cut_enumeration.py calls it",
+    "osv_histogram": "benchmarks/bench_table1_signatures.py calls it",
+    "build_exhaustive_library": (
+        "examples/class_library.py, persistent_library.py and "
+        "service_roundtrip.py call it"
+    ),
     "clear_memory_cache": "test isolation hook: drops the cached gather tables",
     # Registered classifiers: get_classifier reaches them by name.
     "FacePointKeyed": (
@@ -86,38 +109,35 @@ UNIMPORTED = {
 }
 
 
-def _skipped_lines(tree: ast.Module) -> set[int]:
-    """Line numbers of import statements and ``__all__`` assignments."""
-    skipped: set[int] = set()
+def _code_names(tree: ast.AST, line: int | None = None):
+    """``(name, line)`` of every name and attribute in ``tree``'s code,
+    quoted annotations parsed as code at their own line."""
     for node in ast.walk(tree):
-        if isinstance(node, (ast.Import, ast.ImportFrom)) or (
-            isinstance(node, (ast.Assign, ast.AnnAssign))
-            and any(
-                isinstance(target, ast.Name) and target.id == "__all__"
-                for target in (
-                    node.targets if isinstance(node, ast.Assign) else [node.target]
-                )
-            )
-        ):
-            skipped.update(range(node.lineno, node.end_lineno + 1))
-    return skipped
+        if isinstance(node, ast.Name):
+            yield node.id, line or node.lineno
+        elif isinstance(node, ast.Attribute):
+            yield node.attr, line or node.lineno
+        annotations = [getattr(node, "returns", None)]
+        annotations.append(getattr(node, "annotation", None))
+        for annotation in annotations:
+            if isinstance(annotation, ast.Constant) and isinstance(
+                annotation.value, str
+            ):
+                quoted = ast.parse(annotation.value, mode="eval")
+                yield from _code_names(quoted, line or annotation.lineno)
 
 
 @functools.cache
 def _uncalled_definitions(root: Path = SRC) -> tuple[tuple[str, int, str], ...]:
     """``(path, line, name)`` of every definition under ``root`` that no
-    other line there names."""
+    other line there uses in code."""
     lines_naming = defaultdict(set)  # name -> {(path, line)}
     definitions = []
     for path in sorted(root.rglob("*.py")):
-        text = path.read_text()
-        tree = ast.parse(text)
-        skipped = _skipped_lines(tree)
+        tree = ast.parse(path.read_text())
         relative = str(path.relative_to(root.parent))
-        for number, line in enumerate(text.splitlines(), 1):
-            if number not in skipped:
-                for word in set(re.findall(r"\w+", line)):
-                    lines_naming[word].add((relative, number))
+        for name, line in _code_names(tree):
+            lines_naming[name].add((relative, line))
         definitions += [
             (relative, node.lineno, node.name)
             for node in tree.body
@@ -208,18 +228,30 @@ def test_scan_ignores_import_and_all_lines(tmp_path):
     assert _scan(tmp_path, files) == ["helper"]
 
 
-def test_scan_counts_a_mention_on_any_other_line(tmp_path):
-    """Calls, attribute access and comments all count; the scan is textual."""
+def test_scan_counts_code_mentions_only(tmp_path):
+    """Calls, attribute access and bare names count; a comment, a
+    docstring or a string naming a definition does not."""
     files = {
         "a.py": (
             "def f():\n    pass\n\n\ndef g():\n    pass\n\n\n"
-            "class K:\n    pass\n"
+            "class K:\n    pass\n\n\ndef h():\n    pass\n\n\n"
+            "def s():\n    pass\n"
         ),
         "b.py": (
             "import pkg.a\n\nvalue = pkg.a.f()\n"
             "# K is kept for the docs\n"
-            "def main():\n    return g\n\n\nmain()\n"
+            "def main():\n    \"\"\"Calls h, but only in prose.\"\"\"\n"
+            "    return g, 's', f\"{value!r} s\"\n\n\nmain()\n"
         ),
+    }
+    assert _scan(tmp_path, files) == ["K", "h", "s"]
+
+
+def test_scan_counts_a_quoted_annotation(tmp_path):
+    """A forward reference in quotes is code, not prose."""
+    files = {
+        "a.py": "class K:\n    pass\n",
+        "b.py": 'def make() -> "K":\n    pass\n\n\nmake()\n',
     }
     assert _scan(tmp_path, files) == []
 

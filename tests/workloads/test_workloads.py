@@ -14,11 +14,10 @@ from repro.workloads.epfl import (
 from repro.workloads.extraction import extract_cut_functions, extraction_report
 from repro.workloads.random_functions import (
     consecutive_tables,
-    hit_miss_queries,
     iter_random_tables,
     random_tables,
-    seeded_equivalent_tables,
 )
+from tests.corpora import hit_miss_queries, seeded_equivalent_tables
 
 
 class TestSuite:
@@ -160,13 +159,6 @@ class TestRandomSets:
 
 
 class TestHitMissQueries:
-    def test_deterministic_and_sized(self):
-        corpus_a, queries_a = hit_miss_queries(5, 30, 20, seed=11)
-        corpus_b, queries_b = hit_miss_queries(5, 30, 20, seed=11)
-        assert corpus_a == corpus_b and queries_a == queries_b
-        assert len(corpus_a) == 30 and len(queries_a) == 50
-        assert corpus_a == random_tables(5, 30, seed=11)
-
     def test_hits_require_real_witness_searches(self):
         """Hit queries are NPN images of corpus tables, not the tables
         themselves — the library identity short-circuit must not fire."""
