@@ -248,7 +248,8 @@ def _simulate(
     entry_position = np.arange(len(flat)) - starts[entry_cut]
     net = _Netlist(aig, fanins)
     words = np.left_shift(1, np.maximum(sizes - 6, 0))
-    for width in np.unique(words).tolist():
+    # A set, not np.unique: np.unique imports numpy.ma (about 1 MiB).
+    for width in sorted(set(words.tolist())):
         columns = np.flatnonzero(words == width)
         projections = _projections(width)
         for block in _blocks(roots[columns], flat[starts[columns]], width):

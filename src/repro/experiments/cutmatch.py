@@ -11,8 +11,8 @@ index), and which classes absorb the most cuts.
 Matching is deduplicated on the raw truth table across the whole run
 and batched: every circuit's cuts come from one
 :func:`~repro.aig.cuts.cut_arrays` call (root, size and table arrays),
-the ``(size, table)`` rows of all circuits are deduplicated with
-``np.unique``, and only the distinct functions become
+the ``(size, table)`` rows of all circuits are deduplicated by one
+sort, and only the distinct functions become
 :class:`~repro.core.truth_table.TruthTable` objects, resolved in one
 :meth:`~repro.library.ClassLibrary.match_many` call.  A function
 appearing at hundreds of nodes is resolved once — at ``n <= 5`` by its
@@ -60,14 +60,10 @@ def run_cut_matching(
         for cuts in (cut_arrays(circuits[name], sizes, max_cuts) for name in names)
     ]
     occurrences = np.concatenate(keys) if keys else np.zeros((0, 2), np.uint64)
-    _, first, inverse = np.unique(
-        occurrences, axis=0, return_index=True, return_inverse=True
-    )
-    # Distinct functions numbered in order of first occurrence.
-    function_of = np.argsort(np.argsort(first))[inverse.reshape(-1)]
+    function_of, first = _number_rows(occurrences)
     distinct = [
         TruthTable(int(row[0]), int.from_bytes(row[1:].tobytes(), "little"))
-        for row in occurrences[np.sort(first)]
+        for row in occurrences[first]
     ]
     # Classes numbered in order of first hit, as the counter lists them.
     class_ids: dict[str, int] = {}
@@ -124,16 +120,37 @@ def class_hit_rows(
     return rows
 
 
+def _number_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct rows numbered in order of first occurrence.
+
+    Returns ``(number, first)``: each row's number, and the index of
+    each number's first row.  A stable lexicographic sort stands in for
+    ``np.unique(axis=0)``, which imports ``numpy.ma`` (about 1 MiB).
+    """
+    order = np.lexsort(rows.T[::-1])
+    ordered = rows[order]
+    starts = np.ones(len(order), dtype=bool)
+    starts[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
+    # The sort is stable, so a run's first row is its earliest.
+    first = order[starts]
+    rank = np.empty(len(first), dtype=np.int64)
+    rank[np.argsort(first)] = np.arange(len(first))
+    number = np.empty(len(order), dtype=np.int64)
+    number[order] = rank[np.cumsum(starts) - 1]
+    return number, np.sort(first)
+
+
 def _row(name: str, functions: np.ndarray, class_of: np.ndarray) -> dict:
     """Summary of one circuit's occurrences, given as distinct-function ids."""
     cuts = len(functions)
     matched = int((class_of[functions] >= 0).sum())
-    unique = np.unique(functions)
+    seen = np.zeros(len(class_of), dtype=bool)
+    seen[functions] = True
     return {
         "circuit": name,
         "cuts": cuts,
         "matched": matched,
         "hit_rate": round(matched / cuts, 4) if cuts else 0.0,
-        "unique_functions": len(unique),
-        "unique_matched": int((class_of[unique] >= 0).sum()),
+        "unique_functions": int(seen.sum()),
+        "unique_matched": int((seen & (class_of >= 0)).sum()),
     }

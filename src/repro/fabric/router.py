@@ -7,14 +7,15 @@ jobs work against it unchanged.  Behind that front it routes:
 
 1. a table op's **shard key** is the hashed flat MSV row of the query
    (:func:`~repro.fabric.ring.shard_key_of` — NPN-invariant, so a query
-   hashes exactly where its class lives).  Keys are computed per
-   event-loop tick, not per request: every table op queued in one tick
-   shares one vectorized :class:`BatchedClassifier` pass (mixed arities
-   included), flushed by a ``call_soon`` callback that resolves each
-   request's future;
+   hashes exactly where its class lives).  Keys are computed per socket
+   read, not per request: the front hands over every parsed request of
+   one read, and all its table ops share one vectorized
+   :class:`BatchedClassifier` pass (mixed arities included);
 2. the consistent-hash ring names the key's owner and replica workers;
-3. the request is dispatched over the owner's pipelined channel, where
-   concurrent requests to the same shard coalesce into burst writes the
+3. the request is queued on the owner's pipelined channel at once, in
+   the same pass, and a done-callback on the reply's future answers it:
+   no coroutine runs unless the first attempt fails.  Requests queued
+   to one shard in one tick leave as one burst write, which the
    worker's micro-batcher folds into packed engine passes;
 4. the channel re-associates the reply by request id; an ok reply is
    relayed as the worker's bytes, its id field swapped for the
@@ -27,7 +28,8 @@ Robustness is the point, and it is layered:
   (:class:`RetryPolicy.timeout_ms`); a stalled worker costs one
   deadline, never a hung client;
 * **retries** — failed attempts (timeout, dead channel, retryable
-  worker error) back off with capped-exponential + full-jitter delays.
+  worker error) back off with capped-exponential + full-jitter delays,
+  in the one coroutine of the data path (:meth:`RouterService._retry`).
   Each attempt goes to the first routable owner (ALIVE before SUSPECT)
   this request has not tried yet, or to the first routable owner once
   all were tried.  After a failure that is the replica holding the same
@@ -42,6 +44,8 @@ Robustness is the point, and it is layered:
 from __future__ import annotations
 
 import asyncio
+import functools
+import itertools
 import logging
 import os
 import time
@@ -102,7 +106,7 @@ _DEGRADED = _REG.counter(
 )
 _SHARD_KEY_SECONDS = _REG.histogram(
     "repro_fabric_shard_key_seconds",
-    "Batched shard-key passes (one per event-loop tick with table ops).",
+    "Batched shard-key passes (one per socket read with table ops).",
 )
 _SHARD_KEY_BATCH = _REG.histogram(
     "repro_fabric_shard_key_batch_size",
@@ -114,6 +118,36 @@ _DISPATCH_SECONDS = _REG.histogram(
     "Per-attempt worker round-trip latency.",
     labels=("worker",),
 )
+
+
+class _Routed:
+    """One routed table op across its dispatch attempts."""
+
+    __slots__ = (
+        "key", "owners", "payload", "trace", "future", "tried", "attempts",
+        "sent", "dispatch_start", "failure", "kind", "reason",
+    )
+
+    def __init__(self, request: Request, key: str, owners, trace) -> None:
+        self.key = key
+        self.owners = owners
+        self.payload = {
+            "op": request.op,
+            "table": f"0x{request.table.to_hex()}",
+            "n": request.table.n,
+        }
+        self.trace = trace
+        self.future = asyncio.get_running_loop().create_future()
+        #: Workers tried, in order; the last is the current attempt's.
+        self.tried: list[str] = []
+        self.attempts = 0
+        #: When the first attempt and the current one were sent.
+        self.dispatch_start = self.sent = 0.0
+        #: The last failure: its message, error type and retry reason.
+        self.failure, self.kind, self.reason = "", "unavailable", ""
+
+    def failed(self, failure: str, kind: str, reason: str) -> None:
+        self.failure, self.kind, self.reason = failure, kind, reason
 
 
 class RouterService(LineProtocolServer):
@@ -157,8 +191,6 @@ class RouterService(LineProtocolServer):
         )
         self.ring: HashRing | None = None
         self.channels: dict[str, WorkerChannel] = {}
-        #: Table ops waiting for this tick's batched shard-key pass.
-        self._key_queue: list[tuple[TruthTable, asyncio.Future]] = []
         self._sweeper: asyncio.Task | None = None
 
     # ------------------------------------------------------------------
@@ -221,18 +253,16 @@ class RouterService(LineProtocolServer):
     # Request resolution
     # ------------------------------------------------------------------
 
-    async def _resolve(
-        self, request: Request, trace=None
-    ) -> dict | EncodedOk:
+    def _resolve(self, request: Request, trace=None) -> dict:
+        """Answer ``ping`` and the control plane; table ops are routed
+        by :meth:`_resolve_all`."""
         if request.op == "ping":
             return {
                 "pong": True,
                 "role": "router",
                 "workers": self.registry.counts(),
             }
-        if request.op in FABRIC_OPS:
-            return self._control(request)
-        return await self._route_table_op(request, trace)
+        return self._control(request)
 
     # ------------------------ control plane ----------------------------
 
@@ -308,61 +338,64 @@ class RouterService(LineProtocolServer):
 
     # ------------------------- data plane ------------------------------
 
-    def _shard_key(self, table: TruthTable) -> asyncio.Future:
-        """The table's shard key, from this tick's batched pass."""
-        loop = asyncio.get_running_loop()
-        future = loop.create_future()
-        if not self._key_queue:
-            loop.call_soon(self._flush_shard_keys)
-        self._key_queue.append((table, future))
-        return future
+    def _resolve_all(self, requests: list[Request], traces: list) -> list:
+        """Key every table op of one read in one pass, then route each."""
+        tables = [r.table for r in requests if r.table is not None]
+        if not tables:
+            return super()._resolve_all(requests, traces)
+        route_start = time.perf_counter()
+        keys = self._shard_keys(tables)
+        if isinstance(keys, ProtocolError):
+            keys = itertools.repeat(keys)
+        keys = iter(keys)
+        results = []
+        for request, trace in zip(requests, traces):
+            if request.table is None:
+                results.append(self._resolve_one(request, trace))
+                continue
+            key = next(keys)
+            results.append(
+                key if isinstance(key, ProtocolError)
+                else self._route(request, key, trace, route_start)
+            )
+        return results
 
-    def _flush_shard_keys(self) -> None:
-        """Key every table op queued this tick in one vectorized pass.
+    def _shard_keys(self, tables: list[TruthTable]) -> list[str] | ProtocolError:
+        """The shard keys of ``tables``, from one vectorized pass.
 
-        Futures whose requests were cancelled meanwhile are skipped; if
-        the pass fails, every request of the tick answers a typed
-        ``internal`` error and the next tick starts afresh.
+        If the pass fails, every table of it answers a typed
+        ``internal`` error and the next read starts afresh.
         """
-        queued, self._key_queue = self._key_queue, []
-        pending = [(table, fut) for table, fut in queued if not fut.done()]
-        if not pending:
-            return
         t0 = time.perf_counter()
         try:
-            rows = BatchedClassifier().signatures(
-                [table for table, _ in pending]
-            )
+            rows = BatchedClassifier().signatures(tables)
             # Hashed here rather than through ring.shard_keys: one call
             # of this module's shard_key_of per routed request is what
             # perfbench's traced run counts against the
             # repro_fabric_requests_total series.
-            keys = [
-                shard_key_of(table.n, row)
-                for (table, _), row in zip(pending, rows)
+            return [
+                shard_key_of(table.n, row) for table, row in zip(tables, rows)
             ]
-        except Exception as exc:  # engine bug — fail the tick, not the router
+        except Exception as exc:  # engine bug — fail the read, not the router
             logging.getLogger("repro.fabric.router").exception(
-                "shard-key pass over %d requests failed", len(pending)
+                "shard-key pass over %d requests failed", len(tables)
             )
-            message = f"shard-key pass failed: {exc!r}"
-            for _, future in pending:
-                future.set_exception(ProtocolError("internal", message))
-            return
+            return ProtocolError("internal", f"shard-key pass failed: {exc!r}")
         finally:
             _SHARD_KEY_SECONDS.observe(time.perf_counter() - t0)
-            _SHARD_KEY_BATCH.observe(len(pending))
-        for (_, future), key in zip(pending, keys):
-            future.set_result(key)
+            _SHARD_KEY_BATCH.observe(len(tables))
 
-    async def _route_table_op(
-        self, request: Request, trace=None
-    ) -> EncodedOk:
-        route_start = time.perf_counter()
-        key = await self._shard_key(request.table)
+    def _route(
+        self, request: Request, key: str, trace, route_start: float
+    ) -> asyncio.Future | ProtocolError:
+        """Send one keyed table op to its shard; its reply's future.
+
+        The first attempt is dispatched here and finished by a callback;
+        only a failed attempt starts a coroutine (:meth:`_retry`).
+        """
         if self.ring is None:
             _DEGRADED.inc()
-            raise ProtocolError(
+            return ProtocolError(
                 "shard_unavailable",
                 "no workers have registered with this router yet",
             )
@@ -374,92 +407,148 @@ class RouterService(LineProtocolServer):
                 time.perf_counter(),
                 {"shard": key, "owners": ",".join(owners)},
             )
-        payload = {
-            "op": request.op,
-            "table": f"0x{request.table.to_hex()}",
-            "n": request.table.n,
-        }
-        delays = self.policy.delays()
-        dispatch_start = time.perf_counter()
-        failure: str = ""
-        failure_kind: str = "unavailable"
-        tried: set[str] = set()
-        for attempt in range(self.policy.attempts):
-            routable = self.registry.routable(owners)
-            if not routable:
-                _DEGRADED.inc()
-                raise ProtocolError(
-                    "shard_unavailable",
-                    f"no live worker holds shard {key} "
-                    f"(owners: {', '.join(owners)}); degraded until one "
-                    f"re-registers",
-                )
-            worker = next((w for w in routable if w not in tried), routable[0])
-            tried.add(worker)
-            try:
-                reply = await self._dispatch_to(
-                    worker, payload, self.policy.timeout_s
-                )
-            except DispatchTimeout as exc:
-                failure, failure_kind, reason = str(exc), "timeout", "timeout"
-            except ChannelClosed as exc:
-                failure, failure_kind = str(exc), "unavailable"
-                reason = "channel_closed"
-            else:
-                if isinstance(reply, EncodedOk):
-                    if trace is not None:
-                        trace.add_span(
-                            "dispatch",
-                            dispatch_start,
-                            time.perf_counter(),
-                            {"worker": worker, "attempts": attempt + 1},
-                        )
-                    return reply
-                error = reply.get("error", {})
-                error_type = error.get("type", "internal")
-                message = error.get("message", "")
-                if error_type not in RETRYABLE_WORKER_ERRORS:
-                    raise ProtocolError(
-                        error_type if error_type in ERROR_TYPES else "internal",
-                        f"worker {worker}: {message}",
-                    )
-                failure = f"worker {worker}: [{error_type}] {message}"
-                failure_kind, reason = "unavailable", error_type
-            if attempt + 1 < self.policy.attempts:
-                # Only a re-dispatch is a retry; the last failure is not.
-                _RETRIES.inc(reason=reason)
-                await asyncio.sleep(next(delays))
-        raise ProtocolError(
-            failure_kind,
-            f"shard {key} gave no answer after {self.policy.attempts} "
-            f"attempts; last failure: {failure}",
-        )
-
-    async def _dispatch_to(
-        self, worker_id: str, payload: dict, timeout: float | None
-    ) -> EncodedOk | dict:
-        channel = self._channel(worker_id)
-        t0 = time.perf_counter()
+        call = _Routed(request, key, owners, trace)
+        call.dispatch_start = time.perf_counter()
         try:
-            reply = await channel.request(payload, timeout)
-        except ChannelClosed:
+            reply = self._send(call)
+        except ProtocolError as exc:
+            return exc
+        except ChannelClosed as exc:
+            call.failed(str(exc), "unavailable", "channel_closed")
+            self._after_failure(call)
+        else:
+            reply.add_done_callback(functools.partial(self._first_reply, call))
+        return call.future
+
+    def _send(self, call: "_Routed") -> asyncio.Future:
+        """Dispatch the next attempt of ``call``: the worker reply's future.
+
+        The attempt goes to the first routable owner (ALIVE before
+        SUSPECT) the call has not tried yet, or to the first routable
+        owner once all were tried.
+        """
+        routable = self.registry.routable(call.owners)
+        if not routable:
+            _DEGRADED.inc()
+            raise ProtocolError(
+                "shard_unavailable",
+                f"no live worker holds shard {call.key} "
+                f"(owners: {', '.join(call.owners)}); degraded until one "
+                f"re-registers",
+            )
+        worker = next((w for w in routable if w not in call.tried), routable[0])
+        call.tried.append(worker)
+        call.attempts += 1
+        channel = self._channel(worker)
+        call.sent = time.perf_counter()
+        return channel.request(call.payload, self.policy.timeout_s)
+
+    def _first_reply(self, call: "_Routed", reply: asyncio.Future) -> None:
+        """Done-callback of a first attempt: relay it or start retrying."""
+        try:
+            answer = self._outcome(call, reply)
+        except Exception as exc:  # the worker's own refusal (ProtocolError)
+            call.future.set_exception(exc)
+            return
+        if answer is not None:
+            self._answered(call, answer)
+        else:
+            self._after_failure(call)
+
+    def _after_failure(self, call: "_Routed") -> None:
+        """Retry a failed first attempt, or fail the call if it was the only one."""
+        if self.policy.attempts > 1:
+            asyncio.ensure_future(self._retry(call))
+        else:
+            call.future.set_exception(self._exhausted(call))
+
+    async def _retry(self, call: "_Routed") -> None:
+        """Re-dispatch ``call`` after a failed attempt, with backoff.
+
+        After a failure that is the replica holding the same shard, so
+        the answer is the same verified witness.
+        """
+        delays = self.policy.delays()
+        try:
+            while call.attempts < self.policy.attempts:
+                # Only a re-dispatch is a retry; the last failure is not.
+                _RETRIES.inc(reason=call.reason)
+                await asyncio.sleep(next(delays))
+                try:
+                    reply = self._send(call)
+                except ChannelClosed as exc:
+                    call.failed(str(exc), "unavailable", "channel_closed")
+                    continue
+                await asyncio.wait((reply,))
+                answer = self._outcome(call, reply)
+                if answer is not None:
+                    self._answered(call, answer)
+                    return
+            call.future.set_exception(self._exhausted(call))
+        except Exception as exc:  # a refusal ends the retries (ProtocolError)
+            call.future.set_exception(exc)
+
+    def _outcome(
+        self, call: "_Routed", reply: asyncio.Future
+    ) -> EncodedOk | None:
+        """Account one finished attempt: its ok reply, or ``None`` once
+        a retryable failure is noted on ``call``.
+
+        A worker error that is not worth a retry raises as the client's
+        :class:`ProtocolError`.
+        """
+        worker = call.tried[-1]
+        _DISPATCH_SECONDS.observe(time.perf_counter() - call.sent, worker=worker)
+        error = reply.exception()
+        if isinstance(error, DispatchTimeout):
+            _DISPATCHES.inc(outcome="timeout")
+            self.registry.mark_suspect(worker)
+            call.failed(str(error), "timeout", "timeout")
+            return None
+        if isinstance(error, ChannelClosed):
             _DISPATCHES.inc(outcome="channel_closed")
             # A dead channel is evidence of a dead worker well before the
             # heartbeat ladder notices.
-            self.registry.mark_suspect(worker_id)
-            raise
-        except DispatchTimeout:
-            _DISPATCHES.inc(outcome="timeout")
-            self.registry.mark_suspect(worker_id)
-            raise
-        finally:
-            _DISPATCH_SECONDS.observe(
-                time.perf_counter() - t0, worker=worker_id
+            self.registry.mark_suspect(worker)
+            call.failed(str(error), "unavailable", "channel_closed")
+            return None
+        if error is not None:
+            raise error
+        answer = reply.result()
+        if isinstance(answer, EncodedOk):
+            _DISPATCHES.inc(outcome="ok")
+            return answer
+        _DISPATCHES.inc(outcome="worker_error")
+        error = answer.get("error", {})
+        error_type = error.get("type", "internal")
+        message = error.get("message", "")
+        if error_type not in RETRYABLE_WORKER_ERRORS:
+            raise ProtocolError(
+                error_type if error_type in ERROR_TYPES else "internal",
+                f"worker {worker}: {message}",
             )
-        _DISPATCHES.inc(
-            outcome="ok" if isinstance(reply, EncodedOk) else "worker_error"
+        call.failed(
+            f"worker {worker}: [{error_type}] {message}", "unavailable",
+            error_type,
         )
-        return reply
+        return None
+
+    def _answered(self, call: "_Routed", answer: EncodedOk) -> None:
+        if call.trace is not None:
+            call.trace.add_span(
+                "dispatch",
+                call.dispatch_start,
+                time.perf_counter(),
+                {"worker": call.tried[-1], "attempts": call.attempts},
+            )
+        call.future.set_result(answer)
+
+    def _exhausted(self, call: "_Routed") -> ProtocolError:
+        return ProtocolError(
+            call.kind,
+            f"shard {call.key} gave no answer after {self.policy.attempts} "
+            f"attempts; last failure: {call.failure}",
+        )
 
     def _channel(self, worker_id: str) -> WorkerChannel:
         address = self.registry.address_of(worker_id)

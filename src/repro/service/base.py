@@ -10,11 +10,15 @@ identical between them:
 * listener lifecycle (bind, graceful drain on SIGTERM/SIGINT, the
   parseable ready/exit banner lines);
 * connection tracking and teardown;
-* NDJSON framing — one reply task per line, bounded in-flight replies
-  so a write-only client cannot grow the daemon's buffers, and one
-  ``write`` per event-loop tick carrying every reply line the
-  connection's tasks queued in it (flushed before the connection
-  closes; HTTP responses are written directly);
+* NDJSON framing by the read — each socket read is split into lines
+  (its unterminated rest waits for the next read), every line is
+  parsed and resolved in the same pass, and a reply still pending is
+  answered by a done-callback on its future: no task, ``readline`` or
+  ``drain`` per request.  Outstanding replies are bounded so a
+  write-only client cannot grow the daemon's buffers; reply lines
+  queued in one event-loop tick leave in one ``write`` (flushed before
+  the connection closes; HTTP responses are written directly), and
+  the connection drains once per read;
 * the request front — parse, trace (``decode`` and ``reply`` spans),
   count, resolve, reply — for NDJSON lines and for the HTTP routes
   ``GET /v1/stats``, ``GET /v1/trace/recent``, ``POST /v1/classify``
@@ -29,7 +33,10 @@ Subclasses set :attr:`~LineProtocolServer.tracer` and provide the
 *meaning* of a request via these hooks:
 
 ``_resolve(request, trace)``
-    answer one parsed request other than ``stats``;
+    answer one parsed request other than ``stats``, at once or by a
+    future;
+``_payload(request, value)``
+    the reply payload of a future's value;
 ``_healthz()``
     the ``GET /healthz`` body;
 ``_stats_snapshot()``
@@ -42,7 +49,9 @@ Subclasses set :attr:`~LineProtocolServer.tracer` and provide the
 from __future__ import annotations
 
 import asyncio
+import functools
 import json
+import logging
 import signal
 import time
 
@@ -60,25 +69,38 @@ from repro.service.protocol import (
 __all__ = ["LineProtocolServer", "best_effort_id", "query_int"]
 
 #: Most un-replied requests one connection may have in flight; beyond it
-#: the read loop pauses until a reply completes.  Together with the
-#: per-reply ``drain()`` this bounds the daemon's memory per connection
-#: even against a client that pipelines forever without reading.
+#: the connection stops reading until a reply completes.  Together with
+#: the drain after every read this bounds the daemon's memory per
+#: connection even against a client that pipelines forever without
+#: reading.
 MAX_INFLIGHT_REPLIES = 1024
+
+#: Most bytes one NDJSON read takes from the socket.
+READ_BYTES = 1 << 16
+
+#: Longest line, CR included and newline excluded, the framing accepts;
+#: a longer one answers ``payload_too_large`` and closes the connection.
+FRAME_LIMIT = MAX_LINE_BYTES + 2
 
 
 class _ReplyLines:
-    """The NDJSON reply lines of one connection not yet written.
+    """The NDJSON reply side of one connection.
 
     The first line queued in an event-loop tick schedules a flush for
     the next one, so the replies of one coalescer batch (or one burst of
-    routed replies) leave in a single ``write``.
+    routed replies) leave in a single ``write``.  ``outstanding`` counts
+    the requests whose reply still waits on a future.
     """
 
-    __slots__ = ("writer", "lines")
+    __slots__ = ("writer", "lines", "outstanding", "_waiter")
 
     def __init__(self, writer: asyncio.StreamWriter) -> None:
         self.writer = writer
         self.lines: list[bytes] = []
+        self.outstanding = 0
+        #: ``(bound, future)`` of a reader waiting for ``outstanding`` to
+        #: fall to ``bound``.
+        self._waiter: tuple[int, asyncio.Future] | None = None
 
     def put(self, line: bytes) -> None:
         if not self.lines:
@@ -95,6 +117,22 @@ class _ReplyLines:
         """Write what is queued, then close the connection."""
         self.flush()
         self.writer.close()
+
+    def settle(self) -> None:
+        """One outstanding request got its reply."""
+        self.outstanding -= 1
+        waiter = self._waiter
+        if waiter is not None and self.outstanding <= waiter[0]:
+            self._waiter = None
+            if not waiter[1].done():
+                waiter[1].set_result(None)
+
+    async def outstanding_at_most(self, bound: int) -> None:
+        """Wait until at most ``bound`` requests are outstanding."""
+        while self.outstanding > bound:
+            future = asyncio.get_running_loop().create_future()
+            self._waiter = (bound, future)
+            await future
 
 
 _REG = obs.registry()
@@ -134,11 +172,16 @@ class LineProtocolServer:
     # Subclass hooks
     # ------------------------------------------------------------------
 
-    async def _resolve(
+    def _resolve(
         self, request: Request, trace=None
-    ) -> dict | protocol.EncodedOk:
-        """The result payload of one request other than ``stats``."""
+    ) -> dict | protocol.EncodedOk | asyncio.Future:
+        """The result of one request other than ``stats``: its payload,
+        or a future whose value :meth:`_payload` turns into it."""
         raise NotImplementedError
+
+    def _payload(self, request: Request, value) -> dict | protocol.EncodedOk:
+        """The payload of a resolved future's ``value``."""
+        return value
 
     def _healthz(self) -> dict:
         """The ``GET /healthz`` body."""
@@ -191,8 +234,8 @@ class LineProtocolServer:
             )
             if pending:
                 # A client that stopped reading keeps close() from ever
-                # flushing, and its reply writes wait in drain() for good:
-                # drop the unsent bytes so those writes fail.
+                # flushing, and its connection waits in drain() for good:
+                # drop the unsent bytes so the drain fails.
                 for writer in list(self._replies):
                     writer.transport.abort()
             for task in pending:
@@ -254,7 +297,7 @@ class LineProtocolServer:
             try:
                 first = await self._read_line(reader)
             except ProtocolError as exc:
-                await self._reject_line(replies, None, exc)
+                self._reject_line(replies, None, exc)
                 return
             if first is None:
                 return
@@ -284,14 +327,15 @@ class LineProtocolServer:
                 pass
 
     async def _read_line(self, reader: asyncio.StreamReader) -> bytes | None:
-        """One line, or ``None`` on EOF; typed error when over the limit."""
+        """One line, or ``None`` on EOF; typed error when over the limit.
+
+        Only the protocol sniff and HTTP headers read lines; NDJSON
+        connections read whole chunks (:meth:`_serve_ndjson`).
+        """
         try:
             line = await reader.readline()
         except ValueError:
-            raise ProtocolError(
-                "payload_too_large",
-                f"request line exceeds {MAX_LINE_BYTES} bytes",
-            ) from None
+            raise protocol.line_too_large() from None
         return line if line else None
 
     # -------------------------- NDJSON path ---------------------------
@@ -302,119 +346,222 @@ class LineProtocolServer:
         reader: asyncio.StreamReader,
         replies: _ReplyLines,
     ) -> None:
-        tasks: set[asyncio.Task] = set()
-        line: bytes | None = first
+        """Answer NDJSON by the read: split each chunk, answer its lines.
+
+        The unterminated rest of a chunk waits for the next one; at EOF
+        it is the last line.  Each read's sure replies leave in one
+        write, then the connection drains once before reading on.
+        """
+        tail, chunk = b"", first
         try:
-            while line is not None:
-                if line.strip():
-                    task = asyncio.ensure_future(self._answer_line(replies, line))
-                    tasks.add(task)
-                    task.add_done_callback(tasks.discard)
-                    if len(tasks) >= MAX_INFLIGHT_REPLIES:
-                        # Stop reading until the client consumes replies:
-                        # reply tasks block on drain(), so a client that
-                        # writes but never reads parks here instead of
-                        # growing the daemon's buffers.
-                        await asyncio.wait(
-                            tasks, return_when=asyncio.FIRST_COMPLETED
-                        )
-                try:
-                    line = await self._read_line(reader)
-                except ProtocolError as exc:
-                    # Framing is lost beyond an oversized line: reply,
-                    # then hang up instead of guessing where it ends.
-                    await self._reject_line(replies, None, exc)
+            while chunk:
+                lines = (tail + chunk).split(b"\n")
+                tail = lines.pop()
+                if len(tail) > FRAME_LIMIT:
+                    lines.append(tail)  # refused, then the connection ends
+                if not await self._answer_lines(replies, lines, 1):
                     return
+                replies.flush()
+                try:
+                    await replies.writer.drain()
+                except (ConnectionResetError, BrokenPipeError, OSError):
+                    pass  # client went away; the read below sees EOF
+                chunk = await reader.read(READ_BYTES)
+            if tail:
+                await self._answer_lines(replies, [tail], 0)
         finally:
-            if tasks:
-                await asyncio.gather(*tasks, return_exceptions=True)
+            await replies.outstanding_at_most(0)
             replies.flush()
             try:
                 await replies.writer.drain()
             except (ConnectionResetError, BrokenPipeError, OSError):
                 pass
 
-    async def _answer_line(self, replies: _ReplyLines, line: bytes) -> None:
-        """Resolve one NDJSON request line and write its reply line."""
-        t0 = asyncio.get_running_loop().time()
-        trace = self.tracer.start("?", transport="ndjson")
-        decode_start = time.perf_counter()
-        try:
-            request = protocol.parse_request(line, allowed_ops=self.allowed_ops)
-        except ProtocolError as exc:
+    async def _answer_lines(
+        self, replies: _ReplyLines, lines: list[bytes], newline: int
+    ) -> bool:
+        """Answer ``lines`` (each ``newline`` byte short of the wire line)
+        in slices that keep the outstanding replies within
+        :data:`MAX_INFLIGHT_REPLIES`; False once a line broke the framing.
+        """
+        start = 0
+        while start < len(lines):
+            room = MAX_INFLIGHT_REPLIES - replies.outstanding
+            if room <= 0:
+                # Stop reading until replies complete: a client that
+                # writes but never reads parks here instead of growing
+                # the daemon's buffers.
+                await replies.outstanding_at_most(MAX_INFLIGHT_REPLIES - 1)
+                continue
+            part = lines[start:start + room]
+            start += len(part)
+            if not self._answer_part(replies, part, newline):
+                return False
+        return True
+
+    def _answer_part(
+        self, replies: _ReplyLines, lines: list[bytes], newline: int
+    ) -> bool:
+        """Parse, resolve and answer lines of one read, all in this tick.
+
+        Parse errors and ready results are answered at once; a result
+        still pending is answered by its future's done-callback.
+        """
+        t0 = time.monotonic()
+        requests: list[Request] = []
+        traces: list = []
+        framed = True
+        for line in lines:
+            if not line.strip():
+                continue
+            if len(line) > FRAME_LIMIT:
+                framed = False
+                break
+            trace = self.tracer.start("?", transport="ndjson")
             if trace is not None:
-                trace.op = "invalid"
-                trace.annotate(error=exc.error_type)
+                decode_start = time.perf_counter()
+            try:
+                if len(line) + newline > MAX_LINE_BYTES:
+                    raise protocol.line_too_large()
+                request = protocol.parse_request(
+                    line, allowed_ops=self.allowed_ops
+                )
+            except ProtocolError as exc:
+                if trace is not None:
+                    trace.op = "invalid"
+                    trace.annotate(error=exc.error_type)
+                    self.tracer.finish(trace)
+                self._reject_line(replies, best_effort_id(line), exc)
+                continue
+            if trace is not None:
+                trace.op = request.op
+                trace.add_span("decode", decode_start, time.perf_counter())
+            self.requests_counter.inc(op=request.op)
+            requests.append(request)
+            traces.append(trace)
+        if requests:
+            results = self._resolve_all(requests, traces)
+            for request, trace, result in zip(requests, traces, results):
+                if isinstance(result, asyncio.Future) and not result.done():
+                    replies.outstanding += 1
+                    result.add_done_callback(functools.partial(
+                        self._answer_later, replies, request, trace, t0
+                    ))
+                else:
+                    self._answer_with(replies, request, trace, t0, result)
+        if not framed:
+            # Framing is lost beyond an oversized line: reply, then hang
+            # up instead of guessing where it ends.
+            self._reject_line(replies, None, protocol.line_too_large())
+        return framed
+
+    def _answer_later(
+        self,
+        replies: _ReplyLines,
+        request: Request,
+        trace,
+        t0: float,
+        future: asyncio.Future,
+    ) -> None:
+        """Done-callback of a pending result: answer it."""
+        replies.settle()
+        self._answer_with(replies, request, trace, t0, future)
+
+    def _answer_with(
+        self, replies: _ReplyLines, request: Request, trace, t0: float, result
+    ) -> None:
+        """Queue the reply line of one resolved NDJSON request."""
+        if isinstance(result, asyncio.Future):
+            result = self._result_of(request, result)
+        if isinstance(result, ProtocolError):
+            if trace is not None:
+                trace.annotate(error=result.error_type)
                 self.tracer.finish(trace)
-            await self._reject_line(replies, best_effort_id(line), exc)
+            self._reject_line(replies, request.id, result)
             return
+        _LATENCY.observe(time.monotonic() - t0)
         if trace is not None:
-            trace.op = request.op
-            trace.add_span("decode", decode_start, time.perf_counter())
-        try:
-            result = await self._answer(request, trace, t0)
-        except ProtocolError as exc:
-            await self._reject_line(replies, request.id, exc)
-            return
-        reply_start = time.perf_counter()
+            reply_start = time.perf_counter()
         if isinstance(result, protocol.EncodedOk):
             line = result.line(request.id)
         else:
             line = protocol.encode_line(
                 protocol.ok_reply(request.id, request.op, result)
             )
-        await self._reply(replies, line)
+        replies.put(line)
         if trace is not None:
             trace.add_span("reply", reply_start, time.perf_counter())
             self.tracer.finish(trace)
 
+    # ---------------------- resolution (both fronts) -------------------
+
+    def _resolve_all(self, requests: list[Request], traces: list) -> list:
+        """Resolve the parsed requests of one read, in order.
+
+        Each result is a payload, a future of what :meth:`_result_of`
+        turns into one, or the :class:`ProtocolError` refusing the
+        request.  The router overrides this to key a read's table ops
+        in one pass.
+        """
+        return [
+            self._resolve_one(request, trace)
+            for request, trace in zip(requests, traces)
+        ]
+
+    def _resolve_one(self, request: Request, trace):
+        """One request's entry of :meth:`_resolve_all`."""
+        try:
+            if request.op == "stats":
+                return self._stats_snapshot()
+            return self._resolve(request, trace)
+        except ProtocolError as exc:
+            return exc
+
+    def _result_of(
+        self, request: Request, future: asyncio.Future
+    ) -> dict | protocol.EncodedOk | ProtocolError:
+        """The payload of a finished future, or the error refusing it."""
+        try:
+            return self._payload(request, future.result())
+        except ProtocolError as exc:
+            return exc
+        except Exception as exc:  # a bug below the front: answer, keep serving
+            logging.getLogger("repro.service").exception(
+                "%s request failed", request.op
+            )
+            return ProtocolError("internal", f"request failed: {exc!r}")
+
     async def _answer(
         self, request: Request, trace, t0: float
     ) -> dict | protocol.EncodedOk:
-        """Count, resolve and time one parsed request (both fronts).
+        """Count, resolve and time one parsed HTTP request.
 
-        A failure finishes the trace and propagates; the caller's reject
+        A failure finishes the trace and raises; the caller's reject
         path counts the error.
         """
         self.requests_counter.inc(op=request.op)
-        try:
-            if request.op == "stats":
-                result = self._stats_snapshot()
-            else:
-                result = await self._resolve(request, trace)
-        except ProtocolError as exc:
+        (result,) = self._resolve_all([request], [trace])
+        if isinstance(result, asyncio.Future):
+            await asyncio.wait((result,))
+            result = self._result_of(request, result)
+        if isinstance(result, ProtocolError):
             if trace is not None:
-                trace.annotate(error=exc.error_type)
+                trace.annotate(error=result.error_type)
                 self.tracer.finish(trace)
-            raise
-        _LATENCY.observe(asyncio.get_running_loop().time() - t0)
+            raise result
+        _LATENCY.observe(time.monotonic() - t0)
         return result
 
-    async def _reject_line(
+    def _reject_line(
         self,
         replies: _ReplyLines,
         request_id: object,
         exc: ProtocolError,
     ) -> None:
         _ERRORS.inc(type=exc.error_type)
-        await self._reply(replies, protocol.encode_line(
+        replies.put(protocol.encode_line(
             protocol.error_reply(request_id, exc.error_type, exc.message)
         ))
-
-    async def _reply(self, replies: _ReplyLines, line: bytes) -> None:
-        """Queue one reply line + drain (flow control against slow readers).
-
-        The drain waits while the transport's buffer is above its high
-        water mark, so at most one tick of queued lines lands on a
-        client that does not read.
-        """
-        replies.put(line)
-        if replies.writer.transport.is_closing():
-            return
-        try:
-            await replies.writer.drain()
-        except (ConnectionResetError, BrokenPipeError, OSError):
-            pass  # client went away; the read loop will see EOF
 
     async def _write(self, writer: asyncio.StreamWriter, payload: bytes) -> None:
         """One whole HTTP response write + drain."""

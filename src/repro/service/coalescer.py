@@ -11,7 +11,8 @@ coalescer wins it back:
    until death);
 2. a single worker task gathers whatever is queued, up to ``max_batch``
    requests, waiting at most ``max_wait_ms`` for stragglers once the
-   first request of a batch arrived;
+   first request of a batch arrived — one timer per batch, woken early
+   only when the queue holds enough to fill it;
 3. the batch's ``match`` requests are resolved by one
    :meth:`ClassLibrary.match_many` call, which signs the queries it
    needs signed itself, off the event loop on a dedicated executor
@@ -160,6 +161,10 @@ class Coalescer:
         )
         self._worker: asyncio.Task | None = None
         self._closed = False
+        #: The wait of a batch short of ``max_batch``, and how many more
+        #: requests would fill it.
+        self._waiter: asyncio.Future | None = None
+        self._wanted = 0
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -190,6 +195,7 @@ class Coalescer:
         # queue space on an overloaded daemon — that is fine, drain is
         # allowed to take as long as the backlog does.
         await self._queue.put(_CLOSE)
+        self._wake()
         if self._worker is not None:
             await self._worker
         self._executor.shutdown(wait=True)
@@ -258,6 +264,8 @@ class Coalescer:
                 f"pending queue is full ({self._queue.maxsize} requests); "
                 f"retry later",
             ) from None
+        if self._waiter is not None and self._queue.qsize() >= self._wanted:
+            self._wake()
         return future
 
     # ------------------------------------------------------------------
@@ -299,32 +307,43 @@ class Coalescer:
                 return
 
     async def _fill(self, batch: list) -> bool:
-        """Top up ``batch`` to ``max_batch``; True when drain should follow."""
-        deadline = None
+        """Top up ``batch`` to ``max_batch``; True when drain should follow.
+
+        Whatever is queued joins for free.  A batch still short then
+        sleeps once, on one timer: until the queue holds enough to fill
+        it or ``max_wait_ms`` has passed, whichever comes first.
+        """
+        if self._take(batch):
+            return True
+        if len(batch) >= self.max_batch or self.max_wait_ms == 0:
+            return False
+        loop = asyncio.get_running_loop()
+        self._wanted = self.max_batch - len(batch)
+        self._waiter = loop.create_future()
+        timer = loop.call_later(self.max_wait_ms / 1000.0, self._wake)
+        try:
+            await self._waiter
+        finally:
+            timer.cancel()
+            self._waiter = None
+        return self._take(batch)
+
+    def _take(self, batch: list) -> bool:
+        """Move queued requests into ``batch``; True at the drain sentinel."""
         while len(batch) < self.max_batch:
-            if deadline is None:
-                # Greedy phase: take whatever is already queued for free.
-                try:
-                    item = self._queue.get_nowait()
-                except asyncio.QueueEmpty:
-                    if self.max_wait_ms == 0:
-                        return False
-                    deadline = asyncio.get_running_loop().time() + (
-                        self.max_wait_ms / 1000.0
-                    )
-                    continue
-            else:
-                remaining = deadline - asyncio.get_running_loop().time()
-                if remaining <= 0:
-                    return False
-                try:
-                    item = await asyncio.wait_for(self._queue.get(), remaining)
-                except asyncio.TimeoutError:
-                    return False
+            try:
+                item = self._queue.get_nowait()
+            except asyncio.QueueEmpty:
+                return False
             if item is _CLOSE:
                 return True
             batch.append(item)
         return False
+
+    def _wake(self) -> None:
+        """End the filling batch's wait."""
+        if self._waiter is not None and not self._waiter.done():
+            self._waiter.set_result(None)
 
     def _process(self, batch: list) -> list:
         """Resolve one batch (runs on the executor thread).

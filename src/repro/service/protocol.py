@@ -57,6 +57,7 @@ __all__ = [
     "ProtocolError",
     "Request",
     "parse_request",
+    "line_too_large",
     "parse_table_payload",
     "parse_table_text",
     "ok_reply",
@@ -138,10 +139,7 @@ def parse_request(
     """
     if isinstance(line, bytes):
         if len(line) > MAX_LINE_BYTES:
-            raise ProtocolError(
-                "payload_too_large",
-                f"request line exceeds {MAX_LINE_BYTES} bytes",
-            )
+            raise line_too_large()
         try:
             line = line.decode()
         except UnicodeDecodeError as exc:
@@ -163,6 +161,13 @@ def parse_request(
     request_id = data.get("id")
     table = parse_table_payload(data) if op in TABLE_OPS else None
     return Request(op=op, id=request_id, table=table, raw=data)
+
+
+def line_too_large() -> ProtocolError:
+    """The error of a request line above :data:`MAX_LINE_BYTES`."""
+    return ProtocolError(
+        "payload_too_large", f"request line exceeds {MAX_LINE_BYTES} bytes"
+    )
 
 
 def parse_table_payload(data: dict) -> TruthTable:

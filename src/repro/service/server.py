@@ -12,9 +12,10 @@ router; this module supplies the request *meaning*.  Requests flow::
                                                             │
     connection writer <── reply <── future resolves <───────┘
 
-Each NDJSON line becomes its own reply task, so a pipelined client keeps
-many requests in flight on one connection — exactly the traffic shape
-the coalescer amortises.
+Every line of one socket read is parsed and submitted in one pass and
+answered by a done-callback on its coalescer future, so a pipelined
+client keeps many requests in flight on one connection — exactly the
+traffic shape the coalescer amortises.
 
 Shutdown is a drain, not a drop: SIGTERM/SIGINT stop the listener,
 already-accepted requests are batched and answered, then connections
@@ -132,14 +133,16 @@ class ClassificationService(LineProtocolServer):
     # Request resolution (shared by both fronts)
     # ------------------------------------------------------------------
 
-    async def _resolve(self, request: Request, trace=None) -> dict:
+    def _resolve(self, request: Request, trace=None):
         if request.op == "ping":
             return {"pong": True, "classes": self.library.num_classes}
-        future = self.coalescer.submit(request.op, request.table, trace)
+        return self.coalescer.submit(request.op, request.table, trace)
+
+    def _payload(self, request: Request, value) -> dict:
         if request.op == "match":
-            outcome, cached = await future
+            outcome, cached = value
             return protocol.match_payload(request.table, outcome, cached)
-        class_id, known = await future
+        class_id, known = value
         return protocol.classify_payload(request.table, class_id, known)
 
     def _healthz(self) -> dict:

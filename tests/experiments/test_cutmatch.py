@@ -1,6 +1,11 @@
 """Tests for the AIG cut-matching experiment and the cut-function stream."""
 
+import json
+import os
+import subprocess
+import sys
 from collections import Counter
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -255,3 +260,59 @@ class TestReportRows:
         assert coverage["circuit"] == "library classes hit"
         assert coverage["cuts"] == len(class_hits)
         assert 0 < coverage["hit_rate"] <= 1
+
+
+#: One cut-matching process, start to end: build a library from half of
+#: the suite circuits, save and load it, match every circuit's cuts.  It
+#: prints whether ``numpy.ma`` was imported and digests of the result.
+CUT_MATCHING_PROCESS = """
+import hashlib, json, sys, tempfile
+from repro.aig.cuts import iter_cut_functions
+from repro.experiments.cutmatch import run_cut_matching
+from repro.library import build_library
+from repro.library.store import ClassLibrary
+from repro.workloads.epfl import epfl_like_suite
+
+names = %r
+suite = epfl_like_suite()
+circuits = {name: suite[name] for name in names}
+tables = {}
+for name in names[::2]:
+    for _, _, tt in iter_cut_functions(circuits[name], (4, 5, 6), max_cuts=16):
+        tables.setdefault((tt.n, tt.bits), tt)
+with tempfile.TemporaryDirectory() as tmp:
+    build_library(tables.values()).save(tmp + "/lib")
+    library = ClassLibrary.load(tmp + "/lib")
+    rows, hits = run_cut_matching(library, circuits, sizes=(4, 5, 6), max_cuts=16)
+digest = lambda value: hashlib.sha256(json.dumps(value).encode()).hexdigest()
+print(json.dumps({
+    "numpy.ma": "numpy.ma" in sys.modules,
+    "rows": digest([sorted(row.items()) for row in rows]),
+    "class_hits": digest(list(hits.items())),
+}))
+""" % (CUTS_LIBRARY_CIRCUITS,)
+
+
+ROWS_DIGEST = "da524f934601da272c6f8834ef891b1194fe605c134689f402e8d5e2ad647c8c"
+CLASS_HITS_DIGEST = (
+    "d7b3a766f2a84989e2c15764a77d05f7c77fac4282347d899b5267de8368165e"
+)
+
+
+class TestCutMatchingProcess:
+    def test_no_numpy_ma_and_the_same_answers(self):
+        env = dict(os.environ)
+        src = str(Path(__file__).resolve().parents[2] / "src")
+        existing = env.get("PYTHONPATH")
+        env["PYTHONPATH"] = src + (os.pathsep + existing if existing else "")
+        done = subprocess.run(
+            [sys.executable, "-c", CUT_MATCHING_PROCESS],
+            capture_output=True, text=True, env=env, timeout=120, check=True,
+        )
+        # ``np.unique`` imports numpy.ma, about 1 MiB per process; the
+        # digests are those of the np.unique-based version of the code.
+        assert json.loads(done.stdout) == {
+            "numpy.ma": False,
+            "rows": ROWS_DIGEST,
+            "class_hits": CLASS_HITS_DIGEST,
+        }

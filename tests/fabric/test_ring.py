@@ -1,6 +1,5 @@
 """Consistent-hash ring: determinism, replication, shard partitioning."""
 
-import asyncio
 import random
 
 import pytest
@@ -15,10 +14,12 @@ from repro.fabric.ring import (
     parse_ring_spec,
     shard_keys,
 )
+from repro import obs
 from repro.cli import main
 from repro.fabric.router import RouterService
 from repro.library import ClassLibrary, LibraryFormatError, build_library
 from repro.library import store
+from repro.service.protocol import Request
 from tests.library.test_library import _rewrite_tables
 from tests.msv_rows import scalar_shard_key as key_of
 from tests.strategies import npn_transforms, truth_tables
@@ -65,22 +66,17 @@ class Keep:
 
 
 def router_keys(tables):
-    """Keys from the router's per-tick flush, after one registration."""
+    """The keys the router routes one read's table ops by, checked to
+    come from one batched pass."""
     router = RouterService(port=0)
-    router._register({
-        "worker": {
-            "worker_id": "w0",
-            "address": "127.0.0.1:1",
-            "ring": HashRing(("w0",)).spec(),
-        }
-    })
-
-    async def key_all():
-        return await asyncio.gather(
-            *(router._shard_key(table) for table in tables)
-        )
-
-    return asyncio.run(key_all())
+    routed = []
+    router._route = lambda request, key, trace, start: routed.append(key)
+    requests = [Request(op="match", table=table) for table in tables]
+    passes = obs.registry().get("repro_fabric_shard_key_batch_size")
+    before = passes.series()["count"]
+    router._resolve_all(requests, [None] * len(requests))
+    assert passes.series()["count"] - before == 1
+    return routed
 
 
 class TestRingSpec:

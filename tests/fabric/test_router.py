@@ -24,7 +24,7 @@ from repro.core.truth_table import TruthTable
 from repro.fabric import channel as channel_module
 from repro.fabric import router as router_module
 from repro.fabric.backoff import RetryPolicy
-from repro.fabric.channel import ChannelClosed, DispatchTimeout
+from repro.fabric.channel import ChannelClosed, DispatchTimeout, WorkerChannel
 from repro.fabric.ring import HashRing
 from repro.fabric.router import RouterService
 from repro.fabric.worker import FabricWorker
@@ -39,6 +39,7 @@ from repro.service.protocol import (
     ok_reply,
 )
 from tests.msv_rows import scalar_shard_key
+from tests.service.test_framing import count_tasks, on_loop
 
 RING = ("w0", "w1")
 
@@ -107,7 +108,7 @@ def http_post(address, path, body: dict) -> dict:
 
 
 def stub_router(monkeypatch, dispatch, attempts=3, workers=("w0",)):
-    """A router with registered ``workers`` whose dispatches ``dispatch``
+    """A router with registered ``workers`` whose channels ``dispatch``
     answers, called as ``dispatch(worker_id, payload, timeout)``.
 
     No worker daemon runs, so the process's ``repro_service_*`` request
@@ -130,8 +131,23 @@ def stub_router(monkeypatch, dispatch, attempts=3, workers=("w0",)):
                 }
             }
         )
-    monkeypatch.setattr(router, "_dispatch_to", dispatch)
+    monkeypatch.setattr(
+        router, "_channel", lambda worker_id: StubChannel(worker_id, dispatch)
+    )
     return router
+
+
+class StubChannel:
+    """A worker channel whose replies a test's ``dispatch`` coroutine gives."""
+
+    def __init__(self, worker_id, dispatch):
+        self.worker_id = worker_id
+        self.dispatch = dispatch
+
+    def request(self, payload, timeout):
+        return asyncio.ensure_future(
+            self.dispatch(self.worker_id, payload, timeout)
+        )
 
 
 def make_worker(tiny_library, worker_id, ring, router_address, **kwargs):
@@ -489,32 +505,31 @@ class TestBatchedShardKeys:
             table = TruthTable(3, 0xE8)
             assert ServiceClient.verify(client.match(table), table)
 
-    def test_cancelled_requests_do_not_stop_the_flush(self):
+    def test_one_pass_keys_the_table_ops_among_other_ops(self):
         router = RouterService(port=0)
         tables = [TruthTable(3, value) for value in range(8)]
-
-        async def key(table):
-            return await router._shard_key(table)
-
-        async def scenario():
-            tasks = [asyncio.ensure_future(key(t)) for t in tables]
-            await asyncio.sleep(0)  # every task has queued its table
-            assert len(router._key_queue) == len(tables)
-            for index in (1, 4, 5):
-                tasks[index].cancel()
-            # A flush that stumbled on a cancelled future would strand
-            # the rest: bound the wait so that fails instead of hangs.
-            return await asyncio.wait_for(
-                asyncio.gather(*tasks, return_exceptions=True), timeout=10
-            )
-
-        results = asyncio.run(scenario())
-        for index, (table, result) in enumerate(zip(tables, results)):
+        routed = {}
+        router._route = lambda request, key, trace, start: routed.setdefault(
+            request.id, key
+        )
+        requests = []
+        for index, table in enumerate(tables):
+            requests.append(protocol.Request(op="match", id=index, table=table))
             if index in (1, 4, 5):
-                assert isinstance(result, asyncio.CancelledError)
-            else:
-                assert result == scalar_shard_key(table)
-        assert router._key_queue == []
+                requests.append(protocol.Request(op="ping", id=f"p{index}"))
+        passes_before = shard_key_passes()
+        results = router._resolve_all(requests, [None] * len(requests))
+        # One batched pass keys the read; the pings in between neither
+        # take a key nor shift one.
+        assert shard_key_passes() - passes_before == 1
+        assert routed == {
+            index: scalar_shard_key(table) for index, table in enumerate(tables)
+        }
+        pongs = [
+            result for request, result in zip(requests, results)
+            if request.op == "ping"
+        ]
+        assert len(pongs) == 3 and all(pong["pong"] for pong in pongs)
 
     def test_client_gone_mid_burst_leaves_others_answered(self, fabric):
         router, _ = fabric
@@ -869,3 +884,75 @@ class TestRelay:
                     assert client.match(TruthTable(3, 0xE8)) == MISS
         assert len(requests) == 2
         assert retries.value(reason=error_type) == before + 1
+
+
+class TestOnePassPerRead:
+    """A routed burst costs per read and per burst, not per request."""
+
+    def test_burst_of_cache_hits_through_the_router(
+        self, tiny_library, monkeypatch
+    ):
+        tables = [TruthTable(3, value) for value in range(256)]
+        with ThreadedService(tiny_library) as worker:
+            with routed_to(worker.address) as host:
+                router = host.service
+                # Warm up: the worker caches every table, the channel is open.
+                pipeline(host.port, tables)
+                reads, bursts, timers = [], [], []
+                answer_part = router._answer_part
+
+                def counted_part(replies, lines, newline):
+                    if any(line.strip() for line in lines):
+                        reads.append(len(lines))
+                    return answer_part(replies, lines, newline)
+
+                monkeypatch.setattr(router, "_answer_part", counted_part)
+                flush = WorkerChannel._flush
+
+                def counted_flush(channel):
+                    if channel._lines and channel._writer is not None:
+                        bursts.append(len(channel._lines))
+                    flush(channel)
+
+                monkeypatch.setattr(WorkerChannel, "_flush", counted_flush)
+
+                def spy_timers():
+                    loop = asyncio.get_running_loop()
+                    call_later = loop.call_later
+
+                    def spy(delay, callback, *args, **kwargs):
+                        if (getattr(callback, "__func__", None)
+                                is WorkerChannel._expire):
+                            timers.append(delay)
+                        return call_later(delay, callback, *args, **kwargs)
+
+                    loop.call_later = spy
+
+                on_loop(host, spy_timers)
+                router_tasks = count_tasks(host)
+                worker_tasks = count_tasks(worker)
+                readlines = []
+                readline = asyncio.StreamReader.readline
+
+                async def counted_readline(reader):
+                    readlines.append(1)
+                    return await readline(reader)
+
+                monkeypatch.setattr(
+                    asyncio.StreamReader, "readline", counted_readline
+                )
+                passes_before = shard_key_passes()
+                replies = pipeline(host.port, tables)
+                passes = shard_key_passes() - passes_before
+        assert sorted(replies) == list(range(256))
+        assert all(reply["result"]["cached"] for reply in replies.values())
+        # One batched shard-key pass per read of the client's lines.
+        assert 1 <= passes == len(reads)
+        # The channel wrote the forwards in bursts, one deadline timer each.
+        assert sum(bursts) == 256
+        assert len(timers) == len(bursts)
+        # No task per request on either hop; one readline, the sniff of
+        # the client's connection.
+        assert len(router_tasks) < 8, router_tasks
+        assert len(worker_tasks) < 8, worker_tasks
+        assert len(readlines) <= 1
